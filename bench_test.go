@@ -277,12 +277,12 @@ func BenchmarkExecutorHashJoin(b *testing.B) {
 // a 256-dim observation, 64 actions, 128→64 hidden layers, and a replay
 // buffer of 4096 samples.
 func benchQAgent(seed int64) (*rl.QAgent, *rl.ReplayBuffer) {
-	return benchQAgentAt(nn.F64, nn.EngineAuto, seed)
+	return benchQAgentAt(nn.F64, seed)
 }
 
-func benchQAgentAt(p nn.Precision, e nn.Engine, seed int64) (*rl.QAgent, *rl.ReplayBuffer) {
+func benchQAgentAt(p nn.Precision, seed int64) (*rl.QAgent, *rl.ReplayBuffer) {
 	const obsDim, actions = 256, 64
-	agent := rl.NewQAgent(obsDim, actions, rl.QAgentConfig{Hidden: []int{128, 64}, Precision: p, Engine: e, Seed: seed})
+	agent := rl.NewQAgent(obsDim, actions, rl.QAgentConfig{Hidden: []int{128, 64}, Precision: p, Seed: seed})
 	buf := rl.NewReplayBuffer(4096)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 4096; i++ {
@@ -297,31 +297,27 @@ func benchQAgentAt(p nn.Precision, e nn.Engine, seed int64) (*rl.QAgent, *rl.Rep
 
 // BenchmarkBatchedTrain measures QAgent.Train's batched path: one 64-sample
 // minibatch per iteration through a single parallel forward/backward pass,
-// at each tensor-core precision × compute engine. The f32 sub-benchmarks
-// move half the bytes per matmul, bias add, and Adam step; the blocked
-// sub-benchmarks run the packed-panel microkernels. Steady state is
-// allocation-free (0 allocs/op — see TestBatchedTrainZeroAlloc).
+// at each tensor-core precision. The f32 sub-benchmark moves half the bytes
+// per matmul, bias add, and Adam step. Steady state is allocation-free
+// (0 allocs/op — see TestBatchedTrainZeroAlloc).
 func BenchmarkBatchedTrain(b *testing.B) {
 	for _, p := range []nn.Precision{nn.F64, nn.F32} {
-		for _, e := range []nn.Engine{nn.EngineReference, nn.EngineBlocked} {
-			b.Run(fmt.Sprintf("%s/%s", p, e), func(b *testing.B) {
-				agent, buf := benchQAgentAt(p, e, 1)
-				agent.Train(buf, 64) // size the layer and batch buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					agent.Train(buf, 64)
-				}
-			})
-		}
+		b.Run(p.String(), func(b *testing.B) {
+			agent, buf := benchQAgentAt(p, 1)
+			agent.Train(buf, 64) // size the layer and batch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Train(buf, 64)
+			}
+		})
 	}
 }
 
 // TestBatchedTrainZeroAlloc pins the hot training path's zero-steady-state
 // allocation property end to end — replay sampling, batch assembly, the
-// forward/backward kernels, and the Adam step — under both compute engines.
-// Serial kernels only: the parallel dispatch path allocates its task
-// closures by design.
+// forward/backward kernels, and the Adam step. Serial kernels only: the
+// parallel dispatch path allocates its task closures by design.
 func TestBatchedTrainZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless under -race")
@@ -329,13 +325,11 @@ func TestBatchedTrainZeroAlloc(t *testing.T) {
 	prev := nn.Workers()
 	nn.SetWorkers(1)
 	defer nn.SetWorkers(prev)
-	for _, e := range []nn.Engine{nn.EngineReference, nn.EngineBlocked} {
-		agent, buf := benchQAgentAt(nn.F64, e, 1)
-		train := func() { agent.Train(buf, 64) }
-		train() // size the layer and batch buffers
-		if allocs := testing.AllocsPerRun(20, train); allocs != 0 {
-			t.Errorf("%v: batched train %.1f allocs/op, want 0", e, allocs)
-		}
+	agent, buf := benchQAgent(1)
+	train := func() { agent.Train(buf, 64) }
+	train() // size the layer and batch buffers
+	if allocs := testing.AllocsPerRun(20, train); allocs != 0 {
+		t.Errorf("batched train %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -760,36 +754,23 @@ func BenchmarkServiceExecuteParallel(b *testing.B) {
 }
 
 // BenchmarkServicePlanConcurrent drives Plan from 8 goroutines against a
-// warm published policy, with the per-publish shared weight packing on (the
-// default) and off (per-call unpacked inference) — the PR 9 acceptance pair.
-// The cache is disabled so every call pays the full greedy rollout; the two
-// variants serve bitwise-identical plans (TestServiceSharedInferenceParity),
-// so the plans/sec delta is pure inference mechanics.
-//
-// Both variants run interleaved inside one benchmark invocation — every
-// iteration alternates a 64-plan batch on the packed service with the same
-// batch on the unpacked one — so machine-level noise (CPU steal, frequency
-// drift) hits both equally and the reported speedup is a paired measurement.
-// Metrics: plans/sec (shared packing, the serving default), unpacked-plans/sec
-// (per-call raw-matrix inference), and packed-speedup (their ratio). The
-// policy uses the service's default hidden sizes; inference is a modest
-// slice of a full Plan (expert costing and featurization dominate), so the
-// end-to-end speedup is a few percent — the kernel-level gap is pinned by
-// BenchmarkPackedInfer.
+// warm published policy. The cache is disabled so every call pays the full
+// greedy rollout over the snapshot's shared packed weights. The policy uses
+// the service's default hidden sizes; inference is a modest slice of a full
+// Plan (expert costing and featurization dominate) — the kernel-level
+// packed-vs-unpacked gap is pinned by nn's BenchmarkPackedInfer.
+// Metric: plans/sec aggregate.
 func BenchmarkServicePlanConcurrent(b *testing.B) {
-	svcOn := benchExecService(b, WithFallbackRatio(0))
-	svcOff := benchExecService(b, WithFallbackRatio(0), WithSharedInference(false))
-	publishPolicySized(b, svcOn, 71, []int{128, 64})
-	publishPolicySized(b, svcOff, 71, []int{128, 64})
-	qs := svcOn.Queries()
+	svc := benchExecService(b, WithFallbackRatio(0))
+	publishPolicySized(b, svc, 71, []int{128, 64})
+	qs := svc.Queries()
 	ctx := context.Background()
 
 	// One batch = a fixed 64-plan block fanned across the 8 goroutines, so
 	// even a 1x smoke run measures a meaningful rate.
 	const goroutines, plansPerBatch = 8, 64
-	errs := make(chan error, 2*goroutines)
-	batch := func(svc *Service) time.Duration {
-		start := time.Now()
+	errs := make(chan error, goroutines)
+	batch := func() {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -812,35 +793,21 @@ func BenchmarkServicePlanConcurrent(b *testing.B) {
 			}()
 		}
 		wg.Wait()
-		return time.Since(start)
 	}
 
-	// Warm both services: expert plans, featurizer state, pools, the pack.
-	batch(svcOn)
-	batch(svcOff)
-
-	var elapsedOn, elapsedOff time.Duration
+	batch() // warm: expert plans, featurizer state, pools, the pack
 	b.ResetTimer()
+	start := time.Now()
 	for iter := 0; iter < b.N; iter++ {
-		// Alternate which variant goes first so slow drift within the run
-		// cannot systematically favor one side.
-		if iter%2 == 0 {
-			elapsedOn += batch(svcOn)
-			elapsedOff += batch(svcOff)
-		} else {
-			elapsedOff += batch(svcOff)
-			elapsedOn += batch(svcOn)
-		}
+		batch()
 	}
+	elapsed := time.Since(start)
 	b.StopTimer()
 	close(errs)
 	for err := range errs {
 		b.Fatal(err)
 	}
-	work := float64(b.N) * plansPerBatch
-	b.ReportMetric(work/elapsedOn.Seconds(), "plans/sec")
-	b.ReportMetric(work/elapsedOff.Seconds(), "unpacked-plans/sec")
-	b.ReportMetric(elapsedOff.Seconds()/elapsedOn.Seconds(), "packed-speedup")
+	b.ReportMetric(float64(b.N)*plansPerBatch/elapsed.Seconds(), "plans/sec")
 }
 
 // --- sketch statistics & approximate execution benchmarks ---

@@ -46,10 +46,16 @@ func TestEnvPrintsServingConfig(t *testing.T) {
 	if !strings.Contains(got, want) {
 		t.Fatalf("env output missing the golden serving section:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	// The compute section is still there too.
-	for _, frag := range []string{"engine:", "precision:", "kernel workers:"} {
+	// The compute section is still there too: one engine line naming the
+	// kernel each entry point runs, and nothing that suggests a selector.
+	for _, frag := range []string{"engine:    gemm=", " gemv=", " adam=", "precision:", "kernel workers:"} {
 		if !strings.Contains(got, frag) {
 			t.Fatalf("env output missing %q:\n%s", frag, got)
+		}
+	}
+	for _, frag := range []string{"_ENGINE", "AVX512", "build default", "avx512"} {
+		if strings.Contains(got, frag) {
+			t.Fatalf("env output still mentions %q:\n%s", frag, got)
 		}
 	}
 }

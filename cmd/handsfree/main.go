@@ -26,10 +26,6 @@
 //	-seed n       experiment seed override
 //	-precision s  tensor-core precision for learned agents: f64 (default,
 //	              bitwise-deterministic) or f32 (half the memory bandwidth)
-//	-engine s     dense-kernel backend for learned agents: reference
-//	              (bitwise-deterministic naive kernels) or blocked
-//	              (cache-blocked register-tiled microkernels; default:
-//	              HANDSFREE_ENGINE, else the build default)
 //	-timeout d    service mode: overall lifecycle deadline, and per-query
 //	              planning deadline on the Plan(ctx) serving path
 //
@@ -68,7 +64,6 @@ func main() {
 	scale := flag.Float64("scale", 0, "database scale factor override")
 	seed := flag.Int64("seed", 0, "experiment seed override")
 	precision := flag.String("precision", "", "tensor-core precision for learned agents: f64 or f32 (default: HANDSFREE_PRECISION, else f64)")
-	engineFlag := flag.String("engine", "", "dense-kernel backend for learned agents: reference or blocked (default: HANDSFREE_ENGINE, else the build default)")
 	timeout := flag.Duration("timeout", 0, "service mode: lifecycle deadline and per-query planning deadline (0 = none)")
 	addr := flag.String("addr", "", "serve mode: listen address (default :8080)")
 	tenants := flag.Int("tenants", 1, "serve mode: number of independent tenants to mount")
@@ -93,14 +88,6 @@ func main() {
 		// resolves through this env var on first use — set it before the lab
 		// constructs any network.
 		os.Setenv("HANDSFREE_PRECISION", *precision)
-	}
-	if *engineFlag != "" {
-		if _, err := nn.ParseEngine(*engineFlag); err != nil {
-			fatal(err)
-		}
-		// Same pattern as -precision: agents resolve EngineAuto through this
-		// env var on first use.
-		os.Setenv("HANDSFREE_ENGINE", *engineFlag)
 	}
 	cmd := strings.ToLower(flag.Arg(0))
 
@@ -435,23 +422,18 @@ func runServe(cfg server.Config, tenantCount int, train, quick bool, scale float
 
 // printEnv reports the configuration a run with the same flags and
 // environment would resolve to, so perf numbers and deployments are
-// reproducible: the dense-kernel engine, the tensor precision, the blocked
-// engine's tile geometry, the kernel worker-pool width, and the serving
-// layer's resolved admission/timeout settings.
+// reproducible: the kernel each engine entry point runs on this host (with
+// the portable tile geometry), the tensor precision, the kernel worker-pool
+// width, and the serving layer's resolved admission/timeout settings.
 func printEnv(serveCfg server.Config, tenants int) {
 	mr, nr, kc := nn.BlockedTileConfig()
-	fmt.Printf("engine:    %s (HANDSFREE_ENGINE=%q, build default %s)\n",
-		nn.DefaultEngine(), os.Getenv("HANDSFREE_ENGINE"), nn.BuildDefaultEngine())
+	d := nn.Dispatch()
+	fmt.Printf("engine:    gemm=%s gemv=%s softmax=%s adam=%s (portable tile %dx%d, k-block %d)\n",
+		d.Gemm, d.Gemv, d.Softmax, d.Adam, mr, nr, kc)
 	fmt.Printf("precision: %s (HANDSFREE_PRECISION=%q)\n",
 		nn.DefaultPrecision(), os.Getenv("HANDSFREE_PRECISION"))
 	cpu := nn.DetectCPU()
-	fmt.Printf("cpu features: avx2=%v fma=%v avx512f=%v (HANDSFREE_AVX512=%q)\n",
-		cpu.AVX2, cpu.FMA, cpu.AVX512F, os.Getenv("HANDSFREE_AVX512"))
-	d := nn.Dispatch()
-	fmt.Printf("kernel dispatch: gemm=%s gemv=%s softmax=%s adam=%s\n",
-		d.Gemm, d.Gemv, d.Softmax, d.Adam)
-	fmt.Printf("blocked kernel: %s (portable tile %dx%d, k-block %d)\n",
-		nn.BlockedKernel(), mr, nr, kc)
+	fmt.Printf("cpu features: avx2=%v fma=%v\n", cpu.AVX2, cpu.FMA)
 	fmt.Printf("kernel workers: %d\n", nn.Workers())
 	fmt.Print(serveCfg.Describe(tenants))
 }
@@ -471,7 +453,7 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: handsfree [-quick] [-scale f] [-seed n] [-precision f64|f32] [-engine reference|blocked] [-timeout d] <experiment>
+	fmt.Fprint(os.Stderr, `usage: handsfree [-quick] [-scale f] [-seed n] [-precision f64|f32] [-timeout d] <experiment>
 
 experiments:
   fig3a        ReJOIN convergence (Figure 3a)

@@ -85,10 +85,6 @@ type (
 	// Precision selects the scalar type the learned agents' networks store
 	// and compute in; see Config.Precision.
 	Precision = nn.Precision
-	// ComputeEngine selects the dense-kernel backend the learned agents'
-	// networks run on; see Config.Engine. (Named ComputeEngine because
-	// System.Engine is the query executor.)
-	ComputeEngine = nn.Engine
 )
 
 // Precision values for Config.Precision and ReJOINConfig.Precision.
@@ -103,23 +99,6 @@ const (
 	// parity. Pick it for long training runs where throughput matters more
 	// than bitwise reproducibility; see README.md.
 	F32 = nn.F32
-)
-
-// Compute-engine values for Config.Engine and ReJOINConfig.Engine.
-const (
-	// EngineAuto resolves through the HANDSFREE_ENGINE environment variable
-	// and falls back to the build's compiled-in default (the reference
-	// engine unless built with -tags handsfree_blocked).
-	EngineAuto = nn.EngineAuto
-	// EngineReference is the pure-Go naive-kernel backend: the
-	// bitwise-deterministic reference every other engine is verified
-	// against.
-	EngineReference = nn.EngineReference
-	// EngineBlocked is the cache-blocked, register-tiled GEMM backend:
-	// packed B-panels and 4×4 unrolled microkernels, tolerance-verified
-	// against the reference (f64 rel ≤1e-12, f32 rel ≤1e-4). Pick it for
-	// training throughput; see README.md.
-	EngineBlocked = nn.EngineBlocked
 )
 
 // StatsMode selects the statistics source the planning stack — cost model,
@@ -205,12 +184,6 @@ type Config struct {
 	// float64 behavior. F32 halves the memory bandwidth of every batched
 	// network kernel at tolerance-bounded (not bitwise) parity.
 	Precision Precision
-	// Engine is the default dense-kernel backend for every learned agent
-	// the system builds (per-agent configs may override it). The default,
-	// EngineAuto, resolves through the HANDSFREE_ENGINE environment
-	// variable and falls back to the build's compiled-in engine —
-	// EngineReference unless built with -tags handsfree_blocked.
-	Engine ComputeEngine
 	// Stats selects the statistics source planning runs on. The default,
 	// StatsAuto, resolves through the HANDSFREE_STATS environment variable
 	// and falls back to StatsExact. StatsSketch replaces the histogram
@@ -255,9 +228,6 @@ type System struct {
 	// Precision is the system-wide default for learned agents (resolved
 	// from Config.Precision).
 	Precision Precision
-	// Compute is the system-wide default dense-kernel backend for learned
-	// agents (resolved from Config.Engine; Engine is the query executor).
-	Compute ComputeEngine
 	// StatsSource is the resolved statistics mode planning runs on
 	// (Config.Stats through HANDSFREE_STATS).
 	StatsSource StatsMode
@@ -369,7 +339,6 @@ func openSystem(cfg Config) (*System, error) {
 		Engine:      engine.New(db.Store),
 		Workload:    workload.New(db),
 		Precision:   cfg.Precision.Resolve(),
-		Compute:     cfg.Engine.Resolve(),
 		StatsSource: cfg.Stats.Resolve(),
 		sketchSeed:  uint64(cfg.Seed),
 		cacheTag:    systemTag(cfg),
@@ -494,10 +463,7 @@ type ReJOINConfig struct {
 	// Precision overrides the system-wide Config.Precision for this agent's
 	// policy network (PrecisionAuto inherits the system setting).
 	Precision Precision
-	// Engine overrides the system-wide Config.Engine for this agent's
-	// policy network (EngineAuto inherits the system setting).
-	Engine ComputeEngine
-	Seed   int64
+	Seed      int64
 }
 
 // NewReJOINAgent builds a ReJOIN agent over a training workload. Queries
@@ -544,14 +510,10 @@ func newReJOINAgent(sys *System, queries []*Query, cfg ReJOINConfig) (*ReJOINAge
 	if prec == PrecisionAuto {
 		prec = sys.Precision
 	}
-	eng := cfg.Engine
-	if eng == EngineAuto {
-		eng = sys.Compute
-	}
 	space := featurize.NewSpace(cfg.MaxRelations, sys.cardEstimator())
 	env := rejoin.NewEnv(space, sys.Planner, queries, cfg.Seed)
 	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
-		Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Precision: prec, Engine: eng, Seed: cfg.Seed,
+		Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Precision: prec, Seed: cfg.Seed,
 	})
 	return &ReJOINAgent{agent: agent}, nil
 }

@@ -152,7 +152,7 @@ func aggregate(a *plan.Agg, child *Result, w *Work, e *Engine) (*Result, error) 
 				st.add(aggCols[i][r])
 			}
 		}
-		if err := e.check(w); err != nil {
+		if err := e.check(w, 0); err != nil {
 			return nil, err
 		}
 	}

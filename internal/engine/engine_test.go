@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -214,6 +215,70 @@ func TestBudgetAborts(t *testing.T) {
 	_, _, err := e.Execute(q, root)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}
+
+// TestJoinFanOutStopsBeforeMaterializing: a join whose output dwarfs the work
+// budget must return ErrBudget while it still holds only matched row indices.
+// Both tables carry one key value, so the 2000×2000 join matches 4M pairs —
+// 128 MB of output columns — against a budget worth ~70k pairs.
+func TestJoinFanOutStopsBeforeMaterializing(t *testing.T) {
+	const n = 2000
+	db := storage.NewDB()
+	for _, name := range []string{"l", "r"} {
+		tab := storage.NewTable(name, n)
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		_ = tab.AddColumn("id", ids)
+		_ = tab.AddColumn("k", make([]int64, n))
+		db.Add(tab)
+	}
+	q := &query.Query{
+		Relations: []query.Relation{{Table: "l", Alias: "l"}, {Table: "r", Alias: "r"}},
+		Joins:     []query.Join{{LeftAlias: "l", LeftCol: "k", RightAlias: "r", RightCol: "k"}},
+	}
+	for _, algo := range plan.JoinAlgos {
+		e := New(db)
+		root := plan.JoinNodes(q, algo, plan.BuildScan(q, "l", plan.SeqScan, ""), plan.BuildScan(q, "r", plan.SeqScan, ""))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := e.ExecuteBudget(q, root, 200_000)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("%v: err = %v, want ErrBudget", algo, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%v: allocated %d MB before giving up, want well under the 128 MB output", algo, got>>20)
+		}
+	}
+}
+
+// TestBudgetEqualToWorkStillFinishes: counting pending join pairs must not
+// charge a finishing run anything extra — a budget of exactly the unbudgeted
+// total still succeeds, with the same work counts.
+func TestBudgetEqualToWorkStillFinishes(t *testing.T) {
+	db := tinyDB()
+	q := tinyQuery()
+	for _, algo := range plan.JoinAlgos {
+		e := New(db)
+		root := plan.JoinNodes(q, algo, plan.BuildScan(q, "o", plan.SeqScan, ""), plan.BuildScan(q, "u", plan.SeqScan, ""))
+		_, free, err := e.Execute(q, root)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		_, tight, err := e.ExecuteBudget(q, root, free.Total())
+		if err != nil {
+			t.Fatalf("%v: budget = total work: %v", algo, err)
+		}
+		tight.budget = 0
+		if *tight != *free {
+			t.Fatalf("%v: work under a tight budget %+v, unbudgeted %+v", algo, *tight, *free)
+		}
+		if _, _, err := e.ExecuteBudget(q, root, free.Total()-1); !errors.Is(err, ErrBudget) {
+			t.Fatalf("%v: budget one short of the work: err = %v, want ErrBudget", algo, err)
+		}
 	}
 }
 

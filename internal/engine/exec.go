@@ -98,12 +98,18 @@ func (e *Engine) ExecuteBudget(q *query.Query, root plan.Node, budget int64) (*R
 	return res, w, err
 }
 
-func (e *Engine) check(w *Work) error {
+// check returns ErrBudget once the work done plus the work already owed
+// exceeds the budget. pending is the number of matched join pairs not yet
+// materialized: emitJoin charges each of them one RowsMaterialized and one
+// TuplesEmitted, so counting them here stops a fan-out join while it holds
+// only row indices, before its output columns are allocated. A run that
+// finishes is charged exactly what it was without the look-ahead.
+func (e *Engine) check(w *Work, pending int) error {
 	limit := e.Budget
 	if w.budget > 0 {
 		limit = w.budget
 	}
-	if limit > 0 && w.Total() > limit {
+	if limit > 0 && w.Total()+2*int64(pending) > limit {
 		return ErrBudget
 	}
 	return nil
@@ -184,7 +190,7 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 		}
 		candidates = ix.lookupFilters(s.Filters, s.IndexColumn, t.N, w)
 	}
-	if err := e.check(w); err != nil {
+	if err := e.check(w, 0); err != nil {
 		return nil, err
 	}
 
@@ -211,12 +217,12 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 			kept = append(kept, r)
 		}
 	}
-	if err := e.check(w); err != nil {
+	if err := e.check(w, 0); err != nil {
 		return nil, err
 	}
 	res := gatherRows(t, s.Alias, kept, w)
 	w.TuplesEmitted += int64(res.N)
-	return res, e.check(w)
+	return res, e.check(w, 0)
 }
 
 // joinKeyCols resolves which result columns hold each side's join keys.
@@ -295,7 +301,7 @@ func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
 				li = append(li, int32(a))
 				ri = append(ri, int32(b))
 			}
-			if err := e.check(w); err != nil {
+			if err := e.check(w, len(li)); err != nil {
 				return nil, err
 			}
 		}
@@ -309,8 +315,10 @@ func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := emitJoin(left, right, li, ri, w)
-	return res, e.check(w)
+	if err := e.check(w, len(li)); err != nil {
+		return nil, err
+	}
+	return emitJoin(left, right, li, ri, w), nil
 }
 
 func (e *Engine) nestLoopJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]int32, []int32, error) {
@@ -330,7 +338,7 @@ func (e *Engine) nestLoopJoin(left, right *Result, lk, rk [][]int64, w *Work) ([
 				ri = append(ri, int32(b))
 			}
 		}
-		if err := e.check(w); err != nil {
+		if err := e.check(w, len(li)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -345,7 +353,7 @@ func (e *Engine) hashJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]int
 		key := rk[0][b]
 		build[key] = append(build[key], int32(b))
 	}
-	if err := e.check(w); err != nil {
+	if err := e.check(w, 0); err != nil {
 		return nil, nil, err
 	}
 	var li, ri []int32
@@ -365,10 +373,10 @@ func (e *Engine) hashJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]int
 				ri = append(ri, int32(b))
 			}
 		}
-		if a%4096 == 0 {
-			if err := e.check(w); err != nil {
-				return nil, nil, err
-			}
+		// Every probe row, not every few thousand: one skewed key can add
+		// right.N pairs per row.
+		if err := e.check(w, len(li)); err != nil {
+			return nil, nil, err
 		}
 	}
 	return li, ri, nil
@@ -412,7 +420,7 @@ func (e *Engine) mergeJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]in
 						ri = append(ri, ro[y])
 					}
 				}
-				if err := e.check(w); err != nil {
+				if err := e.check(w, len(li)); err != nil {
 					return nil, nil, err
 				}
 			}

@@ -42,11 +42,10 @@ type Config struct {
 	// CatastropheFactor defines a catastrophic execution: latency worse than
 	// this multiple of the expert's (default 50).
 	CatastropheFactor float64
-	// Precision and Engine select the reward-prediction network's scalar
-	// type and dense-kernel backend (zero values resolve through the
-	// HANDSFREE_PRECISION / HANDSFREE_ENGINE environment variables).
+	// Precision selects the reward-prediction network's scalar type (the
+	// zero value resolves through the HANDSFREE_PRECISION environment
+	// variable).
 	Precision nn.Precision
-	Engine    nn.Engine
 	Seed      int64
 }
 
@@ -113,7 +112,6 @@ func New(cfg Config) *Agent {
 		LR:        cfg.LR,
 		Epsilon:   cfg.Epsilon,
 		Precision: cfg.Precision,
-		Engine:    cfg.Engine,
 		Seed:      cfg.Seed,
 	})
 	return &Agent{

@@ -3,103 +3,24 @@ package nn
 import (
 	"fmt"
 	"math"
-	"os"
-	"strings"
-	"sync"
 )
 
-// Engine selects the compute backend the dense kernels run on. The seam is
-// deliberately small — three matmul variants plus the fused linear-layer
-// forward/backward — so a backend is a handful of kernels, and everything
-// above the kernels (layers, networks, agents, the service) is untouched by
-// backend choice.
-//
-// The zero value (EngineAuto) resolves through the HANDSFREE_ENGINE
-// environment variable, falling back to the build-tag default (see
-// engine_default.go): EngineReference unless the binary was built with
-// -tags handsfree_blocked. Existing callers that never pick an engine keep
-// the reference kernels' numerics bit for bit, while CI sweeps the whole
-// suite through the blocked kernels with one env var.
-type Engine uint8
-
-const (
-	// EngineAuto defers to DefaultEngine (the HANDSFREE_ENGINE environment
-	// variable, or the build-tag default when unset).
-	EngineAuto Engine = iota
-	// EngineReference is the pure-Go generic kernel set (MatMul/MatMulATB/
-	// MatMulABT as shipped before the engine seam): the bitwise-deterministic
-	// reference every other backend is verified against.
-	EngineReference
-	// EngineBlocked is the cache-blocked backend: packed B-panels, KC-deep
-	// k-blocking, and register-tiled microkernels — runtime-detected AVX2+FMA
-	// vector tiles (4×16 f32, 4×8 f64; see BlockedKernel) with portable 2×4
-	// Go tiles as the fallback — composed with the package worker pool. It
-	// reorders the per-element summation (register accumulation per k-block)
-	// and the vector kernels fuse each multiply-add, so it matches the
-	// reference by tolerance (f64 rel ≤1e-12, f32 rel ≤1e-4) rather than
-	// bitwise — except on single-row and other tiny shapes, which fall back
-	// to the reference kernel and stay bitwise identical (greedy 1×d
-	// inference in particular).
-	EngineBlocked
-)
+// Engine names the dense-kernel engine in environment reports. There is one —
+// the shape-and-CPU dispatcher in engine_blocked.go, where the dispatch rule
+// is stated — so nothing above the kernels chooses a compute path.
+type Engine string
 
 // String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineReference:
-		return "reference"
-	case EngineBlocked:
-		return "blocked"
-	default:
-		return "auto"
-	}
-}
+func (e Engine) String() string { return string(e) }
 
-// ParseEngine parses an engine name: "reference"/"ref" and "blocked"/"block"
-// (case-insensitive); "" and "auto" are EngineAuto.
-func ParseEngine(s string) (Engine, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return EngineAuto, nil
-	case "reference", "ref":
-		return EngineReference, nil
-	case "blocked", "block":
-		return EngineBlocked, nil
-	}
-	return EngineAuto, fmt.Errorf("nn: unknown engine %q (want reference or blocked)", s)
-}
+// DefaultEngine reports the engine every network runs on.
+func DefaultEngine() Engine { return "blocked" }
 
-// defaultEngine caches the HANDSFREE_ENGINE lookup: the env var is a
-// process-wide matrix knob, not something that changes mid-run.
-var defaultEngine = sync.OnceValue(func() Engine {
-	e, err := ParseEngine(os.Getenv("HANDSFREE_ENGINE"))
-	if err != nil || e == EngineAuto {
-		return buildDefaultEngine
-	}
-	return e
-})
-
-// DefaultEngine returns the engine EngineAuto resolves to: the value of the
-// HANDSFREE_ENGINE environment variable at first use, or the build-tag
-// default (EngineReference, or EngineBlocked under -tags handsfree_blocked).
-func DefaultEngine() Engine { return defaultEngine() }
-
-// BuildDefaultEngine returns the compiled-in engine default — what
-// DefaultEngine falls back to when HANDSFREE_ENGINE is unset.
-func BuildDefaultEngine() Engine { return buildDefaultEngine }
-
-// Resolve maps EngineAuto to DefaultEngine and returns concrete engines
-// unchanged.
-func (e Engine) Resolve() Engine {
-	if e == EngineAuto {
-		return DefaultEngine()
-	}
-	return e
-}
-
-// EngineOf is one compute backend at a fixed precision. All methods write
-// into caller-provided, correctly shaped outputs (they panic on shape
-// mismatch) so steady-state training allocates nothing.
+// EngineOf is the kernel seam at a fixed precision. It has two
+// implementations: the dispatcher all production code runs on (NewEngineOf)
+// and refEngineOf, the oracle the parity tests drive layers and kernels
+// through. All methods write into caller-provided, correctly shaped outputs
+// (they panic on shape mismatch) so steady-state training allocates nothing.
 //
 // Numeric contract: MatMul/MatMulATB/MatMulABT accumulate each output
 // element over the shared k index in ascending order within whatever
@@ -111,8 +32,6 @@ func (e Engine) Resolve() Engine {
 // reference engine's float64 instantiation is bitwise identical to the
 // pre-seam layer code.
 type EngineOf[T Float] interface {
-	// Kind reports which Engine this backend implements.
-	Kind() Engine
 	// MatMul computes out = a·b (out fully overwritten).
 	MatMul(a, b, out *MatOf[T])
 	// MatMulATB computes out = aᵀ·b, or out += aᵀ·b when accum is true.
@@ -176,23 +95,16 @@ func NewAdamArgs[T Float](t int, lr, beta1, beta2, eps, clipScale float64) AdamA
 	}
 }
 
-// NewEngineOf returns the backend implementing e at precision T. Backends
-// are stateless (scratch comes from internal pools), so the returned values
-// are freely shareable across goroutines and allocate nothing.
-func NewEngineOf[T Float](e Engine) EngineOf[T] {
-	if e.Resolve() == EngineBlocked {
-		return blockedEngineOf[T]{}
-	}
-	return refEngineOf[T]{}
-}
+// NewEngineOf returns the engine at precision T. It is stateless (scratch
+// comes from internal pools), so the returned value is freely shareable across
+// goroutines and allocates nothing.
+func NewEngineOf[T Float]() EngineOf[T] { return blockedEngineOf[T]{} }
 
 // refEngineOf is the reference backend: the package's generic i-k-j kernels
 // run through the row-parallel worker pool, exactly as the pre-seam layer
-// code called them.
+// code called them. No production path constructs it; it is the oracle the
+// dispatcher is verified against.
 type refEngineOf[T Float] struct{}
-
-// Kind reports EngineReference.
-func (refEngineOf[T]) Kind() Engine { return EngineReference }
 
 // matABArgs carries kernel operands through parallelRowsOf, so the serial
 // dispatch path builds no closure and allocates nothing.

@@ -2,32 +2,39 @@ package nn
 
 import "math"
 
-// The blocked backend: cache-blocked, register-tiled matmul microkernels
-// behind the EngineOf seam.
+// The dispatcher: the one engine every layer, optimizer step and fused
+// kernel runs on, choosing a kernel per call from what it can observe.
+//
+// Dispatch rule, in order:
+//  1. Shape. A product under blockedMinFlops multiply-adds, or with fewer
+//     than blockedMR output rows — in particular the 1×d products of greedy
+//     rollouts and per-sample inference — runs the serial reference row
+//     kernel (matMulRows / matMulATBRows / matMulABTRows) and is bitwise
+//     identical to the oracle.
+//  2. CPU. Larger a·b products run the AVX2+FMA vector tiles (gemm_amd64.go)
+//     when the one-time CPUID check passed and the output is at least one
+//     vector panel wide.
+//  3. Otherwise the portable 2×4 Go tiles below.
 //
 // Layout: the k dimension is cut into KC-deep blocks; for each block the
 // needed rows of B are packed into NR-wide column panels (panel-major, so
 // the microkernel streams B contiguously), then the output rows fan out over
-// the package worker pool in MR-row tiles. The a·b path has two microkernel
-// implementations: AVX2+FMA vector tiles (gemm_amd64.go, used when a one-time
-// CPUID check passes) and the portable 2×4 Go tiles below. The 2×4 kernel
-// keeps its 8 partial sums in registers across the whole k block — 6 loads
-// feed 16 flops per k step, versus the reference kernel's two loads and a
-// store per multiply-add — and the packed panel plus MR rows of A fit L1.
-// The tile is 2×4 rather than 4×4 deliberately: 8 accumulators plus 4 packed
-// B values and 2 A values stay within amd64's 16 vector registers, where a
-// 4×4 tile's 21 live floats spill to the stack and forfeit the win.
+// the package worker pool in MR-row tiles. The 2×4 kernel keeps its 8 partial
+// sums in registers across the whole k block — 6 loads feed 16 flops per k
+// step, versus the reference kernel's two loads and a store per multiply-add
+// — and the packed panel plus MR rows of A fit L1. The tile is 2×4 rather
+// than 4×4 deliberately: 8 accumulators plus 4 packed B values and 2 A values
+// stay within amd64's 16 vector registers, where a 4×4 tile's 21 live floats
+// spill to the stack and forfeit the win.
 //
-// Numerics: register accumulation per k block reorders each output element's
-// summation (reference adds every product straight into memory in k order),
-// so blocked results match the reference by tolerance (f64 rel ≤1e-12, f32
-// rel ≤1e-4), not bitwise. Determinism still holds: the blocking is a pure
-// function of the shapes, never of the worker count, so a blocked product is
-// identical across SetWorkers settings. Tiny shapes — in particular the 1×d
-// products of greedy rollouts and per-sample inference — fall back to the
-// serial reference kernel and stay bitwise identical to EngineReference,
-// which is what makes reference-trained policies plan identically under
-// either engine.
+// Numerics contract: register accumulation per k block reorders each output
+// element's summation (the oracle adds every product straight into memory in
+// k order) and the vector tiles fuse each multiply-add, so tiled a·b and aᵀ·b
+// results match the oracle by tolerance (f64 rel ≤1e-12, f32 rel ≤1e-4), not
+// bitwise; a·bᵀ, SoftmaxXent and AdamStep are bitwise identical to it on
+// every path. Determinism holds throughout: the blocking is a pure function
+// of the shapes, never of the worker count, so a product is identical across
+// SetWorkers settings and across runs.
 
 const (
 	// blockedKC is the k-block depth: one packed B panel is KC×NR elements
@@ -45,35 +52,14 @@ const (
 	blockedMinFlops = 1 << 12
 )
 
-// BlockedTileConfig reports the blocked engine's portable tile geometry
-// (register tile MR×NR, k-block depth KC) for reproducible perf reports. When
-// BlockedKernel reports "avx2+fma" the a·b path instead runs 4×16 (f32) or
-// 4×8 (f64) vector tiles; the k-block depth is KC either way.
+// BlockedTileConfig reports the portable tile geometry (register tile MR×NR,
+// k-block depth KC) for reproducible perf reports. When Dispatch reports
+// gemm=avx2+fma the a·b path instead runs 4×16 (f32) or 4×8 (f64) vector
+// tiles; the k-block depth is KC either way.
 func BlockedTileConfig() (mr, nr, kc int) { return blockedMR, blockedNR, blockedKC }
 
-// BlockedKernel names the microkernel implementation behind the blocked
-// engine's a·b path: "avx512" when the opt-in zmm kernels are active
-// (HANDSFREE_AVX512 on AVX512F hardware), "avx2+fma" when the
-// runtime-detected ymm kernels are active (amd64 with AVX2 and FMA),
-// "portable" for the generic 2×4 register-tiled Go kernels. The avx512 and
-// avx2+fma paths produce bitwise-identical results (same FMA-covered column
-// region, same per-element fold order); the portable kernels match by the
-// engine tolerance contract.
-func BlockedKernel() string {
-	switch {
-	case asmGemmEnabled && asmGemm512Enabled:
-		return "avx512"
-	case asmGemmEnabled:
-		return "avx2+fma"
-	}
-	return "portable"
-}
-
-// blockedEngineOf is the cache-blocked backend.
+// blockedEngineOf is the dispatcher (see the dispatch rule above).
 type blockedEngineOf[T Float] struct{}
-
-// Kind reports EngineBlocked.
-func (blockedEngineOf[T]) Kind() Engine { return EngineBlocked }
 
 // MatMul computes out = a·b with the blocked kernel.
 func (blockedEngineOf[T]) MatMul(a, b, out *MatOf[T]) {

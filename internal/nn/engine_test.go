@@ -65,6 +65,28 @@ func checkClose[T Float](t *testing.T, op string, got, want []T, tol float64) {
 	}
 }
 
+// engineCase names one EngineOf implementation for tests that must hold on
+// both: the dispatcher production code runs on and the oracle it is verified
+// against.
+type engineCase[T Float] struct {
+	name string
+	eng  EngineOf[T]
+}
+
+func engineCases[T Float]() []engineCase[T] {
+	return []engineCase[T]{{"reference", refEngineOf[T]{}}, {"blocked", NewEngineOf[T]()}}
+}
+
+// useOracle rebinds every Linear layer of n to the reference kernels, so a
+// network-level test can compare the dispatcher against the oracle.
+func useOracle[T Float](n *NetOf[T]) {
+	for _, l := range n.Layers {
+		if lin, ok := l.(*LinearOf[T]); ok {
+			lin.oracle = refEngineOf[T]{}
+		}
+	}
+}
+
 // forEachBlockedKernel runs f under every blocked microkernel implementation
 // available here: the portable Go tiles always, and the AVX2+FMA vector
 // kernels when the CPU has them (the setting is restored afterwards).
@@ -98,11 +120,8 @@ func TestEngineMatMulMatchesRef(t *testing.T) {
 func testEngineParity[T Float](t *testing.T) {
 	old := Workers()
 	defer SetWorkers(old)
-	ref := NewEngineOf[T](EngineReference)
-	blk := NewEngineOf[T](EngineBlocked)
-	if ref.Kind() != EngineReference || blk.Kind() != EngineBlocked {
-		t.Fatalf("engine kinds: ref %v, blocked %v", ref.Kind(), blk.Kind())
-	}
+	var ref EngineOf[T] = refEngineOf[T]{}
+	blk := NewEngineOf[T]()
 	tol := engineTol[T]()
 	for _, workers := range []int{1, 4} {
 		SetWorkers(workers)
@@ -182,8 +201,8 @@ func testEngine512[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a, b := randMatOf[T](d, d, rng), randMatOf[T](d, d, rng)
 	want, got := NewMatOf[T](d, d), NewMatOf[T](d, d)
-	NewEngineOf[T](EngineReference).MatMul(a, b, want)
-	NewEngineOf[T](EngineBlocked).MatMul(a, b, got)
+	refEngineOf[T]{}.MatMul(a, b, want)
+	NewEngineOf[T]().MatMul(a, b, got)
 	// Relative error scales with the summation length; √k·ε is the usual
 	// random-walk bound and k=512 stays far inside the PR 4 budgets.
 	checkClose(t, "MatMul 512³", got.Data, want.Data, engineTol[T]())
@@ -196,7 +215,7 @@ func TestBlockedDeterministicAcrossWorkers(t *testing.T) {
 	old := Workers()
 	defer SetWorkers(old)
 	forEachBlockedKernel(t, func(t *testing.T) {
-		eng := NewEngineOf[float64](EngineBlocked)
+		eng := NewEngineOf[float64]()
 		rng := rand.New(rand.NewSource(21))
 		// 37×29 makes worker chunks misalign the 4-row vector tiles (rows
 		// covered by the 4-row kernel in one split run the 1-row kernel in
@@ -217,13 +236,13 @@ func TestBlockedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestEngineSingleRowBitwiseIdentical: 1×d products — the shape of greedy
-// rollouts and per-sample inference — take the blocked engine's reference
-// fallback and must match the reference engine bit for bit. This is the
-// kernel-level fact behind the plan-equivalence property (a reference-trained
-// policy plans identically under either engine).
+// rollouts and per-sample inference — take the dispatcher's small-shape path
+// and must match the reference engine bit for bit. This is the kernel-level
+// fact behind packed/unpacked inference parity and behind checkpoints planning
+// identically wherever they were trained.
 func TestEngineSingleRowBitwiseIdentical(t *testing.T) {
-	ref := NewEngineOf[float64](EngineReference)
-	blk := NewEngineOf[float64](EngineBlocked)
+	ref := refEngineOf[float64]{}
+	blk := NewEngineOf[float64]()
 	rng := rand.New(rand.NewSource(31))
 	x, w := randMatOf[float64](1, 384, rng), randMatOf[float64](384, 96, rng)
 	bias := make([]float64, 96)
@@ -238,22 +257,12 @@ func TestEngineSingleRowBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestNetEngineParity: the same weights forwarded under each engine agree
-// within tolerance at the network level, and engine selection survives
-// Clone/CloneForInference/ConvertTo.
+// TestNetEngineParity: the same weights forwarded through the dispatcher and
+// through the oracle agree within tolerance at the network level.
 func TestNetEngineParity(t *testing.T) {
 	net := NewMLPOf[float64](rand.New(rand.NewSource(41)), 24, 48, 32, 10)
 	blkNet := net.Clone()
-	blkNet.SetEngine(EngineBlocked)
-	if got := blkNet.Engine(); got != EngineBlocked {
-		t.Fatalf("SetEngine(blocked) then Engine() = %v", got)
-	}
-	if got := blkNet.Clone().Engine(); got != EngineBlocked {
-		t.Fatalf("Clone dropped the engine: %v", got)
-	}
-	if got := blkNet.CloneForInference().Engine(); got != EngineBlocked {
-		t.Fatalf("CloneForInference dropped the engine: %v", got)
-	}
+	useOracle(net)
 
 	rng := rand.New(rand.NewSource(42))
 	x := randMatOf[float64](16, 24, rng)
@@ -286,8 +295,8 @@ func TestEngineKernelsZeroAlloc(t *testing.T) {
 }
 
 func testEngineKernelsZeroAlloc(t *testing.T, rng *rand.Rand, a, b, bT, at, out *MatOf[float64]) {
-	for _, e := range []Engine{EngineReference, EngineBlocked} {
-		eng := NewEngineOf[float64](e)
+	for _, c := range engineCases[float64]() {
+		eng := c.eng
 		dout := randMatOf[float64](64, 48, rng)
 		dW := make([]float64, 80*48)
 		dB := make([]float64, 48)
@@ -303,14 +312,14 @@ func testEngineKernelsZeroAlloc(t *testing.T, rng *rand.Rand, a, b, bT, at, out 
 		for name, f := range run {
 			f() // warm the scratch pools
 			if allocs := testing.AllocsPerRun(50, f); allocs != 0 {
-				t.Errorf("%s/%s: %.1f allocs/op, want 0", e, name, allocs)
+				t.Errorf("%s/%s: %.1f allocs/op, want 0", c.name, name, allocs)
 			}
 		}
 	}
 }
 
 // TestForwardBackwardZeroAlloc: a full batched forward/backward pass through
-// an MLP allocates nothing in steady state under either engine.
+// an MLP allocates nothing in steady state on the dispatcher or the oracle.
 func TestForwardBackwardZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless under -race")
@@ -319,9 +328,11 @@ func TestForwardBackwardZeroAlloc(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(old)
 	rng := rand.New(rand.NewSource(61))
-	for _, e := range []Engine{EngineReference, EngineBlocked} {
+	for _, oracle := range []bool{true, false} {
 		net := NewMLPOf[float64](rng, 24, 64, 32, 8)
-		net.SetEngine(e)
+		if oracle {
+			useOracle(net)
+		}
 		x := randMatOf[float64](16, 24, rng)
 		dout := randMatOf[float64](16, 8, rng)
 		step := func() {
@@ -331,7 +342,7 @@ func TestForwardBackwardZeroAlloc(t *testing.T) {
 		}
 		step() // first pass sizes the per-layer buffers
 		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-			t.Errorf("%s: forward/backward %.1f allocs/op, want 0", e, allocs)
+			t.Errorf("oracle=%v: forward/backward %.1f allocs/op, want 0", oracle, allocs)
 		}
 	}
 }
@@ -346,64 +357,61 @@ func TestInferIntoZeroAlloc(t *testing.T) {
 	SetWorkers(1)
 	defer SetWorkers(old)
 	rng := rand.New(rand.NewSource(71))
-	for _, e := range []Engine{EngineReference, EngineBlocked} {
+	for _, oracle := range []bool{true, false} {
 		net := NewMLPOf[float64](rng, 24, 64, 8)
-		net.SetEngine(e)
+		if oracle {
+			useOracle(net)
+		}
 		x := randMatOf[float64](1, 24, rng)
 		out := &MatOf[float64]{}
 		net.InferInto(x, out) // warm the infer scratch pool
 		if allocs := testing.AllocsPerRun(100, func() { net.InferInto(x, out) }); allocs != 0 {
-			t.Errorf("%s: InferInto %.1f allocs/op, want 0", e, allocs)
+			t.Errorf("oracle=%v: InferInto %.1f allocs/op, want 0", oracle, allocs)
 		}
 	}
 }
 
-// BenchmarkEngineMatMul sweeps both engines over square matmuls at both
-// precisions, single-threaded (the acceptance metric is per-core kernel
+// BenchmarkEngineMatMul sweeps the oracle and the dispatcher over square
+// matmuls at both precisions, single-threaded (the metric is per-core kernel
 // throughput, not pool scaling), reporting GFLOP/s and allocs. On CPUs with
 // the vector kernels, "blocked" is the AVX2+FMA path and an extra
-// "blocked-portable" variant pins the generic Go tiles' throughput; on CPUs
-// with AVX512F a "blocked-avx512" variant runs the zmm tiles (bitwise
-// identical to "blocked", so the GFLOP/s delta is the whole story).
+// "blocked-portable" variant pins the generic Go tiles' throughput.
 func BenchmarkEngineMatMul(b *testing.B) {
 	type variant struct {
 		name   string
-		e      Engine
+		oracle bool
 		asm    bool
-		asm512 bool
 	}
 	variants := []variant{
-		{"reference", EngineReference, cpuAVX2FMA, false},
-		{"blocked", EngineBlocked, cpuAVX2FMA, false},
+		{"reference", true, cpuAVX2FMA},
+		{"blocked", false, cpuAVX2FMA},
 	}
 	if cpuAVX2FMA {
-		variants = append(variants, variant{"blocked-portable", EngineBlocked, false, false})
-	}
-	if cpuAVX512F {
-		variants = append(variants, variant{"blocked-avx512", EngineBlocked, true, true})
+		variants = append(variants, variant{"blocked-portable", false, false})
 	}
 	shapes := []int{64, 128, 256, 512}
 	for _, d := range shapes {
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("f64/%dx%dx%d/%s", d, d, d, v.name), func(b *testing.B) {
-				benchEngineMatMul[float64](b, v.e, v.asm, v.asm512, d)
+				benchEngineMatMul[float64](b, v.oracle, v.asm, d)
 			})
 			b.Run(fmt.Sprintf("f32/%dx%dx%d/%s", d, d, d, v.name), func(b *testing.B) {
-				benchEngineMatMul[float32](b, v.e, v.asm, v.asm512, d)
+				benchEngineMatMul[float32](b, v.oracle, v.asm, d)
 			})
 		}
 	}
 }
 
-func benchEngineMatMul[T Float](b *testing.B, e Engine, asm, asm512 bool, d int) {
+func benchEngineMatMul[T Float](b *testing.B, oracle, asm bool, d int) {
 	old := Workers()
 	SetWorkers(1)
 	defer SetWorkers(old)
 	prevAsm := setAsmGemm(asm)
 	defer setAsmGemm(prevAsm)
-	prev512 := setAsmGemm512(asm512)
-	defer setAsmGemm512(prev512)
-	eng := NewEngineOf[T](e)
+	eng := NewEngineOf[T]()
+	if oracle {
+		eng = refEngineOf[T]{}
+	}
 	rng := rand.New(rand.NewSource(81))
 	a, x := randMatOf[T](d, d, rng), randMatOf[T](d, d, rng)
 	out := NewMatOf[T](d, d)

@@ -2,17 +2,14 @@ package nn
 
 // CPU/kernel introspection for operational tooling (`handsfree env`): which
 // ISA features the host exposes and which implementation each engine kernel
-// resolves to under the current gates. Read-only views over the same flags
-// the dispatchers consult — reported and executed paths cannot drift.
+// resolves to on this host. Read-only views over the same flags the
+// dispatchers consult — reported and executed paths cannot drift.
 
 // CPUFeatures reports the ISA capabilities the kernel dispatchers probe at
-// startup. AVX2FMA covers the ymm kernels (GEMM, gemv, Adam); AVX512F covers
-// the zmm GEMM variants and requires OS zmm-state support (XCR0), not just
-// the CPUID bit.
+// startup: the two the ymm kernels (GEMM, gemv, Adam) need.
 type CPUFeatures struct {
-	AVX2    bool // ymm integer/float vectors, OS-enabled
-	FMA     bool // fused multiply-add (used by the GEMM microkernels)
-	AVX512F bool // zmm foundation set, OS-enabled
+	AVX2 bool // ymm integer/float vectors, OS-enabled
+	FMA  bool // fused multiply-add (used by the GEMM microkernels)
 }
 
 // DetectCPU returns the host's probed feature set. On non-amd64 builds every
@@ -20,15 +17,14 @@ type CPUFeatures struct {
 func DetectCPU() CPUFeatures {
 	// The amd64 probe requires AVX2 and FMA together (the GEMM kernels use
 	// both), so one flag backs both fields.
-	return CPUFeatures{AVX2: cpuAVX2FMA, FMA: cpuAVX2FMA, AVX512F: cpuAVX512F}
+	return CPUFeatures{AVX2: cpuAVX2FMA, FMA: cpuAVX2FMA}
 }
 
 // KernelDispatch names the implementation each engine entry point resolves
-// to right now, honoring runtime gates (HANDSFREE_AVX512) as well as
-// hardware detection. Values are "avx512f", "avx2+fma", "avx2" (vector
-// without FMA, for the bitwise-constrained kernels), or "portable".
+// to on this host. Values are "avx2+fma", "avx2" (vector without FMA, for
+// the bitwise-constrained kernels), or "portable".
 type KernelDispatch struct {
-	Gemm    string // blocked-engine GEMM microkernel
+	Gemm    string // tiled GEMM microkernel (shapes above the small-shape threshold)
 	Gemv    string // shared-packing inference panels
 	Softmax string // fused softmax+cross-entropy
 	Adam    string // fused Adam step
@@ -40,10 +36,7 @@ type KernelDispatch struct {
 // the composed reference path.
 func Dispatch() KernelDispatch {
 	d := KernelDispatch{Gemm: "portable", Gemv: "portable", Softmax: "portable", Adam: "portable"}
-	switch {
-	case asmGemmEnabled && asmGemm512Enabled:
-		d.Gemm = "avx512f"
-	case asmGemmEnabled:
+	if asmGemmEnabled {
 		d.Gemm = "avx2+fma"
 	}
 	if asmGemvEnabled {

@@ -6,16 +6,13 @@ import "testing"
 // the dispatchers actually consult, across the toggleable gate states.
 func TestDispatchTracksGates(t *testing.T) {
 	cpu := DetectCPU()
-	if cpu.AVX2 != cpuAVX2FMA || cpu.FMA != cpuAVX2FMA || cpu.AVX512F != cpuAVX512F {
-		t.Fatalf("DetectCPU() = %+v, flags avx2fma=%v avx512f=%v", cpu, cpuAVX2FMA, cpuAVX512F)
+	if cpu.AVX2 != cpuAVX2FMA || cpu.FMA != cpuAVX2FMA {
+		t.Fatalf("DetectCPU() = %+v, flag avx2fma=%v", cpu, cpuAVX2FMA)
 	}
 
 	d := Dispatch()
 	wantGemm := "portable"
-	switch {
-	case asmGemmEnabled && asmGemm512Enabled:
-		wantGemm = "avx512f"
-	case asmGemmEnabled:
+	if asmGemmEnabled {
 		wantGemm = "avx2+fma"
 	}
 	if d.Gemm != wantGemm {

@@ -40,7 +40,7 @@ func benchAdamStep[T Float](b *testing.B) {
 	fused := func(b *testing.B, asm bool) {
 		prev := setAsmAdam(asm)
 		defer setAsmAdam(prev)
-		e := NewEngineOf[T](EngineBlocked)
+		e := NewEngineOf[T]()
 		p, _, _ := newState()
 		m, v := make([]T, n), make([]T, n)
 		e.AdamStep(p.Value, p.Grad, m, v, NewAdamArgs[T](1, 1e-3, 0.9, 0.999, 1e-8, 1))
@@ -71,12 +71,9 @@ func benchSoftmaxXent[T Float](b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	logits, masks, actions, advs := softmaxXentCase[T](rows, cols, rng)
 	probs, grad := NewMatOf[T](rows, cols), NewMatOf[T](rows, cols)
-	for _, eng := range []struct {
-		name string
-		e    Engine
-	}{{"composed-reference", EngineReference}, {"fused-blocked", EngineBlocked}} {
+	for _, eng := range []engineCase[T]{{"composed-reference", refEngineOf[T]{}}, {"fused-blocked", NewEngineOf[T]()}} {
 		b.Run(eng.name, func(b *testing.B) {
-			e := NewEngineOf[T](eng.e)
+			e := eng.eng
 			e.SoftmaxXent(logits, masks, actions, advs, 0.01, probs, grad)
 			b.ReportAllocs()
 			b.ResetTimer()

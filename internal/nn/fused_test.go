@@ -111,8 +111,8 @@ func TestSoftmaxXentBitwise(t *testing.T) {
 
 func testSoftmaxXentBitwise[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ref := NewEngineOf[T](EngineReference)
-	blk := NewEngineOf[T](EngineBlocked)
+	ref := refEngineOf[T]{}
+	blk := NewEngineOf[T]()
 	shapes := []struct{ rows, cols int }{{1, 1}, {1, 9}, {5, 7}, {17, 3}, {33, 17}, {128, 24}}
 	for _, ent := range []float64{0, 0.01, 0.5} {
 		for _, sh := range shapes {
@@ -152,8 +152,8 @@ func TestAdamStepBitwise(t *testing.T) {
 
 func testAdamStepBitwise[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ref := NewEngineOf[T](EngineReference)
-	blk := NewEngineOf[T](EngineBlocked)
+	ref := refEngineOf[T]{}
+	blk := NewEngineOf[T]()
 	for _, n := range []int{1, 3, 4, 7, 8, 9, 31, 64, 257, 1000} {
 		pRef, pBlk := make([]T, n), make([]T, n)
 		gBuf := make([]T, n)
@@ -174,27 +174,31 @@ func testAdamStepBitwise[T Float](t *testing.T) {
 }
 
 // TestStepNetEngineRoutedBitwise pins the seam migration itself: Adam's
-// engine-routed StepNet must update a network bit-identically to the
-// historical per-precision scalar loop (adamStepT), at both precisions and
-// on both engines.
+// engine-routed update must change a network bit-identically to the
+// historical per-precision scalar loop (adamStepT), at both precisions —
+// StepNet on the dispatcher, and the same routed update (adamStepEngT) on the
+// oracle.
 func TestStepNetEngineRoutedBitwise(t *testing.T) {
 	forEachAdamKernel(t, func(t *testing.T) {
-		for _, eng := range []Engine{EngineReference, EngineBlocked} {
-			t.Run("engine="+eng.String(), func(t *testing.T) {
-				t.Run("f64", func(t *testing.T) { testStepNetBitwise[float64](t, eng) })
-				t.Run("f32", func(t *testing.T) { testStepNetBitwise[float32](t, eng) })
+		for _, oracle := range []bool{true, false} {
+			name := "engine=blocked"
+			if oracle {
+				name = "engine=reference"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Run("f64", func(t *testing.T) { testStepNetBitwise[float64](t, oracle) })
+				t.Run("f32", func(t *testing.T) { testStepNetBitwise[float32](t, oracle) })
 			})
 		}
 	})
 }
 
-func testStepNetBitwise[T Float](t *testing.T, eng Engine) {
+func testStepNetBitwise[T Float](t *testing.T, oracle bool) {
 	build := func() *NetOf[T] {
 		rng := rand.New(rand.NewSource(23))
 		return NewMLPOf[T](rng, 13, 32, 7)
 	}
 	netA, netB := build(), build()
-	netA.SetEngine(eng)
 	var wrapped *Network
 	if _, ok := any(T(0)).(float32); ok {
 		wrapped = WrapNet32(any(netA).(*NetOf[float32]))
@@ -204,9 +208,12 @@ func testStepNetBitwise[T Float](t *testing.T, eng Engine) {
 	opt := NewAdam(1e-3)
 	opt.Clip = 5
 
-	// The legacy loop the routed path must match.
+	// The legacy loop the routed path must match, and the oracle's own
+	// moment buffers.
 	mB := make(map[*ParamOf[T]][]T)
 	vB := make(map[*ParamOf[T]][]T)
+	mA := make(map[*ParamOf[T]][]T)
+	vA := make(map[*ParamOf[T]][]T)
 
 	rng := rand.New(rand.NewSource(29))
 	for step := 1; step <= 4; step++ {
@@ -214,7 +221,11 @@ func testStepNetBitwise[T Float](t *testing.T, eng Engine) {
 			fillUniform(p.Grad, rng)
 			copy(netB.Params()[i].Grad, p.Grad)
 		}
-		opt.StepNet(wrapped)
+		if oracle {
+			adamStepEngT(refEngineOf[T]{}, mA, vA, netA.Params(), step, opt.LR, opt.Beta1, opt.Beta2, opt.Eps, opt.Clip)
+		} else {
+			opt.StepNet(wrapped)
+		}
 		adamStepT(mB, vB, netB.Params(), step, opt.LR, opt.Beta1, opt.Beta2, opt.Eps, opt.Clip)
 		for i, p := range netA.Params() {
 			checkBitwise(t, fmt.Sprintf("step %d param %d", step, i), p.Value, netB.Params()[i].Value)
@@ -223,7 +234,7 @@ func testStepNetBitwise[T Float](t *testing.T, eng Engine) {
 }
 
 // TestFusedKernelsZeroAlloc asserts the fused training kernels allocate
-// nothing in steady state on either engine.
+// nothing in steady state on the dispatcher or the oracle.
 func TestFusedKernelsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -238,8 +249,8 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 	p, g, m, v := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	fillUniform(p, rng)
 	fillUniform(g, rng)
-	for _, eng := range []Engine{EngineReference, EngineBlocked} {
-		e := NewEngineOf[float64](eng)
+	for _, c := range engineCases[float64]() {
+		e, eng := c.eng, c.name
 		e.SoftmaxXent(logits, masks, actions, advs, 0.01, &probs, &grad) // warm: size the buffers
 		if allocs := testing.AllocsPerRun(20, func() {
 			e.SoftmaxXent(logits, masks, actions, advs, 0.01, &probs, &grad)

@@ -104,18 +104,10 @@ func gemmBlockedAsm[T Float](a, b, out *MatOf[T]) bool {
 		if b.Cols < asmNRF32 {
 			return false
 		}
-		if asmGemm512Enabled && b.Cols >= asmNR512F32 {
-			gemmBlocked512F32(am, any(b).(*MatOf[float32]), any(out).(*MatOf[float32]))
-			return true
-		}
 		gemmBlockedF32(am, any(b).(*MatOf[float32]), any(out).(*MatOf[float32]))
 	case *MatOf[float64]:
 		if b.Cols < asmNRF64 {
 			return false
-		}
-		if asmGemm512Enabled && b.Cols >= asmNR512F64 {
-			gemmBlocked512F64(am, any(b).(*MatOf[float64]), any(out).(*MatOf[float64]))
-			return true
 		}
 		gemmBlockedF64(am, any(b).(*MatOf[float64]), any(out).(*MatOf[float64]))
 	default:

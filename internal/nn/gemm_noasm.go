@@ -15,18 +15,11 @@ const (
 	asmNRF64 = 8
 )
 
-const cpuAVX512F = false
-
 var asmGemmEnabled = false
-
-var asmGemm512Enabled = false
 
 // setAsmGemm is the test hook for toggling the vector kernels; without them
 // it reports the (permanently false) setting unchanged.
 func setAsmGemm(bool) bool { return false }
-
-// setAsmGemm512 is the test hook for the zmm kernels; permanently false.
-func setAsmGemm512(bool) bool { return false }
 
 // gemmBlockedAsm reports that no vector kernel path exists.
 func gemmBlockedAsm[T Float](a, b, out *MatOf[T]) bool { return false }

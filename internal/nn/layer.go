@@ -36,16 +36,13 @@ func (p *ParamOf[T]) ZeroGrad() {
 // that retain a result across calls must Clone it. Infer allocates a fresh
 // output every call (the concurrency contract above requires it).
 //
-// The unexported methods bind a layer to a compute engine and to the pooled
-// zero-allocation inference path; layer implementations live in this
-// package.
+// The unexported method binds a layer to the pooled zero-allocation inference
+// path; layer implementations live in this package.
 type LayerOf[T Float] interface {
 	Forward(x *MatOf[T]) *MatOf[T]
 	Infer(x *MatOf[T]) *MatOf[T]
 	Backward(dout *MatOf[T]) *MatOf[T]
 	Params() []*ParamOf[T]
-	// setEngine binds the compute backend used by the dense kernels.
-	setEngine(e EngineOf[T])
 	// inferTo computes exactly what Infer computes into out (resized by the
 	// layer), writing no layer state. out must not alias x.
 	inferTo(x, out *MatOf[T])
@@ -60,8 +57,11 @@ type LinearOf[T Float] struct {
 	W       *ParamOf[T] // In*Out, row-major (in × out)
 	B       *ParamOf[T] // Out
 
-	eng EngineOf[T] // compute backend; nil means the resolved default
-	ps  [2]*ParamOf[T]
+	// oracle, when non-nil, replaces the engine for this layer's kernels.
+	// Only the parity tests set it (to refEngineOf); it is not copied by
+	// Clone, conversion or output surgery.
+	oracle EngineOf[T]
+	ps     [2]*ParamOf[T]
 
 	// wview is the cached matrix view over W.Value, bound once at
 	// construction (see bindViews). The optimizer mutates W.Value in place
@@ -114,15 +114,11 @@ func (l *LinearOf[T]) weight() *MatOf[T] {
 	return &l.wview
 }
 
-func (l *LinearOf[T]) setEngine(e EngineOf[T]) { l.eng = e }
-
-// engine returns the bound backend, lazily resolving the process default for
-// layers that never had one set (standalone layers, gob-loaded networks).
 func (l *LinearOf[T]) engine() EngineOf[T] {
-	if l.eng == nil {
-		l.eng = NewEngineOf[T](EngineAuto)
+	if l.oracle != nil {
+		return l.oracle
 	}
-	return l.eng
+	return NewEngineOf[T]()
 }
 
 // Forward computes x·W + b for a batch into the layer's reusable output
@@ -243,8 +239,6 @@ func (r *ReLUOf[T]) Backward(dout *MatOf[T]) *MatOf[T] {
 // Params returns nil; ReLU has no learnable parameters.
 func (r *ReLUOf[T]) Params() []*ParamOf[T] { return nil }
 
-func (r *ReLUOf[T]) setEngine(EngineOf[T]) {}
-
 // TanhOf is the hyperbolic-tangent activation, applied element-wise.
 type TanhOf[T Float] struct {
 	y  *MatOf[T] // reusable Forward output, cached for Backward
@@ -297,5 +291,3 @@ func (t *TanhOf[T]) Backward(dout *MatOf[T]) *MatOf[T] {
 
 // Params returns nil; Tanh has no learnable parameters.
 func (t *TanhOf[T]) Params() []*ParamOf[T] { return nil }
-
-func (t *TanhOf[T]) setEngine(EngineOf[T]) {}

@@ -14,8 +14,7 @@ import (
 type NetOf[T Float] struct {
 	Layers []LayerOf[T]
 
-	engKind Engine        // engine the layers were bound to (EngineAuto = default)
-	params  []*ParamOf[T] // cached Params() result (hot: optimizer + ZeroGrad per step)
+	params []*ParamOf[T] // cached Params() result (hot: optimizer + ZeroGrad per step)
 }
 
 // NewMLPOf builds Linear→ReLU→…→Linear with the given layer sizes at the
@@ -33,28 +32,6 @@ func NewMLPOf[T Float](rng *rand.Rand, sizes ...int) *NetOf[T] {
 		}
 	}
 	return &NetOf[T]{Layers: layers}
-}
-
-// SetEngine binds every layer's dense kernels to the given compute backend
-// (EngineAuto resolves through DefaultEngine). Engine choice is runtime
-// state, not model state: it is preserved by Clone/CloneForInference and by
-// precision conversion, but never serialized — a checkpoint loads onto the
-// loading process's default engine until SetEngine is called.
-func (n *NetOf[T]) SetEngine(e Engine) {
-	e = e.Resolve()
-	n.engKind = e
-	impl := NewEngineOf[T](e)
-	for _, l := range n.Layers {
-		l.setEngine(impl)
-	}
-}
-
-// Engine reports the compute backend the network's kernels run on.
-func (n *NetOf[T]) Engine() Engine {
-	if n.engKind == EngineAuto {
-		return DefaultEngine()
-	}
-	return n.engKind
 }
 
 // Forward runs the batch through every layer. The result lives in the last
@@ -186,7 +163,6 @@ func (n *NetOf[T]) ResizeOutput(newOut int, rng *rand.Rand) {
 			continue
 		}
 		repl := NewLinearOf[T](lin.In, newOut, rng)
-		repl.eng = lin.eng
 		keep := min(lin.Out, newOut)
 		for r := 0; r < lin.In; r++ {
 			copy(repl.W.Value[r*newOut:r*newOut+keep], lin.W.Value[r*lin.Out:r*lin.Out+keep])
@@ -208,7 +184,6 @@ func (n *NetOf[T]) ReinitOutput(rng *rand.Rand) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		if lin, ok := n.Layers[i].(*LinearOf[T]); ok {
 			repl := NewLinearOf[T](lin.In, lin.Out, rng)
-			repl.eng = lin.eng
 			n.Layers[i] = repl
 			n.params = nil
 			return
@@ -236,7 +211,7 @@ func (n *NetOf[T]) CloneForInference() *NetOf[T] {
 }
 
 func (n *NetOf[T]) clone(grads bool) *NetOf[T] {
-	out := &NetOf[T]{Layers: make([]LayerOf[T], 0, len(n.Layers)), engKind: n.engKind}
+	out := &NetOf[T]{Layers: make([]LayerOf[T], 0, len(n.Layers))}
 	for _, l := range n.Layers {
 		switch l := l.(type) {
 		case *LinearOf[T]:
@@ -245,7 +220,6 @@ func (n *NetOf[T]) clone(grads bool) *NetOf[T] {
 				Out: l.Out,
 				W:   &ParamOf[T]{Name: "W", Value: append([]T(nil), l.W.Value...)},
 				B:   &ParamOf[T]{Name: "b", Value: append([]T(nil), l.B.Value...)},
-				eng: l.eng,
 			}
 			if grads {
 				cl.W.Grad = make([]T, len(l.W.Value))
@@ -266,7 +240,7 @@ func (n *NetOf[T]) clone(grads bool) *NetOf[T] {
 // convertNet rebuilds a core at element type U from a core at element type T,
 // converting every parameter value and allocating fresh gradients.
 func convertNet[U, T Float](n *NetOf[T]) *NetOf[U] {
-	out := &NetOf[U]{Layers: make([]LayerOf[U], 0, len(n.Layers)), engKind: n.engKind}
+	out := &NetOf[U]{Layers: make([]LayerOf[U], 0, len(n.Layers))}
 	for _, l := range n.Layers {
 		switch l := l.(type) {
 		case *LinearOf[T]:
@@ -275,9 +249,6 @@ func convertNet[U, T Float](n *NetOf[T]) *NetOf[U] {
 				Out: l.Out,
 				W:   &ParamOf[U]{Name: "W", Value: make([]U, len(l.W.Value)), Grad: make([]U, len(l.W.Value))},
 				B:   &ParamOf[U]{Name: "b", Value: make([]U, len(l.B.Value)), Grad: make([]U, len(l.B.Value))},
-			}
-			if l.eng != nil {
-				cl.eng = NewEngineOf[U](l.eng.Kind())
 			}
 			for i, v := range l.W.Value {
 				cl.W.Value[i] = U(v)
@@ -372,30 +343,6 @@ func (n *Network) ConvertTo(p Precision) *Network {
 		return WrapNet64(convertNet[float64](n.n32))
 	}
 	return WrapNet32(convertNet[float32](n.n64))
-}
-
-// SetEngine binds the network's dense kernels to the given compute backend
-// (EngineAuto resolves through DefaultEngine). Engine choice is runtime
-// state: Clone/CloneForInference/ConvertTo preserve it, serialization does
-// not (a loaded checkpoint runs on the process default until SetEngine).
-func (n *Network) SetEngine(e Engine) {
-	if n.prec == F32 {
-		n.n32.SetEngine(e)
-		return
-	}
-	n.n64.SetEngine(e)
-}
-
-// Engine reports the compute backend the network's kernels run on. The
-// zero-value Network reports the process default.
-func (n *Network) Engine() Engine {
-	if n.prec == F32 && n.n32 != nil {
-		return n.n32.Engine()
-	}
-	if n.n64 != nil {
-		return n.n64.Engine()
-	}
-	return DefaultEngine()
 }
 
 // Forward runs the batch through every layer. For an F32 network the batch

@@ -120,14 +120,13 @@ func (o *Adam) Step(params []*Param) {
 	adamStepT(o.m, o.v, params, o.t, o.LR, o.Beta1, o.Beta2, o.Eps, o.Clip)
 }
 
-// StepNet applies one Adam update in the network's precision, routed through
-// the network's compute engine: the constants are converted once per step
+// StepNet applies one Adam update in the network's precision through the
+// engine's fused kernel: the constants are converted once per step
 // (NewAdamArgs — the same roundings the scalar loop performs) and each
-// parameter takes one fused EngineOf.AdamStep pass over its weights,
-// gradients, and both moment buffers. On the reference engine this is
-// bitwise identical to the historical Step loop; the blocked engine's vector
-// kernels round identically by construction (see AdamArgs), so engine choice
-// never changes the trained weights. The moment buffers live in the same
+// parameter takes one EngineOf.AdamStep pass over its weights, gradients, and
+// both moment buffers. The vector kernels round identically to the historical
+// Step loop by construction (see AdamArgs), so the trained weights are
+// bitwise those of the scalar update. The moment buffers live in the same
 // precision as the weights, so the f32 path moves half the optimizer-state
 // bytes per step as well.
 func (o *Adam) StepNet(net *Network) {
@@ -137,13 +136,11 @@ func (o *Adam) StepNet(net *Network) {
 			o.m32 = make(map[*ParamOf[float32]][]float32)
 			o.v32 = make(map[*ParamOf[float32]][]float32)
 		}
-		core := net.F32()
-		adamStepEngT(NewEngineOf[float32](core.Engine()), o.m32, o.v32, core.Params(),
+		adamStepEngT(NewEngineOf[float32](), o.m32, o.v32, net.F32().Params(),
 			o.t, o.LR, o.Beta1, o.Beta2, o.Eps, o.Clip)
 		return
 	}
-	core := net.F64()
-	adamStepEngT(NewEngineOf[float64](core.Engine()), o.m, o.v, core.Params(),
+	adamStepEngT(NewEngineOf[float64](), o.m, o.v, net.F64().Params(),
 		o.t, o.LR, o.Beta1, o.Beta2, o.Eps, o.Clip)
 }
 

@@ -5,9 +5,9 @@ import "fmt"
 // Shared-packing inference: the per-publish packed form of a policy network.
 //
 // Serving evaluates the same immutable snapshot thousands of times with 1×d
-// inputs (one greedy rollout decision per call). The blocked engine's GEMM
-// path deliberately routes single-row products to the scalar reference
-// kernel to stay bitwise deterministic, so per-call inference never benefits
+// inputs (one greedy rollout decision per call). The engine's GEMM path
+// deliberately routes single-row products to the scalar reference kernel to
+// stay bitwise deterministic, so per-call inference never benefits
 // from the microkernels — and even if it did, it would re-pack each layer's
 // weight panels on every call. PackedNetOf moves the packing to snapshot
 // construction: each Linear's weight matrix is copied once into k-major
@@ -21,9 +21,9 @@ import "fmt"
 // separate multiply and add per step (no FMA), which rounds exactly like the
 // reference i-k-j loop; the reference's av==0 skip is immaterial for finite
 // weights because a ±0 product can never flip a running IEEE sum (the
-// accumulator starts at +0 and +0 + ±0 = +0). So a packed inference result
-// matches NetOf.InferInto bit for bit on every engine, and swapping shared
-// packing on or off can never change a served plan. Weights must be finite
+// accumulator starts at +0 and +0 + ±0 = +0). So a single-row packed
+// inference result matches NetOf.InferInto bit for bit, and a served plan
+// never depends on the packing. Weights must be finite
 // (a non-finite weight times a zero feature would produce NaN where the
 // skipping loop produces none) — true of every trainable policy.
 type PackedNetOf[T Float] struct {
@@ -114,11 +114,10 @@ func (p *PackedNetOf[T]) OutDim() int { return p.out }
 // InferInto runs the batch through the packed network: out is resized and
 // overwritten, intermediates ping-pong through pooled scratch, and no state
 // is written — any number of goroutines may call it on one pack at once.
-// Results are bitwise identical to NetOf.InferInto on the reference engine
-// for any batch, and to every engine for single-row inputs (the blocked
-// engine routes 1×d products to the reference kernel, so the serving hot
-// path sees one answer no matter how inference is dispatched). out must not
-// alias x.
+// Results are bitwise identical to the reference kernels (the oracle) for
+// any batch, and to NetOf.InferInto for single-row inputs (the engine routes
+// 1×d products to the reference row kernel, so the serving hot path sees one
+// answer packed or unpacked). out must not alias x.
 func (p *PackedNetOf[T]) InferInto(x, out *MatOf[T]) {
 	if len(p.layers) == 0 {
 		out.Resize(x.Rows, x.Cols)

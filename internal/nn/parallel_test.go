@@ -178,11 +178,11 @@ func TestBatchedLossesMatchPerRowMean(t *testing.T) {
 func TestBatchedForwardMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := NewMLP(rng, 12, 32, 16, 5)
-	// Pin the reference engine: bitwise batch-vs-single equality only holds
-	// when both paths share an accumulation order. The blocked engine reorders
-	// batched sums (and routes 1×d through the reference fallback anyway);
-	// its batch-vs-reference tolerance is covered by the engine parity tests.
-	net.SetEngine(EngineReference)
+	// Run on the oracle: bitwise batch-vs-single equality only holds when
+	// both paths share an accumulation order. The dispatcher reorders batched
+	// sums (and routes 1×d through the reference row kernel anyway); its
+	// batch-vs-reference tolerance is covered by the engine parity tests.
+	useOracle(net.F64())
 	x := randMat(10, 12, rng)
 	// Forward results live in the net's reusable buffer and are overwritten
 	// by the per-sample Forward calls below, so retain a copy.

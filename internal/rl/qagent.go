@@ -73,13 +73,7 @@ type QAgentConfig struct {
 	// batched kernel, tolerance-verified against f64), or nn.PrecisionAuto
 	// (the HANDSFREE_PRECISION environment variable, defaulting to f64).
 	Precision nn.Precision
-	// Engine selects the dense-kernel backend: nn.EngineReference (the
-	// bitwise-deterministic naive kernels), nn.EngineBlocked (cache-blocked,
-	// register-tiled microkernels, tolerance-verified against reference), or
-	// nn.EngineAuto (the HANDSFREE_ENGINE environment variable, defaulting
-	// to the build's compiled-in engine).
-	Engine nn.Engine
-	Seed   int64
+	Seed      int64
 }
 
 func (c *QAgentConfig) fill() {
@@ -133,7 +127,6 @@ func NewQAgent(obsDim, actionDim int, cfg QAgentConfig) *QAgent {
 	opt := nn.NewAdam(cfg.LR)
 	opt.Clip = cfg.Clip
 	net := nn.NewMLPAt(cfg.Precision, rng, sizes...)
-	net.SetEngine(cfg.Engine)
 	return &QAgent{Net: net, Opt: opt, Cfg: cfg, rng: rng}
 }
 

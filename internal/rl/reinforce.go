@@ -49,13 +49,7 @@ type ReinforceConfig struct {
 	// batched kernel, tolerance-verified against f64), or nn.PrecisionAuto
 	// (the HANDSFREE_PRECISION environment variable, defaulting to f64).
 	Precision nn.Precision
-	// Engine selects the dense-kernel backend: nn.EngineReference (the
-	// bitwise-deterministic naive kernels), nn.EngineBlocked (cache-blocked,
-	// register-tiled microkernels, tolerance-verified against reference), or
-	// nn.EngineAuto (the HANDSFREE_ENGINE environment variable, defaulting
-	// to the build's compiled-in engine).
-	Engine nn.Engine
-	Seed   int64
+	Seed      int64
 }
 
 func (c *ReinforceConfig) fill() {
@@ -127,7 +121,6 @@ func NewReinforce(obsDim, actionDim int, cfg ReinforceConfig) *Reinforce {
 		opt = adam
 	}
 	net := nn.NewMLPAt(cfg.Precision, rng, sizes...)
-	net.SetEngine(cfg.Engine)
 	return &Reinforce{
 		Policy:  net,
 		Opt:     opt,
@@ -210,10 +203,7 @@ func (a *Reinforce) UnmarshalPolicy(data []byte) error {
 		return fmt.Errorf("rl: checkpoint dims %dx%d do not match agent %dx%d",
 			net.InDim(), net.OutDim(), a.Policy.InDim(), a.Policy.OutDim())
 	}
-	conv := net.ConvertTo(a.Policy.Precision())
-	// Checkpoints do not carry an engine selection; keep the agent's.
-	conv.SetEngine(a.Policy.Engine())
-	a.Policy = conv
+	a.Policy = net.ConvertTo(a.Policy.Precision())
 	a.ResetBatch()
 	return nil
 }
@@ -327,9 +317,9 @@ func (a *Reinforce) update() {
 	// The fused softmax + cross-entropy engine kernel replaces the separate
 	// MaskedSoftmaxRowsInto + per-row PolicyGradientInto passes. The REINFORCE
 	// interchange math is float64 at every network precision (logits arrive
-	// converted), so the kernel instantiates at f64 on the policy's engine;
-	// both backends are bitwise identical to the composed helpers.
-	nn.NewEngineOf[float64](a.Policy.Engine()).SoftmaxXent(
+	// converted), so the kernel instantiates at f64; it is bitwise identical
+	// to the composed helpers.
+	nn.NewEngineOf[float64]().SoftmaxXent(
 		logits, masks, actions, advs, a.entCoef, probs, grad)
 	a.Policy.ZeroGrad()
 	a.Policy.Backward(grad)

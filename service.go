@@ -47,11 +47,10 @@ const DefaultFallbackRatio = 1.2
 
 // serviceOptions is the state assembled by functional options.
 type serviceOptions struct {
-	cfg             Config
-	fallbackRatio   float64
-	workload        *workloadSpec
-	exec            ExecutionConfig
-	noSharedPacking bool
+	cfg           Config
+	fallbackRatio float64
+	workload      *workloadSpec
+	exec          ExecutionConfig
 }
 
 type workloadSpec struct {
@@ -94,12 +93,6 @@ func WithPrecision(p Precision) Option {
 	return func(o *serviceOptions) { o.cfg.Precision = p }
 }
 
-// WithEngine sets the default dense-kernel backend for every learned agent
-// the service builds (EngineReference, EngineBlocked, or EngineAuto).
-func WithEngine(e ComputeEngine) Option {
-	return func(o *serviceOptions) { o.cfg.Engine = e }
-}
-
 // WithStats selects the statistics source the planning stack runs on:
 // StatsExact (histograms + MCVs, the historical behavior), StatsSketch
 // (HyperLogLog / Count-Min / reservoir sketches alone), or StatsAuto
@@ -134,28 +127,15 @@ func WithFallbackRatio(ratio float64) Option {
 	return func(o *serviceOptions) { o.fallbackRatio = ratio }
 }
 
-// WithSharedInference toggles shared-packing inference for served rollouts
-// (default on). When on, each published policy snapshot packs its layers'
-// weight panels once (lazily, on first Plan against that snapshot) and every
-// concurrent Plan evaluation reads the shared pack; when off, rollout
-// decisions evaluate the unpacked network per call. Both paths are bitwise
-// identical — the packed gemv kernels round exactly like the reference
-// kernels — so the knob trades only packing-at-publish versus per-call
-// weight traffic, never plans.
-func WithSharedInference(on bool) Option {
-	return func(o *serviceOptions) { o.noSharedPacking = !on }
-}
-
 // Service is the hands-free optimizer as a long-lived, concurrency-safe
 // service. Plan/PlanSQL may be called from any number of goroutines, during
 // training included: policy snapshots are immutable and swapped atomically
 // (versions are monotone), and the regression guard keeps every served plan
 // within the configured ratio of the expert's.
 type Service struct {
-	sys             *System
-	queries         []*Query
-	fallbackRatio   float64
-	sharedInference bool
+	sys           *System
+	queries       []*Query
+	fallbackRatio float64
 
 	// policies holds the published policy snapshots (version 0 = no learned
 	// policy yet). The lifecycle's learner publishes, Plan reads lock-free.
@@ -213,11 +193,10 @@ func New(opts ...Option) (*Service, error) {
 	}
 	o.exec.fill()
 	svc := &Service{
-		sys:             sys,
-		fallbackRatio:   o.fallbackRatio,
-		sharedInference: !o.noSharedPacking,
-		policies:        paramserver.New(nil),
-		execCfg:         o.exec,
+		sys:           sys,
+		fallbackRatio: o.fallbackRatio,
+		policies:      paramserver.New(nil),
+		execCfg:       o.exec,
 		history: exechistory.New(exechistory.Config{
 			Window:          o.exec.Window,
 			MaxFingerprints: o.exec.MaxFingerprints,
@@ -370,15 +349,14 @@ func (s *Service) Plan(ctx context.Context, q *Query) (PlanResult, error) {
 	}
 	res.PolicyVersion = snap.Version
 	env := sp.get()
-	choose := func(st rl.State) int { return greedyAction(snap.Net, st) }
-	if s.sharedInference {
-		if packed := snap.Packed(); packed != nil {
-			logits := logitsPool.Get().(*nn.Mat)
-			defer logitsPool.Put(logits)
-			choose = func(st rl.State) int { return greedyActionPacked(packed, st, logits) }
-		}
-	}
-	out, rerr := env.GreedyRollout(ctx, q, choose)
+	// Every Plan against this snapshot shares one packed form of its weights
+	// (packed lazily on first use, dropped with the snapshot on publish).
+	packed := snap.Packed()
+	logits := logitsPool.Get().(*nn.Mat)
+	defer logitsPool.Put(logits)
+	out, rerr := env.GreedyRollout(ctx, q, func(st rl.State) int {
+		return greedyActionPacked(packed, st, logits)
+	})
 	sp.put(env)
 	if rerr != nil {
 		return PlanResult{}, rerr
@@ -426,24 +404,17 @@ func (s *Service) ExpertPlan(ctx context.Context, q *Query) (Planned, error) {
 	return s.sys.Planner.PlanCtx(ctx, q)
 }
 
-// greedyAction picks the highest-logit valid action from an immutable policy
-// snapshot (nn.Infer is safe for concurrent use on a shared network).
-// Returns -1 when no valid action exists. Tie-breaking is first-max-wins
-// over the logits, which selects the same action as rl.Reinforce.Greedy's
-// first-max-wins over the softmax probabilities (softmax is monotone and
-// tie-preserving), so serving agrees with the lifecycle's greedyRatio
-// predicate on every state.
-func greedyAction(net *nn.Network, st rl.State) int {
-	logits := net.Infer(nn.FromVec(st.Features))
-	return argmaxMasked(logits.Data, st.Mask)
-}
-
-// greedyActionPacked is greedyAction against a snapshot's shared packed form
-// (see paramserver.Snapshot.Packed): bitwise-identical logits — the packed
-// gemv rounds exactly like the reference kernels — with the per-call weight
-// re-reads and output allocation replaced by the shared panels and a pooled
-// logits buffer. One buffer serves one Plan call's whole rollout; concurrent
-// Plan calls each hold their own.
+// greedyActionPacked picks the highest-logit valid action from a policy
+// snapshot's shared packed form (see paramserver.Snapshot.Packed; immutable,
+// safe for concurrent use). Returns -1 when no valid action exists.
+// Tie-breaking is first-max-wins over the logits, which selects the same
+// action as rl.Reinforce.Greedy's first-max-wins over the softmax
+// probabilities (softmax is monotone and tie-preserving), so serving agrees
+// with the lifecycle's greedyRatio predicate on every state. The packed gemv
+// rounds exactly like the unpacked network's single-row kernels
+// (nn.TestPackedInferBitwise), so the logits are bitwise those of
+// snap.Net.Infer. One pooled logits buffer serves one Plan call's whole
+// rollout; concurrent Plan calls each hold their own.
 func greedyActionPacked(p *nn.PackedNetwork, st rl.State, logits *nn.Mat) int {
 	p.InferVec(st.Features, logits)
 	return argmaxMasked(logits.Data, st.Mask)
@@ -574,14 +545,12 @@ type LifecycleConfig struct {
 	// Stages selects the pipeline prefix the learned policy controls
 	// (default: join ordering only, the §3 setup).
 	Stages Stages
-	// Hidden, LR, BatchSize, Precision, Engine, Seed configure the learners
-	// (defaults: 128/64, 1e-3, 16, the service precision, the service
-	// compute engine, 1).
+	// Hidden, LR, BatchSize, Precision, Seed configure the learners
+	// (defaults: 128/64, 1e-3, 16, the service precision, 1).
 	Hidden    []int
 	LR        float64
 	BatchSize int
 	Precision Precision
-	Engine    ComputeEngine
 	Seed      int64
 
 	// DemoSweeps is how many times the expert's demonstrated trajectories
@@ -644,9 +613,6 @@ func (c *LifecycleConfig) fill(s *Service) {
 	}
 	if c.Precision == PrecisionAuto {
 		c.Precision = s.sys.Precision
-	}
-	if c.Engine == EngineAuto {
-		c.Engine = s.sys.Compute
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -918,7 +884,7 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 	})
 	demo := lfd.New(lfd.Config{
 		Env: demoEnv, Hidden: cfg.Hidden, LR: cfg.LR,
-		Precision: cfg.Precision, Engine: cfg.Engine, Seed: cfg.Seed,
+		Precision: cfg.Precision, Seed: cfg.Seed,
 	})
 	if err := demo.CollectDemonstrationsCtx(ctx); err != nil {
 		return s.stopped(err)
@@ -964,7 +930,6 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 			LR:        cfg.LR,
 			BatchSize: cfg.BatchSize,
 			Precision: cfg.Precision,
-			Engine:    cfg.Engine,
 			Seed:      cfg.Seed,
 		},
 	})
