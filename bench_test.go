@@ -15,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"handsfree/internal/engine"
 	"handsfree/internal/experiment"
 	"handsfree/internal/nn"
 	"handsfree/internal/optimizer"
+	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
 	"handsfree/internal/query"
 	"handsfree/internal/rejoin"
@@ -249,25 +251,65 @@ func BenchmarkSimulatedLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkExecutorHashJoin measures really executing a two-way hash join.
-func BenchmarkExecutorHashJoin(b *testing.B) {
-	sys, err := Open(Config{Scale: 0.05})
+// BenchmarkEngineExecute measures the executor alone on the benchmark's
+// tenant (scale 0.05, the six WithWorkload(6,4,6,3) training queries), under
+// the default execution budget. served runs the six expert plans — what
+// /execute pays per request; censored runs one cross-product join order that
+// the budget refuses — what a latency-tuning episode pays for a bad plan.
+// Metric: work-units/op, the executor's deterministic charge, which no change
+// to how the executor stores its intermediates may move.
+func BenchmarkEngineExecute(b *testing.B) {
+	svc, err := New(WithScale(0.05), WithWorkload(6, 4, 6, 3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := ParseSQL(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE mc.movie_id = t.id`)
-	if err != nil {
-		b.Fatal(err)
+	sys := svc.System()
+	observed := engine.NewObserved(sys.Engine)
+	type job struct {
+		q    *Query
+		root PlanNode
 	}
-	planned, err := sys.Plan(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.Execute(q, planned.Root); err != nil {
+	var served, censored []job
+	for _, q := range svc.Queries() {
+		planned, err := sys.Planner.Plan(q)
+		if err != nil {
 			b.Fatal(err)
 		}
+		served = append(served, job{q, planned.Root})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for try := 0; len(censored) == 0; try++ {
+		if try == 100 {
+			b.Fatal("no random join order with a cross product ran out of budget")
+		}
+		q := svc.Queries()[try%len(svc.Queries())]
+		root, _ := sys.Planner.CompletePhysical(q, optimizer.RandomOrder(q, rng))
+		if !plan.CrossProduct(root) {
+			continue
+		}
+		if _, _, _, timedOut, err := observed.Run(q, root, DefaultExecBudgetMs); err == nil && timedOut {
+			censored = append(censored, job{q, root})
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		jobs     []job
+		timedOut bool
+	}{{"served", served, false}, {"censored", censored, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var units int64
+			for i := 0; i < b.N; i++ {
+				for _, j := range tc.jobs {
+					_, w, _, timedOut, err := observed.Run(j.q, j.root, DefaultExecBudgetMs)
+					if err != nil || timedOut != tc.timedOut {
+						b.Fatalf("%s: timedOut=%v err=%v", j.q.Name, timedOut, err)
+					}
+					units += w.Total()
+				}
+			}
+			b.ReportMetric(float64(units)/float64(b.N), "work-units/op")
+		})
 	}
 }
 

@@ -382,8 +382,8 @@ func (s *Service) auditApprox(q *Query, out ExecResult) {
 	var compared, covered uint64
 	var errSum float64
 	for _, est := range out.Estimates {
-		col, ok := run.Cols[est.Name]
-		if !ok || len(col) == 0 {
+		col, err := run.Column(est.Name)
+		if err != nil || len(col) == 0 {
 			continue // derived AVG has no exact output column
 		}
 		exact := float64(col[0])

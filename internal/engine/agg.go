@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -15,10 +16,6 @@ type aggState struct {
 	min   int64
 	max   int64
 	sum   int64
-}
-
-func newAggState(kind query.AggKind) *aggState {
-	return &aggState{kind: kind, min: maxInt64, max: minInt64}
 }
 
 func (s *aggState) add(v int64) {
@@ -56,100 +53,109 @@ func (s *aggState) value() int64 {
 // aggregate evaluates a grouped (or global) aggregation over child rows.
 // HashAgg groups through a map; SortAgg sorts by the grouping key and
 // aggregates adjacent runs. Both produce identical results and are charged
-// different work, mirroring their cost asymmetry.
+// different work, mirroring their cost asymmetry. Only the columns the
+// aggregation names are read from the child; groups live in two flat arrays
+// (keys, states), so a row costs no allocation unless it opens a group.
 func aggregate(a *plan.Agg, child *Result, w *Work, e *Engine) (*Result, error) {
-	groupCols := make([][]int64, len(a.GroupBys))
+	if a.Algo != plan.HashAgg && a.Algo != plan.SortAgg {
+		return nil, fmt.Errorf("engine: unknown aggregation algorithm %v", a.Algo)
+	}
+	groupCols := make([]colView, len(a.GroupBys))
 	for i, g := range a.GroupBys {
-		c, err := child.Column(g.Alias + "." + g.Column)
+		c, err := child.view(g.Alias, g.Column)
 		if err != nil {
 			return nil, err
 		}
 		groupCols[i] = c
 	}
-	aggCols := make([][]int64, len(a.Aggregates))
+	aggCols := make([]colView, len(a.Aggregates))
 	for i, ag := range a.Aggregates {
 		if ag.Kind == query.AggCount && ag.Column == "" {
-			continue // COUNT(*) reads no column
+			continue // COUNT(*) reads no column: the view stays empty
 		}
-		c, err := child.Column(ag.Alias + "." + ag.Column)
+		c, err := child.view(ag.Alias, ag.Column)
 		if err != nil {
 			return nil, err
 		}
 		aggCols[i] = c
 	}
+	ng, na := len(groupCols), len(aggCols)
 
-	// Determine the processing order of rows.
-	order := make([]int32, child.N)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	if a.Algo == plan.SortAgg && len(groupCols) > 0 {
+	// order is the processing order of rows; nil means input order.
+	var order []int32
+	if a.Algo == plan.SortAgg && ng > 0 {
+		order = make([]int32, child.N)
+		for i := range order {
+			order[i] = int32(i)
+		}
 		sort.Slice(order, func(x, y int) bool {
 			rx, ry := order[x], order[y]
 			for _, gc := range groupCols {
-				if gc[rx] != gc[ry] {
-					return gc[rx] < gc[ry]
+				if vx, vy := gc.at(rx), gc.at(ry); vx != vy {
+					return vx < vy
 				}
 			}
 			return rx < ry
 		})
-		logn := int64(1)
-		for v := child.N; v > 1; v >>= 1 {
-			logn++
+		w.Comparisons += int64(child.N) * log2Charge(child.N)
+	}
+
+	var (
+		groups int
+		keys   []int64    // ng per group
+		states []aggState // na per group
+	)
+	open := func(r int32) int {
+		for _, gc := range groupCols {
+			keys = append(keys, gc.at(r))
 		}
-		w.Comparisons += int64(child.N) * logn
-	}
-
-	type group struct {
-		key    []int64
-		states []*aggState
-	}
-	var groups []*group
-	index := map[string]*group{}
-
-	keyOf := func(r int32) ([]int64, string) {
-		key := make([]int64, len(groupCols))
-		buf := make([]byte, 0, 16*len(groupCols))
-		for i, gc := range groupCols {
-			key[i] = gc[r]
-			v := gc[r]
-			for s := 0; s < 8; s++ {
-				buf = append(buf, byte(v>>(8*s)))
-			}
+		for _, ag := range a.Aggregates {
+			states = append(states, aggState{kind: ag.Kind, min: maxInt64, max: minInt64})
 		}
-		return key, string(buf)
+		groups++
+		return groups - 1
 	}
-
-	var cur *group
-	var curKey string
-	for _, r := range order {
-		key, ks := keyOf(r)
-		var g *group
-		switch a.Algo {
-		case plan.HashAgg:
+	index := map[string]int{} // HashAgg: encoded key → group
+	var buf []byte
+	for i := 0; i < child.N; i++ {
+		r := int32(i)
+		if order != nil {
+			r = order[i]
+		}
+		var g int
+		if a.Algo == plan.HashAgg {
 			w.HashOps++
-			g = index[ks]
-			if g == nil {
-				g = &group{key: key, states: newStates(a.Aggregates)}
-				index[ks] = g
-				groups = append(groups, g)
-			}
-		case plan.SortAgg:
+		} else {
 			w.Comparisons++
-			if cur == nil || ks != curKey {
-				cur = &group{key: key, states: newStates(a.Aggregates)}
-				curKey = ks
-				groups = append(groups, cur)
-			}
-			g = cur
-		default:
-			return nil, fmt.Errorf("engine: unknown aggregation algorithm %v", a.Algo)
 		}
-		for i, st := range g.states {
-			if aggCols[i] == nil {
-				st.add(1) // COUNT(*)
+		if a.Algo == plan.HashAgg && ng > 0 {
+			buf = buf[:0]
+			for _, gc := range groupCols {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(gc.at(r)))
+			}
+			var ok bool
+			if g, ok = index[string(buf)]; !ok {
+				g = open(r)
+				index[string(buf)] = g
+			}
+		} else {
+			// Sorted (or ungrouped) input: the row continues the last group
+			// or opens the next.
+			g = groups - 1
+			same := g >= 0
+			for k := 0; same && k < ng; k++ {
+				same = keys[g*ng+k] == groupCols[k].at(r)
+			}
+			if !same {
+				g = open(r)
+			}
+		}
+		st := states[g*na : (g+1)*na]
+		for k := range st {
+			if aggCols[k].col == nil {
+				st[k].add(1) // COUNT(*)
 			} else {
-				st.add(aggCols[i][r])
+				st[k].add(aggCols[k].at(r))
 			}
 		}
 		if err := e.check(w, 0); err != nil {
@@ -158,34 +164,26 @@ func aggregate(a *plan.Agg, child *Result, w *Work, e *Engine) (*Result, error) 
 	}
 
 	// Global aggregation over zero rows still yields one row.
-	if len(groupCols) == 0 && len(groups) == 0 {
-		groups = append(groups, &group{states: newStates(a.Aggregates)})
+	if ng == 0 && groups == 0 {
+		open(0)
 	}
 
-	out := &Result{N: len(groups), Cols: make(map[string][]int64)}
+	out := &Result{N: groups, cols: make(map[string][]int64, ng+na)}
 	for i, g := range a.GroupBys {
-		col := make([]int64, len(groups))
-		for r, grp := range groups {
-			col[r] = grp.key[i]
+		col := make([]int64, groups)
+		for r := range col {
+			col[r] = keys[r*ng+i]
 		}
-		out.Cols[g.Alias+"."+g.Column] = col
+		out.cols[g.Alias+"."+g.Column] = col
 	}
 	for i, ag := range a.Aggregates {
-		col := make([]int64, len(groups))
-		for r, grp := range groups {
-			col[r] = grp.states[i].value()
+		col := make([]int64, groups)
+		for r := range col {
+			col[r] = states[r*na+i].value()
 		}
-		out.Cols[fmt.Sprintf("agg%d_%s", i, ag.Kind)] = col
+		out.cols[fmt.Sprintf("agg%d_%s", i, ag.Kind)] = col
 	}
 	w.TuplesEmitted += int64(out.N)
 	w.RowsMaterialized += int64(out.N)
 	return out, nil
-}
-
-func newStates(aggs []query.Aggregate) []*aggState {
-	states := make([]*aggState, len(aggs))
-	for i, a := range aggs {
-		states[i] = newAggState(a.Kind)
-	}
-	return states
 }

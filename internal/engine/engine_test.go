@@ -255,6 +255,131 @@ func TestJoinFanOutStopsBeforeMaterializing(t *testing.T) {
 	}
 }
 
+// allocatedBy reports the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// refusedJoin executes l ⋈ r — two 4000-row tables whose k column holds one
+// value, so their cross product and their join on k are both 16M pairs, five
+// times what the service's default 10⁷-unit budget admits — as a nested loop
+// over the given predicates, and requires the refusal to come before the
+// pairs are stored.
+func refusedJoin(t *testing.T, joins []query.Join) {
+	t.Helper()
+	const n = 4000
+	db := storage.NewDB()
+	for _, name := range []string{"l", "r"} {
+		tab := storage.NewTable(name, n)
+		_ = tab.AddColumn("k", make([]int64, n))
+		db.Add(tab)
+	}
+	q := &query.Query{Relations: []query.Relation{{Table: "l", Alias: "l"}, {Table: "r", Alias: "r"}}, Joins: joins}
+	root := plan.JoinNodes(q, plan.NestLoop, plan.BuildScan(q, "l", plan.SeqScan, ""), plan.BuildScan(q, "r", plan.SeqScan, ""))
+	if plan.CrossProduct(root) != (len(joins) == 0) {
+		t.Fatalf("CrossProduct = %v with %d predicates", plan.CrossProduct(root), len(joins))
+	}
+	e := New(db)
+	var err error
+	got := allocatedBy(func() { _, _, err = e.ExecuteBudget(q, root, 1e7) })
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if got > 1<<20 {
+		t.Errorf("allocated %d KB before refusing, want under 1 MB", got>>10)
+	}
+}
+
+// TestCrossProductRefusedBeforeAllocating: a cross product the budget refuses
+// is refused from its row counts, before a single pair is stored. Storing
+// pairs until the check trips holds 3.3M of them — tens of MB.
+func TestCrossProductRefusedBeforeAllocating(t *testing.T) { refusedJoin(t, nil) }
+
+// TestNestLoopRefusedBeforeAllocating: the same for a keyed nested loop whose
+// every pair matches — it is refused holding a key index over the 4000 right
+// rows and one probe per admitted left row, not the pairs.
+func TestNestLoopRefusedBeforeAllocating(t *testing.T) {
+	refusedJoin(t, []query.Join{{LeftAlias: "l", LeftCol: "k", RightAlias: "r", RightCol: "k"}})
+}
+
+// TestScanCopiesNoUnreadColumns: what executing a plan allocates depends on
+// the rows it handles and the columns it names, not on how wide the tables
+// are. The benchmark's six training queries run under their expert plans,
+// then again after every table has grown 40 columns nobody reads.
+func TestScanCopiesNoUnreadColumns(t *testing.T) {
+	db, planner, queries := goldenWorkload(t)
+	queries = queries[:6]
+	roots := make([]plan.Node, len(queries))
+	for i, q := range queries {
+		p, err := planner.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots[i] = p.Root
+	}
+	measure := func() uint64 {
+		e := New(db.Store)
+		run := func() {
+			for i, q := range queries {
+				if _, _, err := e.Execute(q, roots[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // builds the indexes the plans use
+		return allocatedBy(run)
+	}
+	narrow := measure()
+	for _, tab := range db.Store.Tables {
+		pad := make([]int64, tab.N)
+		for i := 0; i < 40; i++ {
+			if err := tab.AddColumn(fmt.Sprintf("pad%d", i), pad); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wide := measure()
+	if wide > narrow+narrow/20 {
+		t.Errorf("allocated %d KB over tables 40 columns wider, %d KB before: unread columns are being copied", wide>>10, narrow>>10)
+	}
+}
+
+// TestHashIndexScanLeavesIndexIntact: a residual filter after a hash-index
+// lookup must not compact the index's own bucket — the next execution reads
+// that bucket again.
+func TestHashIndexScanLeavesIndexIntact(t *testing.T) {
+	db := tinyDB()
+	e := New(db)
+	// user_id = 3 is orders 3 and 13; amount > 5 keeps only order 13.
+	q := &query.Query{
+		Relations: []query.Relation{{Table: "orders", Alias: "o"}},
+		Filters: []query.Filter{
+			{Alias: "o", Column: "user_id", Op: query.Eq, Value: 3},
+			{Alias: "o", Column: "amount", Op: query.Gt, Value: 5},
+		},
+	}
+	root := plan.BuildScan(q, "o", plan.HashIndexScan, "user_id")
+	var first Work
+	for run := 0; run < 3; run++ {
+		res, w, err := e.Execute(q, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsOf(t, res, "o.id"); len(got) != 1 || got[0] != "13|" {
+			t.Fatalf("run %d: rows %v, want [13|]", run, got)
+		}
+		if run == 0 {
+			first = *w
+		} else if *w != first {
+			t.Fatalf("run %d: work %+v, first run %+v", run, *w, first)
+		}
+	}
+}
+
 // TestBudgetEqualToWorkStillFinishes: counting pending join pairs must not
 // charge a finishing run anything extra — a budget of exactly the unbudgeted
 // total still succeeds, with the same work counts.

@@ -8,7 +8,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"strings"
 	"sync"
 
 	"handsfree/internal/plan"
@@ -43,20 +43,72 @@ func (w *Work) Total() int64 {
 	return w.TuplesRead + w.TuplesEmitted + w.IndexProbes + w.HashOps + w.Comparisons + w.RowsMaterialized
 }
 
-// Result is a materialized intermediate or final result. Columns are keyed
-// "alias.column".
+// rel is one relation of a result: result row i is row ids[i] of table. ids
+// may be shared with an index or another result and is never written.
+type rel struct {
+	alias string
+	table *storage.Table
+	ids   []int32
+}
+
+// Result is an intermediate or final result. A scan or join result is late-
+// materialized — N rows, each a base-table row id per joined relation — and
+// copies a column only when Column asks for it; an aggregation's result holds
+// its output columns. Columns are keyed "alias.column".
 type Result struct {
 	N    int
-	Cols map[string][]int64
+	rels []rel
+	cols map[string][]int64
 }
 
 // Column returns a result column by its "alias.column" key.
 func (r *Result) Column(key string) ([]int64, error) {
-	c, ok := r.Cols[key]
-	if !ok {
+	if c, ok := r.cols[key]; ok {
+		return c, nil
+	}
+	alias, name, _ := strings.Cut(key, ".")
+	v, err := r.view(alias, name)
+	if err != nil {
 		return nil, fmt.Errorf("engine: result has no column %s", key)
 	}
-	return c, nil
+	out := make([]int64, v.len())
+	for i := range out {
+		out[i] = v.at(int32(i))
+	}
+	return out, nil
+}
+
+// colView is one relation's column read through a result's row ids: what
+// operators use where a copy of the column would do.
+type colView struct {
+	col []int64
+	ids []int32
+}
+
+func (v colView) len() int         { return len(v.ids) }
+func (v colView) at(i int32) int64 { return v.col[v.ids[i]] }
+
+func (r *Result) view(alias, name string) (colView, error) {
+	for _, rl := range r.rels {
+		if rl.alias != alias {
+			continue
+		}
+		if col, ok := rl.table.Cols[name]; ok {
+			return colView{col, rl.ids}, nil
+		}
+		break
+	}
+	return colView{}, fmt.Errorf("engine: result has no column %s.%s", alias, name)
+}
+
+// has reports whether the result carries the relation.
+func (r *Result) has(alias string) bool {
+	for _, rl := range r.rels {
+		if rl.alias == alias {
+			return true
+		}
+	}
+	return false
 }
 
 // Engine executes physical plans against a storage.DB. Execute and
@@ -69,9 +121,10 @@ type Engine struct {
 	// ExecuteBudget carries a per-call bound instead.
 	Budget int64
 
-	mu    sync.Mutex
-	btree map[string]*btreeIndex
-	hash  map[string]*hashIndex
+	mu     sync.Mutex
+	btree  map[string]*btreeIndex
+	hash   map[string]*keyIndex
+	rowIDs []int32 // 0,1,2,…: see allRows
 }
 
 // New returns an executor over the database.
@@ -79,7 +132,7 @@ func New(db *storage.DB) *Engine {
 	return &Engine{
 		db:    db,
 		btree: make(map[string]*btreeIndex),
-		hash:  make(map[string]*hashIndex),
+		hash:  make(map[string]*keyIndex),
 	}
 }
 
@@ -100,9 +153,9 @@ func (e *Engine) ExecuteBudget(q *query.Query, root plan.Node, budget int64) (*R
 
 // check returns ErrBudget once the work done plus the work already owed
 // exceeds the budget. pending is the number of matched join pairs not yet
-// materialized: emitJoin charges each of them one RowsMaterialized and one
-// TuplesEmitted, so counting them here stops a fan-out join while it holds
-// only row indices, before its output columns are allocated. A run that
+// emitted: execJoin charges each of them one RowsMaterialized and one
+// TuplesEmitted, so counting them here refuses a fan-out join while it is
+// still only a count, before any of its output is allocated. A run that
 // finishes is charged exactly what it was without the look-ahead.
 func (e *Engine) check(w *Work, pending int) error {
 	limit := e.Budget
@@ -148,19 +201,20 @@ func matches(op query.CmpOp, v, c int64) bool {
 	}
 }
 
-// gatherRows materializes the given row positions of a table into a Result
-// with alias-prefixed columns.
-func gatherRows(t *storage.Table, alias string, rows []int32, w *Work) *Result {
-	out := &Result{N: len(rows), Cols: make(map[string][]int64, len(t.Cols))}
-	for name, col := range t.Cols {
-		vals := make([]int64, len(rows))
-		for i, r := range rows {
-			vals[i] = col[r]
+// allRows returns the row positions 0..n-1 of a base table. The slice is
+// shared by every execution and is never written.
+func (e *Engine) allRows(n int) []int32 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.rowIDs) < n {
+		// A fresh array, not an append: slices handed out earlier stay valid.
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
 		}
-		out.Cols[alias+"."+name] = vals
+		e.rowIDs = ids
 	}
-	w.RowsMaterialized += int64(len(rows))
-	return out
+	return e.rowIDs[:n]
 }
 
 func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
@@ -168,282 +222,65 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var candidates []int32
-
+	// rows are the candidates in scan order; they may alias an index or
+	// allRows, so filtering below writes to a slice of its own.
+	var rows []int32
 	switch s.Access {
 	case plan.SeqScan:
 		w.TuplesRead += int64(t.N)
-		candidates = make([]int32, t.N)
-		for i := range candidates {
-			candidates[i] = int32(i)
-		}
+		rows = e.allRows(t.N)
 	case plan.IndexScan:
 		ix, err := e.btreeIndexFor(t, s.IndexColumn)
 		if err != nil {
 			return nil, err
 		}
-		candidates = ix.lookupFilters(s.Filters, s.IndexColumn, t.N, w)
+		rows = ix.lookupFilters(s.Filters, s.IndexColumn, w)
 	case plan.HashIndexScan:
 		ix, err := e.hashIndexFor(t, s.IndexColumn)
 		if err != nil {
 			return nil, err
 		}
-		candidates = ix.lookupFilters(s.Filters, s.IndexColumn, t.N, w)
+		var ok bool
+		if rows, ok = hashLookup(ix, s.Filters, s.IndexColumn, w); !ok {
+			// Hash indexes cannot serve ranges: every bucket is walked,
+			// which in row order is every row.
+			w.TuplesRead += int64(t.N)
+			rows = e.allRows(t.N)
+		}
 	}
 	if err := e.check(w, 0); err != nil {
 		return nil, err
 	}
 
-	// Apply all filters (including residuals after an index lookup).
-	kept := candidates[:0]
-	cols := make(map[string][]int64, len(s.Filters))
-	for _, f := range s.Filters {
-		c, err := t.Column(f.Column)
-		if err != nil {
+	// Apply all filters (including residuals after an index lookup), one
+	// column at a time: each filter is charged one comparison per row that
+	// passed the filters before it, which is what evaluating them row by
+	// row and stopping at the first failure charges.
+	cols := make([][]int64, len(s.Filters))
+	for i, f := range s.Filters {
+		if cols[i], err = t.Column(f.Column); err != nil {
 			return nil, err
 		}
-		cols[f.Column] = c
 	}
-	for _, r := range candidates {
-		ok := true
-		for _, f := range s.Filters {
-			w.Comparisons++
-			if !matches(f.Op, cols[f.Column][r], f.Value) {
-				ok = false
-				break
+	for i, f := range s.Filters {
+		w.Comparisons += int64(len(rows))
+		kept := rows[:0]
+		if i == 0 {
+			kept = make([]int32, 0, len(rows))
+		}
+		for _, r := range rows {
+			if matches(f.Op, cols[i][r], f.Value) {
+				kept = append(kept, r)
 			}
 		}
-		if ok {
-			kept = append(kept, r)
-		}
+		rows = kept
 	}
 	if err := e.check(w, 0); err != nil {
 		return nil, err
 	}
-	res := gatherRows(t, s.Alias, kept, w)
-	w.TuplesEmitted += int64(res.N)
-	return res, e.check(w, 0)
-}
-
-// joinKeyCols resolves which result columns hold each side's join keys.
-// Predicate sides may be swapped relative to the plan's left/right inputs.
-func joinKeyCols(left, right *Result, preds []query.Join) (lk, rk [][]int64, err error) {
-	for _, p := range preds {
-		lcol := p.LeftAlias + "." + p.LeftCol
-		rcol := p.RightAlias + "." + p.RightCol
-		if lc, ok := left.Cols[lcol]; ok {
-			rc, ok := right.Cols[rcol]
-			if !ok {
-				return nil, nil, fmt.Errorf("engine: join column %s not in right input", rcol)
-			}
-			lk = append(lk, lc)
-			rk = append(rk, rc)
-			continue
-		}
-		// Swapped: the predicate's "left" column lives in the right input.
-		lc, ok := left.Cols[rcol]
-		if !ok {
-			return nil, nil, fmt.Errorf("engine: join column %s/%s not in left input", lcol, rcol)
-		}
-		rc, ok := right.Cols[lcol]
-		if !ok {
-			return nil, nil, fmt.Errorf("engine: join column %s not in right input", lcol)
-		}
-		lk = append(lk, lc)
-		rk = append(rk, rc)
-	}
-	return lk, rk, nil
-}
-
-// emitJoin materializes matched row pairs into a combined result.
-func emitJoin(left, right *Result, li, ri []int32, w *Work) *Result {
-	out := &Result{N: len(li), Cols: make(map[string][]int64, len(left.Cols)+len(right.Cols))}
-	for name, col := range left.Cols {
-		vals := make([]int64, len(li))
-		for i, r := range li {
-			vals[i] = col[r]
-		}
-		out.Cols[name] = vals
-	}
-	for name, col := range right.Cols {
-		vals := make([]int64, len(ri))
-		for i, r := range ri {
-			vals[i] = col[r]
-		}
-		out.Cols[name] = vals
-	}
-	w.RowsMaterialized += int64(len(li))
-	w.TuplesEmitted += int64(len(li))
-	return out
-}
-
-func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
-	left, err := e.exec(j.Left, w)
-	if err != nil {
-		return nil, err
-	}
-	right, err := e.exec(j.Right, w)
-	if err != nil {
-		return nil, err
-	}
-	lk, rk, err := joinKeyCols(left, right, j.Preds)
-	if err != nil {
-		return nil, err
-	}
-
-	var li, ri []int32
-	switch {
-	case len(j.Preds) == 0:
-		// Cross product.
-		for a := 0; a < left.N; a++ {
-			for b := 0; b < right.N; b++ {
-				w.Comparisons++
-				li = append(li, int32(a))
-				ri = append(ri, int32(b))
-			}
-			if err := e.check(w, len(li)); err != nil {
-				return nil, err
-			}
-		}
-	case j.Algo == plan.HashJoin:
-		li, ri, err = e.hashJoin(left, right, lk, rk, w)
-	case j.Algo == plan.MergeJoin:
-		li, ri, err = e.mergeJoin(left, right, lk, rk, w)
-	default:
-		li, ri, err = e.nestLoopJoin(left, right, lk, rk, w)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := e.check(w, len(li)); err != nil {
-		return nil, err
-	}
-	return emitJoin(left, right, li, ri, w), nil
-}
-
-func (e *Engine) nestLoopJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]int32, []int32, error) {
-	var li, ri []int32
-	for a := 0; a < left.N; a++ {
-		for b := 0; b < right.N; b++ {
-			ok := true
-			for k := range lk {
-				w.Comparisons++
-				if lk[k][a] != rk[k][b] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				li = append(li, int32(a))
-				ri = append(ri, int32(b))
-			}
-		}
-		if err := e.check(w, len(li)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return li, ri, nil
-}
-
-func (e *Engine) hashJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]int32, []int32, error) {
-	// Build on the right input (first key column), probe with the left.
-	build := make(map[int64][]int32, right.N)
-	for b := 0; b < right.N; b++ {
-		w.HashOps++
-		key := rk[0][b]
-		build[key] = append(build[key], int32(b))
-	}
-	if err := e.check(w, 0); err != nil {
-		return nil, nil, err
-	}
-	var li, ri []int32
-	for a := 0; a < left.N; a++ {
-		w.HashOps++
-		for _, b := range build[lk[0][a]] {
-			ok := true
-			for k := 1; k < len(lk); k++ {
-				w.Comparisons++
-				if lk[k][a] != rk[k][b] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				li = append(li, int32(a))
-				ri = append(ri, int32(b))
-			}
-		}
-		// Every probe row, not every few thousand: one skewed key can add
-		// right.N pairs per row.
-		if err := e.check(w, len(li)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return li, ri, nil
-}
-
-func (e *Engine) mergeJoin(left, right *Result, lk, rk [][]int64, w *Work) ([]int32, []int32, error) {
-	lo := sortedOrder(left.N, lk[0], w)
-	ro := sortedOrder(right.N, rk[0], w)
-	var li, ri []int32
-	i, j := 0, 0
-	for i < left.N && j < right.N {
-		w.Comparisons++
-		a, b := lk[0][lo[i]], rk[0][ro[j]]
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			// Emit the full group × group block for this key.
-			jEnd := j
-			for jEnd < right.N && rk[0][ro[jEnd]] == a {
-				jEnd++
-			}
-			iEnd := i
-			for iEnd < left.N && lk[0][lo[iEnd]] == a {
-				iEnd++
-			}
-			for x := i; x < iEnd; x++ {
-				for y := j; y < jEnd; y++ {
-					ok := true
-					for k := 1; k < len(lk); k++ {
-						w.Comparisons++
-						if lk[k][lo[x]] != rk[k][ro[y]] {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						li = append(li, lo[x])
-						ri = append(ri, ro[y])
-					}
-				}
-				if err := e.check(w, len(li)); err != nil {
-					return nil, nil, err
-				}
-			}
-			i, j = iEnd, jEnd
-		}
-	}
-	return li, ri, nil
-}
-
-// sortedOrder returns row positions ordered by key, charging n·log n
-// comparisons to the work counter.
-func sortedOrder(n int, key []int64, w *Work) []int32 {
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return key[order[a]] < key[order[b]] })
-	logn := int64(1)
-	for v := n; v > 1; v >>= 1 {
-		logn++
-	}
-	w.Comparisons += int64(n) * logn
-	return order
+	w.RowsMaterialized += int64(len(rows))
+	w.TuplesEmitted += int64(len(rows))
+	return &Result{N: len(rows), rels: []rel{{s.Alias, t, rows}}}, e.check(w, 0)
 }
 
 func (e *Engine) execAgg(a *plan.Agg, w *Work) (*Result, error) {

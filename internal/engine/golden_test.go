@@ -280,8 +280,17 @@ func TestWorkAccountingGolden(t *testing.T) {
 	}
 
 	var got []goldenCase
-	for _, q := range queries {
-		for _, p := range goldenPlans(t, db, planner, q, rng) {
+	skipped := 0
+	for qi, q := range queries {
+		plans := goldenPlans(t, db, planner, q, rng)
+		// The replay is single-threaded, so the race detector only slows it
+		// (12×): under -race it keeps the benchmark's queries and every
+		// eighth of the rest. The plans are still drawn, to keep rng in step.
+		if raceEnabled && !*update && qi >= 6 && qi%8 != 0 {
+			skipped += len(plans)
+			continue
+		}
+		for _, p := range plans {
 			c := goldenCase{Query: q.Name, Plan: p.name, Sig: fmt.Sprintf("%016x", hashString(p.root.Signature()))}
 			keys := outputKeys(db, q, p.root)
 			run := func(budget int64) (finished bool) {
@@ -335,8 +344,8 @@ func TestWorkAccountingGolden(t *testing.T) {
 		}
 	}
 	if !*update {
-		if len(got) != len(want) {
-			t.Errorf("replayed %d cases, golden has %d", len(got), len(want))
+		if len(got)+skipped != len(want) {
+			t.Errorf("replayed %d cases and skipped %d, golden has %d", len(got), skipped, len(want))
 		}
 		return
 	}

@@ -28,21 +28,20 @@ func buildBTree(col []int64) *btreeIndex {
 	return ix
 }
 
-// rangeRows returns the rows with value in [lo, hi] (inclusive).
+// rangeRows returns the rows with value in [lo, hi] (inclusive), in index
+// order. The slice is the index's own: callers must not write to it.
 func (ix *btreeIndex) rangeRows(lo, hi int64, w *Work) []int32 {
 	from := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] >= lo })
 	to := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] > hi })
 	w.IndexProbes += 2
-	out := make([]int32, to-from)
-	copy(out, ix.rows[from:to])
-	w.TuplesRead += int64(len(out))
-	return out
+	w.TuplesRead += int64(to - from)
+	return ix.rows[from:to]
 }
 
 // lookupFilters returns candidate rows for the filters on the indexed
 // column. With no usable filter it degenerates to all rows (a full index
-// scan), which is charged accordingly.
-func (ix *btreeIndex) lookupFilters(filters []query.Filter, column string, n int, w *Work) []int32 {
+// scan), which is charged accordingly. The slice is the index's own.
+func (ix *btreeIndex) lookupFilters(filters []query.Filter, column string, w *Work) []int32 {
 	lo, hi := int64(minInt64), int64(maxInt64)
 	usable := false
 	for _, f := range filters {
@@ -82,11 +81,9 @@ func (ix *btreeIndex) lookupFilters(filters []query.Filter, column string, n int
 	}
 	if !usable {
 		// Full index scan: every row in index order.
-		w.TuplesRead += int64(n)
+		w.TuplesRead += int64(len(ix.rows))
 		w.IndexProbes++
-		out := make([]int32, n)
-		copy(out, ix.rows)
-		return out
+		return ix.rows
 	}
 	if lo > hi {
 		return nil
@@ -94,47 +91,20 @@ func (ix *btreeIndex) lookupFilters(filters []query.Filter, column string, n int
 	return ix.rangeRows(lo, hi, w)
 }
 
-// eqRows returns the rows with exactly the given value.
-func (ix *btreeIndex) eqRows(v int64, w *Work) []int32 {
-	return ix.rangeRows(v, v, w)
-}
-
-// hashIndex maps value → rows; equality lookups only.
-type hashIndex struct {
-	buckets map[int64][]int32
-}
-
-func buildHash(col []int64) *hashIndex {
-	ix := &hashIndex{buckets: make(map[int64][]int32, len(col))}
-	for i, v := range col {
-		ix.buckets[v] = append(ix.buckets[v], int32(i))
-	}
-	return ix
-}
-
-func (ix *hashIndex) eqRows(v int64, w *Work) []int32 {
-	w.IndexProbes++
-	rows := ix.buckets[v]
-	w.TuplesRead += int64(len(rows))
-	return rows
-}
-
-// lookupFilters returns candidates for an equality filter on the indexed
-// column; any other shape degenerates to all rows.
-func (ix *hashIndex) lookupFilters(filters []query.Filter, column string, n int, w *Work) []int32 {
+// hashLookup serves an equality filter on the indexed column from a hash
+// index (a keyIndex over the whole column, so its positions are row ids). It
+// returns the index's own slice, ascending; ok is false when the filters hold
+// no such equality, which a hash index cannot serve.
+func hashLookup(ix *keyIndex, filters []query.Filter, column string, w *Work) (rows []int32, ok bool) {
 	for _, f := range filters {
 		if f.Column == column && f.Op == query.Eq {
-			return ix.eqRows(f.Value, w)
+			w.IndexProbes++
+			lo, hi := ix.find(f.Value)
+			w.TuplesRead += int64(hi - lo)
+			return ix.rows[lo:hi], true
 		}
 	}
-	// Hash indexes cannot serve ranges: walk every bucket.
-	w.TuplesRead += int64(n)
-	out := make([]int32, 0, n)
-	for _, rows := range ix.buckets {
-		out = append(out, rows...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return nil, false
 }
 
 const (
@@ -164,8 +134,9 @@ func (e *Engine) btreeIndexFor(t *storage.Table, column string) (*btreeIndex, er
 
 // hashIndexFor returns (building and caching on first use) the hash index
 // for a table column; see btreeIndexFor for the concurrency contract.
-func (e *Engine) hashIndexFor(t *storage.Table, column string) (*hashIndex, error) {
+func (e *Engine) hashIndexFor(t *storage.Table, column string) (*keyIndex, error) {
 	key := t.Name + "." + column
+	ids := e.allRows(t.N) // takes e.mu itself, so before it is held here
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ix, ok := e.hash[key]; ok {
@@ -175,7 +146,7 @@ func (e *Engine) hashIndexFor(t *storage.Table, column string) (*hashIndex, erro
 	if err != nil {
 		return nil, err
 	}
-	ix := buildHash(col)
+	ix := buildKeyIndex(colView{col, ids})
 	e.hash[key] = ix
 	return ix, nil
 }

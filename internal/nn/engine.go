@@ -185,10 +185,14 @@ func (e refEngineOf[T]) LinearForward(x, w *MatOf[T], bias []T, out *MatOf[T]) {
 // a1…an onto g0=0 directly.
 func (e refEngineOf[T]) LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx *MatOf[T]) {
 	// The dW view comes from the matrix pool: a stack literal would escape
-	// through the kernel call and allocate on every backward pass.
+	// through the kernel call and allocate on every backward pass. It goes
+	// back holding its own storage again: the pool's next taker Resizes into
+	// whatever Data it finds, and that must never be this layer's gradient.
 	dWm := getMat[T]()
+	own := *dWm
 	*dWm = MatOf[T]{Rows: x.Cols, Cols: dout.Cols, Data: dW}
 	e.MatMulATB(x, dout, dWm, true)
+	*dWm = own
 	putMat(dWm)
 	addColSums(dout, dB)
 	e.MatMulABT(dout, w, dx)

@@ -83,8 +83,10 @@ func (blockedEngineOf[T]) MatMulATB(a, b, out *MatOf[T], accum bool) {
 	at := getVec[T](a.Rows * a.Cols)
 	transposeInto(*at, a)
 	atm := getMat[T]()
+	own := *atm
 	*atm = MatOf[T]{Rows: a.Cols, Cols: a.Rows, Data: *at}
 	gemmBlocked(atm, b, out, accum)
+	*atm = own // the view must not outlive the pooled vec it aliases
 	putMat(atm)
 	putVec(at)
 }
@@ -118,10 +120,14 @@ func (blockedEngineOf[T]) LinearForward(x, w *MatOf[T], bias []T, out *MatOf[T])
 // dx = dout·wᵀ, all on the blocked kernels.
 func (e blockedEngineOf[T]) LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx *MatOf[T]) {
 	// Pooled dW view, as in the reference engine: a stack literal would
-	// escape through the kernel call and allocate on every backward pass.
+	// escape through the kernel call and allocate on every backward pass;
+	// its own storage is put back before it returns to the pool, so no later
+	// taker writes into dW.
 	dWm := getMat[T]()
+	own := *dWm
 	*dWm = MatOf[T]{Rows: x.Cols, Cols: dout.Cols, Data: dW}
 	e.MatMulATB(x, dout, dWm, true)
+	*dWm = own
 	putMat(dWm)
 	addColSums(dout, dB)
 	e.MatMulABT(dout, w, dx)

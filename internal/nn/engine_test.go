@@ -275,6 +275,34 @@ func TestNetEngineParity(t *testing.T) {
 	checkClose(t, "InferInto", out.Data, got.Data, 0)
 }
 
+// TestPooledViewsReturnUnaliased: LinearBackward and the blocked MatMulATB
+// borrow a pooled matrix header as a view over dW (or a pooled vec). The
+// header must go back to the pool without that Data: the f32 inference path
+// takes the next header and Resizes into whatever it finds, which on another
+// goroutine is a write into the learner's gradient.
+func TestPooledViewsReturnUnaliased(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race; the Get below may not see the header")
+	}
+	rng := rand.New(rand.NewSource(52))
+	// Large enough for the blocked engine to take its transposing path.
+	x, dout, w := randMatOf[float32](64, 80, rng), randMatOf[float32](64, 48, rng), randMatOf[float32](80, 48, rng)
+	for _, c := range engineCases[float32]() {
+		dW, dB, dx := make([]float32, 80*48), make([]float32, 48), NewMatOf[float32](64, 80)
+		c.eng.LinearBackward(x, dout, w, dW, dB, dx)
+		want := append([]float32(nil), dW...)
+		for i := 0; i < 4; i++ { // whatever the kernels put back, scribble on it
+			m := getMat[float32]()
+			m.Resize(80, 48)
+			for j := range m.Data {
+				m.Data[j] = -1
+			}
+			defer putMat(m)
+		}
+		checkClose(t, c.name+": dW after the pool's headers were reused", dW, want, 0)
+	}
+}
+
 // TestEngineKernelsZeroAlloc: every engine kernel is allocation-free in
 // steady state — scratch comes from pools, dispatch builds no closures.
 func TestEngineKernelsZeroAlloc(t *testing.T) {

@@ -67,8 +67,12 @@ func Fingerprint(q *query.Query) uint64 {
 
 // memoCap bounds the fingerprint memo: a workload's query set is far
 // smaller, and a long-lived process planning ad-hoc queries (a fresh
-// *query.Query per statement) must not pin every query ever seen.
-const memoCap = 1 << 16
+// *query.Query per statement) must not pin every query ever seen. Every
+// /plansql and /executesql request is such a statement — about 1.5 kB of
+// parsed query that can never hit — so the cap is what a server's resident
+// set pays for the memo: 6 MB here, where 1<<16 pinned 100 MB once a tenant
+// had served that many statements.
+const memoCap = 1 << 12
 
 // fingerprintMemo caches Fingerprint per *query.Query pointer. Workload
 // queries are pointer-stable and treated as immutable across episodes, so
