@@ -852,6 +852,59 @@ func BenchmarkServicePlanConcurrent(b *testing.B) {
 	b.ReportMetric(float64(b.N)*plansPerBatch/elapsed.Seconds(), "plans/sec")
 }
 
+// BenchmarkServicePlan measures one Plan call on the benchmark tenant with
+// the plan cache on and a production-sized policy published, both ways a
+// request can go once its expert plan is cached: hit — the (fingerprint,
+// policy version) pair is already decided, so Plan is the expert lookup, the
+// remembered rollout and the guards; miss — the pair is new (a publish
+// between calls, outside the timer, with the weights packed), so Plan also
+// pays the greedy rollout. The gap is what Service.rollout's memo saves
+// every repeated query. Metrics: ns/op, allocs/op.
+func BenchmarkServicePlan(b *testing.B) {
+	ctx := context.Background()
+	setup := func(b *testing.B) (*Service, []*Query) {
+		svc := decisionService(b)
+		publishPolicySized(b, svc, 71, []int{128, 64})
+		for _, q := range svc.Queries() {
+			if _, err := svc.Plan(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return svc, svc.Queries()
+	}
+	b.Run("hit", func(b *testing.B) {
+		svc, qs := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := svc.Plan(ctx, qs[i%len(qs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		svc, qs := setup(b)
+		net := svc.policies.Latest().Net
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(qs) == 0 {
+				b.StopTimer()
+				svc.policies.Publish(net, 0)
+				svc.policies.Latest().Packed()
+				b.StartTimer()
+			}
+			if _, err := svc.Plan(ctx, qs[i%len(qs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got := svc.rollouts.Load(); got < uint64(b.N) {
+			b.Fatalf("%d rollouts for %d undecided Plan calls", got, b.N)
+		}
+	})
+}
+
 // --- sketch statistics & approximate execution benchmarks ---
 
 // BenchmarkSketchAnalyze measures the one-pass sketch analysis of the whole

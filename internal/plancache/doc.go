@@ -36,7 +36,9 @@
 //     called whenever fresh policy snapshots are taken or the policy is
 //     transferred across curriculum phases — invalidates them in O(1)
 //     without touching pure entries. Stale entries simply never match
-//     again and age out through the LRU.
+//     again and age out through the LRU. Served rollouts
+//     (ModeServedRollout) use the published snapshot's version here
+//     instead, with the same effect on every publish.
 //
 // # Sharding and eviction
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"handsfree/internal/plan"
 	"handsfree/internal/query"
@@ -63,50 +62,6 @@ func Canonical(q *query.Query) string {
 // only with ordinary 64-bit hash probability.
 func Fingerprint(q *query.Query) uint64 {
 	return HashString(Canonical(q))
-}
-
-// memoCap bounds the fingerprint memo: a workload's query set is far
-// smaller, and a long-lived process planning ad-hoc queries (a fresh
-// *query.Query per statement) must not pin every query ever seen. Every
-// /plansql and /executesql request is such a statement — about 1.5 kB of
-// parsed query that can never hit — so the cap is what a server's resident
-// set pays for the memo: 6 MB here, where 1<<16 pinned 100 MB once a tenant
-// had served that many statements.
-const memoCap = 1 << 12
-
-// fingerprintMemo caches Fingerprint per *query.Query pointer. Workload
-// queries are pointer-stable and treated as immutable across episodes, so
-// the canonicalization cost is paid once per query rather than once per
-// episode. The memo is keyed by identity: two distinct pointers to equal
-// queries simply each get an entry with the same value. At memoCap entries
-// the whole memo is reset (generation-style) so memory stays bounded and
-// no query object is pinned forever.
-type fingerprintMemo struct {
-	mu sync.RWMutex
-	m  map[*query.Query]uint64
-}
-
-func (f *fingerprintMemo) of(q *query.Query) uint64 {
-	f.mu.RLock()
-	fp, ok := f.m[q]
-	f.mu.RUnlock()
-	if ok {
-		return fp
-	}
-	fp = Fingerprint(q)
-	f.mu.Lock()
-	if f.m == nil || len(f.m) >= memoCap {
-		f.m = make(map[*query.Query]uint64, 64)
-	}
-	f.m[q] = fp
-	f.mu.Unlock()
-	return fp
-}
-
-func (f *fingerprintMemo) reset() {
-	f.mu.Lock()
-	f.m = nil
-	f.mu.Unlock()
 }
 
 // mix folds one byte string into an FNV-1a accumulator, with a separator so

@@ -3,6 +3,7 @@ package plancache
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"handsfree/internal/plan"
@@ -247,35 +248,71 @@ func TestHashSubtreesMemoReuses(t *testing.T) {
 	}
 }
 
-// TestFingerprintMemoBounded: the pointer memo resets at capacity instead
-// of pinning every query ever fingerprinted, and Flush clears it.
-func TestFingerprintMemoBounded(t *testing.T) {
-	var memo fingerprintMemo
+// TestFingerprintOfCarriedOnQuery: FingerprintOf computes the canonical
+// fingerprint on a query's first lookup and reads it off the query from then
+// on, on a nil cache included — and a struct copy never inherits it, so a
+// copied-then-edited query is fingerprinted for what it now says.
+func TestFingerprintOfCarriedOnQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	q := randomQuery(rng, 3)
-	want := Fingerprint(q)
-	if memo.of(q) != want {
-		t.Fatal("memo returned a wrong fingerprint")
-	}
-	for i := 0; i < memoCap+10; i++ {
-		memo.of(randomQuery(rng, 2))
-	}
-	memo.mu.RLock()
-	n := len(memo.m)
-	memo.mu.RUnlock()
-	if n > memoCap {
-		t.Fatalf("memo holds %d entries, cap %d", n, memoCap)
-	}
-	if memo.of(q) != want {
-		t.Fatal("memo returned a wrong fingerprint after reset")
-	}
 	c := New(Config{Capacity: 8, Shards: 2})
-	c.FingerprintOf(q)
-	c.Flush()
-	c.fp.mu.RLock()
-	empty := len(c.fp.m) == 0
-	c.fp.mu.RUnlock()
-	if !empty {
-		t.Fatal("Flush left the fingerprint memo populated")
+	var none *Cache
+	for i := 0; i < 200; i++ {
+		q := randomQuery(rng, 2+rng.Intn(5))
+		want := Fingerprint(q)
+		if _, ok := q.CachedFingerprint(); ok {
+			t.Fatal("a fresh query already carries a fingerprint")
+		}
+		if got := c.FingerprintOf(q); got != want {
+			t.Fatalf("FingerprintOf = %x, Fingerprint = %x", got, want)
+		}
+		if got, ok := q.CachedFingerprint(); !ok || got != want {
+			t.Fatalf("query carries (%x, %v) after FingerprintOf, want (%x, true)", got, ok, want)
+		}
+		if c.FingerprintOf(q) != want || none.FingerprintOf(q) != want {
+			t.Fatal("repeat FingerprintOf disagrees with the first")
+		}
+		if p := permuted(rng, q); none.FingerprintOf(p) != want {
+			t.Fatal("a permuted query's carried fingerprint differs")
+		}
+
+		// Copy, then edit: the copy must not serve the original's value,
+		// and fingerprinting the copy must not disturb the original.
+		cp := *q
+		cp.Filters = append(append([]query.Filter(nil), q.Filters...),
+			query.Filter{Alias: q.Relations[0].Alias, Column: "edited", Op: query.Ne, Value: int64(i)})
+		if _, ok := cp.CachedFingerprint(); ok {
+			t.Fatal("a struct copy inherited the original's fingerprint")
+		}
+		if got, fresh := c.FingerprintOf(&cp), Fingerprint(&cp); got != fresh || got == want {
+			t.Fatalf("edited copy: FingerprintOf %x, Fingerprint %x, original %x", got, fresh, want)
+		}
+		if c.FingerprintOf(&cp) != Fingerprint(&cp) || c.FingerprintOf(q) != want {
+			t.Fatal("fingerprints drifted after the copy was fingerprinted")
+		}
+	}
+}
+
+// TestFingerprintOfConcurrent: goroutines racing on a shared query's first
+// lookup all get the canonical fingerprint (run under -race in CI).
+func TestFingerprintOfConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	c := New(Config{Capacity: 8, Shards: 2})
+	for i := 0; i < 20; i++ {
+		q := randomQuery(rng, 4)
+		want := Fingerprint(q)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 50; k++ {
+					if got := c.FingerprintOf(q); got != want {
+						t.Errorf("FingerprintOf = %x, want %x", got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

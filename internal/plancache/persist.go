@@ -15,9 +15,10 @@ import (
 // workload from the first sweep instead of paying the cold completion cost
 // again.
 //
-// Only pure entries travel: policy-dependent (ModeGreedyPolicy) entries are
-// keyed by process-local agent identities and policy epochs, so they cannot
-// be meaningful in another process and are skipped by Save. Pure entries
+// Only pure entries travel: policy-dependent (ModeGreedyPolicy,
+// ModeServedRollout) entries are keyed by process-local agent identities,
+// policy epochs and snapshot versions, so they cannot be meaningful in
+// another process and are skipped by Save. Pure entries
 // (traditional plans and completion subtrees) are functions of (query
 // fingerprint, skeleton hash, mode) alone — the catalog and cost model are
 // part of the system configuration — and reload exactly.
@@ -71,7 +72,7 @@ func (c *Cache) Save(w io.Writer, tag uint64) error {
 		// Walk tail→head (LRU→MRU): replaying in this order makes the last
 		// Put the most recently used, matching the live cache.
 		for n := s.tail; n != nil; n = n.prev {
-			if n.key.Mode == ModeGreedyPolicy {
+			if n.key.Mode.policyDependent() {
 				continue
 			}
 			dump.Entries = append(dump.Entries, savedEntry{Key: n.key, Entry: n.entry})
@@ -106,7 +107,7 @@ func (c *Cache) Load(r io.Reader, tag uint64) (int, error) {
 	}
 	restored := 0
 	for _, e := range dump.Entries {
-		if e.Key.Mode == ModeGreedyPolicy || e.Entry.Plan == nil {
+		if e.Key.Mode.policyDependent() || e.Entry.Plan == nil {
 			continue
 		}
 		if c.put(e.Key, e.Entry) {

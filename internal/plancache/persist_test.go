@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestAdmissionThresholdSkipsCheapSubtrees(t *testing.T) {
 	}
 
 	// Whole-query entries always amortize: admitted regardless of cost.
-	for _, m := range []Mode{ModePlan, ModeGreedyPolicy} {
+	for _, m := range []Mode{ModePlan, ModeGreedyPolicy, ModeServedRollout} {
 		k := Key{Query: 3, Skeleton: uint64(m), Mode: m}
 		c.Put(k, entryFor(1))
 		if _, ok := c.Get(k); !ok {
@@ -50,8 +51,8 @@ func TestAdmissionThresholdSkipsCheapSubtrees(t *testing.T) {
 	if st.AdmissionSkips != 4 {
 		t.Fatalf("AdmissionSkips = %d, want 4", st.AdmissionSkips)
 	}
-	if st.Puts != 3 {
-		t.Fatalf("Puts = %d, want 3 admitted puts", st.Puts)
+	if st.Puts != 4 {
+		t.Fatalf("Puts = %d, want 4 admitted puts", st.Puts)
 	}
 
 	// Threshold 0 disables admission control entirely.
@@ -89,6 +90,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	src.Put(pure1, Entry{Plan: tree, Cost: cost.NodeCost{Rows: 10, Total: 1234.5, Sorted: true}})
 	src.Put(pure2, Entry{Plan: tree, Cost: cost.NodeCost{Total: 42}})
 	src.Put(policy, entryFor(7))
+	// Served rollouts are policy-dependent too, and may hold no plan at all.
+	served := Key{Query: 14, Mode: ModeServedRollout, Epoch: 3}
+	servedNil := Key{Query: 15, Mode: ModeServedRollout, Epoch: 3}
+	src.Put(served, entryFor(8))
+	src.Put(servedNil, Entry{Cost: cost.NodeCost{Total: math.Inf(1)}})
 
 	var buf bytes.Buffer
 	if err := src.Save(&buf, 77); err != nil {
@@ -103,8 +109,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("restored %d entries, want the 2 pure ones", n)
 	}
-	if _, ok := dst.Get(policy); ok {
-		t.Fatal("policy-dependent entry crossed the process boundary")
+	for _, k := range []Key{policy, served, servedNil} {
+		if _, ok := dst.Get(k); ok {
+			t.Fatalf("policy-dependent %+v entry crossed the process boundary", k)
+		}
 	}
 	e1, ok := dst.Get(pure1)
 	if !ok || e1.Cost.Total != 1234.5 || e1.Cost.Rows != 10 || !e1.Cost.Sorted {

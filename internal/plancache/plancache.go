@@ -12,8 +12,8 @@ import (
 
 // Mode identifies which computation an entry memoizes. Entries produced by
 // the traditional optimizer are pure functions of (query, skeleton) and use
-// Epoch 0; ModeGreedyPolicy entries depend on learned policy weights and
-// must carry the policy epoch they were produced under.
+// Epoch 0; ModeGreedyPolicy and ModeServedRollout entries depend on learned
+// policy weights and must carry the policy epoch they were produced under.
 type Mode uint8
 
 const (
@@ -37,7 +37,23 @@ const (
 	// Entries are policy-dependent: they are keyed by Epoch and invalidated
 	// by BumpEpoch when the policy changes.
 	ModeGreedyPolicy
+	// ModeServedRollout is the serving front end's greedy rollout of one
+	// published policy snapshot over a whole query. Epoch is the snapshot's
+	// parameter-server version, not the cache epoch: versions are monotone
+	// for the life of a service, so a publish invalidates every older entry
+	// in O(1) exactly as BumpEpoch does for ModeGreedyPolicy, and a separate
+	// mode keeps the two epoch spaces from ever meeting. An entry may hold a
+	// nil plan (the rollout produced none); that outcome is as repeatable as
+	// any other.
+	ModeServedRollout
 )
+
+// policyDependent reports whether entries of this mode are functions of
+// learned policy weights, which live in one process only: such entries are
+// never persisted.
+func (m Mode) policyDependent() bool {
+	return m == ModeGreedyPolicy || m == ModeServedRollout
+}
 
 // Key identifies one cached computation.
 type Key struct {
@@ -88,8 +104,9 @@ type Config struct {
 	// path — where sampled join orders rarely repeat wholesale and cheap
 	// leaf/small-join entries dominate the memoization traffic — from
 	// cache-neutral into a win. Whole-query entries (ModePlan,
-	// ModeGreedyPolicy) are always admitted. 0 disables admission control.
-	// Skipped admissions are counted in Stats.AdmissionSkips.
+	// ModeGreedyPolicy, ModeServedRollout) are always admitted. 0 disables
+	// admission control. Skipped admissions are counted in
+	// Stats.AdmissionSkips.
 	MinAdmitCost float64
 }
 
@@ -153,7 +170,6 @@ type Cache struct {
 	mask     uint64
 	minAdmit float64
 	epoch    atomic.Uint64
-	fp       fingerprintMemo
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
@@ -285,8 +301,8 @@ func (c *Cache) Epoch() uint64 {
 }
 
 // BumpEpoch advances the policy epoch, logically invalidating every
-// policy-dependent (ModeGreedyPolicy) entry in O(1): their keys can never
-// match a future lookup, and they age out of the LRU under new traffic.
+// ModeGreedyPolicy entry in O(1): their keys can never match a future
+// lookup, and they age out of the LRU under new traffic.
 // Call it whenever fresh policy snapshots are taken for collection or the
 // policy is transferred/retrained, so plans from old policies cannot
 // poison training or evaluation.
@@ -298,9 +314,8 @@ func (c *Cache) BumpEpoch() {
 	c.epochBumps.Add(1)
 }
 
-// Flush drops every entry (pure and policy-dependent alike) and the
-// fingerprint memo, releasing every plan and query the cache pinned.
-// Statistics and the epoch counter are preserved.
+// Flush drops every entry (pure and policy-dependent alike), releasing every
+// plan the cache pinned. Statistics and the epoch counter are preserved.
 func (c *Cache) Flush() {
 	if c == nil {
 		return
@@ -311,17 +326,20 @@ func (c *Cache) Flush() {
 		s.head, s.tail = nil, nil
 		s.mu.Unlock()
 	}
-	c.fp.reset()
 }
 
-// FingerprintOf returns the query's canonical fingerprint, memoized by
-// pointer identity (workload queries are immutable and pointer-stable, so
-// canonicalization is paid once per query, not once per episode).
+// FingerprintOf returns the query's canonical fingerprint, computed on the
+// query's first lookup and carried on the query itself from then on: a
+// served statement is canonicalized once however many layers key on it, a
+// workload query once however many episodes replay it, and nothing is
+// pinned beyond the query's own lifetime. Works on a nil cache.
 func (c *Cache) FingerprintOf(q *query.Query) uint64 {
-	if c == nil {
-		return Fingerprint(q)
+	if fp, ok := q.CachedFingerprint(); ok {
+		return fp
 	}
-	return c.fp.of(q)
+	fp := Fingerprint(q)
+	q.CacheFingerprint(fp)
+	return fp
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

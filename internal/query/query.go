@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // CmpOp is a comparison operator in a filter predicate.
@@ -123,6 +124,10 @@ type Query struct {
 	Filters    []Filter
 	Aggregates []Aggregate
 	GroupBys   []GroupBy
+
+	// fp holds the *fpCell CacheFingerprint stored (nil until then); see
+	// fingerprint.go.
+	fp unsafe.Pointer
 }
 
 // RelationByAlias returns the relation with the given alias.

@@ -313,6 +313,46 @@ func TestIntegrationHotPolicySwapAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestIntegrationPolicyVersionSurvivesBypass: a query wider than the policy
+// was trained for is served by the expert, but its response still reports
+// the latest published policy version — a client alternating covered and
+// uncovered queries never sees policy_version drop back to 0.
+func TestIntegrationPolicyVersionSurvivesBypass(t *testing.T) {
+	svc := newTestTenant(t, 3, handsfree.WithCache(handsfree.CacheConfig{Capacity: 1 << 14}))
+	_, ts := newTestServer(t, Config{}, map[string]*handsfree.Service{"solo": svc})
+	client := ts.Client()
+	if err := svc.StartTraining(context.Background(), quickLifecycle()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.WaitTraining(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var narrow *handsfree.Query
+	for _, q := range svc.Queries() {
+		if len(q.Relations) == 4 {
+			narrow = q
+		}
+	}
+	wide, err := svc.System().Workload.ByRelations(7, 5)
+	if narrow == nil || err != nil {
+		t.Fatalf("no 4-relation workload query (%v) or no 7-relation one (%v)", narrow, err)
+	}
+	var last uint64
+	for i, q := range []*handsfree.Query{narrow, wide, narrow, wide} {
+		var plan PlanResponse
+		if resp := postJSON(t, client, ts.URL+"/plansql", PlanRequest{SQL: q.SQL()}, &plan); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		if q == wide && plan.Source != "expert" {
+			t.Fatalf("7-relation query served from %q, want the expert bypass", plan.Source)
+		}
+		if plan.PolicyVersion == 0 || plan.PolicyVersion < last {
+			t.Fatalf("request %d (%d relations): policy_version %d after %d", i, len(q.Relations), plan.PolicyVersion, last)
+		}
+		last = plan.PolicyVersion
+	}
+}
+
 // TestIntegrationTwoTenantsIsolated proves the multi-tenant registry keeps
 // workloads independent: tenant A trains to completion and serves from its
 // own cache with its own fallback counters while tenant B — same listener,

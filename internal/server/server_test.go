@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"handsfree"
+	"handsfree/internal/plancache"
 )
 
 // newTestTenant builds a small-scale service with a 4-query workload.
@@ -158,14 +159,8 @@ func TestSingleTenantNeedsNoName(t *testing.T) {
 	}
 }
 
-func TestStructuredPlanEndpoint(t *testing.T) {
-	svc := newTestTenant(t, 3)
-	_, ts := newTestServer(t, Config{}, map[string]*handsfree.Service{"solo": svc})
-	client := ts.Client()
-
-	// Build the wire form of a workload query and check /plan agrees with
-	// /plansql on its SQL rendering.
-	q := svc.Queries()[0]
+// wireOf renders a logical query in the /plan wire form.
+func wireOf(q *handsfree.Query) *WireQuery {
 	wq := &WireQuery{Name: q.Name}
 	for _, r := range q.Relations {
 		wq.Relations = append(wq.Relations, WireRelation{Table: r.Table, Alias: r.Alias})
@@ -182,6 +177,58 @@ func TestStructuredPlanEndpoint(t *testing.T) {
 	for _, g := range q.GroupBys {
 		wq.GroupBys = append(wq.GroupBys, WireGroupBy{Alias: g.Alias, Column: g.Column})
 	}
+	return wq
+}
+
+// TestFingerprintCarriedFromEveryConstructor: however a query reaches the
+// planner — generated, parsed from SQL, decoded off the wire — the
+// fingerprint the plan cache reads off it is the canonical one, before and
+// after the service has planned it.
+func TestFingerprintCarriedFromEveryConstructor(t *testing.T) {
+	svc := newTestTenant(t, 3, handsfree.WithCache(handsfree.CacheConfig{Capacity: 1 << 10}))
+	generated, err := svc.System().Workload.Training(24, 2, 7, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := svc.System().PlanCache
+	for i, q := range append(generated, svc.Queries()...) {
+		parsed, err := handsfree.ParseSQL(q.SQL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, apiErr := wireOf(q).toQuery()
+		if apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		want := plancache.Fingerprint(q)
+		for _, v := range []struct {
+			how string
+			q   *handsfree.Query
+		}{{"generated", q}, {"parsed", parsed}, {"wire-decoded", decoded}} {
+			for _, when := range []string{"first lookup", "second lookup", "after Plan"} {
+				if got := cache.FingerprintOf(v.q); got != want || got != plancache.Fingerprint(v.q) {
+					t.Fatalf("query %d, %s, %s: FingerprintOf %x, Fingerprint %x, the generated query's %x",
+						i, v.how, when, got, plancache.Fingerprint(v.q), want)
+				}
+				if when == "second lookup" {
+					if res, err := svc.Plan(context.Background(), v.q); err != nil || res.Fingerprint != want {
+						t.Fatalf("query %d, %s: Plan keyed %x (err %v), want %x", i, v.how, res.Fingerprint, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestStructuredPlanEndpoint(t *testing.T) {
+	svc := newTestTenant(t, 3)
+	_, ts := newTestServer(t, Config{}, map[string]*handsfree.Service{"solo": svc})
+	client := ts.Client()
+
+	// Build the wire form of a workload query and check /plan agrees with
+	// /plansql on its SQL rendering.
+	q := svc.Queries()[0]
+	wq := wireOf(q)
 	var structured, sql PlanResponse
 	if resp := postJSON(t, client, ts.URL+"/plan", PlanRequest{Query: wq}, &structured); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/plan status %d: %+v", resp.StatusCode, structured)

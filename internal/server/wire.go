@@ -126,7 +126,8 @@ type PlanResponse struct {
 	ExpertCost float64 `json:"expert_cost"`
 	// LearnedCost is present only when a learned rollout ran.
 	LearnedCost *float64 `json:"learned_cost,omitempty"`
-	// PolicyVersion is the policy snapshot consulted (0 = none yet).
+	// PolicyVersion is the policy snapshot consulted, or the latest one
+	// published when the policy cannot cover the query (0 = none yet).
 	// Within one client connection it is monotone non-decreasing.
 	PolicyVersion uint64 `json:"policy_version"`
 	// Phase is the tenant's lifecycle phase at serving time.

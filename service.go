@@ -9,12 +9,14 @@ import (
 	"sync/atomic"
 
 	"handsfree/internal/bootstrap"
+	"handsfree/internal/cost"
 	"handsfree/internal/engine"
 	"handsfree/internal/exechistory"
 	"handsfree/internal/featurize"
 	"handsfree/internal/lfd"
 	"handsfree/internal/nn"
 	"handsfree/internal/paramserver"
+	"handsfree/internal/plancache"
 	"handsfree/internal/planspace"
 	"handsfree/internal/rl"
 )
@@ -167,6 +169,9 @@ type Service struct {
 	progress     lifecycleProgress
 
 	plans, learnedServed, expertServed, fallbacks atomic.Uint64
+	// rollouts counts the greedy rollouts Plan actually ran (rollout's cache
+	// misses); tests read it to tell a decided query from a re-decided one.
+	rollouts atomic.Uint64
 
 	executions, execFailures, execTimeouts atomic.Uint64
 	latencyGuarded, driftEvents, retrains  atomic.Uint64
@@ -275,8 +280,9 @@ type PlanResult struct {
 	Cost float64
 	// Source says which planner the served plan came from.
 	Source PlanSource
-	// PolicyVersion is the policy snapshot consulted (0 when no learned
-	// policy existed at serving time).
+	// PolicyVersion is the policy snapshot consulted — or, for a query the
+	// policy cannot cover, the latest one published — and 0 only while no
+	// learned policy exists. It never decreases from one call to the next.
 	PolicyVersion uint64
 	// ExpertCost is the traditional optimizer's plan cost (always computed:
 	// it is both the fallback and the safeguard reference).
@@ -305,10 +311,13 @@ type PlanResult struct {
 
 // Plan serves a plan for q under a request-scoped context. The expert plan
 // is always computed (it is the safeguard reference and the fallback); when
-// a learned policy is published, the policy rolls out greedily and its plan
-// is served only if its cost stays within FallbackRatio × the expert's.
-// Deadlines and cancellation are honored mid-search — inside the expert's
-// enumeration loops and between rollout decisions — returning ctx.Err().
+// a learned policy is published, the policy rolls out greedily — once per
+// (fingerprint, policy version), remembered in the plan cache after that —
+// and its plan is served only if its cost stays within FallbackRatio × the
+// expert's and the fingerprint's observed latency within GuardRatio, both
+// judged on every request. Deadlines and cancellation are honored
+// mid-search — inside the expert's enumeration loops and between rollout
+// decisions — returning ctx.Err().
 func (s *Service) Plan(ctx context.Context, q *Query) (PlanResult, error) {
 	if q == nil {
 		return PlanResult{}, fmt.Errorf("handsfree: Plan called with a nil query")
@@ -334,11 +343,15 @@ func (s *Service) Plan(ctx context.Context, q *Query) (PlanResult, error) {
 	}
 	sp := s.serve.Load()
 	if sp == nil || len(q.Relations) > sp.maxRels {
+		// The policy cannot cover the query: an expert decision, stamped with
+		// the latest published version so a caller never sees it go backwards.
+		res.PolicyVersion = s.policies.Version()
 		s.plans.Add(1)
 		s.expertServed.Add(1)
 		return res, nil
 	}
 	snap := s.policies.Latest()
+	res.PolicyVersion = snap.Version
 	if snap.Version == 0 || snap.Net == nil ||
 		snap.Net.InDim() != sp.obsDim || snap.Net.OutDim() != sp.actionDim {
 		// No learned policy yet, or a stale snapshot from a lifecycle with a
@@ -347,17 +360,7 @@ func (s *Service) Plan(ctx context.Context, q *Query) (PlanResult, error) {
 		s.expertServed.Add(1)
 		return res, nil
 	}
-	res.PolicyVersion = snap.Version
-	env := sp.get()
-	// Every Plan against this snapshot shares one packed form of its weights
-	// (packed lazily on first use, dropped with the snapshot on publish).
-	packed := snap.Packed()
-	logits := logitsPool.Get().(*nn.Mat)
-	defer logitsPool.Put(logits)
-	out, rerr := env.GreedyRollout(ctx, q, func(st rl.State) int {
-		return greedyActionPacked(packed, st, logits)
-	})
-	sp.put(env)
+	out, rerr := s.rollout(ctx, q, fp, sp, snap)
 	if rerr != nil {
 		return PlanResult{}, rerr
 	}
@@ -386,6 +389,39 @@ func (s *Service) Plan(ctx context.Context, q *Query) (PlanResult, error) {
 		s.learnedServed.Add(1)
 	}
 	return res, nil
+}
+
+// rollout returns the plan and cost snap's policy reaches on q by greedy
+// rollout. That is a pure function of (fingerprint, snapshot) — Plan only
+// rolls a snapshot out on a layout whose dimensions match its network's, and
+// the dimensions fix the layout — so it is decided once per snapshot version
+// and read back from the plan cache on every later request. Only the rollout
+// is memoised: the guards in Plan judge the remembered outcome against the
+// live expert cost and latency history each time. A publish moves every
+// lookup to a new version and the stale entries age out of the LRU; a
+// rollout cut short by ctx stores nothing.
+func (s *Service) rollout(ctx context.Context, q *Query, fp uint64, sp *servePool, snap *paramserver.Snapshot) (planspace.Outcome, error) {
+	cache := s.sys.PlanCache
+	key := plancache.Key{Query: fp, Mode: plancache.ModeServedRollout, Epoch: snap.Version}
+	if e, ok := cache.Get(key); ok {
+		return planspace.Outcome{Plan: e.Plan, Cost: e.Cost.Total}, nil
+	}
+	s.rollouts.Add(1)
+	env := sp.get()
+	// Every rollout of this snapshot shares one packed form of its weights
+	// (packed lazily on first use, dropped with the snapshot on publish).
+	packed := snap.Packed()
+	logits := logitsPool.Get().(*nn.Mat)
+	out, err := env.GreedyRollout(ctx, q, func(st rl.State) int {
+		return greedyActionPacked(packed, st, logits)
+	})
+	logitsPool.Put(logits)
+	sp.put(env)
+	if err != nil {
+		return planspace.Outcome{}, err
+	}
+	cache.Put(key, plancache.Entry{Plan: out.Plan, Cost: cost.NodeCost{Total: out.Cost}})
+	return out, nil
 }
 
 // PlanSQL parses SQL text and serves a plan for it; see Plan.
