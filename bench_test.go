@@ -319,12 +319,8 @@ func BenchmarkEngineExecute(b *testing.B) {
 // a 256-dim observation, 64 actions, 128→64 hidden layers, and a replay
 // buffer of 4096 samples.
 func benchQAgent(seed int64) (*rl.QAgent, *rl.ReplayBuffer) {
-	return benchQAgentAt(nn.F64, seed)
-}
-
-func benchQAgentAt(p nn.Precision, seed int64) (*rl.QAgent, *rl.ReplayBuffer) {
 	const obsDim, actions = 256, 64
-	agent := rl.NewQAgent(obsDim, actions, rl.QAgentConfig{Hidden: []int{128, 64}, Precision: p, Seed: seed})
+	agent := rl.NewQAgent(obsDim, actions, rl.QAgentConfig{Hidden: []int{128, 64}, Seed: seed})
 	buf := rl.NewReplayBuffer(4096)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 4096; i++ {
@@ -338,21 +334,16 @@ func benchQAgentAt(p nn.Precision, seed int64) (*rl.QAgent, *rl.ReplayBuffer) {
 }
 
 // BenchmarkBatchedTrain measures QAgent.Train's batched path: one 64-sample
-// minibatch per iteration through a single parallel forward/backward pass,
-// at each tensor-core precision. The f32 sub-benchmark moves half the bytes
-// per matmul, bias add, and Adam step. Steady state is allocation-free
-// (0 allocs/op — see TestBatchedTrainZeroAlloc).
+// minibatch per iteration through a single parallel forward/backward pass.
+// Steady state is allocation-free (0 allocs/op — see
+// TestBatchedTrainZeroAlloc).
 func BenchmarkBatchedTrain(b *testing.B) {
-	for _, p := range []nn.Precision{nn.F64, nn.F32} {
-		b.Run(p.String(), func(b *testing.B) {
-			agent, buf := benchQAgentAt(p, 1)
-			agent.Train(buf, 64) // size the layer and batch buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agent.Train(buf, 64)
-			}
-		})
+	agent, buf := benchQAgent(1)
+	agent.Train(buf, 64) // size the layer and batch buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Train(buf, 64)
 	}
 }
 
@@ -399,12 +390,8 @@ func BenchmarkPerSampleTrain(b *testing.B) {
 			}
 			agent.Net.Backward(&nn.Mat{Rows: 1, Cols: len(grad), Data: grad})
 		}
-		for _, p := range agent.Net.Params() {
-			for j := range p.Grad {
-				p.Grad[j] /= float64(len(batch))
-			}
-		}
-		agent.Opt.Step(agent.Net.Params())
+		agent.Net.DivideGrads(float64(len(batch)))
+		agent.Opt.StepNet(agent.Net)
 	}
 }
 

@@ -24,8 +24,6 @@
 //	-quick        miniature substrate and budgets (minutes → seconds)
 //	-scale f      database scale factor override
 //	-seed n       experiment seed override
-//	-precision s  tensor-core precision for learned agents: f64 (default,
-//	              bitwise-deterministic) or f32 (half the memory bandwidth)
 //	-timeout d    service mode: overall lifecycle deadline, and per-query
 //	              planning deadline on the Plan(ctx) serving path
 //
@@ -63,7 +61,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use miniature budgets")
 	scale := flag.Float64("scale", 0, "database scale factor override")
 	seed := flag.Int64("seed", 0, "experiment seed override")
-	precision := flag.String("precision", "", "tensor-core precision for learned agents: f64 or f32 (default: HANDSFREE_PRECISION, else f64)")
 	timeout := flag.Duration("timeout", 0, "service mode: lifecycle deadline and per-query planning deadline (0 = none)")
 	addr := flag.String("addr", "", "serve mode: listen address (default :8080)")
 	tenants := flag.Int("tenants", 1, "serve mode: number of independent tenants to mount")
@@ -79,15 +76,6 @@ func main() {
 	if flag.NArg() != 1 {
 		usage()
 		os.Exit(2)
-	}
-	if *precision != "" {
-		if _, err := nn.ParsePrecision(*precision); err != nil {
-			fatal(err)
-		}
-		// The experiments build their agents with PrecisionAuto, which
-		// resolves through this env var on first use — set it before the lab
-		// constructs any network.
-		os.Setenv("HANDSFREE_PRECISION", *precision)
 	}
 	cmd := strings.ToLower(flag.Arg(0))
 
@@ -430,8 +418,7 @@ func printEnv(serveCfg server.Config, tenants int) {
 	d := nn.Dispatch()
 	fmt.Printf("engine:    gemm=%s gemv=%s softmax=%s adam=%s (portable tile %dx%d, k-block %d)\n",
 		d.Gemm, d.Gemv, d.Softmax, d.Adam, mr, nr, kc)
-	fmt.Printf("precision: %s (HANDSFREE_PRECISION=%q)\n",
-		nn.DefaultPrecision(), os.Getenv("HANDSFREE_PRECISION"))
+	fmt.Printf("precision: %s\n", nn.DefaultPrecision())
 	cpu := nn.DetectCPU()
 	fmt.Printf("cpu features: avx2=%v fma=%v\n", cpu.AVX2, cpu.FMA)
 	fmt.Printf("kernel workers: %d\n", nn.Workers())
@@ -453,7 +440,7 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: handsfree [-quick] [-scale f] [-seed n] [-precision f64|f32] [-timeout d] <experiment>
+	fmt.Fprint(os.Stderr, `usage: handsfree [-quick] [-scale f] [-seed n] [-timeout d] <experiment>
 
 experiments:
   fig3a        ReJOIN convergence (Figure 3a)

@@ -40,7 +40,7 @@ func decisionService(t testing.TB, opts ...Option) *Service {
 func trainDecisionService(t testing.TB, svc *Service) {
 	t.Helper()
 	ctx := context.Background()
-	if err := svc.StartTraining(ctx, LifecycleConfig{Seed: 3, CostEpisodes: 512, Actors: 1, Precision: F64}); err != nil {
+	if err := svc.StartTraining(ctx, LifecycleConfig{Seed: 3, CostEpisodes: 512, Actors: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.WaitTraining(ctx); err != nil {
@@ -52,7 +52,7 @@ func trainDecisionService(t testing.TB, svc *Service) {
 // serving layout already installed.
 func publishRandomVersion(svc *Service, seed int64) *rl.Reinforce {
 	sp := svc.serve.Load()
-	learner := rl.NewReinforce(sp.obsDim, sp.actionDim, rl.ReinforceConfig{Hidden: []int{16}, Precision: F64, Seed: seed})
+	learner := rl.NewReinforce(sp.obsDim, sp.actionDim, rl.ReinforceConfig{Hidden: []int{16}, Seed: seed})
 	svc.publish(learner)
 	return learner
 }
@@ -183,9 +183,9 @@ func TestPlanDecisionHitMatchesMiss(t *testing.T) {
 	// A policy whose logits are all NaN picks no action: the rollout ends
 	// with no plan, and that outcome is remembered and guarded like any other.
 	broken := publishRandomVersion(svc, 60)
-	for _, p := range broken.Policy.Params() {
+	for _, p := range broken.Policy.F32().Params() {
 		for i := range p.Value {
-			p.Value[i] = math.NaN()
+			p.Value[i] = float32(math.NaN())
 		}
 	}
 	svc.publish(broken)

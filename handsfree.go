@@ -8,8 +8,8 @@
 //   - New assembles the synthetic JOB-like database with statistics, a
 //     PostgreSQL-style cost model, a traditional optimizer, a truth oracle,
 //     and a latency simulator, and wraps them in a concurrency-safe Service
-//     (functional options: WithScale, WithPrecision, WithCache,
-//     WithWorkload, WithFallbackRatio, …).
+//     (functional options: WithScale, WithCache, WithWorkload,
+//     WithFallbackRatio, …).
 //   - Service.Plan / Service.PlanSQL serve request-scoped, safeguarded
 //     planning decisions: context deadlines cut searches off mid-flight,
 //     and a regression guard falls back to the expert plan whenever the
@@ -43,7 +43,6 @@ import (
 	"handsfree/internal/datagen"
 	"handsfree/internal/engine"
 	"handsfree/internal/featurize"
-	"handsfree/internal/nn"
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
@@ -82,23 +81,6 @@ type (
 	// AsyncStats summarizes an asynchronous training run (updates,
 	// publishes, max observed staleness, dropped trajectories).
 	AsyncStats = rl.AsyncStats
-	// Precision selects the scalar type the learned agents' networks store
-	// and compute in; see Config.Precision.
-	Precision = nn.Precision
-)
-
-// Precision values for Config.Precision and ReJOINConfig.Precision.
-const (
-	// PrecisionAuto resolves through the HANDSFREE_PRECISION environment
-	// variable and defaults to F64.
-	PrecisionAuto = nn.PrecisionAuto
-	// F64 is the float64 tensor path: the bitwise-deterministic reference.
-	F64 = nn.F64
-	// F32 is the float32 tensor path: half the memory bandwidth on every
-	// batched network kernel, verified against F64 by tolerance-based
-	// parity. Pick it for long training runs where throughput matters more
-	// than bitwise reproducibility; see README.md.
-	F32 = nn.F32
 )
 
 // StatsMode selects the statistics source the planning stack — cost model,
@@ -177,13 +159,6 @@ type Config struct {
 	LatencySeed int64
 	// Cache configures the plan cache service (disabled by default).
 	Cache CacheConfig
-	// Precision is the default scalar type for every learned agent the
-	// system builds (per-agent configs may override it). The default,
-	// PrecisionAuto, resolves through the HANDSFREE_PRECISION environment
-	// variable and falls back to F64 — bitwise-identical to the historical
-	// float64 behavior. F32 halves the memory bandwidth of every batched
-	// network kernel at tolerance-bounded (not bitwise) parity.
-	Precision Precision
 	// Stats selects the statistics source planning runs on. The default,
 	// StatsAuto, resolves through the HANDSFREE_STATS environment variable
 	// and falls back to StatsExact. StatsSketch replaces the histogram
@@ -225,9 +200,6 @@ type System struct {
 	// PlanCache is the plan cache service attached to Planner (nil unless
 	// Config.Cache.Enabled).
 	PlanCache *PlanCache
-	// Precision is the system-wide default for learned agents (resolved
-	// from Config.Precision).
-	Precision Precision
 	// StatsSource is the resolved statistics mode planning runs on
 	// (Config.Stats through HANDSFREE_STATS).
 	StatsSource StatsMode
@@ -338,7 +310,6 @@ func openSystem(cfg Config) (*System, error) {
 		Latency:     engine.NewLatencyModel(oracle, cfg.LatencySeed),
 		Engine:      engine.New(db.Store),
 		Workload:    workload.New(db),
-		Precision:   cfg.Precision.Resolve(),
 		StatsSource: cfg.Stats.Resolve(),
 		sketchSeed:  uint64(cfg.Seed),
 		cacheTag:    systemTag(cfg),
@@ -459,11 +430,8 @@ type ReJOINConfig struct {
 	// Hidden layer widths (default 128, 64).
 	Hidden []int
 	// LR is the learning rate (default 1.5e-3).
-	LR float64
-	// Precision overrides the system-wide Config.Precision for this agent's
-	// policy network (PrecisionAuto inherits the system setting).
-	Precision Precision
-	Seed      int64
+	LR   float64
+	Seed int64
 }
 
 // NewReJOINAgent builds a ReJOIN agent over a training workload. Queries
@@ -506,14 +474,10 @@ func newReJOINAgent(sys *System, queries []*Query, cfg ReJOINConfig) (*ReJOINAge
 	if cfg.LR == 0 {
 		cfg.LR = 1.5e-3
 	}
-	prec := cfg.Precision
-	if prec == PrecisionAuto {
-		prec = sys.Precision
-	}
 	space := featurize.NewSpace(cfg.MaxRelations, sys.cardEstimator())
 	env := rejoin.NewEnv(space, sys.Planner, queries, cfg.Seed)
 	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
-		Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Precision: prec, Seed: cfg.Seed,
+		Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Seed: cfg.Seed,
 	})
 	return &ReJOINAgent{agent: agent}, nil
 }

@@ -2,6 +2,7 @@ package handsfree
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -128,35 +129,41 @@ func TestReJOINAgentTrainAsync(t *testing.T) {
 	}
 }
 
-func TestPrecisionKnobThreadsToAgents(t *testing.T) {
-	sys, err := Open(Config{Scale: 0.05, Precision: F32})
+// TestReJOINAgentConverges: through the public API, training must bring the
+// agent's plans closer to the expert's — the geometric-mean cost ratio over
+// the training queries falls, to within maxTrainedRatio.
+func TestReJOINAgentConverges(t *testing.T) {
+	sys := testSystem(t)
+	queries, err := sys.Workload.Training(4, 4, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Precision != F32 {
-		t.Fatalf("system precision %v, want f32", sys.Precision)
-	}
-	queries, err := sys.Workload.Training(3, 4, 5, 3)
+	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Agent inherits the system-wide precision…
-	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{16}})
-	if err != nil {
-		t.Fatal(err)
+	ratio := func() float64 {
+		var logSum float64
+		for _, q := range queries {
+			expert, err := sys.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node, cost := agent.Plan(q)
+			if node == nil || cost <= 0 {
+				t.Fatalf("agent produced plan=%v cost=%v", node, cost)
+			}
+			logSum += math.Log(cost / expert.Cost)
+		}
+		return math.Exp(logSum / float64(len(queries)))
 	}
-	agent.Train(20)
-	if node, cost := agent.Plan(queries[0]); node == nil || cost <= 0 {
-		t.Fatalf("f32 agent produced plan=%v cost=%v", node, cost)
-	}
-	// …and a per-agent override beats it.
-	f64agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{16}, Precision: F64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f64agent.Train(20)
-	if node, cost := f64agent.Plan(queries[0]); node == nil || cost <= 0 {
-		t.Fatalf("f64-override agent produced plan=%v cost=%v", node, cost)
+	const maxTrainedRatio = 2.0
+	untrained := ratio()
+	agent.Train(3000)
+	trained := ratio()
+	t.Logf("cost ratio vs expert: untrained %.3f, trained %.3f", untrained, trained)
+	if trained > maxTrainedRatio || trained >= untrained {
+		t.Fatalf("trained cost ratio %.3f (untrained %.3f), want below %.1f and improved", trained, untrained, maxTrainedRatio)
 	}
 }
 

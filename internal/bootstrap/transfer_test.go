@@ -3,19 +3,17 @@ package bootstrap
 import (
 	"testing"
 
-	"handsfree/internal/nn"
 	"handsfree/internal/rl"
 )
 
 func TestTransferSwitchKeepsHiddenReinitsOutput(t *testing.T) {
 	env, _ := fixtureEnv(t, 4, 4, 5)
-	// Pinned to f64: the test compares raw Params() slices across the switch.
-	agent := New(Config{Env: env, Agent: rl.ReinforceConfig{Hidden: []int{32, 16}, Precision: nn.F64, Seed: 3}, Scaling: ScaleTransfer})
+	agent := New(Config{Env: env, Agent: rl.ReinforceConfig{Hidden: []int{32, 16}, Seed: 3}, Scaling: ScaleTransfer})
 	for ep := 0; ep < 40; ep++ {
 		agent.TrainEpisode()
 	}
 	oldPolicy := agent.RL.Policy
-	oldHidden := append([]float64(nil), oldPolicy.Params()[0].Value...)
+	oldHidden := append([]float32(nil), oldPolicy.F32().Params()[0].Value...)
 	oldOutput := outputWeights(t, agent)
 
 	agent.SwitchToLatency()
@@ -23,7 +21,7 @@ func TestTransferSwitchKeepsHiddenReinitsOutput(t *testing.T) {
 	if agent.RL.Policy == oldPolicy {
 		t.Fatal("transfer switch did not rebuild the learner")
 	}
-	newHidden := agent.RL.Policy.Params()[0].Value
+	newHidden := agent.RL.Policy.F32().Params()[0].Value
 	for i := range oldHidden {
 		if newHidden[i] != oldHidden[i] {
 			t.Fatal("hidden layer weights changed across the transfer switch")
@@ -49,12 +47,12 @@ func TestTransferSwitchKeepsHiddenReinitsOutput(t *testing.T) {
 	}
 }
 
-func outputWeights(t *testing.T, a *Agent) []float64 {
+func outputWeights(t *testing.T, a *Agent) []float32 {
 	t.Helper()
-	params := a.RL.Policy.Params()
+	params := a.RL.Policy.F32().Params()
 	// Last weight matrix is the second-to-last param (weights, then bias).
 	w := params[len(params)-2].Value
-	return append([]float64(nil), w...)
+	return append([]float32(nil), w...)
 }
 
 func TestTransferRewardIsLogLatency(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"handsfree/internal/bootstrap"
 	"handsfree/internal/curriculum"
 	"handsfree/internal/lfd"
-	"handsfree/internal/nn"
 	"handsfree/internal/planspace"
 	"handsfree/internal/query"
 	"handsfree/internal/rl"
@@ -66,15 +65,11 @@ func (l *Lab) NaiveFullSpace(cfg NaiveConfig) (*NaiveResult, error) {
 	}
 	fullEnv := mkEnv(planspace.StagePrefix(planspace.NumStages))
 	joinEnv := mkEnv(planspace.StagePrefix(1))
-	// The §4 negative result is a qualitative gap (naive ≫ restricted) whose
-	// seed calibration belongs to the deterministic f64 reference; f32
-	// rounding perturbs the sampled trajectories enough to blur the figure,
-	// so this experiment pins the reference precision.
 	full := rl.NewReinforce(fullEnv.ObsDim(), fullEnv.ActionDim(), rl.ReinforceConfig{
-		Hidden: []int{128, 64}, LR: 1.5e-3, BatchSize: 16, Precision: nn.F64, Seed: cfg.Seed,
+		Hidden: []int{128, 64}, LR: 1.5e-3, BatchSize: 16, Seed: cfg.Seed,
 	})
 	restricted := rl.NewReinforce(joinEnv.ObsDim(), joinEnv.ActionDim(), rl.ReinforceConfig{
-		Hidden: []int{128, 64}, LR: 1.5e-3, BatchSize: 16, Precision: nn.F64, Seed: cfg.Seed,
+		Hidden: []int{128, 64}, LR: 1.5e-3, BatchSize: 16, Seed: cfg.Seed,
 	})
 
 	res := &NaiveResult{

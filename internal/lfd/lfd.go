@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 
-	"handsfree/internal/nn"
 	"handsfree/internal/planspace"
 	"handsfree/internal/query"
 	"handsfree/internal/rl"
@@ -42,11 +41,7 @@ type Config struct {
 	// CatastropheFactor defines a catastrophic execution: latency worse than
 	// this multiple of the expert's (default 50).
 	CatastropheFactor float64
-	// Precision selects the reward-prediction network's scalar type (the
-	// zero value resolves through the HANDSFREE_PRECISION environment
-	// variable).
-	Precision nn.Precision
-	Seed      int64
+	Seed              int64
 }
 
 func (c *Config) fill() {
@@ -108,11 +103,10 @@ func New(cfg Config) *Agent {
 	cfg.fill()
 	env := cfg.Env
 	q := rl.NewQAgent(env.ObsDim(), env.ActionDim(), rl.QAgentConfig{
-		Hidden:    cfg.Hidden,
-		LR:        cfg.LR,
-		Epsilon:   cfg.Epsilon,
-		Precision: cfg.Precision,
-		Seed:      cfg.Seed,
+		Hidden:  cfg.Hidden,
+		LR:      cfg.LR,
+		Epsilon: cfg.Epsilon,
+		Seed:    cfg.Seed,
 	})
 	return &Agent{
 		Cfg:       cfg,

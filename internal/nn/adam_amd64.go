@@ -2,17 +2,17 @@
 
 package nn
 
-// Vector kernels for the fused Adam step. Unlike the GEMM microkernels these
-// deliberately avoid FMA: the update is one multiply/add chain per element
+// Vector kernel for the fused Adam step. Unlike the GEMM microkernels it
+// deliberately avoids FMA: the update is one multiply/add chain per element
 // (no cross-element reduction), and separate VMULP/VADDP instructions round
 // each intermediate exactly like the scalar Go expression — VSQRTP and VDIVP
 // are correctly rounded by IEEE-754, and float32's sqrt-through-float64
 // double rounding is innocuous (53 ≥ 2·24+2) — so the vector lanes are
-// bitwise identical to the reference loop at both precisions. The win is the
-// 4-wide (f64) / 8-wide (f32) data path over a fused single pass of the
-// parameter, gradient, and both moment arrays, not contraction.
+// bitwise identical to the reference loop. The win is the 8-wide data path
+// over a fused single pass of the parameter, gradient, and both moment
+// arrays, not contraction.
 //
-// The kernels share the GEMM gate's CPUID detection (they need AVX and
+// The kernel shares the GEMM gate's CPUID detection (it needs AVX and
 // OS-managed ymm state; requiring the full AVX2+FMA gate keeps one knob) and
 // the setAsmGemm test hook, so the portable-path CI legs cover the scalar
 // loop on hardware that would never otherwise run it.
@@ -28,39 +28,24 @@ func setAsmAdam(on bool) bool {
 	return prev
 }
 
-// Vector kernels (adam_amd64.s). Each processes elements [0, n) — n a
-// multiple of the lane width — of one fused update, reading the broadcast
-// constants from a by struct offset.
+// Vector kernel (adam_amd64.s). It processes elements [0, n) — n a multiple
+// of the lane width — of one fused update, reading the broadcast constants
+// from a by struct offset.
 //
-//go:noescape
-func adamStep4f64(n int, p, grad, m, v *float64, a *AdamArgs[float64])
-
 //go:noescape
 func adamStep8f32(n int, p, grad, m, v *float32, a *AdamArgs[float32])
 
-// adamStepAsm runs the vector kernels over the largest lane-aligned prefix
-// of the update and returns how many elements were processed (0 when the
-// kernels are unavailable, disabled, or the slice is shorter than one
-// vector). The caller finishes [done, len) with the scalar loop.
+// adamStepAsm runs the vector kernel over the largest lane-aligned prefix of
+// a float32 update and returns how many elements were processed (0 when the
+// kernel is unavailable, disabled, the update is not float32, or the slice
+// is shorter than one vector). The caller finishes [done, len) with the
+// scalar loop.
 func adamStepAsm[T Float](p, grad, m, v []T, a *AdamArgs[T]) int {
-	if !asmAdamEnabled {
+	pt, ok := any(p).([]float32)
+	n := len(p) - len(p)%8
+	if !asmAdamEnabled || !ok || n == 0 {
 		return 0
 	}
-	switch pt := any(p).(type) {
-	case []float64:
-		n := len(p) - len(p)%4
-		if n == 0 {
-			return 0
-		}
-		adamStep4f64(n, &pt[0], &any(grad).([]float64)[0], &any(m).([]float64)[0], &any(v).([]float64)[0], any(a).(*AdamArgs[float64]))
-		return n
-	case []float32:
-		n := len(p) - len(p)%8
-		if n == 0 {
-			return 0
-		}
-		adamStep8f32(n, &pt[0], &any(grad).([]float32)[0], &any(m).([]float32)[0], &any(v).([]float32)[0], any(a).(*AdamArgs[float32]))
-		return n
-	}
-	return 0
+	adamStep8f32(n, &pt[0], &any(grad).([]float32)[0], &any(m).([]float32)[0], &any(v).([]float32)[0], any(a).(*AdamArgs[float32]))
+	return n
 }

@@ -2,8 +2,8 @@
 
 #include "textflag.h"
 
-// Fused Adam vector kernels (see adam_amd64.go for the bitwise contract).
-// Register plan, shared by both precisions:
+// Fused Adam vector kernel (see adam_amd64.go for the bitwise contract).
+// Register plan:
 //
 //	Y7–Y15  broadcast constants, in AdamArgs field order:
 //	        Scale, B1, NB1, B2, NB2, C1, C2, LR, Eps
@@ -17,54 +17,6 @@
 // left-associative NB2*g*g), and the final step is (LR·mhat)/(sqrt+Eps).
 // No FMA anywhere — each multiply and add rounds separately, as the scalar
 // loop does.
-
-// func adamStep4f64(n int, p, grad, m, v *float64, a *AdamArgs[float64])
-TEXT ·adamStep4f64(SB), NOSPLIT, $0-48
-	MOVQ         n+0(FP), DX
-	MOVQ         p+8(FP), DI
-	MOVQ         grad+16(FP), SI
-	MOVQ         m+24(FP), R8
-	MOVQ         v+32(FP), R9
-	MOVQ         a+40(FP), R10
-	VBROADCASTSD 0(R10), Y7
-	VBROADCASTSD 8(R10), Y8
-	VBROADCASTSD 16(R10), Y9
-	VBROADCASTSD 24(R10), Y10
-	VBROADCASTSD 32(R10), Y11
-	VBROADCASTSD 40(R10), Y12
-	VBROADCASTSD 48(R10), Y13
-	VBROADCASTSD 56(R10), Y14
-	VBROADCASTSD 64(R10), Y15
-	XORQ         BX, BX
-
-loop4f64:
-	VMOVUPD (SI)(BX*8), Y0 // grad
-	VMULPD  Y7, Y0, Y0     // g = Scale·grad
-	VMOVUPD (R8)(BX*8), Y1 // m
-	VMULPD  Y8, Y1, Y1     // B1·m
-	VMULPD  Y9, Y0, Y3     // NB1·g
-	VADDPD  Y3, Y1, Y1     // m' = B1·m + NB1·g
-	VMOVUPD Y1, (R8)(BX*8)
-	VMOVUPD (R9)(BX*8), Y2 // v
-	VMULPD  Y10, Y2, Y2    // B2·v
-	VMULPD  Y11, Y0, Y4    // NB2·g
-	VMULPD  Y0, Y4, Y4     // (NB2·g)·g
-	VADDPD  Y4, Y2, Y2     // v' = B2·v + (NB2·g)·g
-	VMOVUPD Y2, (R9)(BX*8)
-	VDIVPD  Y12, Y1, Y3    // mhat = m'/C1
-	VDIVPD  Y13, Y2, Y4    // vhat = v'/C2
-	VSQRTPD Y4, Y4
-	VADDPD  Y15, Y4, Y4    // sqrt(vhat) + Eps
-	VMULPD  Y14, Y3, Y3    // LR·mhat
-	VDIVPD  Y4, Y3, Y3     // step = (LR·mhat)/(sqrt+Eps)
-	VMOVUPD (DI)(BX*8), Y5
-	VSUBPD  Y3, Y5, Y5     // p -= step
-	VMOVUPD Y5, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, DX
-	JLT     loop4f64
-	VZEROUPPER
-	RET
 
 // func adamStep8f32(n int, p, grad, m, v *float32, a *AdamArgs[float32])
 TEXT ·adamStep8f32(SB), NOSPLIT, $0-48

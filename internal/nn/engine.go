@@ -16,6 +16,16 @@ func (e Engine) String() string { return string(e) }
 // DefaultEngine reports the engine every network runs on.
 func DefaultEngine() Engine { return "blocked" }
 
+// Precision names the scalar type networks compute in, for the same
+// environment reports. There is one: nothing above this package chooses it.
+type Precision string
+
+// String names the precision.
+func (p Precision) String() string { return string(p) }
+
+// DefaultPrecision reports the precision every network computes in.
+func DefaultPrecision() Precision { return "f32" }
+
 // EngineOf is the kernel seam at a fixed precision. It has two
 // implementations: the dispatcher all production code runs on (NewEngineOf)
 // and refEngineOf, the oracle the parity tests drive layers and kernels

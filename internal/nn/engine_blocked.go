@@ -11,9 +11,9 @@ import "math"
 //     rollouts and per-sample inference — runs the serial reference row
 //     kernel (matMulRows / matMulATBRows / matMulABTRows) and is bitwise
 //     identical to the oracle.
-//  2. CPU. Larger a·b products run the AVX2+FMA vector tiles (gemm_amd64.go)
-//     when the one-time CPUID check passed and the output is at least one
-//     vector panel wide.
+//  2. CPU. Larger float32 a·b products run the AVX2+FMA vector tiles
+//     (gemm_amd64.go) when the one-time CPUID check passed and the output is
+//     at least one vector panel wide.
 //  3. Otherwise the portable 2×4 Go tiles below.
 //
 // Layout: the k dimension is cut into KC-deep blocks; for each block the
@@ -38,7 +38,7 @@ import "math"
 
 const (
 	// blockedKC is the k-block depth: one packed B panel is KC×NR elements
-	// (8 KB at f64) and each microkernel pass adds MR×KC elements of A, so
+	// (4 KB at f32) and each microkernel pass adds MR×KC elements of A, so
 	// the inner loops run from L1-resident data.
 	blockedKC = 256
 	// blockedMR × blockedNR is the register tile: 8 partial sums held in
@@ -54,8 +54,8 @@ const (
 
 // BlockedTileConfig reports the portable tile geometry (register tile MR×NR,
 // k-block depth KC) for reproducible perf reports. When Dispatch reports
-// gemm=avx2+fma the a·b path instead runs 4×16 (f32) or 4×8 (f64) vector
-// tiles; the k-block depth is KC either way.
+// gemm=avx2+fma the a·b path instead runs 4×16 vector tiles; the k-block
+// depth is KC either way.
 func BlockedTileConfig() (mr, nr, kc int) { return blockedMR, blockedNR, blockedKC }
 
 // blockedEngineOf is the dispatcher (see the dispatch rule above).

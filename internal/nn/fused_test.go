@@ -175,9 +175,8 @@ func testAdamStepBitwise[T Float](t *testing.T) {
 
 // TestStepNetEngineRoutedBitwise pins the seam migration itself: Adam's
 // engine-routed update must change a network bit-identically to the
-// historical per-precision scalar loop (adamStepT), at both precisions —
-// StepNet on the dispatcher, and the same routed update (adamStepEngT) on the
-// oracle.
+// historical scalar loop (adamStepT, below), at both precisions — StepNet on
+// the dispatcher, and the same routed update (adamStepEngT) on the oracle.
 func TestStepNetEngineRoutedBitwise(t *testing.T) {
 	forEachAdamKernel(t, func(t *testing.T) {
 		for _, oracle := range []bool{true, false} {
@@ -199,14 +198,16 @@ func testStepNetBitwise[T Float](t *testing.T, oracle bool) {
 		return NewMLPOf[T](rng, 13, 32, 7)
 	}
 	netA, netB := build(), build()
-	var wrapped *Network
-	if _, ok := any(T(0)).(float32); ok {
-		wrapped = WrapNet32(any(netA).(*NetOf[float32]))
-	} else {
-		wrapped = WrapNet64(any(netA).(*NetOf[float64]))
-	}
 	opt := NewAdam(1e-3)
 	opt.Clip = 5
+	// StepNet itself only exists over the float32 core; the other three
+	// combinations drive the same routed update (adamStepEngT) directly.
+	net32, viaStepNet := any(netA).(*NetOf[float32])
+	viaStepNet = viaStepNet && !oracle
+	var eng EngineOf[T] = refEngineOf[T]{}
+	if !oracle {
+		eng = NewEngineOf[T]()
+	}
 
 	// The legacy loop the routed path must match, and the oracle's own
 	// moment buffers.
@@ -221,14 +222,44 @@ func testStepNetBitwise[T Float](t *testing.T, oracle bool) {
 			fillUniform(p.Grad, rng)
 			copy(netB.Params()[i].Grad, p.Grad)
 		}
-		if oracle {
-			adamStepEngT(refEngineOf[T]{}, mA, vA, netA.Params(), step, opt.LR, opt.Beta1, opt.Beta2, opt.Eps, opt.Clip)
+		if viaStepNet {
+			opt.StepNet(WrapNet32(net32))
 		} else {
-			opt.StepNet(wrapped)
+			adamStepEngT(eng, mA, vA, netA.Params(), step, opt.LR, opt.Beta1, opt.Beta2, opt.Eps, opt.Clip)
 		}
 		adamStepT(mB, vB, netB.Params(), step, opt.LR, opt.Beta1, opt.Beta2, opt.Eps, opt.Clip)
 		for i, p := range netA.Params() {
 			checkBitwise(t, fmt.Sprintf("step %d param %d", step, i), p.Value, netB.Params()[i].Value)
+		}
+	}
+}
+
+// adamStepT is the pre-seam Adam update: per-element bias correction inline,
+// no engine. It is kept only as the oracle for the test above and the
+// "unfused" side of BenchmarkAdamStep.
+func adamStepT[T Float](m, v map[*ParamOf[T]][]T, params []*ParamOf[T], t int, lr, beta1, beta2, eps, clip float64) {
+	scale := T(clipScaleT(params, clip))
+	c1 := T(1 - math.Pow(beta1, float64(t)))
+	c2 := T(1 - math.Pow(beta2, float64(t)))
+	b1, nb1 := T(beta1), T(1-beta1)
+	b2, nb2 := T(beta2), T(1-beta2)
+	tlr, teps := T(lr), T(eps)
+	for _, p := range params {
+		mm := m[p]
+		vv := v[p]
+		if mm == nil {
+			mm = make([]T, len(p.Value))
+			vv = make([]T, len(p.Value))
+			m[p] = mm
+			v[p] = vv
+		}
+		for i := range p.Value {
+			g := scale * p.Grad[i]
+			mm[i] = b1*mm[i] + nb1*g
+			vv[i] = b2*vv[i] + nb2*g*g
+			mhat := mm[i] / c1
+			vhat := vv[i] / c2
+			p.Value[i] -= tlr * mhat / (sqrtT(vhat) + teps)
 		}
 	}
 }

@@ -9,10 +9,12 @@ package nn
 // the kernels are hand-written assembly (gemm_amd64.s) gated by a one-time
 // CPUID check rather than compiler-emitted VEX code.
 //
-// Kernel shape: 4 output rows × two 8-lane ymm columns — 16 f32 or 8 f64
-// columns per tile — with the 8 accumulator registers live across the whole
-// k block, fed by the same packed panels the portable kernel uses (just NR=16
-// or 8 instead of 4). Each output element still accumulates in ascending k
+// Kernel shape: 4 output rows × two 8-lane ymm columns — 16 float32 columns
+// per tile — with the 8 accumulator registers live across the whole k block,
+// fed by the same packed panels the portable kernel uses (just NR=16 instead
+// of 4). There is no float64 kernel: no network computes in float64, and the
+// float64 instantiation the tests use as their oracle runs the portable
+// tiles. Each output element still accumulates in ascending k
 // order, one fused multiply-add per step; fusion skips the intermediate
 // product rounding, so results match the reference kernels within the blocked
 // engine's tolerance contract, and every element's arithmetic is a pure
@@ -24,10 +26,9 @@ package nn
 const (
 	// asmMR is the microkernel row count; row remainders run the 1-row kernel.
 	asmMR = 4
-	// asmNRF32 and asmNRF64 are the packed-panel widths: two ymm registers of
-	// columns per k step at each precision.
+	// asmNRF32 is the packed-panel width: two ymm registers of columns per
+	// k step.
 	asmNRF32 = 16
-	asmNRF64 = 8
 )
 
 // cpuid and xgetbv are implemented in gemm_amd64.s.
@@ -84,12 +85,6 @@ func gemm4x16f32(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float32)
 //go:noescape
 func gemm1x16f32(kc int, a0, bp, o0 *float32)
 
-//go:noescape
-func gemm4x8f64(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float64)
-
-//go:noescape
-func gemm1x8f64(kc int, a0, bp, o0 *float64)
-
 // gemmBlockedAsm routes out += a·b through the vector kernels, returning
 // false (having written nothing) when they are unavailable or unprofitable:
 // detection failed, tests forced the portable path, the precision has no
@@ -99,20 +94,11 @@ func gemmBlockedAsm[T Float](a, b, out *MatOf[T]) bool {
 	if !asmGemmEnabled {
 		return false
 	}
-	switch am := any(a).(type) {
-	case *MatOf[float32]:
-		if b.Cols < asmNRF32 {
-			return false
-		}
-		gemmBlockedF32(am, any(b).(*MatOf[float32]), any(out).(*MatOf[float32]))
-	case *MatOf[float64]:
-		if b.Cols < asmNRF64 {
-			return false
-		}
-		gemmBlockedF64(am, any(b).(*MatOf[float64]), any(out).(*MatOf[float64]))
-	default:
+	am, ok := any(a).(*MatOf[float32])
+	if !ok || b.Cols < asmNRF32 {
 		return false
 	}
+	gemmBlockedF32(am, any(b).(*MatOf[float32]), any(out).(*MatOf[float32]))
 	return true
 }
 
@@ -140,12 +126,6 @@ type gemmAsmArgsF32 struct {
 	kc0, kc1  int
 }
 
-type gemmAsmArgsF64 struct {
-	a, b, out *MatOf[float64]
-	bp        []float64
-	kc0, kc1  int
-}
-
 func gemmBlockedF32(a, b, out *MatOf[float32]) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	np := n - n%asmNRF32
@@ -160,24 +140,6 @@ func gemmBlockedF32(a, b, out *MatOf[float32]) {
 			continue
 		}
 		parallelRowsOf(m, m*(kc1-kc0)*n, g, gemmAsmRowsF32)
-	}
-	putVec(bpv)
-}
-
-func gemmBlockedF64(a, b, out *MatOf[float64]) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	np := n - n%asmNRF64
-	bpv := getVec[float64](min(blockedKC, k) * np)
-	bp := *bpv
-	for kc0 := 0; kc0 < k; kc0 += blockedKC {
-		kc1 := min(kc0+blockedKC, k)
-		packBPanelsN(b, kc0, kc1, np, asmNRF64, bp)
-		g := gemmAsmArgsF64{a: a, b: b, out: out, bp: bp, kc0: kc0, kc1: kc1}
-		if serialKernel(m, m*(kc1-kc0)*n) {
-			gemmAsmRowsF64(g, 0, m)
-			continue
-		}
-		parallelRowsOf(m, m*(kc1-kc0)*n, g, gemmAsmRowsF64)
 	}
 	putVec(bpv)
 }
@@ -207,35 +169,6 @@ func gemmAsmRowsF32(g gemmAsmArgsF32, lo, hi int) {
 		orow := g.out.Row(i)
 		for jp := 0; jp < np; jp += asmNRF32 {
 			gemm1x16f32(kc, &arow[0], &g.bp[(jp/asmNRF32)*kc*asmNRF32], &orow[jp])
-		}
-	}
-	for i = lo; i < hi; i++ {
-		gemmColEdgeRow(g.a, g.b, g.kc0, g.kc1, g.out, i, np)
-	}
-}
-
-func gemmAsmRowsF64(g gemmAsmArgsF64, lo, hi int) {
-	kc := g.kc1 - g.kc0
-	np := g.out.Cols - g.out.Cols%asmNRF64
-	i := lo
-	for ; i+asmMR <= hi; i += asmMR {
-		a0 := g.a.Row(i)[g.kc0:g.kc1]
-		a1 := g.a.Row(i + 1)[g.kc0:g.kc1]
-		a2 := g.a.Row(i + 2)[g.kc0:g.kc1]
-		a3 := g.a.Row(i + 3)[g.kc0:g.kc1]
-		o0, o1 := g.out.Row(i), g.out.Row(i+1)
-		o2, o3 := g.out.Row(i+2), g.out.Row(i+3)
-		for jp := 0; jp < np; jp += asmNRF64 {
-			gemm4x8f64(kc, &a0[0], &a1[0], &a2[0], &a3[0],
-				&g.bp[(jp/asmNRF64)*kc*asmNRF64],
-				&o0[jp], &o1[jp], &o2[jp], &o3[jp])
-		}
-	}
-	for ; i < hi; i++ {
-		arow := g.a.Row(i)[g.kc0:g.kc1]
-		orow := g.out.Row(i)
-		for jp := 0; jp < np; jp += asmNRF64 {
-			gemm1x8f64(kc, &arow[0], &g.bp[(jp/asmNRF64)*kc*asmNRF64], &orow[jp])
 		}
 	}
 	for i = lo; i < hi; i++ {

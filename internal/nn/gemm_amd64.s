@@ -131,98 +131,3 @@ done1x16:
 	VMOVUPS    Y1, 32(DI)
 	VZEROUPPER
 	RET
-
-// func gemm4x8f64(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float64)
-TEXT ·gemm4x8f64(SB), NOSPLIT, $0-80
-	MOVQ   kc+0(FP), DX
-	MOVQ   a0+8(FP), R8
-	MOVQ   a1+16(FP), R9
-	MOVQ   a2+24(FP), R10
-	MOVQ   a3+32(FP), R11
-	MOVQ   bp+40(FP), SI
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	XORQ   BX, BX
-	CMPQ   BX, DX
-	JGE    done4x8
-
-loop4x8:
-	VMOVUPD      (SI), Y8
-	VMOVUPD      32(SI), Y9
-	VBROADCASTSD (R8)(BX*8), Y10
-	VBROADCASTSD (R9)(BX*8), Y11
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD (R10)(BX*8), Y10
-	VBROADCASTSD (R11)(BX*8), Y11
-	VFMADD231PD  Y8, Y10, Y4
-	VFMADD231PD  Y9, Y10, Y5
-	VFMADD231PD  Y8, Y11, Y6
-	VFMADD231PD  Y9, Y11, Y7
-	ADDQ         $64, SI
-	INCQ         BX
-	CMPQ         BX, DX
-	JLT          loop4x8
-
-done4x8:
-	MOVQ       o0+48(FP), DI
-	VADDPD     (DI), Y0, Y0
-	VMOVUPD    Y0, (DI)
-	VADDPD     32(DI), Y1, Y1
-	VMOVUPD    Y1, 32(DI)
-	MOVQ       o1+56(FP), DI
-	VADDPD     (DI), Y2, Y2
-	VMOVUPD    Y2, (DI)
-	VADDPD     32(DI), Y3, Y3
-	VMOVUPD    Y3, 32(DI)
-	MOVQ       o2+64(FP), DI
-	VADDPD     (DI), Y4, Y4
-	VMOVUPD    Y4, (DI)
-	VADDPD     32(DI), Y5, Y5
-	VMOVUPD    Y5, 32(DI)
-	MOVQ       o3+72(FP), DI
-	VADDPD     (DI), Y6, Y6
-	VMOVUPD    Y6, (DI)
-	VADDPD     32(DI), Y7, Y7
-	VMOVUPD    Y7, 32(DI)
-	VZEROUPPER
-	RET
-
-// func gemm1x8f64(kc int, a0, bp, o0 *float64)
-TEXT ·gemm1x8f64(SB), NOSPLIT, $0-32
-	MOVQ   kc+0(FP), DX
-	MOVQ   a0+8(FP), R8
-	MOVQ   bp+16(FP), SI
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	XORQ   BX, BX
-	CMPQ   BX, DX
-	JGE    done1x8
-
-loop1x8:
-	VMOVUPD      (SI), Y8
-	VMOVUPD      32(SI), Y9
-	VBROADCASTSD (R8)(BX*8), Y10
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	ADDQ         $64, SI
-	INCQ         BX
-	CMPQ         BX, DX
-	JLT          loop1x8
-
-done1x8:
-	MOVQ       o0+24(FP), DI
-	VADDPD     (DI), Y0, Y0
-	VMOVUPD    Y0, (DI)
-	VADDPD     32(DI), Y1, Y1
-	VMOVUPD    Y1, 32(DI)
-	VZEROUPPER
-	RET

@@ -7,13 +7,10 @@ package nn
 
 const cpuAVX2FMA = false
 
-// The asm panel widths exist on every platform (packed.go sizes its stack
-// accumulator with the widest one); without the kernels they are never
-// selected as a pack's layout.
-const (
-	asmNRF32 = 16
-	asmNRF64 = 8
-)
+// The asm panel width exists on every platform (packed.go sizes its stack
+// accumulator with it); without the kernels it is never selected as a pack's
+// layout.
+const asmNRF32 = 16
 
 var asmGemmEnabled = false
 

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// Packed-panel gemv kernels (see gemv_amd64.go for the bitwise contract).
+// Packed-panel gemv kernel (see gemv_amd64.go for the bitwise contract).
 // Register plan:
 //
 //	Y0, Y1  accumulators (columns 0–7·lanes and the second ymm of columns)
@@ -43,36 +43,5 @@ donev16:
 	MOVQ       out+24(FP), DI
 	VMOVUPS    Y0, (DI)
 	VMOVUPS    Y1, 32(DI)
-	VZEROUPPER
-	RET
-
-// func gemv8f64(kc int, x, panel, out *float64)
-TEXT ·gemv8f64(SB), NOSPLIT, $0-32
-	MOVQ   kc+0(FP), DX
-	MOVQ   x+8(FP), R8
-	MOVQ   panel+16(FP), SI
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	XORQ   BX, BX
-	CMPQ   BX, DX
-	JGE    donev8
-
-loopv8:
-	VMOVUPD      (SI), Y8
-	VMOVUPD      32(SI), Y9
-	VBROADCASTSD (R8)(BX*8), Y10
-	VMULPD       Y8, Y10, Y2
-	VADDPD       Y2, Y0, Y0
-	VMULPD       Y9, Y10, Y3
-	VADDPD       Y3, Y1, Y1
-	ADDQ         $64, SI
-	INCQ         BX
-	CMPQ         BX, DX
-	JLT          loopv8
-
-donev8:
-	MOVQ       out+24(FP), DI
-	VMOVUPD    Y0, (DI)
-	VMOVUPD    Y1, 32(DI)
 	VZEROUPPER
 	RET

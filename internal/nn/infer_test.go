@@ -13,7 +13,7 @@ func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := NewMLP(rng, 12, 16, 8, 5)
 	// Include a Tanh so every layer kind is exercised.
-	net.F64().Layers = append(net.F64().Layers, &Tanh{})
+	net.F32().Layers = append(net.F32().Layers, &TanhOf[float32]{})
 	for trial := 0; trial < 5; trial++ {
 		x := randMat(1+trial*3, 12, rng)
 		want := net.Forward(x.Clone())
@@ -37,9 +37,9 @@ func TestInferMatchesForwardOnNaNActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net := NewMLP(rng, 4, 8, 3)
 	// Poison one hidden row so the ReLU input contains NaN.
-	lin := net.F64().Layers[0].(*Linear)
+	lin := net.F32().Layers[0].(*LinearOf[float32])
 	for j := 0; j < lin.Out; j++ {
-		lin.W.Value[j] = math.NaN()
+		lin.W.Value[j] = float32(math.NaN())
 	}
 	x := randMat(2, 4, rng)
 	want := net.Forward(x.Clone())
@@ -98,7 +98,7 @@ func TestCloneForInference(t *testing.T) {
 	want := net.Infer(x.Clone())
 
 	snap := net.CloneForInference()
-	for _, p := range snap.Params() {
+	for _, p := range snap.F32().Params() {
 		if p.Grad != nil {
 			t.Fatalf("CloneForInference allocated a gradient buffer for %s", p.Name)
 		}
@@ -110,7 +110,7 @@ func TestCloneForInference(t *testing.T) {
 		}
 	}
 	// Mutate the original: the snapshot must be unaffected.
-	for _, p := range net.Params() {
+	for _, p := range net.F32().Params() {
 		for i := range p.Value {
 			p.Value[i] += 1
 		}

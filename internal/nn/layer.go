@@ -13,9 +13,6 @@ type ParamOf[T Float] struct {
 	Grad  []T
 }
 
-// Param is the float64 parameter (the reference precision's API).
-type Param = ParamOf[float64]
-
 // ZeroGrad clears the accumulated gradient.
 func (p *ParamOf[T]) ZeroGrad() {
 	for i := range p.Grad {
@@ -48,9 +45,6 @@ type LayerOf[T Float] interface {
 	inferTo(x, out *MatOf[T])
 }
 
-// Layer is the float64 layer interface.
-type Layer = LayerOf[float64]
-
 // LinearOf is a fully connected layer: y = x·W + b.
 type LinearOf[T Float] struct {
 	In, Out int
@@ -59,7 +53,7 @@ type LinearOf[T Float] struct {
 
 	// oracle, when non-nil, replaces the engine for this layer's kernels.
 	// Only the parity tests set it (to refEngineOf); it is not copied by
-	// Clone, conversion or output surgery.
+	// Clone or output surgery.
 	oracle EngineOf[T]
 	ps     [2]*ParamOf[T]
 
@@ -75,9 +69,6 @@ type LinearOf[T Float] struct {
 	dx  *MatOf[T] // reusable Backward output
 }
 
-// Linear is the float64 fully connected layer.
-type Linear = LinearOf[float64]
-
 // NewLinearOf returns a Glorot-initialized fully connected layer of the
 // given precision.
 func NewLinearOf[T Float](in, out int, rng *rand.Rand) *LinearOf[T] {
@@ -91,13 +82,8 @@ func NewLinearOf[T Float](in, out int, rng *rand.Rand) *LinearOf[T] {
 	}).bindViews()
 }
 
-// NewLinear returns a Glorot-initialized float64 fully connected layer.
-func NewLinear(in, out int, rng *rand.Rand) *Linear {
-	return NewLinearOf[float64](in, out, rng)
-}
-
 // bindViews caches the weight view over W.Value and returns the layer.
-// Every construction path (NewLinearOf, clone, convert, gob load) calls it
+// Every construction path (NewLinearOf, clone, gob load) calls it
 // exactly once, before the layer is shared.
 func (l *LinearOf[T]) bindViews() *LinearOf[T] {
 	l.wview = MatOf[T]{Rows: l.In, Cols: l.Out, Data: l.W.Value}
@@ -172,9 +158,6 @@ type ReLUOf[T Float] struct {
 	dx   *MatOf[T] // reusable Backward output
 }
 
-// ReLU is the float64 rectified-linear activation.
-type ReLU = ReLUOf[float64]
-
 // Forward zeroes negative inputs into the layer's reusable output.
 func (r *ReLUOf[T]) Forward(x *MatOf[T]) *MatOf[T] {
 	if r.out == nil {
@@ -244,9 +227,6 @@ type TanhOf[T Float] struct {
 	y  *MatOf[T] // reusable Forward output, cached for Backward
 	dx *MatOf[T] // reusable Backward output
 }
-
-// Tanh is the float64 hyperbolic-tangent activation.
-type Tanh = TanhOf[float64]
 
 // Forward applies tanh element-wise into the layer's reusable output.
 func (t *TanhOf[T]) Forward(x *MatOf[T]) *MatOf[T] {

@@ -28,15 +28,14 @@
 //
 // # Precision
 //
-// The tensor core is generic over the Float constraint: MatOf, LinearOf,
-// NetOf, the kernels, the losses, and the optimizer updates are instantiated
-// at float64 (the bitwise-deterministic reference — the aliases Mat, Linear,
-// Param, Layer preserve the original float64 API verbatim) and at float32,
-// which halves the memory bandwidth of every batched kernel. Networks carry
-// their precision; the erased Network wrapper keeps a float64 interchange
-// boundary so callers above nn never go generic. The f64 path is verified
-// bitwise against the pre-generic kernels; the f32 path is verified against
-// f64 by tolerance-based parity (see ARCHITECTURE.md).
+// Every learned network computes in float32: Network and PackedNetwork hold
+// one float32 core and keep a float64 interchange boundary (states in,
+// logits and gradients out), so callers above nn never go generic. The core
+// itself — MatOf, LinearOf, NetOf, the kernels, the losses, the optimizer
+// updates — stays generic over Float so that this package's tests can
+// instantiate it at float64 as the oracle: finite-difference gradient checks
+// need the wider type, and the float32 path is verified against it by
+// tolerance-based parity (see ARCHITECTURE.md).
 package nn
 
 import (
@@ -44,6 +43,14 @@ import (
 	"math"
 	"math/rand"
 )
+
+// Float constrains the scalar element type of the tensor core: float32 is
+// what every network computes in (the precision Neo and Balsa train their
+// learned optimizers in), float64 is the interchange type at the Network
+// boundary and the oracle this package's tests instantiate the core at.
+type Float interface {
+	~float32 | ~float64
+}
 
 // MatOf is a dense row-major matrix over either float precision. A batch of
 // k vectors of dimension d is a k×d matrix. The zero value is an empty
@@ -54,11 +61,11 @@ type MatOf[T Float] struct {
 }
 
 // Mat is the float64 matrix — the package's interchange type: every API
-// boundary above the kernels (states, logits, gradients crossing the erased
-// Network) speaks float64 regardless of the precision a network computes in.
+// boundary above the kernels (states, logits, gradients crossing Network)
+// speaks float64 while the network computes in float32.
 type Mat = MatOf[float64]
 
-// Mat32 is the float32 matrix used inside f32 networks.
+// Mat32 is the float32 matrix networks compute in.
 type Mat32 = MatOf[float32]
 
 // NewMatOf returns a zeroed r×c matrix of the given precision.
@@ -84,7 +91,7 @@ func ConvertMat[U, T Float](m *MatOf[T]) *MatOf[U] {
 }
 
 // convertMatInto converts src into dst, resizing dst (the allocation-free
-// form of ConvertMat used by the erased Network's precision boundary).
+// form of ConvertMat used at the Network's float64 boundary).
 func convertMatInto[U, T Float](dst *MatOf[U], src *MatOf[T]) {
 	dst.Resize(src.Rows, src.Cols)
 	for i, v := range src.Data {
@@ -224,7 +231,7 @@ func matMulABTRows[T Float](a, b, out *MatOf[T], lo, hi int) {
 
 // Xavier fills m with Glorot-uniform values appropriate for a layer with the
 // given fan-in and fan-out. The draws come from rng in float64 and are then
-// rounded to m's precision, so f32 and f64 networks built from the same seed
+// rounded to m's precision, so f32 and f64 cores built from the same seed
 // start from the same (rounded) weights.
 func Xavier[T Float](m *MatOf[T], fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))

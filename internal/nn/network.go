@@ -8,9 +8,9 @@ import (
 )
 
 // NetOf is a sequential stack of layers at a fixed precision — the generic
-// tensor core. Callers above nn normally hold the precision-erased Network
-// wrapper instead; the typed core is exposed (Network.F64/F32) for code that
-// performs weight surgery, such as planspace.TransferPolicy.
+// tensor core. Callers above nn hold the Network handle instead; its float32
+// core is exposed (Network.F32) for code that performs weight surgery, such
+// as planspace.TransferPolicy.
 type NetOf[T Float] struct {
 	Layers []LayerOf[T]
 
@@ -237,146 +237,61 @@ func (n *NetOf[T]) clone(grads bool) *NetOf[T] {
 	return out
 }
 
-// convertNet rebuilds a core at element type U from a core at element type T,
-// converting every parameter value and allocating fresh gradients.
-func convertNet[U, T Float](n *NetOf[T]) *NetOf[U] {
-	out := &NetOf[U]{Layers: make([]LayerOf[U], 0, len(n.Layers))}
-	for _, l := range n.Layers {
-		switch l := l.(type) {
-		case *LinearOf[T]:
-			cl := &LinearOf[U]{
-				In:  l.In,
-				Out: l.Out,
-				W:   &ParamOf[U]{Name: "W", Value: make([]U, len(l.W.Value)), Grad: make([]U, len(l.W.Value))},
-				B:   &ParamOf[U]{Name: "b", Value: make([]U, len(l.B.Value)), Grad: make([]U, len(l.B.Value))},
-			}
-			for i, v := range l.W.Value {
-				cl.W.Value[i] = U(v)
-			}
-			for i, v := range l.B.Value {
-				cl.B.Value[i] = U(v)
-			}
-			out.Layers = append(out.Layers, cl.bindViews())
-		case *ReLUOf[T]:
-			out.Layers = append(out.Layers, &ReLUOf[U]{})
-		case *TanhOf[T]:
-			out.Layers = append(out.Layers, &TanhOf[U]{})
-		default:
-			panic(fmt.Sprintf("nn: cannot convert layer %T", l))
-		}
-	}
-	return out
-}
-
-// Network is the precision-erased handle every layer above nn holds: one
-// policy or value network that computes in float64 or float32 internally
-// while keeping a float64 interchange API (states in, logits/gradients out).
-// For F64 networks the methods delegate straight to the float64 core, so the
-// default path is bitwise-identical to the pre-generic implementation; for
-// F32 networks the input batch is converted once on entry and the output
-// once on exit, and the whole layer chain — weights, activations, gradients,
-// optimizer state — stays float32, halving the bytes every kernel moves.
+// Network is the handle every layer above nn holds: one policy or value
+// network that computes in float32 internally while keeping a float64
+// interchange API (states in, logits/gradients out). The input batch is
+// converted once on entry and the output once on exit, and the whole layer
+// chain — weights, activations, gradients, optimizer state — stays float32.
 type Network struct {
-	prec Precision // F64 or F32, never PrecisionAuto
-	n64  *NetOf[float64]
-	n32  *NetOf[float32]
+	core *NetOf[float32]
 
-	// Reusable F32 boundary-conversion buffers for the single-goroutine
+	// Reusable boundary-conversion buffers for the single-goroutine
 	// Forward/Backward paths (Infer allocates fresh conversions to keep its
 	// concurrency contract).
 	x32, d32 *Mat32
 	y64, g64 *Mat
 }
 
-// WrapNet64 wraps a float64 core in an erased handle.
-func WrapNet64(core *NetOf[float64]) *Network {
-	return &Network{prec: F64, n64: core}
-}
-
-// WrapNet32 wraps a float32 core in an erased handle.
+// WrapNet32 wraps a float32 core in a Network handle.
 func WrapNet32(core *NetOf[float32]) *Network {
-	return &Network{prec: F32, n32: core}
+	return &Network{core: core}
 }
 
-// NewMLP builds a float64 Linear→ReLU→…→Linear network with the given layer
-// sizes (the historical constructor; see NewMLPAt for the precision knob).
+// NewMLP builds a Linear→ReLU→…→Linear network with the given layer sizes.
+// The rng draws are made in float64 and rounded (see Xavier), so the network
+// starts from the rounded weights a float64 core built from the same seed
+// would have.
 func NewMLP(rng *rand.Rand, sizes ...int) *Network {
-	return WrapNet64(NewMLPOf[float64](rng, sizes...))
+	return WrapNet32(NewMLPOf[float32](rng, sizes...))
 }
 
-// NewMLPAt builds an MLP at the given precision (PrecisionAuto resolves via
-// DefaultPrecision). Both precisions consume the rng stream identically, so
-// an f32 network built from a seed starts from the rounded weights of its
-// f64 counterpart.
-func NewMLPAt(p Precision, rng *rand.Rand, sizes ...int) *Network {
-	if p.Resolve() == F32 {
-		return WrapNet32(NewMLPOf[float32](rng, sizes...))
-	}
-	return WrapNet64(NewMLPOf[float64](rng, sizes...))
-}
+// F32 returns the float32 core.
+func (n *Network) F32() *NetOf[float32] { return n.core }
 
-// Precision reports the precision the network stores and computes in. The
-// zero-value Network reports F64 (it has no layers of either kind).
-func (n *Network) Precision() Precision {
-	if n.prec == F32 {
-		return F32
-	}
-	return F64
-}
-
-// F64 returns the float64 core, or nil for an F32 network.
-func (n *Network) F64() *NetOf[float64] { return n.n64 }
-
-// F32 returns the float32 core, or nil for an F64 network.
-func (n *Network) F32() *NetOf[float32] { return n.n32 }
-
-// ConvertTo returns a network at the target precision: the receiver itself
-// when the precision already matches, otherwise a fresh network with every
-// parameter value explicitly converted (f64→f32 rounds; f32→f64 is exact).
-// This is the upgrade path for checkpoints saved at a different precision
-// than the loading agent's.
-func (n *Network) ConvertTo(p Precision) *Network {
-	if p.Resolve() == n.Precision() {
-		return n
-	}
-	if n.prec == F32 {
-		return WrapNet64(convertNet[float64](n.n32))
-	}
-	return WrapNet32(convertNet[float32](n.n64))
-}
-
-// Forward runs the batch through every layer. For an F32 network the batch
-// is converted to float32 once on entry and the logits back to float64 once
-// on exit; the layer chain itself runs entirely in float32, and both
-// conversions land in reusable buffers. Like NetOf.Forward, the result is
-// valid until the network's next Forward/Backward call — Clone it to retain
-// it longer.
+// Forward runs the batch through every layer. The batch is converted to
+// float32 once on entry and the logits back to float64 once on exit; the
+// layer chain itself runs entirely in float32, and both conversions land in
+// reusable buffers. Like NetOf.Forward, the result is valid until the
+// network's next Forward/Backward call — Clone it to retain it longer.
 func (n *Network) Forward(x *Mat) *Mat {
-	if n.prec == F32 {
-		if n.x32 == nil {
-			n.x32, n.y64 = &Mat32{}, &Mat{}
-		}
-		convertMatInto(n.x32, x)
-		convertMatInto(n.y64, n.n32.Forward(n.x32))
-		return n.y64
+	if n.x32 == nil {
+		n.x32, n.y64 = &Mat32{}, &Mat{}
 	}
-	return n.n64.Forward(x)
+	convertMatInto(n.x32, x)
+	convertMatInto(n.y64, n.core.Forward(n.x32))
+	return n.y64
 }
 
 // Backward propagates the (float64) loss gradient back through every layer,
-// accumulating parameter gradients in the network's own precision, and
-// returns the gradient with respect to the input (valid until the next
-// Forward/Backward call).
+// accumulating parameter gradients in float32, and returns the gradient with
+// respect to the input (valid until the next Forward/Backward call).
 func (n *Network) Backward(dout *Mat) *Mat {
-	if n.prec == F32 {
-		if n.d32 == nil {
-			n.d32, n.g64 = &Mat32{}, &Mat{}
-		}
-		convertMatInto(n.d32, dout)
-		convertMatInto(n.g64, n.n32.Backward(n.d32))
-		return n.g64
+	if n.d32 == nil {
+		n.d32, n.g64 = &Mat32{}, &Mat{}
 	}
-	return n.n64.Backward(dout)
+	convertMatInto(n.d32, dout)
+	convertMatInto(n.g64, n.core.Backward(n.d32))
+	return n.g64
 }
 
 // Infer runs the batch through the network without caching anything for a
@@ -389,129 +304,57 @@ func (n *Network) Backward(dout *Mat) *Mat {
 // hot path stays allocation-light and lock-free instead of cloning the
 // network per worker. Each Layer.Infer is required to compute exactly what
 // its Forward computes (asserted bitwise by the parity test). The boundary
-// conversions of an F32 network allocate fresh matrices per call, so they
-// preserve the concurrency contract.
+// conversions allocate fresh matrices per call, so they preserve the
+// concurrency contract.
 func (n *Network) Infer(x *Mat) *Mat {
-	if n.prec == F32 {
-		return ConvertMat[float64](n.n32.Infer(ConvertMat[float32](x)))
-	}
-	return n.n64.Infer(x)
+	return ConvertMat[float64](n.core.Infer(ConvertMat[float32](x)))
 }
 
 // InferInto is Infer with caller-owned output: out is resized and
-// overwritten with the logits, all intermediates (and, for an F32 network,
-// the boundary conversions) come from per-call pooled scratch, and no layer
-// state is written — so steady-state inference allocates nothing while
-// keeping Infer's any-number-of-goroutines concurrency contract. out must
-// not alias x.
+// overwritten with the logits, all intermediates and the boundary
+// conversions come from per-call pooled scratch, and no layer state is
+// written — so steady-state inference allocates nothing while keeping
+// Infer's any-number-of-goroutines concurrency contract. out must not alias
+// x.
 func (n *Network) InferInto(x, out *Mat) {
-	if n.prec == F32 {
-		x32 := getMat[float32]()
-		y32 := getMat[float32]()
-		convertMatInto(x32, x)
-		n.n32.InferInto(x32, y32)
-		convertMatInto(out, y32)
-		putMat(x32)
-		putMat(y32)
-		return
-	}
-	n.n64.InferInto(x, out)
-}
-
-// Params returns every learnable parameter of a float64 network. It panics
-// on an F32 network — float32 parameters cannot be viewed as []float64;
-// precision-agnostic callers use DivideGrads, FlattenParams, and
-// Optimizer.StepNet instead.
-func (n *Network) Params() []*Param {
-	if n.prec == F32 {
-		panic("nn: Params on a float32 network — use DivideGrads/FlattenParams/StepNet")
-	}
-	return n.n64.Params()
+	x32 := getMat[float32]()
+	y32 := getMat[float32]()
+	convertMatInto(x32, x)
+	n.core.InferInto(x32, y32)
+	convertMatInto(out, y32)
+	putMat(x32)
+	putMat(y32)
 }
 
 // ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() {
-	if n.prec == F32 {
-		n.n32.ZeroGrad()
-		return
-	}
-	n.n64.ZeroGrad()
-}
+func (n *Network) ZeroGrad() { n.core.ZeroGrad() }
 
-// DivideGrads divides every accumulated gradient by n in the network's own
-// precision. For F64 this is exactly the historical
-// `for … { p.Grad[i] /= n }` loop, so the default path stays bitwise
-// identical.
-func (n *Network) DivideGrads(by float64) {
-	if n.prec == F32 {
-		n.n32.DivideGrads(by)
-		return
-	}
-	n.n64.DivideGrads(by)
-}
+// DivideGrads divides every accumulated gradient by n in float32.
+func (n *Network) DivideGrads(by float64) { n.core.DivideGrads(by) }
 
-// FlattenParams concatenates every parameter value into one float64 vector
-// regardless of the network's precision.
-func (n *Network) FlattenParams() []float64 {
-	if n.prec == F32 {
-		return n.n32.FlattenParams()
-	}
-	return n.n64.FlattenParams()
-}
+// FlattenParams concatenates every parameter value into one float64 vector.
+func (n *Network) FlattenParams() []float64 { return n.core.FlattenParams() }
 
 // InDim reports the input dimension of the first Linear layer.
-func (n *Network) InDim() int {
-	if n.prec == F32 {
-		return n.n32.InDim()
-	}
-	return n.n64.InDim()
-}
+func (n *Network) InDim() int { return n.core.InDim() }
 
 // OutDim reports the output dimension of the last Linear layer.
-func (n *Network) OutDim() int {
-	if n.prec == F32 {
-		return n.n32.OutDim()
-	}
-	return n.n64.OutDim()
-}
+func (n *Network) OutDim() int { return n.core.OutDim() }
 
 // ResizeOutput replaces the final Linear layer with one of a new output
 // width, copying the overlapping weights (curriculum network surgery).
-func (n *Network) ResizeOutput(newOut int, rng *rand.Rand) {
-	if n.prec == F32 {
-		n.n32.ResizeOutput(newOut, rng)
-		return
-	}
-	n.n64.ResizeOutput(newOut, rng)
-}
+func (n *Network) ResizeOutput(newOut int, rng *rand.Rand) { n.core.ResizeOutput(newOut, rng) }
 
 // ReinitOutput replaces the final Linear layer with a freshly initialized
 // one of the same shape (§5.2 transfer learning).
-func (n *Network) ReinitOutput(rng *rand.Rand) {
-	if n.prec == F32 {
-		n.n32.ReinitOutput(rng)
-		return
-	}
-	n.n64.ReinitOutput(rng)
-}
+func (n *Network) ReinitOutput(rng *rand.Rand) { n.core.ReinitOutput(rng) }
 
-// Clone returns a deep copy at the same precision (parameters copied,
-// gradients fresh).
-func (n *Network) Clone() *Network {
-	if n.prec == F32 {
-		return WrapNet32(n.n32.Clone())
-	}
-	return WrapNet64(n.n64.Clone())
-}
+// Clone returns a deep copy (parameters copied, gradients fresh).
+func (n *Network) Clone() *Network { return WrapNet32(n.core.Clone()) }
 
-// CloneForInference deep-copies the parameter values at the same precision
-// without allocating gradient buffers (the snapshot-publish hot path).
-func (n *Network) CloneForInference() *Network {
-	if n.prec == F32 {
-		return WrapNet32(n.n32.CloneForInference())
-	}
-	return WrapNet64(n.n64.CloneForInference())
-}
+// CloneForInference deep-copies the parameter values without allocating
+// gradient buffers (the snapshot-publish hot path).
+func (n *Network) CloneForInference() *Network { return WrapNet32(n.core.CloneForInference()) }
 
 // netState is the gob wire form of a network: enough to rebuild layer
 // structure plus the flat parameter values.
@@ -520,10 +363,11 @@ func (n *Network) CloneForInference() *Network {
 //   - Version 0 (implicit; fields Version and Precision absent from the
 //     stream): the original float64-only format. Kinds/Ins/Outs describe the
 //     layers, Vals carries the float64 parameters.
-//   - Version 1: adds Precision ("f64"/"f32"); f32 networks carry their
-//     parameters in Vals32 instead of Vals. Version-0 streams decode as f64
-//     (gob leaves the absent fields zero), so every pre-versioning
-//     checkpoint still loads.
+//   - Version 1: adds Precision. "f32" streams — the only kind written —
+//     carry their parameters in Vals32; "f64" streams carry them in Vals.
+//
+// Load rule: a float64 payload (version 0, or version 1 "f64") is rounded to
+// float32 weight by weight, so every checkpoint ever written still loads.
 type netState struct {
 	Version   int
 	Precision string
@@ -534,77 +378,26 @@ type netState struct {
 	Vals32    [][]float32
 }
 
-// coreState flattens a typed core into the precision-independent part of
-// netState plus its parameter payload.
-func coreState[T Float](n *NetOf[T]) (kinds []string, ins, outs []int, vals [][]T, err error) {
-	for _, l := range n.Layers {
-		switch l := l.(type) {
-		case *LinearOf[T]:
-			kinds = append(kinds, "linear")
-			ins = append(ins, l.In)
-			outs = append(outs, l.Out)
-			vals = append(vals, append([]T(nil), l.W.Value...), append([]T(nil), l.B.Value...))
-		case *ReLUOf[T]:
-			kinds = append(kinds, "relu")
-			ins = append(ins, 0)
-			outs = append(outs, 0)
-		case *TanhOf[T]:
-			kinds = append(kinds, "tanh")
-			ins = append(ins, 0)
-			outs = append(outs, 0)
-		default:
-			return nil, nil, nil, nil, fmt.Errorf("nn: cannot serialize layer %T", l)
-		}
-	}
-	return kinds, ins, outs, vals, nil
-}
-
-// coreFromState rebuilds a typed core from decoded checkpoint fields.
-func coreFromState[T Float](kinds []string, ins, outs []int, vals [][]T) (*NetOf[T], error) {
-	if len(ins) != len(kinds) || len(outs) != len(kinds) {
-		return nil, fmt.Errorf("nn: corrupt network encoding: %d kinds, %d ins, %d outs", len(kinds), len(ins), len(outs))
-	}
-	n := &NetOf[T]{}
-	vi := 0
-	for i, kind := range kinds {
-		switch kind {
-		case "linear":
-			in, out := ins[i], outs[i]
-			if in <= 0 || out <= 0 || vi+1 >= len(vals) || len(vals[vi]) != in*out || len(vals[vi+1]) != out {
-				return nil, fmt.Errorf("nn: corrupt network encoding at layer %d", i)
-			}
-			l := &LinearOf[T]{
-				In:  in,
-				Out: out,
-				W:   &ParamOf[T]{Name: "W", Value: vals[vi], Grad: make([]T, in*out)},
-				B:   &ParamOf[T]{Name: "b", Value: vals[vi+1], Grad: make([]T, out)},
-			}
-			vi += 2
-			n.Layers = append(n.Layers, l.bindViews())
-		case "relu":
-			n.Layers = append(n.Layers, &ReLUOf[T]{})
-		case "tanh":
-			n.Layers = append(n.Layers, &TanhOf[T]{})
-		default:
-			return nil, fmt.Errorf("nn: unknown layer kind %q", kind)
-		}
-	}
-	return n, nil
-}
-
-// MarshalBinary encodes the network structure, precision, and parameters
-// with gob (netState Version 1; parameters stay in the network's native
-// precision on the wire).
+// MarshalBinary encodes the network structure and parameters with gob
+// (netState Version 1, "f32").
 func (n *Network) MarshalBinary() ([]byte, error) {
-	st := netState{Version: 1, Precision: n.Precision().String()}
-	var err error
-	if n.prec == F32 {
-		st.Kinds, st.Ins, st.Outs, st.Vals32, err = coreState(n.n32)
-	} else {
-		st.Kinds, st.Ins, st.Outs, st.Vals, err = coreState(n.n64)
-	}
-	if err != nil {
-		return nil, err
+	st := netState{Version: 1, Precision: "f32"}
+	for _, l := range n.core.Layers {
+		kind, in, out := "", 0, 0
+		switch l := l.(type) {
+		case *LinearOf[float32]:
+			kind, in, out = "linear", l.In, l.Out
+			st.Vals32 = append(st.Vals32, append([]float32(nil), l.W.Value...), append([]float32(nil), l.B.Value...))
+		case *ReLUOf[float32]:
+			kind = "relu"
+		case *TanhOf[float32]:
+			kind = "tanh"
+		default:
+			return nil, fmt.Errorf("nn: cannot serialize layer %T", l)
+		}
+		st.Kinds = append(st.Kinds, kind)
+		st.Ins = append(st.Ins, in)
+		st.Outs = append(st.Outs, out)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -614,43 +407,83 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a network previously encoded with MarshalBinary,
-// restoring it at the precision recorded in the checkpoint (legacy
-// version-0 streams are float64). Use ConvertTo afterwards to move the
-// loaded network to a different precision.
+// or by any earlier version of it (see netState for the load rule).
 func (n *Network) UnmarshalBinary(data []byte) error {
 	var st netState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	prec := F64
-	if st.Version >= 1 {
-		p, err := ParsePrecision(st.Precision)
-		if err != nil {
-			return err
-		}
-		if p == PrecisionAuto {
-			return fmt.Errorf("nn: checkpoint version %d carries no precision", st.Version)
-		}
-		prec = p
+	prec := st.Precision
+	if st.Version == 0 {
+		prec = "f64"
 	}
-	if prec == F32 {
+	var vals [][]float32
+	switch prec {
+	case "f32":
 		if len(st.Vals) != 0 {
 			return fmt.Errorf("nn: f32 checkpoint carries float64 payload")
 		}
-		core, err := coreFromState(st.Kinds, st.Ins, st.Outs, st.Vals32)
-		if err != nil {
-			return err
+		vals = st.Vals32
+	case "f64":
+		if len(st.Vals32) != 0 {
+			return fmt.Errorf("nn: f64 checkpoint carries float32 payload")
 		}
-		n.prec, n.n32, n.n64 = F32, core, nil
-		return nil
+		// The one explicit precision conversion left: a float64 payload
+		// rounds to nearest, weight by weight.
+		vals = make([][]float32, len(st.Vals))
+		for i, v64 := range st.Vals {
+			vals[i] = make([]float32, len(v64))
+			for j, w := range v64 {
+				vals[i][j] = float32(w)
+			}
+		}
+	default:
+		return fmt.Errorf("nn: checkpoint version %d has unknown precision %q", st.Version, st.Precision)
 	}
-	if len(st.Vals32) != 0 {
-		return fmt.Errorf("nn: f64 checkpoint carries float32 payload")
-	}
-	core, err := coreFromState(st.Kinds, st.Ins, st.Outs, st.Vals)
+	core, err := coreFromState(st.Kinds, st.Ins, st.Outs, vals)
 	if err != nil {
 		return err
 	}
-	n.prec, n.n64, n.n32 = F64, core, nil
+	*n = Network{core: core}
 	return nil
+}
+
+// coreFromState rebuilds the float32 core from decoded checkpoint fields.
+func coreFromState(kinds []string, ins, outs []int, vals [][]float32) (*NetOf[float32], error) {
+	if len(ins) != len(kinds) || len(outs) != len(kinds) {
+		return nil, fmt.Errorf("nn: corrupt network encoding: %d kinds, %d ins, %d outs", len(kinds), len(ins), len(outs))
+	}
+	n := &NetOf[float32]{}
+	vi := 0
+	width := 0 // output width of the last Linear seen; 0 before the first
+	for i, kind := range kinds {
+		switch kind {
+		case "linear":
+			in, out := ins[i], outs[i]
+			// in is bounded by the payload before in*out is trusted, so a
+			// hostile header cannot overflow the product into a match.
+			if in <= 0 || out <= 0 || vi+1 >= len(vals) || in > len(vals[vi]) || len(vals[vi]) != in*out || len(vals[vi+1]) != out {
+				return nil, fmt.Errorf("nn: corrupt network encoding at layer %d", i)
+			}
+			if width != 0 && in != width {
+				return nil, fmt.Errorf("nn: corrupt network encoding: layer %d takes %d inputs, previous layer produces %d", i, in, width)
+			}
+			width = out
+			l := &LinearOf[float32]{
+				In:  in,
+				Out: out,
+				W:   &ParamOf[float32]{Name: "W", Value: vals[vi], Grad: make([]float32, in*out)},
+				B:   &ParamOf[float32]{Name: "b", Value: vals[vi+1], Grad: make([]float32, out)},
+			}
+			vi += 2
+			n.Layers = append(n.Layers, l.bindViews())
+		case "relu":
+			n.Layers = append(n.Layers, &ReLUOf[float32]{})
+		case "tanh":
+			n.Layers = append(n.Layers, &TanhOf[float32]{})
+		default:
+			return nil, fmt.Errorf("nn: unknown layer kind %q", kind)
+		}
+	}
+	return n, nil
 }

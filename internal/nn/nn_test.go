@@ -84,10 +84,12 @@ func TestMatMulPanicsOnShapeMismatch(t *testing.T) {
 }
 
 // TestGradientCheckMSE verifies analytic backprop through an MLP against
-// numerical differentiation of the MSE loss.
+// numerical differentiation of the MSE loss. The gradient checks run the
+// generic core at float64: a central difference at eps=1e-5 needs more
+// significant digits than float32 carries.
 func TestGradientCheckMSE(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	net := NewMLP(rng, 5, 8, 4, 3)
+	net := NewMLPOf[float64](rng, 5, 8, 4, 3)
 	x := NewMat(2, 5)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -132,7 +134,7 @@ func TestGradientCheckMSE(t *testing.T) {
 // (including the entropy bonus) against numerical differentiation.
 func TestGradientCheckPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	net := NewMLP(rng, 4, 6, 5)
+	net := NewMLPOf[float64](rng, 4, 6, 5)
 	x := NewMat(1, 4)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -173,7 +175,7 @@ func TestGradientCheckPolicy(t *testing.T) {
 
 func TestGradientCheckHuber(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	net := NewMLP(rng, 3, 6, 2)
+	net := NewMLPOf[float64](rng, 3, 6, 2)
 	x := NewMat(1, 3)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -289,7 +291,7 @@ func TestAdamReducesLoss(t *testing.T) {
 		}
 		last = loss
 		net.Backward(&Mat{Rows: 32, Cols: 1, Data: g})
-		opt.Step(net.Params())
+		opt.StepNet(net)
 	}
 	if last > first/20 {
 		t.Fatalf("Adam failed to learn: first=%v last=%v", first, last)
@@ -324,7 +326,7 @@ func TestSGDAndMomentumReduceLoss(t *testing.T) {
 				}
 				last = loss
 				net.Backward(&Mat{Rows: 16, Cols: 1, Data: g})
-				tc.opt.Step(net.Params())
+				tc.opt.StepNet(net)
 			}
 			if last > first/10 {
 				t.Fatalf("%s failed to learn: first=%v last=%v", tc.name, first, last)
@@ -334,9 +336,8 @@ func TestSGDAndMomentumReduceLoss(t *testing.T) {
 }
 
 func TestGradientClipping(t *testing.T) {
-	p := &Param{Value: []float64{0}, Grad: []float64{1000}}
-	opt := &SGD{LR: 1, Clip: 1}
-	opt.Step([]*Param{p})
+	p := &ParamOf[float64]{Value: []float64{0}, Grad: []float64{1000}}
+	sgdStepT([]*ParamOf[float64]{p}, 1, 1)
 	if math.Abs(p.Value[0]) > 1.0001 {
 		t.Fatalf("clipped step moved by %v, want ≤ 1", -p.Value[0])
 	}
@@ -371,8 +372,8 @@ func TestCloneIsIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := NewMLP(rng, 3, 4, 2)
 	cl := net.Clone()
-	net.Params()[0].Value[0] += 100
-	if cl.Params()[0].Value[0] == net.Params()[0].Value[0] {
+	net.F32().Params()[0].Value[0] += 100
+	if cl.F32().Params()[0].Value[0] == net.F32().Params()[0].Value[0] {
 		t.Fatal("clone shares parameter storage with original")
 	}
 }

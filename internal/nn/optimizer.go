@@ -2,13 +2,11 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters in place from their accumulated gradients.
-// Step is the historical float64-parameter entry point; StepNet dispatches on
-// a network's precision, running the entire update — moments, clipping scale
-// application, and the weight write — in the network's own scalar type, so
-// an f32 network's optimizer state also stays f32.
+// Optimizer updates a network's parameters in place from their accumulated
+// gradients. The entire update — moments, clipping scale application, and
+// the weight write — runs in the network's float32, so the optimizer state
+// is as narrow as the weights.
 type Optimizer interface {
-	Step(params []*Param)
 	StepNet(net *Network)
 }
 
@@ -22,17 +20,8 @@ type SGD struct {
 	Clip float64 // max L2 norm of the full gradient; 0 disables clipping
 }
 
-// Step applies one SGD update to float64 parameters.
-func (o *SGD) Step(params []*Param) { sgdStepT(params, o.LR, o.Clip) }
-
-// StepNet applies one SGD update in the network's precision.
-func (o *SGD) StepNet(net *Network) {
-	if net.Precision() == F32 {
-		sgdStepT(net.F32().Params(), o.LR, o.Clip)
-		return
-	}
-	sgdStepT(net.F64().Params(), o.LR, o.Clip)
-}
+// StepNet applies one SGD update.
+func (o *SGD) StepNet(net *Network) { sgdStepT(net.core.Params(), o.LR, o.Clip) }
 
 func sgdStepT[T Float](params []*ParamOf[T], lr, clip float64) {
 	k := T(lr * clipScaleT(params, clip))
@@ -48,28 +37,15 @@ type Momentum struct {
 	LR, Mu float64
 	Clip   float64
 
-	vel   map[*Param][]float64
-	vel32 map[*ParamOf[float32]][]float32
+	vel map[*ParamOf[float32]][]float32
 }
 
-// Step applies one momentum update to float64 parameters.
-func (o *Momentum) Step(params []*Param) {
-	if o.vel == nil {
-		o.vel = make(map[*Param][]float64)
-	}
-	momentumStepT(o.vel, params, o.LR, o.Mu, o.Clip)
-}
-
-// StepNet applies one momentum update in the network's precision.
+// StepNet applies one momentum update.
 func (o *Momentum) StepNet(net *Network) {
-	if net.Precision() == F32 {
-		if o.vel32 == nil {
-			o.vel32 = make(map[*ParamOf[float32]][]float32)
-		}
-		momentumStepT(o.vel32, net.F32().Params(), o.LR, o.Mu, o.Clip)
-		return
+	if o.vel == nil {
+		o.vel = make(map[*ParamOf[float32]][]float32)
 	}
-	o.Step(net.F64().Params())
+	momentumStepT(o.vel, net.core.Params(), o.LR, o.Mu, o.Clip)
 }
 
 func momentumStepT[T Float](vel map[*ParamOf[T]][]T, params []*ParamOf[T], lr, mu, clip float64) {
@@ -94,11 +70,9 @@ type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	Clip                  float64
 
-	t   int
-	m   map[*Param][]float64
-	v   map[*Param][]float64
-	m32 map[*ParamOf[float32]][]float32
-	v32 map[*ParamOf[float32]][]float32
+	t int
+	m map[*ParamOf[float32]][]float32
+	v map[*ParamOf[float32]][]float32
 }
 
 // NewAdam returns an Adam optimizer with the conventional defaults
@@ -109,38 +83,20 @@ func NewAdam(lr float64) *Adam {
 		Beta1: 0.9,
 		Beta2: 0.999,
 		Eps:   1e-8,
-		m:     make(map[*Param][]float64),
-		v:     make(map[*Param][]float64),
+		m:     make(map[*ParamOf[float32]][]float32),
+		v:     make(map[*ParamOf[float32]][]float32),
 	}
 }
 
-// Step applies one Adam update with bias correction to float64 parameters.
-func (o *Adam) Step(params []*Param) {
-	o.t++
-	adamStepT(o.m, o.v, params, o.t, o.LR, o.Beta1, o.Beta2, o.Eps, o.Clip)
-}
-
-// StepNet applies one Adam update in the network's precision through the
-// engine's fused kernel: the constants are converted once per step
-// (NewAdamArgs — the same roundings the scalar loop performs) and each
-// parameter takes one EngineOf.AdamStep pass over its weights, gradients, and
-// both moment buffers. The vector kernels round identically to the historical
-// Step loop by construction (see AdamArgs), so the trained weights are
-// bitwise those of the scalar update. The moment buffers live in the same
-// precision as the weights, so the f32 path moves half the optimizer-state
-// bytes per step as well.
+// StepNet applies one Adam update with bias correction through the engine's
+// fused kernel: the constants are converted once per step (NewAdamArgs) and
+// each parameter takes one EngineOf.AdamStep pass over its weights,
+// gradients, and both moment buffers. The vector kernels round identically
+// to the scalar loop by construction (see AdamArgs), so the trained weights
+// do not depend on which one ran.
 func (o *Adam) StepNet(net *Network) {
 	o.t++
-	if net.Precision() == F32 {
-		if o.m32 == nil {
-			o.m32 = make(map[*ParamOf[float32]][]float32)
-			o.v32 = make(map[*ParamOf[float32]][]float32)
-		}
-		adamStepEngT(NewEngineOf[float32](), o.m32, o.v32, net.F32().Params(),
-			o.t, o.LR, o.Beta1, o.Beta2, o.Eps, o.Clip)
-		return
-	}
-	adamStepEngT(NewEngineOf[float64](), o.m, o.v, net.F64().Params(),
+	adamStepEngT(NewEngineOf[float32](), o.m, o.v, net.core.Params(),
 		o.t, o.LR, o.Beta1, o.Beta2, o.Eps, o.Clip)
 }
 
@@ -158,33 +114,6 @@ func adamStepEngT[T Float](e EngineOf[T], m, v map[*ParamOf[T]][]T, params []*Pa
 			v[p] = vv
 		}
 		e.AdamStep(p.Value, p.Grad, mm, vv, a)
-	}
-}
-
-func adamStepT[T Float](m, v map[*ParamOf[T]][]T, params []*ParamOf[T], t int, lr, beta1, beta2, eps, clip float64) {
-	scale := T(clipScaleT(params, clip))
-	c1 := T(1 - math.Pow(beta1, float64(t)))
-	c2 := T(1 - math.Pow(beta2, float64(t)))
-	b1, nb1 := T(beta1), T(1-beta1)
-	b2, nb2 := T(beta2), T(1-beta2)
-	tlr, teps := T(lr), T(eps)
-	for _, p := range params {
-		mm := m[p]
-		vv := v[p]
-		if mm == nil {
-			mm = make([]T, len(p.Value))
-			vv = make([]T, len(p.Value))
-			m[p] = mm
-			v[p] = vv
-		}
-		for i := range p.Value {
-			g := scale * p.Grad[i]
-			mm[i] = b1*mm[i] + nb1*g
-			vv[i] = b2*vv[i] + nb2*g*g
-			mhat := mm[i] / c1
-			vhat := vv[i] / c2
-			p.Value[i] -= tlr * mhat / (sqrtT(vhat) + teps)
-		}
 	}
 }
 

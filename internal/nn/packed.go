@@ -44,9 +44,8 @@ const (
 // np/nr column panels of the weight matrix, each in×nr and k-major (panel p
 // starts at p·in·nr and its k-th row is the nr weights w[k][p·nr : p·nr+nr]);
 // the out%nr trailing columns read the original weight view. nr is captured
-// at Pack time — the asm gemv width when the vector kernels are enabled, the
-// portable tile width otherwise — and asm records which kernel the pack was
-// laid out for, so a pack outlives later toggles of the test hooks.
+// at Pack time (see packedNR) and asm records which kernel the pack was laid
+// out for, so a pack outlives later toggles of the test hooks.
 type packedLayer[T Float] struct {
 	kind    packedKind
 	in, out int
@@ -58,13 +57,12 @@ type packedLayer[T Float] struct {
 	asm     bool
 }
 
-// packedNR returns the panel width the current kernel configuration wants.
+// packedNR returns the panel width the current kernel configuration wants:
+// the asm gemv width for a float32 pack when the vector kernel is enabled,
+// the portable tile width otherwise.
 func packedNR[T Float]() (nr int, asm bool) {
-	if asmGemvEnabled {
-		if _, ok := any(T(0)).(float32); ok {
-			return asmNRF32, true
-		}
-		return asmNRF64, true
+	if _, ok := any(T(0)).(float32); ok && asmGemvEnabled {
+		return asmNRF32, true
 	}
 	return blockedNR, false
 }
@@ -205,58 +203,36 @@ func gemvPortable[T Float](x, panels, out []T, nr int) {
 	}
 }
 
-// PackedNetwork is the precision-erased packed form, keeping the float64
-// interchange boundary of Network: float64 vectors in, float64 logits out,
-// with pooled conversions for an f32 core so concurrent serving stays
-// allocation-free.
+// PackedNetwork is the packed form of a Network, keeping its float64
+// interchange boundary: float64 vectors in, float64 logits out, with pooled
+// conversions so concurrent serving stays allocation-free.
 type PackedNetwork struct {
-	prec Precision
-	p64  *PackedNetOf[float64]
-	p32  *PackedNetOf[float32]
+	p *PackedNetOf[float32]
 }
 
 // Pack builds the immutable packed inference form of the network (see
 // PackedNetOf); the receiver must not be mutated afterwards.
-func (n *Network) Pack() *PackedNetwork {
-	if n.prec == F32 {
-		return &PackedNetwork{prec: F32, p32: n.n32.Pack()}
-	}
-	return &PackedNetwork{prec: F64, p64: n.n64.Pack()}
-}
+func (n *Network) Pack() *PackedNetwork { return &PackedNetwork{p: n.core.Pack()} }
 
 // InDim reports the input dimension of the first Linear layer.
-func (p *PackedNetwork) InDim() int {
-	if p.prec == F32 {
-		return p.p32.InDim()
-	}
-	return p.p64.InDim()
-}
+func (p *PackedNetwork) InDim() int { return p.p.InDim() }
 
 // OutDim reports the output dimension of the last Linear layer.
-func (p *PackedNetwork) OutDim() int {
-	if p.prec == F32 {
-		return p.p32.OutDim()
-	}
-	return p.p64.OutDim()
-}
+func (p *PackedNetwork) OutDim() int { return p.p.OutDim() }
 
 // InferVec runs one float64 feature vector through the pack into out
 // (resized and overwritten), with the same concurrency contract and bitwise
 // guarantee as PackedNetOf.InferInto: identical to Network.InferInto on a
-// 1×d input, at either precision, allocating nothing in steady state.
+// 1×d input, allocating nothing in steady state.
 func (p *PackedNetwork) InferVec(v []float64, out *Mat) {
-	if p.prec == F32 {
-		x32 := getMat[float32]()
-		y32 := getMat[float32]()
-		x32.Resize(1, len(v))
-		for i, f := range v {
-			x32.Data[i] = float32(f)
-		}
-		p.p32.InferInto(x32, y32)
-		convertMatInto(out, y32)
-		putMat(x32)
-		putMat(y32)
-		return
+	x32 := getMat[float32]()
+	y32 := getMat[float32]()
+	x32.Resize(1, len(v))
+	for i, f := range v {
+		x32.Data[i] = float32(f)
 	}
-	p.p64.InferVec(v, out)
+	p.p.InferInto(x32, y32)
+	convertMatInto(out, y32)
+	putMat(x32)
+	putMat(y32)
 }

@@ -89,19 +89,26 @@ func testPackedBitwise[T Float](t *testing.T) {
 	})
 }
 
-// TestPackedNetworkInferVec checks the precision-erased wrapper at both
-// precisions: float64 vector in, logits bitwise equal to Network.InferInto.
+// TestPackedNetworkInferVec checks InferVec on the Network's pack (float64
+// vector in, logits bitwise equal to Network.InferInto) and, as the oracle
+// instantiation, on a float64 core's pack.
 func TestPackedNetworkInferVec(t *testing.T) {
-	for _, prec := range []Precision{F64, F32} {
-		t.Run(prec.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(41))
-			net := NewMLPAt(prec, rng, 13, 32, 7)
-			p := net.Pack()
-			x := randMatOf[float64](1, 13, rng)
+	rng := rand.New(rand.NewSource(41))
+	core := NewMLPOf[float64](rng, 13, 32, 7)
+	net := NewMLP(rng, 13, 32, 7)
+	x := randMatOf[float64](1, 13, rng)
+	for name, c := range map[string]struct {
+		inferVec  func([]float64, *Mat)
+		inferInto func(x, out *Mat)
+	}{
+		"f64": {core.Pack().InferVec, core.InferInto},
+		"f32": {net.Pack().InferVec, net.InferInto},
+	} {
+		t.Run(name, func(t *testing.T) {
 			var got, want Mat
-			p.InferVec(x.Data, &got)
-			net.InferInto(x, &want)
-			checkBitwise(t, "erased InferVec", got.Data, want.Data)
+			c.inferVec(x.Data, &got)
+			c.inferInto(x, &want)
+			checkBitwise(t, "InferVec", got.Data, want.Data)
 		})
 	}
 }
@@ -152,8 +159,9 @@ func TestPackedInferConcurrent(t *testing.T) {
 }
 
 // TestPackedInferZeroAlloc asserts the serving hot path allocates nothing in
-// steady state at either precision: the pack is built once, the caller's
-// output buffer is reused, and intermediates come from pooled scratch.
+// steady state — on the Network's pack and on a float64 core's: the pack is
+// built once, the caller's output buffer is reused, and intermediates come
+// from pooled scratch.
 func TestPackedInferZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
@@ -162,19 +170,20 @@ func TestPackedInferZeroAlloc(t *testing.T) {
 	defer SetWorkers(old)
 	SetWorkers(1)
 
-	for _, prec := range []Precision{F64, F32} {
-		t.Run(prec.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(19))
-			net := NewMLPAt(prec, rng, 13, 64, 64, 7)
-			p := net.Pack()
-			x := make([]float64, 13)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
+	rng := rand.New(rand.NewSource(19))
+	x := make([]float64, 13)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for name, inferVec := range map[string]func([]float64, *Mat){
+		"f64": NewMLPOf[float64](rng, 13, 64, 64, 7).Pack().InferVec,
+		"f32": NewMLP(rng, 13, 64, 64, 7).Pack().InferVec,
+	} {
+		t.Run(name, func(t *testing.T) {
 			var out Mat
-			p.InferVec(x, &out) // warm pools and size the output
+			inferVec(x, &out) // warm pools and size the output
 			if n := testing.AllocsPerRun(200, func() {
-				p.InferVec(x, &out)
+				inferVec(x, &out)
 			}); n != 0 {
 				t.Fatalf("packed InferVec allocated %v per call, want 0", n)
 			}

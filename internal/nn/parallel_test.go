@@ -182,7 +182,7 @@ func TestBatchedForwardMatchesPerSample(t *testing.T) {
 	// both paths share an accumulation order. The dispatcher reorders batched
 	// sums (and routes 1×d through the reference row kernel anyway); its
 	// batch-vs-reference tolerance is covered by the engine parity tests.
-	useOracle(net.F64())
+	useOracle(net.F32())
 	x := randMat(10, 12, rng)
 	// Forward results live in the net's reusable buffer and are overwritten
 	// by the per-sample Forward calls below, so retain a copy.

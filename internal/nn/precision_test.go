@@ -14,46 +14,13 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / (1 + math.Abs(a) + math.Abs(b))
 }
 
-func TestParsePrecision(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Precision
-		err  bool
-	}{
-		{"", PrecisionAuto, false},
-		{"auto", PrecisionAuto, false},
-		{"f32", F32, false},
-		{"Float32", F32, false},
-		{"32", F32, false},
-		{"f64", F64, false},
-		{"FLOAT64", F64, false},
-		{"64", F64, false},
-		{"f16", PrecisionAuto, true},
-		{"double", PrecisionAuto, true},
-	}
-	for _, c := range cases {
-		got, err := ParsePrecision(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Fatalf("ParsePrecision(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-	if F32.Resolve() != F32 || F64.Resolve() != F64 {
-		t.Fatal("concrete precisions must resolve to themselves")
-	}
-	if p := PrecisionAuto.Resolve(); p != F32 && p != F64 {
-		t.Fatalf("PrecisionAuto resolved to %v", p)
-	}
-}
-
-// TestMLPAtSeedConsistency: an f32 network built from a seed must start from
-// exactly the f32-rounded weights of its f64 counterpart (both consume the
-// rng stream identically).
+// TestMLPAtSeedConsistency: a network built from a seed must start from
+// exactly the f32-rounded weights of the float64 core built from the same
+// seed (both consume the rng stream identically), so the float64 oracle and
+// the network under test begin any parity comparison at the same point.
 func TestMLPAtSeedConsistency(t *testing.T) {
-	n64 := NewMLPAt(F64, rand.New(rand.NewSource(31)), 7, 12, 5)
-	n32 := NewMLPAt(F32, rand.New(rand.NewSource(31)), 7, 12, 5)
-	if n64.Precision() != F64 || n32.Precision() != F32 {
-		t.Fatalf("precisions %v / %v, want f64 / f32", n64.Precision(), n32.Precision())
-	}
+	n64 := NewMLPOf[float64](rand.New(rand.NewSource(31)), 7, 12, 5)
+	n32 := NewMLP(rand.New(rand.NewSource(31)), 7, 12, 5)
 	w64, w32 := n64.FlattenParams(), n32.FlattenParams()
 	if len(w64) != len(w32) {
 		t.Fatalf("parameter counts differ: %d vs %d", len(w64), len(w32))
@@ -69,12 +36,12 @@ func TestMLPAtSeedConsistency(t *testing.T) {
 // the relative error of one batched forward through production-sized layers.
 const forwardParityTol = 1e-4
 
-// TestF32ForwardToleranceParity: a forward pass through the f32 core must
-// match the f64 reference within the documented relative tolerance. This is
-// the tolerance-based replacement for bitwise parity on the f32 path.
+// TestF32ForwardToleranceParity: a forward pass through the network must
+// match the float64 oracle core within the documented relative tolerance.
+// This is the tolerance-based replacement for bitwise parity on the f32 path.
 func TestF32ForwardToleranceParity(t *testing.T) {
-	n64 := NewMLPAt(F64, rand.New(rand.NewSource(8)), 64, 128, 64, 10)
-	n32 := NewMLPAt(F32, rand.New(rand.NewSource(8)), 64, 128, 64, 10)
+	n64 := NewMLPOf[float64](rand.New(rand.NewSource(8)), 64, 128, 64, 10)
+	n32 := NewMLP(rand.New(rand.NewSource(8)), 64, 128, 64, 10)
 	rng := rand.New(rand.NewSource(9))
 	x := NewMat(16, 64)
 	for i := range x.Data {
@@ -103,19 +70,22 @@ func TestF32ForwardToleranceParity(t *testing.T) {
 // stepParityTol is the documented per-step f32-vs-f64 training parity bound
 // on the regression workload: after each full forward/backward/Adam step the
 // relative difference in loss stays within this bound for the first training
-// epochs (divergence compounds slowly; convergence-level agreement is
-// asserted separately by the rl and rejoin tolerance tests).
+// epochs (divergence compounds slowly; convergence is asserted separately by
+// the rl and rejoin tests).
 const stepParityTol = 1e-3
 
 // TestF32TrainingStepToleranceParity trains two identically seeded MLPs —
-// one per precision — with Adam on the same regression batch and requires
-// per-step loss parity within stepParityTol for 50 steps, plus an actual
-// loss reduction on the f32 path (the f32 kernels must learn, not merely
-// agree).
+// the network and the float64 oracle core — with Adam on the same regression
+// batch and requires per-step loss parity within stepParityTol for 50 steps,
+// plus an actual loss reduction on the f32 path (the f32 kernels must learn,
+// not merely agree).
 func TestF32TrainingStepToleranceParity(t *testing.T) {
-	mk := func(p Precision) *Network { return NewMLPAt(p, rand.New(rand.NewSource(5)), 8, 32, 1) }
-	n64, n32 := mk(F64), mk(F32)
-	opt64, opt32 := NewAdam(0.01), NewAdam(0.01)
+	n64 := NewMLPOf[float64](rand.New(rand.NewSource(5)), 8, 32, 1)
+	n32 := NewMLP(rand.New(rand.NewSource(5)), 8, 32, 1)
+	opt := NewAdam(0.01)
+	// The oracle's Adam state: the same engine-routed update StepNet runs,
+	// instantiated at float64.
+	m64, v64 := map[*ParamOf[float64]][]float64{}, map[*ParamOf[float64]][]float64{}
 
 	rng := rand.New(rand.NewSource(6))
 	xs := NewMat(32, 8)
@@ -134,19 +104,25 @@ func TestF32TrainingStepToleranceParity(t *testing.T) {
 		ys.Set(i, 0, sum)
 	}
 
-	step := func(n *Network, opt *Adam) float64 {
-		n.ZeroGrad()
-		out := n.Forward(xs)
-		loss, g := MSEBatch(out, ys)
-		n.Backward(g)
-		opt.StepNet(n)
+	step64 := func(t int) float64 {
+		n64.ZeroGrad()
+		loss, g := MSEBatch(n64.Forward(xs), ys)
+		n64.Backward(g)
+		adamStepEngT(NewEngineOf[float64](), m64, v64, n64.Params(), t, opt.LR, opt.Beta1, opt.Beta2, opt.Eps, opt.Clip)
+		return loss
+	}
+	step32 := func() float64 {
+		n32.ZeroGrad()
+		loss, g := MSEBatch(n32.Forward(xs), ys)
+		n32.Backward(g)
+		opt.StepNet(n32)
 		return loss
 	}
 
 	var first32, last32 float64
 	for s := 0; s < 50; s++ {
-		l64 := step(n64, opt64)
-		l32 := step(n32, opt32)
+		l64 := step64(s + 1)
+		l32 := step32()
 		if s == 0 {
 			first32 = l32
 		}
@@ -160,46 +136,10 @@ func TestF32TrainingStepToleranceParity(t *testing.T) {
 	}
 }
 
-// TestConvertTo: explicit precision conversion must round f64→f32 weight by
-// weight, widen f32→f64 exactly, and be the identity when the precision
-// already matches.
-func TestConvertTo(t *testing.T) {
-	n64 := NewMLP(rand.New(rand.NewSource(12)), 5, 9, 3)
-	if n64.ConvertTo(F64) != n64 {
-		t.Fatal("same-precision ConvertTo must return the receiver")
-	}
-	n32 := n64.ConvertTo(F32)
-	if n32.Precision() != F32 {
-		t.Fatalf("converted precision %v, want f32", n32.Precision())
-	}
-	w64, w32 := n64.FlattenParams(), n32.FlattenParams()
-	for i := range w64 {
-		if float64(float32(w64[i])) != w32[i] {
-			t.Fatalf("weight %d: conversion %v is not the f32 rounding of %v", i, w32[i], w64[i])
-		}
-	}
-	// Widening back is exact with respect to the f32 values.
-	back := n32.ConvertTo(F64)
-	if back.Precision() != F64 {
-		t.Fatalf("widened precision %v, want f64", back.Precision())
-	}
-	wb := back.FlattenParams()
-	for i := range w32 {
-		if wb[i] != w32[i] {
-			t.Fatalf("weight %d changed on exact f32→f64 widening: %v vs %v", i, wb[i], w32[i])
-		}
-	}
-	// The conversions are deep copies: mutating the original must not leak.
-	n64.Params()[0].Value[0] += 100
-	if n32.FlattenParams()[0] == n64.FlattenParams()[0] {
-		t.Fatal("ConvertTo shares storage with the original")
-	}
-}
-
-// TestF32CheckpointRoundTrip: an f32 network must gob-round-trip at f32 with
+// TestF32CheckpointRoundTrip: a network must gob-round-trip with
 // bitwise-identical outputs (the wire format keeps the native precision).
 func TestF32CheckpointRoundTrip(t *testing.T) {
-	net := NewMLPAt(F32, rand.New(rand.NewSource(21)), 6, 10, 4)
+	net := NewMLP(rand.New(rand.NewSource(21)), 6, 10, 4)
 	x := NewMat(3, 6)
 	rng := rand.New(rand.NewSource(22))
 	for i := range x.Data {
@@ -214,9 +154,6 @@ func TestF32CheckpointRoundTrip(t *testing.T) {
 	var back Network
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
-	}
-	if back.Precision() != F32 {
-		t.Fatalf("restored precision %v, want f32", back.Precision())
 	}
 	got := back.Forward(x.Clone())
 	for i := range want.Data {
@@ -235,37 +172,44 @@ type legacyNetState struct {
 	Vals  [][]float64
 }
 
-// TestLegacyV0CheckpointLoads: a gob stream written by the original
-// float64-only format must still decode, as an f64 network.
-func TestLegacyV0CheckpointLoads(t *testing.T) {
-	net := NewMLP(rand.New(rand.NewSource(33)), 4, 6, 2)
-	core := net.F64()
+// legacyStateOf flattens a float64 core into the version-0 wire struct.
+func legacyStateOf(core *NetOf[float64]) legacyNetState {
 	st := legacyNetState{}
 	for _, l := range core.Layers {
 		switch l := l.(type) {
-		case *Linear:
+		case *LinearOf[float64]:
 			st.Kinds = append(st.Kinds, "linear")
 			st.Ins = append(st.Ins, l.In)
 			st.Outs = append(st.Outs, l.Out)
 			st.Vals = append(st.Vals, append([]float64(nil), l.W.Value...), append([]float64(nil), l.B.Value...))
-		case *ReLU:
+		case *ReLUOf[float64]:
 			st.Kinds = append(st.Kinds, "relu")
 			st.Ins = append(st.Ins, 0)
 			st.Outs = append(st.Outs, 0)
 		}
 	}
+	return st
+}
+
+func gobBytes(t testing.TB, v any) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
+// TestLegacyV0CheckpointLoads: a gob stream written by the original
+// float64-only format must still decode, and plan like the network built
+// from the same seed (whose weights are the same per-weight roundings).
+func TestLegacyV0CheckpointLoads(t *testing.T) {
+	data := gobBytes(t, legacyStateOf(NewMLPOf[float64](rand.New(rand.NewSource(33)), 4, 6, 2)))
 	var back Network
-	if err := back.UnmarshalBinary(buf.Bytes()); err != nil {
+	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatalf("legacy checkpoint failed to load: %v", err)
 	}
-	if back.Precision() != F64 {
-		t.Fatalf("legacy checkpoint restored as %v, want f64", back.Precision())
-	}
+	net := NewMLP(rand.New(rand.NewSource(33)), 4, 6, 2)
 	x := NewMat(1, 4)
 	x.Data[0] = 1
 	want, got := net.Forward(x.Clone()), back.Forward(x.Clone())
@@ -274,6 +218,104 @@ func TestLegacyV0CheckpointLoads(t *testing.T) {
 			t.Fatalf("legacy round trip changed output %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// checkpointStream is one encoded checkpoint and the flattened float32
+// weights it must load as — nil for a stream that must be rejected.
+type checkpointStream struct {
+	data []byte
+	want []float32
+}
+
+// checkpointStreams builds one stream of every kind UnmarshalBinary has to
+// tell apart, from one float64 core.
+func checkpointStreams(t testing.TB) map[string]checkpointStream {
+	legacy := legacyStateOf(NewMLPOf[float64](rand.New(rand.NewSource(33)), 4, 6, 2))
+	var rounded []float32
+	vals32 := make([][]float32, len(legacy.Vals))
+	for i, v64 := range legacy.Vals {
+		for _, w := range v64 {
+			vals32[i] = append(vals32[i], float32(w))
+		}
+		rounded = append(rounded, vals32[i]...)
+	}
+	v1 := func(prec string, vals [][]float64, vals32 [][]float32) []byte {
+		return gobBytes(t, netState{Version: 1, Precision: prec,
+			Kinds: legacy.Kinds, Ins: legacy.Ins, Outs: legacy.Outs, Vals: vals, Vals32: vals32})
+	}
+	return map[string]checkpointStream{
+		"v0":                {gobBytes(t, legacy), rounded},
+		"v1-f64":            {v1("f64", legacy.Vals, nil), rounded},
+		"v1-f32":            {v1("f32", nil, vals32), rounded},
+		"f32-both-payloads": {v1("f32", legacy.Vals, vals32), nil},
+		"f64-both-payloads": {v1("f64", legacy.Vals, vals32), nil},
+		"unknown-precision": {v1("f16", legacy.Vals, nil), nil},
+		"v1-no-precision":   {v1("", legacy.Vals, nil), nil},
+		// Headers that pass a naive size check: a second layer narrower than
+		// the first one's output, and an input width whose product with the
+		// output width overflows to the (empty) payload's length.
+		"layer-width-mismatch": {gobBytes(t, netState{Version: 1, Precision: "f32",
+			Kinds: []string{"linear", "linear"}, Ins: []int{2, 3}, Outs: []int{2, 1},
+			Vals32: [][]float32{make([]float32, 4), make([]float32, 2), make([]float32, 3), make([]float32, 1)}}), nil},
+		"overflowing-dims": {gobBytes(t, netState{Version: 1, Precision: "f32",
+			Kinds: []string{"linear"}, Ins: []int{1 << 62}, Outs: []int{4},
+			Vals32: [][]float32{{}, make([]float32, 4)}}), nil},
+	}
+}
+
+// TestCheckpointCompatibility is the load rule, stream kind by stream kind:
+// float64 payloads (v0, v1 "f64") load with each weight rounded to float32,
+// a v1 "f32" stream loads and re-encodes bit for bit, and a stream whose
+// precision is ambiguous, unknown or missing, or whose layer header does not
+// describe a runnable network, is rejected.
+func TestCheckpointCompatibility(t *testing.T) {
+	for name, c := range checkpointStreams(t) {
+		t.Run(name, func(t *testing.T) {
+			var net Network
+			err := net.UnmarshalBinary(c.data)
+			if c.want == nil {
+				if err == nil {
+					t.Fatal("stream loaded, want an error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []float32
+			for _, p := range net.F32().Params() {
+				got = append(got, p.Value...)
+			}
+			checkBitwise(t, "loaded weights", got, c.want)
+			if name == "v1-f32" {
+				again, err := net.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again, c.data) {
+					t.Fatal("f32 stream did not re-encode byte for byte")
+				}
+			}
+		})
+	}
+}
+
+// FuzzNetworkUnmarshalBinary: arbitrary bytes must give an error or a
+// network that can run — never a panic, in the decoder or in the first
+// Forward. Seeded with every stream kind truncated at every length.
+func FuzzNetworkUnmarshalBinary(f *testing.F) {
+	for _, c := range checkpointStreams(f) {
+		for n := 0; n <= len(c.data); n++ {
+			f.Add(c.data[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var net Network
+		if err := net.UnmarshalBinary(data); err != nil {
+			return
+		}
+		net.Forward(NewMat(1, net.InDim()))
+	})
 }
 
 // TestUnmarshalRejectsBadData: empty, truncated, and garbage checkpoint
@@ -296,10 +338,10 @@ func TestUnmarshalRejectsBadData(t *testing.T) {
 	}
 }
 
-// TestF32DivideGradsAndFlatten: the precision-agnostic gradient and
-// parameter accessors must operate on the f32 core.
+// TestF32DivideGradsAndFlatten: the gradient and parameter accessors must
+// operate on the f32 core.
 func TestF32DivideGradsAndFlatten(t *testing.T) {
-	net := NewMLPAt(F32, rand.New(rand.NewSource(2)), 3, 4, 2)
+	net := NewMLP(rand.New(rand.NewSource(2)), 3, 4, 2)
 	core := net.F32()
 	for _, p := range core.Params() {
 		for i := range p.Grad {
@@ -321,10 +363,10 @@ func TestF32DivideGradsAndFlatten(t *testing.T) {
 	}
 }
 
-// TestF32CloneIndependence mirrors the f64 clone tests on the f32 path,
-// including the gradient-free inference clone.
+// TestF32CloneIndependence: both clones own their parameter storage, and
+// the inference clone carries no gradient buffers.
 func TestF32CloneIndependence(t *testing.T) {
-	net := NewMLPAt(F32, rand.New(rand.NewSource(3)), 4, 6, 2)
+	net := NewMLP(rand.New(rand.NewSource(3)), 4, 6, 2)
 	x := NewMat(2, 4)
 	rng := rand.New(rand.NewSource(4))
 	for i := range x.Data {
@@ -395,26 +437,27 @@ func BenchmarkMatMulPrecision(b *testing.B) {
 
 // BenchmarkForwardBackwardPrecision compares one full batched
 // forward/backward pass through a production-shaped MLP (the
-// BenchmarkBatchedTrain network) per precision.
+// BenchmarkBatchedTrain network) on the typed core at each precision.
 func BenchmarkForwardBackwardPrecision(b *testing.B) {
-	run := func(b *testing.B, p Precision) {
-		net := NewMLPAt(p, rand.New(rand.NewSource(1)), 256, 128, 64, 64)
-		rng := rand.New(rand.NewSource(2))
-		x := NewMat(64, 256)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		grad := NewMat(64, 64)
-		for i := range grad.Data {
-			grad.Data[i] = rng.NormFloat64() * 0.01
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.ZeroGrad()
-			net.Forward(x)
-			net.Backward(grad)
-		}
+	b.Run("f64", benchForwardBackward[float64])
+	b.Run("f32", benchForwardBackward[float32])
+}
+
+func benchForwardBackward[T Float](b *testing.B) {
+	net := NewMLPOf[T](rand.New(rand.NewSource(1)), 256, 128, 64, 64)
+	rng := rand.New(rand.NewSource(2))
+	x := NewMatOf[T](64, 256)
+	for i := range x.Data {
+		x.Data[i] = T(rng.NormFloat64())
 	}
-	b.Run("f64", func(b *testing.B) { run(b, F64) })
-	b.Run("f32", func(b *testing.B) { run(b, F32) })
+	grad := NewMatOf[T](64, 64)
+	for i := range grad.Data {
+		grad.Data[i] = T(rng.NormFloat64() * 0.01)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ZeroGrad()
+		net.Forward(x)
+		net.Backward(grad)
+	}
 }

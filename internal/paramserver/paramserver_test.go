@@ -12,13 +12,14 @@ import (
 // can recover which publish produced the snapshot it observed.
 func tagNet(tag float64) *nn.Network {
 	net := nn.NewMLP(rand.New(rand.NewSource(1)), 1, 1)
-	net.F64().Layers[0].(*nn.Linear).W.Value[0] = tag
-	net.F64().Layers[0].(*nn.Linear).B.Value[0] = 0
+	lin := net.F32().Layers[0].(*nn.LinearOf[float32])
+	lin.W.Value[0] = float32(tag) // tags are small integers: exact
+	lin.B.Value[0] = 0
 	return net
 }
 
 func tagOf(net *nn.Network) float64 {
-	return net.F64().Layers[0].(*nn.Linear).W.Value[0]
+	return float64(net.F32().Layers[0].(*nn.LinearOf[float32]).W.Value[0])
 }
 
 func TestPublishAssignsDenseVersions(t *testing.T) {
@@ -246,24 +247,18 @@ func TestClientDynBoundTakesEffectImmediately(t *testing.T) {
 	}
 }
 
-// TestSnapshotsPreservePrecision: an f32 learner's published snapshots must
-// stay f32 end to end — the parameter server is precision-transparent, so
-// actors infer against half-width weights exactly as published.
+// TestSnapshotsPreservePrecision: publishing must not touch the weights —
+// a snapshot answers with exactly the learner's bits (no conversion on the
+// way through the server), to any number of actors at once.
 func TestSnapshotsPreservePrecision(t *testing.T) {
-	f32net := nn.NewMLPAt(nn.F32, rand.New(rand.NewSource(1)), 3, 4, 2)
-	srv := New(f32net.CloneForInference())
-	if p := srv.Latest().Net.Precision(); p != nn.F32 {
-		t.Fatalf("initial snapshot precision %v, want f32", p)
-	}
-	srv.Publish(f32net.CloneForInference(), 1)
+	learner := nn.NewMLP(rand.New(rand.NewSource(1)), 3, 4, 2)
+	srv := New(learner.CloneForInference())
+	srv.Publish(learner.CloneForInference(), 1)
 	snap := srv.Latest()
-	if p := snap.Net.Precision(); p != nn.F32 {
-		t.Fatalf("published snapshot precision %v, want f32", p)
-	}
 	// The snapshot must serve concurrent inference (the actor contract).
 	x := nn.NewMat(1, 3)
 	x.Data[0] = 1
-	want := snap.Net.Infer(x.Clone())
+	want := learner.Infer(x.Clone())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -273,7 +268,7 @@ func TestSnapshotsPreservePrecision(t *testing.T) {
 				got := snap.Net.Infer(x.Clone())
 				for j := range want.Data {
 					if got.Data[j] != want.Data[j] {
-						t.Errorf("concurrent f32 Infer diverged")
+						t.Errorf("concurrent Infer on the snapshot diverged from the learner")
 						return
 					}
 				}

@@ -277,8 +277,8 @@ func TestTransferPolicyPreservesHiddenLayers(t *testing.T) {
 		t.Fatalf("transferred out dim %d, want %d", transferred.OutDim(), newLayout.ActionDim())
 	}
 	// First hidden layer identical.
-	ow := old.F64().Layers[0].(*nn.Linear).W.Value
-	tw := transferred.F64().Layers[0].(*nn.Linear).W.Value
+	ow := old.F32().Layers[0].(*nn.LinearOf[float32]).W.Value
+	tw := transferred.F32().Layers[0].(*nn.LinearOf[float32]).W.Value
 	for i := range ow {
 		if ow[i] != tw[i] {
 			t.Fatal("hidden layer weights changed during transfer")
@@ -295,8 +295,8 @@ func TestTransferPolicyRemapsJoinBlock(t *testing.T) {
 	old := nn.NewMLP(rng, oldLayout.ObsDim(), 16, oldLayout.ActionDim())
 	transferred := TransferPolicy(old, f.space, oldStages, newStages, rng)
 
-	oldLin := old.F64().Layers[len(old.F64().Layers)-1].(*nn.Linear)
-	newLin := transferred.F64().Layers[len(transferred.F64().Layers)-1].(*nn.Linear)
+	oldLin := lastLinear(old.F32())
+	newLin := lastLinear(transferred.F32())
 	// Pair 5's single variant should seed all three variants of pair 5.
 	pair := 5
 	for algo := 0; algo < 3; algo++ {

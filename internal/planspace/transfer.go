@@ -13,18 +13,9 @@ import (
 // action-by-action wherever an old action has a counterpart in the new
 // layout (a join pair keeps its weights across the 1→3 algorithm expansion,
 // with each algorithm variant initialized from the old pair weights).
-// Actions with no counterpart keep fresh Xavier weights. The surgery runs in
-// the network's own precision: an f32 policy transfers without ever widening
-// its weights to float64.
+// Actions with no counterpart keep fresh Xavier weights. The surgery runs on
+// the network's float32 core directly: weights are never widened to float64.
 func TransferPolicy(old *nn.Network, space *featurize.Space, oldStages, newStages Stages, rng *rand.Rand) *nn.Network {
-	if old.Precision() == nn.F32 {
-		return nn.WrapNet32(transferPolicyT(old.F32(), space, oldStages, newStages, rng))
-	}
-	return nn.WrapNet64(transferPolicyT(old.F64(), space, oldStages, newStages, rng))
-}
-
-// transferPolicyT is the precision-generic transfer surgery.
-func transferPolicyT[T nn.Float](old *nn.NetOf[T], space *featurize.Space, oldStages, newStages Stages, rng *rand.Rand) *nn.NetOf[T] {
 	oldLayout := Layout{Space: space, Stages: oldStages}
 	newLayout := Layout{Space: space, Stages: newStages}
 
@@ -36,15 +27,16 @@ func transferPolicyT[T nn.Float](old *nn.NetOf[T], space *featurize.Space, oldSt
 	newOut := newLayout.ActionDim()
 
 	// Capture the output layer's weights before surgery.
-	outLin := lastLinear(net)
+	core := net.F32()
+	outLin := lastLinear(core)
 	if outLin == nil {
 		return net
 	}
-	oldW := append([]T(nil), outLin.W.Value...)
-	oldB := append([]T(nil), outLin.B.Value...)
+	oldW := append([]float32(nil), outLin.W.Value...)
+	oldB := append([]float32(nil), outLin.B.Value...)
 
-	net.ResizeOutput(newOut, rng)
-	newLin := lastLinear(net)
+	core.ResizeOutput(newOut, rng)
+	newLin := lastLinear(core)
 
 	copyAction := func(oldA, newA int) {
 		if oldA < 0 || oldA >= oldOut || newA < 0 || newA >= newOut {
@@ -84,9 +76,9 @@ func transferPolicyT[T nn.Float](old *nn.NetOf[T], space *featurize.Space, oldSt
 }
 
 // lastLinear returns the network's final Linear layer (nil if none).
-func lastLinear[T nn.Float](net *nn.NetOf[T]) *nn.LinearOf[T] {
+func lastLinear(net *nn.NetOf[float32]) *nn.LinearOf[float32] {
 	for i := len(net.Layers) - 1; i >= 0; i-- {
-		if lin, ok := net.Layers[i].(*nn.LinearOf[T]); ok {
+		if lin, ok := net.Layers[i].(*nn.LinearOf[float32]); ok {
 			return lin
 		}
 	}

@@ -4,52 +4,41 @@ import (
 	"testing"
 
 	"handsfree/internal/featurize"
-	"handsfree/internal/nn"
 	"handsfree/internal/rl"
 )
 
 // TestF32TrainingConvergesOnSeedWorkload is the system-level half of the
-// f32 tolerance-parity contract (the per-step bound lives in nn and rl):
-// training ReJOIN entirely in float32 on the seed workload must reach final
-// plan quality within the same 1.6× tolerance band the async-vs-sync test
-// uses against the f64 reference. The f32 trajectory diverges from f64's
-// after the first rounded softmax, so the comparison is outcome-level, not
-// per-step.
+// f32 contract (the per-step bounds live in nn): training ReJOIN on the seed
+// workload must bring the greedy plans' cost ratio against the optimizer
+// down from the untrained policy's to within maxTrainedRatio. The budget is
+// short on purpose (the untrained policy plans at ≈85× the optimizer's cost
+// on this fixture, 240 episodes bring it to ≈18×), so the bound checks that
+// learning happens, not that it has finished.
 func TestF32TrainingConvergesOnSeedWorkload(t *testing.T) {
 	fx := fixture(t, 4, 4, 5)
 	const episodes = 240
+	const maxTrainedRatio = 25.0
 
-	build := func(p nn.Precision) *Agent {
-		space := featurize.NewSpace(fx.maxRels, fx.est)
-		env := NewEnv(space, fx.planner, fx.queries, 1)
-		return NewAgent(env, rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Precision: p, Seed: 2})
-	}
+	space := featurize.NewSpace(fx.maxRels, fx.est)
+	env := NewEnv(space, fx.planner, fx.queries, 1)
+	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 2})
+	untrained := greedyRatio(t, fx, agent)
+	agent.TrainEpisodes(episodes, 1)
+	trained := greedyRatio(t, fx, agent)
 
-	ref := build(nn.F64)
-	ref.TrainEpisodes(episodes, 1)
-	refRatio := greedyRatio(t, fx, ref)
-
-	f32 := build(nn.F32)
-	if f32.RL.Policy.Precision() != nn.F32 {
-		t.Fatal("agent did not build an f32 policy")
-	}
-	f32.TrainEpisodes(episodes, 1)
-	f32Ratio := greedyRatio(t, fx, f32)
-
-	t.Logf("greedy cost ratio vs optimizer: f64 %.3f, f32 %.3f", refRatio, f32Ratio)
-	if f32Ratio > 1.6*refRatio {
-		t.Fatalf("f32 final plan quality %.3f not within tolerance of f64 %.3f", f32Ratio, refRatio)
+	t.Logf("greedy cost ratio vs optimizer: untrained %.3f, trained %.3f", untrained, trained)
+	if trained > maxTrainedRatio || trained >= untrained {
+		t.Fatalf("trained plan quality %.3f (untrained %.3f), want below %.0f and improved", trained, untrained, maxTrainedRatio)
 	}
 }
 
-// TestF32CheckpointRoundTripOnAgent: an f32 ReJOIN agent must save and
-// restore through the rejoin-level Save/Load path (the versioned gob format
-// carries the precision).
+// TestF32CheckpointRoundTripOnAgent: a ReJOIN agent must save and restore
+// through the rejoin-level Save/Load path and plan identically afterwards.
 func TestF32CheckpointRoundTripOnAgent(t *testing.T) {
 	fx := fixture(t, 3, 4, 4)
 	space := featurize.NewSpace(fx.maxRels, fx.est)
 	env := NewEnv(space, fx.planner, fx.queries, 1)
-	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Precision: nn.F32, Seed: 3})
+	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Seed: 3})
 	for ep := 0; ep < 12; ep++ {
 		agent.TrainEpisode()
 	}
@@ -59,18 +48,15 @@ func TestF32CheckpointRoundTripOnAgent(t *testing.T) {
 	}
 
 	restored := NewAgent(NewEnv(space, fx.planner, fx.queries, 1),
-		rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Precision: nn.F32, Seed: 4})
+		rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Seed: 4})
 	if err := restored.Load(data); err != nil {
 		t.Fatal(err)
-	}
-	if restored.RL.Policy.Precision() != nn.F32 {
-		t.Fatalf("restored precision %v, want f32", restored.RL.Policy.Precision())
 	}
 	for _, q := range fx.queries {
 		p1, c1 := agent.GreedyPlan(q)
 		p2, c2 := restored.GreedyPlan(q)
 		if p1 == nil || p2 == nil || c1 != c2 {
-			t.Fatalf("restored f32 agent plans %s at cost %v, original %v", q.Name, c2, c1)
+			t.Fatalf("restored agent plans %s at cost %v, original %v", q.Name, c2, c1)
 		}
 	}
 }

@@ -54,12 +54,8 @@ func trainPerSampleReference(q *QAgent, buf *ReplayBuffer, batchSize int) float6
 		}
 		q.Net.Backward(&nn.Mat{Rows: 1, Cols: len(grad), Data: grad})
 	}
-	for _, p := range q.Net.Params() {
-		for i := range p.Grad {
-			p.Grad[i] /= float64(len(batch))
-		}
-	}
-	q.Opt.Step(q.Net.Params())
+	q.Net.DivideGrads(float64(len(batch)))
+	q.Opt.StepNet(q.Net)
 	return total / float64(len(batch))
 }
 
@@ -105,20 +101,27 @@ func trainMarginPerSampleReference(q *QAgent, buf *ReplayBuffer, batchSize int, 
 		}
 		q.Net.Backward(&nn.Mat{Rows: 1, Cols: len(grad), Data: grad})
 	}
-	for _, p := range q.Net.Params() {
-		for i := range p.Grad {
-			p.Grad[i] /= float64(len(batch))
-		}
-	}
-	q.Opt.Step(q.Net.Params())
+	q.Net.DivideGrads(float64(len(batch)))
+	q.Opt.StepNet(q.Net)
 	return total / float64(len(batch))
 }
 
+// batchParityTol bounds the batched-vs-per-sample comparisons below, as a
+// relDiff. The two sides share weights, optimizer and minibatch and differ
+// only in summation order: the batched kernels add a column's products in
+// tile order, the per-sample reference adds one sample's contribution at a
+// time. In float32 that is a last-bits difference per step, not zero; the
+// kernels' own rounding bounds are nn's parity suite's business, this bound
+// only has to catch a batching bug (a dropped, doubled or misrouted sample
+// moves a weight by orders of magnitude more).
+const batchParityTol = 1e-5
+
+// maxParamDiff is the largest relDiff between two networks' parameters.
 func maxParamDiff(a, b *nn.Network) float64 {
 	av, bv := a.FlattenParams(), b.FlattenParams()
 	var worst float64
 	for i := range av {
-		if d := math.Abs(av[i] - bv[i]); d > worst {
+		if d := relDiff(av[i], bv[i]); d > worst {
 			worst = d
 		}
 	}
@@ -127,9 +130,8 @@ func maxParamDiff(a, b *nn.Network) float64 {
 
 // TestBatchedTrainMatchesPerSample trains two identically seeded agents on
 // the same buffer — one with the batched Train, one with the per-sample
-// reference — and requires their parameters to agree within 1e-9 after
-// several minibatches (the paths are accumulation-order identical, so the
-// difference should in fact be zero).
+// reference — and requires their losses and parameters to agree within
+// batchParityTol after several minibatches.
 func TestBatchedTrainMatchesPerSample(t *testing.T) {
 	const obsDim, actions = 24, 10
 	cases := []struct {
@@ -154,20 +156,22 @@ func TestBatchedTrainMatchesPerSample(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := NewReplayBuffer(4096)
 			fillBuffer(buf, 512, obsDim, actions, rand.New(rand.NewSource(1)))
-			// The per-sample reference helpers drive Params()/Opt.Step
-			// directly, which is the float64 deterministic contract; the f32
-			// path is covered by the tolerance-parity tests instead.
-			batched := NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{32, 16}, Precision: nn.F64, Seed: 9})
-			reference := NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{32, 16}, Precision: nn.F64, Seed: 9})
+			batched := NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{32, 16}, Seed: 9})
+			reference := NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{32, 16}, Seed: 9})
+			var worstLoss float64
 			for step := 0; step < 20; step++ {
 				lb := tc.step(batched, buf)
 				lr := tc.ref(reference, buf)
-				if math.Abs(lb-lr) > 1e-9 {
+				d := relDiff(lb, lr)
+				if d > batchParityTol {
 					t.Fatalf("step %d: batched loss %v vs per-sample loss %v", step, lb, lr)
 				}
+				worstLoss = math.Max(worstLoss, d)
 			}
-			if d := maxParamDiff(batched.Net, reference.Net); d > 1e-9 {
-				t.Fatalf("parameters diverged by %v after 20 steps, want ≤ 1e-9", d)
+			d := maxParamDiff(batched.Net, reference.Net)
+			t.Logf("largest difference: loss %.3g, parameters %.3g (bound %g)", worstLoss, d, batchParityTol)
+			if d > batchParityTol {
+				t.Fatalf("parameters diverged by %v after 20 steps, want ≤ %g", d, batchParityTol)
 			}
 		})
 	}
@@ -177,10 +181,9 @@ func TestBatchedTrainMatchesPerSample(t *testing.T) {
 // batched and single-state inference paths.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const obsDim, actions = 17, 6
-	// f64: the batched product runs the tiled kernels and the single-row one
-	// the reference row kernel, which agree to ≤1e-12 at f64 but only to the
-	// f32 kernel tolerance at f32 (owned by the nn parity tests).
-	agent := NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{20}, Precision: nn.F64, Seed: 2})
+	// The batched product runs the tiled kernels and the single-row one the
+	// reference row kernel, so rows agree to batchParityTol, not bitwise.
+	agent := NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{20}, Seed: 2})
 	rng := rand.New(rand.NewSource(3))
 	states := make([]State, 13)
 	for i := range states {
@@ -193,14 +196,18 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	// Clone: PredictBatch returns the network's reusable forward buffer,
 	// and the per-state Predict calls below overwrite it.
 	batch := agent.PredictBatch(states).Clone()
+	var worst float64
 	for i, s := range states {
 		single := agent.Predict(s)
 		for j := range single {
-			if math.Abs(batch.At(i, j)-single[j]) > 1e-9 {
+			d := relDiff(batch.At(i, j), single[j])
+			if d > batchParityTol {
 				t.Fatalf("state %d action %d: batch %v vs single %v", i, j, batch.At(i, j), single[j])
 			}
+			worst = math.Max(worst, d)
 		}
 	}
+	t.Logf("largest difference: %.3g (bound %g)", worst, batchParityTol)
 }
 
 // TestProbsBatchMatchesProbs checks the batched policy distribution path.
@@ -276,26 +283,22 @@ func reinforceUpdateReference(a *Reinforce) {
 			a.Policy.Backward(&nn.Mat{Rows: 1, Cols: len(grad), Data: grad})
 		}
 	}
-	for _, p := range a.Policy.Params() {
-		for i := range p.Grad {
-			p.Grad[i] /= float64(n)
-		}
-	}
-	a.Opt.Step(a.Policy.Params())
+	a.Policy.DivideGrads(float64(n))
+	a.Opt.StepNet(a.Policy)
 	a.Updates++
 }
 
 // TestBatchedReinforceUpdateMatchesPerSample feeds identical trajectory
 // batches to two identically seeded agents — one updating through the
 // batched path, one through the per-sample reference — and requires the
-// resulting policies to agree within 1e-9.
+// resulting policies to agree within batchParityTol.
 func TestBatchedReinforceUpdateMatchesPerSample(t *testing.T) {
 	env := &chainEnv{}
-	// Pinned to f64: the reference path drives Params()/Opt.Step directly.
-	cfg := ReinforceConfig{Hidden: []int{16, 8}, BatchSize: 8, Precision: nn.F64, Seed: 6}
+	cfg := ReinforceConfig{Hidden: []int{16, 8}, BatchSize: 8, Seed: 6}
 	batched := NewReinforce(env.ObsDim(), env.ActionDim(), cfg)
 	reference := NewReinforce(env.ObsDim(), env.ActionDim(), cfg)
 
+	var worst float64
 	for round := 0; round < 6; round++ {
 		// Trajectories are collected once (with the batched agent's sampler)
 		// and fed identically to both learners; update() itself draws no
@@ -311,21 +314,25 @@ func TestBatchedReinforceUpdateMatchesPerSample(t *testing.T) {
 		reinforceUpdateReference(reference)
 		reference.batch = reference.batch[:0]
 
-		if d := maxParamDiff(batched.Policy, reference.Policy); d > 1e-9 {
-			t.Fatalf("round %d: policies diverged by %v, want ≤ 1e-9", round, d)
+		d := maxParamDiff(batched.Policy, reference.Policy)
+		if d > batchParityTol {
+			t.Fatalf("round %d: policies diverged by %v, want ≤ %g", round, d, batchParityTol)
 		}
+		worst = math.Max(worst, d)
 	}
+	t.Logf("largest difference: %.3g (bound %g)", worst, batchParityTol)
 }
 
 // TestBestFallsBackToFirstValid is the regression test for Best returning -1
 // when every prediction is +Inf/NaN: it must return the first valid action
 // instead. An all-false mask still reports -1 (no action exists).
 func TestBestFallsBackToFirstValid(t *testing.T) {
-	agent := NewQAgent(4, 4, QAgentConfig{Hidden: []int{8}, Precision: nn.F64, Seed: 7})
+	agent := NewQAgent(4, 4, QAgentConfig{Hidden: []int{8}, Seed: 7})
 	// Poison the network so every prediction is NaN.
-	for _, p := range agent.Net.Params() {
+	params := agent.Net.F32().Params()
+	for _, p := range params {
 		for i := range p.Value {
-			p.Value[i] = math.NaN()
+			p.Value[i] = float32(math.NaN())
 		}
 	}
 	s := State{Features: []float64{1, 0, 0, 0}, Mask: []bool{false, true, true, false}}
@@ -333,14 +340,14 @@ func TestBestFallsBackToFirstValid(t *testing.T) {
 		t.Fatalf("Best with all-NaN predictions = %d, want first valid action 1", got)
 	}
 	// +Inf predictions: same fallback.
-	for _, p := range agent.Net.Params() {
+	for _, p := range params {
 		for i := range p.Value {
 			p.Value[i] = 0
 		}
 	}
-	out := agent.Net.Params()[len(agent.Net.Params())-1]
+	out := params[len(params)-1]
 	for i := range out.Value {
-		out.Value[i] = math.Inf(1)
+		out.Value[i] = float32(math.Inf(1))
 	}
 	if got := agent.Best(s); got != 1 {
 		t.Fatalf("Best with all-Inf predictions = %d, want first valid action 1", got)

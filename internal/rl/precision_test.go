@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,152 +10,136 @@ import (
 	"handsfree/internal/nn"
 )
 
-// relDiff is the symmetric relative difference of the tolerance-parity
-// tests: |a−b| / (1 + |a| + |b|).
+// relDiff is the symmetric relative difference the tolerance comparisons in
+// this package use: |a−b| / (1 + |a| + |b|).
 func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / (1 + math.Abs(a) + math.Abs(b))
 }
 
-// TestQAgentF32TrainToleranceParity trains two identically seeded QAgents —
-// one per precision — on the same replay buffer and requires per-step loss
-// parity within the documented bound plus genuine learning on the f32 path.
-// Both agents draw minibatches from their own (identically seeded) RNGs, so
-// they see the same samples step for step.
-func TestQAgentF32TrainToleranceParity(t *testing.T) {
+// TestQAgentF32TrainConverges trains a QAgent on a learnable replay buffer
+// (the target is the feature the action indexes) and requires every
+// minibatch loss to be finite and the loss to come down: the agent-level
+// half of the f32 contract, as an absolute bound (per-step parity with the
+// float64 oracle is nn's TestF32TrainingStepToleranceParity).
+func TestQAgentF32TrainConverges(t *testing.T) {
 	const obsDim, actions = 24, 8
 	buf := NewReplayBuffer(1024)
-	fillBuffer(buf, 512, obsDim, actions, rand.New(rand.NewSource(1)))
-	mk := func(p nn.Precision) *QAgent {
-		return NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{32, 16}, Precision: p, Seed: 9})
-	}
-	a64, a32 := mk(nn.F64), mk(nn.F32)
-	if a64.Net.Precision() != nn.F64 || a32.Net.Precision() != nn.F32 {
-		t.Fatalf("agent precisions %v / %v", a64.Net.Precision(), a32.Net.Precision())
-	}
-	const tol = 1e-3 // per-step relative loss parity on this workload
-	for step := 0; step < 60; step++ {
-		l64 := a64.Train(buf, 32)
-		l32 := a32.Train(buf, 32)
-		if math.IsNaN(l32) || math.IsInf(l32, 0) {
-			t.Fatalf("step %d: f32 loss is %v", step, l32)
-		}
-		if d := relDiff(l64, l32); d > tol {
-			t.Fatalf("step %d: f64 loss %v vs f32 loss %v (relative %v > %v)", step, l64, l32, d, tol)
-		}
-	}
-	// Inference parity on a fresh batch after training.
-	rng := rand.New(rand.NewSource(7))
-	states := make([]State, 8)
-	for i := range states {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 512; i++ {
 		f := make([]float64, obsDim)
 		for j := range f {
 			f[j] = rng.NormFloat64()
 		}
-		states[i] = State{Features: f}
+		a := rng.Intn(actions)
+		buf.Add(Sample{Features: f, Action: a, Target: f[a]})
 	}
-	p64 := a64.PredictBatch(states)
-	p32 := a32.PredictBatch(states)
-	for i := range p64.Data {
-		if d := relDiff(p64.Data[i], p32.Data[i]); d > 0.05 {
-			t.Fatalf("post-training prediction %d diverged: f64 %v vs f32 %v", i, p64.Data[i], p32.Data[i])
+	agent := NewQAgent(obsDim, actions, QAgentConfig{Hidden: []int{32, 16}, Seed: 9})
+	const steps, window = 600, 20
+	var first, last float64
+	for step := 0; step < steps; step++ {
+		l := agent.Train(buf, 32)
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			t.Fatalf("step %d: loss is %v", step, l)
 		}
+		if step < window {
+			first += l / window
+		}
+		if step >= steps-window {
+			last += l / window
+		}
+	}
+	t.Logf("mean loss: first %d steps %.4f, last %d steps %.4f", window, first, window, last)
+	if last > first/2 {
+		t.Fatalf("loss did not halve: first %d steps %.4f, last %d steps %.4f", window, first, window, last)
 	}
 }
 
-// TestReinforceF32ConvergesOnBandit: the f32 policy-gradient path must solve
-// the contextual bandit, within a modest margin of the f64 reference — the
-// convergence half of the tolerance-parity contract.
+// TestReinforceF32ConvergesOnBandit: the policy-gradient path must solve the
+// contextual bandit.
 func TestReinforceF32ConvergesOnBandit(t *testing.T) {
-	train := func(p nn.Precision) int {
-		env := &banditEnv{rng: rand.New(rand.NewSource(20)), arms: 4}
-		agent := NewReinforce(env.ObsDim(), env.ActionDim(), ReinforceConfig{
-			Hidden: []int{16}, BatchSize: 8, Precision: p, Seed: 21,
-		})
-		for ep := 0; ep < 1500; ep++ {
-			agent.Observe(RunEpisode(env, agent.Sample, 3))
-		}
-		wins := 0
-		eval := &banditEnv{rng: rand.New(rand.NewSource(22)), arms: 4}
-		for ep := 0; ep < 100; ep++ {
-			s := eval.Reset()
-			if agent.Greedy(s) == eval.ctx {
-				wins++
-			}
-		}
-		return wins
+	env := &banditEnv{rng: rand.New(rand.NewSource(20)), arms: 4}
+	agent := NewReinforce(env.ObsDim(), env.ActionDim(), ReinforceConfig{
+		Hidden: []int{16}, BatchSize: 8, Seed: 21,
+	})
+	for ep := 0; ep < 1500; ep++ {
+		agent.Observe(RunEpisode(env, agent.Sample, 3))
 	}
-	w64, w32 := train(nn.F64), train(nn.F32)
-	if w32 < 80 {
-		t.Fatalf("f32 agent solved only %d/100 bandit contexts", w32)
+	wins := 0
+	eval := &banditEnv{rng: rand.New(rand.NewSource(22)), arms: 4}
+	for ep := 0; ep < 100; ep++ {
+		s := eval.Reset()
+		if agent.Greedy(s) == eval.ctx {
+			wins++
+		}
 	}
-	if w64-w32 > 10 {
-		t.Fatalf("f32 agent (%d/100) trails f64 (%d/100) by more than 10", w32, w64)
+	if wins < 80 {
+		t.Fatalf("agent solved only %d/100 bandit contexts", wins)
 	}
 }
 
-// TestMixedPrecisionCheckpointLoads covers the checkpoint upgrade matrix:
-// an f64 checkpoint loads into an f32-configured agent (weights rounded) and
-// an f32 checkpoint loads into an f64-configured agent (weights widened
-// exactly), with the restored policy matching the source within the forward
-// tolerance in both directions.
+// f64Checkpoint mirrors the fields of nn's version-1 wire struct that a
+// checkpoint written by a float64 network carries (gob matches fields by
+// name), so this package can hand UnmarshalPolicy an old file.
+type f64Checkpoint struct {
+	Version   int
+	Precision string
+	Kinds     []string
+	Ins, Outs []int
+	Vals      [][]float64
+}
+
+// TestMixedPrecisionCheckpointLoads covers what an agent can be handed: a
+// checkpoint written by a float64 network (weights rounded on load), one
+// written by this version (bit for bit), and bytes that are no checkpoint.
 func TestMixedPrecisionCheckpointLoads(t *testing.T) {
 	const obsDim, actions = 6, 3
-	mk := func(p nn.Precision, seed int64) *Reinforce {
-		return NewReinforce(obsDim, actions, ReinforceConfig{Hidden: []int{12}, Precision: p, Seed: seed})
+	mk := func(seed int64) *Reinforce {
+		return NewReinforce(obsDim, actions, ReinforceConfig{Hidden: []int{12}, Seed: seed})
 	}
 	state := State{Features: []float64{0.3, -1.2, 0.7, 0.05, -0.4, 1.9}, Mask: []bool{true, true, true}}
 
 	t.Run("f64-into-f32", func(t *testing.T) {
-		src := mk(nn.F64, 1)
-		data, err := src.MarshalPolicy()
-		if err != nil {
+		// Widen src's weights into the float64 format: every one is exactly
+		// representable, so the rounding on load must give them back.
+		src := mk(1)
+		ck := f64Checkpoint{Version: 1, Precision: "f64"}
+		for _, l := range src.Policy.F32().Layers {
+			kind, in, out := "relu", 0, 0
+			if lin, ok := l.(*nn.LinearOf[float32]); ok {
+				kind, in, out = "linear", lin.In, lin.Out
+				for _, p := range lin.Params() {
+					w := make([]float64, len(p.Value))
+					for i, v := range p.Value {
+						w[i] = float64(v)
+					}
+					ck.Vals = append(ck.Vals, w)
+				}
+			}
+			ck.Kinds, ck.Ins, ck.Outs = append(ck.Kinds, kind), append(ck.Ins, in), append(ck.Outs, out)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 			t.Fatal(err)
 		}
-		dst := mk(nn.F32, 2)
-		if err := dst.UnmarshalPolicy(data); err != nil {
+		dst := mk(2)
+		if err := dst.UnmarshalPolicy(buf.Bytes()); err != nil {
 			t.Fatal(err)
-		}
-		if dst.Policy.Precision() != nn.F32 {
-			t.Fatalf("loaded policy precision %v, agent configured f32", dst.Policy.Precision())
 		}
 		ps, pd := src.Probs(state), dst.Probs(state)
 		for i := range ps {
-			if d := relDiff(ps[i], pd[i]); d > 1e-4 {
-				t.Fatalf("action %d: source prob %v vs converted %v", i, ps[i], pd[i])
-			}
-		}
-	})
-
-	t.Run("f32-into-f64", func(t *testing.T) {
-		src := mk(nn.F32, 3)
-		data, err := src.MarshalPolicy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := mk(nn.F64, 4)
-		if err := dst.UnmarshalPolicy(data); err != nil {
-			t.Fatal(err)
-		}
-		if dst.Policy.Precision() != nn.F64 {
-			t.Fatalf("loaded policy precision %v, agent configured f64", dst.Policy.Precision())
-		}
-		// Widening is exact, so the f64 agent's weights are bit-for-bit the
-		// f32 source weights.
-		ws, wd := src.Policy.FlattenParams(), dst.Policy.FlattenParams()
-		for i := range ws {
-			if ws[i] != wd[i] {
-				t.Fatalf("weight %d changed on exact widening: %v vs %v", i, ws[i], wd[i])
+			if ps[i] != pd[i] {
+				t.Fatalf("action %d: source prob %v vs loaded %v", i, ps[i], pd[i])
 			}
 		}
 	})
 
 	t.Run("same-precision-f32", func(t *testing.T) {
-		src := mk(nn.F32, 5)
+		src := mk(5)
 		data, err := src.MarshalPolicy()
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := mk(nn.F32, 6)
+		dst := mk(6)
 		if err := dst.UnmarshalPolicy(data); err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +152,7 @@ func TestMixedPrecisionCheckpointLoads(t *testing.T) {
 	})
 
 	t.Run("corrupted-and-empty", func(t *testing.T) {
-		good, err := mk(nn.F64, 7).MarshalPolicy()
+		good, err := mk(7).MarshalPolicy()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +161,7 @@ func TestMixedPrecisionCheckpointLoads(t *testing.T) {
 			"garbage":   []byte("......definitely not gob......"),
 			"truncated": good[:len(good)/3],
 		} {
-			dst := mk(nn.F32, 8)
+			dst := mk(8)
 			before := dst.Policy
 			if err := dst.UnmarshalPolicy(data); err == nil {
 				t.Fatalf("%s checkpoint loaded without error", name)
@@ -188,26 +174,23 @@ func TestMixedPrecisionCheckpointLoads(t *testing.T) {
 }
 
 // TestAsyncTrainF32: the asynchronous actor-learner split must run end to
-// end on f32 policies — snapshots keep the learner's precision through the
-// parameter server and actors infer against them concurrently.
+// end — actors infer concurrently against the snapshots the learner
+// publishes through the parameter server.
 func TestAsyncTrainF32(t *testing.T) {
 	const actors = 4
 	envs := make([]Env, actors)
 	for w := range envs {
 		envs[w] = &banditEnv{rng: rand.New(rand.NewSource(int64(40 + w))), arms: 3}
 	}
-	learner := NewReinforce(3, 3, ReinforceConfig{Hidden: []int{8}, BatchSize: 4, Precision: nn.F32, Seed: 41})
-	if learner.Policy.Precision() != nn.F32 {
-		t.Fatal("learner not f32")
-	}
+	learner := NewReinforce(3, 3, ReinforceConfig{Hidden: []int{8}, BatchSize: 4, Seed: 41})
 	stats := TrainAsync(learner, envs, 64, AsyncConfig{Actors: actors, Staleness: 2, Seed: 42}, nil, nil)
 	if stats.Episodes != 64 {
 		t.Fatalf("collected %d episodes, want 64", stats.Episodes)
 	}
 	if stats.Updates == 0 {
-		t.Fatal("f32 async run applied no policy updates")
+		t.Fatal("async run applied no policy updates")
 	}
 	if stats.MaxLag > 2 {
-		t.Fatalf("staleness bound violated at f32: max lag %d > 2", stats.MaxLag)
+		t.Fatalf("staleness bound violated: max lag %d > 2", stats.MaxLag)
 	}
 }

@@ -68,12 +68,7 @@ type QAgentConfig struct {
 	LR      float64 // Adam learning rate (default 1e-3)
 	Epsilon float64 // exploration probability during acting (default 0.05)
 	Clip    float64 // gradient clip norm (default 5)
-	// Precision selects the network's scalar type: nn.F64 (the
-	// bitwise-deterministic default), nn.F32 (half the memory bandwidth per
-	// batched kernel, tolerance-verified against f64), or nn.PrecisionAuto
-	// (the HANDSFREE_PRECISION environment variable, defaulting to f64).
-	Precision nn.Precision
-	Seed      int64
+	Seed    int64
 }
 
 func (c *QAgentConfig) fill() {
@@ -126,7 +121,7 @@ func NewQAgent(obsDim, actionDim int, cfg QAgentConfig) *QAgent {
 	sizes := append(append([]int{obsDim}, cfg.Hidden...), actionDim)
 	opt := nn.NewAdam(cfg.LR)
 	opt.Clip = cfg.Clip
-	net := nn.NewMLPAt(cfg.Precision, rng, sizes...)
+	net := nn.NewMLP(rng, sizes...)
 	return &QAgent{Net: net, Opt: opt, Cfg: cfg, rng: rng}
 }
 

@@ -44,12 +44,7 @@ type ReinforceConfig struct {
 	EntropyDecay float64
 	// EntropyMin floors the annealed entropy bonus (default EntropyCoef/50).
 	EntropyMin float64
-	// Precision selects the policy network's scalar type: nn.F64 (the
-	// bitwise-deterministic default), nn.F32 (half the memory bandwidth per
-	// batched kernel, tolerance-verified against f64), or nn.PrecisionAuto
-	// (the HANDSFREE_PRECISION environment variable, defaulting to f64).
-	Precision nn.Precision
-	Seed      int64
+	Seed       int64
 }
 
 func (c *ReinforceConfig) fill() {
@@ -120,7 +115,7 @@ func NewReinforce(obsDim, actionDim int, cfg ReinforceConfig) *Reinforce {
 		adam.Clip = cfg.Clip
 		opt = adam
 	}
-	net := nn.NewMLPAt(cfg.Precision, rng, sizes...)
+	net := nn.NewMLP(rng, sizes...)
 	return &Reinforce{
 		Policy:  net,
 		Opt:     opt,
@@ -189,11 +184,9 @@ func (a *Reinforce) MarshalPolicy() ([]byte, error) {
 	return a.Policy.MarshalBinary()
 }
 
-// UnmarshalPolicy restores a policy saved with MarshalPolicy. The network
-// dimensions must match the agent's environment. Checkpoints saved at a
-// different precision than the agent's are explicitly converted on load
-// (f32→f64 widens exactly; f64→f32 rounds each weight), so old float64 gob
-// files keep working after an agent is reconfigured to f32 and vice versa.
+// UnmarshalPolicy restores a policy saved with MarshalPolicy, by this or any
+// earlier version (old float64 gob files load with each weight rounded). The
+// network dimensions must match the agent's environment.
 func (a *Reinforce) UnmarshalPolicy(data []byte) error {
 	net := &nn.Network{}
 	if err := net.UnmarshalBinary(data); err != nil {
@@ -203,7 +196,7 @@ func (a *Reinforce) UnmarshalPolicy(data []byte) error {
 		return fmt.Errorf("rl: checkpoint dims %dx%d do not match agent %dx%d",
 			net.InDim(), net.OutDim(), a.Policy.InDim(), a.Policy.OutDim())
 	}
-	a.Policy = net.ConvertTo(a.Policy.Precision())
+	a.Policy = net
 	a.ResetBatch()
 	return nil
 }
@@ -316,9 +309,8 @@ func (a *Reinforce) update() {
 	grad := &a.gradbuf
 	// The fused softmax + cross-entropy engine kernel replaces the separate
 	// MaskedSoftmaxRowsInto + per-row PolicyGradientInto passes. The REINFORCE
-	// interchange math is float64 at every network precision (logits arrive
-	// converted), so the kernel instantiates at f64; it is bitwise identical
-	// to the composed helpers.
+	// interchange math is float64 (logits arrive converted), so the kernel
+	// instantiates at f64; it is bitwise identical to the composed helpers.
 	nn.NewEngineOf[float64]().SoftmaxXent(
 		logits, masks, actions, advs, a.entCoef, probs, grad)
 	a.Policy.ZeroGrad()

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"handsfree/internal/nn"
 )
 
 // banditEnv is a contextual bandit: the context says which arm pays.
@@ -286,12 +284,11 @@ func TestStateNumValid(t *testing.T) {
 // must return the first valid action AND count the anomaly, so diverged
 // networks are observable rather than silently tolerated.
 func TestQAgentBestFallbackCounted(t *testing.T) {
-	// Pinned to f64: the test pokes NaNs straight into Params().
-	agent := NewQAgent(2, 3, QAgentConfig{Hidden: []int{8}, Precision: nn.F64, Seed: 1})
+	agent := NewQAgent(2, 3, QAgentConfig{Hidden: []int{8}, Seed: 1})
 	// Poison the network: NaN weights make every prediction NaN.
-	for _, p := range agent.Net.Params() {
+	for _, p := range agent.Net.F32().Params() {
 		for i := range p.Value {
-			p.Value[i] = math.NaN()
+			p.Value[i] = float32(math.NaN())
 		}
 	}
 	s := State{Features: []float64{1, 0}, Mask: []bool{false, true, true}}

@@ -89,12 +89,6 @@ func WithLatencySeed(seed int64) Option {
 	return func(o *serviceOptions) { o.cfg.LatencySeed = seed }
 }
 
-// WithPrecision sets the default tensor-core precision for every learned
-// agent the service builds (F64, F32, or PrecisionAuto).
-func WithPrecision(p Precision) Option {
-	return func(o *serviceOptions) { o.cfg.Precision = p }
-}
-
 // WithStats selects the statistics source the planning stack runs on:
 // StatsExact (histograms + MCVs, the historical behavior), StatsSketch
 // (HyperLogLog / Count-Min / reservoir sketches alone), or StatsAuto
@@ -581,12 +575,11 @@ type LifecycleConfig struct {
 	// Stages selects the pipeline prefix the learned policy controls
 	// (default: join ordering only, the §3 setup).
 	Stages Stages
-	// Hidden, LR, BatchSize, Precision, Seed configure the learners
-	// (defaults: 128/64, 1e-3, 16, the service precision, 1).
+	// Hidden, LR, BatchSize, Seed configure the learners (defaults: 128/64,
+	// 1e-3, 16, 1).
 	Hidden    []int
 	LR        float64
 	BatchSize int
-	Precision Precision
 	Seed      int64
 
 	// DemoSweeps is how many times the expert's demonstrated trajectories
@@ -646,9 +639,6 @@ func (c *LifecycleConfig) fill(s *Service) {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
-	}
-	if c.Precision == PrecisionAuto {
-		c.Precision = s.sys.Precision
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -919,8 +909,7 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 		Seed:            cfg.Seed,
 	})
 	demo := lfd.New(lfd.Config{
-		Env: demoEnv, Hidden: cfg.Hidden, LR: cfg.LR,
-		Precision: cfg.Precision, Seed: cfg.Seed,
+		Env: demoEnv, Hidden: cfg.Hidden, LR: cfg.LR, Seed: cfg.Seed,
 	})
 	if err := demo.CollectDemonstrationsCtx(ctx); err != nil {
 		return s.stopped(err)
@@ -965,7 +954,6 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 			Hidden:    cfg.Hidden,
 			LR:        cfg.LR,
 			BatchSize: cfg.BatchSize,
-			Precision: cfg.Precision,
 			Seed:      cfg.Seed,
 		},
 	})

@@ -119,7 +119,7 @@ func publishPolicySized(t testing.TB, svc *Service, seed int64, hidden []int) *r
 	sp := newServePool(svc, space, Stages{}, maxRels)
 	svc.serve.Store(sp)
 	learner := rl.NewReinforce(sp.obsDim, sp.actionDim, rl.ReinforceConfig{
-		Hidden: hidden, Precision: F64, Seed: seed,
+		Hidden: hidden, Seed: seed,
 	})
 	svc.publish(learner)
 	return learner
@@ -264,9 +264,7 @@ func TestServiceLifecyclePhasesInOrder(t *testing.T) {
 // cost episodes, one actor) twice on fresh services and requires the same
 // final cost ratio and the same served decision per query, bit for bit.
 // Every plan-quality number the benchmark reports rests on this; a numerics
-// change in nn that broke it would otherwise first show up there. Precision
-// is pinned to f64 as in the benchmark, which refuses to run with
-// HANDSFREE_PRECISION set; an f32 lifecycle is not repeatable run to run.
+// change in nn that broke it would otherwise first show up there.
 func TestBenchmarkLifecycleRepeatable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full training lifecycles; skipped in -short mode")
@@ -281,7 +279,7 @@ func TestBenchmarkLifecycleRepeatable(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		if err := svc.StartTraining(ctx, LifecycleConfig{Seed: 3, CostEpisodes: 1536, Actors: 1, Precision: F64}); err != nil {
+		if err := svc.StartTraining(ctx, LifecycleConfig{Seed: 3, CostEpisodes: 1536, Actors: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := svc.WaitTraining(ctx); err != nil {
@@ -426,8 +424,7 @@ func TestOpenWrapperParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin f64 so the parity is bitwise regardless of HANDSFREE_PRECISION.
-	rcfg := ReJOINConfig{Seed: 1, Hidden: []int{32}, Precision: F64}
+	rcfg := ReJOINConfig{Seed: 1, Hidden: []int{32}}
 	agentA, err := sysA.NewReJOINAgent(queriesA, rcfg)
 	if err != nil {
 		t.Fatal(err)
