@@ -274,7 +274,7 @@ func (s *Service) executePlanned(q *Query, pr PlanResult) (ExecResult, error) {
 
 // ExecuteSQL parses SQL text and executes a served plan for it; see Execute.
 func (s *Service) ExecuteSQL(ctx context.Context, sql string) (ExecResult, error) {
-	q, err := ParseSQL(sql)
+	q, err := s.resolve(sql, false)
 	if err != nil {
 		return ExecResult{}, err
 	}

@@ -36,11 +36,11 @@ func DefaultPrecision() Precision { return "f32" }
 // element over the shared k index in ascending order within whatever
 // blocking the backend applies; LinearForward is the matmul followed by the
 // bias row-add; LinearBackward accumulates dW += xᵀ·dout and dB += Σrows
-// dout and overwrites dx = dout·wᵀ, in that order. SoftmaxXent and AdamStep
-// round every element exactly as the composed reference helpers do (see the
-// method comments), so both are bitwise identical across backends. The
-// reference engine's float64 instantiation is bitwise identical to the
-// pre-seam layer code.
+// dout and overwrites dx = dout·wᵀ (when a dx is given), in that order.
+// SoftmaxXent and AdamStep round every element exactly as the composed
+// reference helpers do (see the method comments), so both are bitwise
+// identical across backends. The reference engine's float64 instantiation is
+// bitwise identical to the pre-seam layer code.
 type EngineOf[T Float] interface {
 	// MatMul computes out = a·b (out fully overwritten).
 	MatMul(a, b, out *MatOf[T])
@@ -51,7 +51,9 @@ type EngineOf[T Float] interface {
 	// LinearForward computes out = x·w + bias (bias broadcast over rows).
 	LinearForward(x, w *MatOf[T], bias []T, out *MatOf[T])
 	// LinearBackward accumulates the fused linear-layer gradients:
-	// dW += xᵀ·dout, dB += column sums of dout, dx = dout·wᵀ.
+	// dW += xᵀ·dout, dB += column sums of dout, dx = dout·wᵀ. A nil dx
+	// skips the input gradient (a network's first layer under training:
+	// nothing reads it); dW and dB do not depend on it.
 	LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx *MatOf[T])
 	// SoftmaxXent computes, per batch row i, the masked softmax of the
 	// logits into probs and the REINFORCE policy gradient
@@ -205,7 +207,9 @@ func (e refEngineOf[T]) LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx *Mat
 	*dWm = own
 	putMat(dWm)
 	addColSums(dout, dB)
-	e.MatMulABT(dout, w, dx)
+	if dx != nil {
+		e.MatMulABT(dout, w, dx)
+	}
 }
 
 // SoftmaxXent runs the composed reference helpers: the masked row softmax

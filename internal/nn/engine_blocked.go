@@ -117,7 +117,7 @@ func (blockedEngineOf[T]) LinearForward(x, w *MatOf[T], bias []T, out *MatOf[T])
 }
 
 // LinearBackward accumulates dW += xᵀ·dout and dB += Σrows dout and computes
-// dx = dout·wᵀ, all on the blocked kernels.
+// dx = dout·wᵀ (unless dx is nil), all on the blocked kernels.
 func (e blockedEngineOf[T]) LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx *MatOf[T]) {
 	// Pooled dW view, as in the reference engine: a stack literal would
 	// escape through the kernel call and allocate on every backward pass;
@@ -130,7 +130,9 @@ func (e blockedEngineOf[T]) LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx 
 	*dWm = own
 	putMat(dWm)
 	addColSums(dout, dB)
-	e.MatMulABT(dout, w, dx)
+	if dx != nil {
+		e.MatMulABT(dout, w, dx)
+	}
 }
 
 // SoftmaxXent is the fused form: where the reference path makes five passes

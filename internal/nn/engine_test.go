@@ -275,6 +275,44 @@ func TestNetEngineParity(t *testing.T) {
 	checkClose(t, "InferInto", out.Data, got.Data, 0)
 }
 
+// TestBackwardParamsBitwise: the training backward pass, which skips the
+// first layer's input gradient, leaves every parameter gradient bitwise equal
+// to the full pass's — on the dispatcher (every microkernel) and the oracle,
+// at a single row and at a training batch.
+func TestBackwardParamsBitwise(t *testing.T) {
+	forEachBlockedKernel(t, func(t *testing.T) {
+		for _, oracle := range []bool{true, false} {
+			for _, rows := range []int{1, 16, 96} {
+				rng := rand.New(rand.NewSource(int64(43 + rows)))
+				full := NewMLPOf[float32](rng, 137, 128, 64, 30)
+				params := full.Clone()
+				if oracle {
+					useOracle(full)
+					useOracle(params)
+				}
+				x, dout := randMatOf[float32](rows, 137, rng), randMatOf[float32](rows, 30, rng)
+				full.Forward(x)
+				full.ZeroGrad()
+				if dx := full.Backward(dout); dx.Rows != rows || dx.Cols != 137 {
+					t.Fatalf("Backward returned a %d×%d input gradient, want %d×137", dx.Rows, dx.Cols, rows)
+				}
+				params.Forward(x)
+				params.ZeroGrad()
+				params.backwardParams(dout)
+				fp, pp := full.Params(), params.Params()
+				for i := range fp {
+					for j, g := range fp[i].Grad {
+						if math.Float32bits(g) != math.Float32bits(pp[i].Grad[j]) {
+							t.Fatalf("oracle=%v rows=%d: param %d grad[%d]: full %v != params-only %v",
+								oracle, rows, i, j, g, pp[i].Grad[j])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestPooledViewsReturnUnaliased: LinearBackward and the blocked MatMulATB
 // borrow a pooled matrix header as a view over dW (or a pooled vec). The
 // header must go back to the pool without that Data: the f32 inference path

@@ -143,6 +143,12 @@ func (l *LinearOf[T]) Backward(dout *MatOf[T]) *MatOf[T] {
 	return l.dx
 }
 
+// backwardParams is Backward without the input gradient: it accumulates the
+// same dW and db and computes no dx.
+func (l *LinearOf[T]) backwardParams(dout *MatOf[T]) {
+	l.engine().LinearBackward(l.x, dout, l.weight(), l.W.Grad, l.B.Grad, nil)
+}
+
 // Params returns the weight and bias parameters.
 func (l *LinearOf[T]) Params() []*ParamOf[T] {
 	if l.ps[0] == nil {

@@ -54,6 +54,21 @@ func (n *NetOf[T]) Backward(dout *MatOf[T]) *MatOf[T] {
 	return dout
 }
 
+// backwardParams is Backward for a training step, which reads the parameter
+// gradients and never the input gradient: it accumulates the same parameter
+// gradients, bit for bit, and skips the first layer's dx = dout·Wᵀ — the
+// widest of the backward pass's products, since the first layer is the one
+// that faces the observation.
+func (n *NetOf[T]) backwardParams(dout *MatOf[T]) {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if first, ok := n.Layers[i].(*LinearOf[T]); ok && i == 0 {
+			first.backwardParams(dout)
+			return
+		}
+		dout = n.Layers[i].Backward(dout)
+	}
+}
+
 // Infer runs the batch through the network without caching anything for a
 // backward pass; see Network.Infer for the concurrency contract.
 func (n *NetOf[T]) Infer(x *MatOf[T]) *MatOf[T] {
@@ -249,7 +264,7 @@ type Network struct {
 	// Forward/Backward paths (Infer allocates fresh conversions to keep its
 	// concurrency contract).
 	x32, d32 *Mat32
-	y64, g64 *Mat
+	y64      *Mat
 }
 
 // WrapNet32 wraps a float32 core in a Network handle.
@@ -283,15 +298,15 @@ func (n *Network) Forward(x *Mat) *Mat {
 }
 
 // Backward propagates the (float64) loss gradient back through every layer,
-// accumulating parameter gradients in float32, and returns the gradient with
-// respect to the input (valid until the next Forward/Backward call).
-func (n *Network) Backward(dout *Mat) *Mat {
+// accumulating parameter gradients in float32. It returns nothing: a training
+// step reads only the parameter gradients, so the gradient with respect to
+// the input is not computed (NetOf.backwardParams).
+func (n *Network) Backward(dout *Mat) {
 	if n.d32 == nil {
-		n.d32, n.g64 = &Mat32{}, &Mat{}
+		n.d32 = &Mat32{}
 	}
 	convertMatInto(n.d32, dout)
-	convertMatInto(n.g64, n.core.Backward(n.d32))
-	return n.g64
+	n.core.backwardParams(n.d32)
 }
 
 // Infer runs the batch through the network without caching anything for a

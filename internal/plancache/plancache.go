@@ -352,6 +352,9 @@ type Stats struct {
 	Size int
 	// Epoch is the policy epoch at snapshot time.
 	Epoch uint64
+	// Statements is the statement table's snapshot. Cache.Stats leaves it
+	// zero; the owner of both (handsfree.Service.CacheStats) fills it in.
+	Statements StatementStats
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"handsfree"
-	"handsfree/internal/catalog"
 )
 
 // Config sizes the front end. The zero value resolves to serving defaults;
@@ -227,7 +226,10 @@ func (s *Server) Draining() bool {
 // tenantFor resolves the request's tenant from the "tenant" query parameter
 // or the X-Tenant header.
 func (s *Server) tenantFor(r *http.Request) (*Tenant, *apiError) {
-	name := r.URL.Query().Get("tenant")
+	var name string
+	if r.URL.RawQuery != "" { // Query() builds a map per call, even of nothing
+		name = r.URL.Query().Get("tenant")
+	}
 	if name == "" {
 		name = r.Header.Get("X-Tenant")
 	}
@@ -259,57 +261,21 @@ func (s *Server) timeoutFor(req *PlanRequest) time.Duration {
 	return d
 }
 
-// validateAgainstCatalog rejects queries referencing tables or columns the
-// tenant's schema does not have — the planner is deliberately lenient about
-// unknown names (it costs what it can), but over the wire that leniency
-// would turn client typos into confusing plans instead of 400s.
-func validateAgainstCatalog(tenant *Tenant, q *handsfree.Query) *apiError {
-	cat := tenant.svc.System().DB.Catalog
-	tables := make(map[string]*catalog.Table, len(q.Relations))
-	for _, r := range q.Relations {
-		tbl, err := cat.Table(r.Table)
-		if err != nil {
-			return badRequest("tenant %q has no table %q", tenant.name, r.Table)
-		}
-		tables[r.Alias] = tbl
+// resolveError puts a failure to resolve a request's query on the wire as a
+// 400: a name the tenant's catalog lacks, or else SQL that does not parse.
+// The planner is deliberately lenient about unknown names (it costs what it
+// can), but over the wire that leniency would turn client typos into
+// confusing plans instead of 400s.
+func resolveError(tenant *Tenant, err error) *apiError {
+	var ce *handsfree.CatalogError
+	switch {
+	case !errors.As(err, &ce):
+		return badRequest("parsing SQL: %v", err)
+	case ce.Table != "":
+		return badRequest("tenant %q has no table %q", tenant.name, ce.Table)
+	default:
+		return badRequest("%v", err)
 	}
-	checkCol := func(alias, col, what string) *apiError {
-		tbl, ok := tables[alias]
-		if !ok {
-			return badRequest("%s references undeclared alias %q", what, alias)
-		}
-		if !tbl.HasColumn(col) {
-			return badRequest("%s: table %q has no column %q", what, tbl.Name, col)
-		}
-		return nil
-	}
-	for _, j := range q.Joins {
-		if e := checkCol(j.LeftAlias, j.LeftCol, "join"); e != nil {
-			return e
-		}
-		if e := checkCol(j.RightAlias, j.RightCol, "join"); e != nil {
-			return e
-		}
-	}
-	for _, f := range q.Filters {
-		if e := checkCol(f.Alias, f.Column, "filter"); e != nil {
-			return e
-		}
-	}
-	for _, g := range q.GroupBys {
-		if e := checkCol(g.Alias, g.Column, "group by"); e != nil {
-			return e
-		}
-	}
-	for _, a := range q.Aggregates {
-		if a.Column == "" {
-			continue // COUNT(*)
-		}
-		if e := checkCol(a.Alias, a.Column, "aggregate"); e != nil {
-			return e
-		}
-	}
-	return nil
 }
 
 // resolvePlanShaped resolves the tenant, decodes the body, and validates the
@@ -327,11 +293,14 @@ func (s *Server) resolvePlanShaped(r *http.Request, wantSQL, allowExec bool) (*T
 	var q *handsfree.Query
 	var label string
 	if wantSQL {
-		parsed, err := handsfree.ParseSQL(req.SQL)
+		// The tenant's service resolves the text — from its statement table
+		// when it has seen it before, by parsing it and checking it against
+		// the catalog when not.
+		resolved, err := tenant.svc.ResolveSQL(req.SQL)
 		if err != nil {
-			return nil, nil, nil, "", badRequest("parsing SQL: %v", err)
+			return nil, nil, nil, "", resolveError(tenant, err)
 		}
-		q, label = parsed, req.SQL
+		q, label = resolved, req.SQL
 	} else {
 		var wireErr *apiError
 		q, wireErr = req.Query.toQuery()
@@ -342,9 +311,9 @@ func (s *Server) resolvePlanShaped(r *http.Request, wantSQL, allowExec bool) (*T
 		if label == "" {
 			label = q.SQL()
 		}
-	}
-	if apiErr := validateAgainstCatalog(tenant, q); apiErr != nil {
-		return nil, nil, nil, "", apiErr
+		if err := tenant.svc.CheckCatalog(q); err != nil {
+			return nil, nil, nil, "", resolveError(tenant, err)
+		}
 	}
 	return tenant, req, q, label, nil
 }
@@ -387,13 +356,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, wantSQL bool
 	}
 	defer release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req))
+	deadline := s.timeoutFor(req)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 	start := time.Now()
 	res, err := tenant.svc.Plan(ctx, q)
 	planTime := time.Since(start)
 	if err != nil {
-		s.planError(w, err, s.timeoutFor(req), "plan_error")
+		s.planError(w, err, deadline, "plan_error")
 		return
 	}
 	resp := PlanResponse{
@@ -437,7 +407,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, wantSQL b
 	}
 	defer release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req))
+	deadline := s.timeoutFor(req)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 	start := time.Now()
 	var res handsfree.ExecResult
@@ -449,7 +420,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, wantSQL b
 	}
 	total := time.Since(start)
 	if err != nil {
-		s.planError(w, err, s.timeoutFor(req), "execute_error")
+		s.planError(w, err, deadline, "execute_error")
 		return
 	}
 	resp := ExecuteResponse{
@@ -660,6 +631,10 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		Size:           st.Size,
 		Epoch:          st.Epoch,
 		HitRate:        st.HitRate(),
+
+		StatementHits:   st.Statements.Hits,
+		StatementMisses: st.Statements.Misses,
+		StatementSize:   st.Statements.Size,
 	})
 }
 

@@ -342,18 +342,23 @@ type TenantStats struct {
 	AuditMeanRelError *float64 `json:"approx_audit_mean_rel_error,omitempty"`
 }
 
-// CacheResponse is the body of GET /cache: one tenant's plan cache counters.
+// CacheResponse is the body of GET /cache: one tenant's plan cache counters,
+// and its statement table's (SQL texts resolved from memory, texts parsed,
+// texts held).
 type CacheResponse struct {
-	Tenant         string  `json:"tenant"`
-	Hits           uint64  `json:"hits"`
-	Misses         uint64  `json:"misses"`
-	Puts           uint64  `json:"puts"`
-	Evictions      uint64  `json:"evictions"`
-	EpochBumps     uint64  `json:"epoch_bumps"`
-	AdmissionSkips uint64  `json:"admission_skips"`
-	Size           int     `json:"size"`
-	Epoch          uint64  `json:"epoch"`
-	HitRate        float64 `json:"hit_rate"`
+	Tenant          string  `json:"tenant"`
+	Hits            uint64  `json:"hits"`
+	Misses          uint64  `json:"misses"`
+	Puts            uint64  `json:"puts"`
+	Evictions       uint64  `json:"evictions"`
+	EpochBumps      uint64  `json:"epoch_bumps"`
+	AdmissionSkips  uint64  `json:"admission_skips"`
+	Size            int     `json:"size"`
+	Epoch           uint64  `json:"epoch"`
+	HitRate         float64 `json:"hit_rate"`
+	StatementHits   uint64  `json:"statement_hits"`
+	StatementMisses uint64  `json:"statement_misses"`
+	StatementSize   int     `json:"statement_size"`
 }
 
 // HealthResponse is the body of GET /healthz.

@@ -133,6 +133,9 @@ type Service struct {
 	queries       []*Query
 	fallbackRatio float64
 
+	// statements remembers what each SQL text resolved to (see statement.go).
+	statements *plancache.Statements
+
 	// policies holds the published policy snapshots (version 0 = no learned
 	// policy yet). The lifecycle's learner publishes, Plan reads lock-free.
 	policies *paramserver.Server
@@ -194,6 +197,7 @@ func New(opts ...Option) (*Service, error) {
 	svc := &Service{
 		sys:           sys,
 		fallbackRatio: o.fallbackRatio,
+		statements:    plancache.NewStatements(),
 		policies:      paramserver.New(nil),
 		execCfg:       o.exec,
 		history: exechistory.New(exechistory.Config{
@@ -420,7 +424,7 @@ func (s *Service) rollout(ctx context.Context, q *Query, fp uint64, sp *servePoo
 
 // PlanSQL parses SQL text and serves a plan for it; see Plan.
 func (s *Service) PlanSQL(ctx context.Context, sql string) (PlanResult, error) {
-	q, err := ParseSQL(sql)
+	q, err := s.resolve(sql, false)
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -831,9 +835,12 @@ func (s *Service) StopTraining(ctx context.Context) error {
 }
 
 // CacheStats snapshots the plan cache counters (zeros when the cache is
-// disabled). It is the stats hook behind a front end's /cache endpoint.
+// disabled) and the statement table's. It is the stats hook behind a front
+// end's /cache endpoint.
 func (s *Service) CacheStats() PlanCacheStats {
-	return s.sys.CacheStats()
+	st := s.sys.CacheStats()
+	st.Statements = s.statements.Stats()
+	return st
 }
 
 // WaitTraining blocks until the running lifecycle first reaches PhaseDone
