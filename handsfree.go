@@ -75,11 +75,11 @@ type (
 	// counters.
 	PlanCacheStats = plancache.Stats
 	// AsyncConfig controls asynchronous actor-learner training: actor
-	// count, the staleness bound K on parameter-server snapshots, queue
-	// depth, and whether over-stale trajectories are dropped.
+	// count, the staleness bound K on parameter-server snapshots, the
+	// sampling seed and the publish hook.
 	AsyncConfig = rl.AsyncConfig
 	// AsyncStats summarizes an asynchronous training run (updates,
-	// publishes, max observed staleness, dropped trajectories).
+	// publishes, max staleness acted on, refetches).
 	AsyncStats = rl.AsyncStats
 )
 
@@ -502,12 +502,12 @@ func (a *ReJOINAgent) TrainParallel(n, workers int) {
 }
 
 // TrainAsync runs n learning episodes with the asynchronous actor-learner
-// split: cfg.Actors environment replicas collect continuously against
-// lock-free parameter-server snapshots (staleness bounded by cfg.Staleness
-// versions) while the learner updates and republishes without a round
-// barrier. Highest throughput, but episode order — and therefore the exact
-// trained weights — is scheduling-dependent; use TrainParallel when bitwise
-// reproducibility matters.
+// split: cfg.Actors environment replicas collect against parameter-server
+// snapshots (staleness bounded by cfg.Staleness versions) while the learner
+// updates and republishes without a round barrier. Which snapshot an
+// episode sees is decided by its position in the episode sequence, not by
+// scheduling, so the trained weights are reproducible bit for bit for a
+// fixed seed and actor count, like TrainParallel's.
 func (a *ReJOINAgent) TrainAsync(n int, cfg AsyncConfig) {
 	a.agent.TrainAsync(n, cfg)
 }

@@ -130,20 +130,15 @@ type Config struct {
 	// trains strictly sequentially.
 	Workers int
 	// Async switches parallel collection (Workers > 1) from the
-	// round-synchronous barrier to the asynchronous actor-learner split:
-	// actors collect continuously against lock-free parameter-server
-	// snapshots while the learner updates and republishes. Higher
-	// throughput, but episode order becomes scheduling-dependent; leave it
-	// off when bitwise reproducibility matters.
+	// round-synchronous barrier to the actor-learner split: actors collect
+	// against parameter-server snapshots while the learner updates and
+	// republishes, overlapping the two. Both are repeatable bit for bit;
+	// they are different (equally valid) episode schedules.
 	Async bool
 	// Staleness bounds how many snapshot versions an async actor's policy
 	// may lag the learner (0 = the rl.AsyncConfig default of 4). Ignored
 	// unless Async.
 	Staleness int
-	// AdaptStaleness lets the async learner shrink the staleness bound
-	// below Staleness while it outpaces the actors (see
-	// rl.AsyncConfig.AdaptStaleness). Ignored unless Async.
-	AdaptStaleness bool
 	// Cache, when non-nil, memoizes optimizer completions and expert plans
 	// across episodes and phases (the plan cache service). Completion
 	// entries are pure and survive phase transitions; policy-dependent
@@ -245,14 +240,13 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 	t.env = env
 
 	if t.Cfg.Workers > 1 && t.Cfg.Async {
-		// Async actor-learner split: no round barrier; the learner updates
-		// and republishes while actors keep collecting against bounded-
-		// staleness snapshots.
+		// Actor-learner split: no round barrier; the learner updates and
+		// republishes while actors keep collecting against bounded-staleness
+		// snapshots.
 		planspace.TrainAsyncCtx(ctx, env, t.agent, p.Episodes, rl.AsyncConfig{
-			Actors:         t.Cfg.Workers,
-			Staleness:      t.Cfg.Staleness,
-			AdaptStaleness: t.Cfg.AdaptStaleness,
-			Seed:           t.Cfg.Seed,
+			Actors:    t.Cfg.Workers,
+			Staleness: t.Cfg.Staleness,
+			Seed:      t.Cfg.Seed,
 		}, func(i int, rec planspace.EpisodeRecord) {
 			if onEpisode != nil {
 				onEpisode(episodeBase+i, rec.Out)

@@ -50,11 +50,21 @@ func NewObserved(eng *Engine) *Observed {
 // with the budget as the censored latency, mirroring LatencyModel.Execute.
 // An injected failure returns ErrInjected with a NaN latency.
 func (o *Observed) Run(q *query.Query, root plan.Node, budgetMs float64) (res *Result, w *Work, latencyMs float64, timedOut bool, err error) {
-	factor := 1.0
-	fail := false
-	if o.Faults != nil {
-		factor, fail = o.Faults.apply(q, root)
+	factor, fail := o.consult(q, root)
+	return o.run(q, root, budgetMs, factor, fail)
+}
+
+// consult asks the fault seam what happens to this execution, advancing the
+// seam's execution counter.
+func (o *Observed) consult(q *query.Query, root plan.Node) (factor float64, fail bool) {
+	if o.Faults == nil {
+		return 1, false
 	}
+	return o.Faults.apply(q, root)
+}
+
+// run is Run after the seam has answered.
+func (o *Observed) run(q *query.Query, root plan.Node, budgetMs, factor float64, fail bool) (res *Result, w *Work, latencyMs float64, timedOut bool, err error) {
 	if fail {
 		return nil, nil, math.NaN(), false, ErrInjected
 	}
@@ -86,11 +96,7 @@ func (o *Observed) Run(q *query.Query, root plan.Node, budgetMs float64) (res *R
 // the served plan; it participates only in fault-seam matching, not in
 // execution. ErrApproxBudget propagates so the caller can fall back.
 func (o *Observed) RunApprox(q *query.Query, root plan.Node, sample *sketch.RowSample, opt ApproxOptions, budgetMs float64) (res *ApproxResult, w *Work, latencyMs float64, timedOut bool, err error) {
-	factor := 1.0
-	fail := false
-	if o.Faults != nil {
-		factor, fail = o.Faults.apply(q, root)
-	}
+	factor, fail := o.consult(q, root)
 	if fail {
 		return nil, nil, math.NaN(), false, ErrInjected
 	}
@@ -110,9 +116,22 @@ func (o *Observed) RunApprox(q *query.Query, root plan.Node, sample *sketch.RowS
 // execution latency. Failed executions report NaN (the reward functions'
 // worst-case path).
 func (o *Observed) Execute(q *query.Query, n plan.Node, budgetMs float64) (latencyMs float64, timedOut bool) {
-	_, _, lat, timedOut, err := o.Run(q, n, budgetMs)
-	if err != nil {
-		return math.NaN(), false
+	return o.Prepare(q, n, budgetMs)()
+}
+
+// Prepare is Execute in two halves, for callers that decide executions in
+// one order and run them in another (the training pipeline starts a plan on
+// a free core and moves on): the fault seam is consulted now, so its
+// execution counter — the clock of periodic spikes and failures — advances
+// in the order Prepare is called, and the returned function does the engine
+// run, whenever and wherever it is called.
+func (o *Observed) Prepare(q *query.Query, n plan.Node, budgetMs float64) func() (latencyMs float64, timedOut bool) {
+	factor, fail := o.consult(q, n)
+	return func() (float64, bool) {
+		_, _, lat, timedOut, err := o.run(q, n, budgetMs, factor, fail)
+		if err != nil {
+			return math.NaN(), false
+		}
+		return lat, timedOut
 	}
-	return lat, timedOut
 }

@@ -13,10 +13,13 @@
 //     version carries exactly one network, and once a reader has observed
 //     version v no reader can later observe an older version.
 //   - Fetch is wait-free: Latest/Version are single atomic loads.
-//   - Staleness is bounded per actor by a Client: an actor whose cached
-//     snapshot lags the server by more than K versions refetches before the
-//     next episode, so no episode is ever collected against a snapshot more
-//     than K versions behind the server at episode start.
+//   - Staleness is bounded per actor by a Client, and decided by the ticket
+//     being collected rather than by the clock: the client is asked for the
+//     snapshot at the version the server holds once every earlier ticket
+//     has been learned from, keeps its cached snapshot while that is at
+//     most K versions ahead of it, and otherwise waits for exactly that
+//     version. Which snapshot an episode sees is therefore the same on
+//     every run.
 //
 // Snapshots hand out *nn.Network values that must be treated as immutable;
 // actors evaluate them with nn.Infer, which is safe for concurrent use on a
@@ -24,6 +27,9 @@
 package paramserver
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"handsfree/internal/nn"
@@ -81,12 +87,19 @@ type Server struct {
 	publishes atomic.Uint64
 	fetches   atomic.Uint64
 
+	// mu guards changed, the channel the next Publish closes (made by the
+	// first waiter): how a Client waits for a version without polling.
+	mu      sync.Mutex
+	changed chan struct{}
+
 	// OnPublish, when non-nil, runs after each new snapshot becomes
-	// visible, with the new version. Set it before any concurrent use; the
-	// hook must be safe to call from the publishing goroutine. The training
-	// loops use it to advance the plan cache's policy epoch so plans
-	// memoized under older snapshots can never be served.
-	OnPublish func(version uint64)
+	// visible, with that snapshot (immutable, like every snapshot). Set it
+	// before any concurrent use; the hook must be safe to call from the
+	// publishing goroutine. The training loops use it to advance the plan
+	// cache's policy epoch so plans memoized under older snapshots can
+	// never be served, and the service lifecycle to serve the very network
+	// the actors train against.
+	OnPublish func(snap *Snapshot)
 }
 
 // New builds a server whose initial snapshot (version 0) wraps initial.
@@ -107,12 +120,42 @@ func (s *Server) Publish(net *nn.Network, updates int) uint64 {
 		snap := &Snapshot{Version: old.Version + 1, Net: net, Updates: updates}
 		if s.cur.CompareAndSwap(old, snap) {
 			s.publishes.Add(1)
+			s.mu.Lock()
+			if s.changed != nil {
+				close(s.changed)
+				s.changed = nil
+			}
+			s.mu.Unlock()
 			if s.OnPublish != nil {
-				s.OnPublish(snap.Version)
+				s.OnPublish(snap)
 			}
 			return snap.Version
 		}
 	}
+}
+
+// await returns the current snapshot once its version is at least v,
+// blocking until a Publish gets it there or ctx is done.
+func (s *Server) await(ctx context.Context, v uint64) (*Snapshot, error) {
+	for s.Version() < v {
+		// Take the channel before re-reading the version: a Publish that
+		// lands after the read closes this very channel.
+		s.mu.Lock()
+		if s.changed == nil {
+			s.changed = make(chan struct{})
+		}
+		changed := s.changed
+		s.mu.Unlock()
+		if s.Version() >= v {
+			break
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return s.Latest(), nil
 }
 
 // Latest returns the current snapshot (one atomic load).
@@ -146,51 +189,28 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// DynBound is a staleness bound shared by many clients and adjustable while
-// they run: the adaptive-staleness learner tightens it when it outpaces the
-// actors and relaxes it when publishes are rare. Set/Get are atomic, so the
-// learner adjusts it without synchronizing with the actor goroutines.
-type DynBound struct {
-	v atomic.Int64
-}
-
-// NewDynBound returns a shared bound initialized to k (clamped at 0).
-func NewDynBound(k int) *DynBound {
-	b := &DynBound{}
-	b.Set(k)
-	return b
-}
-
-// Set replaces the bound (values < 0 clamp to 0).
-func (b *DynBound) Set(k int) {
-	if k < 0 {
-		k = 0
-	}
-	b.v.Store(int64(k))
-}
-
-// Get returns the current bound.
-func (b *DynBound) Get() int { return int(b.v.Load()) }
-
-// Client is one actor's staleness-bounded view of the server. It caches the
-// most recently fetched snapshot and refetches only when the cache lags the
-// server by more than the bound, keeping the per-episode cost at one atomic
-// load in the common case. A Client belongs to a single actor goroutine and
-// is not safe for concurrent use (the optional shared DynBound is).
+// Client is one actor's view of the server under the ticketed staleness
+// rule. The training loop is specified as a sequential program — episode
+// ("ticket") i is collected only after every ticket before it has been
+// learned from — and the version the server holds at that point of the
+// sequential program, need, is a pure function of i. At answers the rule at
+// need: the actor keeps acting on its cached snapshot while the cache lags
+// need by at most the bound K, and otherwise replaces it with version need
+// itself, waiting for the learner to publish it if it has not yet. Nothing
+// here reads the server's version of the moment, so which snapshot a ticket
+// sees never depends on how far the learner happens to have got. A Client
+// belongs to a single actor goroutine.
 type Client struct {
 	srv   *Server
 	bound uint64
-	dyn   *DynBound
 	snap  *Snapshot
 
 	refetches uint64
 	maxLag    uint64
 }
 
-// NewClient builds a staleness-bounded client. bound is K, the maximum
-// number of versions the client's snapshot may lag the server at the moment
-// Snapshot is called; bound 0 means the client always acts on the snapshot
-// that was latest when Snapshot checked.
+// NewClient builds a client with staleness bound K = bound (clamped at 0):
+// the maximum number of versions its snapshot may lag the version asked for.
 func (s *Server) NewClient(bound int) *Client {
 	if bound < 0 {
 		bound = 0
@@ -198,50 +218,37 @@ func (s *Server) NewClient(bound int) *Client {
 	return &Client{srv: s, bound: uint64(bound)}
 }
 
-// NewClientDyn builds a client whose bound is read from the shared DynBound
-// at every Snapshot call, so a learner-side adjustment takes effect for the
-// actor's very next episode.
-func (s *Server) NewClientDyn(bound *DynBound) *Client {
-	return &Client{srv: s, dyn: bound}
-}
-
-// boundNow returns the bound in force for the next Snapshot call.
-func (c *Client) boundNow() uint64 {
-	if c.dyn != nil {
-		return uint64(c.dyn.Get())
+// At returns the snapshot to act on where the sequential program holds
+// version need, and the staleness need − snapshot version (≤ K) of what it
+// returns. need must not decrease between calls. It blocks only when the
+// rule asks for a version not yet published, until it is or ctx is done;
+// the caller guarantees the server cannot pass need before At returns (the
+// learner needs this actor's episode first), so a refetch returns exactly
+// version need.
+func (c *Client) At(ctx context.Context, need uint64) (*Snapshot, uint64, error) {
+	if c.snap == nil || need-c.snap.Version > c.bound {
+		snap, err := c.srv.await(ctx, need)
+		if err != nil {
+			return nil, 0, err
+		}
+		if snap.Version != need {
+			panic(fmt.Sprintf("paramserver: version %d was published before the ticket that needs version %d was collected", snap.Version, need))
+		}
+		if c.snap != nil {
+			c.refetches++
+		}
+		c.snap = snap
 	}
-	return c.bound
-}
-
-// Snapshot returns the snapshot the actor should act on and the staleness
-// (server version at check time minus snapshot version, floored at 0) of
-// what it returns. If the cached snapshot lags by more than the bound it is
-// replaced with the server's latest first, so the returned lag never exceeds
-// the bound: this is the staleness invariant the property tests pin down.
-func (c *Client) Snapshot() (*Snapshot, uint64) {
-	latest := c.srv.Version()
-	if c.snap == nil || latest-c.snap.Version > c.boundNow() {
-		c.snap = c.srv.Latest()
-		c.refetches++
-	}
-	var lag uint64
-	if latest > c.snap.Version {
-		lag = latest - c.snap.Version
-	}
+	lag := need - c.snap.Version
 	if lag > c.maxLag {
 		c.maxLag = lag
 	}
-	return c.snap, lag
+	return c.snap, lag, nil
 }
 
-// Bound returns the client's staleness bound K currently in force.
-func (c *Client) Bound() uint64 { return c.boundNow() }
-
-// Refetches reports how many times the bound forced a refetch.
+// Refetches reports how many times the bound forced the cached snapshot to
+// be replaced (the initial fetch is not one).
 func (c *Client) Refetches() uint64 { return c.refetches }
 
-// MaxLag reports the largest staleness the client ever acted on; it never
-// exceeds the bound that was in force at that Snapshot call (for a fixed
-// bound, never Bound; under a shrinking DynBound it may exceed the current
-// bound but never the largest bound ever set).
+// MaxLag reports the largest staleness the client ever acted on (≤ K).
 func (c *Client) MaxLag() uint64 { return c.maxLag }

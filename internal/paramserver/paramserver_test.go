@@ -1,6 +1,8 @@
 package paramserver
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,7 +47,7 @@ func TestPublishAssignsDenseVersions(t *testing.T) {
 func TestOnPublishHookSeesEveryVersion(t *testing.T) {
 	srv := New(tagNet(0))
 	var got []uint64
-	srv.OnPublish = func(v uint64) { got = append(got, v) }
+	srv.OnPublish = func(snap *Snapshot) { got = append(got, snap.Version) }
 	for i := 1; i <= 5; i++ {
 		srv.Publish(tagNet(float64(i)), i)
 	}
@@ -150,100 +152,106 @@ func TestPublishFetchLinearizable(t *testing.T) {
 	}
 }
 
-// TestClientStalenessBound: while a publisher races ahead, a
-// staleness-bounded client must never act on a snapshot more than K
-// versions behind the server version it checked against.
+// TestClientStalenessBound: under the ticketed rule the snapshot a client
+// acts on is a function of the version asked for alone. A publisher that
+// lags, catches up and idles at the scheduler's whim (it may publish up to
+// the highest version asked for, never past it — the learner's position in
+// the real loop) must not change one answer: every (version, lag) equals the
+// sequential rule's, lag ≤ K, and the refetch count is the rule's.
 func TestClientStalenessBound(t *testing.T) {
 	for _, k := range []int{0, 1, 3} {
 		srv := New(tagNet(0))
-		done := make(chan struct{})
+		asked := make(chan uint64)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 1; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-					srv.Publish(tagNet(float64(i)), i)
+			for need := range asked {
+				for v := srv.Version(); v < need; v++ {
+					srv.Publish(tagNet(float64(v+1)), int(v+1))
 				}
 			}
 		}()
 		client := srv.NewClient(k)
-		for i := 0; i < 5000; i++ {
-			snap, lag := client.Snapshot()
+		cached, refetches := uint64(0), uint64(0)
+		for i := 0; i < 3000; i++ {
+			need := uint64(i / 3)
+			asked <- need
+			snap, lag, err := client.At(context.Background(), need)
+			if err != nil {
+				t.Fatalf("K=%d: At(%d): %v", k, need, err)
+			}
+			if need-cached > uint64(k) {
+				cached = need
+				refetches++
+			}
+			if snap.Version != cached || lag != need-cached || tagOf(snap.Net) != float64(cached) {
+				t.Fatalf("K=%d: At(%d) = version %d (tag %v) lag %d, the rule gives version %d lag %d",
+					k, need, snap.Version, tagOf(snap.Net), lag, cached, need-cached)
+			}
 			if lag > uint64(k) {
 				t.Fatalf("K=%d: client acted on lag %d", k, lag)
 			}
-			if snap == nil {
-				t.Fatalf("K=%d: nil snapshot", k)
-			}
 		}
-		close(done)
+		close(asked)
 		wg.Wait()
-		if client.MaxLag() > uint64(k) {
-			t.Fatalf("K=%d: MaxLag %d exceeds bound", k, client.MaxLag())
+		if client.MaxLag() != uint64(k) {
+			t.Fatalf("K=%d: MaxLag %d, want the bound itself on a stream this long", k, client.MaxLag())
 		}
-		if k == 0 && client.Refetches() == 0 {
-			t.Fatal("K=0 client under a racing publisher never refetched")
+		if client.Refetches() != refetches {
+			t.Fatalf("K=%d: %d refetches, the rule gives %d", k, client.Refetches(), refetches)
 		}
 	}
 }
 
-// TestClientCachesWithinBound: with no publishes happening, the client must
-// fetch once and then serve its cache.
+// TestClientCachesWithinBound: while the version asked for stays within the
+// bound of the cache, the client fetches once and then serves its cache.
 func TestClientCachesWithinBound(t *testing.T) {
 	srv := New(tagNet(0))
 	client := srv.NewClient(2)
-	for i := 0; i < 100; i++ {
-		if _, lag := client.Snapshot(); lag != 0 {
-			t.Fatalf("lag %d with no publisher", lag)
+	for need := uint64(0); need <= 2; need++ {
+		for v := srv.Version(); v < need; v++ {
+			srv.Publish(tagNet(float64(v+1)), int(v+1))
+		}
+		for i := 0; i < 30; i++ {
+			snap, lag, err := client.At(context.Background(), need)
+			if err != nil || snap.Version != 0 || lag != need {
+				t.Fatalf("At(%d) = version %d lag %d err %v, want the cached version 0", need, snap.Version, lag, err)
+			}
 		}
 	}
-	if client.Refetches() != 1 {
-		t.Fatalf("refetches = %d, want exactly the initial fetch", client.Refetches())
+	if client.Refetches() != 0 {
+		t.Fatalf("refetches = %d, want none within the bound", client.Refetches())
 	}
 	if srv.Stats().Fetches != 1 {
-		t.Fatalf("server fetches = %d, want 1", srv.Stats().Fetches)
+		t.Fatalf("server fetches = %d, want exactly the initial fetch", srv.Stats().Fetches)
 	}
 }
 
-// TestClientDynBoundTakesEffectImmediately: tightening a shared DynBound
-// must change the refetch decision of the very next Snapshot call, and
-// loosening it must let the cache ride again.
-func TestClientDynBoundTakesEffectImmediately(t *testing.T) {
+// TestClientAtHonorsContext: a client waiting for a version nobody publishes
+// returns when its context ends, and a later Publish still reaches the next
+// waiter.
+func TestClientAtHonorsContext(t *testing.T) {
 	srv := New(tagNet(0))
-	bound := NewDynBound(4)
-	client := srv.NewClientDyn(bound)
-	client.Snapshot() // initial fetch at version 0
-
-	// Publish 3 versions: lag 3 ≤ 4, so the cache must be served.
-	for i := 1; i <= 3; i++ {
-		srv.Publish(tagNet(float64(i)), i)
+	client := srv.NewClient(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := client.At(ctx, 1)
+		errc <- err
+	}()
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("At on a never-published version returned %v, want context.Canceled", err)
 	}
-	if snap, lag := client.Snapshot(); snap.Version != 0 || lag != 3 {
-		t.Fatalf("within bound: got version %d lag %d, want cached version 0 lag 3", snap.Version, lag)
-	}
-
-	// Tighten to 1: the same 3-version lag must now force a refetch.
-	bound.Set(1)
-	if client.Bound() != 1 {
-		t.Fatalf("Bound() = %d after Set(1)", client.Bound())
-	}
-	if snap, lag := client.Snapshot(); snap.Version != 3 || lag != 0 {
-		t.Fatalf("after tightening: got version %d lag %d, want fresh version 3", snap.Version, lag)
-	}
-
-	// Loosen back to 4: two more publishes stay within the bound again.
-	bound.Set(4)
-	srv.Publish(tagNet(4), 4)
-	srv.Publish(tagNet(5), 5)
-	if snap, lag := client.Snapshot(); snap.Version != 3 || lag != 2 {
-		t.Fatalf("after loosening: got version %d lag %d, want cached version 3 lag 2", snap.Version, lag)
-	}
-	if NewDynBound(-5).Get() != 0 {
-		t.Fatal("negative DynBound must clamp to 0")
+	got := make(chan uint64, 1)
+	go func() {
+		snap, _, _ := client.At(context.Background(), 1)
+		got <- snap.Version
+	}()
+	srv.Publish(tagNet(1), 1)
+	if v := <-got; v != 1 {
+		t.Fatalf("waiter woke with version %d, want 1", v)
 	}
 }
 

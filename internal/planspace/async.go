@@ -4,32 +4,39 @@ import (
 	"context"
 	"runtime"
 
+	"handsfree/internal/paramserver"
 	"handsfree/internal/rl"
 )
 
-// TrainAsync trains agent over the environment with the asynchronous
-// actor-learner split (rl.TrainAsync): cfg.Actors replicas of base
-// continuously collect episodes against lock-free policy snapshots while the
-// learner drains trajectories, applies policy-batch updates, and
-// republishes. onEpisode (optional) observes every consumed episode in
-// consumption order — a scheduling-dependent order; Collector.Collect is the
-// deterministic round-synchronous alternative.
+// TrainAsync trains agent over the environment with the actor-learner split
+// (rl.TrainAsync): cfg.Actors replicas of base collect episodes against
+// policy snapshots while the learner consumes them in ticket order, applies
+// policy-batch updates, and republishes. onEpisode (optional) observes every
+// consumed episode, evaluated, in that order. The run is repeatable bit for
+// bit at any actor count: rl.TrainAsync's sequential specification decides
+// which snapshot each episode sees, and evaluation is ordered here.
 //
-// The configured Reward must be a pure function of the outcome (CostReward
-// and LatencyReward are), exactly as for Replica-based parallel collection.
-// Every snapshot publish advances the shared plan cache's policy epoch, so
-// ModeGreedyPolicy entries from older snapshots can never be served; the
-// replicas' execution counters are folded back into base when training
-// returns, so §4-style timeout statistics survive async collection.
+// A replica only rolls an episode out. When the episode must be executed
+// (RewardNeedsLatency / ExecuteAlways) the actor asks the executor to
+// prepare the run — engine.Observed consults its fault seam at that moment,
+// in rollout order — hands it to one of GOMAXPROCS execution slots and
+// starts the next rollout; the learner waits for ticket i's execution only
+// when it reaches ticket i. The configured Reward is called there, on the
+// learner goroutine, once per episode and in ticket order, so it may be
+// stateful (the bootstrapping agent's phase-dependent reward is), and the
+// execution counters are folded into base at the same point. Every snapshot
+// publish advances the shared plan cache's policy epoch, so ModeGreedyPolicy
+// entries from older snapshots can never be served.
 func TrainAsync(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig,
 	onEpisode func(i int, rec EpisodeRecord)) rl.AsyncStats {
 	return TrainAsyncCtx(context.Background(), base, agent, episodes, cfg, onEpisode)
 }
 
 // TrainAsyncCtx is TrainAsync under a request-scoped context: cancellation
-// stops the learner, drains the actors, and returns early with
-// AsyncStats.Episodes < episodes (see rl.TrainAsyncCtx). The replicas'
-// execution counters are folded back into base in every case.
+// stops the learner and the actors and returns early with
+// AsyncStats.Episodes < episodes (see rl.TrainAsyncCtx), once the executions
+// already started have finished. Executions the learner never reached are
+// not counted.
 func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig,
 	onEpisode func(i int, rec EpisodeRecord)) rl.AsyncStats {
 	if cfg.Actors < 1 {
@@ -47,37 +54,65 @@ func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes
 	envs := make([]rl.Env, cfg.Actors)
 	for w := 0; w < cfg.Actors; w++ {
 		replicas[w] = base.Replica(w, cfg.Actors)
+		replicas[w].deferEval = true
 		envs[w] = replicas[w]
 	}
 	cache := base.Cfg.Planner.Cache
 	cache.BumpEpoch()
 	prev := cfg.OnPublish
-	cfg.OnPublish = func(version uint64) {
+	cfg.OnPublish = func(snap *paramserver.Snapshot) {
 		cache.BumpEpoch()
 		if prev != nil {
-			prev(version)
+			prev(snap)
 		}
 	}
 
-	i := 0
-	stats := rl.TrainAsyncCtx(ctx, agent, envs, episodes, cfg,
-		func(w, seq int, traj rl.Trajectory) any {
-			return EpisodeRecord{
-				Query: replicas[w].Current(),
-				Traj:  traj,
-				Out:   replicas[w].Last,
+	// Execution slots: at most GOMAXPROCS engine runs in flight; an actor
+	// with a finished rollout waits for one before it starts the next.
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	after := func(w, _ int, _ rl.Trajectory) (any, *rl.Deferred) {
+		r := replicas[w]
+		rec := &EpisodeRecord{Query: r.Current(), Out: r.Last}
+		if r.ph != phaseDone {
+			return rec, nil // cut off by MaxSteps: nothing to evaluate
+		}
+		run := r.run
+		d := &rl.Deferred{Reward: func() float64 {
+			if run != nil {
+				base.Executions++
+				if rec.Out.TimedOut {
+					base.TimedOutCount++
+				}
 			}
-		},
-		func(e rl.AsyncEpisode) {
-			if onEpisode != nil {
-				onEpisode(i, e.Out.(EpisodeRecord))
-			}
+			return base.Cfg.Reward(rec.Out)
+		}}
+		if run != nil {
+			done := make(chan struct{})
+			d.Done = done
+			slots <- struct{}{}
+			go func() {
+				rec.Out.LatencyMs, rec.Out.TimedOut = run()
+				<-slots
+				close(done)
+			}()
+		}
+		return rec, d
+	}
+	var observe func(e rl.AsyncEpisode)
+	if onEpisode != nil {
+		i := 0
+		observe = func(e rl.AsyncEpisode) {
+			rec := e.Out.(*EpisodeRecord)
+			rec.Traj = e.Traj // the trajectory with its terminal reward
+			onEpisode(i, *rec)
 			i++
-		})
-	for _, r := range replicas {
-		base.Executions += r.Executions
-		base.TimedOutCount += r.TimedOutCount
-		r.Executions, r.TimedOutCount = 0, 0
+		}
+	}
+	stats := rl.TrainAsyncCtx(ctx, agent, envs, episodes, cfg, after, observe)
+	// Every actor has exited; taking every slot waits out the executions
+	// still running (none on a normal return).
+	for range cap(slots) {
+		slots <- struct{}{}
 	}
 	return stats
 }

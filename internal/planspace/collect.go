@@ -9,10 +9,11 @@ import (
 // episode collection: its own RNG stream (derived from the worker index)
 // and an episode cursor staggered so `workers` replicas sweep the workload
 // with minimal overlap. The planner, space, latency model, and query set
-// are shared — they are read-only during planning and execution. The
-// configured Reward must be a pure function of the outcome when replicas
-// run concurrently (CostReward and LatencyReward are; stateful closures
-// like the bootstrapping agent's phase-dependent reward are not).
+// are shared — they are read-only during planning and execution. Under
+// Collector the replicas call the configured Reward concurrently, so it
+// must be a pure function of the outcome there (CostReward and
+// LatencyReward are); TrainAsync calls it from the learner, in order, and
+// has no such requirement.
 func (e *Env) Replica(worker, workers int) *Env {
 	cfg := e.Cfg
 	cfg.Seed = e.Cfg.Seed + 1000*int64(worker+1)

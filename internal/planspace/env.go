@@ -57,6 +57,19 @@ type Executor interface {
 	Execute(q *query.Query, n plan.Node, budgetMs float64) (latencyMs float64, timedOut bool)
 }
 
+// prepare splits an execution into what must happen now, in episode order
+// (an executor with order-dependent state — engine.Observed's fault seam —
+// offers Prepare for that), and the run itself, which the returned function
+// performs whenever and on whatever goroutine it is called.
+func prepare(x Executor, q *query.Query, n plan.Node, budgetMs float64) func() (latencyMs float64, timedOut bool) {
+	if p, ok := x.(interface {
+		Prepare(q *query.Query, n plan.Node, budgetMs float64) func() (float64, bool)
+	}); ok {
+		return p.Prepare(q, n, budgetMs)
+	}
+	return func() (float64, bool) { return x.Execute(q, n, budgetMs) }
+}
+
 // Config assembles an Env.
 type Config struct {
 	Space   *featurize.Space
@@ -135,6 +148,13 @@ type Env struct {
 
 	// Last is the outcome of the most recently finished episode.
 	Last Outcome
+
+	// deferEval marks a TrainAsyncCtx replica: a finished episode is left
+	// unevaluated — Last without a latency, run holding the prepared
+	// execution when the episode needs one, step reward 0 — and the driver
+	// executes it on a free core and calls Reward in ticket order.
+	deferEval bool
+	run       func() (latencyMs float64, timedOut bool)
 }
 
 // NewEnv builds the environment.
@@ -189,6 +209,7 @@ func (e *Env) ResetTo(q *query.Query) rl.State {
 		e.ph = phaseJoin
 	}
 	e.Last = Outcome{}
+	e.run = nil
 	clear(e.memo)
 	e.scratch.Reset()
 	return e.state()
@@ -366,6 +387,9 @@ func (e *Env) Step(action int) (rl.State, float64, bool) {
 func (e *Env) abort() (rl.State, float64, bool) {
 	e.ph = phaseDone
 	e.Last = Outcome{Cost: infCost, LatencyMs: math.NaN()}
+	if e.deferEval {
+		return rl.State{Terminal: true}, 0, true
+	}
 	return rl.State{Terminal: true}, e.Cfg.Reward(e.Last), true
 }
 
@@ -409,16 +433,22 @@ func (e *Env) finish(aggAlgo plan.AggAlgo, aggChosen bool) (rl.State, float64, b
 	}
 
 	out := Outcome{Plan: final, Cost: costTotal, LatencyMs: math.NaN()}
-	if e.Cfg.Latency != nil && (e.Cfg.ExecuteAlways || e.Cfg.RewardNeedsLatency) {
-		lat, timedOut := e.Cfg.Latency.Execute(q, final, e.Cfg.LatencyBudgetMs)
-		out.LatencyMs = lat
-		out.TimedOut = timedOut
+	execute := e.Cfg.Latency != nil && (e.Cfg.ExecuteAlways || e.Cfg.RewardNeedsLatency)
+	e.ph = phaseDone
+	if e.deferEval {
+		if execute {
+			e.run = prepare(e.Cfg.Latency, q, final, e.Cfg.LatencyBudgetMs)
+		}
+		e.Last = out
+		return rl.State{Terminal: true}, 0, true
+	}
+	if execute {
+		out.LatencyMs, out.TimedOut = e.Cfg.Latency.Execute(q, final, e.Cfg.LatencyBudgetMs)
 		e.Executions++
-		if timedOut {
+		if out.TimedOut {
 			e.TimedOutCount++
 		}
 	}
-	e.ph = phaseDone
 	e.Last = out
 	return rl.State{Terminal: true}, e.Cfg.Reward(out), true
 }

@@ -3,17 +3,17 @@ package rejoin
 import (
 	"runtime"
 
+	"handsfree/internal/paramserver"
 	"handsfree/internal/rl"
 )
 
-// TrainAsync runs `episodes` training episodes with the asynchronous
-// actor-learner split (rl.TrainAsync): cfg.Actors environment replicas
-// continuously collect episodes against lock-free policy snapshots from a
-// parameter server while the learner drains trajectories, updates, and
-// republishes — no round barrier, so the learner never idles waiting for
-// the slowest actor. Results arrive in learner-consumption order, which is
-// scheduling-dependent; use TrainEpisodes when bitwise reproducibility
-// matters more than throughput.
+// TrainAsync runs `episodes` training episodes with the actor-learner split
+// (rl.TrainAsync): cfg.Actors environment replicas collect episodes against
+// policy snapshots from a parameter server while the learner consumes them
+// in ticket order, updates, and republishes — no round barrier, so
+// collecting overlaps learning. Which snapshot an episode sees is decided by
+// its ticket, so results (returned in ticket order) and the trained policy
+// are the same on every run with the same seed and actor count.
 //
 // Every snapshot publish advances the shared plan cache's policy epoch (when
 // a cache is attached via UseCache), so greedy plans memoized under older
@@ -45,21 +45,21 @@ func (a *Agent) TrainAsync(episodes int, cfg rl.AsyncConfig) []EpisodeResult {
 	cache := a.Env.Planner.Cache
 	cache.BumpEpoch()
 	prev := cfg.OnPublish
-	cfg.OnPublish = func(version uint64) {
+	cfg.OnPublish = func(snap *paramserver.Snapshot) {
 		cache.BumpEpoch()
 		if prev != nil {
-			prev(version)
+			prev(snap)
 		}
 	}
 
 	results := make([]EpisodeResult, 0, episodes)
 	rl.TrainAsync(a.RL, envs, episodes, cfg,
-		func(w, seq int, _ rl.Trajectory) any {
+		func(w, seq int, _ rl.Trajectory) (any, *rl.Deferred) {
 			return EpisodeResult{
 				Query: replicas[w].Current(),
 				Cost:  replicas[w].LastCost,
 				Plan:  replicas[w].LastPlan,
-			}
+			}, nil
 		},
 		func(e rl.AsyncEpisode) {
 			results = append(results, e.Out.(EpisodeResult))

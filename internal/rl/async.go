@@ -2,139 +2,109 @@ package rl
 
 import (
 	"context"
-	"math"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"handsfree/internal/nn"
 	"handsfree/internal/paramserver"
 )
 
-// This file implements the asynchronous actor-learner training split.
-// Parallel collection (collect.go) keeps a synchronous round barrier: every
-// policy-batch round freezes a snapshot, fans out workers, and joins before
-// the next update, so the learner idles while the slowest actor finishes.
-// TrainAsync removes the barrier: actor goroutines continuously collect
-// episodes against their latest-fetched snapshot from a lock-free parameter
-// server and push trajectories into a bounded channel, while the learner
-// drains them, applies batched REINFORCE updates, and republishes. The price
-// is bounded off-policy staleness (an actor's snapshot may lag the learner
-// by up to K versions) and the loss of bitwise determinism — the synchronous
-// path remains the deterministic reference implementation.
+// This file implements the actor-learner training split as a specification
+// and a schedule of it.
+//
+// The specification is a sequential loop over tickets i = 0 … N−1:
+//
+//	actor i mod A collects episode i under snapshot v(i);
+//	the learner observes it (and publishes if that completed a batch).
+//
+// v(i) is the staleness rule evaluated as if the learner had already
+// consumed every ticket before i: with P(i) the number of publishes tickets
+// 0 … i−1 cause (a pure function of i, the batch size and the learner's
+// pending partial batch), the actor keeps its cached snapshot while
+// P(i) − cached ≤ K and otherwise takes version P(i) itself. No clock and no
+// queue depth enters v(i), so every sampled action, every update and the
+// final policy are the same on every run, for any actor count.
+//
+// TrainAsyncCtx runs that loop as a pipeline and is bit-equal to it
+// (async_spec_test.go holds the loop and the differential test). Each actor
+// draws its own tickets (w, w+A, …) into its own FIFO; the learner consumes
+// the FIFOs round-robin, i.e. strictly in ticket order. An actor runs ahead
+// of the learner until the next ticket whose snapshot is not yet published —
+// at most (K+1)·BatchSize tickets — so collecting overlaps updating instead
+// of alternating with it. An episode whose terminal reward is still being
+// evaluated when its rollout ends (a plan executing on another core) travels
+// as a Deferred; the learner waits for it only when it reaches that ticket.
 
 // AsyncConfig configures TrainAsync.
 type AsyncConfig struct {
 	// Actors is the number of concurrent actor goroutines (and environment
-	// replicas). Default: runtime.GOMAXPROCS(0).
+	// replicas) the planspace and rejoin drivers build; default
+	// runtime.GOMAXPROCS(0). TrainAsync itself runs one actor per
+	// environment it is handed.
 	Actors int
 	// Staleness is K, the maximum number of snapshot versions an actor's
-	// policy may lag the server at episode start; actors lagging more
-	// refetch before collecting. 0 selects the default of 4; use 1 for the
-	// tightest useful bound (an actor mid-episode is always at least
-	// momentarily behind a concurrent publish).
+	// policy may lag the version the sequential specification holds at its
+	// ticket; an actor lagging more takes exactly that version before
+	// collecting. 0 selects the default of 4; negative means 0 (every episode
+	// is collected under the newest policy, so collection and learning
+	// alternate).
 	Staleness int
-	// Queue is the trajectory channel capacity (default 4×Actors). A
-	// bounded queue applies backpressure: when the learner falls behind,
-	// actors block on the send instead of piling up arbitrarily stale
-	// trajectories.
-	Queue int
 	// MaxSteps bounds episode length (default 128).
 	MaxSteps int
-	// DropStale makes the learner discard trajectories whose snapshot is
-	// more than Staleness versions behind the server at consumption time,
-	// instead of learning from them. Dropped episodes still count toward
-	// the episode budget and are still reported to the episode callback
-	// (with Dropped set).
-	DropStale bool
-	// WeightStale importance-weights over-stale trajectories instead of
-	// discarding them: a trajectory consumed L > Staleness versions behind
-	// the server has its advantage scaled by StaleDecay^(L−Staleness) before
-	// the policy update, so re-training under live serving traffic wastes no
-	// collected experience while trusting stale experience less. When both
-	// are set, WeightStale wins over DropStale.
-	WeightStale bool
-	// StaleDecay is the per-excess-version weight decay for WeightStale
-	// (default 0.7).
-	StaleDecay float64
-	// AdaptStaleness turns the fixed bound K into a ceiling for an adaptive
-	// bound: every AdaptWindow consumed episodes the learner compares the
-	// observed actor lag against the current bound and tightens it by one
-	// (down to MinStaleness) when actors ride the bound — the signature of a
-	// learner publishing faster than actors collect — or relaxes it by one
-	// (back up to Staleness) when publishes are rare and the bound is slack.
-	// Tight bounds keep training data near-on-policy exactly when
-	// off-policyness is accumulating fastest, at the price of more snapshot
-	// refetches.
-	AdaptStaleness bool
-	// MinStaleness floors the adaptive bound (default 1; ignored unless
-	// AdaptStaleness).
-	MinStaleness int
-	// AdaptWindow is how many consumed episodes pass between adaptive-bound
-	// reevaluations (default 16; ignored unless AdaptStaleness).
-	AdaptWindow int
 	// Seed derives the per-actor action-sampling RNG streams.
 	Seed int64
-	// OnPublish, when non-nil, runs after every snapshot publish with the
-	// new version (the plan-cache epoch bump hook).
-	OnPublish func(version uint64)
+	// OnPublish, when non-nil, runs on the learner goroutine after every
+	// snapshot publish with the published (immutable) snapshot — the
+	// plan-cache epoch bump hook, and how a serving layer hot-swaps to the
+	// very network the actors train against.
+	OnPublish func(snap *paramserver.Snapshot)
 }
 
 func (c *AsyncConfig) fill() {
-	if c.Actors < 1 {
-		c.Actors = runtime.GOMAXPROCS(0)
-	}
 	if c.Staleness == 0 {
 		c.Staleness = 4
 	}
 	if c.Staleness < 0 {
 		c.Staleness = 0
 	}
-	if c.Queue < 1 {
-		c.Queue = 4 * c.Actors
-	}
 	if c.MaxSteps < 1 {
 		c.MaxSteps = 128
 	}
-	if c.MinStaleness < 1 {
-		c.MinStaleness = 1
-	}
-	if c.MinStaleness > c.Staleness {
-		c.MinStaleness = c.Staleness
-	}
-	if c.AdaptWindow < 1 {
-		c.AdaptWindow = 16
-	}
-	if c.StaleDecay <= 0 || c.StaleDecay >= 1 {
-		c.StaleDecay = 0.7
-	}
+}
+
+// Deferred is a terminal reward still being evaluated when the rollout that
+// earned it ended. The learner waits for Done (nil means ready) when it
+// reaches the episode's ticket and then calls Reward, on its own goroutine,
+// once per episode and in ticket order — so Reward may be stateful — and
+// adds the result to the trajectory's last step and Return before observing
+// it.
+type Deferred struct {
+	Done   <-chan struct{}
+	Reward func() float64
 }
 
 // AsyncEpisode is one episode delivered from an actor to the learner.
 type AsyncEpisode struct {
 	Traj Trajectory
 	// Worker is the actor that collected the episode; Seq is the actor's
-	// own episode counter. (Worker, Seq) pairs are unique, but arrival
-	// order across workers is scheduling-dependent.
+	// own episode counter. The episode's ticket is Seq·A + Worker, and
+	// episodes reach the learner in ticket order.
 	Worker int
 	Seq    int
 	// Version is the snapshot version the episode was collected under.
 	Version uint64
-	// Lag is the staleness (server version at episode start minus Version)
-	// the actor observed; the staleness bound guarantees Lag ≤ K.
+	// Lag is the episode's staleness: the version the sequential
+	// specification holds at this ticket minus Version. Lag ≤ K.
 	Lag uint64
 	// Out is whatever the after hook returned for this episode (nil
 	// without a hook) — the environment outcome captured worker-side.
 	Out any
-	// Dropped marks episodes the learner discarded under DropStale.
-	Dropped bool
-	// Weighted marks episodes that were importance-weighted under
-	// WeightStale; Traj.Weight carries the applied weight.
-	Weighted bool
+
+	late *Deferred
 }
 
-// AsyncStats summarizes one TrainAsync run.
+// AsyncStats summarizes one TrainAsync run. For a run that completes, every
+// field is a pure function of the inputs.
 type AsyncStats struct {
 	// Episodes is the number of episodes consumed by the learner (== the
 	// budget, unless a TrainAsyncCtx cancellation returned early).
@@ -144,60 +114,54 @@ type AsyncStats struct {
 	// Publishes is how many snapshots the learner published (excluding the
 	// initial version-0 snapshot).
 	Publishes uint64
-	// Dropped counts episodes discarded under DropStale.
-	Dropped int
-	// Weighted counts episodes importance-weighted under WeightStale.
-	Weighted int
-	// MaxLag is the largest staleness any actor acted on; the staleness
-	// bound guarantees MaxLag ≤ K.
+	// MaxLag is the largest staleness any actor acted on (≤ K).
 	MaxLag uint64
 	// Refetches counts staleness-bound-forced snapshot refetches across
 	// all actors.
 	Refetches uint64
-	// FinalStaleness is the staleness bound in force when training finished
-	// (== Staleness unless AdaptStaleness adjusted it).
-	FinalStaleness int
-	// Tightened and Loosened count adaptive-bound adjustments in each
-	// direction (zero unless AdaptStaleness).
-	Tightened, Loosened int
 }
 
-// TrainAsync trains learner with the asynchronous actor-learner split: one
-// actor goroutine per environment in envs, each continuously collecting
-// episodes against its latest-fetched policy snapshot from a lock-free
-// parameter server, with the learner (on the calling goroutine) draining
-// the bounded trajectory queue, folding episodes into policy-batch updates
-// via Observe, and republishing a fresh snapshot after every update.
+// TrainAsync trains learner with the actor-learner split: one actor
+// goroutine per environment in envs, actor w collecting episodes w, w+A, …
+// against the snapshot the staleness rule assigns each of them, with the
+// learner (on the calling goroutine) consuming the episodes in ticket order,
+// folding them into policy-batch updates via Observe, and republishing a
+// fresh snapshot after every update. The result — trajectories, updates,
+// final policy — is the sequential specification's, bit for bit, whatever
+// the scheduler does.
 //
 // Environments must be independent replicas: each is owned by exactly one
 // actor goroutine. The optional after hook runs on the actor goroutine
-// immediately after each episode, before the trajectory is queued — the
-// place to capture per-episode environment state (last plan, cost, outcome);
-// it must touch only worker-local state, and its return value travels to the
-// learner as AsyncEpisode.Out. The optional onEpisode callback runs on the
-// calling goroutine for every consumed episode, in consumption order.
+// immediately after each rollout — the place to capture per-episode
+// environment state (last plan, cost, outcome); it must touch only
+// worker-local state. Its first result travels to the learner as
+// AsyncEpisode.Out; a non-nil second result defers the episode's terminal
+// reward (see Deferred). The optional onEpisode callback runs on the calling
+// goroutine for every consumed episode, in ticket order.
 //
 // TrainAsync returns once exactly `episodes` episodes have been collected
 // and consumed. A trailing partial policy batch stays pending inside the
 // learner, exactly as in sequential training.
 func TrainAsync(learner *Reinforce, envs []Env, episodes int, cfg AsyncConfig,
-	after func(worker, seq int, traj Trajectory) any,
+	after func(worker, seq int, traj Trajectory) (any, *Deferred),
 	onEpisode func(e AsyncEpisode)) AsyncStats {
 	return TrainAsyncCtx(context.Background(), learner, envs, episodes, cfg, after, onEpisode)
 }
 
 // TrainAsyncCtx is TrainAsync under a request-scoped context: when ctx is
-// cancelled (or its deadline passes) the learner stops consuming, the actors
-// are told to stop at their next ticket draw, any in-flight trajectories are
-// drained and discarded, and the call returns early with
-// AsyncStats.Episodes reporting how many episodes were actually consumed
-// (less than the budget on cancellation). The learner's pending partial
-// batch is preserved, exactly as on a normal return.
+// cancelled (or its deadline passes) the learner stops consuming — also
+// while it waits for an actor or for a Deferred — the actors stop at their
+// next ticket, refetch wait or delivery, and the call returns once every
+// actor has exited, with AsyncStats.Episodes reporting how many episodes
+// were actually consumed (less than the budget on cancellation). The
+// learner's pending partial batch is preserved, exactly as on a normal
+// return.
 func TrainAsyncCtx(ctx context.Context, learner *Reinforce, envs []Env, episodes int, cfg AsyncConfig,
-	after func(worker, seq int, traj Trajectory) any,
+	after func(worker, seq int, traj Trajectory) (any, *Deferred),
 	onEpisode func(e AsyncEpisode)) AsyncStats {
 	cfg.fill()
-	if len(envs) == 0 {
+	actors := len(envs)
+	if actors == 0 {
 		panic("rl: TrainAsync needs at least one environment")
 	}
 	if episodes <= 0 {
@@ -206,19 +170,32 @@ func TrainAsyncCtx(ctx context.Context, learner *Reinforce, envs []Env, episodes
 
 	srv := paramserver.New(learner.Policy.CloneForInference())
 	srv.OnPublish = cfg.OnPublish
-	// The staleness bound actors consult: fixed at K, or a shared dynamic
-	// bound starting at K that the learner adjusts from observed lag.
-	bound := paramserver.NewDynBound(cfg.Staleness)
 
-	type actorReport struct {
-		maxLag    uint64
-		refetches uint64
+	// published(i) is P(i): how many publishes tickets 0 … i−1 cause. The
+	// first comes when the pending partial batch fills, then one per batch.
+	batch := max(learner.Cfg.BatchSize, 1)
+	first := max(batch-learner.Pending(), 1)
+	published := func(i int) uint64 {
+		if i < first {
+			return 0
+		}
+		return uint64(1 + (i-first)/batch)
 	}
-	reports := make([]actorReport, len(envs))
-	ch := make(chan AsyncEpisode, cfg.Queue)
-	var tickets atomic.Int64
+	// An actor is never more than (K+1)·batch tickets ahead of the learner
+	// (past that its next snapshot is unpublished), so FIFOs that together
+	// hold that many never block a send: the rule is the only backpressure.
+	runAhead := min((cfg.Staleness+1)*batch, episodes)
+	fifoCap := (runAhead+actors-1)/actors + 1
+
+	// actx stops the actors: on ctx, and when the learner is done.
+	actx, stop := context.WithCancel(ctx)
+	defer stop()
+	fifos := make([]chan AsyncEpisode, actors)
+	clients := make([]*paramserver.Client, actors)
 	var wg sync.WaitGroup
 	for w := range envs {
+		fifos[w] = make(chan AsyncEpisode, fifoCap)
+		clients[w] = srv.NewClient(cfg.Staleness)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -228,20 +205,11 @@ func TrainAsyncCtx(ctx context.Context, learner *Reinforce, envs []Env, episodes
 			// and every actor episode reuses this one output buffer, so the
 			// sampling hot path allocates nothing in steady state.
 			var logits nn.Mat
-			var client *paramserver.Client
-			if cfg.AdaptStaleness {
-				client = srv.NewClientDyn(bound)
-			} else {
-				client = srv.NewClient(cfg.Staleness)
-			}
-			defer func() {
-				reports[w] = actorReport{maxLag: client.MaxLag(), refetches: client.Refetches()}
-			}()
-			for seq := 0; ; seq++ {
-				if tickets.Add(1) > int64(episodes) {
+			for seq, i := 0, w; i < episodes; seq, i = seq+1, i+actors {
+				snap, lag, err := clients[w].At(actx, published(i))
+				if err != nil {
 					return
 				}
-				snap, lag := client.Snapshot()
 				packed := snap.Packed()
 				choose := func(s State) int {
 					packed.InferVec(s.Features, &logits)
@@ -250,100 +218,57 @@ func TrainAsyncCtx(ctx context.Context, learner *Reinforce, envs []Env, episodes
 				traj := RunEpisode(envs[w], choose, cfg.MaxSteps)
 				e := AsyncEpisode{Traj: traj, Worker: w, Seq: seq, Version: snap.Version, Lag: lag}
 				if after != nil {
-					e.Out = after(w, seq, traj)
+					e.Out, e.late = after(w, seq, traj)
 				}
-				ch <- e
+				select {
+				case fifos[w] <- e:
+				case <-actx.Done():
+					return
+				}
 			}
 		}(w)
 	}
 
 	startUpdates := learner.Updates
 	var stats AsyncStats
-	var winLag uint64
-	winEpisodes := 0
-	consumed := 0
 learn:
-	for received := 0; received < episodes; received++ {
+	for i := 0; i < episodes; i++ {
 		var e AsyncEpisode
 		select {
-		case e = <-ch:
+		case e = <-fifos[i%actors]:
 		case <-ctx.Done():
 			break learn
 		}
-		consumed++
-		// Consumption-time staleness: how many versions the learner published
-		// between this episode's snapshot and now (collection lag plus queue
-		// aging) — the direct measure of the learner outpacing the actors,
-		// and the quantity the DropStale check bounds.
-		consumeLag := srv.Version() - e.Version
-		switch {
-		case consumeLag > uint64(cfg.Staleness) && cfg.WeightStale:
-			e.Traj.Weight = math.Pow(cfg.StaleDecay, float64(consumeLag-uint64(cfg.Staleness)))
-			e.Weighted = true
-			stats.Weighted++
-			if learner.Observe(e.Traj) {
-				srv.Publish(learner.Policy.CloneForInference(), learner.Updates)
-			}
-		case consumeLag > uint64(cfg.Staleness) && cfg.DropStale:
-			e.Dropped = true
-			stats.Dropped++
-		default:
-			if learner.Observe(e.Traj) {
-				srv.Publish(learner.Policy.CloneForInference(), learner.Updates)
-			}
-		}
-		if cfg.AdaptStaleness {
-			winLag += consumeLag
-			winEpisodes++
-			if winEpisodes >= cfg.AdaptWindow {
-				k := bound.Get()
-				// Episodes arriving ≥ K/2 versions old mean the learner is
-				// publishing faster than actors deliver: tighten so actors
-				// refetch sooner and training data stays near-on-policy.
-				// Episodes arriving ≤ K/4 old mean publishes are rare: relax
-				// back toward the configured ceiling.
-				if 2*winLag >= uint64(k)*uint64(winEpisodes) && k > cfg.MinStaleness {
-					bound.Set(k - 1)
-					stats.Tightened++
-				} else if 4*winLag <= uint64(k)*uint64(winEpisodes) && k < cfg.Staleness {
-					bound.Set(k + 1)
-					stats.Loosened++
+		if d := e.late; d != nil {
+			if d.Done != nil {
+				select {
+				case <-d.Done:
+				case <-ctx.Done():
+					break learn
 				}
-				winLag, winEpisodes = 0, 0
 			}
+			r := d.Reward()
+			if n := len(e.Traj.Steps); n > 0 {
+				e.Traj.Steps[n-1].Reward += r
+			}
+			e.Traj.Return += r
+		}
+		stats.Episodes++
+		if learner.Observe(e.Traj) {
+			srv.Publish(learner.Policy.CloneForInference(), learner.Updates)
 		}
 		if onEpisode != nil {
 			onEpisode(e)
 		}
 	}
-	// On a normal return every collected episode holds a ticket ≤ episodes
-	// and has been consumed above, so no actor is blocked on the queue and
-	// they all exit at their next ticket draw. On cancellation, exhaust the
-	// ticket supply so no actor starts another episode, then drain (and
-	// discard) in-flight trajectories until every actor has exited — an
-	// actor blocked on the queue send must be unblocked before wg.Wait can
-	// return.
-	tickets.Store(int64(episodes))
-	drained := make(chan struct{})
-	go func() { wg.Wait(); close(drained) }()
-drain:
-	for {
-		select {
-		case <-ch:
-		case <-drained:
-			break drain
-		}
-	}
+	stop()
+	wg.Wait()
 
-	stats.Episodes = consumed
 	stats.Updates = learner.Updates - startUpdates
 	stats.Publishes = srv.Stats().Publishes
-	stats.FinalStaleness = bound.Get()
-	for _, r := range reports {
-		if r.maxLag > stats.MaxLag {
-			stats.MaxLag = r.maxLag
-		}
-		stats.Refetches += r.refetches
+	for _, c := range clients {
+		stats.MaxLag = max(stats.MaxLag, c.MaxLag())
+		stats.Refetches += c.Refetches()
 	}
 	return stats
 }

@@ -26,11 +26,12 @@
 // per-worker RNGs; the merge is a pure function of worker/episode indices).
 //
 // TrainAsync replaces the per-round barrier of CollectParallel with the
-// asynchronous actor-learner split: actors collect continuously against
-// lock-free parameter-server snapshots (staleness bounded by K versions)
-// while the learner drains a bounded trajectory queue, updates, and
-// republishes. Synchronous collection remains the deterministic reference;
-// async trades reproducibility for wall-clock throughput.
+// actor-learner split: actors collect against parameter-server snapshots
+// (staleness bounded by K versions) while the learner updates and
+// republishes. Which snapshot an episode sees is decided by its ticket, not
+// by the clock, and the learner consumes in ticket order, so the result is
+// that of a sequential loop (async.go states it) on every run: the overlap
+// buys wall-clock time and costs no reproducibility.
 package rl
 
 // State is one observation from an environment: a feature vector plus the
@@ -79,12 +80,6 @@ type Trajectory struct {
 	Steps []Step
 	// Return is the undiscounted sum of rewards over the episode.
 	Return float64
-	// Weight scales this trajectory's advantage in the policy update; 0
-	// means the default weight of 1. TrainAsync sets it below 1 for
-	// over-stale trajectories when importance weighting is enabled, so
-	// experience collected under an old policy still teaches, just with
-	// discounted trust.
-	Weight float64
 }
 
 // RunEpisode drives env with the given action-selection policy until the

@@ -209,6 +209,9 @@ func (a *Reinforce) ResetBatch() {
 	a.batch = a.batch[:0]
 }
 
+// Pending reports how many episodes have accumulated toward the next update.
+func (a *Reinforce) Pending() int { return len(a.batch) }
+
 // Observe records a finished episode; once a full batch has accumulated, the
 // policy is updated and Observe reports true.
 func (a *Reinforce) Observe(traj Trajectory) bool {
@@ -289,11 +292,6 @@ func (a *Reinforce) update() {
 			adv = t.Return - baseline // no rescaling: range-sensitive
 		} else {
 			adv = (t.Return - mean) / std
-		}
-		if t.Weight > 0 {
-			// Importance weight: stale (off-policy) trajectories contribute a
-			// proportionally smaller gradient instead of being dropped.
-			adv *= t.Weight
 		}
 		for _, st := range t.Steps {
 			copy(x.Row(r), st.Features)

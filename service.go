@@ -624,9 +624,6 @@ type LifecycleConfig struct {
 	// the stale learned latency history, and re-runs CostTraining +
 	// LatencyTuning before returning to PhaseDone (default off — without it
 	// the lifecycle goroutine exits at PhaseDone exactly as before).
-	// Re-training runs under live serving traffic, so its async learner
-	// importance-weights over-stale trajectories (rl.AsyncConfig.WeightStale)
-	// instead of dropping them.
 	DriftRetrain bool
 	// RetrainCostEpisodes / RetrainLatencyEpisodes budget each drift
 	// re-training round (defaults: CostEpisodes and LatencyEpisodes).
@@ -882,7 +879,9 @@ func (s *Service) setProgress(f func(p *lifecycleProgress)) {
 
 // publish makes the learner's current policy the served snapshot (hot swap)
 // and bumps the plan cache's policy epoch so plans memoized under older
-// policies can never be served.
+// policies can never be served. It is for the points between training
+// calls; inside one, every update's snapshot reaches the server through
+// rl.AsyncConfig.OnPublish already cloned and with the epoch bumped.
 func (s *Service) publish(learner *rl.Reinforce) {
 	s.policies.Publish(learner.Policy.CloneForInference(), learner.Updates)
 	s.sys.PlanCache.BumpEpoch()
@@ -979,14 +978,13 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 	s.transition(PhaseCostTraining, demoReason+"; policy primed on expert trajectories")
 
 	// --- CostTraining (§5.2 Phase 1, async actor-learner) --------------
-	// Drift re-training runs under live serving traffic, so over-stale
-	// trajectories are importance-weighted rather than dropped or consumed
-	// at full weight.
+	// Every update is served at once, as the same immutable network the
+	// actors train against: one clone per update, and the one cache-epoch
+	// bump is planspace.TrainAsyncCtx's (trainEnv shares s.sys.PlanCache).
 	async := rl.AsyncConfig{
-		Actors:      cfg.Actors,
-		Staleness:   cfg.Staleness,
-		WeightStale: cfg.DriftRetrain,
-		OnPublish:   func(uint64) { s.publish(boot.RL) },
+		Actors:    cfg.Actors,
+		Staleness: cfg.Staleness,
+		OnPublish: func(snap *paramserver.Snapshot) { s.policies.Publish(snap.Net, snap.Updates) },
 	}
 	seed := cfg.Seed + 100
 
