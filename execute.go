@@ -35,6 +35,9 @@ type (
 	FaultStats = engine.FaultStats
 	// ExecHistoryStats snapshots the execution-history store's counters.
 	ExecHistoryStats = exechistory.Stats
+	// ScanMemoStats counts what the executor's scan memo has answered,
+	// built, holds and evicted (see ARCHITECTURE.md, "The executor").
+	ScanMemoStats = engine.MemoStats
 	// ApproxEstimate is one approximate aggregate with its bootstrap
 	// confidence interval (see ExecuteApprox).
 	ApproxEstimate = engine.ApproxEstimate
@@ -533,6 +536,9 @@ type ExecStats struct {
 	DriftWorstRatio float64
 	// History snapshots the bounded execution-history store.
 	History ExecHistoryStats
+	// ScanMemo snapshots the executor's scan memo: base scans and join
+	// build-side indexes the engine has kept instead of rebuilding.
+	ScanMemo ScanMemoStats
 }
 
 // DriftEntry is one fingerprint's execution-feedback state: its rolling
@@ -578,6 +584,7 @@ func (s *Service) ExecStats() ExecStats {
 		Retrains:        s.retrains.Load(),
 		DriftWorstRatio: s.drift.WorstRatio(),
 		History:         s.history.Stats(),
+		ScanMemo:        s.observed.Eng.Stats(),
 	}
 }
 

@@ -43,6 +43,28 @@ func (w *Work) Total() int64 {
 	return w.TuplesRead + w.TuplesEmitted + w.IndexProbes + w.HashOps + w.Comparisons + w.RowsMaterialized
 }
 
+// add charges d's six counters to w.
+func (w *Work) add(d *Work) {
+	w.TuplesRead += d.TuplesRead
+	w.TuplesEmitted += d.TuplesEmitted
+	w.IndexProbes += d.IndexProbes
+	w.HashOps += d.HashOps
+	w.Comparisons += d.Comparisons
+	w.RowsMaterialized += d.RowsMaterialized
+}
+
+// since returns what w has been charged beyond before.
+func (w *Work) since(before *Work) Work {
+	return Work{
+		TuplesRead:       w.TuplesRead - before.TuplesRead,
+		TuplesEmitted:    w.TuplesEmitted - before.TuplesEmitted,
+		IndexProbes:      w.IndexProbes - before.IndexProbes,
+		HashOps:          w.HashOps - before.HashOps,
+		Comparisons:      w.Comparisons - before.Comparisons,
+		RowsMaterialized: w.RowsMaterialized - before.RowsMaterialized,
+	}
+}
+
 // rel is one relation of a result: result row i is row ids[i] of table. ids
 // may be shared with an index or another result and is never written.
 type rel struct {
@@ -59,6 +81,9 @@ type Result struct {
 	N    int
 	rels []rel
 	cols map[string][]int64
+	// scan is set on a base-table scan's result: the memo entry whose rows
+	// these are, so a join building on the scan can take the entry's index.
+	scan *scanEntry
 }
 
 // Column returns a result column by its "alias.column" key.
@@ -111,9 +136,12 @@ func (r *Result) has(alias string) bool {
 	return false
 }
 
-// Engine executes physical plans against a storage.DB. Execute and
-// ExecuteBudget are safe for concurrent use: per-call state lives in the
-// Work accounting and the lazily built index caches are mutex-guarded.
+// Engine executes physical plans against a storage.DB it takes to be
+// immutable. Execute and ExecuteBudget are safe for concurrent use: per-call
+// state lives in the Work accounting, and what executions share — the scan
+// memo (filtered base scans and the key indexes built over them, read under
+// a shared lock and bounded by memoCapBytes) and the B-tree indexes (built
+// once each under mu) — is never written after it is built.
 type Engine struct {
 	db *storage.DB
 	// Budget bounds Work.Total() during one Execute call; 0 means unlimited.
@@ -121,20 +149,23 @@ type Engine struct {
 	// ExecuteBudget carries a per-call bound instead.
 	Budget int64
 
-	mu     sync.Mutex
-	btree  map[string]*btreeIndex
-	hash   map[string]*keyIndex
-	rowIDs []int32 // 0,1,2,…: see allRows
+	memo *scanMemo
+
+	mu    sync.Mutex
+	btree map[string]*btreeIndex
 }
 
 // New returns an executor over the database.
-func New(db *storage.DB) *Engine {
-	return &Engine{
-		db:    db,
-		btree: make(map[string]*btreeIndex),
-		hash:  make(map[string]*keyIndex),
-	}
+func New(db *storage.DB) *Engine { return newWithCap(db, memoCapBytes) }
+
+// newWithCap is New with the scan memo's byte cap given (tests use a small
+// one, to evict mid-run).
+func newWithCap(db *storage.DB, memoCap int64) *Engine {
+	return &Engine{db: db, memo: newScanMemo(memoCap), btree: make(map[string]*btreeIndex)}
 }
+
+// Stats snapshots the scan memo's counters.
+func (e *Engine) Stats() MemoStats { return e.memo.stats() }
 
 // Execute runs the plan for query q and returns the result and the work
 // performed. If the engine's budget is exceeded, it returns ErrBudget along
@@ -158,14 +189,18 @@ func (e *Engine) ExecuteBudget(q *query.Query, root plan.Node, budget int64) (*R
 // still only a count, before any of its output is allocated. A run that
 // finishes is charged exactly what it was without the look-ahead.
 func (e *Engine) check(w *Work, pending int) error {
-	limit := e.Budget
-	if w.budget > 0 {
-		limit = w.budget
-	}
-	if limit > 0 && w.Total()+2*int64(pending) > limit {
+	if limit := e.limit(w); limit > 0 && w.Total()+2*int64(pending) > limit {
 		return ErrBudget
 	}
 	return nil
+}
+
+// limit is the budget in force for this call; 0 means none.
+func (e *Engine) limit(w *Work) int64 {
+	if w.budget > 0 {
+		return w.budget
+	}
+	return e.Budget
 }
 
 func (e *Engine) exec(n plan.Node, w *Work) (*Result, error) {
@@ -201,34 +236,64 @@ func matches(op query.CmpOp, v, c int64) bool {
 	}
 }
 
-// allRows returns the row positions 0..n-1 of a base table. The slice is
-// shared by every execution and is never written.
-func (e *Engine) allRows(n int) []int32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.rowIDs) < n {
-		// A fresh array, not an append: slices handed out earlier stay valid.
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		e.rowIDs = ids
+// identity returns the table's unfiltered sequential scan — rows 0…N-1, each
+// read, materialized and emitted once — which is also what every other scan
+// of the table starts from: a filtered sequential scan reads its rows, and a
+// hash index is this entry's key index (positions in 0…N-1 are row ids).
+func (e *Engine) identity(t *storage.Table) *scanEntry {
+	var buf [64]byte
+	key := appendScanKey(buf[:0], t.Name, plan.SeqScan, "", nil)
+	if ent := e.memo.get(key); ent != nil {
+		return ent
 	}
-	return e.rowIDs[:n]
+	ids := make([]int32, t.N)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	n := int64(t.N)
+	return e.memo.put(key, &scanEntry{
+		rows:  ids,
+		delta: Work{TuplesRead: n, RowsMaterialized: n, TuplesEmitted: n},
+		bytes: 4 * n,
+	})
 }
 
+// result is the entry's rows as alias's relation.
+func (ent *scanEntry) result(alias string, t *storage.Table) *Result {
+	return &Result{N: len(ent.rows), rels: []rel{{alias, t, ent.rows}}, scan: ent}
+}
+
+// execScan answers a scan from the memo when it is held there — it ran twice
+// on this engine — and running it again would finish: it then charges what
+// the cold scan charged and returns the shared rows. A scan the budget would refuse
+// part-way runs cold, so that the refusal point and the partial counters are
+// the cold ones — Work stays a function of (database, plan, budget).
 func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 	t, err := e.db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	// rows are the candidates in scan order; they may alias an index or
-	// allRows, so filtering below writes to a slice of its own.
+	var buf [128]byte
+	key := appendScanKey(buf[:0], t.Name, s.Access, s.IndexColumn, s.Filters)
+	if ent := e.memo.get(key); ent != nil {
+		// Counters only grow, so a scan whose final total fits passed every
+		// check on the way.
+		if limit := e.limit(w); limit == 0 || w.Total()+ent.delta.Total() <= limit {
+			e.memo.hits.Add(1)
+			w.add(&ent.delta)
+			return ent.result(s.Alias, t), nil
+		}
+	}
+	e.memo.misses.Add(1)
+	before := *w
+
+	// rows are the candidates in scan order; they may alias an index or the
+	// identity scan, so filtering below writes to a slice of its own.
 	var rows []int32
 	switch s.Access {
 	case plan.SeqScan:
 		w.TuplesRead += int64(t.N)
-		rows = e.allRows(t.N)
+		rows = e.identity(t).rows
 	case plan.IndexScan:
 		ix, err := e.btreeIndexFor(t, s.IndexColumn)
 		if err != nil {
@@ -245,7 +310,7 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 			// Hash indexes cannot serve ranges: every bucket is walked,
 			// which in row order is every row.
 			w.TuplesRead += int64(t.N)
-			rows = e.allRows(t.N)
+			rows = e.identity(t).rows
 		}
 	}
 	if err := e.check(w, 0); err != nil {
@@ -280,7 +345,29 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 	}
 	w.RowsMaterialized += int64(len(rows))
 	w.TuplesEmitted += int64(len(rows))
-	return &Result{N: len(rows), rels: []rel{{s.Alias, t, rows}}}, e.check(w, 0)
+	if err := e.check(w, 0); err != nil {
+		return nil, err
+	}
+
+	held, store := e.memo.admit(key)
+	if held == nil && !store {
+		return &Result{N: len(rows), rels: []rel{{s.Alias, t, rows}}}, nil
+	}
+	if held == nil {
+		// Unfiltered, rows is a vector something else owns (the identity
+		// scan's, a B-tree's). Filtered, it is this scan's own, sized for the
+		// candidates: the memo keeps it when the survivors fill half of it,
+		// and otherwise a copy sized for them.
+		ent := &scanEntry{rows: rows, delta: w.since(&before)}
+		if len(s.Filters) > 0 {
+			if 2*len(rows) < cap(rows) {
+				ent.rows = append(make([]int32, 0, len(rows)), rows...)
+			}
+			ent.bytes = 4 * int64(cap(ent.rows))
+		}
+		held = e.memo.put(key, ent)
+	}
+	return held.result(s.Alias, t), nil
 }
 
 func (e *Engine) execAgg(a *plan.Agg, w *Work) (*Result, error) {

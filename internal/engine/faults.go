@@ -73,10 +73,16 @@ func (f *Faults) InflatePlan(signature string, factor float64) {
 }
 
 // Spike inflates every `every`-th execution through the seam by factor
-// (periodic latency spikes: checkpoints, GC pauses). every ≤ 0 disables.
+// (periodic latency spikes: checkpoints, GC pauses). every ≤ 0 disables, and
+// so does a factor that is no inflation — ≤ 0, NaN or 1, as InflateTable and
+// InflatePlan read it: a latency multiplied by zero would enter the history
+// as a 0 ms execution, and a budget divided by it has no integer value.
 func (f *Faults) Spike(every int, factor float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !(factor > 0) || factor == 1 {
+		every, factor = 0, 0
+	}
 	f.spikeEvery, f.spikeFactor = every, factor
 }
 

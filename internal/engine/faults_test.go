@@ -140,6 +140,49 @@ func TestFaultsPeriodicSpikesAndFailures(t *testing.T) {
 	}
 }
 
+// TestFaultsSpikeIgnoresNonInflation: a spike factor that is no inflation
+// (≤ 0, NaN, 1) disables the spike, as every ≤ 0 does and as InflateTable and
+// InflatePlan read the same values — it must not reach the latency (0 ms
+// executions in the history) or the budget division.
+func TestFaultsSpikeIgnoresNonInflation(t *testing.T) {
+	o, hash, _ := tinyObserved()
+	q := tinyQuery()
+	_, w, base, _, _ := o.Run(q, hash, 0)
+	for _, tc := range []struct {
+		every  int
+		factor float64
+		spikes bool
+	}{
+		{1, 0, false}, {1, -2, false}, {1, math.NaN(), false}, {1, 1, false},
+		{0, 5, false}, {-1, 5, false},
+		{1, 5, true}, {1, 0.5, true},
+	} {
+		o.Faults.Spike(tc.every, tc.factor)
+		if got := o.Faults.Active(); got != tc.spikes {
+			t.Errorf("Spike(%d, %v): Active = %v, want %v", tc.every, tc.factor, got, tc.spikes)
+		}
+		before := o.Faults.Stats().Spikes
+		want := base
+		if tc.spikes {
+			want = base * tc.factor
+		}
+		if _, _, lat, timedOut, err := o.Run(q, hash, 0); err != nil || timedOut || lat != want {
+			t.Errorf("Spike(%d, %v): unbudgeted run = (%v, %v, %v), want latency %v", tc.every, tc.factor, lat, timedOut, err, want)
+		}
+		// Under a budget twice the plan's latency a disabled spike changes
+		// nothing: same work, same latency, no censoring.
+		if !tc.spikes {
+			_, bw, lat, timedOut, err := o.Run(q, hash, 2*base)
+			if err != nil || timedOut || lat != base || bw.Total() != w.Total() {
+				t.Errorf("Spike(%d, %v): budgeted run = (%v, %v, %v), want (%v, false, nil)", tc.every, tc.factor, lat, timedOut, err, base)
+			}
+		}
+		if got := o.Faults.Stats().Spikes - before; (got > 0) != tc.spikes {
+			t.Errorf("Spike(%d, %v): %d spikes injected, want spikes = %v", tc.every, tc.factor, got, tc.spikes)
+		}
+	}
+}
+
 func TestFaultsFailPlan(t *testing.T) {
 	o, hash, nest := tinyObserved()
 	q := tinyQuery()

@@ -132,21 +132,14 @@ func (e *Engine) btreeIndexFor(t *storage.Table, column string) (*btreeIndex, er
 	return ix, nil
 }
 
-// hashIndexFor returns (building and caching on first use) the hash index
-// for a table column; see btreeIndexFor for the concurrency contract.
+// hashIndexFor returns the hash index for a table column: the key index of
+// the table's identity scan over that column, built the first time any scan
+// or join asks for it.
 func (e *Engine) hashIndexFor(t *storage.Table, column string) (*keyIndex, error) {
-	key := t.Name + "." + column
-	ids := e.allRows(t.N) // takes e.mu itself, so before it is held here
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ix, ok := e.hash[key]; ok {
-		return ix, nil
-	}
 	col, err := t.Column(column)
 	if err != nil {
 		return nil, err
 	}
-	ix := buildKeyIndex(colView{col, ids})
-	e.hash[key] = ix
-	return ix, nil
+	all := e.identity(t)
+	return e.memo.index(all, column, colView{col, all.rows}), nil
 }

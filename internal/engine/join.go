@@ -35,11 +35,11 @@ func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
 			}
 		}
 	} else {
-		lk, rk, err := joinKeys(left, right, j.Preds)
+		lk, rk, rcol, err := joinKeys(left, right, j.Preds)
 		if err != nil {
 			return nil, err
 		}
-		js = &joinState{e: e, w: w, lk: lk, rk: rk}
+		js = &joinState{e: e, w: w, lk: lk, rk: rk, rscan: right.scan, rcol: rcol}
 		switch j.Algo {
 		case plan.HashJoin:
 			err = js.hashJoin()
@@ -90,10 +90,11 @@ func appendThrough(dst, src []rel, rows []int32) []rel {
 	return dst
 }
 
-// joinKeys resolves each side's join key columns, one pair per predicate.
+// joinKeys resolves each side's join key columns, one pair per predicate, and
+// names the right input's first: the column hash and nested-loop joins index.
 // Predicate sides may be swapped relative to the plan's left/right inputs.
-func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, err error) {
-	for _, p := range preds {
+func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, rcol string, err error) {
+	for i, p := range preds {
 		la, lc, ra, rc := p.LeftAlias, p.LeftCol, p.RightAlias, p.RightCol
 		if !left.has(la) {
 			// Swapped: the predicate's "left" column lives in the right input.
@@ -101,15 +102,18 @@ func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, err er
 		}
 		l, err := left.view(la, lc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("engine: join column not in left input: %w", err)
+			return nil, nil, "", fmt.Errorf("engine: join column not in left input: %w", err)
 		}
 		r, err := right.view(ra, rc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("engine: join column not in right input: %w", err)
+			return nil, nil, "", fmt.Errorf("engine: join column not in right input: %w", err)
 		}
 		lk, rk = append(lk, l), append(rk, r)
+		if i == 0 {
+			rcol = rc
+		}
 	}
-	return lk, rk, nil
+	return lk, rk, rcol, nil
 }
 
 // probe is one left row and the run of right rows, cands[lo:hi], that agree
@@ -125,9 +129,22 @@ type joinState struct {
 	e       *Engine
 	w       *Work
 	lk, rk  []colView
-	cands   []int32 // right row positions the probes index into
+	rscan   *scanEntry // the right input's memo entry, when it is a base scan
+	rcol    string     // the column rk[0] reads
+	cands   []int32    // right row positions the probes index into
 	probes  []probe
 	pending int // matched pairs so far
+}
+
+// rightIndex groups the right input's rows by its first key. Over a base scan
+// that is a function of the database alone, so the scan's memo entry builds
+// it once for every join that asks; over a join's output it is built here.
+// What the index costs to use is charged by the caller either way.
+func (j *joinState) rightIndex() *keyIndex {
+	if j.rscan != nil {
+		return j.e.memo.index(j.rscan, j.rcol, j.rk[0])
+	}
+	return buildKeyIndex(j.rk[0])
 }
 
 // matchRest compares the keys after the first.
@@ -178,7 +195,7 @@ func (j *joinState) pairs(li, ri []int32) {
 // every right row's; which right rows those comparisons find comes from a
 // key index, so the charge does not have to be worked off.
 func (j *joinState) nestLoopJoin() error {
-	ix := buildKeyIndex(j.rk[0])
+	ix := j.rightIndex()
 	j.cands = ix.rows
 	for a, n := int32(0), int32(j.lk[0].len()); a < n; a++ {
 		j.w.Comparisons += int64(len(ix.rows))
@@ -192,7 +209,7 @@ func (j *joinState) nestLoopJoin() error {
 
 // hashJoin builds on the right input's first key and probes with the left's.
 func (j *joinState) hashJoin() error {
-	ix := buildKeyIndex(j.rk[0])
+	ix := j.rightIndex()
 	j.cands = ix.rows
 	j.w.HashOps += int64(len(ix.rows))
 	if err := j.e.check(j.w, 0); err != nil {

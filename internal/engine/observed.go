@@ -25,9 +25,9 @@ const DefaultMsPerWork = 1e-4
 // the engine actually did, so they respond to injected faults, and they are
 // exactly reproducible per (database, plan).
 //
-// Observed is safe for concurrent use: the Engine's index caches are
-// mutex-guarded, per-call state lives in the Work accounting, and the fault
-// seam serializes its counter internally.
+// Observed is safe for concurrent use: what the Engine shares between
+// executions is built once and then only read, per-call state lives in the
+// Work accounting, and the fault seam serializes its counter internally.
 type Observed struct {
 	Eng *Engine
 	// MsPerWork converts work units to milliseconds (DefaultMsPerWork when

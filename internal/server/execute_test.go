@@ -79,6 +79,29 @@ func TestExecuteEndpoint(t *testing.T) {
 		t.Fatalf("entry last_source %q, want expert", ent.LastSource)
 	}
 
+	// The executor's scan memo, next to the history. A scan is kept the second
+	// time it runs, so the same statement twice more runs its scans once more
+	// and then none: the third execution is answered from the memo, with the
+	// same rows, work and latency.
+	if m := dr.ScanMemo; m.ScanMisses == 0 || m.Bytes <= 0 {
+		t.Fatalf("scan_memo after one execute: %+v", m)
+	}
+	var memo [2]ScanMemoInfo
+	for i := range memo {
+		var again ExecuteResponse
+		postJSON(t, client, ts.URL+"/executesql", PlanRequest{SQL: sql}, &again)
+		if again.Rows != er.Rows || again.WorkUnits != er.WorkUnits || again.LatencyMs != er.LatencyMs {
+			t.Fatalf("execute %d (rows %d, work %d, %v ms) differs from the first (%d, %d, %v ms)",
+				i+2, again.Rows, again.WorkUnits, again.LatencyMs, er.Rows, er.WorkUnits, er.LatencyMs)
+		}
+		var d DriftResponse
+		getJSON(t, client, ts.URL+"/drift", &d)
+		memo[i] = d.ScanMemo
+	}
+	if a, b := memo[0], memo[1]; b.ScanHits <= a.ScanHits || b.ScanMisses != a.ScanMisses || b.Bytes != a.Bytes || b.IndexReuses <= a.IndexReuses {
+		t.Fatalf("scan_memo after the third execute: %+v, after the second: %+v", b, a)
+	}
+
 	// The structured endpoint rejects a SQL body and vice versa, like /plan.
 	resp = postJSON(t, client, ts.URL+"/execute", PlanRequest{SQL: sql}, nil)
 	if resp.StatusCode != http.StatusBadRequest {

@@ -501,6 +501,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 			ExpertHeld:     st.History.ExpertHeld,
 			LearnedFlushes: st.History.LearnedFlushes,
 		},
+		ScanMemo: ScanMemoInfo(st.ScanMemo),
 	}
 	if !math.IsNaN(st.DriftWorstRatio) {
 		wr := st.DriftWorstRatio

@@ -232,6 +232,9 @@ type DriftResponse struct {
 	Retrains    uint64          `json:"retrains"`
 	WorstRatio  *float64        `json:"worst_ratio,omitempty"`
 	History     ExecHistoryInfo `json:"history"`
+	// ScanMemo is the executor's scan memo: what /executesql did not have to
+	// rebuild, and what keeping it costs.
+	ScanMemo ScanMemoInfo `json:"scan_memo"`
 	// Entries is the per-fingerprint view behind the aggregate counters,
 	// most recently executed first (absent when nothing has executed). The
 	// aggregate fields above keep their shape regardless.
@@ -269,6 +272,19 @@ type ExecHistoryInfo struct {
 	LearnedHeld    int    `json:"learned_held"`
 	ExpertHeld     int    `json:"expert_held"`
 	LearnedFlushes uint64 `json:"learned_flushes"`
+}
+
+// ScanMemoInfo snapshots the engine's memo of base scans and join build-side
+// key indexes. A scan is a hit when its rows and work came from the memo and
+// a miss when it ran; an index is built once per (scan, key column) and
+// reused by every later join; Bytes is what the resident entries hold.
+type ScanMemoInfo struct {
+	ScanHits    uint64 `json:"scan_hits"`
+	ScanMisses  uint64 `json:"scan_misses"`
+	IndexBuilds uint64 `json:"index_builds"`
+	IndexReuses uint64 `json:"index_reuses"`
+	Bytes       int64  `json:"bytes"`
+	Evictions   uint64 `json:"evictions"`
 }
 
 // PhaseResponse is the body of GET /phase.
