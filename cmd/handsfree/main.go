@@ -325,8 +325,8 @@ func runService(quick bool, scale float64, seed int64, timeout time.Duration) {
 	es := svc.ExecStats()
 	fmt.Printf("execution feedback: %d executions, %d timed out, %d failures, %d latency-guarded, %d drift events, %d retrains (%d fingerprints tracked)\n",
 		es.Executions, es.TimedOut, es.Failures, es.LatencyGuarded, es.DriftEvents, es.Retrains, es.History.Fingerprints)
-	fmt.Printf("scan memo: %d scans answered, %d run; %d join indexes built, %d reused; %d kB held, %d evictions\n",
-		es.ScanMemo.ScanHits, es.ScanMemo.ScanMisses, es.ScanMemo.IndexBuilds, es.ScanMemo.IndexReuses, es.ScanMemo.Bytes>>10, es.ScanMemo.Evictions)
+	fmt.Printf("executor memo: %d joins and aggregations answered, %d run; %d scans answered, %d run; %d join indexes built, %d reused; %d kB held, %d evictions\n",
+		es.ScanMemo.PlanHits, es.ScanMemo.PlanMisses, es.ScanMemo.ScanHits, es.ScanMemo.ScanMisses, es.ScanMemo.IndexBuilds, es.ScanMemo.IndexReuses, es.ScanMemo.Bytes>>10, es.ScanMemo.Evictions)
 }
 
 // runServe mounts N independent tenants — each its own handsfree.Service

@@ -35,8 +35,8 @@ type (
 	FaultStats = engine.FaultStats
 	// ExecHistoryStats snapshots the execution-history store's counters.
 	ExecHistoryStats = exechistory.Stats
-	// ScanMemoStats counts what the executor's scan memo has answered,
-	// built, holds and evicted (see ARCHITECTURE.md, "The executor").
+	// ScanMemoStats counts what the executor's memo of operator outputs has
+	// answered, built, holds and evicted (see ARCHITECTURE.md, "The executor").
 	ScanMemoStats = engine.MemoStats
 	// ApproxEstimate is one approximate aggregate with its bootstrap
 	// confidence interval (see ExecuteApprox).
@@ -536,8 +536,8 @@ type ExecStats struct {
 	DriftWorstRatio float64
 	// History snapshots the bounded execution-history store.
 	History ExecHistoryStats
-	// ScanMemo snapshots the executor's scan memo: base scans and join
-	// build-side indexes the engine has kept instead of rebuilding.
+	// ScanMemo snapshots the executor's memo: the scans, joins, aggregations
+	// and join build-side indexes the engine has kept instead of re-running.
 	ScanMemo ScanMemoStats
 }
 

@@ -8,6 +8,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -76,20 +77,22 @@ type rel struct {
 // Result is an intermediate or final result. A scan or join result is late-
 // materialized — N rows, each a base-table row id per joined relation — and
 // copies a column only when Column asks for it; an aggregation's result holds
-// its output columns. Columns are keyed "alias.column".
+// its output columns. Columns are keyed "alias.column". A Result may be the
+// memo's and every other execution's of the same plan: nothing writes to one
+// once it is built.
 type Result struct {
 	N    int
 	rels []rel
 	cols map[string][]int64
-	// scan is set on a base-table scan's result: the memo entry whose rows
-	// these are, so a join building on the scan can take the entry's index.
-	scan *scanEntry
+	// ent is set when the memo holds this output: a join building on it
+	// takes the entry's index.
+	ent *entry
 }
 
-// Column returns a result column by its "alias.column" key.
+// Column returns a copy of a result column by its "alias.column" key.
 func (r *Result) Column(key string) ([]int64, error) {
 	if c, ok := r.cols[key]; ok {
-		return c, nil
+		return slices.Clone(c), nil
 	}
 	alias, name, _ := strings.Cut(key, ".")
 	v, err := r.view(alias, name)
@@ -138,10 +141,10 @@ func (r *Result) has(alias string) bool {
 
 // Engine executes physical plans against a storage.DB it takes to be
 // immutable. Execute and ExecuteBudget are safe for concurrent use: per-call
-// state lives in the Work accounting, and what executions share — the scan
-// memo (filtered base scans and the key indexes built over them, read under
-// a shared lock and bounded by memoCapBytes) and the B-tree indexes (built
-// once each under mu) — is never written after it is built.
+// state lives in the Work accounting, and what executions share — the memo
+// (operator outputs and the key indexes built over them, read under a shared
+// lock and bounded by memoCapBytes) and the B-tree indexes (built once each
+// under mu) — is never written after it is built.
 type Engine struct {
 	db *storage.DB
 	// Budget bounds Work.Total() during one Execute call; 0 means unlimited.
@@ -149,7 +152,7 @@ type Engine struct {
 	// ExecuteBudget carries a per-call bound instead.
 	Budget int64
 
-	memo *scanMemo
+	memo *memo
 
 	mu    sync.Mutex
 	btree map[string]*btreeIndex
@@ -158,13 +161,13 @@ type Engine struct {
 // New returns an executor over the database.
 func New(db *storage.DB) *Engine { return newWithCap(db, memoCapBytes) }
 
-// newWithCap is New with the scan memo's byte cap given (tests use a small
-// one, to evict mid-run).
+// newWithCap is New with the memo's byte cap given (tests use a small one, to
+// evict mid-run).
 func newWithCap(db *storage.DB, memoCap int64) *Engine {
-	return &Engine{db: db, memo: newScanMemo(memoCap), btree: make(map[string]*btreeIndex)}
+	return &Engine{db: db, memo: newMemo(memoCap), btree: make(map[string]*btreeIndex)}
 }
 
-// Stats snapshots the scan memo's counters.
+// Stats snapshots the memo's counters.
 func (e *Engine) Stats() MemoStats { return e.memo.stats() }
 
 // Execute runs the plan for query q and returns the result and the work
@@ -178,7 +181,11 @@ func (e *Engine) Execute(q *query.Query, root plan.Node) (*Result, *Work, error)
 // engine-wide Budget). Concurrent calls may each carry a different budget.
 func (e *Engine) ExecuteBudget(q *query.Query, root plan.Node, budget int64) (*Result, *Work, error) {
 	w := &Work{budget: budget}
-	res, err := e.exec(root, w)
+	// The served plans' keys fit these; a larger plan's move to the heap.
+	var buf [1024]byte
+	var nodes [16]keySpan
+	k := appendPlan(planKeys{buf[:0], nodes[:0]}, root)
+	res, err := e.exec(root, 0, &k, w)
 	return res, w, err
 }
 
@@ -203,18 +210,110 @@ func (e *Engine) limit(w *Work) int64 {
 	return e.Budget
 }
 
-func (e *Engine) exec(n plan.Node, w *Work) (*Result, error) {
+// fits is the hit rule: an operator is answered from the memo iff what its
+// subtree is charged still fits the budget in force. Counters only grow, and
+// every check beneath it — a join's look-ahead of two units per pending pair
+// included, since each pair is then charged those two — compares at most the
+// subtree's final total with the budget: a total that fits passed them all.
+// (An aggregation's last charge is checked by nobody, so a run may finish
+// over budget; the rule then only sends it round again.)
+func (e *Engine) fits(w, delta *Work) bool {
+	limit := e.limit(w)
+	return limit == 0 || w.Total()+delta.Total() <= limit
+}
+
+// exec runs node i of the plan k serialises, asking the memo first: an
+// operator it holds — one that ran twice on this engine — and that would
+// finish is charged what its subtree was charged cold and returns the shared
+// output, and nothing beneath it runs. One the budget would refuse part-way
+// runs cold, its inputs asking in their turn, so that the refusal point and
+// the partial counters are the cold ones — Work stays a function of
+// (database, plan, budget).
+func (e *Engine) exec(n plan.Node, i int, k *planKeys, w *Work) (*Result, error) {
+	scan, _ := n.(*plan.Scan)
+	kind := planNode
+	if scan != nil {
+		kind = scanNode
+	}
+	key := k.key(i)
+	if ent := e.memo.get(key); ent != nil && e.fits(w, &ent.delta) {
+		e.memo.hits[kind].Add(1)
+		w.add(&ent.delta)
+		return ent.result(scan), nil
+	}
+	e.memo.misses[kind].Add(1)
+	before := *w
+
+	var res *Result
+	var err error
 	switch n := n.(type) {
 	case *plan.Scan:
-		return e.execScan(n, w)
+		res, err = e.execScan(n, w)
 	case *plan.Join:
-		return e.execJoin(n, w)
+		res, err = e.execJoin(n, i, k, w)
 	case *plan.Agg:
-		return e.execAgg(n, w)
+		res, err = e.execAgg(n, i, k, w)
 	default:
-		return nil, fmt.Errorf("engine: unknown plan node %T", n)
+		err = fmt.Errorf("engine: unknown plan node %T", n)
 	}
+	if err != nil {
+		return nil, err
+	}
+	held, store := e.memo.admit(key)
+	if store {
+		held = e.memo.put(key, newEntry(scan, res, w.since(&before)))
+	}
+	if held == nil {
+		return res, nil
+	}
+	return held.result(scan), nil
 }
+
+// newEntry is the entry for an output that has just been computed, res, and
+// is nobody else's yet.
+func newEntry(scan *plan.Scan, res *Result, delta Work) *entry {
+	if scan == nil {
+		ent := &entry{out: *res, delta: delta}
+		ent.out.ent = ent
+		// Per row an id per relation or a value per column; per relation its
+		// 48-byte header.
+		ent.bytes = int64(res.N)*int64(4*len(res.rels)+8*len(res.cols)) + 48*int64(len(res.rels))
+		return ent
+	}
+	// Unfiltered, the rows are a vector something else owns (the identity
+	// scan's, a B-tree's). Filtered, they are this scan's own, sized for the
+	// candidates: the memo keeps the vector when the survivors fill half of
+	// it, and otherwise a copy sized for them.
+	r := res.rels[0]
+	var bytes int64
+	if len(scan.Filters) > 0 {
+		if 2*len(r.ids) < cap(r.ids) {
+			r.ids = append(make([]int32, 0, len(r.ids)), r.ids...)
+		}
+		bytes = 4 * int64(cap(r.ids))
+	}
+	return newScanEntry(r.table, r.ids, delta, bytes)
+}
+
+// newScanEntry is the entry of a scan of t that returns rows.
+func newScanEntry(t *storage.Table, rows []int32, delta Work, bytes int64) *entry {
+	ent := &entry{scanned: [1]rel{{"", t, rows}}, delta: delta, bytes: bytes}
+	ent.out = Result{N: len(rows), rels: ent.scanned[:]}
+	return ent
+}
+
+// result is the entry's output as the asking node's: a scan's rows under the
+// scan's alias, anything else as it is.
+func (ent *entry) result(scan *plan.Scan) *Result {
+	if scan == nil {
+		return &ent.out
+	}
+	r := ent.scanned[0]
+	return &Result{N: ent.out.N, rels: []rel{{scan.Alias, r.table, r.ids}}, ent: ent}
+}
+
+// rows are a scan entry's row ids.
+func (ent *entry) rows() []int32 { return ent.scanned[0].ids }
 
 // matches evaluates a filter against a value.
 func matches(op query.CmpOp, v, c int64) bool {
@@ -240,7 +339,7 @@ func matches(op query.CmpOp, v, c int64) bool {
 // read, materialized and emitted once — which is also what every other scan
 // of the table starts from: a filtered sequential scan reads its rows, and a
 // hash index is this entry's key index (positions in 0…N-1 are row ids).
-func (e *Engine) identity(t *storage.Table) *scanEntry {
+func (e *Engine) identity(t *storage.Table) *entry {
 	var buf [64]byte
 	key := appendScanKey(buf[:0], t.Name, plan.SeqScan, "", nil)
 	if ent := e.memo.get(key); ent != nil {
@@ -251,41 +350,15 @@ func (e *Engine) identity(t *storage.Table) *scanEntry {
 		ids[i] = int32(i)
 	}
 	n := int64(t.N)
-	return e.memo.put(key, &scanEntry{
-		rows:  ids,
-		delta: Work{TuplesRead: n, RowsMaterialized: n, TuplesEmitted: n},
-		bytes: 4 * n,
-	})
+	return e.memo.put(key, newScanEntry(t, ids, Work{TuplesRead: n, RowsMaterialized: n, TuplesEmitted: n}, 4*n))
 }
 
-// result is the entry's rows as alias's relation.
-func (ent *scanEntry) result(alias string, t *storage.Table) *Result {
-	return &Result{N: len(ent.rows), rels: []rel{{alias, t, ent.rows}}, scan: ent}
-}
-
-// execScan answers a scan from the memo when it is held there — it ran twice
-// on this engine — and running it again would finish: it then charges what
-// the cold scan charged and returns the shared rows. A scan the budget would refuse
-// part-way runs cold, so that the refusal point and the partial counters are
-// the cold ones — Work stays a function of (database, plan, budget).
+// execScan runs a scan the memo did not answer.
 func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 	t, err := e.db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	var buf [128]byte
-	key := appendScanKey(buf[:0], t.Name, s.Access, s.IndexColumn, s.Filters)
-	if ent := e.memo.get(key); ent != nil {
-		// Counters only grow, so a scan whose final total fits passed every
-		// check on the way.
-		if limit := e.limit(w); limit == 0 || w.Total()+ent.delta.Total() <= limit {
-			e.memo.hits.Add(1)
-			w.add(&ent.delta)
-			return ent.result(s.Alias, t), nil
-		}
-	}
-	e.memo.misses.Add(1)
-	before := *w
 
 	// rows are the candidates in scan order; they may alias an index or the
 	// identity scan, so filtering below writes to a slice of its own.
@@ -293,7 +366,7 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 	switch s.Access {
 	case plan.SeqScan:
 		w.TuplesRead += int64(t.N)
-		rows = e.identity(t).rows
+		rows = e.identity(t).rows()
 	case plan.IndexScan:
 		ix, err := e.btreeIndexFor(t, s.IndexColumn)
 		if err != nil {
@@ -310,7 +383,7 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 			// Hash indexes cannot serve ranges: every bucket is walked,
 			// which in row order is every row.
 			w.TuplesRead += int64(t.N)
-			rows = e.identity(t).rows
+			rows = e.identity(t).rows()
 		}
 	}
 	if err := e.check(w, 0); err != nil {
@@ -348,30 +421,11 @@ func (e *Engine) execScan(s *plan.Scan, w *Work) (*Result, error) {
 	if err := e.check(w, 0); err != nil {
 		return nil, err
 	}
-
-	held, store := e.memo.admit(key)
-	if held == nil && !store {
-		return &Result{N: len(rows), rels: []rel{{s.Alias, t, rows}}}, nil
-	}
-	if held == nil {
-		// Unfiltered, rows is a vector something else owns (the identity
-		// scan's, a B-tree's). Filtered, it is this scan's own, sized for the
-		// candidates: the memo keeps it when the survivors fill half of it,
-		// and otherwise a copy sized for them.
-		ent := &scanEntry{rows: rows, delta: w.since(&before)}
-		if len(s.Filters) > 0 {
-			if 2*len(rows) < cap(rows) {
-				ent.rows = append(make([]int32, 0, len(rows)), rows...)
-			}
-			ent.bytes = 4 * int64(cap(ent.rows))
-		}
-		held = e.memo.put(key, ent)
-	}
-	return held.result(s.Alias, t), nil
+	return &Result{N: len(rows), rels: []rel{{s.Alias, t, rows}}}, nil
 }
 
-func (e *Engine) execAgg(a *plan.Agg, w *Work) (*Result, error) {
-	child, err := e.exec(a.Child, w)
+func (e *Engine) execAgg(a *plan.Agg, i int, k *planKeys, w *Work) (*Result, error) {
+	child, err := e.exec(a.Child, k.left(i), k, w)
 	if err != nil {
 		return nil, err
 	}

@@ -141,5 +141,5 @@ func (e *Engine) hashIndexFor(t *storage.Table, column string) (*keyIndex, error
 		return nil, err
 	}
 	all := e.identity(t)
-	return e.memo.index(all, column, colView{col, all.rows}), nil
+	return e.memo.index(all, "", column, colView{col, all.rows()}), nil
 }

@@ -14,12 +14,12 @@ import (
 // row's pairs are added — the same charges and checks, after the same rows,
 // as a join that stored each pair when it found it. Only an admitted join is
 // then stored, at its exact size.
-func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
-	left, err := e.exec(j.Left, w)
+func (e *Engine) execJoin(j *plan.Join, i int, k *planKeys, w *Work) (*Result, error) {
+	left, err := e.exec(j.Left, k.left(i), k, w)
 	if err != nil {
 		return nil, err
 	}
-	right, err := e.exec(j.Right, w)
+	right, err := e.exec(j.Right, k.right(i), k, w)
 	if err != nil {
 		return nil, err
 	}
@@ -35,11 +35,11 @@ func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
 			}
 		}
 	} else {
-		lk, rk, rcol, err := joinKeys(left, right, j.Preds)
+		lk, rk, ralias, rcol, err := joinKeys(left, right, j.Preds)
 		if err != nil {
 			return nil, err
 		}
-		js = &joinState{e: e, w: w, lk: lk, rk: rk, rscan: right.scan, rcol: rcol}
+		js = &joinState{e: e, w: w, lk: lk, rk: rk, right: right.ent, ralias: ralias, rcol: rcol}
 		switch j.Algo {
 		case plan.HashJoin:
 			err = js.hashJoin()
@@ -69,23 +69,29 @@ func (e *Engine) execJoin(j *plan.Join, w *Work) (*Result, error) {
 			}
 		}
 	}
-	out := &Result{N: n, rels: make([]rel, 0, len(left.rels)+len(right.rels))}
-	out.rels = appendThrough(out.rels, left.rels, li)
-	out.rels = appendThrough(out.rels, right.rels, ri)
+	// One allocation for the output's vectors: an output the memo keeps is
+	// then a few objects for the collector to mark, however many relations.
+	nrels := len(left.rels) + len(right.rels)
+	out := &Result{N: n, rels: make([]rel, 0, nrels)}
+	ids := make([]int32, n*nrels)
+	out.rels = appendThrough(out.rels, left.rels, li, ids)
+	out.rels = appendThrough(out.rels, right.rels, ri, ids[n*len(left.rels):])
 	w.RowsMaterialized += int64(n)
 	w.TuplesEmitted += int64(n)
 	return out, nil
 }
 
 // appendThrough appends src's relations with their id vectors read through
-// rows: a join's output is one id vector per relation, never a column.
-func appendThrough(dst, src []rel, rows []int32) []rel {
-	for _, rl := range src {
-		ids := make([]int32, len(rows))
+// rows: a join's output is one id vector per relation, never a column. The
+// vectors are cut from ids, in order.
+func appendThrough(dst, src []rel, rows, ids []int32) []rel {
+	n := len(rows)
+	for k, rl := range src {
+		out := ids[k*n : (k+1)*n : (k+1)*n]
 		for i, r := range rows {
-			ids[i] = rl.ids[r]
+			out[i] = rl.ids[r]
 		}
-		dst = append(dst, rel{rl.alias, rl.table, ids})
+		dst = append(dst, rel{rl.alias, rl.table, out})
 	}
 	return dst
 }
@@ -93,7 +99,7 @@ func appendThrough(dst, src []rel, rows []int32) []rel {
 // joinKeys resolves each side's join key columns, one pair per predicate, and
 // names the right input's first: the column hash and nested-loop joins index.
 // Predicate sides may be swapped relative to the plan's left/right inputs.
-func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, rcol string, err error) {
+func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, ralias, rcol string, err error) {
 	for i, p := range preds {
 		la, lc, ra, rc := p.LeftAlias, p.LeftCol, p.RightAlias, p.RightCol
 		if !left.has(la) {
@@ -102,18 +108,18 @@ func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, rcol s
 		}
 		l, err := left.view(la, lc)
 		if err != nil {
-			return nil, nil, "", fmt.Errorf("engine: join column not in left input: %w", err)
+			return nil, nil, "", "", fmt.Errorf("engine: join column not in left input: %w", err)
 		}
 		r, err := right.view(ra, rc)
 		if err != nil {
-			return nil, nil, "", fmt.Errorf("engine: join column not in right input: %w", err)
+			return nil, nil, "", "", fmt.Errorf("engine: join column not in right input: %w", err)
 		}
 		lk, rk = append(lk, l), append(rk, r)
 		if i == 0 {
-			rcol = rc
+			ralias, rcol = ra, rc
 		}
 	}
-	return lk, rk, rcol, nil
+	return lk, rk, ralias, rcol, nil
 }
 
 // probe is one left row and the run of right rows, cands[lo:hi], that agree
@@ -129,20 +135,22 @@ type joinState struct {
 	e       *Engine
 	w       *Work
 	lk, rk  []colView
-	rscan   *scanEntry // the right input's memo entry, when it is a base scan
-	rcol    string     // the column rk[0] reads
-	cands   []int32    // right row positions the probes index into
+	right   *entry  // the right input's memo entry, when the memo holds it
+	ralias  string  // the relation and
+	rcol    string  // the column rk[0] reads
+	cands   []int32 // right row positions the probes index into
 	probes  []probe
 	pending int // matched pairs so far
 }
 
-// rightIndex groups the right input's rows by its first key. Over a base scan
-// that is a function of the database alone, so the scan's memo entry builds
-// it once for every join that asks; over a join's output it is built here.
-// What the index costs to use is charged by the caller either way.
+// rightIndex groups the right input's rows by its first key. That is a
+// function of the right input — a scan or a join — and nothing else, so when
+// the memo holds the input, its entry builds the index once for every join
+// that asks; over an input seen for the first time it is built here. What the
+// index costs to use is charged by the caller either way.
 func (j *joinState) rightIndex() *keyIndex {
-	if j.rscan != nil {
-		return j.e.memo.index(j.rscan, j.rcol, j.rk[0])
+	if j.right != nil {
+		return j.e.memo.index(j.right, j.ralias, j.rcol, j.rk[0])
 	}
 	return buildKeyIndex(j.rk[0])
 }
@@ -295,7 +303,7 @@ type keyIndex struct {
 
 func buildKeyIndex(key colView) *keyIndex {
 	n := key.len()
-	ix := &keyIndex{rows: make([]int32, n)}
+	ix := &keyIndex{}
 	size := 0
 	if n > 0 {
 		lo, hi := key.at(0), key.at(0)
@@ -312,7 +320,10 @@ func buildKeyIndex(key colView) *keyIndex {
 		}
 		ix.keys = make([]int64, size)
 	}
-	ix.count, ix.end = make([]int32, size), make([]int32, size)
+	// One allocation for the three tables: an index the memo keeps is then
+	// two objects for the collector to mark, not four.
+	tables := make([]int32, 2*size+n)
+	ix.count, ix.end, ix.rows = tables[:size:size], tables[size:2*size:2*size], tables[2*size:]
 	slots := make([]int32, n)
 	for b := range slots {
 		v := key.at(int32(b))

@@ -35,13 +35,13 @@ func executeOutcome(t *testing.T, e *Engine, q *query.Query, root plan.Node, key
 	return outcome{work: workCounters(w), n: res.N, rows: rowChecksum(t, res, keys)}
 }
 
-// TestScanMemoWarmEqualsCold: what the memo holds never shows in an
-// execution's outcome. Over the golden workload's (query, plan, budget)
-// triples, a fresh engine per execution, one shared engine — on its first
-// pass, while it fills, and on a second, when it has run everything — and an
-// engine whose memo is small enough to evict all the way through agree on
-// the counters, the row count, the verdict, a refused run's partial counters
-// and the rows.
+// TestScanMemoWarmEqualsCold: what the memo holds — scans, joins,
+// aggregations, whole plans — never shows in an execution's outcome. Over the
+// golden workload's (query, plan, budget) triples, a fresh engine per
+// execution, one shared engine — on its first pass, while it fills, and on a
+// second, when it has run everything — and an engine whose memo is small
+// enough to evict all the way through agree on the counters, the row count,
+// the verdict, a refused run's partial counters and the rows.
 func TestScanMemoWarmEqualsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes ~250 plans under 6 budgets on 3 engines")
@@ -92,13 +92,16 @@ func TestScanMemoWarmEqualsCold(t *testing.T) {
 		}
 	}
 
-	st := shared.Stats()
-	if st.ScanHits == 0 || st.IndexReuses == 0 || st.Evictions != 0 || st.Bytes <= 0 || st.Bytes > memoCapBytes {
-		t.Errorf("shared engine's memo was not exercised as meant: %+v", st)
-	}
-	st = small.Stats()
-	if st.Evictions == 0 || st.ScanHits == 0 || st.Bytes > smallCap {
-		t.Errorf("small-memo engine should evict, still hit, and stay under %d bytes: %+v", smallCap, st)
+	// Join outputs are fat — an id vector per joined relation — so this replay
+	// fills even the 32 MB memo, and the shared engine evicts too.
+	for _, eng := range []struct {
+		name string
+		st   MemoStats
+		cap  int64
+	}{{"shared", shared.Stats(), memoCapBytes}, {"small-memo", small.Stats(), smallCap}} {
+		if st := eng.st; st.Evictions == 0 || st.ScanHits == 0 || st.PlanHits == 0 || st.IndexReuses == 0 || st.Bytes <= 0 || st.Bytes > eng.cap {
+			t.Errorf("%s engine should evict, still answer scans and joins, and stay under %d bytes: %+v", eng.name, eng.cap, st)
+		}
 	}
 }
 
@@ -194,12 +197,17 @@ func TestScanMemoSelfJoinSharesEntry(t *testing.T) {
 }
 
 // TestScanMemoConcurrentColdStart: 8 goroutines start together on a cold
-// engine with plans that share scans and build columns, under a budget the
-// expert's plans finish in and the random ones mostly do not (so the hit
-// rule refuses concurrently too). Every outcome equals the serial one, and —
-// entries being shared even when two goroutines miss the same scan at once —
-// each (entry, column) index is built exactly once: as many builds as the
-// serial engine made. Run with -race.
+// engine with plans that share scans, sub-joins and build columns, under a
+// budget the expert's plans finish in and the random ones mostly do not (so
+// the hit rule refuses concurrently too). Every outcome equals the serial
+// one. Which node a given execution is answered at depends on who got there
+// first, so hits and misses are not the serial engine's; what is conserved is
+// that every exec of a node is one hit or one miss at that node — an
+// execution counts its root once and each node at most once — and what the
+// memo ends up holding: entries being shared even when two goroutines miss
+// the same operator at once, the two engines end with the same entries, the
+// same bytes, and each (entry, column) index built exactly once. Run with
+// -race.
 func TestScanMemoConcurrentColdStart(t *testing.T) {
 	db, planner, queries := goldenWorkload(t)
 	rng := rand.New(rand.NewSource(5))
@@ -211,24 +219,26 @@ func TestScanMemoConcurrentColdStart(t *testing.T) {
 		want outcome
 	}
 	var jobs []job
+	var nodes uint64
 	serial := New(db.Store)
 	for _, q := range queries[:6] {
 		for _, p := range goldenPlans(t, db, planner, q, rng) {
 			j := job{q: q, root: p.root, keys: outputKeys(db, q, p.root)}
 			j.want = executeOutcome(t, serial, q, p.root, j.keys, budget)
 			jobs = append(jobs, j)
+			plan.Walk(p.root, func(plan.Node) { nodes++ })
 		}
 	}
-	// A scan is stored the second time it runs, so the serial engine has what
-	// the concurrent one will end with after a second pass.
+	// An output is stored the second time it is computed, so the serial
+	// engine has what the concurrent one will end with after a second pass.
 	for _, j := range jobs {
 		if got := executeOutcome(t, serial, j.q, j.root, j.keys, budget); got != j.want {
 			t.Fatalf("%s: second serial pass %+v, first %+v", j.q.Name, got, j.want)
 		}
 	}
 	want := serial.Stats()
-	if want.IndexBuilds == 0 || want.IndexReuses == 0 || want.ScanHits == 0 {
-		t.Fatalf("the plans should share scans and build columns: %+v", want)
+	if want.IndexBuilds == 0 || want.IndexReuses == 0 || want.ScanHits == 0 || want.PlanHits == 0 {
+		t.Fatalf("the plans should share scans, sub-joins and build columns: %+v", want)
 	}
 
 	const goroutines = 8
@@ -249,7 +259,7 @@ func TestScanMemoConcurrentColdStart(t *testing.T) {
 			<-start
 			for i := range jobs {
 				// Each goroutine starts an eighth of the way further in, so
-				// that scans are met both in step and out of it.
+				// that operators are met both in step and out of it.
 				ji := (i + g*len(jobs)/goroutines) % len(jobs)
 				res, w, err := e.ExecuteBudget(jobs[ji].q, jobs[ji].root, budget)
 				runs[g][ji] = run{res, w, err}
@@ -275,13 +285,290 @@ func TestScanMemoConcurrentColdStart(t *testing.T) {
 		}
 	}
 	got := e.Stats()
+	asked := got.ScanHits + got.ScanMisses + got.PlanHits + got.PlanMisses
+	if execs := uint64(goroutines * len(jobs)); asked < execs || asked > goroutines*nodes {
+		t.Errorf("%d nodes asked for: fewer than the %d executions, or more than the %d nodes they hold", asked, execs, goroutines*nodes)
+	}
 	if got.IndexBuilds != want.IndexBuilds {
 		t.Errorf("%d index builds, want %d: one per (entry, column), as in the serial run", got.IndexBuilds, want.IndexBuilds)
 	}
-	if all := goroutines * (want.ScanHits + want.ScanMisses) / 2; got.ScanHits+got.ScanMisses != all {
-		t.Errorf("%d scans counted, want %d", got.ScanHits+got.ScanMisses, all)
+	if len(e.memo.entries) != len(serial.memo.entries) {
+		t.Errorf("memo holds %d entries, the serial one %d", len(e.memo.entries), len(serial.memo.entries))
 	}
 	if got.Bytes != want.Bytes || got.Evictions != 0 {
 		t.Errorf("memo holds %d bytes after %d evictions, the serial one %d after none", got.Bytes, got.Evictions, want.Bytes)
+	}
+}
+
+// TestMemoBudgetBoundary: the hit rule takes an entry iff its subtree's total
+// fits, so the budgets to try are the ones that fall on a total. For every
+// golden plan of the benchmark's queries that finishes, a warm engine — one
+// that holds every operator of the plan — and a fresh one return the same
+// verdict, counters (partial ones when refused) and rows under the plan's
+// total, one unit less, and one unit either side of the running total at
+// which each scan, join and aggregation in it finishes.
+func TestMemoBudgetBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("executes ~48 plans under ~35 budgets each on 2 engines")
+	}
+	db, planner, queries := goldenWorkload(t)
+	rng := rand.New(rand.NewSource(24))
+	warm := New(db.Store)
+	var plans, refusals, hits int
+	for _, q := range queries[:6] {
+		for _, p := range goldenPlans(t, db, planner, q, rng) {
+			keys := outputKeys(db, q, p.root)
+			free := executeOutcome(t, New(db.Store), q, p.root, keys, goldenBudgets[len(goldenBudgets)-1])
+			if free.refused {
+				continue
+			}
+			plans++
+			// finished(n) is the running total when n finishes: what ran
+			// before it, plus its own subtree run alone.
+			budgets := map[int64]bool{}
+			var finished func(n plan.Node, before int64) int64
+			finished = func(n plan.Node, before int64) int64 {
+				at := before
+				for _, c := range n.Children() {
+					at = finished(c, at)
+				}
+				_, w, err := New(db.Store).Execute(q, n)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", q.Name, p.name, err)
+				}
+				at = before + w.Total()
+				budgets[at-1], budgets[at], budgets[at+1] = true, true, true
+				return at
+			}
+			total := finished(p.root, 0)
+			var sum int64
+			for _, c := range free.work {
+				sum += c
+			}
+			if total != sum {
+				t.Fatalf("%s/%s: the root finishes at %d, the plan's work is %d", q.Name, p.name, total, sum)
+			}
+			for i := 0; i < 2; i++ { // an output is stored the second time it is computed
+				if got := executeOutcome(t, warm, q, p.root, keys, 0); got != free {
+					t.Fatalf("%s/%s: warming run %+v, cold %+v", q.Name, p.name, got, free)
+				}
+			}
+			for budget := range budgets {
+				if budget <= 0 {
+					continue
+				}
+				before := warm.Stats()
+				got := executeOutcome(t, warm, q, p.root, keys, budget)
+				if cold := executeOutcome(t, New(db.Store), q, p.root, keys, budget); got != cold {
+					t.Errorf("%s/%s budget %d (total %d): warm %+v, cold %+v", q.Name, p.name, budget, total, got, cold)
+				}
+				// (Nobody checks an aggregation's last charge: one may finish a
+				// unit or two over, on both engines.)
+				if _, agg := p.root.(*plan.Agg); !agg && got.refused != (budget < total) {
+					t.Errorf("%s/%s budget %d: refused %v, the plan's work is %d", q.Name, p.name, budget, got.refused, total)
+				}
+				if got.refused {
+					refusals++
+				}
+				after := warm.Stats()
+				hits += int(after.ScanHits + after.PlanHits - before.ScanHits - before.PlanHits)
+			}
+		}
+	}
+	if plans < 24 || refusals == 0 || hits == 0 {
+		t.Errorf("%d plans finished, %d runs were refused, %d nodes answered from the memo: the boundary was not exercised", plans, refusals, hits)
+	}
+}
+
+// joinOutcome runs root on e and on a fresh engine and requires the same work
+// and rows (every column named, sorted).
+func joinOutcome(t *testing.T, e *Engine, q *query.Query, root plan.Node, cols ...string) []string {
+	t.Helper()
+	res, w, err := e.Execute(q, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres, cw, err := New(e.db).Execute(q, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rowsOf(t, res, cols...)
+	if *w != *cw || !reflect.DeepEqual(rows, rowsOf(t, cres, cols...)) {
+		t.Errorf("%s: work %+v and %d rows, cold %+v and %d", plan.Format(root), *w, res.N, *cw, cres.N)
+	}
+	return rows
+}
+
+// TestMemoJoinKey: what a join's key holds. The aliases — the same join under
+// two spellings of them is two join entries over one shared pair of scan
+// entries, and each hands out its rows under its own names. And everything
+// that is charged or written differently: the predicates' sides as written,
+// their order, the algorithm — six ways of writing one two-key self-join
+// are six entries, each answering with the work its own cold run is charged.
+func TestMemoJoinKey(t *testing.T) {
+	db := tinyDB()
+	e := New(db)
+	spelled := func(u, o string) (*query.Query, plan.Node) {
+		q := &query.Query{
+			Relations: []query.Relation{{Table: "users", Alias: u}, {Table: "orders", Alias: o}},
+			Joins:     []query.Join{{LeftAlias: o, LeftCol: "user_id", RightAlias: u, RightCol: "id"}},
+			Filters:   []query.Filter{{Alias: o, Column: "amount", Op: query.Lt, Value: 12}},
+		}
+		return q, plan.JoinNodes(q, plan.HashJoin, plan.BuildScan(q, o, plan.SeqScan, ""), plan.BuildScan(q, u, plan.SeqScan, ""))
+	}
+	var rows [2][]string
+	for run := 0; run < 3; run++ {
+		for i, names := range [][2]string{{"u", "o"}, {"x", "y"}} {
+			q, root := spelled(names[0], names[1])
+			rows[i] = joinOutcome(t, e, q, root, names[1]+".id", names[0]+".age")
+		}
+	}
+	if len(rows[0]) != 12 || !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("the two spellings return %v and %v, want the same 12 rows", rows[0], rows[1])
+	}
+	// Two scans (orders filtered, and users, which is its table's identity
+	// scan), one entry each; two joins. Each spelling ran cold twice and was
+	// answered once; the second spelling's scans were the first's.
+	st := e.Stats()
+	if len(e.memo.entries) != 5 || st.PlanMisses != 4 || st.PlanHits != 2 || st.ScanMisses != 3 || st.ScanHits != 5 {
+		t.Errorf("two spellings should be two join entries over shared scans: %d entries (orders' identity scan among them), %+v", len(e.memo.entries), st)
+	}
+
+	a, b := query.Join{LeftAlias: "a", LeftCol: "user_id", RightAlias: "b", RightCol: "user_id"}, query.Join{LeftAlias: "a", LeftCol: "amount", RightAlias: "b", RightCol: "amount"}
+	swapped := query.Join{LeftAlias: "b", LeftCol: "user_id", RightAlias: "a", RightCol: "user_id"}
+	q := &query.Query{Relations: []query.Relation{{Table: "orders", Alias: "a"}, {Table: "orders", Alias: "b"}}}
+	scan := func(alias string) plan.Node { return plan.BuildScan(q, alias, plan.SeqScan, "") }
+	var joins []*plan.Join
+	for _, preds := range [][]query.Join{{a, b}, {b, a}, {swapped, b}} {
+		joins = append(joins, &plan.Join{Algo: plan.HashJoin, Left: scan("a"), Right: scan("b"), Preds: preds})
+	}
+	for _, algo := range plan.JoinAlgos {
+		joins = append(joins, &plan.Join{Algo: algo, Left: scan("b"), Right: scan("a"), Preds: []query.Join{a, b}})
+	}
+	e = New(db)
+	works := map[Work]bool{}
+	for run := 0; run < 3; run++ {
+		for _, j := range joins {
+			if rows := joinOutcome(t, e, q, j, "a.id", "b.id"); len(rows) != 20 {
+				t.Fatalf("%s: %d rows, want 20", plan.Format(j), len(rows))
+			}
+			if run == 2 {
+				_, w, _ := e.Execute(q, j)
+				works[*w] = true
+			}
+		}
+	}
+	st = e.Stats()
+	if want := uint64(len(joins)); st.PlanMisses != 2*want || st.PlanHits != 2*want || len(e.memo.entries) != len(joins)+1 {
+		t.Errorf("%d ways of writing the join should be as many entries over one scan entry: %d entries, %+v", len(joins), len(e.memo.entries), st)
+	}
+	// Candidates by user_id then amount, by amount then user_id, and three
+	// algorithms: the entries do not all hold the same work.
+	if len(works) < 4 {
+		t.Errorf("the %d entries answer with %d distinct works, want at least 4", len(joins), len(works))
+	}
+}
+
+// TestMemoSharedPrefix: two plans that share a sub-join share its entry. Once
+// one plan has run twice, the other's first run is answered at the sub-join —
+// its scans are not asked — and, hashing on the sub-join's output, builds the
+// key index over it on the entry, where its second run finds it.
+func TestMemoSharedPrefix(t *testing.T) {
+	db := tinyDB()
+	q := &query.Query{
+		Relations: []query.Relation{{Table: "orders", Alias: "a"}, {Table: "orders", Alias: "b"}, {Table: "users", Alias: "u"}},
+		Joins: []query.Join{
+			{LeftAlias: "a", LeftCol: "user_id", RightAlias: "b", RightCol: "user_id"},
+			{LeftAlias: "b", LeftCol: "user_id", RightAlias: "u", RightCol: "id"},
+		},
+		Filters: []query.Filter{{Alias: "a", Column: "amount", Op: query.Lt, Value: 10}},
+	}
+	sub := func() plan.Node {
+		return plan.JoinNodes(q, plan.HashJoin, plan.BuildScan(q, "a", plan.SeqScan, ""), plan.BuildScan(q, "b", plan.SeqScan, ""))
+	}
+	over := plan.JoinNodes(q, plan.MergeJoin, sub(), plan.BuildScan(q, "u", plan.SeqScan, ""))
+	under := plan.JoinNodes(q, plan.HashJoin, plan.BuildScan(q, "u", plan.SeqScan, ""), sub())
+	cols := []string{"a.id", "b.id", "u.age"}
+
+	e := New(db)
+	want := joinOutcome(t, e, q, over, cols...)
+	joinOutcome(t, e, q, over, cols...)
+	if len(want) != 20 {
+		t.Fatalf("%d rows, want 20", len(want))
+	}
+	step := func(what string, run func(), want MemoStats) {
+		t.Helper()
+		before := e.Stats()
+		run()
+		after := e.Stats()
+		got := MemoStats{
+			ScanHits: after.ScanHits - before.ScanHits, ScanMisses: after.ScanMisses - before.ScanMisses,
+			PlanHits: after.PlanHits - before.PlanHits, PlanMisses: after.PlanMisses - before.PlanMisses,
+			IndexBuilds: after.IndexBuilds - before.IndexBuilds, IndexReuses: after.IndexReuses - before.IndexReuses,
+		}
+		if got != want {
+			t.Errorf("%s: %+v, want %+v", what, got, want)
+		}
+	}
+	other := func() {
+		if got := joinOutcome(t, e, q, under, cols...); !reflect.DeepEqual(got, want) {
+			t.Errorf("the other plan returns %v, want %v", got, want)
+		}
+	}
+	// The top join runs, u is scanned (users' identity scan: held from the
+	// first plan), the sub-join is answered and a and b are never asked.
+	step("the other plan's first run", other, MemoStats{PlanMisses: 1, PlanHits: 1, ScanHits: 1, IndexBuilds: 1})
+	step("its second", other, MemoStats{PlanMisses: 1, PlanHits: 1, ScanHits: 1, IndexReuses: 1})
+	step("its third", other, MemoStats{PlanHits: 1})
+}
+
+// TestMemoResultsAreNotAliased: a memoised aggregation hands every execution
+// the same Result, so what Column returns has to be the caller's own: writing
+// to it changes nobody else's answer.
+func TestMemoResultsAreNotAliased(t *testing.T) {
+	db := tinyDB()
+	q := tinyQuery()
+	q.GroupBys = []query.GroupBy{{Alias: "u", Column: "age"}}
+	q.Aggregates = []query.Aggregate{{Kind: query.AggSum, Alias: "o", Column: "amount"}}
+	join := plan.JoinNodes(q, plan.HashJoin, plan.BuildScan(q, "o", plan.SeqScan, ""), plan.BuildScan(q, "u", plan.SeqScan, ""))
+	for _, tc := range []struct {
+		root plan.Node
+		cols []string
+	}{
+		{plan.FinishAgg(q, plan.HashAgg, join), []string{"u.age", "agg0_SUM"}},
+		{join, []string{"o.amount", "u.age"}},
+	} {
+		root, cols := tc.root, tc.cols
+		e := New(db)
+		var results []*Result
+		for run := 0; run < 4; run++ {
+			res, _, err := e.Execute(q, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+		if results[2] != results[3] {
+			t.Fatalf("%T: the third and fourth executions should share the memo's result", root)
+		}
+		want := rowsOf(t, results[2], cols...)
+		for _, c := range cols {
+			col, err := results[2].Column(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range col {
+				col[i] = -1
+			}
+		}
+		res, _, err := e.Execute(q, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Result{results[2], res} {
+			if got := rowsOf(t, r, cols...); !reflect.DeepEqual(got, want) {
+				t.Errorf("%T: after writing to a returned column the result reads %v, want %v", root, got, want)
+			}
+		}
 	}
 }

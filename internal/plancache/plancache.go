@@ -189,7 +189,9 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{shards: make([]*shard, cfg.Shards), mask: uint64(cfg.Shards - 1), minAdmit: cfg.MinAdmitCost}
 	for i := range c.shards {
-		c.shards[i] = &shard{m: make(map[Key]*node, per), cap: per}
+		// The maps grow as entries arrive: sized for per up front, an idle
+		// tenant's 16 384-entry cache pinned 1.25 MB of empty buckets.
+		c.shards[i] = &shard{m: make(map[Key]*node), cap: per}
 	}
 	return c
 }
@@ -322,7 +324,7 @@ func (c *Cache) Flush() {
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
-		s.m = make(map[Key]*node, s.cap)
+		s.m = make(map[Key]*node)
 		s.head, s.tail = nil, nil
 		s.mu.Unlock()
 	}

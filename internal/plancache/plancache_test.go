@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -90,6 +91,56 @@ func TestCacheCapacityBound(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Fatal("no evictions recorded despite overflow")
+	}
+}
+
+// TestCacheStartsEmpty: capacity is a bound, not a reservation. A fresh cache
+// of the benchmark tenant's 16 384 entries holds next to nothing, still fills
+// to exactly its capacity, and from there evicts least recently used first,
+// one entry per entry put.
+func TestCacheStartsEmpty(t *testing.T) {
+	const capacity = 16384
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(Config{Capacity: capacity})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held >= 64<<10 {
+		t.Errorf("an empty cache of capacity %d holds %d bytes, want under 64 kB", capacity, held)
+	}
+
+	// Sequential query ids spread evenly over the shards (Key.hash mixes, so
+	// "evenly" is checked, not assumed: a shard that filled early evicts).
+	n := 0
+	for c.Stats().Evictions == 0 {
+		c.Put(Key{Query: uint64(n)}, entryFor(n))
+		n++
+	}
+	if st := c.Stats(); st.Size > capacity || st.Size < capacity/2 {
+		t.Fatalf("first eviction at size %d, capacity %d", st.Size, capacity)
+	}
+	one := New(Config{Capacity: capacity, Shards: 1})
+	for i := 0; i < capacity; i++ {
+		one.Put(Key{Query: uint64(i)}, entryFor(i))
+	}
+	if st := one.Stats(); st.Size != capacity || st.Evictions != 0 {
+		t.Fatalf("one shard should hold exactly its capacity: %+v", st)
+	}
+	one.Get(Key{Query: 0}) // 0 is now most recent; 1 is LRU
+	one.Put(Key{Query: capacity}, entryFor(capacity))
+	if _, ok := one.Get(Key{Query: 1}); ok {
+		t.Error("LRU entry 1 survived eviction")
+	}
+	if _, ok := one.Get(Key{Query: 0}); !ok {
+		t.Error("recently used entry 0 was evicted")
+	}
+	if st := one.Stats(); st.Size != capacity || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want size %d after 1 eviction", st, capacity)
+	}
+	one.Flush()
+	if one.Len() != 0 {
+		t.Errorf("flushed cache holds %d entries", one.Len())
 	}
 }
 

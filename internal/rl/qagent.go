@@ -28,9 +28,12 @@ type ReplayBuffer struct {
 	full bool
 }
 
-// NewReplayBuffer returns a buffer holding at most capacity samples.
+// NewReplayBuffer returns a buffer holding at most capacity samples. It
+// starts empty and grows with what is added: capacity bounds the ring, it
+// reserves nothing (a lifecycle's two 100 000-sample buffers hold six
+// demonstrations' worth).
 func NewReplayBuffer(capacity int) *ReplayBuffer {
-	return &ReplayBuffer{cap: capacity, data: make([]Sample, 0, capacity)}
+	return &ReplayBuffer{cap: capacity}
 }
 
 // Add inserts a sample, evicting the oldest once at capacity.

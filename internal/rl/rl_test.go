@@ -174,6 +174,9 @@ func TestQAgentRegression(t *testing.T) {
 
 func TestReplayBufferEvictsOldest(t *testing.T) {
 	buf := NewReplayBuffer(3)
+	if cap(buf.data) != 0 {
+		t.Fatalf("a new buffer reserves %d samples, want none until they are added", cap(buf.data))
+	}
 	for i := 0; i < 5; i++ {
 		buf.Add(Sample{Target: float64(i)})
 	}

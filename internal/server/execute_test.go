@@ -79,11 +79,12 @@ func TestExecuteEndpoint(t *testing.T) {
 		t.Fatalf("entry last_source %q, want expert", ent.LastSource)
 	}
 
-	// The executor's scan memo, next to the history. A scan is kept the second
-	// time it runs, so the same statement twice more runs its scans once more
-	// and then none: the third execution is answered from the memo, with the
-	// same rows, work and latency.
-	if m := dr.ScanMemo; m.ScanMisses == 0 || m.Bytes <= 0 {
+	// The executor's memo, next to the history. An operator's output is kept
+	// the second time it is computed, so the same statement twice more runs
+	// once more and then not at all: the third execution is one hit, at the
+	// plan's root, and nothing beneath it is asked or built — with the same
+	// rows, work and latency.
+	if m := dr.ScanMemo; m.ScanMisses == 0 || m.PlanMisses == 0 || m.PlanHits != 0 || m.Bytes <= 0 {
 		t.Fatalf("scan_memo after one execute: %+v", m)
 	}
 	var memo [2]ScanMemoInfo
@@ -98,8 +99,10 @@ func TestExecuteEndpoint(t *testing.T) {
 		getJSON(t, client, ts.URL+"/drift", &d)
 		memo[i] = d.ScanMemo
 	}
-	if a, b := memo[0], memo[1]; b.ScanHits <= a.ScanHits || b.ScanMisses != a.ScanMisses || b.Bytes != a.Bytes || b.IndexReuses <= a.IndexReuses {
-		t.Fatalf("scan_memo after the third execute: %+v, after the second: %+v", b, a)
+	want := memo[0]
+	want.PlanHits++
+	if memo[1] != want {
+		t.Fatalf("scan_memo after the third execute: %+v, want the second's with one more plan hit: %+v", memo[1], want)
 	}
 
 	// The structured endpoint rejects a SQL body and vice versa, like /plan.

@@ -232,8 +232,8 @@ type DriftResponse struct {
 	Retrains    uint64          `json:"retrains"`
 	WorstRatio  *float64        `json:"worst_ratio,omitempty"`
 	History     ExecHistoryInfo `json:"history"`
-	// ScanMemo is the executor's scan memo: what /executesql did not have to
-	// rebuild, and what keeping it costs.
+	// ScanMemo is the executor's memo: what /executesql did not have to run
+	// again, and what keeping it costs.
 	ScanMemo ScanMemoInfo `json:"scan_memo"`
 	// Entries is the per-fingerprint view behind the aggregate counters,
 	// most recently executed first (absent when nothing has executed). The
@@ -274,10 +274,13 @@ type ExecHistoryInfo struct {
 	LearnedFlushes uint64 `json:"learned_flushes"`
 }
 
-// ScanMemoInfo snapshots the engine's memo of base scans and join build-side
-// key indexes. A scan is a hit when its rows and work came from the memo and
-// a miss when it ran; an index is built once per (scan, key column) and
-// reused by every later join; Bytes is what the resident entries hold.
+// ScanMemoInfo snapshots the engine's memo of operator outputs and the key
+// indexes built over them. A plan node is a hit when its output and its
+// subtree's work came from the memo — nothing beneath it is then asked — and
+// a miss when it ran: scan_* count base scans, plan_* joins and aggregations
+// (a statement answered whole is one plan hit). An index is built once per
+// (output, key column) and reused by every later join; Bytes is what the
+// resident entries hold.
 type ScanMemoInfo struct {
 	ScanHits    uint64 `json:"scan_hits"`
 	ScanMisses  uint64 `json:"scan_misses"`
@@ -285,6 +288,8 @@ type ScanMemoInfo struct {
 	IndexReuses uint64 `json:"index_reuses"`
 	Bytes       int64  `json:"bytes"`
 	Evictions   uint64 `json:"evictions"`
+	PlanHits    uint64 `json:"plan_hits"`
+	PlanMisses  uint64 `json:"plan_misses"`
 }
 
 // PhaseResponse is the body of GET /phase.
