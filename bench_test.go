@@ -434,61 +434,18 @@ func BenchmarkMatMulSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEpisodeCollection measures ReJOIN training throughput
-// with 4 collection workers, against BenchmarkSequentialEpisodeCollection.
-func BenchmarkParallelEpisodeCollection(b *testing.B) {
-	benchCollect(b, 4)
-}
-
-// BenchmarkSequentialEpisodeCollection is the single-worker baseline.
-func BenchmarkSequentialEpisodeCollection(b *testing.B) {
-	benchCollect(b, 1)
-}
-
-func benchCollect(b *testing.B, workers int) {
-	l := lab(b)
-	queries := make([]*query.Query, 0, 4)
-	for i := int64(0); i < 4; i++ {
-		q, err := l.Workload.ByRelations(8, 3+i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-	space := l.Space(8)
-	env := rejoin.NewEnv(space, l.Planner, queries, 1)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainEpisodes(16, workers)
-	}
-}
-
-// BenchmarkSyncCollect measures round-synchronous ReJOIN training (frozen
-// snapshots, barrier join per policy batch) at 1/4/8 collection workers on
-// the bench workload; one iteration = 48 episodes. Compare per-actor-count
-// against BenchmarkAsyncCollect: the async split removes the round barrier,
-// so it pulls ahead as actors multiply and episode durations spread.
-func BenchmarkSyncCollect(b *testing.B) {
-	for _, actors := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("actors=%d", actors), func(b *testing.B) {
-			benchActorCollect(b, actors, false)
-		})
-	}
-}
-
 // BenchmarkAsyncCollect measures asynchronous actor-learner ReJOIN training
-// (lock-free parameter-server snapshots, staleness bound 4, no barrier) at
-// 1/4/8 actors; one iteration = 48 episodes.
+// (lock-free parameter-server snapshots, staleness bound 4) at 1/4/8 actors;
+// one iteration = 48 episodes.
 func BenchmarkAsyncCollect(b *testing.B) {
 	for _, actors := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("actors=%d", actors), func(b *testing.B) {
-			benchActorCollect(b, actors, true)
+			benchActorCollect(b, actors)
 		})
 	}
 }
 
-func benchActorCollect(b *testing.B, actors int, async bool) {
+func benchActorCollect(b *testing.B, actors int) {
 	l := lab(b)
 	queries := make([]*query.Query, 0, 4)
 	for i := int64(0); i < 4; i++ {
@@ -503,11 +460,7 @@ func benchActorCollect(b *testing.B, actors int, async bool) {
 	const episodes = 48
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if async {
-			agent.TrainAsync(episodes, rl.AsyncConfig{Actors: actors, Staleness: 4})
-		} else {
-			agent.TrainEpisodes(episodes, actors)
-		}
+		agent.TrainAsync(episodes, rl.AsyncConfig{Actors: actors, Staleness: 4})
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(episodes*b.N)/b.Elapsed().Seconds(), "episodes/sec")
@@ -578,7 +531,7 @@ func BenchmarkColdCollect(b *testing.B) {
 }
 
 // benchCacheTrainingCollect measures the stochastic training hot path — 4
-// workers, policy snapshots refreshed and updated every round — with or
+// actors, policy snapshots republished after every update — with or
 // without the cache. Sampled join orders rarely repeat wholesale, so only
 // subtree entries (leaves, small joins) hit; the win is real but modest
 // compared to the frozen-policy sweep above. minAdmit > 0 adds the
@@ -594,10 +547,11 @@ func benchCacheTrainingCollect(b *testing.B, withCache bool, minAdmit float64) {
 		env.UseCache(cache)
 	}
 	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
-	agent.TrainEpisodes(16, 4) // warm-up sweep (also for the cold baseline)
+	cfg := rl.AsyncConfig{Actors: 4}
+	agent.TrainAsync(16, cfg) // warm-up sweep (also for the cold baseline)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.TrainEpisodes(16, 4)
+		agent.TrainAsync(16, cfg)
 	}
 	if withCache {
 		b.StopTimer()
@@ -899,10 +853,7 @@ func BenchmarkServicePlan(b *testing.B) {
 // frequency sketch, and a value reservoir, plus one whole-row sample per
 // table. Metric: analyzed rows/sec.
 func BenchmarkSketchAnalyze(b *testing.B) {
-	sys, err := Open(Config{Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := benchExecService(b).System()
 	var rows float64
 	for _, tab := range sys.DB.Store.Tables {
 		rows += float64(tab.N)
@@ -971,10 +922,7 @@ func BenchmarkApproxCount(b *testing.B) {
 // perfect) for the sketch-backed estimator and the histogram estimator —
 // the planning-quality basis behind the sketch-parity acceptance test.
 func BenchmarkSketchEstimatorQError(b *testing.B) {
-	sys, err := Open(Config{Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := benchExecService(b).System()
 	qs, err := sys.Workload.Training(16, 2, 5, 7)
 	if err != nil {
 		b.Fatal(err)

@@ -63,15 +63,19 @@ func ExampleService() {
 	// safeguard holds: true
 }
 
-// ExampleOpen builds the synthetic substrate and plans a SQL query with the
+// ExampleNew builds the synthetic substrate and plans a SQL query with the
 // traditional optimizer.
-func ExampleOpen() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+func ExampleNew() {
+	svc, err := handsfree.New(handsfree.WithScale(0.05))
 	if err != nil {
 		panic(err)
 	}
-	planned, err := sys.PlanSQL(`SELECT COUNT(*) FROM title t, movie_companies mc
+	q, err := handsfree.ParseSQL(`SELECT COUNT(*) FROM title t, movie_companies mc
 		WHERE mc.movie_id = t.id AND t.production_year > 50`)
+	if err != nil {
+		panic(err)
+	}
+	planned, err := svc.ExpertPlan(context.Background(), q)
 	if err != nil {
 		panic(err)
 	}
@@ -84,22 +88,19 @@ func ExampleOpen() {
 	// positive cost: true
 }
 
-// ExampleSystem_NewReJOINAgent trains the paper's §3 join-order enumerator
+// ExampleService_NewReJOINAgent trains the paper's §3 join-order enumerator
 // for a few episodes and plans a workload query with the learned policy.
-func ExampleSystem_NewReJOINAgent() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+func ExampleService_NewReJOINAgent() {
+	svc, err := handsfree.New(handsfree.WithScale(0.05), handsfree.WithWorkload(4, 4, 5, 3))
 	if err != nil {
 		panic(err)
 	}
-	queries, err := sys.Workload.Training(4, 4, 5, 3)
+	queries := svc.Queries()
+	agent, err := svc.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		panic(err)
 	}
-	agent, err := sys.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
-	if err != nil {
-		panic(err)
-	}
-	agent.Train(32) // sequential; agent.TrainParallel(32, workers) is equivalent and deterministic
+	agent.Train(32) // sequential; agent.TrainAsync(32, handsfree.AsyncConfig{Actors: n}) is as repeatable on n actors
 	root, cost := agent.Plan(queries[0])
 	fmt.Println("learned a plan:", root != nil)
 	fmt.Println("positive cost:", cost > 0)
@@ -112,27 +113,26 @@ func ExampleSystem_NewReJOINAgent() {
 // memoizes optimizer completions, so every repetition of a workload query
 // after the first is served (fully or partially) from cache.
 func ExampleConfig_cache() {
-	sys, err := handsfree.Open(handsfree.Config{
-		Scale: 0.05,
-		Cache: handsfree.CacheConfig{Enabled: true, Capacity: 4096},
-	})
+	svc, err := handsfree.New(
+		handsfree.WithConfig(handsfree.Config{
+			Scale: 0.05,
+			Cache: handsfree.CacheConfig{Enabled: true, Capacity: 4096},
+		}),
+		handsfree.WithWorkload(4, 4, 5, 3),
+	)
 	if err != nil {
 		panic(err)
 	}
-	queries, err := sys.Workload.Training(4, 4, 5, 3)
+	agent, err := svc.NewReJOINAgent(svc.Queries(), handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		panic(err)
 	}
-	agent, err := sys.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
-	if err != nil {
-		panic(err)
-	}
-	// Two parallel collection sweeps over the same 4-query workload: the
+	// Two parallel training sweeps over the same 4-query workload: the
 	// second revisits fingerprints the first one cached.
-	agent.TrainParallel(16, 2)
-	agent.TrainParallel(16, 2)
+	agent.TrainAsync(16, handsfree.AsyncConfig{Actors: 2})
+	agent.TrainAsync(16, handsfree.AsyncConfig{Actors: 2})
 
-	st := sys.CacheStats()
+	st := svc.CacheStats()
 	fmt.Println("cache used:", st.Puts > 0)
 	fmt.Println("repeated queries hit:", st.Hits > 0)
 	fmt.Println("bounded:", st.Size <= 4096)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -17,17 +18,18 @@ import (
 )
 
 func main() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+	svc, err := handsfree.New(handsfree.WithScale(0.05))
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys := svc.System()
 	queries, err := sys.Workload.Training(8, 4, 6, 17)
 	if err != nil {
 		log.Fatal(err)
 	}
 	expert := map[string]float64{}
 	for _, q := range queries {
-		planned, err := sys.Plan(q)
+		planned, err := svc.ExpertPlan(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,10 +15,11 @@ import (
 )
 
 func main() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+	svc, err := handsfree.New(handsfree.WithScale(0.05))
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys := svc.System()
 	queries, err := sys.Workload.Training(12, 2, 6, 21)
 	if err != nil {
 		log.Fatal(err)

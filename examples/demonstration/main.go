@@ -17,10 +17,11 @@ import (
 )
 
 func main() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
+	svc, err := handsfree.New(handsfree.WithScale(0.05))
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys := svc.System()
 	queries, err := sys.Workload.Training(8, 4, 6, 13)
 	if err != nil {
 		log.Fatal(err)

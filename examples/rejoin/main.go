@@ -14,19 +14,15 @@ import (
 )
 
 func main() {
-	sys, err := handsfree.Open(handsfree.Config{Scale: 0.05})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// A continuous workload of 4–6 relation queries (an episode per query,
 	// repeating — exactly the paper's training loop).
-	queries, err := sys.Workload.Training(10, 4, 6, 42)
+	svc, err := handsfree.New(handsfree.WithScale(0.05), handsfree.WithWorkload(10, 4, 6, 42))
 	if err != nil {
 		log.Fatal(err)
 	}
+	sys, queries := svc.System(), svc.Queries()
 
-	agent, err := sys.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 7})
+	agent, err := svc.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,12 +46,12 @@ func main() {
 		return math.Exp(logSum / float64(len(queries)))
 	}
 
-	workers := runtime.NumCPU()
-	fmt.Printf("training ReJOIN (reward = optimizer cost model, %d collection workers)…\n", workers)
+	actors := runtime.NumCPU()
+	fmt.Printf("training ReJOIN (reward = optimizer cost model, %d actors)…\n", actors)
 	fmt.Printf("%8s  %s\n", "episode", "avg cost vs greedy optimizer")
 	for step := 0; step <= 10; step++ {
 		if step > 0 {
-			agent.TrainParallel(400, workers)
+			agent.TrainAsync(400, handsfree.AsyncConfig{Actors: actors})
 		}
 		fmt.Printf("%8d  %6.2f×\n", step*400, avgRatio())
 	}

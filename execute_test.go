@@ -188,25 +188,6 @@ func TestServiceLatencyGuard(t *testing.T) {
 	}
 }
 
-// TestSimulateLatencyParity pins the deprecated simulator entry point: it
-// still delegates to the analytic latency model, unchanged by the observed
-// execution path.
-func TestSimulateLatencyParity(t *testing.T) {
-	svc := testService(t)
-	sys := svc.System()
-	for _, q := range svc.Queries() {
-		planned, err := sys.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := sys.SimulateLatency(q, planned.Root)
-		want := sys.Latency.Latency(q, planned.Root)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("SimulateLatency %v != latency model %v", got, want)
-		}
-	}
-}
-
 // driftLifecycle is quickLifecycle with the resident drift watcher on and
 // small re-training budgets.
 func driftLifecycle() LifecycleConfig {

@@ -3,7 +3,7 @@
 // Papaemmanouil, CIDR 2019): a deep-reinforcement-learning query optimizer
 // stack built on a synthetic relational substrate.
 //
-// The package's primary entry point is the optimizer-as-a-service API:
+// The package has one entry point, the optimizer-as-a-service API:
 //
 //   - New assembles the synthetic JOB-like database with statistics, a
 //     PostgreSQL-style cost model, a traditional optimizer, a truth oracle,
@@ -18,12 +18,12 @@
 //     background — observe the expert (§5.1), train on cost (§5.2 Phase 1),
 //     fine-tune on latency (§5.2 Phase 2) — hot-swapping policy snapshots
 //     while serving continues.
+//   - Service.NewReJOINAgent builds the paper's §3 join-order enumerator
+//     for direct control: Train runs episodes sequentially, TrainAsync on
+//     several actors. Service.System exposes the substrate underneath.
 //   - ParseSQL turns SQL text into the query IR.
 //   - The internal/experiment package (exposed through cmd/handsfree)
 //     regenerates every figure of the paper.
-//
-// The pre-service API (Open, System.Plan, System.NewReJOINAgent) remains as
-// thin deprecated wrappers delegating to the same machinery.
 //
 // See README.md for an overview and ARCHITECTURE.md for the layer stack,
 // the data flow of the batched + cached training loop, and the service
@@ -135,8 +135,8 @@ type CacheConfig struct {
 	Enabled bool
 	// Capacity bounds the cached entry count (default 4096; LRU eviction).
 	Capacity int
-	// Shards is the lock-sharding factor; parallel collection workers
-	// rarely contend when it exceeds the worker count (default 16,
+	// Shards is the lock-sharding factor; training actors rarely contend
+	// when it exceeds the actor count (default 16,
 	// rounded up to a power of two).
 	Shards int
 	// MinAdmitCost skips caching completion subtrees whose plan cost is
@@ -147,7 +147,7 @@ type CacheConfig struct {
 	MinAdmitCost float64
 }
 
-// Config controls Open.
+// Config seeds every substrate knob of New at once (WithConfig).
 type Config struct {
 	// Seed drives data generation (default 1).
 	Seed int64
@@ -207,7 +207,7 @@ type System struct {
 	// sketchOnce guards the lazily built sketch store: exact-stats systems
 	// only pay the one-pass analysis when something asks for sketches
 	// (approximate execution, or an explicit Sketches call); sketch-stats
-	// systems build them at Open because the cost model reads them.
+	// systems build them at New because the cost model reads them.
 	sketchOnce sync.Once
 	sketches   *sketch.Store
 	sketchEst  *sketch.Estimator
@@ -218,9 +218,6 @@ type System struct {
 	// plan-cache dumps carry it so a dump can never warm a differently
 	// built system.
 	cacheTag uint64
-	// svc is the owning Service: every System is built through New, and the
-	// deprecated System entry points delegate to it.
-	svc *Service
 }
 
 // buildSketches analyzes the stored tables into the sketch store, once.
@@ -247,7 +244,7 @@ func (s *System) SketchEstimator() *sketch.Estimator {
 
 // cardEstimator returns the estimator the planning stack runs on in the
 // resolved statistics mode — the featurization side of the same choice the
-// cost model made at Open.
+// cost model made at New.
 func (s *System) cardEstimator() featurize.Estimator {
 	if s.StatsSource == StatsSketch {
 		return s.SketchEstimator()
@@ -278,22 +275,8 @@ func systemTag(cfg Config) uint64 {
 	return h
 }
 
-// Open generates the synthetic database and assembles the system.
-//
-// Deprecated: Open is the pre-service entry point, retained as a thin
-// wrapper that builds a Service and returns its System view. New code
-// should call New with functional options and use the request-scoped,
-// safeguarded Service API.
-func Open(cfg Config) (*System, error) {
-	svc, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return svc.System(), nil
-}
-
 // openSystem generates the synthetic database and assembles the substrate
-// bundle (the construction behind New and, through it, Open).
+// bundle (the construction behind New).
 func openSystem(cfg Config) (*System, error) {
 	cfg.fill()
 	db, err := datagen.Generate(datagen.Config{Seed: cfg.Seed, Scale: cfg.Scale})
@@ -370,47 +353,10 @@ func ParseSQL(sql string) (*Query, error) {
 	return sqlparse.Parse(sql)
 }
 
-// Plan optimizes a query with the traditional optimizer (Selinger DP up to
-// 12 relations, GEQO-style randomized search beyond).
-//
-// Deprecated: use Service.Plan for safeguarded serving or
-// Service.ExpertPlan for a request-scoped expert plan; this wrapper
-// delegates to the owning service's expert path with a background context.
-func (s *System) Plan(q *Query) (Planned, error) {
-	if s.svc != nil {
-		return s.svc.ExpertPlan(context.Background(), q)
-	}
-	return s.Planner.Plan(q)
-}
-
-// PlanSQL parses and optimizes SQL text.
-//
-// Deprecated: use Service.PlanSQL; see System.Plan.
-func (s *System) PlanSQL(sql string) (Planned, error) {
-	q, err := ParseSQL(sql)
-	if err != nil {
-		return Planned{}, err
-	}
-	return s.Plan(q)
-}
-
 // Execute runs a physical plan on the columnar engine, returning the result
 // and the deterministic work accounting.
 func (s *System) Execute(q *Query, root PlanNode) (*Result, *Work, error) {
 	return s.Engine.Execute(q, root)
-}
-
-// SimulateLatency returns the simulated execution latency (milliseconds) of
-// a plan on the "production" system — true cardinalities, hardware-truth
-// constants, seeded noise.
-//
-// Deprecated: SimulateLatency is the analytic simulator; it predicts, it
-// does not observe, so injected faults and real engine behavior never reach
-// it. Use Service.Execute, which runs the plan and feeds the observed
-// latency into the guard and drift machinery. Retained for the
-// simulator-driven experiments.
-func (s *System) SimulateLatency(q *Query, root PlanNode) float64 {
-	return s.Latency.Latency(q, root)
 }
 
 // ExplainPlan renders a plan tree in EXPLAIN style.
@@ -434,28 +380,11 @@ type ReJOINConfig struct {
 	Seed int64
 }
 
-// NewReJOINAgent builds a ReJOIN agent over a training workload. Queries
-// must not exceed cfg.MaxRelations relations.
-//
-// Deprecated: this wrapper delegates to Service.NewReJOINAgent; prefer the
-// Service lifecycle (StartTraining) for hands-free training, or
-// Service.NewReJOINAgent for direct §3-style agent control.
-func (s *System) NewReJOINAgent(queries []*Query, cfg ReJOINConfig) (*ReJOINAgent, error) {
-	if s.svc != nil {
-		return s.svc.NewReJOINAgent(queries, cfg)
-	}
-	return newReJOINAgent(s, queries, cfg)
-}
-
 // NewReJOINAgent builds the paper's §3 join-order enumerator over a
 // training workload. Queries must not exceed cfg.MaxRelations relations.
 // The agent is independent of the service lifecycle: it trains its own
 // policy and is planned with directly (ReJOINAgent.Plan / PlanCtx).
 func (s *Service) NewReJOINAgent(queries []*Query, cfg ReJOINConfig) (*ReJOINAgent, error) {
-	return newReJOINAgent(s.sys, queries, cfg)
-}
-
-func newReJOINAgent(sys *System, queries []*Query, cfg ReJOINConfig) (*ReJOINAgent, error) {
 	if cfg.MaxRelations == 0 {
 		for _, q := range queries {
 			if len(q.Relations) > cfg.MaxRelations {
@@ -474,8 +403,8 @@ func newReJOINAgent(sys *System, queries []*Query, cfg ReJOINConfig) (*ReJOINAge
 	if cfg.LR == 0 {
 		cfg.LR = 1.5e-3
 	}
-	space := featurize.NewSpace(cfg.MaxRelations, sys.cardEstimator())
-	env := rejoin.NewEnv(space, sys.Planner, queries, cfg.Seed)
+	space := featurize.NewSpace(cfg.MaxRelations, s.sys.cardEstimator())
+	env := rejoin.NewEnv(space, s.sys.Planner, queries, cfg.Seed)
 	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
 		Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Seed: cfg.Seed,
 	})
@@ -490,15 +419,7 @@ func (a *ReJOINAgent) TrainEpisode() float64 {
 
 // Train runs n learning episodes sequentially.
 func (a *ReJOINAgent) Train(n int) {
-	a.agent.TrainEpisodes(n, 1)
-}
-
-// TrainParallel runs n learning episodes collected by `workers` concurrent
-// environment replicas stepping frozen policy snapshots. Trajectories merge
-// deterministically, so training remains reproducible for a fixed seed and
-// worker count; use runtime.NumCPU() workers to saturate the machine.
-func (a *ReJOINAgent) TrainParallel(n, workers int) {
-	a.agent.TrainEpisodes(n, workers)
+	a.agent.TrainEpisodes(n)
 }
 
 // TrainAsync runs n learning episodes with the asynchronous actor-learner
@@ -507,7 +428,8 @@ func (a *ReJOINAgent) TrainParallel(n, workers int) {
 // updates and republishes without a round barrier. Which snapshot an
 // episode sees is decided by its position in the episode sequence, not by
 // scheduling, so the trained weights are reproducible bit for bit for a
-// fixed seed and actor count, like TrainParallel's.
+// fixed seed and actor count; use runtime.NumCPU() actors to saturate the
+// machine.
 func (a *ReJOINAgent) TrainAsync(n int, cfg AsyncConfig) {
 	a.agent.TrainAsync(n, cfg)
 }

@@ -2,24 +2,16 @@ package handsfree
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
 
-func testSystem(t *testing.T) *System {
-	t.Helper()
-	sys, err := Open(Config{Scale: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 func TestOpenDefaults(t *testing.T) {
-	sys := testSystem(t)
+	sys := testService(t).System()
 	if sys.DB == nil || sys.Planner == nil || sys.Latency == nil || sys.Engine == nil {
-		t.Fatal("Open left components nil")
+		t.Fatal("New left components nil")
 	}
 	if n := sys.DB.Catalog.NumTables(); n != 21 {
 		t.Fatalf("catalog has %d tables, want 21", n)
@@ -27,8 +19,8 @@ func TestOpenDefaults(t *testing.T) {
 }
 
 func TestPlanSQLEndToEnd(t *testing.T) {
-	sys := testSystem(t)
-	planned, err := sys.PlanSQL(`SELECT COUNT(*) FROM title t, movie_companies mc
+	svc := testService(t)
+	planned, err := svc.PlanSQL(context.Background(), `SELECT COUNT(*) FROM title t, movie_companies mc
 		WHERE mc.movie_id = t.id AND t.production_year > 50`)
 	if err != nil {
 		t.Fatal(err)
@@ -36,23 +28,23 @@ func TestPlanSQLEndToEnd(t *testing.T) {
 	if planned.Cost <= 0 {
 		t.Fatalf("cost %v", planned.Cost)
 	}
-	explain := ExplainPlan(planned.Root)
+	explain := ExplainPlan(planned.Plan)
 	if !strings.Contains(explain, "title") || !strings.Contains(explain, "movie_companies") {
 		t.Fatalf("explain output missing relations:\n%s", explain)
 	}
 }
 
 func TestExecuteMatchesPlanShape(t *testing.T) {
-	sys := testSystem(t)
+	svc := testService(t)
 	q, err := ParseSQL(`SELECT COUNT(*) FROM title t WHERE t.production_year > 100`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := sys.Plan(q)
+	planned, err := svc.ExpertPlan(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, work, err := sys.Execute(q, planned.Root)
+	res, work, err := svc.System().Execute(q, planned.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,27 +56,25 @@ func TestExecuteMatchesPlanShape(t *testing.T) {
 	}
 }
 
-func TestSimulateLatencyPositiveAndDeterministic(t *testing.T) {
-	sys := testSystem(t)
+func TestLatencyModelPositiveAndDeterministic(t *testing.T) {
+	svc := testService(t)
+	sys := svc.System()
 	q := sys.Workload.MustNamed("1a")
-	planned, err := sys.Plan(q)
+	planned, err := svc.ExpertPlan(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := sys.SimulateLatency(q, planned.Root)
-	l2 := sys.SimulateLatency(q, planned.Root)
+	l1 := sys.Latency.Latency(q, planned.Root)
+	l2 := sys.Latency.Latency(q, planned.Root)
 	if l1 <= 0 || l1 != l2 {
 		t.Fatalf("latency %v / %v", l1, l2)
 	}
 }
 
 func TestReJOINAgentAPI(t *testing.T) {
-	sys := testSystem(t)
-	queries, err := sys.Workload.Training(4, 4, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
+	svc := testService(t)
+	queries := svc.Queries()
+	agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +86,12 @@ func TestReJOINAgentAPI(t *testing.T) {
 }
 
 func TestReJOINAgentRejectsOversizedQueries(t *testing.T) {
-	sys := testSystem(t)
-	queries, err := sys.Workload.Training(2, 6, 6, 3)
+	svc := testService(t)
+	queries, err := svc.System().Workload.Training(2, 6, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.NewReJOINAgent(queries, ReJOINConfig{MaxRelations: 4, Seed: 1}); err == nil {
+	if _, err := svc.NewReJOINAgent(queries, ReJOINConfig{MaxRelations: 4, Seed: 1}); err == nil {
 		t.Fatal("agent accepted queries above MaxRelations")
 	}
 }
@@ -113,12 +103,9 @@ func TestParseSQLErrors(t *testing.T) {
 }
 
 func TestReJOINAgentTrainAsync(t *testing.T) {
-	sys := testSystem(t)
-	queries, err := sys.Workload.Training(4, 4, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
+	svc := testService(t)
+	queries := svc.Queries()
+	agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,19 +120,16 @@ func TestReJOINAgentTrainAsync(t *testing.T) {
 // agent's plans closer to the expert's — the geometric-mean cost ratio over
 // the training queries falls, to within maxTrainedRatio.
 func TestReJOINAgentConverges(t *testing.T) {
-	sys := testSystem(t)
-	queries, err := sys.Workload.Training(4, 4, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := sys.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
+	svc := testService(t)
+	queries := svc.Queries()
+	agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ratio := func() float64 {
 		var logSum float64
 		for _, q := range queries {
-			expert, err := sys.Plan(q)
+			expert, err := svc.ExpertPlan(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,15 +152,14 @@ func TestReJOINAgentConverges(t *testing.T) {
 }
 
 func TestPlanCacheWarmStartAPI(t *testing.T) {
-	cold, err := Open(Config{Scale: 0.05, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	coldSvc := testService(t, WithCache(CacheConfig{}))
+	cold := coldSvc.System()
 	q, err := cold.Workload.ByRelations(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.Plan(q); err != nil {
+	if _, err := coldSvc.ExpertPlan(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -184,10 +167,8 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := Open(Config{Scale: 0.05, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmSvc := testService(t, WithCache(CacheConfig{}))
+	warm := warmSvc.System()
 	restored, err := warm.LoadPlanCache(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +180,7 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.Plan(q2); err != nil {
+	if _, err := warmSvc.ExpertPlan(ctx, q2); err != nil {
 		t.Fatal(err)
 	}
 	st := warm.CacheStats()
@@ -208,7 +189,7 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 	}
 
 	// Cache disabled → explicit errors, not nil panics.
-	bare := testSystem(t)
+	bare := testService(t).System()
 	if err := bare.SavePlanCache(&buf); err == nil {
 		t.Fatal("SavePlanCache succeeded without a cache")
 	}
@@ -218,15 +199,13 @@ func TestPlanCacheWarmStartAPI(t *testing.T) {
 }
 
 func TestLoadPlanCacheRejectsDifferentSystem(t *testing.T) {
-	src, err := Open(Config{Scale: 0.05, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srcSvc := testService(t, WithCache(CacheConfig{}))
+	src := srcSvc.System()
 	q, err := src.Workload.ByRelations(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Plan(q); err != nil {
+	if _, err := srcSvc.ExpertPlan(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -235,10 +214,7 @@ func TestLoadPlanCacheRejectsDifferentSystem(t *testing.T) {
 	}
 	// A differently scaled system computes different plans/costs for the
 	// same fingerprints: the dump must be refused, not silently served.
-	other, err := Open(Config{Scale: 0.1, Cache: CacheConfig{Enabled: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := testService(t, WithScale(0.1), WithCache(CacheConfig{})).System()
 	if _, err := other.LoadPlanCache(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("plan-cache dump from a different system configuration loaded without error")
 	}

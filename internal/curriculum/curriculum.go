@@ -124,26 +124,20 @@ type Config struct {
 	// Agent configures the policy learner (rebuilt per phase with weights
 	// transferred).
 	Agent rl.ReinforceConfig
-	// Workers > 1 collects training episodes with that many parallel
-	// environment replicas per phase (frozen policy snapshots, one
-	// policy-batch per collection round, deterministic merge). Workers ≤ 1
-	// trains strictly sequentially.
-	Workers int
-	// Async switches parallel collection (Workers > 1) from the
-	// round-synchronous barrier to the actor-learner split: actors collect
-	// against parameter-server snapshots while the learner updates and
-	// republishes, overlapping the two. Both are repeatable bit for bit;
-	// they are different (equally valid) episode schedules.
-	Async bool
-	// Staleness bounds how many snapshot versions an async actor's policy
-	// may lag the learner (0 = the rl.AsyncConfig default of 4). Ignored
-	// unless Async.
+	// Actors > 1 trains each phase with planspace.TrainAsync and that many
+	// actors: they collect against parameter-server snapshots while the
+	// learner updates and republishes, and the run is repeatable bit for bit.
+	// Actors ≤ 1 trains strictly sequentially.
+	Actors int
+	// Staleness bounds how many snapshot versions an actor's policy may lag
+	// the learner (0 = the rl.AsyncConfig default of 4). Ignored unless
+	// Actors > 1.
 	Staleness int
 	// Cache, when non-nil, memoizes optimizer completions and expert plans
 	// across episodes and phases (the plan cache service). Completion
 	// entries are pure and survive phase transitions; policy-dependent
 	// entries are invalidated whenever the policy is transferred to a new
-	// action space or fresh collection snapshots are taken.
+	// action space or a training snapshot is published.
 	Cache *plancache.Cache
 	Seed  int64
 }
@@ -214,8 +208,8 @@ func (t *Trainer) RunPhase(p Phase, episodeBase int, onEpisode func(ep int, out 
 }
 
 // RunPhaseCtx is RunPhase under a request-scoped context: cancellation stops
-// training between episodes (sequential), between collection rounds
-// (parallel), or through rl.TrainAsyncCtx (async) and returns ctx.Err().
+// training between episodes (sequential) or through planspace.TrainAsyncCtx
+// (Actors > 1) and returns ctx.Err().
 func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onEpisode func(ep int, out planspace.Outcome)) (PhaseResult, error) {
 	queries := t.filterQueries(p)
 	if len(queries) == 0 {
@@ -239,12 +233,11 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 	t.stages = p.Stages
 	t.env = env
 
-	if t.Cfg.Workers > 1 && t.Cfg.Async {
-		// Actor-learner split: no round barrier; the learner updates and
-		// republishes while actors keep collecting against bounded-staleness
-		// snapshots.
+	if t.Cfg.Actors > 1 {
+		// Actor-learner split: the learner updates and republishes while
+		// actors keep collecting against bounded-staleness snapshots.
 		planspace.TrainAsyncCtx(ctx, env, t.agent, p.Episodes, rl.AsyncConfig{
-			Actors:    t.Cfg.Workers,
+			Actors:    t.Cfg.Actors,
 			Staleness: t.Cfg.Staleness,
 			Seed:      t.Cfg.Seed,
 		}, func(i int, rec planspace.EpisodeRecord) {
@@ -254,28 +247,6 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 		})
 		if err := ctx.Err(); err != nil {
 			return PhaseResult{}, err
-		}
-	} else if t.Cfg.Workers > 1 {
-		// Parallel collection: one policy-batch of episodes per round from
-		// frozen policy snapshots, merged deterministically, so the learner
-		// updates exactly as often as in sequential training.
-		collector := planspace.NewCollector(env, t.Cfg.Workers)
-		round := t.agent.Cfg.BatchSize
-		if round < 1 {
-			round = 1
-		}
-		for ep := 0; ep < p.Episodes; {
-			if err := ctx.Err(); err != nil {
-				return PhaseResult{}, err
-			}
-			n := min(round, p.Episodes-ep)
-			for i, rec := range collector.Collect(t.agent, n) {
-				t.agent.Observe(rec.Traj)
-				if onEpisode != nil {
-					onEpisode(episodeBase+ep+i, rec.Out)
-				}
-			}
-			ep += n
 		}
 	} else {
 		for ep := 0; ep < p.Episodes; ep++ {

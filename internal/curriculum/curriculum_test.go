@@ -183,13 +183,16 @@ func TestHybridRunsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTrainerParallelWorkers runs a schedule with parallel episode
-// collection and checks episode accounting, outcome validity, and
-// run-to-run determinism of the phase results.
-func TestTrainerParallelWorkers(t *testing.T) {
+// TestTrainerActors runs a schedule with the actor-learner split and checks
+// episode accounting across phases, outcome validity, that the learner
+// updates, and that two identical runs agree bit for bit on every phase's
+// ratio — planspace.TrainAsync is its sequential specification's result on
+// every run.
+func TestTrainerActors(t *testing.T) {
 	run := func() []PhaseResult {
 		cfg := fixtureCfg(t, 6, 2, 5)
-		cfg.Workers = 3
+		cfg.Actors = 3
+		cfg.Staleness = 2
 		tr := NewTrainer(cfg)
 		episodes := 0
 		results, err := tr.Run(PipelineSchedule(24), func(ep int, out planspace.Outcome) {
@@ -207,55 +210,21 @@ func TestTrainerParallelWorkers(t *testing.T) {
 		if episodes != 96 {
 			t.Fatalf("ran %d episodes, want 96", episodes)
 		}
+		if len(results) != planspace.NumStages {
+			t.Fatalf("run produced %d phases, want %d", len(results), planspace.NumStages)
+		}
+		if tr.Agent().Updates == 0 {
+			t.Fatal("curriculum never updated the policy")
+		}
 		return results
 	}
 	a, b := run(), run()
 	for i := range a {
 		if a[i].FinalRatio != b[i].FinalRatio {
-			t.Fatalf("phase %d: ratio %v vs %v across identical parallel runs",
-				i, a[i].FinalRatio, b[i].FinalRatio)
+			t.Fatalf("phase %d: ratio %v vs %v across identical runs", i, a[i].FinalRatio, b[i].FinalRatio)
 		}
 		if a[i].FinalRatio <= 0 {
 			t.Fatalf("phase %s ratio %v", a[i].Phase.Name, a[i].FinalRatio)
 		}
-	}
-}
-
-// TestTrainerAsyncWorkers runs a schedule with the asynchronous
-// actor-learner split and checks episode accounting across phases, outcome
-// validity, and that the learner converges to a usable policy. Unlike the
-// synchronous path, per-run bitwise determinism is not promised.
-func TestTrainerAsyncWorkers(t *testing.T) {
-	cfg := fixtureCfg(t, 6, 2, 5)
-	cfg.Workers = 3
-	cfg.Async = true
-	cfg.Staleness = 2
-	tr := NewTrainer(cfg)
-	episodes := 0
-	results, err := tr.Run(PipelineSchedule(24), func(ep int, out planspace.Outcome) {
-		if ep != episodes {
-			t.Fatalf("episode index %d, want %d", ep, episodes)
-		}
-		episodes++
-		if out.Cost <= 0 {
-			t.Fatalf("episode %d outcome cost %v", ep, out.Cost)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if episodes != 96 {
-		t.Fatalf("ran %d episodes, want 96", episodes)
-	}
-	if len(results) != planspace.NumStages {
-		t.Fatalf("async run produced %d phases, want %d", len(results), planspace.NumStages)
-	}
-	for _, r := range results {
-		if r.FinalRatio <= 0 {
-			t.Fatalf("phase %s ratio %v", r.Phase.Name, r.FinalRatio)
-		}
-	}
-	if tr.Agent() == nil || tr.Agent().Updates == 0 {
-		t.Fatal("async curriculum never updated the policy")
 	}
 }

@@ -23,12 +23,7 @@ type Fig3aConfig struct {
 	SamplePoints int
 	// Window smooths the per-episode cost ratios.
 	Window int
-	// Workers > 1 collects training episodes with that many parallel
-	// environment replicas (deterministic merged order); ≤ 1 trains
-	// strictly sequentially, reproducing the historical single-threaded
-	// trajectory exactly.
-	Workers int
-	Seed    int64
+	Seed   int64
 }
 
 // DefaultFig3aConfig mirrors the paper's setup at reproducible scale. The
@@ -100,34 +95,14 @@ func (l *Lab) Fig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 		step = 1
 	}
 	logRatios := make([]float64, cfg.Episodes)
-	if cfg.Workers > 1 {
-		// Parallel collection path: train in chunks of one checkpoint
-		// interval, evaluating the greedy policy between chunks.
-		for ep := 0; ep < cfg.Episodes; {
-			n := step
-			if ep+n > cfg.Episodes {
-				n = cfg.Episodes - ep
-			}
-			for i, res := range agent.TrainEpisodes(n, cfg.Workers) {
-				logRatios[ep+i] = math.Log(res.Cost / expert[res.Query.Key()] * 100)
-			}
-			ep += n
+	for ep := 0; ep < cfg.Episodes; ep++ {
+		res := agent.TrainEpisode()
+		logRatios[ep] = math.Log(res.Cost / expert[res.Query.Key()] * 100)
+		if ep%step == 0 || ep == cfg.Episodes-1 {
 			g := greedyPct()
-			out.Greedy.Add(float64(ep-1), g)
+			out.Greedy.Add(float64(ep), g)
 			if out.FirstParity < 0 && g <= 120 {
-				out.FirstParity = ep - 1
-			}
-		}
-	} else {
-		for ep := 0; ep < cfg.Episodes; ep++ {
-			res := agent.TrainEpisode()
-			logRatios[ep] = math.Log(res.Cost / expert[res.Query.Key()] * 100)
-			if ep%step == 0 || ep == cfg.Episodes-1 {
-				g := greedyPct()
-				out.Greedy.Add(float64(ep), g)
-				if out.FirstParity < 0 && g <= 120 {
-					out.FirstParity = ep
-				}
+				out.FirstParity = ep
 			}
 		}
 	}

@@ -5,8 +5,32 @@ import (
 	"runtime"
 
 	"handsfree/internal/paramserver"
+	"handsfree/internal/query"
 	"handsfree/internal/rl"
 )
+
+// Replica returns an independent copy of the environment for one actor: its
+// own RNG stream (derived from the worker index) and an episode cursor
+// staggered so `workers` replicas sweep the workload with minimal overlap.
+// The planner, space, latency model, and query set are shared — they are
+// read-only during planning and execution.
+func (e *Env) Replica(worker, workers int) *Env {
+	cfg := e.Cfg
+	cfg.Seed = e.Cfg.Seed + 1000*int64(worker+1)
+	r := NewEnv(cfg)
+	if workers > 0 {
+		r.curIdx = (worker*len(cfg.Queries))/workers - 1
+	}
+	return r
+}
+
+// EpisodeRecord is one consumed training episode: the trajectory for the
+// learner plus the environment outcome for reporting.
+type EpisodeRecord struct {
+	Query *query.Query
+	Traj  rl.Trajectory
+	Out   Outcome
+}
 
 // TrainAsync trains agent over the environment with the actor-learner split
 // (rl.TrainAsync): cfg.Actors replicas of base collect episodes against

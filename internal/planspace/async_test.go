@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"handsfree/internal/plan"
+	"handsfree/internal/plancache"
 	"handsfree/internal/query"
 	"handsfree/internal/rl"
 )
@@ -48,7 +49,7 @@ func TestTrainAsyncCollectsAndLearns(t *testing.T) {
 }
 
 // TestTrainAsyncFoldsExecutionCounters: §4-style timeout statistics must
-// survive async collection exactly as they survive the synchronous rounds.
+// survive collection on replicas: every execution folds into the base env.
 func TestTrainAsyncFoldsExecutionCounters(t *testing.T) {
 	f := fixture(t, 3, 3, 3)
 	env := f.env(StagePrefix(1), LatencyReward, true)
@@ -56,6 +57,71 @@ func TestTrainAsyncFoldsExecutionCounters(t *testing.T) {
 	TrainAsync(env, agent, 8, rl.AsyncConfig{Actors: 2, Staleness: 2}, nil)
 	if env.Executions != 8 {
 		t.Fatalf("base env folded %d executions, want 8", env.Executions)
+	}
+}
+
+// TestReplicaIndependentEpisodes checks a replica owns its own episode state.
+func TestReplicaIndependentEpisodes(t *testing.T) {
+	f := fixture(t, 3, 3, 4)
+	base := f.env(StagePrefix(1), CostReward, false)
+	rep := base.Replica(1, 2)
+	s1 := base.Reset()
+	s2 := rep.Reset()
+	if base.Current() == rep.Current() {
+		t.Fatal("staggered replicas started on the same query")
+	}
+	if len(s1.Features) != len(s2.Features) {
+		t.Fatal("replica observation dimension differs from base")
+	}
+}
+
+// TestTrainAsyncCacheTransparent: async training over the full plan-space
+// MDP must consume identical episodes with and without the plan cache
+// (completion memoization is pure), repeated workload sweeps must be served
+// from cache, and the policy epoch must advance as snapshots are published.
+func TestTrainAsyncCacheTransparent(t *testing.T) {
+	f := fixture(t, 4, 3, 4)
+	run := func(cache *plancache.Cache) []EpisodeRecord {
+		env := NewEnv(Config{
+			Space:   f.space,
+			Stages:  StagePrefix(2),
+			Planner: f.planner,
+			Latency: f.lat,
+			Queries: f.queries,
+			Reward:  CostReward,
+			Cache:   cache,
+			Seed:    3,
+		})
+		agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 8, Seed: 5})
+		var out []EpisodeRecord
+		for sweep := 0; sweep < 3; sweep++ {
+			TrainAsync(env, agent, 12, rl.AsyncConfig{Actors: 3}, func(_ int, rec EpisodeRecord) {
+				out = append(out, rec)
+			})
+		}
+		return out
+	}
+	plain := run(nil)
+	cache := plancache.New(plancache.Config{Capacity: 4096, Shards: 8})
+	cached := run(cache)
+	if len(plain) != 36 || len(cached) != 36 {
+		t.Fatalf("consumed %d and %d episodes, want 36", len(plain), len(cached))
+	}
+	for i := range plain {
+		if plain[i].Out.Cost != cached[i].Out.Cost || plain[i].Query.Name != cached[i].Query.Name {
+			t.Fatalf("episode %d differs with cache enabled: (%v,%s) vs (%v,%s)",
+				i, plain[i].Out.Cost, plain[i].Query.Name, cached[i].Out.Cost, cached[i].Query.Name)
+		}
+		if plain[i].Out.Plan.Signature() != cached[i].Out.Plan.Signature() {
+			t.Fatalf("episode %d plan differs with cache enabled", i)
+		}
+	}
+	st := cache.Stats()
+	if st.Hits == 0 {
+		t.Fatalf("cache never hit across repeated workload sweeps: %+v", st)
+	}
+	if st.EpochBumps == 0 {
+		t.Fatal("training never advanced the policy epoch")
 	}
 }
 

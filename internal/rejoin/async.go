@@ -17,8 +17,7 @@ import (
 //
 // Every snapshot publish advances the shared plan cache's policy epoch (when
 // a cache is attached via UseCache), so greedy plans memoized under older
-// snapshots can never be served — the same invariant the synchronous rounds
-// maintain, preserved under concurrent republishing.
+// snapshots can never be served, however the actors interleave.
 func (a *Agent) TrainAsync(episodes int, cfg rl.AsyncConfig) []EpisodeResult {
 	if cfg.Actors < 1 {
 		// Same default rl.TrainAsync documents: the replica count must be

@@ -1,6 +1,7 @@
 package rejoin
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -38,7 +39,114 @@ func TestTrainAsyncProducesCompleteEpisodes(t *testing.T) {
 	}
 }
 
-// asyncGreedyRatio trains an agent (sync or async) and returns the geometric
+// collectRun trains a fresh agent with the given actor count and returns the
+// per-episode costs in ticket order plus the final policy bytes.
+func collectRun(t *testing.T, fx fixtureT, cache *plancache.Cache, episodes, actors int) ([]float64, []byte) {
+	t.Helper()
+	space := featurize.NewSpace(fx.maxRels, fx.est)
+	env := NewEnv(space, fx.planner, fx.queries, 1)
+	if cache != nil {
+		env.UseCache(cache)
+	}
+	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 2})
+	results := agent.TrainAsync(episodes, rl.AsyncConfig{Actors: actors})
+	if len(results) != episodes {
+		t.Fatalf("TrainAsync returned %d results, want %d", len(results), episodes)
+	}
+	costs := make([]float64, len(results))
+	for i, r := range results {
+		if r.Plan == nil || r.Query == nil || r.Cost <= 0 {
+			t.Fatalf("episode %d incomplete: plan=%v cost=%v", i, r.Plan, r.Cost)
+		}
+		costs[i] = r.Cost
+	}
+	policy, err := agent.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return costs, policy
+}
+
+// TestParallelCollectionDeterministic runs the same parallel training twice:
+// which snapshot each episode sees is decided by its ticket, not by the
+// scheduler, so the two runs' episodes and final policies must be identical.
+func TestParallelCollectionDeterministic(t *testing.T) {
+	fx := fixture(t, 4, 4, 5)
+	a, pa := collectRun(t, fx, nil, 32, 4)
+	b, pb := collectRun(t, fx, nil, 32, 4)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("episode %d: cost %v vs %v across identical parallel runs", i, a[i], b[i])
+		}
+	}
+	if !bytes.Equal(pa, pb) {
+		t.Fatal("final policy bytes differ across identical parallel runs")
+	}
+}
+
+// TestParallelCollectionCoversWorkload checks that staggered actor replicas
+// serve every workload query during parallel collection.
+func TestParallelCollectionCoversWorkload(t *testing.T) {
+	fx := fixture(t, 4, 4, 4)
+	space := featurize.NewSpace(fx.maxRels, fx.est)
+	env := NewEnv(space, fx.planner, fx.queries, 1)
+	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 8, Seed: 3})
+	seen := map[string]int{}
+	for _, r := range agent.TrainAsync(16, rl.AsyncConfig{Actors: 4}) {
+		seen[r.Query.Name]++
+	}
+	for _, q := range fx.queries {
+		if seen[q.Name] == 0 {
+			t.Fatalf("query %s never served during parallel collection", q.Name)
+		}
+	}
+}
+
+// TestParallelCollectionTrainsPolicy verifies that the learner actually
+// updates from parallel-collected trajectories.
+func TestParallelCollectionTrainsPolicy(t *testing.T) {
+	fx := fixture(t, 4, 4, 4)
+	space := featurize.NewSpace(fx.maxRels, fx.est)
+	env := NewEnv(space, fx.planner, fx.queries, 1)
+	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 8, Seed: 4})
+	agent.TrainAsync(40, rl.AsyncConfig{Actors: 4})
+	if agent.RL.Updates != 5 {
+		t.Fatalf("%d policy updates after 40 parallel episodes with batch size 8, want 5", agent.RL.Updates)
+	}
+}
+
+// TestParallelCollectionCacheTransparent: training with the plan cache
+// enabled must produce bitwise-identical episode costs and final policy to
+// training without it — completion memoization is pure — whether the cache
+// starts cold or pre-warmed by an earlier run, and the cache must actually
+// serve hits.
+func TestParallelCollectionCacheTransparent(t *testing.T) {
+	fx := fixture(t, 4, 4, 5)
+	plain, plainPolicy := collectRun(t, fx, nil, 32, 4)
+	cache := plancache.New(plancache.Config{Capacity: 4096, Shards: 8})
+	cold, coldPolicy := collectRun(t, fx, cache, 32, 4)
+	warm, warmPolicy := collectRun(t, fx, cache, 32, 4)
+	for i := range plain {
+		if plain[i] != cold[i] {
+			t.Fatalf("episode %d: cost %v uncached vs %v cold-cached", i, plain[i], cold[i])
+		}
+		if plain[i] != warm[i] {
+			t.Fatalf("episode %d: cost %v uncached vs %v warm-cached", i, plain[i], warm[i])
+		}
+	}
+	if !bytes.Equal(plainPolicy, coldPolicy) || !bytes.Equal(plainPolicy, warmPolicy) {
+		t.Fatal("final policy bytes differ with the cache enabled")
+	}
+	st := cache.Stats()
+	if st.Hits == 0 {
+		t.Fatalf("cache never hit during parallel collection: %+v", st)
+	}
+	if st.EpochBumps == 0 {
+		t.Fatal("policy epoch never advanced across snapshot publishes")
+	}
+}
+
+// greedyRatio trains an agent (sync or async) and returns the geometric
 // mean of greedy-plan cost over the workload, normalized per query by the
 // traditional optimizer's cost.
 func greedyRatio(t *testing.T, fx fixtureT, agent *Agent) float64 {
@@ -70,7 +178,7 @@ func TestTrainAsyncConvergesLikeSync(t *testing.T) {
 	}
 
 	syncAgent := build(2)
-	syncAgent.TrainEpisodes(episodes, 1)
+	syncAgent.TrainEpisodes(episodes)
 	syncRatio := greedyRatio(t, fx, syncAgent)
 
 	asyncAgent := build(2)

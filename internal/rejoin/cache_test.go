@@ -8,113 +8,6 @@ import (
 	"handsfree/internal/rl"
 )
 
-// collectRun trains a fresh agent with the given worker count and returns
-// the per-episode costs in result order.
-func collectRun(t *testing.T, fx fixtureT, episodes, workers int) []float64 {
-	t.Helper()
-	space := featurize.NewSpace(fx.maxRels, fx.est)
-	env := NewEnv(space, fx.planner, fx.queries, 1)
-	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 2})
-	results := agent.TrainEpisodes(episodes, workers)
-	if len(results) != episodes {
-		t.Fatalf("TrainEpisodes returned %d results, want %d", len(results), episodes)
-	}
-	costs := make([]float64, len(results))
-	for i, r := range results {
-		if r.Plan == nil || r.Query == nil || r.Cost <= 0 {
-			t.Fatalf("episode %d incomplete: plan=%v cost=%v", i, r.Plan, r.Cost)
-		}
-		costs[i] = r.Cost
-	}
-	return costs
-}
-
-// TestParallelCollectionDeterministic runs the same parallel training twice:
-// worker envs and policy snapshots are seeded, and the merge order is a pure
-// function of worker/episode indices, so the two runs must be identical.
-func TestParallelCollectionDeterministic(t *testing.T) {
-	fx := fixture(t, 4, 4, 5)
-	a := collectRun(t, fx, 32, 4)
-	b := collectRun(t, fx, 32, 4)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("episode %d: cost %v vs %v across identical parallel runs", i, a[i], b[i])
-		}
-	}
-}
-
-// TestParallelCollectionCoversWorkload checks that staggered worker cursors
-// serve every workload query during a parallel round.
-func TestParallelCollectionCoversWorkload(t *testing.T) {
-	fx := fixture(t, 4, 4, 4)
-	space := featurize.NewSpace(fx.maxRels, fx.est)
-	env := NewEnv(space, fx.planner, fx.queries, 1)
-	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 8, Seed: 3})
-	seen := map[string]int{}
-	for _, r := range agent.TrainEpisodes(16, 4) {
-		seen[r.Query.Name]++
-	}
-	for _, q := range fx.queries {
-		if seen[q.Name] == 0 {
-			t.Fatalf("query %s never served during parallel collection", q.Name)
-		}
-	}
-}
-
-// TestParallelCollectionTrainsPolicy verifies that the learner actually
-// updates from parallel-collected trajectories.
-func TestParallelCollectionTrainsPolicy(t *testing.T) {
-	fx := fixture(t, 4, 4, 4)
-	space := featurize.NewSpace(fx.maxRels, fx.est)
-	env := NewEnv(space, fx.planner, fx.queries, 1)
-	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 8, Seed: 4})
-	agent.TrainEpisodes(40, 4)
-	if agent.RL.Updates == 0 {
-		t.Fatal("no policy updates after 40 parallel episodes with batch size 8")
-	}
-}
-
-// TestParallelCollectionCacheTransparent: training with the plan cache
-// enabled must produce bitwise-identical episode costs to training without
-// it — completion memoization is pure — whether the cache starts cold or
-// pre-warmed by an earlier run, and the cache must actually serve hits.
-func TestParallelCollectionCacheTransparent(t *testing.T) {
-	fx := fixture(t, 4, 4, 5)
-	run := func(cache *plancache.Cache) []float64 {
-		space := featurize.NewSpace(fx.maxRels, fx.est)
-		env := NewEnv(space, fx.planner, fx.queries, 1)
-		if cache != nil {
-			env.UseCache(cache)
-		}
-		agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 2})
-		results := agent.TrainEpisodes(32, 4)
-		costs := make([]float64, len(results))
-		for i, r := range results {
-			costs[i] = r.Cost
-		}
-		return costs
-	}
-	plain := run(nil)
-	cache := plancache.New(plancache.Config{Capacity: 4096, Shards: 8})
-	cold := run(cache)
-	warm := run(cache)
-	for i := range plain {
-		if plain[i] != cold[i] {
-			t.Fatalf("episode %d: cost %v uncached vs %v cold-cached", i, plain[i], cold[i])
-		}
-		if plain[i] != warm[i] {
-			t.Fatalf("episode %d: cost %v uncached vs %v warm-cached", i, plain[i], warm[i])
-		}
-	}
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("cache never hit during parallel collection: %+v", st)
-	}
-	if st.EpochBumps == 0 {
-		t.Fatal("policy epoch never advanced across snapshot rounds")
-	}
-}
-
 // TestGreedyPlanCacheInvalidatedByTraining: a greedy plan memoized for one
 // policy version must not be served after the policy updates.
 func TestGreedyPlanCacheInvalidatedByTraining(t *testing.T) {
@@ -146,13 +39,13 @@ func TestGreedyPlanCacheInvalidatedByTraining(t *testing.T) {
 	// Train past one policy update, then re-plan: the lookup key must have
 	// rotated (a fresh miss or recompute, never a stale hit with different
 	// content than a from-scratch evaluation would give).
-	agent.TrainEpisodes(8, 2)
+	agent.TrainAsync(8, rl.AsyncConfig{Actors: 2})
 	if agent.RL.Updates == 0 {
 		t.Fatal("test needs at least one policy update")
 	}
 	planAfter, costAfter := agent.GreedyPlan(q)
 	fresh := NewAgent(NewEnv(space, fx.planner, fx.queries, 1), rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Seed: 3})
-	fresh.TrainEpisodes(8, 2)
+	fresh.TrainAsync(8, rl.AsyncConfig{Actors: 2})
 	wantPlan, wantCost := fresh.GreedyPlan(q)
 	if planAfter.Signature() != wantPlan.Signature() || costAfter != wantCost {
 		t.Fatalf("post-update greedy plan differs from uncached agent: cost %v vs %v", costAfter, wantCost)
@@ -192,7 +85,7 @@ func TestGreedyPlanCacheInvalidatedByLoad(t *testing.T) {
 
 	// A differently-seeded, briefly trained donor policy to restore.
 	donor := NewAgent(NewEnv(space, fx.planner, fx.queries, 1), rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Seed: 42})
-	donor.TrainEpisodes(8, 1)
+	donor.TrainEpisodes(8)
 	ckpt, err := donor.Save()
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestF32TrainingConvergesOnSeedWorkload(t *testing.T) {
 	env := NewEnv(space, fx.planner, fx.queries, 1)
 	agent := NewAgent(env, rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 2})
 	untrained := greedyRatio(t, fx, agent)
-	agent.TrainEpisodes(episodes, 1)
+	agent.TrainEpisodes(episodes)
 	trained := greedyRatio(t, fx, agent)
 
 	t.Logf("greedy cost ratio vs optimizer: untrained %.3f, trained %.3f", untrained, trained)

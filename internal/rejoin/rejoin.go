@@ -219,9 +219,9 @@ type Agent struct {
 	Env *Env
 	RL  *rl.Reinforce
 
-	// snapSeed persists the policy-snapshot seed counter across
-	// TrainEpisodes calls so successive parallel rounds never replay an
-	// earlier round's action-sampling RNG streams.
+	// snapSeed persists the actor seed counter across TrainAsync calls so
+	// successive calls never replay an earlier call's action-sampling RNG
+	// streams.
 	snapSeed int64
 	// cacheID is this agent's identity in greedy-plan cache keys; redrawn
 	// by Load because a restored policy is a different policy.
@@ -255,6 +255,16 @@ func (a *Agent) TrainEpisode() EpisodeResult {
 	return EpisodeResult{Query: a.Env.Current(), Cost: a.Env.LastCost, Plan: a.Env.LastPlan}
 }
 
+// TrainEpisodes runs `episodes` sequential training episodes and returns
+// their results in order. TrainAsync is the parallel schedule.
+func (a *Agent) TrainEpisodes(episodes int) []EpisodeResult {
+	results := make([]EpisodeResult, 0, episodes)
+	for i := 0; i < episodes; i++ {
+		results = append(results, a.TrainEpisode())
+	}
+	return results
+}
+
 // Save serializes the trained policy for later reuse (gob encoding).
 func (a *Agent) Save() ([]byte, error) {
 	return a.RL.MarshalPolicy()
@@ -282,7 +292,7 @@ func (a *Agent) Load(data []byte) error {
 // update counter and cache identity alone would be precise for this agent;
 // folding the shared epoch in as well is deliberate conservatism — the
 // issue's snapshot-refresh invalidation contract — at worst costing a
-// recompute when another agent's collection round bumps the epoch.
+// recompute when another agent's training bumps the epoch.
 func (a *Agent) greedyKey(c *plancache.Cache, q *query.Query) plancache.Key {
 	return plancache.Key{
 		Query:    c.FingerprintOf(q),

@@ -378,84 +378,3 @@ func TestSampleIntoReusesBacking(t *testing.T) {
 		}
 	}
 }
-
-// TestCollectParallelDeterministic runs the same parallel collection twice
-// and requires identical merged trajectories, regardless of scheduling.
-func TestCollectParallelDeterministic(t *testing.T) {
-	collect := func() []Trajectory {
-		workers := 4
-		envs := make([]Env, workers)
-		policies := make([]func(State) int, workers)
-		for w := 0; w < workers; w++ {
-			envs[w] = &banditEnv{rng: rand.New(rand.NewSource(int64(100 + w))), arms: 5}
-			policies[w] = RandomPolicy(int64(200 + w))
-		}
-		per := SplitEpisodes(18, workers)
-		return Interleave(CollectParallel(envs, policies, per, 10, nil))
-	}
-	a, b := collect(), collect()
-	if len(a) != 18 || len(b) != 18 {
-		t.Fatalf("collected %d and %d episodes, want 18", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Return != b[i].Return || len(a[i].Steps) != len(b[i].Steps) {
-			t.Fatalf("episode %d differs between identical collection runs", i)
-		}
-		for j := range a[i].Steps {
-			if a[i].Steps[j].Action != b[i].Steps[j].Action {
-				t.Fatalf("episode %d step %d action differs between runs", i, j)
-			}
-		}
-	}
-}
-
-// TestPolicySnapshotIndependent verifies a snapshot keeps sampling from the
-// frozen weights while the live policy trains on.
-func TestPolicySnapshotIndependent(t *testing.T) {
-	env := &banditEnv{rng: rand.New(rand.NewSource(10)), arms: 3}
-	agent := NewReinforce(env.ObsDim(), env.ActionDim(), ReinforceConfig{Hidden: []int{8}, BatchSize: 4, Seed: 11})
-	snap := agent.PolicySnapshot(12)
-	before := agent.Policy.Clone()
-	for i := 0; i < 40; i++ {
-		agent.Observe(RunEpisode(env, agent.Sample, 5))
-	}
-	if d := maxParamDiff(before, agent.Policy); d == 0 {
-		t.Fatal("live policy did not train")
-	}
-	// The snapshot must still run (frozen weights) and return valid actions.
-	s := env.Reset()
-	for i := 0; i < 20; i++ {
-		if a := snap(s); a < 0 || !s.Mask[a] {
-			t.Fatalf("snapshot returned invalid action %d", a)
-		}
-	}
-}
-
-// TestSplitEpisodes covers the even and ragged split cases.
-func TestSplitEpisodes(t *testing.T) {
-	cases := []struct {
-		total, workers int
-		want           []int
-	}{
-		{16, 4, []int{4, 4, 4, 4}},
-		{17, 4, []int{5, 4, 4, 4}},
-		{3, 4, []int{1, 1, 1, 0}},
-		{5, 1, []int{5}},
-	}
-	for _, c := range cases {
-		got := SplitEpisodes(c.total, c.workers)
-		if len(got) != len(c.want) {
-			t.Fatalf("SplitEpisodes(%d,%d) len %d, want %d", c.total, c.workers, len(got), len(c.want))
-		}
-		sum := 0
-		for i := range got {
-			sum += got[i]
-			if got[i] != c.want[i] {
-				t.Fatalf("SplitEpisodes(%d,%d) = %v, want %v", c.total, c.workers, got, c.want)
-			}
-		}
-		if sum != c.total {
-			t.Fatalf("SplitEpisodes(%d,%d) sums to %d", c.total, c.workers, sum)
-		}
-	}
-}

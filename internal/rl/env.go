@@ -20,13 +20,8 @@
 // matrix kernels. QAgent.PredictBatch and Reinforce.ProbsBatch expose
 // batched inference.
 //
-// Episode collection parallelizes with CollectParallel: worker environments
-// step frozen Reinforce.PolicySnapshot copies concurrently, and Interleave
-// merges the per-worker trajectories into a deterministic order (seeded
-// per-worker RNGs; the merge is a pure function of worker/episode indices).
-//
-// TrainAsync replaces the per-round barrier of CollectParallel with the
-// actor-learner split: actors collect against parameter-server snapshots
+// Episode collection parallelizes with TrainAsync, the actor-learner split:
+// actors collect against parameter-server snapshots
 // (staleness bounded by K versions) while the learner updates and
 // republishes. Which snapshot an episode sees is decided by its ticket, not
 // by the clock, and the learner consumes in ticket order, so the result is

@@ -146,19 +146,6 @@ func (a *Reinforce) ProbsBatch(states []State) *nn.Mat {
 	return nn.MaskedSoftmaxRows(a.Policy.Forward(x), masks)
 }
 
-// PolicySnapshot returns an action sampler over a frozen copy of the current
-// policy, with its own RNG stream. Snapshots are independent of the live
-// agent and of each other, so any number of them may run concurrently (one
-// per collection worker) while the original keeps training.
-func (a *Reinforce) PolicySnapshot(seed int64) func(State) int {
-	net := a.Policy.Clone()
-	rng := rand.New(rand.NewSource(seed))
-	return func(s State) int {
-		logits := net.Forward(nn.FromVec(s.Features))
-		return sampleFrom(nn.MaskedSoftmax(logits.Data, s.Mask), rng)
-	}
-}
-
 // Sample draws an action from the current policy (exploration included).
 func (a *Reinforce) Sample(s State) int {
 	return sampleFrom(a.Probs(s), a.rng)
@@ -222,19 +209,6 @@ func (a *Reinforce) Observe(traj Trajectory) bool {
 	a.update()
 	a.batch = a.batch[:0]
 	return true
-}
-
-// ObserveAll feeds a slice of finished episodes (e.g. a merged parallel
-// collection round) to the learner in order and reports how many policy
-// updates were triggered.
-func (a *Reinforce) ObserveAll(trajs []Trajectory) int {
-	updates := 0
-	for _, t := range trajs {
-		if a.Observe(t) {
-			updates++
-		}
-	}
-	return updates
 }
 
 // update applies one REINFORCE step over the accumulated batch. Advantages

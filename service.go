@@ -214,7 +214,6 @@ func New(opts ...Option) (*Service, error) {
 	}
 	svc.observed = engine.NewObserved(sys.Engine)
 	svc.observed.MsPerWork = o.exec.MsPerWork
-	sys.svc = svc
 	if o.workload != nil {
 		qs, err := sys.Workload.Training(o.workload.count, o.workload.minRel, o.workload.maxRel, o.workload.seed)
 		if err != nil {

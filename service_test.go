@@ -527,67 +527,6 @@ func TestServiceConcurrentPlanDuringTraining(t *testing.T) {
 	}
 }
 
-// TestOpenWrapperParity pins the deprecated-wrapper contract: Open + the
-// System agent API and New + the Service agent API are the same code path,
-// so for identical seeds on the f64 path they produce bitwise-identical
-// plans and costs.
-func TestOpenWrapperParity(t *testing.T) {
-	cfg := Config{Scale: 0.05}
-	sysA, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svcB, err := New(WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queriesA, err := sysA.Workload.Training(4, 4, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queriesB, err := svcB.System().Workload.Training(4, 4, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := ReJOINConfig{Seed: 1, Hidden: []int{32}}
-	agentA, err := sysA.NewReJOINAgent(queriesA, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agentB, err := svcB.NewReJOINAgent(queriesB, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agentA.Train(40)
-	agentB.Train(40)
-	for i := range queriesA {
-		planA, costA := agentA.Plan(queriesA[i])
-		planB, costB := agentB.Plan(queriesB[i])
-		if math.Float64bits(costA) != math.Float64bits(costB) {
-			t.Fatalf("query %d: wrapper cost %x (%.6f) != service cost %x (%.6f)",
-				i, math.Float64bits(costA), costA, math.Float64bits(costB), costB)
-		}
-		if ExplainPlan(planA) != ExplainPlan(planB) {
-			t.Fatalf("query %d: wrapper and service plans differ:\n%s\nvs\n%s",
-				i, ExplainPlan(planA), ExplainPlan(planB))
-		}
-	}
-	// The expert path delegates identically too.
-	for i := range queriesA {
-		pA, err := sysA.Plan(queriesA[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		pB, err := svcB.ExpertPlan(context.Background(), queriesB[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(pA.Cost) != math.Float64bits(pB.Cost) || ExplainPlan(pA.Root) != ExplainPlan(pB.Root) {
-			t.Fatalf("query %d: expert parity broken", i)
-		}
-	}
-}
-
 // TestServiceRolloutHonorsDeadlineMidEpisode drives the learned-rollout
 // branch of Plan with an expiring deadline: cancellation must surface from
 // inside the planspace rollout loop, not only from the expert's enumerator.

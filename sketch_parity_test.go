@@ -12,14 +12,8 @@ import (
 // the exact model — the sketch planner's beliefs pick the plan, the exact
 // model judges it. The geometric-mean cost ratio must stay within 1.5×.
 func TestSketchPlanningParity(t *testing.T) {
-	exact, err := Open(Config{Seed: 1, Scale: 0.05, Stats: StatsExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := Open(Config{Seed: 1, Scale: 0.05, Stats: StatsSketch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := testService(t, WithSeed(1), WithStats(StatsExact)).System()
+	sk := testService(t, WithSeed(1), WithStats(StatsSketch)).System()
 	qs, err := exact.Workload.Training(16, 2, 5, 7)
 	if err != nil {
 		t.Fatal(err)
