@@ -266,7 +266,6 @@ func runService(quick bool, scale float64, seed int64, timeout time.Duration) {
 
 	cfg := handsfree.LifecycleConfig{Seed: seed}
 	if quick {
-		cfg.PretrainBatches = 12
 		cfg.CostEpisodes = 96
 		cfg.EvalEvery = 48
 		cfg.LatencyEpisodes = 32
@@ -297,8 +296,8 @@ func runService(quick bool, scale float64, seed int64, timeout time.Duration) {
 	for _, tr := range st.Transitions {
 		fmt.Printf("  %s → %s: %s\n", tr.From, tr.To, tr.Reason)
 	}
-	fmt.Printf("demonstrations: %d, pretrain batches: %d, cost episodes: %d (ratio %.3f), latency episodes: %d\n",
-		st.Demonstrations, st.PretrainBatches, st.CostEpisodes, st.CostRatio, st.LatencyEpisodes)
+	fmt.Printf("demonstrations: %d, cost episodes: %d (ratio %.3f), latency episodes: %d\n",
+		st.Demonstrations, st.CostEpisodes, st.CostRatio, st.LatencyEpisodes)
 
 	fmt.Println("\nexecuting the workload through the safeguarded path:")
 	for _, q := range svc.Queries() {
@@ -371,7 +370,6 @@ func runServe(cfg server.Config, tenantCount int, train, quick bool, scale float
 		for i, svc := range services {
 			lc := handsfree.LifecycleConfig{Seed: seed + int64(i)}
 			if quick {
-				lc.PretrainBatches = 12
 				lc.CostEpisodes = 96
 				lc.EvalEvery = 48
 				lc.LatencyEpisodes = 32

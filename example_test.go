@@ -33,7 +33,7 @@ func ExampleService() {
 	// (and hot-swaps policies) throughout. Tiny budgets keep the example
 	// fast.
 	err = svc.StartTraining(ctx, handsfree.LifecycleConfig{
-		Hidden: []int{32}, PretrainBatches: 4, DemoSweeps: 1,
+		Hidden: []int{32}, DemoSweeps: 1,
 		CostEpisodes: 32, LatencyEpisodes: 16, Actors: 2, Seed: 7,
 	})
 	if err != nil {

@@ -9,17 +9,15 @@ import (
 	"handsfree/internal/rl"
 )
 
-// Replica returns an independent copy of the environment for one actor: its
-// own RNG stream (derived from the worker index) and an episode cursor
-// staggered so `workers` replicas sweep the workload with minimal overlap.
-// The planner, space, latency model, and query set are shared — they are
-// read-only during planning and execution.
+// Replica returns an independent copy of the environment for one actor, with
+// its own episode state and an episode cursor staggered so `workers` replicas
+// sweep the workload with minimal overlap. The planner, space, latency model,
+// and query set are shared — they are read-only during planning and
+// execution.
 func (e *Env) Replica(worker, workers int) *Env {
-	cfg := e.Cfg
-	cfg.Seed = e.Cfg.Seed + 1000*int64(worker+1)
-	r := NewEnv(cfg)
+	r := NewEnv(e.Cfg)
 	if workers > 0 {
-		r.curIdx = (worker*len(cfg.Queries))/workers - 1
+		r.curIdx = (worker*len(e.Cfg.Queries))/workers - 1
 	}
 	return r
 }

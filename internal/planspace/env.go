@@ -3,7 +3,6 @@ package planspace
 import (
 	"context"
 	"math"
-	"math/rand"
 
 	"handsfree/internal/featurize"
 	"handsfree/internal/optimizer"
@@ -102,7 +101,8 @@ type Config struct {
 	// dropped. Training collection retains whole trajectories until the
 	// policy update and must leave this off.
 	ReuseStateBuffers bool
-	Seed              int64
+	// Seed derives TrainAsync's sampling seed when rl.AsyncConfig.Seed is 0.
+	Seed int64
 }
 
 // phase enumerates the episode's decision phases.
@@ -120,7 +120,6 @@ type Env struct {
 	Cfg    Config
 	Layout Layout
 
-	rng    *rand.Rand
 	curIdx int
 
 	cur    *query.Query
@@ -170,7 +169,6 @@ func NewEnv(cfg Config) *Env {
 	return &Env{
 		Cfg:    cfg,
 		Layout: Layout{Space: cfg.Space, Stages: cfg.Stages},
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		curIdx: -1,
 	}
 }

@@ -56,7 +56,6 @@ func liveTraining() handsfree.LifecycleConfig {
 	return handsfree.LifecycleConfig{
 		Hidden:          []int{16},
 		DemoSweeps:      1,
-		PretrainBatches: 2,
 		CostEpisodes:    1 << 20,
 		EvalEvery:       512,
 		LatencyEpisodes: 8,
@@ -70,7 +69,6 @@ func quickLifecycle() handsfree.LifecycleConfig {
 	return handsfree.LifecycleConfig{
 		Hidden:          []int{16},
 		DemoSweeps:      1,
-		PretrainBatches: 4,
 		CostEpisodes:    48,
 		EvalEvery:       24,
 		LatencyEpisodes: 8,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +14,6 @@ import (
 	"handsfree/internal/engine"
 	"handsfree/internal/exechistory"
 	"handsfree/internal/featurize"
-	"handsfree/internal/lfd"
 	"handsfree/internal/nn"
 	"handsfree/internal/paramserver"
 	"handsfree/internal/plancache"
@@ -442,8 +442,8 @@ func (s *Service) ExpertPlan(ctx context.Context, q *Query) (Planned, error) {
 // safe for concurrent use). Returns -1 when no valid action exists.
 // Tie-breaking is first-max-wins over the logits, which selects the same
 // action as rl.Reinforce.Greedy's first-max-wins over the softmax
-// probabilities (softmax is monotone and tie-preserving), so serving agrees
-// with the lifecycle's greedyRatio predicate on every state. The packed gemv
+// probabilities (softmax is monotone and tie-preserving), which is why the
+// lifecycle's greedyRatio chooses with it too. The packed gemv
 // rounds exactly like the unpacked network's single-row kernels
 // (nn.TestPackedInferBitwise), so the logits are bitwise those of
 // snap.Net.Infer. One pooled logits buffer serves one Plan call's whole
@@ -516,10 +516,10 @@ type LifecyclePhase int32
 const (
 	// PhaseIdle: no lifecycle has run.
 	PhaseIdle LifecyclePhase = iota
-	// PhaseDemonstration: observing the expert (§5.1 steps 1–3): collect
-	// expert demonstrations with executed latencies, pretrain the
-	// reward-prediction network, prime the policy on the expert
-	// trajectories.
+	// PhaseDemonstration: observing the expert (§5.1 steps 1–2): the expert
+	// plans every workload query, the plan is executed and recorded as the
+	// fingerprint's expert baseline, and its trajectory is handed to the
+	// policy learner.
 	PhaseDemonstration
 	// PhaseCostTraining: the §5.2 "training wheels" phase — asynchronous
 	// actor-learner training against the cost model, exploration safe
@@ -586,16 +586,9 @@ type LifecycleConfig struct {
 	Seed      int64
 
 	// DemoSweeps is how many times the expert's demonstrated trajectories
-	// are replayed into the policy learner as a warm start (default 2).
+	// are handed to the policy learner, which updates per BatchSize of them
+	// (default 2).
 	DemoSweeps int
-	// PretrainBatches bounds §5.1 pretraining on the demonstration buffer
-	// (default 48); PretrainBatchSize is the minibatch size (default 32).
-	PretrainBatches   int
-	PretrainBatchSize int
-	// PretrainLossTarget ends the Demonstration phase early once the
-	// pretrain minibatch loss falls to the target (0 = budget only). This is
-	// the Demonstration → CostTraining transition predicate.
-	PretrainLossTarget float64
 
 	// CostEpisodes budgets the CostTraining phase (default 192).
 	CostEpisodes int
@@ -646,12 +639,6 @@ func (c *LifecycleConfig) fill(s *Service) {
 	if c.DemoSweeps == 0 {
 		c.DemoSweeps = 2
 	}
-	if c.PretrainBatches == 0 {
-		c.PretrainBatches = 48
-	}
-	if c.PretrainBatchSize == 0 {
-		c.PretrainBatchSize = 32
-	}
 	if c.CostEpisodes == 0 {
 		c.CostEpisodes = 192
 	}
@@ -676,8 +663,6 @@ func (c *LifecycleConfig) fill(s *Service) {
 // lifecycleProgress is the mutable half of LifecycleStats (mu-guarded).
 type lifecycleProgress struct {
 	demos           int
-	pretrainBatches int
-	pretrainLoss    float64
 	costEpisodes    int
 	latencyEpisodes int
 	costRatio       float64
@@ -690,11 +675,8 @@ type LifecycleStats struct {
 	Phase LifecyclePhase
 	// Transitions is the ordered transition history with reasons.
 	Transitions []PhaseChange
-	// Demonstrations, PretrainBatches, PretrainLoss describe the
-	// Demonstration phase.
-	Demonstrations  int
-	PretrainBatches int
-	PretrainLoss    float64
+	// Demonstrations counts the workload queries the expert demonstrated.
+	Demonstrations int
 	// CostEpisodes / LatencyEpisodes count consumed training episodes;
 	// CostRatio is the last evaluated greedy-vs-expert geometric-mean cost
 	// ratio.
@@ -729,8 +711,6 @@ func (s *Service) LifecycleStats() LifecycleStats {
 		Phase:           s.Phase(),
 		Transitions:     trans,
 		Demonstrations:  prog.demos,
-		PretrainBatches: prog.pretrainBatches,
-		PretrainLoss:    prog.pretrainLoss,
 		CostEpisodes:    prog.costEpisodes,
 		LatencyEpisodes: prog.latencyEpisodes,
 		CostRatio:       prog.costRatio,
@@ -777,8 +757,8 @@ func (s *Service) StartTraining(ctx context.Context, cfg LifecycleConfig) error 
 			maxRels = len(q.Relations)
 		}
 	}
-	space := featurize.NewSpace(maxRels, s.sys.cardEstimator())
-	s.serve.Store(newServePool(s, space, cfg.Stages, maxRels))
+	sp := newServePool(s, featurize.NewSpace(maxRels, s.sys.cardEstimator()), cfg.Stages, maxRels)
+	s.serve.Store(sp)
 
 	done, exited := s.done, s.exited
 	// trained fires at the first PhaseDone, releasing WaitTraining; with
@@ -788,7 +768,7 @@ func (s *Service) StartTraining(ctx context.Context, cfg LifecycleConfig) error 
 	trained := func() { once.Do(func() { close(done) }) }
 	go func() {
 		defer cancel()
-		err := s.runLifecycle(ctx, cfg, space, trained)
+		err := s.runLifecycle(ctx, cfg, sp, trained)
 		s.mu.Lock()
 		s.trainErr = err
 		s.running = false
@@ -892,15 +872,18 @@ func (s *Service) stopped(err error) error {
 	return err
 }
 
-// runLifecycle is the learning state machine (one background goroutine).
-// trained fires at the first transition to PhaseDone.
-func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *featurize.Space, trained func()) error {
-	planner := s.sys.Planner
+// runLifecycle is the learning state machine (one background goroutine) over
+// the serving layout sp. trained fires at the first transition to PhaseDone.
+func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *servePool, trained func()) error {
+	planner, space := s.sys.Planner, sp.space
 
-	// --- Demonstration (§5.1 steps 1–3) -------------------------------
-	// Demonstrated episodes execute for real through the observed executor
-	// and are recorded as expert baselines, so the execution feedback loop
-	// starts warm for every workload fingerprint.
+	// --- Demonstration (§5.1 steps 1–2) -------------------------------
+	// Each expert plan is replayed through the env, in query order since
+	// each execution consults the fault seam. The replay executes for real
+	// and is recorded as the expert baseline, so the execution feedback loop
+	// starts warm for every workload fingerprint. The plan's cost is the
+	// greedy ratio's baseline for the whole lifecycle: the expert plans from
+	// the query and the catalog statistics alone, which nothing changes.
 	s.transition(PhaseDemonstration, "lifecycle started: observe the expert")
 	demoEnv := planspace.NewEnv(planspace.Config{
 		Space:           space,
@@ -911,30 +894,22 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 		ExecuteAlways:   true,
 		LatencyBudgetMs: cfg.LatencyBudgetMs,
 		Cache:           s.sys.PlanCache,
-		Seed:            cfg.Seed,
 	})
-	demo := lfd.New(lfd.Config{
-		Env: demoEnv, Hidden: cfg.Hidden, LR: cfg.LR, Seed: cfg.Seed,
-	})
-	if err := demo.CollectDemonstrationsCtx(ctx); err != nil {
-		return s.stopped(err)
-	}
-	s.setProgress(func(p *lifecycleProgress) { p.demos = len(demo.Demos()) })
-	loss := math.Inf(1)
-	batches := 0
-	demoReason := fmt.Sprintf("pretrain budget exhausted (%d batches)", cfg.PretrainBatches)
-	for batches < cfg.PretrainBatches {
-		if err := ctx.Err(); err != nil {
+	demos := make([]rl.Trajectory, 0, len(cfg.Queries))
+	expert := make([]float64, 0, len(cfg.Queries))
+	for _, q := range cfg.Queries {
+		planned, err := demoEnv.Cfg.Planner.PlanCtx(ctx, q)
+		if err != nil {
 			return s.stopped(err)
 		}
-		loss = demo.Pretrain(1, cfg.PretrainBatchSize)
-		batches++
-		if cfg.PretrainLossTarget > 0 && loss <= cfg.PretrainLossTarget {
-			demoReason = fmt.Sprintf("pretrain loss %.4f ≤ target %.4f after %d batches", loss, cfg.PretrainLossTarget, batches)
-			break
+		traj, _, err := demoEnv.Replay(q, planned.Root)
+		if err != nil {
+			return s.stopped(err)
 		}
+		demos = append(demos, traj)
+		expert = append(expert, planned.Cost)
 	}
-	s.setProgress(func(p *lifecycleProgress) { p.pretrainBatches, p.pretrainLoss = batches, loss })
+	s.setProgress(func(p *lifecycleProgress) { p.demos = len(demos) })
 
 	// Build the cost→latency learner (robust bootstrap agent: Adam,
 	// scale-free baseline; the §5.2 reward-range hazard does not apply).
@@ -962,19 +937,23 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 			Seed:      cfg.Seed,
 		},
 	})
-	// Warm-start the policy on the expert's demonstrated trajectories (their
-	// recorded rewards are the same −log(cost) the cost phase trains on), so
-	// cost training starts near the expert instead of from a random policy.
+	// Prime the learner on the demonstrated trajectories (their rewards are
+	// the same −log(cost) the cost phase trains on). It updates only on a
+	// full batch: below BatchSize trajectories (2 × 6 < 16 for the
+	// benchmark's workload) v1 is the initial policy and the demonstrations
+	// enter the first cost-phase update.
 	for sweep := 0; sweep < cfg.DemoSweeps; sweep++ {
 		if err := ctx.Err(); err != nil {
 			return s.stopped(err)
 		}
-		for _, d := range demo.Demos() {
-			boot.RL.Observe(d.Traj)
+		for _, traj := range demos {
+			boot.RL.Observe(traj)
 		}
 	}
 	s.publish(boot.RL)
-	s.transition(PhaseCostTraining, demoReason+"; policy primed on expert trajectories")
+	s.transition(PhaseCostTraining, fmt.Sprintf(
+		"every workload query demonstrated (%d); policy v%d published after %d learner updates, %d expert trajectories pending",
+		len(demos), s.policies.Version(), boot.RL.Updates, boot.RL.Pending()))
 
 	// --- CostTraining (§5.2 Phase 1, async actor-learner) --------------
 	// Every update is served at once, as the same immutable network the
@@ -1006,11 +985,8 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 			if err := ctx.Err(); err != nil {
 				return "", err
 			}
-			r, err := s.greedyRatio(trainEnv, boot.RL, cfg.Queries)
-			if err == nil {
-				ratio = r
-				s.setProgress(func(p *lifecycleProgress) { p.costRatio = r })
-			}
+			ratio = greedyRatio(sp, boot.RL.Policy, cfg.Queries, expert)
+			s.setProgress(func(p *lifecycleProgress) { p.costRatio = ratio })
 			if cfg.CostRatioTarget > 0 && ratio <= cfg.CostRatioTarget {
 				reason = fmt.Sprintf("greedy cost ratio %.3f ≤ target %.3f", ratio, cfg.CostRatioTarget)
 				break
@@ -1088,26 +1064,45 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, space *
 }
 
 // greedyRatio is the CostTraining transition predicate's measurement: the
-// geometric mean over the workload of (greedy learned plan cost) / (expert
-// plan cost). Runs on the lifecycle goroutine between training chunks, when
-// no actors are stepping the env.
-func (s *Service) greedyRatio(env *planspace.Env, learner *rl.Reinforce, queries []*Query) (float64, error) {
+// geometric mean over queries of (greedy plan cost under policy) /
+// expert[i], skipping queries whose rollout ends without a plan (+Inf when
+// all do). The rollouts fan out over the cores, each worker on its own env
+// from sp, choosing as serving does — greedyActionPacked picks what
+// rl.Reinforce.Greedy picks — and the logs are summed in query order, so the
+// result is that of one sequential loop. policy must not change meanwhile:
+// the lifecycle calls this between training chunks.
+func greedyRatio(sp *servePool, policy *nn.Network, queries []*Query, expert []float64) float64 {
+	packed := policy.Pack()
+	logs := make([]float64, len(queries))
+	planned := make([]bool, len(queries))
+	workers := min(runtime.GOMAXPROCS(0), len(queries))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env, logits := sp.get(), &nn.Mat{}
+			defer sp.put(env)
+			greedy := func(st rl.State) int { return greedyActionPacked(packed, st, logits) }
+			for i := w; i < len(queries); i += workers {
+				out, err := env.GreedyRollout(context.Background(), queries[i], greedy)
+				if err == nil && out.Plan != nil {
+					logs[i], planned[i] = math.Log(out.Cost/expert[i]), true
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	var logSum float64
 	n := 0
-	for _, q := range queries {
-		out, err := env.GreedyRollout(context.Background(), q, learner.Greedy)
-		if err != nil || out.Plan == nil {
-			continue
+	for i, ok := range planned {
+		if ok {
+			logSum += logs[i]
+			n++
 		}
-		planned, err := s.sys.Planner.Plan(q)
-		if err != nil {
-			return 0, err
-		}
-		logSum += math.Log(out.Cost / planned.Cost)
-		n++
 	}
 	if n == 0 {
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
-	return math.Exp(logSum / float64(n)), nil
+	return math.Exp(logSum / float64(n))
 }

@@ -1,11 +1,14 @@
 package handsfree
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"handsfree/internal/engine"
 	"handsfree/internal/featurize"
 	"handsfree/internal/nn"
+	"handsfree/internal/paramserver"
 	"handsfree/internal/planspace"
 	"handsfree/internal/rl"
 )
@@ -201,7 +205,6 @@ func quickLifecycle() LifecycleConfig {
 	return LifecycleConfig{
 		Hidden:          []int{32},
 		DemoSweeps:      1,
-		PretrainBatches: 6,
 		CostEpisodes:    48,
 		EvalEvery:       24,
 		LatencyEpisodes: 16,
@@ -261,6 +264,127 @@ func TestServiceLifecyclePhasesInOrder(t *testing.T) {
 			t.Fatalf("post-training decision consulted no policy: %+v", res)
 		}
 	}
+}
+
+// TestDemonstrationPublishesInitialPolicy: Demonstration demonstrates every
+// workload query and publishes v1 before the learner has updated — 1 sweep ×
+// 4 demonstrations is short of a batch of 16, so v1 is the initial policy,
+// weight for weight — and the lifecycle takes exactly its four transitions.
+func TestDemonstrationPublishesInitialPolicy(t *testing.T) {
+	svc := testService(t)
+	cfg := quickLifecycle()
+	var v1 *paramserver.Snapshot
+	svc.policies.OnPublish = func(snap *paramserver.Snapshot) {
+		if snap.Version == 1 {
+			v1 = snap
+		}
+	}
+	ctx := context.Background()
+	if err := svc.StartTraining(ctx, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.WaitTraining(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := svc.LifecycleStats()
+	if st.Demonstrations != len(svc.Queries()) {
+		t.Fatalf("demonstrated %d queries, want %d", st.Demonstrations, len(svc.Queries()))
+	}
+	if len(st.Transitions) != 4 {
+		t.Fatalf("transitions %+v, want 4", st.Transitions)
+	}
+	want := fmt.Sprintf("policy v1 published after 0 learner updates, %d expert trajectories pending", len(svc.Queries()))
+	if reason := st.Transitions[1].Reason; !strings.Contains(reason, want) {
+		t.Fatalf("demonstration → cost-training reason %q does not say %q", reason, want)
+	}
+	if v1 == nil || v1.Updates != 0 {
+		t.Fatalf("v1 = %+v, want a snapshot of 0 updates", v1)
+	}
+	initial := rl.NewReinforce(v1.Net.InDim(), v1.Net.OutDim(), rl.ReinforceConfig{Hidden: cfg.Hidden, Seed: cfg.Seed})
+	got, err := v1.Net.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if init, err := initial.Policy.MarshalBinary(); err != nil || !bytes.Equal(got, init) {
+		t.Fatalf("v1 is not the initial policy (err %v)", err)
+	}
+}
+
+// greedyRatioSequential is the reference greedyRatio must equal: one loop on
+// one env, the learner's own Greedy (Forward), the expert planned per query.
+func greedyRatioSequential(t *testing.T, svc *Service, env *planspace.Env, learner *rl.Reinforce) float64 {
+	var logSum float64
+	n := 0
+	for _, q := range svc.Queries() {
+		out, err := env.GreedyRollout(context.Background(), q, learner.Greedy)
+		if err != nil || out.Plan == nil {
+			continue
+		}
+		planned, err := svc.sys.Planner.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logSum += math.Log(out.Cost / planned.Cost)
+		n++
+	}
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return math.Exp(logSum / float64(n))
+}
+
+// TestGreedyRatioMatchesSequential: the greedy ratio fanned out over the
+// cores equals the sequential loop bit for bit, at GOMAXPROCS 1 and 2, on
+// untrained policies and on the policy a short lifecycle ends with.
+func TestGreedyRatioMatchesSequential(t *testing.T) {
+	svc := testService(t)
+	queries := svc.Queries()
+	expert := make([]float64, len(queries))
+	for i, q := range queries {
+		planned, err := svc.sys.Planner.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expert[i] = planned.Cost
+	}
+	check := func(t *testing.T, learner *rl.Reinforce) {
+		sp := svc.serve.Load()
+		env := planspace.NewEnv(planspace.Config{
+			Space:   sp.space,
+			Stages:  sp.stages,
+			Planner: svc.sys.Planner,
+			Latency: svc.observed,
+			Queries: queries,
+			Cache:   svc.sys.PlanCache,
+		})
+		want := greedyRatioSequential(t, svc, env, learner)
+		if math.IsInf(want, 0) || math.IsNaN(want) {
+			t.Fatalf("reference ratio %v: no query planned", want)
+		}
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := greedyRatio(sp, learner.Policy, queries, expert)
+			runtime.GOMAXPROCS(prev)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("GOMAXPROCS %d: greedy ratio %v, sequential loop %v", procs, got, want)
+			}
+		}
+	}
+	t.Run("untrained", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			check(t, publishRandomPolicy(t, svc, seed))
+		}
+	})
+	t.Run("trained", func(t *testing.T) {
+		ctx := context.Background()
+		if err := svc.StartTraining(ctx, quickLifecycle()); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.WaitTraining(ctx); err != nil {
+			t.Fatal(err)
+		}
+		check(t, &rl.Reinforce{Policy: svc.policies.Latest().Net.Clone()})
+	})
 }
 
 // TestBenchmarkLifecycleRepeatable runs the lifecycle bench/ measures
