@@ -8,8 +8,9 @@
 // vector itself (which episode trajectories retain and therefore must be
 // fresh): PairMask memoizes the per-forest-size action masks on the Space
 // (they are pure functions of the forest size), and Scratch carries the
-// per-episode working maps — alias positions, depth weights, subtree alias
-// sets — that the naive encoding would reallocate at every state.
+// per-query alias positions and the per-episode cardinality memo, so a state
+// is encoded by alias index where the naive encoding would rebuild alias sets
+// and weight maps at every state.
 package featurize
 
 import (
@@ -75,36 +76,63 @@ func AliasIndex(q *query.Query) []string {
 	return out
 }
 
-// Scratch holds the reusable working state of featurization: the alias→index
-// map and cached base selectivities of the current query, the depth-weight
-// accumulator, and memos of subtree alias sets and cardinalities keyed by
-// plan node. One Scratch belongs to one environment (it is not
-// concurrency-safe); call Reset at each episode start so the per-node memos
-// do not retain the previous episode's plan nodes. The zero value is ready
-// to use.
-type Scratch struct {
-	q       *query.Query
-	names   []string
-	idx     map[string]int
-	sels    []float64
-	weights map[string]float64
-	aliases map[plan.Node]map[string]bool
-	cards   map[plan.Node]float64
+// AppendJoinRels appends to dst, per q.Joins entry, the relation bits of its
+// left and right alias: bit i stands for aliases[i], where aliases is
+// AliasIndex(q). A relation set is a uint32 bitmask, so an alias past the
+// 32nd position has no bit.
+func AppendJoinRels(dst [][2]uint32, q *query.Query, aliases []string) [][2]uint32 {
+	for _, j := range q.Joins {
+		var b [2]uint32
+		for i, a := range aliases[:min(len(aliases), 32)] {
+			if a == j.LeftAlias {
+				b[0] = 1 << i
+			}
+			if a == j.RightAlias {
+				b[1] = 1 << i
+			}
+		}
+		dst = append(dst, b)
+	}
+	return dst
 }
 
-// Reset drops per-episode state (the subtree alias-set and cardinality
-// memos). The per-query alias index and selectivity cache survive: they are
-// keyed by query pointer and revalidated on use.
+// Spans reports whether a join predicate with relation bits b (see
+// AppendJoinRels) connects the relation sets l and r, in either orientation:
+// q.JoinsBetween's test over bitmasks.
+func Spans(b [2]uint32, l, r uint32) bool {
+	return l&b[0] != 0 && r&b[1] != 0 || l&b[1] != 0 && r&b[0] != 0
+}
+
+// Scratch holds the reusable working state of featurization: the alias→index
+// map, cached base selectivities and join-predicate bits of the current
+// query, and a memo of subtree cardinalities keyed by plan node. Depth
+// weights are written by alias index and connectivity is tested on relation
+// bitmasks, so encoding a state builds no alias set except the one a
+// cardinality-memo miss hands the estimator. One Scratch belongs to one
+// environment (it is not concurrency-safe); call Reset at each episode start
+// so the per-node memo does not retain the previous episode's plan nodes.
+// The zero value is ready to use.
+type Scratch struct {
+	q        *query.Query
+	names    []string
+	idx      map[string]int
+	sels     []float64
+	joinRels [][2]uint32 // see AppendJoinRels
+	cards    map[plan.Node]float64
+}
+
+// Reset drops per-episode state (the subtree cardinality memo). The
+// per-query alias index and selectivity cache survive: they are keyed by
+// query pointer and revalidated on use.
 func (sc *Scratch) Reset() {
-	clear(sc.aliases)
 	clear(sc.cards)
 }
 
 // prepare returns the alias→feature-index map for q, rebuilding it — and the
-// base-selectivity cache aligned with it — only when the query changes. The
-// selectivity block of the encoding is constant per query, so caching it here
-// removes the per-state estimator walk (and its filter-slice allocations)
-// from the rollout hot path.
+// base-selectivity and join-bit caches aligned with it — only when the query
+// changes. The selectivity block of the encoding is constant per query, so
+// caching it here removes the per-state estimator walk (and its filter-slice
+// allocations) from the rollout hot path.
 func (sc *Scratch) prepare(q *query.Query, est Estimator) map[string]int {
 	if sc.q == q && sc.idx != nil {
 		return sc.idx
@@ -126,53 +154,51 @@ func (sc *Scratch) prepare(q *query.Query, est Estimator) map[string]int {
 	for _, a := range sc.names {
 		sc.sels = append(sc.sels, est.BaseSelectivity(q, a))
 	}
+	sc.joinRels = AppendJoinRels(sc.joinRels[:0], q, sc.names)
 	sc.q = q
 	return sc.idx
 }
 
+// relBit is alias's bit in the prepared query's alias index (0 if absent or
+// past the 32nd position, which ConnectedPairMaskScratch rules out).
+func (sc *Scratch) relBit(alias string) uint32 {
+	if i, ok := sc.idx[alias]; ok && i < 32 {
+		return 1 << i
+	}
+	return 0
+}
+
+// relsOf returns the relation set of a subtree as a bitmask over the
+// prepared query's alias index.
+func (sc *Scratch) relsOf(n plan.Node) uint32 {
+	switch t := n.(type) {
+	case *plan.Scan:
+		return sc.relBit(t.Alias)
+	case *plan.Join:
+		return sc.relsOf(t.Left) | sc.relsOf(t.Right)
+	case *plan.Agg:
+		return sc.relsOf(t.Child)
+	}
+	return 0
+}
+
 // cardOf returns the estimated cardinality of a subtree, memoized per node.
 // Nodes are immutable and the memo is cleared per episode, so within an
-// episode only newly joined subtrees pay the estimator walk; re-encoding an
-// unchanged forest (every state revisits all current roots) is lookup-only.
+// episode only newly joined subtrees pay the estimator walk — and the alias
+// set it takes — while re-encoding an unchanged forest (every state revisits
+// all current roots) is lookup-only.
 func (sc *Scratch) cardOf(q *query.Query, est Estimator, n plan.Node) float64 {
 	if c, ok := sc.cards[n]; ok {
 		return c
 	}
-	c := est.SubsetCard(q, sc.aliasesOf(n))
+	aliases := make(map[string]bool, len(sc.names))
+	addAliases(n, aliases)
+	c := est.SubsetCard(q, aliases)
 	if sc.cards == nil {
 		sc.cards = make(map[plan.Node]float64, 16)
 	}
 	sc.cards[n] = c
 	return c
-}
-
-// aliasesOf returns the alias set of a subtree, memoized per node. Join trees
-// grow bottom-up during an episode, so the memo turns the naive recursive
-// recomputation (one fresh map per interior node per state) into one map per
-// node per episode, with joined nodes merged from their memoized children.
-func (sc *Scratch) aliasesOf(n plan.Node) map[string]bool {
-	if m, ok := sc.aliases[n]; ok {
-		return m
-	}
-	var m map[string]bool
-	switch t := n.(type) {
-	case *plan.Join:
-		l, r := sc.aliasesOf(t.Left), sc.aliasesOf(t.Right)
-		m = make(map[string]bool, len(l)+len(r))
-		for a := range l {
-			m[a] = true
-		}
-		for a := range r {
-			m[a] = true
-		}
-	default:
-		m = n.Aliases()
-	}
-	if sc.aliases == nil {
-		sc.aliases = make(map[plan.Node]map[string]bool, 16)
-	}
-	sc.aliases[n] = m
-	return m
 }
 
 // JoinState encodes the current forest of join subtrees. The subtree block
@@ -201,20 +227,11 @@ func (s *Space) JoinStateInto(dst []float64, q *query.Query, forest []plan.Node,
 	idx := sc.prepare(q, s.Est)
 
 	// Subtree block.
-	if sc.weights == nil {
-		sc.weights = make(map[string]float64, n)
-	}
 	for row, tree := range forest {
 		if row >= n {
 			break
 		}
-		clear(sc.weights)
-		depthWeights(tree, 0, sc.weights)
-		for alias, w := range sc.weights {
-			if i, ok := idx[alias]; ok && i < n {
-				features[row*n+i] = w
-			}
-		}
+		depthWeights(features[row*n:(row+1)*n], idx, tree, 0)
 	}
 	// Join-graph block.
 	off := n * n
@@ -289,24 +306,29 @@ func (s *Space) ConnectedPairMask(q *query.Query, forest []plan.Node) []bool {
 	return s.ConnectedPairMaskScratch(q, forest, nil)
 }
 
-// ConnectedPairMaskScratch is ConnectedPairMask reusing a Scratch's subtree
-// alias-set memo. The mask itself is freshly allocated (it varies with join
-// structure and is retained by trajectories); the fallback returns the
-// shared PairMask cache entry, which callers must treat as read-only.
+// ConnectedPairMaskScratch is ConnectedPairMask reusing a Scratch's
+// per-query alias index and join bits. The mask itself is freshly allocated
+// (it varies with join structure and is retained by trajectories); the
+// fallback returns the shared PairMask cache entry, which callers must treat
+// as read-only.
 func (s *Space) ConnectedPairMaskScratch(q *query.Query, forest []plan.Node, sc *Scratch) []bool {
 	if sc == nil {
 		sc = &Scratch{}
 	}
+	if len(q.Relations) > 32 {
+		panic("featurize: a relation bitmask covers at most 32 relations")
+	}
+	sc.prepare(q, s.Est)
 	n := s.MaxRels
 	mask := make([]bool, n*n)
 	any := false
 	for x := 0; x < len(forest) && x < n; x++ {
-		ax := sc.aliasesOf(forest[x])
+		rx := sc.relsOf(forest[x])
 		for y := 0; y < len(forest) && y < n; y++ {
 			if x == y {
 				continue
 			}
-			if q.HasJoinBetween(ax, sc.aliasesOf(forest[y])) {
+			if sc.joined(rx, sc.relsOf(forest[y])) {
 				mask[x*n+y] = true
 				any = true
 			}
@@ -328,14 +350,42 @@ func (s *Space) EncodeAction(x, y int) int {
 	return x*s.MaxRels + y
 }
 
-// depthWeights assigns 1/2^depth to every relation in the subtree.
-func depthWeights(n plan.Node, depth int, out map[string]float64) {
+// addAliases adds the alias of every relation in the subtree to set.
+func addAliases(n plan.Node, set map[string]bool) {
 	switch n := n.(type) {
 	case *plan.Scan:
-		out[n.Alias] = 1 / float64(int64(1)<<uint(depth))
-	default:
-		for _, c := range n.Children() {
-			depthWeights(c, depth+1, out)
+		set[n.Alias] = true
+	case *plan.Join:
+		addAliases(n.Left, set)
+		addAliases(n.Right, set)
+	case *plan.Agg:
+		addAliases(n.Child, set)
+	}
+}
+
+// joined reports whether a join predicate of the prepared query connects the
+// relation sets l and r — q.HasJoinBetween over bitmasks.
+func (sc *Scratch) joined(l, r uint32) bool {
+	for _, b := range sc.joinRels {
+		if Spans(b, l, r) {
+			return true
 		}
+	}
+	return false
+}
+
+// depthWeights writes 1/2^depth of every relation in the subtree into its
+// feature row, at the relation's alias index.
+func depthWeights(row []float64, idx map[string]int, n plan.Node, depth int) {
+	switch n := n.(type) {
+	case *plan.Scan:
+		if i, ok := idx[n.Alias]; ok && i < len(row) {
+			row[i] = 1 / float64(int64(1)<<uint(depth))
+		}
+	case *plan.Join:
+		depthWeights(row, idx, n.Left, depth+1)
+		depthWeights(row, idx, n.Right, depth+1)
+	case *plan.Agg:
+		depthWeights(row, idx, n.Child, depth+1)
 	}
 }

@@ -1,8 +1,6 @@
 package optimizer
 
 import (
-	"math"
-
 	"handsfree/internal/cost"
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
@@ -84,17 +82,7 @@ func (p *Planner) completeOps(q *query.Query, fp uint64, hs map[plan.Node]uint64
 			left := p.completeOps(q, fp, hs, n.Left)
 			right := p.completeOps(q, fp, hs, n.Right)
 			// Choose only the algorithm; inputs are fixed.
-			var best entry
-			bestCost := math.Inf(1)
-			for _, algo := range plan.JoinAlgos {
-				j := plan.JoinNodes(q, algo, left.node, right.node)
-				nc := p.Model.JoinCost(q, j, left.nc, right.nc)
-				if nc.Total < bestCost {
-					best = entry{j, nc}
-					bestCost = nc.Total
-				}
-			}
-			return best
+			return p.cheapestJoin(q, left, right, false, n.Rebuild)
 		case *plan.Agg:
 			return p.completeOps(q, fp, hs, n.Child)
 		default:
@@ -126,7 +114,7 @@ func (p *Planner) completeAccess(q *query.Query, fp uint64, hs map[plan.Node]uin
 		case *plan.Join:
 			left := p.completeAccess(q, fp, hs, n.Left)
 			right := p.completeAccess(q, fp, hs, n.Right)
-			j := plan.JoinNodes(q, n.Algo, left.node, right.node)
+			j := n.Rebuild(n.Algo, left.node, right.node)
 			return entry{j, p.Model.JoinCost(q, j, left.nc, right.nc)}
 		case *plan.Agg:
 			return p.completeAccess(q, fp, hs, n.Child)

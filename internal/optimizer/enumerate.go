@@ -226,6 +226,13 @@ func (p *Planner) planGEQO(ctx context.Context, q *query.Query) (plan.Node, cost
 // selection, index selection, etc." With a cache attached, the completion
 // is memoized per subtree, so the episode-collection hot path skips
 // recomputation for every part of the skeleton it has seen before.
+//
+// Contract: every join of the skeleton carries the predicates of q that span
+// its two inputs — what plan.JoinNodes attaches, and what every in-tree
+// skeleton builder (planspace.Env, rejoin.Env, RandomOrder, the planners
+// themselves) produces. The completion costs its candidate joins with those
+// predicates instead of recomputing them from alias sets per candidate, as
+// CompleteOperators and CompleteAccess do too.
 func (p *Planner) CompletePhysical(q *query.Query, skeleton plan.Node) (plan.Node, cost.NodeCost) {
 	return p.CompletePhysicalMemo(q, skeleton, nil)
 }
@@ -249,7 +256,7 @@ func (p *Planner) completeEntry(q *query.Query, fp uint64, hs map[plan.Node]uint
 		case *plan.Join:
 			left := p.completeEntry(q, fp, hs, n.Left)
 			right := p.completeEntry(q, fp, hs, n.Right)
-			return p.BestJoin(q, left, right)
+			return p.cheapestJoin(q, left, right, true, n.Rebuild)
 		case *plan.Agg:
 			return p.completeEntry(q, fp, hs, n.Child)
 		default:

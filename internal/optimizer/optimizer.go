@@ -299,8 +299,20 @@ func (p *Planner) scanVariants(q *query.Query, alias string) []entry {
 // input may be replaced by an index-scan variant to enable index nested
 // loops when the right entry is a leaf.
 func (p *Planner) BestJoin(q *query.Query, left, right entry) entry {
+	return p.cheapestJoin(q, left, right, true, func(algo plan.JoinAlgo, l, r plan.Node) *plan.Join {
+		return plan.JoinNodes(q, algo, l, r)
+	})
+}
+
+// cheapestJoin is the one candidate loop of join operator selection: it
+// costs every join algorithm over right and, when variants is set and right
+// is a leaf, over each of its index-scan variants too, building each
+// candidate with build. Enumeration builds with plan.JoinNodes; skeleton
+// completion builds with the skeleton join's own predicates
+// (plan.Join.Rebuild), which are the same ones.
+func (p *Planner) cheapestJoin(q *query.Query, left, right entry, variants bool, build func(algo plan.JoinAlgo, left, right plan.Node) *plan.Join) entry {
 	rights := []entry{right}
-	if s, ok := right.node.(*plan.Scan); ok {
+	if s, ok := right.node.(*plan.Scan); ok && variants {
 		for _, v := range p.scanVariants(q, s.Alias) {
 			if v.node.Signature() != right.node.Signature() {
 				rights = append(rights, v)
@@ -311,7 +323,7 @@ func (p *Planner) BestJoin(q *query.Query, left, right entry) entry {
 	bestCost := math.Inf(1)
 	for _, r := range rights {
 		for _, algo := range plan.JoinAlgos {
-			j := plan.JoinNodes(q, algo, left.node, r.node)
+			j := build(algo, left.node, r.node)
 			nc := p.Model.JoinCost(q, j, left.nc, r.nc)
 			if nc.Total < bestCost {
 				best = entry{j, nc}

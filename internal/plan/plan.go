@@ -319,6 +319,14 @@ func JoinNodes(q *query.Query, algo JoinAlgo, left, right Node) *Join {
 	}
 }
 
+// Rebuild returns a join of left and right under algo that carries j's
+// predicates without recomputing them — a physical variant of j. It is
+// correct only when left and right span the same relations as j's inputs,
+// as the optimizer's completions of j's inputs do.
+func (j *Join) Rebuild(algo JoinAlgo, left, right Node) *Join {
+	return &Join{Algo: algo, Left: left, Right: right, Preds: j.Preds}
+}
+
 // FinishAgg wraps root in the query's aggregation, if it has one.
 func FinishAgg(q *query.Query, algo AggAlgo, root Node) Node {
 	if len(q.Aggregates) == 0 && len(q.GroupBys) == 0 {

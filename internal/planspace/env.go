@@ -123,17 +123,23 @@ type Env struct {
 	curIdx int
 
 	cur    *query.Query
-	opts   []accessOptions // per alias index
-	chosen []int           // access choice per alias index (-1 = undecided)
+	prep   *prepared
+	chosen []int // access choice per alias index (-1 = undecided)
 	forest []plan.Node
-	ph     phase
+	// rels is each forest entry's relation set, one bit per position of the
+	// query's sorted alias index (featurize.AliasIndex).
+	rels []uint32
+	ph   phase
+	// preps caches prepared by query pointer (queries are immutable once
+	// planned); bounded, since a serving env sees an open-ended stream.
+	preps map[*query.Query]*prepared
 	// memo is the per-episode skeleton-hash memo (lazily allocated, only
 	// with a plan cache attached): the completion calls that end every
 	// episode share it, so a skeleton costed under two aggregation
 	// algorithms is hashed once and no completion allocates a map.
 	memo map[plan.Node]uint64
-	// scratch carries the reusable featurization maps (alias index, depth
-	// weights, subtree alias sets); Reset per episode.
+	// scratch carries the reusable featurization state (alias index,
+	// selectivities, subtree cardinalities); Reset per episode.
 	scratch featurize.Scratch
 	// featBuf/maskBuf are the reused state storage under
 	// Cfg.ReuseStateBuffers; nil otherwise.
@@ -191,15 +197,14 @@ func (e *Env) Reset() rl.State {
 // ResetTo starts an episode on a specific query.
 func (e *Env) ResetTo(q *query.Query) rl.State {
 	e.cur = q
-	aliases := featurize.AliasIndex(q)
-	e.opts = e.opts[:0]
+	e.prep = e.prepare(q)
 	e.chosen = e.chosen[:0]
 	e.forest = e.forest[:0]
-	for _, a := range aliases {
-		opt := accessOptionsFor(e.Cfg.Planner.Cat, q, a)
-		e.opts = append(e.opts, opt)
+	e.rels = e.rels[:0]
+	for i, opt := range e.prep.opts {
 		e.chosen = append(e.chosen, -1)
 		e.forest = append(e.forest, opt.scans[AccessSeq])
+		e.rels = append(e.rels, 1<<i)
 	}
 	if e.Cfg.Stages.AccessPaths {
 		e.ph = phaseAccess
@@ -211,6 +216,61 @@ func (e *Env) ResetTo(q *query.Query) rl.State {
 	clear(e.memo)
 	e.scratch.Reset()
 	return e.state()
+}
+
+// prepared is what an episode needs of its query before the first step, a
+// pure function of (catalog, query): each relation's access options and each
+// join predicate's relation bits, both over the sorted alias index.
+type prepared struct {
+	opts     []accessOptions
+	joinRels [][2]uint32 // see featurize.AppendJoinRels
+}
+
+// MaxRelations is the largest query an Env plans: a forest entry's relation
+// set is a uint32 bitmask.
+const MaxRelations = 32
+
+// maxPrepared bounds Env.preps; a training env cycles through far fewer
+// queries.
+const maxPrepared = 64
+
+// prepare returns q's prepared episode inputs, computing them on the env's
+// first episode over q.
+func (e *Env) prepare(q *query.Query) *prepared {
+	if p, ok := e.preps[q]; ok {
+		return p
+	}
+	aliases := featurize.AliasIndex(q)
+	if len(aliases) > MaxRelations {
+		panic("planspace: query exceeds MaxRelations")
+	}
+	p := &prepared{
+		opts:     make([]accessOptions, len(aliases)),
+		joinRels: featurize.AppendJoinRels(nil, q, aliases),
+	}
+	for i, a := range aliases {
+		p.opts[i] = accessOptionsFor(e.Cfg.Planner.Cat, q, a)
+	}
+	if e.preps == nil {
+		e.preps = make(map[*query.Query]*prepared)
+	} else if len(e.preps) >= maxPrepared {
+		clear(e.preps)
+	}
+	e.preps[q] = p
+	return p
+}
+
+// predsBetween returns the current query's join predicates that span the
+// relation sets l and r, in q.Joins order: exactly what q.JoinsBetween
+// returns for the two sets' aliases, nil when there are none.
+func (e *Env) predsBetween(l, r uint32) []query.Join {
+	var out []query.Join
+	for k, b := range e.prep.joinRels {
+		if featurize.Spans(b, l, r) {
+			out = append(out, e.cur.Joins[k])
+		}
+	}
+	return out
 }
 
 // hashMemo returns the env's per-episode skeleton-hash memo, allocating it
@@ -298,7 +358,7 @@ func (e *Env) mask() []bool {
 		c := e.cursor()
 		off := e.Layout.AccessOffset()
 		for i := 0; i < numAccessChoices; i++ {
-			mask[off+i] = e.opts[c].valid[i]
+			mask[off+i] = e.prep.opts[c].valid[i]
 		}
 	case phaseJoin:
 		nAlgo := e.Layout.JoinAlgoCount()
@@ -327,11 +387,11 @@ func (e *Env) Step(action int) (rl.State, float64, bool) {
 	case phaseAccess:
 		c := e.cursor()
 		choice := action - e.Layout.AccessOffset()
-		if choice < 0 || choice >= numAccessChoices || !e.opts[c].valid[choice] {
+		if choice < 0 || choice >= numAccessChoices || !e.prep.opts[c].valid[choice] {
 			return e.abort()
 		}
 		e.chosen[c] = choice
-		e.forest[c] = e.opts[c].scans[choice]
+		e.forest[c] = e.prep.opts[c].scans[choice]
 		if e.cursor() < 0 {
 			e.ph = phaseJoin
 		}
@@ -349,17 +409,28 @@ func (e *Env) Step(action int) (rl.State, float64, bool) {
 		if e.Cfg.Stages.JoinOps {
 			algo = plan.JoinAlgos[algoIdx]
 		}
-		joined := plan.JoinNodes(e.cur, algo, e.forest[x], e.forest[y])
+		// The join carries the predicates spanning its inputs, found from
+		// their relation bits rather than from rebuilt alias sets; the
+		// completion that ends the episode reuses them.
+		joined := &plan.Join{
+			Algo:  algo,
+			Left:  e.forest[x],
+			Right: e.forest[y],
+			Preds: e.predsBetween(e.rels[x], e.rels[y]),
+		}
+		rels := e.rels[x] | e.rels[y]
 		// Filter in place: the write index never overtakes the read index,
-		// so reusing the forest's backing array is safe and avoids a fresh
-		// slice per join step.
-		next := e.forest[:0]
+		// so reusing the backing arrays is safe and avoids fresh slices per
+		// join step.
+		next, nextRels := e.forest[:0], e.rels[:0]
 		for i, node := range e.forest {
 			if i != x && i != y {
 				next = append(next, node)
+				nextRels = append(nextRels, e.rels[i])
 			}
 		}
 		e.forest = append(next, joined)
+		e.rels = append(nextRels, rels)
 		if len(e.forest) > 1 {
 			return e.state(), 0, false
 		}

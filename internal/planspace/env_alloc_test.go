@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"handsfree/internal/plancache"
 	"handsfree/internal/rl"
 )
 
@@ -80,5 +81,44 @@ func TestStateEncodingSteadyStateAllocs(t *testing.T) {
 	p2 := plain.state()
 	if &p1.Features[0] == &p2.Features[0] {
 		t.Error("default env aliased feature vectors across states")
+	}
+}
+
+// TestTrainingEpisodeAllocs pins the allocations of one whole training
+// episode — Reset, every step, the completion that ends it — on a warm plan
+// cache, under each completion mode. Training keeps each state's fresh
+// feature vector and mask (trajectories retain them), and each join step
+// allocates its node and predicates; what the ceilings leave no room for is
+// per-step alias sets: skeleton joins find their predicates from relation
+// bitmasks, completion reuses them, and featurization reads subtrees as
+// bitmasks. With alias sets rebuilt per join step the lifecycle's mode
+// allocated 102 objects per episode here; it allocates 43.
+func TestTrainingEpisodeAllocs(t *testing.T) {
+	f := fixture(t, 6, 4, 6)
+	for _, mode := range []struct {
+		name    string
+		st      Stages
+		ceiling float64
+	}{
+		{"CompletePhysical", Stages{}, 48},
+		{"CompleteOperators", Stages{AccessPaths: true}, 58},
+		{"CompleteAccess", Stages{JoinOps: true}, 48},
+		{"CostFixed", StagePrefix(4), 64},
+	} {
+		env := NewEnv(Config{Space: f.space, Stages: mode.st, Planner: f.planner, Queries: f.queries, Cache: plancache.New(plancache.Config{})})
+		episode := func() {
+			s := env.Reset()
+			for !s.Terminal {
+				s, _, _ = env.Step(firstValid(s))
+			}
+		}
+		for range f.queries {
+			episode() // warms the plan cache and the env's per-query inputs
+		}
+		if allocs := testing.AllocsPerRun(4*len(f.queries), episode); allocs > mode.ceiling {
+			t.Errorf("%s: a warm training episode allocates %.0f objects, ceiling %.0f", mode.name, allocs, mode.ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations per episode (ceiling %.0f)", mode.name, allocs, mode.ceiling)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"handsfree/internal/featurize"
 	"handsfree/internal/plan"
 	"handsfree/internal/query"
 	"handsfree/internal/rl"
@@ -52,7 +53,7 @@ func (e *Env) Replay(q *query.Query, expert plan.Node) (rl.Trajectory, Outcome, 
 // action vocabulary.
 func (e *Env) planActions(q *query.Query, expert plan.Node) ([]int, error) {
 	var actions []int
-	aliases := aliasIndexOf(q)
+	aliases := featurize.AliasIndex(q)
 
 	// Leaf access decisions, in alias order (the env's cursor order).
 	if e.Cfg.Stages.AccessPaths {
@@ -60,17 +61,16 @@ func (e *Env) planActions(q *query.Query, expert plan.Node) ([]int, error) {
 		for _, l := range plan.Leaves(expert) {
 			leafOf[l.Alias] = l
 		}
+		opts := e.prepare(q).opts
 		for i, a := range aliases {
 			l, ok := leafOf[a]
 			if !ok {
 				return nil, fmt.Errorf("planspace: expert plan lacks relation %s", a)
 			}
-			opts := accessOptionsFor(e.Cfg.Planner.Cat, q, a)
-			choice := classifyScan(l, opts)
-			if !opts.valid[choice] {
+			choice := classifyScan(l, opts[i])
+			if !opts[i].valid[choice] {
 				choice = AccessSeq
 			}
-			_ = i
 			actions = append(actions, e.Layout.AccessOffset()+choice)
 		}
 	}
@@ -154,13 +154,4 @@ func indexOf(forest []string, key string) int {
 		}
 	}
 	return -1
-}
-
-func aliasIndexOf(q *query.Query) []string {
-	out := make([]string, len(q.Relations))
-	for i, r := range q.Relations {
-		out[i] = r.Alias
-	}
-	sort.Strings(out)
-	return out
 }

@@ -56,8 +56,8 @@ type Env struct {
 	curIdx int
 	cur    *query.Query
 	forest []plan.Node
-	// scratch carries the reusable featurization maps (alias index, depth
-	// weights, subtree alias sets); Reset per episode.
+	// scratch carries the reusable featurization state (alias index,
+	// selectivities, subtree cardinalities); Reset per episode.
 	scratch featurize.Scratch
 	// memo is the per-episode skeleton-hash memo (allocated lazily, only
 	// when a plan cache is attached): the terminal completion reuses it so

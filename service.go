@@ -728,12 +728,18 @@ func (s *Service) LifecycleStats() LifecycleStats {
 // (hot swap; plan-cache epoch bumped) on every learner update. Serving
 // continues throughout. Cancelling ctx stops the lifecycle at the next
 // episode boundary (phase becomes PhaseStopped and WaitTraining returns the
-// context error). Errors if a lifecycle is already running or no workload is
-// configured.
+// context error). Errors if a lifecycle is already running, no workload is
+// configured, or a training query has more than planspace.MaxRelations
+// relations.
 func (s *Service) StartTraining(ctx context.Context, cfg LifecycleConfig) error {
 	cfg.fill(s)
 	if len(cfg.Queries) == 0 {
 		return fmt.Errorf("handsfree: no training workload: set LifecycleConfig.Queries or configure WithWorkload")
+	}
+	for _, q := range cfg.Queries {
+		if len(q.Relations) > planspace.MaxRelations {
+			return fmt.Errorf("handsfree: training query %s has %d relations; the learned planner takes at most %d", q.Name, len(q.Relations), planspace.MaxRelations)
+		}
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	s.mu.Lock()

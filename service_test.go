@@ -18,6 +18,7 @@ import (
 	"handsfree/internal/nn"
 	"handsfree/internal/paramserver"
 	"handsfree/internal/planspace"
+	"handsfree/internal/query"
 	"handsfree/internal/rl"
 )
 
@@ -579,6 +580,30 @@ func TestServiceLifecycleCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := svc.WaitTraining(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStartTrainingRejectsOversizedQuery: the training envs hold relation
+// sets as uint32 bitmasks, so a training query wider than
+// planspace.MaxRelations is refused up front with an error, and the service
+// neither starts a lifecycle nor stops serving.
+func TestStartTrainingRejectsOversizedQuery(t *testing.T) {
+	svc := testService(t)
+	base := svc.Queries()[0].Relations[0]
+	wide := &Query{Name: "wide"}
+	for i := 0; i <= planspace.MaxRelations; i++ {
+		wide.Relations = append(wide.Relations, query.Relation{Table: base.Table, Alias: fmt.Sprintf("r%d", i)})
+	}
+	cfg := quickLifecycle()
+	cfg.Queries = append([]*Query{wide}, svc.Queries()...)
+	if err := svc.StartTraining(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "wide") {
+		t.Fatalf("StartTraining with a %d-relation query: err = %v, want a refusal naming it", len(wide.Relations), err)
+	}
+	if got := svc.Phase(); got != PhaseIdle {
+		t.Fatalf("phase after the refusal = %v, want idle", got)
+	}
+	if _, err := svc.Plan(context.Background(), svc.Queries()[0]); err != nil {
 		t.Fatal(err)
 	}
 }
