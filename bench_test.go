@@ -7,7 +7,6 @@ package handsfree
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -21,8 +20,6 @@ import (
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
-	"handsfree/internal/query"
-	"handsfree/internal/rejoin"
 	"handsfree/internal/rl"
 	"handsfree/internal/sketch"
 )
@@ -434,151 +431,6 @@ func BenchmarkMatMulSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncCollect measures asynchronous actor-learner ReJOIN training
-// (lock-free parameter-server snapshots, staleness bound 4) at 1/4/8 actors;
-// one iteration = 48 episodes.
-func BenchmarkAsyncCollect(b *testing.B) {
-	for _, actors := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("actors=%d", actors), func(b *testing.B) {
-			benchActorCollect(b, actors)
-		})
-	}
-}
-
-func benchActorCollect(b *testing.B, actors int) {
-	l := lab(b)
-	queries := make([]*query.Query, 0, 4)
-	for i := int64(0); i < 4; i++ {
-		q, err := l.Workload.ByRelations(8, 3+i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-	env := rejoin.NewEnv(l.Space(8), l.Planner, queries, 1)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
-	const episodes = 48
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainAsync(episodes, rl.AsyncConfig{Actors: actors, Staleness: 4})
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(episodes*b.N)/b.Elapsed().Seconds(), "episodes/sec")
-}
-
-// --- plan cache benchmarks ---
-
-// benchWorkload builds the fixed 4-query, 8-relation workload shared by the
-// cache benchmarks.
-func benchWorkload(b *testing.B, l *experiment.Lab) []*query.Query {
-	b.Helper()
-	queries := make([]*query.Query, 0, 4)
-	for i := int64(0); i < 4; i++ {
-		q, err := l.Workload.ByRelations(8, 3+i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-	return queries
-}
-
-// benchCacheCollect measures repeated-workload episode collection under a
-// frozen policy — the serving/evaluation regime the paper's latency-centric
-// loop converges to, where every sweep replays the same workload queries.
-// Each iteration collects one greedy episode per workload query. With the
-// cache, the second and later sweeps are whole-plan fingerprint hits that
-// skip both the policy rollout and the optimizer completion.
-func benchCacheCollect(b *testing.B, withCache bool) {
-	l := lab(b)
-	queries := benchWorkload(b, l)
-	env := rejoin.NewEnv(l.Space(8), l.Planner, queries, 1)
-	var cache *plancache.Cache
-	if withCache {
-		cache = plancache.New(plancache.Config{Capacity: 1 << 16, Shards: 16})
-		env.UseCache(cache)
-	}
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
-	for _, q := range queries { // warm-up sweep (run for the cold baseline too, for parity)
-		agent.GreedyPlan(q)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range queries {
-			if root, _ := agent.GreedyPlan(q); root == nil {
-				b.Fatal("no plan")
-			}
-		}
-	}
-	if withCache {
-		b.StopTimer()
-		b.ReportMetric(cache.Stats().HitRate(), "hit-rate")
-	}
-}
-
-// BenchmarkCachedCollect is repeated-workload episode collection with a
-// warm plan cache; compare against BenchmarkColdCollect for the cache's
-// effect on revisited queries.
-func BenchmarkCachedCollect(b *testing.B) {
-	benchCacheCollect(b, true)
-}
-
-// BenchmarkColdCollect is the identical collection loop without a cache:
-// every repetition of every workload query pays the full rollout and
-// optimizer completion.
-func BenchmarkColdCollect(b *testing.B) {
-	benchCacheCollect(b, false)
-}
-
-// benchCacheTrainingCollect measures the stochastic training hot path — 4
-// actors, policy snapshots republished after every update — with or
-// without the cache. Sampled join orders rarely repeat wholesale, so only
-// subtree entries (leaves, small joins) hit; the win is real but modest
-// compared to the frozen-policy sweep above. minAdmit > 0 adds the
-// cost-based admission threshold: cheap subtree entries (the ones that
-// dominate Put traffic here while rarely hitting) are not memoized at all.
-func benchCacheTrainingCollect(b *testing.B, withCache bool, minAdmit float64) {
-	l := lab(b)
-	queries := benchWorkload(b, l)
-	env := rejoin.NewEnv(l.Space(8), l.Planner, queries, 1)
-	var cache *plancache.Cache
-	if withCache {
-		cache = plancache.New(plancache.Config{Capacity: 1 << 16, Shards: 16, MinAdmitCost: minAdmit})
-		env.UseCache(cache)
-	}
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, BatchSize: 16, Seed: 1})
-	cfg := rl.AsyncConfig{Actors: 4}
-	agent.TrainAsync(16, cfg) // warm-up sweep (also for the cold baseline)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainAsync(16, cfg)
-	}
-	if withCache {
-		b.StopTimer()
-		st := cache.Stats()
-		b.ReportMetric(st.HitRate(), "hit-rate")
-		b.ReportMetric(float64(st.AdmissionSkips), "admission-skips")
-	}
-}
-
-// BenchmarkCachedTrainingCollect is stochastic parallel training collection
-// with the plan cache attached and unconditional admission.
-func BenchmarkCachedTrainingCollect(b *testing.B) {
-	benchCacheTrainingCollect(b, true, 0)
-}
-
-// BenchmarkCachedTrainingCollectAdmission adds the cost-based admission
-// threshold, skipping completion subtrees cheaper than the lookup they'd
-// save; compare against BenchmarkCachedTrainingCollect (memoize everything)
-// and BenchmarkColdTrainingCollect (no cache). As of PR 5 the environments
-// also keep a per-episode skeleton-hash memo (optimizer.*Memo +
-// plancache.HashSubtreesMemo), which removes the remaining per-episode
-// fingerprint/hash overhead the ROADMAP named: each skeleton node is hashed
-// once per episode, with zero map allocations after the first episode.
-func BenchmarkCachedTrainingCollectAdmission(b *testing.B) {
-	benchCacheTrainingCollect(b, true, 50_000)
-}
-
 // BenchmarkSkeletonHashing isolates the per-completion hashing cost the
 // episode memo removes: "fresh" is the pre-memo behaviour (allocate a map,
 // walk the whole tree, every completion call), "memo" is the per-episode
@@ -609,11 +461,6 @@ func BenchmarkSkeletonHashing(b *testing.B) {
 	})
 }
 
-// BenchmarkColdTrainingCollect is the uncached stochastic baseline.
-func BenchmarkColdTrainingCollect(b *testing.B) {
-	benchCacheTrainingCollect(b, false, 0)
-}
-
 // BenchmarkCompletePhysicalWarm measures a fully warm completion — the
 // per-episode cost of a repeated (query, join order) pair once cached.
 func BenchmarkCompletePhysicalWarm(b *testing.B) {
@@ -641,25 +488,6 @@ func benchCompletePhysical(b *testing.B, withCache bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if root, _ := planner.CompletePhysical(q, skeleton); root == nil {
-			b.Fatal("no plan")
-		}
-	}
-}
-
-// BenchmarkPolicyInference measures one ReJOIN greedy planning pass
-// (the quantity behind Figure 3c's ReJOIN curve).
-func BenchmarkPolicyInference(b *testing.B) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(10, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	space := l.Space(10)
-	env := rejoin.NewEnv(space, l.Planner, []*query.Query{q}, 1)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if node, _ := agent.GreedyPlan(q); node == nil {
 			b.Fatal("no plan")
 		}
 	}

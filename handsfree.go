@@ -19,7 +19,8 @@
 //     fine-tune on latency (§5.2 Phase 2) — hot-swapping policy snapshots
 //     while serving continues.
 //   - Service.NewReJOINAgent builds the paper's §3 join-order enumerator
-//     for direct control: Train runs episodes sequentially, TrainAsync on
+//     for direct control, on the join-order stage of the same plan-space MDP
+//     the lifecycle trains: Train runs episodes sequentially, TrainAsync on
 //     several actors. Service.System exposes the substrate underneath.
 //   - ParseSQL turns SQL text into the query IR.
 //   - The internal/experiment package (exposed through cmd/handsfree)
@@ -36,6 +37,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -46,8 +48,8 @@ import (
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
+	"handsfree/internal/planspace"
 	"handsfree/internal/query"
-	"handsfree/internal/rejoin"
 	"handsfree/internal/rl"
 	"handsfree/internal/sketch"
 	"handsfree/internal/sqlparse"
@@ -139,12 +141,6 @@ type CacheConfig struct {
 	// when it exceeds the actor count (default 16,
 	// rounded up to a power of two).
 	Shards int
-	// MinAdmitCost skips caching completion subtrees whose plan cost is
-	// below the threshold: such entries cost about as much to look up as to
-	// recompute, and in stochastic training they dominate memoization
-	// traffic while almost never hitting. 0 admits everything. Skips are
-	// counted in PlanCacheStats.AdmissionSkips.
-	MinAdmitCost float64
 }
 
 // Config seeds every substrate knob of New at once (WithConfig).
@@ -308,9 +304,8 @@ func openSystem(cfg Config) (*System, error) {
 	sys.Planner = optimizer.New(db.Catalog, sys.Cost)
 	if cfg.Cache.Enabled {
 		sys.PlanCache = plancache.New(plancache.Config{
-			Capacity:     cfg.Cache.Capacity,
-			Shards:       cfg.Cache.Shards,
-			MinAdmitCost: cfg.Cache.MinAdmitCost,
+			Capacity: cfg.Cache.Capacity,
+			Shards:   cfg.Cache.Shards,
 		})
 		sys.Planner = sys.Planner.WithCache(sys.PlanCache)
 	}
@@ -364,9 +359,15 @@ func ExplainPlan(root PlanNode) string {
 	return plan.Format(root)
 }
 
-// ReJOINAgent is the §3 learned join-order enumerator.
+// ReJOINAgent is the §3 learned join-order enumerator: a REINFORCE policy
+// over the join-order stage of the plan-space MDP (planspace.StagePrefix(1)),
+// whose finished join orders the traditional optimizer completes and costs.
 type ReJOINAgent struct {
-	agent *rejoin.Agent
+	env *planspace.Env
+	rl  *rl.Reinforce
+	// seed is the sampling-seed counter TrainAsync advances, so successive
+	// calls never replay an earlier call's action-sampling streams.
+	seed int64
 }
 
 // ReJOINConfig sizes a ReJOIN agent.
@@ -403,23 +404,32 @@ func (s *Service) NewReJOINAgent(queries []*Query, cfg ReJOINConfig) (*ReJOINAge
 	if cfg.LR == 0 {
 		cfg.LR = 1.5e-3
 	}
-	space := featurize.NewSpace(cfg.MaxRelations, s.sys.cardEstimator())
-	env := rejoin.NewEnv(space, s.sys.Planner, queries, cfg.Seed)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
-		Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Seed: cfg.Seed,
+	env := planspace.NewEnv(planspace.Config{
+		Space:   featurize.NewSpace(cfg.MaxRelations, s.sys.cardEstimator()),
+		Planner: s.sys.Planner,
+		Queries: queries,
 	})
-	return &ReJOINAgent{agent: agent}, nil
+	return &ReJOINAgent{
+		env: env,
+		rl: rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{
+			Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Seed: cfg.Seed,
+		}),
+		seed: cfg.Seed,
+	}, nil
 }
 
 // TrainEpisode runs one learning episode (one query) and returns the cost
 // of the plan the agent produced.
 func (a *ReJOINAgent) TrainEpisode() float64 {
-	return a.agent.TrainEpisode().Cost
+	a.rl.Observe(rl.RunEpisode(a.env, a.rl.Sample, 4*a.env.Cfg.Space.MaxRels+8))
+	return a.env.Last.Cost
 }
 
 // Train runs n learning episodes sequentially.
 func (a *ReJOINAgent) Train(n int) {
-	a.agent.TrainEpisodes(n)
+	for range n {
+		a.TrainEpisode()
+	}
 }
 
 // TrainAsync runs n learning episodes with the asynchronous actor-learner
@@ -431,18 +441,31 @@ func (a *ReJOINAgent) Train(n int) {
 // fixed seed and actor count; use runtime.NumCPU() actors to saturate the
 // machine.
 func (a *ReJOINAgent) TrainAsync(n int, cfg AsyncConfig) {
-	a.agent.TrainAsync(n, cfg)
+	if cfg.Actors < 1 {
+		// The seed advances by the actor count, so fix it first.
+		cfg.Actors = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Seed == 0 {
+		a.seed += int64(cfg.Actors)
+		cfg.Seed = a.seed
+	}
+	planspace.TrainAsync(a.env, a.rl, n, cfg, nil)
 }
 
 // Plan produces the trained agent's (greedy) plan for a query along with
 // its optimizer cost.
 func (a *ReJOINAgent) Plan(q *Query) (PlanNode, float64) {
-	return a.agent.GreedyPlan(q)
+	node, c, _ := a.PlanCtx(context.Background(), q)
+	return node, c
 }
 
 // PlanCtx is Plan under a request-scoped context: the greedy rollout checks
 // ctx before every policy decision, so a deadline or cancellation cuts the
 // search off mid-episode and returns ctx.Err().
 func (a *ReJOINAgent) PlanCtx(ctx context.Context, q *Query) (PlanNode, float64, error) {
-	return a.agent.GreedyPlanCtx(ctx, q)
+	out, err := a.env.GreedyRollout(ctx, q, a.rl.Greedy)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out.Plan, out.Cost, nil
 }

@@ -116,6 +116,33 @@ func TestReJOINAgentTrainAsync(t *testing.T) {
 	}
 }
 
+// TestReJOINAgentTrainAsyncRepeatable: two agents with the same seed, each
+// trained by two successive TrainAsync calls at two actors, plan every query
+// identically — which snapshot an episode sees is decided by its ticket, and
+// each call draws the next sampling seed from the agent's own counter.
+func TestReJOINAgentTrainAsyncRepeatable(t *testing.T) {
+	svc := testService(t)
+	queries := svc.Queries()
+	train := func() *ReJOINAgent {
+		agent, err := svc.NewReJOINAgent(queries, ReJOINConfig{Seed: 1, Hidden: []int{32}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			agent.TrainAsync(48, AsyncConfig{Actors: 2, Staleness: 2})
+		}
+		return agent
+	}
+	a, b := train(), train()
+	for _, q := range queries {
+		pa, ca := a.Plan(q)
+		pb, cb := b.Plan(q)
+		if pa == nil || pb == nil || pa.Signature() != pb.Signature() || math.Float64bits(ca) != math.Float64bits(cb) {
+			t.Fatalf("query %s: plan %v at cost %v, then %v at %v", q.Name, pa, ca, pb, cb)
+		}
+	}
+}
+
 // TestReJOINAgentConverges: through the public API, training must bring the
 // agent's plans closer to the expert's — the geometric-mean cost ratio over
 // the training queries falls, to within maxTrainedRatio.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -284,19 +285,8 @@ func (l *Lab) LfDExperiment(cfg LfDConfig) (*LfDResult, error) {
 		}
 	}
 	res.ScratchRatio = evalRatio(func(q *query.Query) float64 {
-		s := scratchEnv.ResetTo(q)
-		for !s.Terminal {
-			act := scratch.Greedy(s)
-			if act < 0 {
-				break
-			}
-			next, _, done := scratchEnv.Step(act)
-			s = next
-			if done {
-				break
-			}
-		}
-		return scratchEnv.Last.LatencyMs
+		out, _ := scratchEnv.GreedyRollout(context.Background(), q, scratch.Greedy)
+		return out.LatencyMs
 	})
 	return res, nil
 }
@@ -579,23 +569,14 @@ func (l *Lab) expertCosts(queries []*query.Query) (map[string]float64, error) {
 }
 
 // greedyRatio evaluates an agent's greedy policy over the workload
-// (geometric mean of per-query cost ratios).
+// (geometric mean of per-query cost ratios). Here and below, rollouts run
+// under a background context, which never cuts them off, so their error is
+// always nil.
 func (l *Lab) greedyRatio(env *planspace.Env, agent *rl.Reinforce, queries []*query.Query, expert map[string]float64) float64 {
 	ratios := make([]float64, 0, len(queries))
 	for _, q := range queries {
-		s := env.ResetTo(q)
-		for !s.Terminal {
-			act := agent.Greedy(s)
-			if act < 0 {
-				break
-			}
-			next, _, done := env.Step(act)
-			s = next
-			if done {
-				break
-			}
-		}
-		ratios = append(ratios, env.Last.Cost/expert[q.Key()])
+		out, _ := env.GreedyRollout(context.Background(), q, agent.Greedy)
+		ratios = append(ratios, out.Cost/expert[q.Key()])
 	}
 	return GeoMean(ratios)
 }
@@ -607,15 +588,8 @@ func (l *Lab) randomLevel(env *planspace.Env, queries []*query.Query, expert map
 	var ratios []float64
 	for rep := 0; rep < 5; rep++ {
 		for _, q := range queries {
-			s := env.ResetTo(q)
-			for !s.Terminal {
-				next, _, done := env.Step(pol(s))
-				s = next
-				if done {
-					break
-				}
-			}
-			ratios = append(ratios, env.Last.Cost/expert[q.Key()])
+			out, _ := env.GreedyRollout(context.Background(), q, pol)
+			ratios = append(ratios, out.Cost/expert[q.Key()])
 		}
 	}
 	return GeoMean(ratios)

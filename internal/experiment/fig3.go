@@ -1,13 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"handsfree/internal/optimizer"
+	"handsfree/internal/planspace"
 	"handsfree/internal/query"
-	"handsfree/internal/rejoin"
 	"handsfree/internal/rl"
 	"handsfree/internal/workload"
 )
@@ -67,19 +68,10 @@ func (l *Lab) Fig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 	}
 
 	space := l.Space(cfg.MaxRel)
-	env := rejoin.NewEnv(space, l.Planner, queries, cfg.Seed)
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
+	env := planspace.NewEnv(planspace.Config{Space: space, Planner: l.Planner, Queries: queries})
+	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{
 		Hidden: []int{128, 64}, LR: 1e-3, BatchSize: 32, Seed: cfg.Seed,
 	})
-
-	greedyPct := func() float64 {
-		ratios := make([]float64, 0, len(queries))
-		for _, q := range queries {
-			_, c := agent.GreedyPlan(q)
-			ratios = append(ratios, c/expert[q.Key()])
-		}
-		return GeoMean(ratios) * 100
-	}
 
 	// Smooth the sampled curve geometrically: per-episode ratios span orders
 	// of magnitude early in training, and an arithmetic window would let
@@ -96,10 +88,10 @@ func (l *Lab) Fig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 	}
 	logRatios := make([]float64, cfg.Episodes)
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		res := agent.TrainEpisode()
-		logRatios[ep] = math.Log(res.Cost / expert[res.Query.Key()] * 100)
+		agent.Observe(rl.RunEpisode(env, agent.Sample, 4*space.MaxRels+8))
+		logRatios[ep] = math.Log(env.Last.Cost / expert[env.Current().Key()] * 100)
 		if ep%step == 0 || ep == cfg.Episodes-1 {
-			g := greedyPct()
+			g := l.greedyRatio(env, agent, queries, expert) * 100
 			out.Greedy.Add(float64(ep), g)
 			if out.FirstParity < 0 && g <= 120 {
 				out.FirstParity = ep
@@ -170,19 +162,18 @@ func (l *Lab) Fig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 	for _, qn := range queries {
 		qs = append(qs, qn.q)
 	}
-	env := rejoin.NewEnv(space, l.Planner, qs, cfg.Seed)
 	// Cross-product actions are masked here: on 8–11-relation queries a
 	// single cross-product episode costs ~1e6× a good plan, and REINFORCE
 	// at this budget can collapse onto that mode. Follow-up systems to the
 	// paper (Neo, Balsa) mask disconnected joins for the same reason; see
 	// EXPERIMENTS.md.
-	env.DisallowCross = true
-	agent := rejoin.NewAgent(env, rl.ReinforceConfig{
+	env := planspace.NewEnv(planspace.Config{Space: space, Planner: l.Planner, Queries: qs, DisallowCross: true})
+	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{
 		Hidden: []int{128, 64}, LR: 1.5e-3, BatchSize: 16, Seed: cfg.Seed,
 		EntropyDecay: 0.995,
 	})
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		agent.TrainEpisode()
+		agent.Observe(rl.RunEpisode(env, agent.Sample, 4*space.MaxRels+8))
 	}
 
 	res := &Fig3bResult{Table: &Table{
@@ -194,9 +185,12 @@ func (l *Lab) Fig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, rjCost := agent.GreedyPlan(qn.q)
-		ratio := rjCost / planned.Cost
-		res.Table.AddRow(qn.name, fmt.Sprintf("%.0f", planned.Cost), fmt.Sprintf("%.0f", rjCost), fmt.Sprintf("%.3f", ratio))
+		out, err := env.GreedyRollout(context.Background(), qn.q, agent.Greedy)
+		if err != nil {
+			return nil, err
+		}
+		ratio := out.Cost / planned.Cost
+		res.Table.AddRow(qn.name, fmt.Sprintf("%.0f", planned.Cost), fmt.Sprintf("%.0f", out.Cost), fmt.Sprintf("%.3f", ratio))
 		res.Total++
 		if ratio <= 1.000001 {
 			res.Wins++
@@ -258,10 +252,12 @@ func (l *Lab) Fig3c(cfg Fig3cConfig) (*Fig3cResult, error) {
 			}
 			pgTotal += planned.Duration
 
-			env := rejoin.NewEnv(space, l.Planner, []*query.Query{q}, cfg.Seed)
-			agent := rejoin.NewAgent(env, rl.ReinforceConfig{Hidden: []int{128, 64}, Seed: cfg.Seed})
+			env := planspace.NewEnv(planspace.Config{Space: space, Planner: l.Planner, Queries: []*query.Query{q}})
+			agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{128, 64}, Seed: cfg.Seed})
 			start := time.Now()
-			agent.GreedyPlan(q)
+			if _, err := env.GreedyRollout(context.Background(), q, agent.Greedy); err != nil {
+				return nil, err
+			}
 			rjTotal += time.Since(start)
 		}
 		res.Postgres.Add(float64(n), float64(pgTotal.Microseconds())/float64(cfg.Repeats)/1000)

@@ -4,19 +4,16 @@
 // join-graph adjacency block and a per-relation predicate-selectivity block.
 //
 // Featurization runs once per step of every training episode, so it is a hot
-// path. Two mechanisms keep its steady-state allocation down to the feature
-// vector itself (which episode trajectories retain and therefore must be
-// fresh): PairMask memoizes the per-forest-size action masks on the Space
-// (they are pure functions of the forest size), and Scratch carries the
-// per-query alias positions and the per-episode cardinality memo, so a state
-// is encoded by alias index where the naive encoding would rebuild alias sets
-// and weight maps at every state.
+// path. Scratch keeps its steady-state allocation down to the feature vector
+// itself (which episode trajectories retain and therefore must be fresh): it
+// carries the per-query alias positions and the per-episode cardinality memo,
+// so a state is encoded by alias index where the naive encoding would rebuild
+// alias sets and weight maps at every state.
 package featurize
 
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"handsfree/internal/plan"
 	"handsfree/internal/query"
@@ -41,11 +38,6 @@ type Space struct {
 	MaxRels int
 	// Est supplies filter selectivities for the predicate block.
 	Est Estimator
-
-	// maskOnce guards the lazily built PairMask cache: masks[k] is the
-	// (immutable, shared) mask for a forest of k subtrees.
-	maskOnce sync.Once
-	masks    [][]bool
 }
 
 // NewSpace builds a featurization space.
@@ -104,21 +96,19 @@ func Spans(b [2]uint32, l, r uint32) bool {
 }
 
 // Scratch holds the reusable working state of featurization: the alias→index
-// map, cached base selectivities and join-predicate bits of the current
-// query, and a memo of subtree cardinalities keyed by plan node. Depth
-// weights are written by alias index and connectivity is tested on relation
-// bitmasks, so encoding a state builds no alias set except the one a
+// map and cached base selectivities of the current query, and a memo of
+// subtree cardinalities keyed by plan node. Depth weights are written by
+// alias index, so encoding a state builds no alias set except the one a
 // cardinality-memo miss hands the estimator. One Scratch belongs to one
 // environment (it is not concurrency-safe); call Reset at each episode start
 // so the per-node memo does not retain the previous episode's plan nodes.
 // The zero value is ready to use.
 type Scratch struct {
-	q        *query.Query
-	names    []string
-	idx      map[string]int
-	sels     []float64
-	joinRels [][2]uint32 // see AppendJoinRels
-	cards    map[plan.Node]float64
+	q     *query.Query
+	names []string
+	idx   map[string]int
+	sels  []float64
+	cards map[plan.Node]float64
 }
 
 // Reset drops per-episode state (the subtree cardinality memo). The
@@ -129,8 +119,7 @@ func (sc *Scratch) Reset() {
 }
 
 // prepare returns the alias→feature-index map for q, rebuilding it — and the
-// base-selectivity and join-bit caches aligned with it — only when the query
-// changes. The selectivity block of the encoding is constant per query, so
+// base-selectivity cache aligned with it — only when the query changes. The selectivity block of the encoding is constant per query, so
 // caching it here removes the per-state estimator walk (and its filter-slice
 // allocations) from the rollout hot path.
 func (sc *Scratch) prepare(q *query.Query, est Estimator) map[string]int {
@@ -154,32 +143,8 @@ func (sc *Scratch) prepare(q *query.Query, est Estimator) map[string]int {
 	for _, a := range sc.names {
 		sc.sels = append(sc.sels, est.BaseSelectivity(q, a))
 	}
-	sc.joinRels = AppendJoinRels(sc.joinRels[:0], q, sc.names)
 	sc.q = q
 	return sc.idx
-}
-
-// relBit is alias's bit in the prepared query's alias index (0 if absent or
-// past the 32nd position, which ConnectedPairMaskScratch rules out).
-func (sc *Scratch) relBit(alias string) uint32 {
-	if i, ok := sc.idx[alias]; ok && i < 32 {
-		return 1 << i
-	}
-	return 0
-}
-
-// relsOf returns the relation set of a subtree as a bitmask over the
-// prepared query's alias index.
-func (sc *Scratch) relsOf(n plan.Node) uint32 {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return sc.relBit(t.Alias)
-	case *plan.Join:
-		return sc.relsOf(t.Left) | sc.relsOf(t.Right)
-	case *plan.Agg:
-		return sc.relsOf(t.Child)
-	}
-	return 0
 }
 
 // cardOf returns the estimated cardinality of a subtree, memoized per node.
@@ -264,82 +229,6 @@ func (s *Space) JoinStateInto(dst []float64, q *query.Query, forest []plan.Node,
 	return features
 }
 
-// PairMask returns the action mask for the current forest: action x·MaxRels+y
-// is valid iff x and y address distinct existing subtrees. The mask is a
-// pure function of the forest size, so it is computed once per size and the
-// shared cached slice is returned — callers must treat it as read-only.
-func (s *Space) PairMask(forestSize int) []bool {
-	s.maskOnce.Do(func() {
-		s.masks = make([][]bool, s.MaxRels+1)
-		for k := range s.masks {
-			s.masks[k] = s.buildPairMask(k)
-		}
-	})
-	k := forestSize
-	if k > s.MaxRels {
-		k = s.MaxRels
-	}
-	if k < 0 {
-		k = 0
-	}
-	return s.masks[k]
-}
-
-func (s *Space) buildPairMask(forestSize int) []bool {
-	n := s.MaxRels
-	mask := make([]bool, n*n)
-	for x := 0; x < forestSize && x < n; x++ {
-		for y := 0; y < forestSize && y < n; y++ {
-			if x != y {
-				mask[x*n+y] = true
-			}
-		}
-	}
-	return mask
-}
-
-// ConnectedPairMask is PairMask restricted to pairs connected by at least
-// one join predicate (used when cross products are disallowed). If no
-// connected pair exists, it falls back to the unrestricted mask so episodes
-// can always finish.
-func (s *Space) ConnectedPairMask(q *query.Query, forest []plan.Node) []bool {
-	return s.ConnectedPairMaskScratch(q, forest, nil)
-}
-
-// ConnectedPairMaskScratch is ConnectedPairMask reusing a Scratch's
-// per-query alias index and join bits. The mask itself is freshly allocated
-// (it varies with join structure and is retained by trajectories); the
-// fallback returns the shared PairMask cache entry, which callers must treat
-// as read-only.
-func (s *Space) ConnectedPairMaskScratch(q *query.Query, forest []plan.Node, sc *Scratch) []bool {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	if len(q.Relations) > 32 {
-		panic("featurize: a relation bitmask covers at most 32 relations")
-	}
-	sc.prepare(q, s.Est)
-	n := s.MaxRels
-	mask := make([]bool, n*n)
-	any := false
-	for x := 0; x < len(forest) && x < n; x++ {
-		rx := sc.relsOf(forest[x])
-		for y := 0; y < len(forest) && y < n; y++ {
-			if x == y {
-				continue
-			}
-			if sc.joined(rx, sc.relsOf(forest[y])) {
-				mask[x*n+y] = true
-				any = true
-			}
-		}
-	}
-	if !any {
-		return s.PairMask(len(forest))
-	}
-	return mask
-}
-
 // DecodeAction splits an action id into its (x, y) pair.
 func (s *Space) DecodeAction(a int) (x, y int) {
 	return a / s.MaxRels, a % s.MaxRels
@@ -361,17 +250,6 @@ func addAliases(n plan.Node, set map[string]bool) {
 	case *plan.Agg:
 		addAliases(n.Child, set)
 	}
-}
-
-// joined reports whether a join predicate of the prepared query connects the
-// relation sets l and r — q.HasJoinBetween over bitmasks.
-func (sc *Scratch) joined(l, r uint32) bool {
-	for _, b := range sc.joinRels {
-		if Spans(b, l, r) {
-			return true
-		}
-	}
-	return false
 }
 
 // depthWeights writes 1/2^depth of every relation in the subtree into its

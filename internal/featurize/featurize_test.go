@@ -133,54 +133,6 @@ func TestSelectivityBlock(t *testing.T) {
 	}
 }
 
-func TestPairMask(t *testing.T) {
-	s, _ := fixture(t)
-	mask := s.PairMask(3)
-	valid := 0
-	for a, ok := range mask {
-		if !ok {
-			continue
-		}
-		valid++
-		x, y := s.DecodeAction(a)
-		if x == y || x >= 3 || y >= 3 {
-			t.Fatalf("invalid action (%d,%d) unmasked", x, y)
-		}
-	}
-	if valid != 6 {
-		t.Fatalf("3 subtrees have %d valid ordered pairs, want 6", valid)
-	}
-}
-
-func TestConnectedPairMask(t *testing.T) {
-	s, q := fixture(t)
-	f := initialForest(q) // alias order: a b c
-	mask := s.ConnectedPairMask(q, f)
-	// a(0)–c(2) is not joinable; a–b and b–c are.
-	if mask[s.EncodeAction(0, 2)] || mask[s.EncodeAction(2, 0)] {
-		t.Fatal("disconnected pair a–c not masked")
-	}
-	if !mask[s.EncodeAction(0, 1)] || !mask[s.EncodeAction(1, 2)] {
-		t.Fatal("connected pairs masked out")
-	}
-}
-
-func TestConnectedPairMaskFallback(t *testing.T) {
-	s, q := fixture(t)
-	// Remove all joins: every pair is disconnected, so the mask must fall
-	// back to all pairs (episodes must be able to finish).
-	q2 := *q
-	q2.Joins = nil
-	mask := s.ConnectedPairMask(&q2, initialForest(q))
-	any := false
-	for _, ok := range mask {
-		any = any || ok
-	}
-	if !any {
-		t.Fatal("fallback mask is empty")
-	}
-}
-
 func TestActionCodec(t *testing.T) {
 	s, _ := fixture(t)
 	for x := 0; x < 4; x++ {

@@ -71,7 +71,7 @@ func TestF32ForwardToleranceParity(t *testing.T) {
 // on the regression workload: after each full forward/backward/Adam step the
 // relative difference in loss stays within this bound for the first training
 // epochs (divergence compounds slowly; convergence is asserted separately by
-// the rl and rejoin tests).
+// the rl and planspace tests).
 const stepParityTol = 1e-3
 
 // TestF32TrainingStepToleranceParity trains two identically seeded MLPs —

@@ -229,8 +229,8 @@ func (p *Planner) planGEQO(ctx context.Context, q *query.Query) (plan.Node, cost
 //
 // Contract: every join of the skeleton carries the predicates of q that span
 // its two inputs — what plan.JoinNodes attaches, and what every in-tree
-// skeleton builder (planspace.Env, rejoin.Env, RandomOrder, the planners
-// themselves) produces. The completion costs its candidate joins with those
+// skeleton builder (planspace.Env, RandomOrder, the planners themselves)
+// produces. The completion costs its candidate joins with those
 // predicates instead of recomputing them from alias sets per candidate, as
 // CompleteOperators and CompleteAccess do too.
 func (p *Planner) CompletePhysical(q *query.Query, skeleton plan.Node) (plan.Node, cost.NodeCost) {

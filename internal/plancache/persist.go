@@ -85,11 +85,8 @@ func (c *Cache) Save(w io.Writer, tag uint64) error {
 // Load replays entries previously written by Save into the cache and
 // returns how many the cache actually stored. tag must match the dump's
 // (see Save): a mismatch errors without loading anything. Entries pass
-// through the normal Put path, so capacity limits and the admission
-// threshold of the receiving cache apply — a cache configured with a
-// higher MinAdmitCost than the saver's re-filters the dump, and such skips
-// count in Stats.AdmissionSkips, not in the returned count. Loading into a
-// non-empty cache merges.
+// through the normal Put path, so the receiving cache's capacity limit
+// applies. Loading into a non-empty cache merges.
 func (c *Cache) Load(r io.Reader, tag uint64) (int, error) {
 	if c == nil {
 		return 0, fmt.Errorf("plancache: Load on a nil cache")
@@ -110,9 +107,8 @@ func (c *Cache) Load(r io.Reader, tag uint64) (int, error) {
 		if e.Key.Mode.policyDependent() || e.Entry.Plan == nil {
 			continue
 		}
-		if c.put(e.Key, e.Entry) {
-			restored++
-		}
+		c.Put(e.Key, e.Entry)
+		restored++
 	}
 	return restored, nil
 }

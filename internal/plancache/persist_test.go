@@ -11,61 +11,6 @@ import (
 	"handsfree/internal/query"
 )
 
-// TestAdmissionThresholdSkipsCheapSubtrees: completion-subtree entries below
-// MinAdmitCost must be skipped and counted; entries at or above it, and
-// whole-query entries of any cost, must be admitted.
-func TestAdmissionThresholdSkipsCheapSubtrees(t *testing.T) {
-	c := New(Config{Capacity: 64, Shards: 4, MinAdmitCost: 100})
-
-	cheap := Key{Query: 1, Skeleton: 2, Mode: ModeCompletePhysical}
-	c.Put(cheap, entryFor(99))
-	if _, ok := c.Get(cheap); ok {
-		t.Fatal("sub-threshold completion entry was admitted")
-	}
-
-	expensive := Key{Query: 1, Skeleton: 3, Mode: ModeCompletePhysical}
-	c.Put(expensive, entryFor(100))
-	if _, ok := c.Get(expensive); !ok {
-		t.Fatal("at-threshold completion entry was rejected")
-	}
-
-	// Every completion mode is admission-controlled.
-	for i, m := range []Mode{ModeCompleteOperators, ModeCompleteAccess, ModeCostFixed} {
-		k := Key{Query: 2, Skeleton: uint64(10 + i), Mode: m}
-		c.Put(k, entryFor(1))
-		if _, ok := c.Get(k); ok {
-			t.Fatalf("cheap %v entry was admitted", m)
-		}
-	}
-
-	// Whole-query entries always amortize: admitted regardless of cost.
-	for _, m := range []Mode{ModePlan, ModeGreedyPolicy, ModeServedRollout} {
-		k := Key{Query: 3, Skeleton: uint64(m), Mode: m}
-		c.Put(k, entryFor(1))
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("cheap whole-query %v entry was rejected by admission", m)
-		}
-	}
-
-	st := c.Stats()
-	if st.AdmissionSkips != 4 {
-		t.Fatalf("AdmissionSkips = %d, want 4", st.AdmissionSkips)
-	}
-	if st.Puts != 4 {
-		t.Fatalf("Puts = %d, want 4 admitted puts", st.Puts)
-	}
-
-	// Threshold 0 disables admission control entirely.
-	open := New(Config{Capacity: 64, Shards: 4})
-	open.Put(cheap, entryFor(1))
-	if _, ok := open.Get(cheap); !ok {
-		t.Fatal("zero threshold must admit everything")
-	}
-	if open.Stats().AdmissionSkips != 0 {
-		t.Fatal("zero-threshold cache counted admission skips")
-	}
-}
-
 // buildTree returns a small physical plan exercising every node kind, so a
 // persisted entry round-trips scans, joins, and aggregation.
 func buildTree() plan.Node {
@@ -123,34 +68,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if e2, ok := dst.Get(pure2); !ok || e2.Cost.Total != 42 {
 		t.Fatalf("pure entry 2 mangled: ok=%v cost=%v", ok, e2.Cost.Total)
-	}
-}
-
-// TestLoadAppliesReceiverAdmission: a dump replayed into a cache with a
-// stricter admission threshold is re-filtered by it.
-func TestLoadAppliesReceiverAdmission(t *testing.T) {
-	src := New(Config{Capacity: 16, Shards: 2})
-	cheapK := Key{Query: 1, Skeleton: 1, Mode: ModeCompletePhysical}
-	richK := Key{Query: 1, Skeleton: 2, Mode: ModeCompletePhysical}
-	src.Put(cheapK, Entry{Plan: buildTree(), Cost: cost.NodeCost{Total: 5}})
-	src.Put(richK, Entry{Plan: buildTree(), Cost: cost.NodeCost{Total: 5000}})
-
-	var buf bytes.Buffer
-	if err := src.Save(&buf, 77); err != nil {
-		t.Fatal(err)
-	}
-	strict := New(Config{Capacity: 16, Shards: 2, MinAdmitCost: 1000})
-	if _, err := strict.Load(&buf, 77); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := strict.Get(cheapK); ok {
-		t.Fatal("strict cache admitted a sub-threshold dump entry")
-	}
-	if _, ok := strict.Get(richK); !ok {
-		t.Fatal("strict cache rejected an above-threshold dump entry")
-	}
-	if strict.Stats().AdmissionSkips != 1 {
-		t.Fatalf("AdmissionSkips = %d, want 1", strict.Stats().AdmissionSkips)
 	}
 }
 

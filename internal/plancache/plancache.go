@@ -96,18 +96,6 @@ type Config struct {
 	Capacity int
 	// Shards is the shard count, rounded up to a power of two (default 16).
 	Shards int
-	// MinAdmitCost is the cost-based admission threshold for completion
-	// subtree entries (ModeCompletePhysical/Operators/Access/CostFixed):
-	// entries whose plan cost is below it are not cached, on the theory that
-	// recomputing a subtree cheaper than the threshold costs about as much
-	// as the lookup that would serve it. This turns the stochastic-training
-	// path — where sampled join orders rarely repeat wholesale and cheap
-	// leaf/small-join entries dominate the memoization traffic — from
-	// cache-neutral into a win. Whole-query entries (ModePlan,
-	// ModeGreedyPolicy, ModeServedRollout) are always admitted. 0 disables
-	// admission control. Skipped admissions are counted in
-	// Stats.AdmissionSkips.
-	MinAdmitCost float64
 }
 
 func (c *Config) fill() {
@@ -166,17 +154,15 @@ func (s *shard) pushFront(n *node) {
 
 // Cache is a sharded, concurrency-safe, bounded LRU plan cache.
 type Cache struct {
-	shards   []*shard
-	mask     uint64
-	minAdmit float64
-	epoch    atomic.Uint64
+	shards []*shard
+	mask   uint64
+	epoch  atomic.Uint64
 
-	hits           atomic.Uint64
-	misses         atomic.Uint64
-	puts           atomic.Uint64
-	evictions      atomic.Uint64
-	epochBumps     atomic.Uint64
-	admissionSkips atomic.Uint64
+	hits       atomic.Uint64
+	misses     atomic.Uint64
+	puts       atomic.Uint64
+	evictions  atomic.Uint64
+	epochBumps atomic.Uint64
 }
 
 // New builds a cache. A nil *Cache is a valid no-op receiver for Get/Put,
@@ -187,7 +173,7 @@ func New(cfg Config) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	c := &Cache{shards: make([]*shard, cfg.Shards), mask: uint64(cfg.Shards - 1), minAdmit: cfg.MinAdmitCost}
+	c := &Cache{shards: make([]*shard, cfg.Shards), mask: uint64(cfg.Shards - 1)}
 	for i := range c.shards {
 		// The maps grow as entries arrive: sized for per up front, an idle
 		// tenant's 16 384-entry cache pinned 1.25 MB of empty buckets.
@@ -222,36 +208,11 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 	return e, true
 }
 
-// admissionControlled reports whether entries of this mode are subject to
-// the cost-based admission threshold: the per-episode completion subtrees.
-// Whole-query computations (a full traditional plan, a learned greedy plan)
-// always amortize their cost and are always admitted.
-func admissionControlled(m Mode) bool {
-	switch m {
-	case ModeCompletePhysical, ModeCompleteOperators, ModeCompleteAccess, ModeCostFixed:
-		return true
-	}
-	return false
-}
-
 // Put stores e under k, evicting the shard's least-recently-used entry when
-// the shard is full. Completion-subtree entries cheaper than the configured
-// MinAdmitCost are skipped (counted in Stats.AdmissionSkips) instead of
-// stored: they cost as much to look up as to recompute, and in stochastic
-// training they are the entries that almost never hit. A nil cache ignores
-// the call.
+// the shard is full. A nil cache ignores the call.
 func (c *Cache) Put(k Key, e Entry) {
 	if c == nil {
 		return
-	}
-	c.put(k, e)
-}
-
-// put is Put with an admission report: true when the entry was stored.
-func (c *Cache) put(k Key, e Entry) bool {
-	if c.minAdmit > 0 && e.Cost.Total < c.minAdmit && admissionControlled(k.Mode) {
-		c.admissionSkips.Add(1)
-		return false
 	}
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -263,7 +224,7 @@ func (c *Cache) put(k Key, e Entry) bool {
 		}
 		s.mu.Unlock()
 		c.puts.Add(1)
-		return true
+		return
 	}
 	if len(s.m) >= s.cap {
 		lru := s.tail
@@ -276,7 +237,6 @@ func (c *Cache) put(k Key, e Entry) bool {
 	s.pushFront(n)
 	s.mu.Unlock()
 	c.puts.Add(1)
-	return true
 }
 
 // Len returns the current number of entries across all shards.
@@ -347,9 +307,6 @@ func (c *Cache) FingerprintOf(q *query.Query) uint64 {
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits, Misses, Puts, Evictions, EpochBumps uint64
-	// AdmissionSkips counts Put calls rejected by the MinAdmitCost admission
-	// threshold (completion subtrees cheaper than the lookup they'd save).
-	AdmissionSkips uint64
 	// Size is the entry count at snapshot time.
 	Size int
 	// Epoch is the policy epoch at snapshot time.
@@ -374,13 +331,12 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Puts:           c.puts.Load(),
-		Evictions:      c.evictions.Load(),
-		EpochBumps:     c.epochBumps.Load(),
-		AdmissionSkips: c.admissionSkips.Load(),
-		Size:           c.Len(),
-		Epoch:          c.epoch.Load(),
+		Hits:       c.hits.Load(),
+		Misses:     c.misses.Load(),
+		Puts:       c.puts.Load(),
+		Evictions:  c.evictions.Load(),
+		EpochBumps: c.epochBumps.Load(),
+		Size:       c.Len(),
+		Epoch:      c.epoch.Load(),
 	}
 }

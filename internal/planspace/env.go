@@ -101,6 +101,10 @@ type Config struct {
 	// dropped. Training collection retains whole trajectories until the
 	// policy update and must leave this off.
 	ReuseStateBuffers bool
+	// DisallowCross masks join actions between forest entries no join
+	// predicate connects. When no entry pair is connected, every pair stays
+	// valid so episodes can always finish.
+	DisallowCross bool
 	// Seed derives TrainAsync's sampling seed when rl.AsyncConfig.Seed is 0.
 	Seed int64
 }
@@ -273,6 +277,29 @@ func (e *Env) predsBetween(l, r uint32) []query.Join {
 	return out
 }
 
+// connected reports whether a join predicate of the current query spans the
+// relation sets l and r.
+func (e *Env) connected(l, r uint32) bool {
+	for _, b := range e.prep.joinRels {
+		if featurize.Spans(b, l, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// anyConnected reports whether some pair of forest entries is connected.
+func (e *Env) anyConnected() bool {
+	for x := range e.rels {
+		for y := x + 1; y < len(e.rels); y++ {
+			if e.connected(e.rels[x], e.rels[y]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // hashMemo returns the env's per-episode skeleton-hash memo, allocating it
 // on first use; without an attached plan cache skeleton hashing is never
 // needed and the memo stays nil.
@@ -362,9 +389,10 @@ func (e *Env) mask() []bool {
 		}
 	case phaseJoin:
 		nAlgo := e.Layout.JoinAlgoCount()
+		connectedOnly := e.Cfg.DisallowCross && e.anyConnected()
 		for x := 0; x < len(e.forest); x++ {
 			for y := 0; y < len(e.forest); y++ {
-				if x == y {
+				if x == y || connectedOnly && !e.connected(e.rels[x], e.rels[y]) {
 					continue
 				}
 				for a := 0; a < nAlgo; a++ {

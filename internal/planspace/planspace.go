@@ -6,6 +6,7 @@
 // prescribes for early curriculum phases.
 //
 // The same environment serves every agent in the reproduction:
+//   - ReJOIN (§3) on the join-order stage alone (StagePrefix(1)),
 //   - naive full-space DRL (§4's negative result),
 //   - learning from demonstration (§5.1) via expert traces,
 //   - cost-model bootstrapping (§5.2) via its switchable reward source,

@@ -28,6 +28,12 @@ type fx struct {
 
 func fixture(t *testing.T, nQueries, minRel, maxRel int) fx {
 	t.Helper()
+	return workloadFixture(t, nQueries, minRel, maxRel, 9)
+}
+
+// workloadFixture is fixture over the training workload drawn with seed.
+func workloadFixture(t *testing.T, nQueries, minRel, maxRel int, seed int64) fx {
+	t.Helper()
 	db, err := datagen.Generate(datagen.Config{Seed: 1, Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +44,7 @@ func fixture(t *testing.T, nQueries, minRel, maxRel int) fx {
 	oracle := stats.NewOracle(est, 11)
 	lat := engine.NewLatencyModel(oracle, 5)
 	w := workload.New(db)
-	qs, err := w.Training(nQueries, minRel, maxRel, 9)
+	qs, err := w.Training(nQueries, minRel, maxRel, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ import (
 // AsyncConfig configures TrainAsync.
 type AsyncConfig struct {
 	// Actors is the number of concurrent actor goroutines (and environment
-	// replicas) the planspace and rejoin drivers build; default
+	// replicas) the planspace driver builds; default
 	// runtime.GOMAXPROCS(0). TrainAsync itself runs one actor per
 	// environment it is handed.
 	Actors int

@@ -622,16 +622,15 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 	st := tenant.svc.CacheStats()
 	writeJSON(w, http.StatusOK, CacheResponse{
-		Tenant:         tenant.name,
-		Hits:           st.Hits,
-		Misses:         st.Misses,
-		Puts:           st.Puts,
-		Evictions:      st.Evictions,
-		EpochBumps:     st.EpochBumps,
-		AdmissionSkips: st.AdmissionSkips,
-		Size:           st.Size,
-		Epoch:          st.Epoch,
-		HitRate:        st.HitRate(),
+		Tenant:     tenant.name,
+		Hits:       st.Hits,
+		Misses:     st.Misses,
+		Puts:       st.Puts,
+		Evictions:  st.Evictions,
+		EpochBumps: st.EpochBumps,
+		Size:       st.Size,
+		Epoch:      st.Epoch,
+		HitRate:    st.HitRate(),
 
 		StatementHits:   st.Statements.Hits,
 		StatementMisses: st.Statements.Misses,

@@ -373,7 +373,6 @@ type CacheResponse struct {
 	Puts            uint64  `json:"puts"`
 	Evictions       uint64  `json:"evictions"`
 	EpochBumps      uint64  `json:"epoch_bumps"`
-	AdmissionSkips  uint64  `json:"admission_skips"`
 	Size            int     `json:"size"`
 	Epoch           uint64  `json:"epoch"`
 	HitRate         float64 `json:"hit_rate"`
