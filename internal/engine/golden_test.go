@@ -22,11 +22,12 @@ import (
 	"handsfree/internal/workload"
 )
 
-// update regenerates testdata/work_golden.json from the executor under test.
-// Only ever run it at a commit whose executor is the accounting reference:
-// the file is the contract later executors are held to, and CI fails any run
-// that leaves it modified.
-var update = flag.Bool("update", false, "regenerate testdata/work_golden.json")
+// update regenerates the golden files (testdata/work_golden.json,
+// testdata/heavy_join_golden.json) from the executor under test. Only ever
+// run it at a commit whose executor is the accounting reference: the files
+// are the contract later executors are held to, and CI fails any run that
+// leaves them modified.
+var update = flag.Bool("update", false, "regenerate the golden files under testdata")
 
 const goldenPath = "testdata/work_golden.json"
 
