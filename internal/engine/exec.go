@@ -8,6 +8,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -200,6 +201,16 @@ func (e *Engine) check(w *Work, pending int) error {
 		return ErrBudget
 	}
 	return nil
+}
+
+// room is what the budget in force leaves above w's total: the most a loop
+// may still charge, pending pairs included, before check would refuse. With
+// no budget it is never reached.
+func (e *Engine) room(w *Work) int64 {
+	if limit := e.limit(w); limit > 0 {
+		return limit - w.Total()
+	}
+	return math.MaxInt64
 }
 
 // limit is the budget in force for this call; 0 means none.

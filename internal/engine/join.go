@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"handsfree/internal/plan"
@@ -13,7 +14,8 @@ import (
 // charging the algorithm's work and running the budget check as each left
 // row's pairs are added — the same charges and checks, after the same rows,
 // as a join that stored each pair when it found it. Only an admitted join is
-// then stored, at its exact size.
+// then stored, at its exact size, its id vectors written straight from the
+// input rows the admission recorded.
 func (e *Engine) execJoin(j *plan.Join, i int, k *planKeys, w *Work) (*Result, error) {
 	left, err := e.exec(j.Left, k.left(i), k, w)
 	if err != nil {
@@ -27,13 +29,16 @@ func (e *Engine) execJoin(j *plan.Join, i int, k *planKeys, w *Work) (*Result, e
 	var js *joinState
 	n := left.N * right.N
 	if len(j.Preds) == 0 {
-		// Cross product: every left row owes right.N comparisons and pairs.
-		for a := 1; a <= left.N; a++ {
-			w.Comparisons += int64(right.N)
-			if err := e.check(w, a*right.N); err != nil {
-				return nil, err
+		// Cross product: every left row owes right.N comparisons and pairs,
+		// three units a pair against the headroom.
+		room, rn := e.room(w), int64(right.N)
+		for a := int64(1); a <= int64(left.N); a++ {
+			if 3*a*rn > room {
+				w.Comparisons += a * rn
+				return nil, ErrBudget
 			}
 		}
+		w.Comparisons += int64(n)
 	} else {
 		lk, rk, ralias, rcol, err := joinKeys(left, right, j.Preds)
 		if err != nil {
@@ -57,43 +62,49 @@ func (e *Engine) execJoin(j *plan.Join, i int, k *planKeys, w *Work) (*Result, e
 		return nil, err
 	}
 
-	li, ri := make([]int32, n), make([]int32, n)
-	if js != nil {
-		js.pairs(li, ri)
-	} else {
-		i := 0
-		for a := 0; a < left.N; a++ {
-			for b := 0; b < right.N; b++ {
-				li[i], ri[i] = int32(a), int32(b)
-				i++
-			}
-		}
-	}
 	// One allocation for the output's vectors: an output the memo keeps is
 	// then a few objects for the collector to mark, however many relations.
 	nrels := len(left.rels) + len(right.rels)
 	out := &Result{N: n, rels: make([]rel, 0, nrels)}
 	ids := make([]int32, n*nrels)
-	out.rels = appendThrough(out.rels, left.rels, li, ids)
-	out.rels = appendThrough(out.rels, right.rels, ri, ids[n*len(left.rels):])
+	for _, in := range [2][]rel{left.rels, right.rels} {
+		for _, rl := range in {
+			k := len(out.rels)
+			out.rels = append(out.rels, rel{rl.alias, rl.table, ids[k*n : (k+1)*n : (k+1)*n]})
+		}
+	}
+	if js != nil {
+		js.emit(out.rels, left.rels, right.rels)
+	} else {
+		crossProduct(out.rels, left, right)
+	}
 	w.RowsMaterialized += int64(n)
 	w.TuplesEmitted += int64(n)
 	return out, nil
 }
 
-// appendThrough appends src's relations with their id vectors read through
-// rows: a join's output is one id vector per relation, never a column. The
-// vectors are cut from ids, in order.
-func appendThrough(dst, src []rel, rows, ids []int32) []rel {
-	n := len(rows)
-	for k, rl := range src {
-		out := ids[k*n : (k+1)*n : (k+1)*n]
-		for i, r := range rows {
-			out[i] = rl.ids[r]
+// crossProduct writes left × right into out's id vectors, the left input's
+// relations first. Left row a is output rows a·right.N up to (a+1)·right.N,
+// so a left relation's ids go out as runs, each id repeated right.N times,
+// and a right relation's vector goes out left.N times over — copied once,
+// then doubled, so that a right input of a few rows costs a few copies.
+func crossProduct(out []rel, left, right *Result) {
+	rn := right.N
+	for k, rl := range left.rels {
+		dst := out[k].ids
+		for a, id := range rl.ids[:left.N] {
+			run := dst[a*rn : (a+1)*rn]
+			for x := range run {
+				run[x] = id
+			}
 		}
-		dst = append(dst, rel{rl.alias, rl.table, out})
 	}
-	return dst
+	for k, rl := range right.rels {
+		dst := out[len(left.rels)+k].ids
+		for f := copy(dst, rl.ids[:rn]); f < len(dst); f *= 2 {
+			copy(dst[f:], dst[:f])
+		}
+	}
 }
 
 // joinKeys resolves each side's join key columns, one pair per predicate, and
@@ -127,10 +138,15 @@ func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, ralias
 type probe struct{ a, lo, hi int32 }
 
 // joinState admits a keyed join one left row at a time. Each algorithm finds
-// a left row's first-key candidates its own way and charges for that; row
-// then charges the remaining keys, counts the row's matches and runs the
-// budget check on the count, so a refused join has stored no pair and an
-// admitted one allocates its pairs once, at their exact size.
+// a left row's first-key candidates its own way and charges for that;
+// matchRest then compares the remaining keys, and the algorithm records a
+// probe for a row that matched and runs the budget check on the count, so a
+// refused join has stored no pair and an admitted one is written once, at
+// its exact size, from the recorded probes. The algorithms keep their
+// counters, probes and scratch in locals — a store through j per row would
+// pay a write barrier whenever the collector runs — and store them when they
+// refuse or finish: every check sees what charging row by row would have
+// left in the Work, and so does a refused join's partial Work.
 type joinState struct {
 	e       *Engine
 	w       *Work
@@ -140,7 +156,8 @@ type joinState struct {
 	rcol    string  // the column rk[0] reads
 	cands   []int32 // right row positions the probes index into
 	probes  []probe
-	pending int // matched pairs so far
+	matched []int32 // matchRest's scratch, from admission to emission
+	pending int     // matched pairs
 }
 
 // rightIndex groups the right input's rows by its first key. That is a
@@ -155,48 +172,130 @@ func (j *joinState) rightIndex() *keyIndex {
 	return buildKeyIndex(j.rk[0])
 }
 
-// matchRest compares the keys after the first.
-func (j *joinState) matchRest(a, b int32, charge bool) bool {
-	for k := 1; k < len(j.lk); k++ {
-		if charge {
-			j.w.Comparisons++
-		}
-		if j.lk[k].at(a) != j.rk[k].at(b) {
-			return false
+// matchRest appends to dst the candidates that match left row a on every key
+// after the first, and returns them with the comparisons that costs. It
+// filters a key at a time — the second over every candidate, each later one
+// over the survivors of those before it, in place — which charges each
+// candidate one comparison per key up to the first that differs, as
+// comparing it key by key would. Most candidates differ on the second key,
+// so the later keys' left values are read only when some candidate gets
+// that far.
+func (j *joinState) matchRest(a int32, cands, dst []int32) ([]int32, int64) {
+	n := len(dst)
+	col, ids, v := j.rk[1].col, j.rk[1].ids, j.lk[1].at(a)
+	for _, b := range cands {
+		if col[ids[b]] == v {
+			dst = append(dst, b)
 		}
 	}
-	return true
-}
-
-// row admits left row a, whose first key matches right rows cands[lo:hi].
-func (j *joinState) row(a, lo, hi int32) error {
-	n := int(hi - lo)
-	if len(j.lk) > 1 {
-		n = 0
-		for _, b := range j.cands[lo:hi] {
-			if j.matchRest(a, b, true) {
-				n++
+	comps := int64(len(cands))
+	for k := 2; k < len(j.lk) && len(dst) > n; k++ {
+		comps += int64(len(dst) - n)
+		col, ids, v := j.rk[k].col, j.rk[k].ids, j.lk[k].at(a)
+		kept := dst[:n]
+		for _, b := range dst[n:] {
+			if col[ids[b]] == v {
+				kept = append(kept, b)
 			}
 		}
+		dst = kept
 	}
-	if n > 0 {
-		j.probes = append(j.probes, probe{a, lo, hi})
-		j.pending += n
-	}
-	return j.e.check(j.w, j.pending)
+	return dst, comps
 }
 
-// pairs writes the admitted matches, in probe order, to li and ri.
-func (j *joinState) pairs(li, ri []int32) {
-	i := 0
+// appendProbe appends p, doubling the capacity when it runs out rather than
+// growing it in append's quarter steps past 256: a fan-out join records a
+// probe for most left rows.
+func appendProbe(probes []probe, p probe) []probe {
+	if len(probes) == cap(probes) {
+		probes = slices.Grow(probes, len(probes)+64)
+	}
+	return append(probes, p)
+}
+
+// emit writes the admitted matches, in probe order, into out's id vectors:
+// the left input's relations, then the right's. The probes give each match's
+// left and right row positions, which go straight into the first vector of
+// each side; the side's other vectors are gathered through them, and the
+// first is turned from positions into ids last, in place.
+func (j *joinState) emit(out, left, right []rel) {
+	lpos, rpos := out[0].ids, out[len(left)].ids
+	i, buf := 0, j.matched
 	for _, p := range j.probes {
-		for _, b := range j.cands[p.lo:p.hi] {
-			if j.matchRest(p.a, b, false) {
-				li[i], ri[i] = p.a, b
-				i++
-			}
+		run := j.cands[p.lo:p.hi]
+		if len(j.lk) > 1 {
+			buf, _ = j.matchRest(p.a, run, buf[:0])
+			run = buf
+		}
+		for x, b := range run {
+			lpos[i+x], rpos[i+x] = p.a, b
+		}
+		i += len(run)
+	}
+	gatherThrough(out[:len(left)], left)
+	gatherThrough(out[len(left):], right)
+}
+
+// gatherThrough turns the row positions in out[0]'s vector into every src
+// relation's ids, out[k].ids[x] = src[k].ids[pos[x]], writing out[0] last so
+// the positions are read before they are overwritten.
+func gatherThrough(out, src []rel) {
+	pos := out[0].ids
+	for k := len(src) - 1; k >= 0; k-- {
+		dst, ids := out[k].ids, src[k].ids
+		for x, r := range pos {
+			dst[x] = ids[r]
 		}
 	}
+}
+
+// probeAll admits every left row against the right rows ix groups by the
+// first key. Each row is charged hashOps and comps before it looks — one
+// hash probe, or one comparison with every right row — and a left key equal
+// to the previous row's, as a cross product's runs repeat it, reuses that
+// row's find. The loop carries what it owes beyond the per-row charges —
+// the keys after the first, two units per pending pair — in one sum, and
+// compares it with the budget's headroom.
+func (j *joinState) probeAll(ix *keyIndex, hashOps, comps int64) error {
+	w := j.w
+	room, perRow := j.e.room(w), hashOps+comps
+	var owed int64
+	pending, probes, buf := 0, j.probes, j.matched
+	multi, direct, lcol, lids := len(j.lk) > 1, ix.keys == nil, j.lk[0].col, j.lk[0].ids
+	var prev int64
+	var lo, hi int32
+	for a := range int32(len(lids)) {
+		if v := lcol[lids[a]]; a == 0 || v != prev {
+			if direct {
+				lo, hi = ix.findDirect(v)
+			} else {
+				lo, hi = ix.find(v)
+			}
+			prev = v
+		}
+		m := int(hi - lo)
+		if multi && m > 0 {
+			var rc int64
+			buf, rc = j.matchRest(a, ix.rows[lo:hi], buf[:0])
+			m, owed = len(buf), owed+rc
+		}
+		if m > 0 {
+			probes = appendProbe(probes, probe{a, lo, hi})
+			pending += m
+			owed += 2 * int64(m)
+		}
+		// Every probe row, not every few thousand: one skewed key can add
+		// right.N pairs per row.
+		if int64(a+1)*perRow+owed > room {
+			w.HashOps += int64(a+1) * hashOps
+			w.Comparisons += int64(a+1)*comps + owed - 2*int64(pending)
+			return ErrBudget
+		}
+	}
+	w.HashOps += int64(len(lids)) * hashOps
+	w.Comparisons += int64(len(lids))*comps + owed - 2*int64(pending)
+	j.pending, j.probes, j.matched = pending, probes, buf
+	return nil
 }
 
 // nestLoopJoin is charged for comparing every left row's first key with
@@ -205,14 +304,7 @@ func (j *joinState) pairs(li, ri []int32) {
 func (j *joinState) nestLoopJoin() error {
 	ix := j.rightIndex()
 	j.cands = ix.rows
-	for a, n := int32(0), int32(j.lk[0].len()); a < n; a++ {
-		j.w.Comparisons += int64(len(ix.rows))
-		lo, hi := ix.find(j.lk[0].at(a))
-		if err := j.row(a, lo, hi); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.probeAll(ix, 0, int64(len(ix.rows)))
 }
 
 // hashJoin builds on the right input's first key and probes with the left's.
@@ -223,16 +315,7 @@ func (j *joinState) hashJoin() error {
 	if err := j.e.check(j.w, 0); err != nil {
 		return err
 	}
-	for a, n := int32(0), int32(j.lk[0].len()); a < n; a++ {
-		j.w.HashOps++
-		lo, hi := ix.find(j.lk[0].at(a))
-		// Every probe row, not every few thousand: one skewed key can add
-		// right.N pairs per row.
-		if err := j.row(a, lo, hi); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.probeAll(ix, 1, 0)
 }
 
 // mergeJoin sorts both inputs on the first key and walks them in step.
@@ -241,9 +324,12 @@ func (j *joinState) mergeJoin() error {
 	lo := sortedOrder(lk, w)
 	ro := sortedOrder(rk, w)
 	j.cands = ro
+	room := j.e.room(w)
+	var c int64
+	pending, probes, buf := 0, j.probes, j.matched
 	l, r := 0, 0
 	for l < len(lo) && r < len(ro) {
-		w.Comparisons++
+		c++
 		a, b := lk.at(lo[l]), rk.at(ro[r])
 		switch {
 		case a < b:
@@ -257,13 +343,26 @@ func (j *joinState) mergeJoin() error {
 				rEnd++
 			}
 			for ; l < len(lo) && lk.at(lo[l]) == a; l++ {
-				if err := j.row(lo[l], int32(r), int32(rEnd)); err != nil {
-					return err
+				m := rEnd - r
+				if len(j.lk) > 1 {
+					var rc int64
+					buf, rc = j.matchRest(lo[l], ro[r:rEnd], buf[:0])
+					m, c = len(buf), c+rc
+				}
+				if m > 0 {
+					probes = appendProbe(probes, probe{lo[l], int32(r), int32(rEnd)})
+					pending += m
+				}
+				if c+2*int64(pending) > room {
+					w.Comparisons += c
+					return ErrBudget
 				}
 			}
 			r = rEnd
 		}
 	}
+	w.Comparisons += c
+	j.pending, j.probes, j.matched = pending, probes, buf
 	return nil
 }
 
@@ -362,9 +461,20 @@ func (ix *keyIndex) slot(v int64) (s uint64, ok bool) {
 
 // find returns the range of rows holding the positions whose key is v.
 func (ix *keyIndex) find(v int64) (lo, hi int32) {
-	s, ok := ix.slot(v)
-	if !ok {
+	if ix.keys == nil {
+		return ix.findDirect(v)
+	}
+	s, _ := ix.slot(v)
+	return ix.end[s] - ix.count[s], ix.end[s]
+}
+
+// findDirect is find on a direct table, small enough to inline: a probe loop
+// over dense keys then calls nothing per row.
+func (ix *keyIndex) findDirect(v int64) (lo, hi int32) {
+	s := uint64(v) - uint64(ix.base)
+	if s >= uint64(len(ix.end)) {
 		return 0, 0
 	}
-	return ix.end[s] - ix.count[s], ix.end[s]
+	hi = ix.end[s]
+	return hi - ix.count[s], hi
 }

@@ -13,7 +13,9 @@ import "math"
 //     identical to the oracle.
 //  2. CPU. Larger float32 a·b products run the AVX2+FMA vector tiles
 //     (gemm_amd64.go) when the one-time CPUID check passed and the output is
-//     at least one vector panel wide.
+//     at least one vector panel wide; larger float32 a·bᵀ products — the
+//     learner's dx — run the no-FMA gemv kernels (gemv_amd64.go) over bᵀ
+//     packed into 16-column panels when b's rows fill whole panels.
 //  3. Otherwise the portable 2×4 Go tiles below.
 //
 // Layout: the k dimension is cut into KC-deep blocks; for each block the
@@ -91,14 +93,20 @@ func (blockedEngineOf[T]) MatMulATB(a, b, out *MatOf[T], accum bool) {
 	putVec(at)
 }
 
-// MatMulABT computes out = a·bᵀ with 2×4 register-tiled dot kernels. B's
-// rows are already the contiguous reduction vectors, so no packing is
-// needed; each output element is a single ascending-k dot product, making
-// this kernel bitwise identical to the reference one.
+// MatMulABT computes out = a·bᵀ. Every path keeps each output element one
+// ascending-k fold of separately rounded products, starting from zero — the
+// reference kernel's order — so all of them are bitwise identical to it: the
+// no-FMA gemv kernel over bᵀ packed into 16-column panels (float32, when the
+// CPUID gate passed and b's rows fill whole panels), otherwise 2×4 tiles of
+// Go dot products over b's rows, which are already the contiguous reduction
+// vectors.
 func (blockedEngineOf[T]) MatMulABT(a, b, out *MatOf[T]) {
 	checkMatMulABTShape(a, b, out)
 	if a.Rows < 2 || a.Rows*a.Cols*b.Rows < blockedMinFlops {
 		matMulABTRows(a, b, out, 0, a.Rows)
+		return
+	}
+	if matMulABTAsm(a, b, out) {
 		return
 	}
 	if serialKernel(a.Rows, a.Rows*a.Cols*b.Rows) {

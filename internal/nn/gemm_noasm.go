@@ -29,6 +29,9 @@ func setAsmGemv(bool) bool { return false }
 // gemvAsm reports that no vector gemv kernel exists (nothing written).
 func gemvAsm[T Float](x, panels, out []T, nr int) bool { return false }
 
+// matMulABTAsm reports that no vector a·bᵀ path exists (nothing written).
+func matMulABTAsm[T Float](a, b, out *MatOf[T]) bool { return false }
+
 var asmAdamEnabled = false
 
 // setAsmAdam is the test hook for the Adam vector kernels; without them it

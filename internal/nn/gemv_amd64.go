@@ -2,21 +2,25 @@
 
 package nn
 
-// Vector gemv kernel for packed inference. Like the Adam kernel it
-// deliberately avoids FMA: each output element is an ascending-k fold of
-// x[k]·panel[k][j] with a separate multiply and add per step, which rounds
-// exactly like the reference scalar kernel — so packed inference is bitwise
-// identical to the unpacked 1×d path while moving 16 float32 columns per
-// instruction pair through a panel that was packed once per snapshot.
+// Vector gemv kernels. Like the Adam kernel they deliberately avoid FMA:
+// each output element is an ascending-k fold of x[k]·panel[k][j] with a
+// separate multiply and add per step, starting from zero, which rounds
+// exactly like the reference scalar kernels. They have two callers, both
+// bitwise identical to the reference:
+//   - packed inference (packed.go) runs the 1-row kernel over panels packed
+//     once per snapshot, matching the unpacked 1×d path;
+//   - the blocked engine's MatMulABT — the learner's dx = dout·Wᵀ — runs
+//     both over Wᵀ, packed per call into pooled panels, matching
+//     matMulABTRows.
 
-// asmGemvEnabled routes packed gemv through the vector kernels. It shares
-// the GEMM gate's detection (plain AVX ymm arithmetic, no FMA, but one knob
-// keeps the matrix small) and has its own test hook.
+// asmGemvEnabled routes packed gemv and a·bᵀ through the vector kernels. It
+// shares the GEMM gate's detection (plain AVX ymm arithmetic, no FMA, but one
+// knob keeps the matrix small) and has its own test hook.
 var asmGemvEnabled = cpuAVX2FMA
 
 // setAsmGemv is a test hook mirroring setAsmGemm for the gemv kernels. It
-// only affects packs built afterwards — an existing pack remembers the
-// layout it was built for.
+// takes effect on the next MatMulABT, but only on packs built afterwards —
+// an existing pack remembers the layout it was built for.
 func setAsmGemv(on bool) bool {
 	prev := asmGemvEnabled
 	asmGemvEnabled = on && cpuAVX2FMA
@@ -28,6 +32,13 @@ func setAsmGemv(on bool) bool {
 //
 //go:noescape
 func gemv16f32(kc int, x, panel, out *float32)
+
+// gemv4x16f32 is gemv16f32 for four rows of x through one panel at once:
+// out_r[0:NR] = Σ_k x_r[k]·panel[k·NR : k·NR+NR], each element rounded
+// exactly as the 1-row kernel rounds it.
+//
+//go:noescape
+func gemv4x16f32(kc int, x0, x1, x2, x3, panel, o0, o1, o2, o3 *float32)
 
 // gemvAsm runs the vector kernel over every packed panel and reports
 // whether it did; false (nothing written) when the kernel is unavailable,
@@ -47,4 +58,66 @@ func gemvAsm[T Float](x, panels, out []T, nr int) bool {
 		gemv16f32(kc, &xs[0], &ps[jp*kc], &os[jp])
 	}
 	return true
+}
+
+// abtArgsF32 carries one a·bᵀ product's operands through parallelRowsOf.
+type abtArgsF32 struct {
+	a, out *MatOf[float32]
+	panels []float32 // bᵀ in asmNRF32-column panels, k-major
+}
+
+// matMulABTAsm computes out = a·bᵀ with the gemv kernels over bᵀ and
+// reports whether it did; false (nothing written) when the kernels are off,
+// the precision is not float32, or b's rows do not fill whole panels. bᵀ is
+// packed once per call into pooled panels — panel p holds b's rows
+// p·NR … p·NR+NR−1 as k-major NR-wide steps — and out's rows fan out over
+// the worker pool. Every element is computed the same way whichever kernel
+// and worker its row lands on.
+func matMulABTAsm[T Float](a, b, out *MatOf[T]) bool {
+	if !asmGemvEnabled || a.Cols == 0 || b.Rows%asmNRF32 != 0 {
+		return false
+	}
+	am, ok := any(a).(*MatOf[float32])
+	if !ok {
+		return false
+	}
+	bm := any(b).(*MatOf[float32])
+	k := a.Cols
+	pv := getVec[float32](k * b.Rows)
+	panels := *pv
+	for j := 0; j < b.Rows; j++ {
+		p := panels[(j/asmNRF32)*k*asmNRF32+j%asmNRF32:]
+		for kk, v := range bm.Row(j) {
+			p[kk*asmNRF32] = v
+		}
+	}
+	g := abtArgsF32{a: am, out: any(out).(*MatOf[float32]), panels: panels}
+	if flops := a.Rows * k * b.Rows; serialKernel(a.Rows, flops) {
+		matMulABTRowsF32(g, 0, a.Rows)
+	} else {
+		parallelRowsOf(a.Rows, flops, g, matMulABTRowsF32)
+	}
+	putVec(pv)
+	return true
+}
+
+// matMulABTRowsF32 runs rows [lo, hi) of a packed a·bᵀ: four rows per
+// panel pass, the 1-row kernel for the remainder.
+func matMulABTRowsF32(g abtArgsF32, lo, hi int) {
+	k := g.a.Cols
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := g.a.Row(i), g.a.Row(i+1), g.a.Row(i+2), g.a.Row(i+3)
+		o0, o1, o2, o3 := g.out.Row(i), g.out.Row(i+1), g.out.Row(i+2), g.out.Row(i+3)
+		for jp := 0; jp < len(o0); jp += asmNRF32 {
+			gemv4x16f32(k, &a0[0], &a1[0], &a2[0], &a3[0], &g.panels[jp*k],
+				&o0[jp], &o1[jp], &o2[jp], &o3[jp])
+		}
+	}
+	for ; i < hi; i++ {
+		arow, orow := g.a.Row(i), g.out.Row(i)
+		for jp := 0; jp < len(orow); jp += asmNRF32 {
+			gemv16f32(k, &arow[0], &g.panels[jp*k], &orow[jp])
+		}
+	}
 }

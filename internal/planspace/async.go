@@ -47,8 +47,10 @@ type EpisodeRecord struct {
 // learner goroutine, once per episode and in ticket order, so it may be
 // stateful (the bootstrapping agent's phase-dependent reward is), and the
 // execution counters are folded into base at the same point. Every snapshot
-// publish advances the shared plan cache's policy epoch, so ModeGreedyPolicy
-// entries from older snapshots can never be served.
+// publish advances the shared plan cache's policy epoch, the clock
+// policy-dependent cache entries are keyed by. No training or serving path
+// stores such entries any more — served rollouts are keyed by the snapshot's
+// parameter-server version instead — so the bumps only count publishes.
 func TrainAsync(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig,
 	onEpisode func(i int, rec EpisodeRecord)) rl.AsyncStats {
 	return TrainAsyncCtx(context.Background(), base, agent, episodes, cfg, onEpisode)

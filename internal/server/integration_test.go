@@ -304,9 +304,17 @@ func TestIntegrationHotPolicySwapAcrossRequests(t *testing.T) {
 	if len(phase.Transitions) != 4 {
 		t.Fatalf("transitions %+v, want the 4-step state machine", phase.Transitions)
 	}
-	for _, tr := range phase.Transitions {
+	for i, tr := range phase.Transitions {
 		if tr.Reason == "" {
 			t.Fatalf("transition without a reason: %+v", tr)
+		}
+		// Timestamps are monotone, so each phase's duration is the
+		// difference of two of them.
+		if tr.At.IsZero() {
+			t.Fatalf("transition %d has no time: %+v", i, tr)
+		}
+		if i > 0 && tr.At.Before(phase.Transitions[i-1].At) {
+			t.Fatalf("transition %d at %v, before the one it follows at %v", i, tr.At, phase.Transitions[i-1].At)
 		}
 	}
 }

@@ -544,7 +544,7 @@ func (s *Server) handlePhase(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, tr := range st.Transitions {
 		resp.Transitions = append(resp.Transitions, TransitionInfo{
-			From: tr.From.String(), To: tr.To.String(), Reason: tr.Reason,
+			From: tr.From.String(), To: tr.To.String(), Reason: tr.Reason, At: tr.At,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

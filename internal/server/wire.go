@@ -14,7 +14,7 @@
 //	                  returning its observed latency (feeds the tenant's
 //	                  latency guard and drift detector)
 //	POST /executesql  same, from a SQL string
-//	GET  /phase       lifecycle phase + transition history for one tenant
+//	GET  /phase       lifecycle phase + timed transition history for one tenant
 //	GET  /drift       one tenant's execution-feedback/drift snapshot
 //	GET  /stats       server admission counters + per-tenant serving stats
 //	GET  /cache       per-tenant plan cache counters
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"handsfree/internal/query"
 )
@@ -301,11 +302,13 @@ type PhaseResponse struct {
 	Transitions    []TransitionInfo `json:"transitions,omitempty"`
 }
 
-// TransitionInfo is one lifecycle state-machine transition.
+// TransitionInfo is one lifecycle state-machine transition. At is when it
+// fired, so consecutive transitions give each phase's duration.
 type TransitionInfo struct {
-	From   string `json:"from"`
-	To     string `json:"to"`
-	Reason string `json:"reason"`
+	From   string    `json:"from"`
+	To     string    `json:"to"`
+	Reason string    `json:"reason"`
+	At     time.Time `json:"at"`
 }
 
 // StatsResponse is the body of GET /stats.

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"handsfree/internal/bootstrap"
 	"handsfree/internal/cost"
@@ -563,10 +564,13 @@ func (p LifecyclePhase) String() string {
 	}
 }
 
-// PhaseChange records one state-machine transition and why it fired.
+// PhaseChange records one state-machine transition, why it fired and when:
+// the difference between two transitions' At is how long the phase between
+// them ran.
 type PhaseChange struct {
 	From, To LifecyclePhase
 	Reason   string
+	At       time.Time
 }
 
 // LifecycleConfig budgets the learning state machine. The zero value is
@@ -852,7 +856,7 @@ func (s *Service) WaitTraining(ctx context.Context) error {
 func (s *Service) transition(to LifecyclePhase, reason string) {
 	from := LifecyclePhase(s.phase.Swap(int32(to)))
 	s.mu.Lock()
-	s.transitions = append(s.transitions, PhaseChange{From: from, To: to, Reason: reason})
+	s.transitions = append(s.transitions, PhaseChange{From: from, To: to, Reason: reason, At: time.Now()})
 	s.mu.Unlock()
 }
 
