@@ -94,6 +94,26 @@ func heavyPlans(t *testing.T, queries []*query.Query) []struct {
 		product := join(q, plan.HashJoin, join(q, plan.HashJoin, scan(q, "ml"), scan(q, "mc")), scan(q, "lt"))
 		return join(q, plan.HashJoin, scan(q, "t"), product)
 	})
+	// The training lifecycle's four heaviest executions, as its latency phase
+	// runs them: two-key probes from a product in either factor order, a
+	// product of a product probing on three keys, and a two-key probe into a
+	// product build side.
+	add("lifecycle-mc-at-hash-2key", "bench-train001", func(q *query.Query) plan.Node {
+		product := join(q, plan.HashJoin, scan(q, "mc"), scan(q, "at"))
+		return join(q, plan.HashJoin, product, join(q, plan.HashJoin, scan(q, "mi"), scan(q, "t")))
+	})
+	add("lifecycle-at-mc-hash-2key", "bench-train001", func(q *query.Query) plan.Node {
+		product := join(q, plan.HashJoin, scan(q, "at"), scan(q, "mc"))
+		return join(q, plan.HashJoin, product, join(q, plan.HashJoin, scan(q, "t"), scan(q, "mi")))
+	})
+	add("lifecycle-nested-product-hash-3key", "bench-train004", func(q *query.Query) plan.Node {
+		product := join(q, plan.HashJoin, scan(q, "chn"), join(q, plan.HashJoin, scan(q, "t"), scan(q, "rt")))
+		return join(q, plan.HashJoin, product, scan(q, "ci"))
+	})
+	add("lifecycle-hash-build-product-2key", "bench-train004", func(q *query.Query) plan.Node {
+		probe := join(q, plan.NestLoop, scan(q, "rt"), scan(q, "ci"))
+		return join(q, plan.HashJoin, probe, join(q, plan.HashJoin, scan(q, "t"), scan(q, "chn")))
+	})
 	for _, p := range out {
 		if !plan.CrossProduct(p.root) {
 			t.Fatalf("%s: no cross product in\n%s", p.name, plan.Format(p.root))
