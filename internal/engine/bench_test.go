@@ -172,3 +172,26 @@ func BenchmarkExecute(b *testing.B) {
 		b.ReportMetric(float64(units)/float64(b.N), "work-units/op")
 	})
 }
+
+// BenchmarkHeavyJoin runs each heavy-join shape (see heavyPlans) once per
+// iteration on a fresh engine with no budget: the scans, the cross product,
+// the keyed join over it and the output, index builds included — what a
+// latency-phase episode pays for the plan the first time it runs.
+// Metric: work-units/op, which no executor change may move.
+func BenchmarkHeavyJoin(b *testing.B) {
+	db, _, queries := goldenWorkload(b)
+	for _, p := range heavyPlans(b, queries) {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var units int64
+			for i := 0; i < b.N; i++ {
+				_, w, err := New(db.Store).Execute(p.q, p.root)
+				if err != nil {
+					b.Fatal(err)
+				}
+				units += w.Total()
+			}
+			b.ReportMetric(float64(units)/float64(b.N), "work-units/op")
+		})
+	}
+}

@@ -219,7 +219,7 @@ func goldenPlans(t *testing.T, db *datagen.Database, planner *optimizer.Planner,
 // goldenWorkload is the benchmark's database and six training queries
 // (scale 0.05, WithWorkload(6,4,6,3)) plus 200 generated queries of 2–7
 // relations.
-func goldenWorkload(t *testing.T) (*datagen.Database, *optimizer.Planner, []*query.Query) {
+func goldenWorkload(t testing.TB) (*datagen.Database, *optimizer.Planner, []*query.Query) {
 	t.Helper()
 	db, err := datagen.Generate(datagen.Config{Seed: 1, Scale: 0.05})
 	if err != nil {

@@ -42,7 +42,7 @@ type heavyCase struct {
 // latency phase, on the benchmark's queries: cross products of 10⁵–10⁶ rows
 // probing a 1-, 2- and 3-key hash join, nested loops and a merge join with a
 // product on either side, and a hash join whose build side is a product.
-func heavyPlans(t *testing.T, queries []*query.Query) []struct {
+func heavyPlans(t testing.TB, queries []*query.Query) []struct {
 	name string
 	q    *query.Query
 	root plan.Node
@@ -127,7 +127,7 @@ func heavyPlans(t *testing.T, queries []*query.Query) []struct {
 // since a join's look-ahead charges its pending pairs before it stores them
 // — the three quarter points of each join's own work, so that refusals also
 // land inside the admission loops, and 0 (unlimited).
-func heavyBudgets(t *testing.T, db *storage.DB, q *query.Query, root plan.Node) []int64 {
+func heavyBudgets(t testing.TB, db *storage.DB, q *query.Query, root plan.Node) []int64 {
 	t.Helper()
 	set := map[int64]bool{0: true}
 	var finished func(n plan.Node, before int64) int64

@@ -81,6 +81,16 @@ func TestScanMemoWarmEqualsCold(t *testing.T) {
 			}
 		}
 	}
+	// The heavy-join shapes, products on either side of a keyed join, under
+	// budgets either side of every operator's refusal point.
+	for _, p := range heavyPlans(t, queries) {
+		keys := outputKeys(db, p.q, p.root)
+		for _, budget := range heavyBudgets(t, db.Store, p.q, p.root) {
+			tr := triple{name: fmt.Sprintf("%s budget %d", p.name, budget), q: p.q, root: p.root, keys: keys, budget: budget}
+			tr.cold = executeOutcome(t, New(db.Store), p.q, p.root, keys, budget)
+			triples = append(triples, tr)
+		}
+	}
 	for pass, label := range []string{"filling", "warm"} {
 		for _, tr := range triples {
 			if got := executeOutcome(t, shared, tr.q, tr.root, tr.keys, tr.budget); got != tr.cold {
@@ -315,6 +325,35 @@ func TestMemoBudgetBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	warm := New(db.Store)
 	var plans, refusals, hits int
+	// boundary runs one plan that finishes under every budget given, warm and
+	// cold; total is what the plan's run is charged.
+	boundary := func(q *query.Query, name string, root plan.Node, keys []string, free outcome, total int64, budgets []int64) {
+		for i := 0; i < 2; i++ { // an output is stored the second time it is computed
+			if got := executeOutcome(t, warm, q, root, keys, 0); got != free {
+				t.Fatalf("%s/%s: warming run %+v, cold %+v", q.Name, name, got, free)
+			}
+		}
+		for _, budget := range budgets {
+			if budget <= 0 {
+				continue
+			}
+			before := warm.Stats()
+			got := executeOutcome(t, warm, q, root, keys, budget)
+			if cold := executeOutcome(t, New(db.Store), q, root, keys, budget); got != cold {
+				t.Errorf("%s/%s budget %d (total %d): warm %+v, cold %+v", q.Name, name, budget, total, got, cold)
+			}
+			// (Nobody checks an aggregation's last charge: one may finish a
+			// unit or two over, on both engines.)
+			if _, agg := root.(*plan.Agg); !agg && got.refused != (budget < total) {
+				t.Errorf("%s/%s budget %d: refused %v, the plan's work is %d", q.Name, name, budget, got.refused, total)
+			}
+			if got.refused {
+				refusals++
+			}
+			after := warm.Stats()
+			hits += int(after.ScanHits + after.PlanHits - before.ScanHits - before.PlanHits)
+		}
+	}
 	for _, q := range queries[:6] {
 		for _, p := range goldenPlans(t, db, planner, q, rng) {
 			keys := outputKeys(db, q, p.root)
@@ -348,32 +387,23 @@ func TestMemoBudgetBoundary(t *testing.T) {
 			if total != sum {
 				t.Fatalf("%s/%s: the root finishes at %d, the plan's work is %d", q.Name, p.name, total, sum)
 			}
-			for i := 0; i < 2; i++ { // an output is stored the second time it is computed
-				if got := executeOutcome(t, warm, q, p.root, keys, 0); got != free {
-					t.Fatalf("%s/%s: warming run %+v, cold %+v", q.Name, p.name, got, free)
-				}
-			}
+			var list []int64
 			for budget := range budgets {
-				if budget <= 0 {
-					continue
-				}
-				before := warm.Stats()
-				got := executeOutcome(t, warm, q, p.root, keys, budget)
-				if cold := executeOutcome(t, New(db.Store), q, p.root, keys, budget); got != cold {
-					t.Errorf("%s/%s budget %d (total %d): warm %+v, cold %+v", q.Name, p.name, budget, total, got, cold)
-				}
-				// (Nobody checks an aggregation's last charge: one may finish a
-				// unit or two over, on both engines.)
-				if _, agg := p.root.(*plan.Agg); !agg && got.refused != (budget < total) {
-					t.Errorf("%s/%s budget %d: refused %v, the plan's work is %d", q.Name, p.name, budget, got.refused, total)
-				}
-				if got.refused {
-					refusals++
-				}
-				after := warm.Stats()
-				hits += int(after.ScanHits + after.PlanHits - before.ScanHits - before.PlanHits)
+				list = append(list, budget)
 			}
+			boundary(q, p.name, p.root, keys, free, total, list)
 		}
+	}
+	// The heavy-join shapes, under the same budgets plus quarter points
+	// inside each join's admission.
+	for _, p := range heavyPlans(t, queries) {
+		keys := outputKeys(db, p.q, p.root)
+		free := executeOutcome(t, New(db.Store), p.q, p.root, keys, 0)
+		var total int64
+		for _, c := range free.work {
+			total += c
+		}
+		boundary(p.q, p.name, p.root, keys, free, total, heavyBudgets(t, db.Store, p.q, p.root))
 	}
 	if plans < 24 || refusals == 0 || hits == 0 {
 		t.Errorf("%d plans finished, %d runs were refused, %d nodes answered from the memo: the boundary was not exercised", plans, refusals, hits)
