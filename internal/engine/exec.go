@@ -81,10 +81,19 @@ type rel struct {
 // its output columns. Columns are keyed "alias.column". A Result may be the
 // memo's and every other execution's of the same plan: nothing writes to one
 // once it is built.
+//
+// A cross product inside a plan is not written out: its Result keeps the
+// factors (scans, keyed joins) and no rows of its own, row x being each
+// factor's row in mixed radix, the last factor's varying fastest (see
+// product.go). Hash and nested-loop joins read it factor by factor; the
+// consumers that need its rows written — a merge join, an aggregation, a
+// keyed join whose other input is a product too (its build side), and the
+// result Execute returns — expand it first.
 type Result struct {
-	N    int
-	rels []rel
-	cols map[string][]int64
+	N       int
+	rels    []rel
+	cols    map[string][]int64
+	factors []*Result
 	// ent is set when the memo holds this output: a join building on it
 	// takes the entry's index.
 	ent *entry
@@ -187,7 +196,10 @@ func (e *Engine) ExecuteBudget(q *query.Query, root plan.Node, budget int64) (*R
 	var nodes [16]keySpan
 	k := appendPlan(planKeys{buf[:0], nodes[:0]}, root)
 	res, err := e.exec(root, 0, &k, w)
-	return res, w, err
+	if err != nil {
+		return nil, w, err
+	}
+	return res.expand(), w, nil
 }
 
 // check returns ErrBudget once the work done plus the work already owed
@@ -284,11 +296,8 @@ func (e *Engine) exec(n plan.Node, i int, k *planKeys, w *Work) (*Result, error)
 // is nobody else's yet.
 func newEntry(scan *plan.Scan, res *Result, delta Work) *entry {
 	if scan == nil {
-		ent := &entry{out: *res, delta: delta}
+		ent := &entry{out: *res, delta: delta, bytes: res.bytes()}
 		ent.out.ent = ent
-		// Per row an id per relation or a value per column; per relation its
-		// 48-byte header.
-		ent.bytes = int64(res.N)*int64(4*len(res.rels)+8*len(res.cols)) + 48*int64(len(res.rels))
 		return ent
 	}
 	// Unfiltered, the rows are a vector something else owns (the identity
@@ -440,5 +449,5 @@ func (e *Engine) execAgg(a *plan.Agg, i int, k *planKeys, w *Work) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return aggregate(a, child, w, e)
+	return aggregate(a, child.expand(), w, e)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -15,7 +16,9 @@ import (
 // row's pairs are added — the same charges and checks, after the same rows,
 // as a join that stored each pair when it found it. Only an admitted join is
 // then stored, at its exact size, its id vectors written straight from the
-// input rows the admission recorded.
+// input rows the admission recorded. An admitted cross product is not
+// written at all: it is kept as its factors (see Result), and a keyed join
+// over it counts and lists its rows factor by factor (see product.go).
 func (e *Engine) execJoin(j *plan.Join, i int, k *planKeys, w *Work) (*Result, error) {
 	left, err := e.exec(j.Left, k.left(i), k, w)
 	if err != nil {
@@ -26,11 +29,10 @@ func (e *Engine) execJoin(j *plan.Join, i int, k *planKeys, w *Work) (*Result, e
 		return nil, err
 	}
 
-	var js *joinState
-	n := left.N * right.N
 	if len(j.Preds) == 0 {
 		// Cross product: every left row owes right.N comparisons and pairs,
 		// three units a pair against the headroom.
+		n := left.N * right.N
 		room, rn := e.room(w), int64(right.N)
 		for a := int64(1); a <= int64(left.N); a++ {
 			if 3*a*rn > room {
@@ -39,98 +41,135 @@ func (e *Engine) execJoin(j *plan.Join, i int, k *planKeys, w *Work) (*Result, e
 			}
 		}
 		w.Comparisons += int64(n)
-	} else {
-		lk, rk, ralias, rcol, err := joinKeys(left, right, j.Preds)
-		if err != nil {
+		if err := e.check(w, n); err != nil {
 			return nil, err
 		}
-		js = &joinState{e: e, w: w, lk: lk, rk: rk, right: right.ent, ralias: ralias, rcol: rcol}
-		switch j.Algo {
-		case plan.HashJoin:
-			err = js.hashJoin()
-		case plan.MergeJoin:
-			err = js.mergeJoin()
-		default:
-			err = js.nestLoopJoin()
+		if n > math.MaxInt32 {
+			return nil, fmt.Errorf("engine: a cross product of %d rows is more than a join can address", n)
 		}
-		if err != nil {
-			return nil, err
-		}
-		n = js.pending
+		w.RowsMaterialized += int64(n)
+		w.TuplesEmitted += int64(n)
+		return &Result{N: n, factors: slices.Concat(left.parts(), right.parts())}, nil
 	}
+
+	// Read factor by factor, a product costs a pass over the other input's
+	// rows: one no larger than the other input is written out instead, and
+	// so is the smaller of two products.
+	switch {
+	case left.factors != nil && left.N <= right.N:
+		left = left.expand()
+	case right.factors != nil && right.N <= left.N:
+		right = right.expand()
+	}
+	return e.keyedJoin(j, left, right, w)
+}
+
+// keyedJoin joins two computed inputs, at most one of them a cross product
+// kept as its factors, on the join's predicates.
+func (e *Engine) keyedJoin(j *plan.Join, left, right *Result, w *Work) (*Result, error) {
+	if j.Algo == plan.MergeJoin {
+		// The merge join's sort is not stable, so the order it leaves equal
+		// keys in depends on the rows as written: it reads a product written.
+		left, right = left.expand(), right.expand()
+	}
+	var err error
+	js := &joinState{e: e, w: w, left: left.parts(), right: right.parts(), rightN: right.N}
+	if js.lk, js.rk, err = joinKeys(js.left, js.right, j.Preds); err != nil {
+		return nil, err
+	}
+	switch j.Algo {
+	case plan.HashJoin:
+		err = js.hashJoin()
+	case plan.MergeJoin:
+		err = js.mergeJoin()
+	default:
+		err = js.nestLoopJoin()
+	}
+	if err != nil {
+		return nil, err
+	}
+	n := js.pending
 	if err := e.check(w, n); err != nil {
 		return nil, err
 	}
-
-	// One allocation for the output's vectors: an output the memo keeps is
-	// then a few objects for the collector to mark, however many relations.
-	nrels := len(left.rels) + len(right.rels)
-	out := &Result{N: n, rels: make([]rel, 0, nrels)}
-	ids := make([]int32, n*nrels)
-	for _, in := range [2][]rel{left.rels, right.rels} {
-		for _, rl := range in {
-			k := len(out.rels)
-			out.rels = append(out.rels, rel{rl.alias, rl.table, ids[k*n : (k+1)*n : (k+1)*n]})
-		}
-	}
-	if js != nil {
-		js.emit(out.rels, left.rels, right.rels)
-	} else {
-		crossProduct(out.rels, left, right)
-	}
+	out := newOutput(n, js.left, js.right)
+	js.emit(out.rels)
 	w.RowsMaterialized += int64(n)
 	w.TuplesEmitted += int64(n)
 	return out, nil
 }
 
-// crossProduct writes left × right into out's id vectors, the left input's
-// relations first. Left row a is output rows a·right.N up to (a+1)·right.N,
-// so a left relation's ids go out as runs, each id repeated right.N times,
-// and a right relation's vector goes out left.N times over — copied once,
-// then doubled, so that a right input of a few rows costs a few copies.
-func crossProduct(out []rel, left, right *Result) {
-	rn := right.N
-	for k, rl := range left.rels {
-		dst := out[k].ids
-		for a, id := range rl.ids[:left.N] {
-			run := dst[a*rn : (a+1)*rn]
-			for x := range run {
-				run[x] = id
+// newOutput returns an n-row result over every relation of the parts, in
+// order, its id vectors allocated but not written. One allocation holds them
+// all: an output the memo keeps is then a few objects for the collector to
+// mark, however many relations.
+func newOutput(n int, sides ...[]*Result) *Result {
+	nrels := 0
+	for _, parts := range sides {
+		for _, p := range parts {
+			nrels += len(p.rels)
+		}
+	}
+	out := &Result{N: n, rels: make([]rel, 0, nrels)}
+	ids := make([]int32, n*nrels)
+	for _, parts := range sides {
+		for _, p := range parts {
+			for _, rl := range p.rels {
+				k := len(out.rels)
+				out.rels = append(out.rels, rel{rl.alias, rl.table, ids[k*n : (k+1)*n : (k+1)*n]})
 			}
 		}
 	}
-	for k, rl := range right.rels {
-		dst := out[len(left.rels)+k].ids
-		for f := copy(dst, rl.ids[:rn]); f < len(dst); f *= 2 {
-			copy(dst[f:], dst[:f])
-		}
-	}
+	return out
 }
 
-// joinKeys resolves each side's join key columns, one pair per predicate, and
-// names the right input's first: the column hash and nested-loop joins index.
+// joinCol is one side's column of a join predicate: the relation and column
+// the predicate names, read through the rows of the input's part that holds
+// the relation — the input itself, or one factor of a cross product.
+type joinCol struct {
+	colView
+	alias, name string
+	part        int
+}
+
+// joinKeys resolves each side's join key columns, one pair per predicate;
+// the right input's first is the column hash and nested-loop joins index.
 // Predicate sides may be swapped relative to the plan's left/right inputs.
-func joinKeys(left, right *Result, preds []query.Join) (lk, rk []colView, ralias, rcol string, err error) {
-	for i, p := range preds {
+func joinKeys(left, right []*Result, preds []query.Join) (lk, rk []joinCol, err error) {
+	for _, p := range preds {
 		la, lc, ra, rc := p.LeftAlias, p.LeftCol, p.RightAlias, p.RightCol
-		if !left.has(la) {
+		if _, ok := partOf(left, la); !ok {
 			// Swapped: the predicate's "left" column lives in the right input.
 			la, lc, ra, rc = ra, rc, la, lc
 		}
-		l, err := left.view(la, lc)
+		l, err := column(left, la, lc)
 		if err != nil {
-			return nil, nil, "", "", fmt.Errorf("engine: join column not in left input: %w", err)
+			return nil, nil, fmt.Errorf("engine: join column not in left input: %w", err)
 		}
-		r, err := right.view(ra, rc)
+		r, err := column(right, ra, rc)
 		if err != nil {
-			return nil, nil, "", "", fmt.Errorf("engine: join column not in right input: %w", err)
+			return nil, nil, fmt.Errorf("engine: join column not in right input: %w", err)
 		}
 		lk, rk = append(lk, l), append(rk, r)
-		if i == 0 {
-			ralias, rcol = ra, rc
+	}
+	return lk, rk, nil
+}
+
+// partOf returns the part that holds the relation.
+func partOf(parts []*Result, alias string) (int, bool) {
+	for f, p := range parts {
+		if p.has(alias) {
+			return f, true
 		}
 	}
-	return lk, rk, ralias, rcol, nil
+	return 0, false
+}
+
+// column returns alias.name read through the part that holds the relation.
+func column(parts []*Result, alias, name string) (joinCol, error) {
+	f, _ := partOf(parts, alias)
+	v, err := parts[f].view(alias, name)
+	return joinCol{v, alias, name, f}, err
 }
 
 // probe is one left row and the run of right rows, cands[lo:hi], that agree
@@ -146,30 +185,38 @@ type probe struct{ a, lo, hi int32 }
 // counters, probes and scratch in locals — a store through j per row would
 // pay a write barrier whenever the collector runs — and store them when they
 // refuse or finish: every check sees what charging row by row would have
-// left in the Work, and so does a refused join's partial Work.
+// left in the Work, and so does a refused join's partial Work. When one input
+// is a cross product, the hash and nested-loop joins reach the same charges
+// and checks from its factors instead (see product.go).
 type joinState struct {
-	e       *Engine
-	w       *Work
-	lk, rk  []colView
-	right   *entry  // the right input's memo entry, when the memo holds it
-	ralias  string  // the relation and
-	rcol    string  // the column rk[0] reads
-	cands   []int32 // right row positions the probes index into
-	probes  []probe
-	matched []int32 // matchRest's scratch, from admission to emission
-	pending int     // matched pairs
+	e           *Engine
+	w           *Work
+	left, right []*Result // the inputs' parts: an input, or a cross product's factors
+	rightN      int       // right input rows
+	lk, rk      []joinCol
+	cands       []int32 // right row positions the probes index into
+	probes      []probe
+	matched     []int32 // matchRest's scratch, from admission to emission
+	pending     int     // matched pairs
+	// product is the cross-product input's factors and their key indexes,
+	// when one input is a product.
+	product *factorKeys
 }
 
-// rightIndex groups the right input's rows by its first key. That is a
-// function of the right input — a scan or a join — and nothing else, so when
-// the memo holds the input, its entry builds the index once for every join
-// that asks; over an input seen for the first time it is built here. What the
-// index costs to use is charged by the caller either way.
-func (j *joinState) rightIndex() *keyIndex {
-	if j.right != nil {
-		return j.e.memo.index(j.right, j.ralias, j.rcol, j.rk[0])
+// rightIndex groups the right input's rows by key k. That is a function of
+// the right input — a scan or a join — and nothing else, so when the memo
+// holds the input, its entry builds the index once for every join that asks;
+// over an input seen for the first time it is built here. What the index
+// costs to use is charged by the caller either way.
+func (j *joinState) rightIndex(k int) *keyIndex { return j.e.keyIndexOn(j.right[0], j.rk[k]) }
+
+// keyIndexOn returns the index of part's rows by column c: the memo entry's,
+// when the memo holds part, or one built for this join.
+func (e *Engine) keyIndexOn(part *Result, c joinCol) *keyIndex {
+	if part.ent != nil {
+		return e.memo.index(part.ent, c.alias, c.name, c.colView)
 	}
-	return buildKeyIndex(j.rk[0])
+	return buildKeyIndex(c.colView)
 }
 
 // matchRest appends to dst the candidates that match left row a on every key
@@ -214,38 +261,61 @@ func appendProbe(probes []probe, p probe) []probe {
 }
 
 // emit writes the admitted matches, in probe order, into out's id vectors:
-// the left input's relations, then the right's. The probes give each match's
-// left and right row positions, which go straight into the first vector of
-// each side; the side's other vectors are gathered through them, and the
-// first is turned from positions into ids last, in place.
-func (j *joinState) emit(out, left, right []rel) {
-	lpos, rpos := out[0].ids, out[len(left)].ids
-	i, buf := 0, j.matched
-	for _, p := range j.probes {
-		run := j.cands[p.lo:p.hi]
-		if len(j.lk) > 1 {
-			buf, _ = j.matchRest(p.a, run, buf[:0])
-			run = buf
+// the left input's relations, then the right's. Each match's row in each
+// input part goes straight into the vector of the part's first relation;
+// the part's other vectors are gathered through it, and the first is turned
+// from rows into ids last, in place.
+func (j *joinState) emit(out []rel) {
+	lpos, rest := firstVectors(out, j.left)
+	rpos, _ := firstVectors(rest, j.right)
+	switch {
+	case len(j.left) > 1:
+		j.emitFromProduct(lpos, rpos[0])
+	case len(j.right) > 1:
+		j.emitIntoProduct(lpos[0], rpos)
+	default:
+		l, r := lpos[0], rpos[0]
+		i, buf := 0, j.matched
+		for _, p := range j.probes {
+			run := j.cands[p.lo:p.hi]
+			if len(j.lk) > 1 {
+				buf, _ = j.matchRest(p.a, run, buf[:0])
+				run = buf
+			}
+			for x, b := range run {
+				l[i+x], r[i+x] = p.a, b
+			}
+			i += len(run)
 		}
-		for x, b := range run {
-			lpos[i+x], rpos[i+x] = p.a, b
-		}
-		i += len(run)
 	}
-	gatherThrough(out[:len(left)], left)
-	gatherThrough(out[len(left):], right)
+	gatherThrough(out, slices.Concat(j.left, j.right))
 }
 
-// gatherThrough turns the row positions in out[0]'s vector into every src
-// relation's ids, out[k].ids[x] = src[k].ids[pos[x]], writing out[0] last so
-// the positions are read before they are overwritten.
-func gatherThrough(out, src []rel) {
-	pos := out[0].ids
-	for k := len(src) - 1; k >= 0; k-- {
-		dst, ids := out[k].ids, src[k].ids
-		for x, r := range pos {
-			dst[x] = ids[r]
+// firstVectors returns the vector of each part's first relation among out,
+// which holds the parts' relations in order, and what of out follows them.
+func firstVectors(out []rel, parts []*Result) ([][]int32, []rel) {
+	first := make([][]int32, len(parts))
+	for f, p := range parts {
+		first[f] = out[0].ids
+		out = out[len(p.rels):]
+	}
+	return first, out
+}
+
+// gatherThrough turns the rows each part's first vector holds into the ids
+// of every relation of the part, out[k].ids[x] = the relation's id at row
+// pos[x], writing the first vector last so the rows are read before they are
+// overwritten.
+func gatherThrough(out []rel, parts []*Result) {
+	for _, p := range parts {
+		pos := out[0].ids
+		for r := len(p.rels) - 1; r >= 0; r-- {
+			dst, ids := out[r].ids, p.rels[r].ids
+			for x, i := range pos {
+				dst[x] = ids[i]
+			}
 		}
+		out = out[len(p.rels):]
 	}
 }
 
@@ -301,26 +371,34 @@ func (j *joinState) probeAll(ix *keyIndex, hashOps, comps int64) error {
 // nestLoopJoin is charged for comparing every left row's first key with
 // every right row's; which right rows those comparisons find comes from a
 // key index, so the charge does not have to be worked off.
-func (j *joinState) nestLoopJoin() error {
-	ix := j.rightIndex()
-	j.cands = ix.rows
-	return j.probeAll(ix, 0, int64(len(ix.rows)))
-}
+func (j *joinState) nestLoopJoin() error { return j.probe(0, int64(j.rightN)) }
 
 // hashJoin builds on the right input's first key and probes with the left's.
 func (j *joinState) hashJoin() error {
-	ix := j.rightIndex()
-	j.cands = ix.rows
-	j.w.HashOps += int64(len(ix.rows))
+	j.w.HashOps += int64(j.rightN)
 	if err := j.e.check(j.w, 0); err != nil {
 		return err
 	}
-	return j.probeAll(ix, 1, 0)
+	return j.probe(1, 0)
+}
+
+// probe admits every left row, each charged hashOps and comps before it
+// looks, against the right input's rows.
+func (j *joinState) probe(hashOps, comps int64) error {
+	switch {
+	case len(j.left) > 1:
+		return j.probeProduct(hashOps, comps)
+	case len(j.right) > 1:
+		return j.probeIntoProduct(hashOps, comps)
+	}
+	ix := j.rightIndex(0)
+	j.cands = ix.rows
+	return j.probeAll(ix, hashOps, comps)
 }
 
 // mergeJoin sorts both inputs on the first key and walks them in step.
 func (j *joinState) mergeJoin() error {
-	lk, rk, w := j.lk[0], j.rk[0], j.w
+	lk, rk, w := j.lk[0].colView, j.rk[0].colView, j.w
 	lo := sortedOrder(lk, w)
 	ro := sortedOrder(rk, w)
 	j.cands = ro
