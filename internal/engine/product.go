@@ -234,17 +234,23 @@ func (j *joinState) probeProduct(hashOps, comps int64) error {
 		return (done.rows+s.rows)*perRow+done.comps+s.comps+2*(done.pend+s.pend) <= room
 	}
 	digits := make([]int32, m)
-	whole := j.levelSum(0)
+	whole := j.levelSum(0, len(j.lk))
 	whole.rows = int64(fk.parts[0].N) * int64(fk.stride[0])
 	if !fits(whole) {
 		for l := 1; l <= m; l++ {
-			f := l - 1
-			shared := j.levelSum(l)
+			f, from := l-1, j.heldFrom(l)
+			shared := j.levelSum(l, from)
 			shared.rows = int64(fk.stride[f])
+			var ix *keyIndex
+			if from < len(j.lk) {
+				ix = j.rightIndex(from)
+			}
 			for d := range int32(fk.parts[f].N) {
 				digits[f] = d
 				s := shared
-				j.blockSum(l, digits, &s)
+				if ix != nil {
+					j.blockSum(ix, l, from, digits, &s)
+				}
 				if fits(s) {
 					done.add(s)
 					continue
@@ -277,33 +283,29 @@ func (j *joinState) heldFrom(l int) int {
 }
 
 // levelSum is what every block at level l is charged for the keys before
-// heldFrom(l), summed over all build rows: it does not depend on the rows the
-// block holds fixed. At level 0 that is every key, and the build rows that
-// match some product row are kept, in order, for emitFromProduct.
-func (j *joinState) levelSum(l int) blockSum {
+// to, heldFrom(l), summed over all build rows: it does not depend on the
+// rows the block holds fixed. At level 0 that is every key, and the build
+// rows that match some product row are kept, in order, for emitFromProduct.
+func (j *joinState) levelSum(l, to int) blockSum {
 	var s blockSum
-	if to := j.heldFrom(l); to > 0 {
-		for b := range int32(j.rightN) {
-			pend := s.pend
-			j.charge(b, l, nil, 0, to, &s)
-			if l == 0 && s.pend > pend {
-				j.cands = append(j.cands, b)
-			}
+	if to == 0 {
+		return s
+	}
+	for b := range int32(j.rightN) {
+		pend := s.pend
+		j.charge(b, l, nil, 0, to, &s)
+		if l == 0 && s.pend > pend {
+			j.cands = append(j.cands, b)
 		}
 	}
 	return s
 }
 
 // blockSum adds to s what the block at level l holding digits is charged for
-// the keys from heldFrom(l) on: only build rows that agree with the block's
-// fixed rows on that key can add to it.
-func (j *joinState) blockSum(l int, digits []int32, s *blockSum) {
-	from := j.heldFrom(l)
-	if from == len(j.lk) {
-		return
-	}
-	c := j.lk[from]
-	ix := j.rightIndex(from)
+// the keys from heldFrom(l) on: only the build rows ix holds under the
+// block's value of that key can add to it.
+func (j *joinState) blockSum(ix *keyIndex, l, from int, digits []int32, s *blockSum) {
+	c := &j.lk[from]
 	lo, hi := ix.find(c.at(digits[c.part]))
 	for _, b := range ix.rows[lo:hi] {
 		j.charge(b, l, digits, from, len(j.lk), s)
