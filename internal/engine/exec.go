@@ -85,10 +85,11 @@ type rel struct {
 // A cross product inside a plan is not written out: its Result keeps the
 // factors (scans, keyed joins) and no rows of its own, row x being each
 // factor's row in mixed radix, the last factor's varying fastest (see
-// product.go). Hash and nested-loop joins read it factor by factor; the
-// consumers that need its rows written — a merge join, an aggregation, a
-// keyed join whose other input is a product too (its build side), and the
-// result Execute returns — expand it first.
+// product.go). Hash and nested-loop joins read it factor by factor; a merge
+// join, an aggregation and the result Execute returns need its rows written
+// and expand it first, as does a keyed join whose product is no larger than
+// its other input (or the smaller of two products), where reading the
+// factors would cost more than the rows.
 type Result struct {
 	N       int
 	rels    []rel

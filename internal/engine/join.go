@@ -194,10 +194,12 @@ type joinState struct {
 	left, right []*Result // the inputs' parts: an input, or a cross product's factors
 	rightN      int       // right input rows
 	lk, rk      []joinCol
-	cands       []int32 // right row positions the probes index into
-	probes      []probe
-	matched     []int32 // matchRest's scratch, from admission to emission
-	pending     int     // matched pairs
+	// cands are the right row positions the probes index into: for a
+	// product probe side, the build rows that match some product row.
+	cands   []int32
+	probes  []probe
+	matched []int32 // matchRest's scratch, from admission to emission
+	pending int     // matched pairs
 	// product is the cross-product input's factors and their key indexes,
 	// when one input is a product.
 	product *factorKeys

@@ -12,8 +12,9 @@ import (
 
 // memoCapBytes bounds what one engine's memo holds: the id vectors and output
 // columns of every operator output it keeps (a cross product's are its
-// factors'), the key indexes built over them and a fixed charge per entry. Past it, entries no execution has used since
-// the eviction hand last passed them go first.
+// factors'), the key indexes built over them and a fixed charge per entry.
+// Past it, entries no execution has used since the eviction hand last passed
+// them go first.
 const memoCapBytes = 32 << 20
 
 // doorCap is how many operators the memo remembers having run once without

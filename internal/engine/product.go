@@ -159,44 +159,19 @@ func (fk *factorKeys) agreeing(k, from int) int64 {
 	return n
 }
 
-// spread writes to rows x, x+1, … of dst, ascending in the product, every
-// combination of rows of factors f, f+1, … that agree with the values match
-// last saw — all of a keyless factor's rows agree — each factor's row into
-// its own vector, with dig's rows for the factors before f. It returns the
-// next row.
-func (fk *factorKeys) spread(dst [][]int32, x, f int, dig []int32) int {
-	if f == len(fk.parts) {
-		for g, d := range dig {
-			dst[g][x] = d
-		}
-		return x + 1
-	}
-	if len(fk.keys[f]) == 0 {
-		for d := range int32(fk.parts[f].N) {
-			dig[f] = d
-			x = fk.spread(dst, x, f+1, dig)
-		}
-		return x
-	}
-	for _, d := range fk.rows[f] {
-		dig[f] = d
-		x = fk.spread(dst, x, f+1, dig)
-	}
-	return x
-}
-
-// appendKeyed appends to dst, tagged with build row b in the low half, the
-// product row — keyless factors at row 0 — of every combination of rows of
-// the keyed factors from f on that agree with the values match last saw.
-func (fk *factorKeys) appendKeyed(dst []uint64, f int, pos, b int32) []uint64 {
+// appendKeyed appends to dst, tagged with the other side's row in the low
+// half, the product row — keyless factors at row 0 — of every combination of
+// rows of the keyed factors from f on that agree with the values match last
+// saw, ascending.
+func (fk *factorKeys) appendKeyed(dst []uint64, f int, pos, tag int32) []uint64 {
 	for f < len(fk.parts) && len(fk.keys[f]) == 0 {
 		f++
 	}
 	if f == len(fk.parts) {
-		return append(dst, uint64(pos)<<32|uint64(b))
+		return append(dst, uint64(pos)<<32|uint64(tag))
 	}
 	for _, d := range fk.rows[f] {
-		dst = fk.appendKeyed(dst, f+1, pos+d*fk.stride[f], b)
+		dst = fk.appendKeyed(dst, f+1, pos+d*fk.stride[f], tag)
 	}
 	return dst
 }
@@ -249,7 +224,7 @@ func (j *joinState) probeProduct(hashOps, comps int64) error {
 				digits[f] = d
 				s := shared
 				if ix != nil {
-					j.blockSum(ix, l, from, digits, &s)
+					j.heldSum(ix, l, from, digits, &s)
 				}
 				if fits(s) {
 					done.add(s)
@@ -301,10 +276,10 @@ func (j *joinState) levelSum(l, to int) blockSum {
 	return s
 }
 
-// blockSum adds to s what the block at level l holding digits is charged for
+// heldSum adds to s what the block at level l holding digits is charged for
 // the keys from heldFrom(l) on: only the build rows ix holds under the
 // block's value of that key can add to it.
-func (j *joinState) blockSum(ix *keyIndex, l, from int, digits []int32, s *blockSum) {
+func (j *joinState) heldSum(ix *keyIndex, l, from int, digits []int32, s *blockSum) {
 	c := &j.lk[from]
 	lo, hi := ix.find(c.at(digits[c.part]))
 	for _, b := range ix.rows[lo:hi] {
@@ -375,25 +350,26 @@ func (j *joinState) emitFromProduct(lpos [][]int32, rpos []int32) {
 	j.walk(keyed, lpos, rpos, 0, 0, make([]int32, len(fk.parts)))
 }
 
-// walk writes from row x on, in probe order, the pairs whose keyed factors'
-// rows and build row are in keyed — sorted, and agreeing on the rows of the
-// keyed factors before f — with every row of each keyless factor from f on,
-// and dig's rows for the factors before f. It returns the next row.
-func (j *joinState) walk(keyed []uint64, lpos [][]int32, rpos []int32, x, f int, dig []int32) int {
+// walk writes from row x on, in product order and then in tag order, the
+// pairs whose keyed factors' rows and tag are in keyed — sorted, and agreeing
+// on the rows of the keyed factors before f — with every row of each keyless
+// factor from f on and dig's rows for the factors before f: each factor's row
+// into rows[factor], the tag into tags. It returns the next row.
+func (j *joinState) walk(keyed []uint64, rows [][]int32, tags []int32, x, f int, dig []int32) int {
 	fk := j.product
 	switch {
 	case f == len(fk.parts):
 		for _, p := range keyed {
 			for g, d := range dig {
-				lpos[g][x] = d
+				rows[g][x] = d
 			}
-			rpos[x] = int32(uint32(p))
+			tags[x] = int32(uint32(p))
 			x++
 		}
 	case len(fk.keys[f]) == 0:
 		for d := range int32(fk.parts[f].N) {
 			dig[f] = d
-			x = j.walk(keyed, lpos, rpos, x, f+1, dig)
+			x = j.walk(keyed, rows, tags, x, f+1, dig)
 		}
 	default:
 		s, n := fk.stride[f], int32(fk.parts[f].N)
@@ -404,7 +380,7 @@ func (j *joinState) walk(keyed []uint64, lpos [][]int32, rpos []int32, x, f int,
 			for hi < len(keyed) && row(keyed[hi]) == dig[f] {
 				hi++
 			}
-			x = j.walk(keyed[lo:hi], lpos, rpos, x, f+1, dig)
+			x = j.walk(keyed[lo:hi], rows, tags, x, f+1, dig)
 			lo = hi
 		}
 	}
@@ -455,13 +431,12 @@ func (j *joinState) probeIntoProduct(hashOps, comps int64) error {
 // factor's row into rpos[factor].
 func (j *joinState) emitIntoProduct(lpos []int32, rpos [][]int32) {
 	fk, x := j.product, 0
+	var keyed []uint64
 	dig := make([]int32, len(fk.parts))
 	for _, p := range j.probes {
 		fk.load(j.lk, p.a, 0, 0)
-		next := fk.spread(rpos, x, 0, dig)
-		for ; x < next; x++ {
-			lpos[x] = p.a
-		}
+		keyed = fk.appendKeyed(keyed[:0], 0, 0, p.a)
+		x = j.walk(keyed, rpos, lpos, x, 0, dig)
 	}
 }
 
