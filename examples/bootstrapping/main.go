@@ -76,10 +76,5 @@ func main() {
 	}
 	fmt.Printf("  plans executed in phase 2: %d\n", env.Executions)
 
-	var logSum float64
-	for _, q := range queries {
-		out := agent.GreedyOutcome(q)
-		logSum += math.Log(out.Cost / expert[q.Key()])
-	}
-	fmt.Printf("\nfinal greedy cost ratio vs expert (geomean): %.2f×\n", math.Exp(logSum/float64(len(queries))))
+	fmt.Printf("\nfinal greedy cost ratio vs expert (geomean): %.2f×\n", env.CostRatio(queries, expert, agent.RL.Greedy))
 }

@@ -421,7 +421,7 @@ func (s *Service) NewReJOINAgent(queries []*Query, cfg ReJOINConfig) (*ReJOINAge
 // TrainEpisode runs one learning episode (one query) and returns the cost
 // of the plan the agent produced.
 func (a *ReJOINAgent) TrainEpisode() float64 {
-	a.rl.Observe(rl.RunEpisode(a.env, a.rl.Sample, 4*a.env.Cfg.Space.MaxRels+8))
+	a.rl.Observe(a.env.Episode(a.rl.Sample))
 	return a.env.Last.Cost
 }
 

@@ -10,17 +10,18 @@
 //
 //	r_l = Cmin + (l − Lmin)/(Lmax − Lmin) · (Cmax − Cmin)
 //
-// Both variants (raw switch and rescaled switch) are provided so the
-// experiment can measure the difference.
+// Three Scalings are provided — the raw switch, the rescaled switch, and the
+// paper's transfer-learning alternative — so the experiment can measure the
+// difference. The learner is deliberately range-sensitive; the package
+// serves that experiment only. The service lifecycle trains a scale-free
+// learner on the two rewards directly and needs none of this machinery.
 package bootstrap
 
 import (
 	"math"
 	"math/rand"
-	"sync"
 
 	"handsfree/internal/planspace"
-	"handsfree/internal/query"
 	"handsfree/internal/rl"
 )
 
@@ -51,15 +52,6 @@ type Config struct {
 	// CalibrationWindow is how many trailing Phase-1 episodes contribute to
 	// the observed cost range (default 200).
 	CalibrationWindow int
-	// Robust keeps the learner's production defaults (Adam, batch-standardized
-	// baseline, gradient clipping) instead of the deliberately range-sensitive
-	// vanilla-REINFORCE setup the §5.2 experiment uses to expose the reward
-	// switch. With a scale-free learner the raw reward magnitude is irrelevant,
-	// so Phase 2 trains on −log(latency) regardless of Scaling and
-	// SwitchToLatency performs no learner surgery. This is the configuration
-	// the root handsfree.Service lifecycle controller runs: the experiment
-	// studies the hazard, the service avoids it.
-	Robust bool
 }
 
 // Agent is the cost-model-bootstrapped learner.
@@ -67,11 +59,9 @@ type Agent struct {
 	Cfg Config
 	RL  *rl.Reinforce
 
-	// mu guards the reward closure's calibration state. The closure is
-	// shared by every environment replica during parallel or asynchronous
-	// collection (replicas copy the env config, closure value included), so
-	// it runs on actor goroutines concurrently.
-	mu          sync.Mutex
+	// The reward closure's calibration state. Episodes run one at a time
+	// (TrainEpisode), and planspace.TrainAsync would call the closure on
+	// its learner goroutine only, so it needs no lock.
 	phase2      bool
 	costRange   rl.Range
 	latRange    rl.Range
@@ -88,20 +78,18 @@ func New(cfg Config) *Agent {
 		cfg.CalibrationWindow = 200
 	}
 	env := cfg.Env
-	if !cfg.Robust {
-		// Range-sensitive learner: the §5.2 phenomenon under study is the
-		// reward-range discontinuity. A per-batch standardizer would hide it in
-		// the advantages, and Adam's per-weight normalization would hide it in
-		// the updates, so the bootstrapping agent uses an EMA baseline with
-		// plain gradient ascent (vanilla REINFORCE, as in §2 of the paper).
-		cfg.Agent.Baseline = rl.BaselineRunningEMA
-		cfg.Agent.UseSGD = true
-		if cfg.Agent.Clip == 0 {
-			cfg.Agent.Clip = -1 // unclipped: §5.2's hazard is the raw magnitude
-		}
-		if cfg.Agent.LR == 0 {
-			cfg.Agent.LR = 3e-2
-		}
+	// Range-sensitive learner: the §5.2 phenomenon under study is the
+	// reward-range discontinuity. A per-batch standardizer would hide it in
+	// the advantages, and Adam's per-weight normalization would hide it in
+	// the updates, so the bootstrapping agent uses an EMA baseline with
+	// plain gradient ascent (vanilla REINFORCE, as in §2 of the paper).
+	cfg.Agent.Baseline = rl.BaselineRunningEMA
+	cfg.Agent.UseSGD = true
+	if cfg.Agent.Clip == 0 {
+		cfg.Agent.Clip = -1 // unclipped: §5.2's hazard is the raw magnitude
+	}
+	if cfg.Agent.LR == 0 {
+		cfg.Agent.LR = 3e-2
 	}
 	a := &Agent{Cfg: cfg, RL: rl.NewReinforce(env.ObsDim(), env.ActionDim(), cfg.Agent)}
 	env.Cfg.Reward = a.reward
@@ -112,11 +100,7 @@ func New(cfg Config) *Agent {
 // reward is the phase-dependent reward closure installed into the env.
 // Phase 1: −log(cost), with the trailing cost range recorded for
 // calibration. Phase 2: −(latency mapped per the configured scaling).
-// It is safe for concurrent use: environment replicas collecting in
-// parallel (or async actors) share this closure.
 func (a *Agent) reward(o planspace.Outcome) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if !a.phase2 {
 		if math.IsInf(o.Cost, 1) || o.Cost <= 0 {
 			return -1e6
@@ -135,11 +119,6 @@ func (a *Agent) reward(o planspace.Outcome) float64 {
 		return -1e6
 	}
 	a.latRange.Observe(lat)
-	if a.Cfg.Robust {
-		// Scale-free learner: the raw magnitude is irrelevant, no mapping
-		// needed (Scaling is ignored under Robust).
-		return -math.Log(lat)
-	}
 	switch a.Cfg.Scaling {
 	case ScaleTransfer:
 		// Scale-free learner: the raw magnitude is irrelevant.
@@ -165,9 +144,8 @@ const latencyRawScale = 60
 // TrainEpisode runs one sampled episode under the current phase's reward.
 func (a *Agent) TrainEpisode() planspace.Outcome {
 	env := a.Cfg.Env
-	traj := rl.RunEpisode(env, a.RL.Sample, 4*env.Cfg.Space.MaxRels+8)
-	a.RL.Observe(traj)
-	if a.InPhase2() {
+	a.RL.Observe(env.Episode(a.RL.Sample))
+	if a.phase2 {
 		a.Phase2Episodes++
 	}
 	return env.Last
@@ -180,18 +158,12 @@ func (a *Agent) TrainEpisode() planspace.Outcome {
 // is rebuilt scale-free (Adam + batch standardization) over the preserved
 // hidden layers.
 func (a *Agent) SwitchToLatency() {
-	a.mu.Lock()
 	a.phase2 = true
 	a.costRange = rl.Range{}
 	for _, c := range a.recentCosts {
 		a.costRange.Observe(c)
 	}
-	a.mu.Unlock()
 	a.Cfg.Env.Cfg.RewardNeedsLatency = true
-	if a.Cfg.Robust {
-		// Scale-free learner throughout: no surgery needed at the switch.
-		return
-	}
 	if a.Cfg.Scaling == ScaleTransfer {
 		old := a.RL.Policy
 		cfg := a.Cfg.Agent
@@ -205,49 +177,6 @@ func (a *Agent) SwitchToLatency() {
 		fresh.Policy.ReinitOutput(rand.New(rand.NewSource(cfg.Seed + 99)))
 		a.RL = fresh
 	}
-}
-
-// SwitchToCost returns the agent to cost-model reward (Phase 1), used when
-// drift-triggered re-training restarts the learning lifecycle from the cost
-// phase. The trailing cost window is cleared so the calibration range is
-// re-learned from post-drift conditions. Only supported for Robust agents,
-// whose scale-free learner needs no surgery at phase switches.
-func (a *Agent) SwitchToCost() {
-	a.mu.Lock()
-	a.phase2 = false
-	a.recentCosts = a.recentCosts[:0]
-	a.mu.Unlock()
-	a.Cfg.Env.Cfg.RewardNeedsLatency = false
-}
-
-// InPhase2 reports whether the latency phase is active.
-func (a *Agent) InPhase2() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.phase2
-}
-
-// GreedyOutcome plans q greedily with the current policy and returns the
-// (always-executed) outcome.
-func (a *Agent) GreedyOutcome(q *query.Query) planspace.Outcome {
-	env := a.Cfg.Env
-	s := env.ResetTo(q)
-	for !s.Terminal {
-		act := a.RL.Greedy(s)
-		if act < 0 {
-			break
-		}
-		next, _, done := env.Step(act)
-		s = next
-		if done {
-			break
-		}
-	}
-	out := env.Last
-	if math.IsNaN(out.LatencyMs) && env.Cfg.Latency != nil {
-		out.LatencyMs, out.TimedOut = env.Cfg.Latency.Execute(q, out.Plan, env.Cfg.LatencyBudgetMs)
-	}
-	return out
 }
 
 // CostRange exposes the Phase-1 calibration range (log-cost units).

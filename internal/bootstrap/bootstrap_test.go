@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -148,7 +149,10 @@ func TestPhase1Learns(t *testing.T) {
 	eval := func() float64 {
 		total := 0.0
 		for _, q := range qs {
-			out := agent.GreedyOutcome(q)
+			out, err := env.GreedyRollout(context.Background(), q, agent.RL.Greedy)
+			if err != nil {
+				t.Fatal(err)
+			}
 			planned, err := env.Cfg.Planner.Plan(q)
 			if err != nil {
 				t.Fatal(err)

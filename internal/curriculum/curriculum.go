@@ -9,7 +9,6 @@ package curriculum
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"handsfree/internal/engine"
@@ -253,7 +252,7 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 			if err := ctx.Err(); err != nil {
 				return PhaseResult{}, err
 			}
-			traj := rl.RunEpisode(env, t.agent.Sample, 4*t.Cfg.Space.MaxRels+8)
+			traj := env.Episode(t.agent.Sample)
 			t.agent.Observe(traj)
 			if onEpisode != nil {
 				onEpisode(episodeBase+ep, env.Last)
@@ -297,34 +296,15 @@ func (t *Trainer) EvalRatio(queries []*query.Query) (float64, error) {
 	if t.agent == nil || t.env == nil {
 		return 0, fmt.Errorf("curriculum: no trained agent")
 	}
-	var logSum float64
+	expert := make(map[string]float64, len(queries))
 	for _, q := range queries {
-		out := t.GreedyOutcome(q)
 		planned, err := t.Cfg.Planner.Plan(q)
 		if err != nil {
 			return 0, err
 		}
-		logSum += math.Log(out.Cost / planned.Cost)
+		expert[q.Key()] = planned.Cost
 	}
-	return math.Exp(logSum / float64(len(queries))), nil
-}
-
-// GreedyOutcome plans one query with the current greedy policy.
-func (t *Trainer) GreedyOutcome(q *query.Query) planspace.Outcome {
-	env := t.env
-	s := env.ResetTo(q)
-	for !s.Terminal {
-		act := t.agent.Greedy(s)
-		if act < 0 {
-			break
-		}
-		next, _, done := env.Step(act)
-		s = next
-		if done {
-			break
-		}
-	}
-	return env.Last
+	return t.env.CostRatio(queries, expert, t.agent.Greedy), nil
 }
 
 // Agent exposes the current policy learner (nil before the first phase).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"handsfree/internal/bootstrap"
 	"handsfree/internal/curriculum"
@@ -74,18 +75,19 @@ func (l *Lab) NaiveFullSpace(cfg NaiveConfig) (*NaiveResult, error) {
 	})
 
 	res := &NaiveResult{
-		Agent:       &Series{Name: "naive-full-space"},
-		JoinOrder:   &Series{Name: "join-order-only"},
-		RandomLevel: l.randomLevel(fullEnv, queries, expert, cfg.Seed+999),
+		Agent:     &Series{Name: "naive-full-space"},
+		JoinOrder: &Series{Name: "join-order-only"},
+		// Uniform-random plan construction, averaged over five passes.
+		RandomLevel: fullEnv.CostRatio(slices.Repeat(queries, 5), expert, rl.RandomPolicy(cfg.Seed+999)),
 	}
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		traj := rl.RunEpisode(fullEnv, full.Sample, 4*space.MaxRels+8)
+		traj := fullEnv.Episode(full.Sample)
 		full.Observe(traj)
-		traj = rl.RunEpisode(joinEnv, restricted.Sample, 4*space.MaxRels+8)
+		traj = joinEnv.Episode(restricted.Sample)
 		restricted.Observe(traj)
 		if ep%cfg.EvalEvery == 0 || ep == cfg.Episodes-1 {
-			res.Agent.Add(float64(ep), l.greedyRatio(fullEnv, full, queries, expert))
-			res.JoinOrder.Add(float64(ep), l.greedyRatio(joinEnv, restricted, queries, expert))
+			res.Agent.Add(float64(ep), fullEnv.CostRatio(queries, expert, full.Greedy))
+			res.JoinOrder.Add(float64(ep), joinEnv.CostRatio(queries, expert, restricted.Greedy))
 		}
 	}
 	res.FinalAgent = res.Agent.Last()
@@ -169,7 +171,7 @@ func (l *Lab) LatencyFromScratch(cfg ScratchLatencyConfig) (*ScratchLatencyResul
 		// the upcoming query's.
 		next := env.Cfg.Queries[(ep)%len(queries)]
 		env.Cfg.LatencyBudgetMs = budget[next.Key()]
-		traj := rl.RunEpisode(env, agent.Sample, 4*space.MaxRels+8)
+		traj := env.Episode(agent.Sample)
 		agent.Observe(traj)
 		execTotal += env.Last.LatencyMs
 	}
@@ -278,13 +280,14 @@ func (l *Lab) LfDExperiment(cfg LfDConfig) (*LfDResult, error) {
 		expertLat[q.Key()] = agent.ExpertLatency(q)
 	}
 	for ep := 0; ep < cfg.FineTuneEpisodes; ep++ {
-		traj := rl.RunEpisode(scratchEnv, scratch.Sample, 4*space.MaxRels+8)
+		traj := scratchEnv.Episode(scratch.Sample)
 		scratch.Observe(traj)
 		if scratchEnv.Last.LatencyMs >= 50*expertLat[scratchEnv.Current().Key()] {
 			res.ScratchCatastrophic++
 		}
 	}
 	res.ScratchRatio = evalRatio(func(q *query.Query) float64 {
+		// A background context never cuts the rollout off: the error is nil.
 		out, _ := scratchEnv.GreedyRollout(context.Background(), q, scratch.Greedy)
 		return out.LatencyMs
 	})
@@ -566,31 +569,4 @@ func (l *Lab) expertCosts(queries []*query.Query) (map[string]float64, error) {
 		out[q.Key()] = planned.Cost
 	}
 	return out, nil
-}
-
-// greedyRatio evaluates an agent's greedy policy over the workload
-// (geometric mean of per-query cost ratios). Here and below, rollouts run
-// under a background context, which never cuts them off, so their error is
-// always nil.
-func (l *Lab) greedyRatio(env *planspace.Env, agent *rl.Reinforce, queries []*query.Query, expert map[string]float64) float64 {
-	ratios := make([]float64, 0, len(queries))
-	for _, q := range queries {
-		out, _ := env.GreedyRollout(context.Background(), q, agent.Greedy)
-		ratios = append(ratios, out.Cost/expert[q.Key()])
-	}
-	return GeoMean(ratios)
-}
-
-// randomLevel evaluates uniform-random plan construction over the workload
-// (geometric mean over repeated passes).
-func (l *Lab) randomLevel(env *planspace.Env, queries []*query.Query, expert map[string]float64, seed int64) float64 {
-	pol := rl.RandomPolicy(seed)
-	var ratios []float64
-	for rep := 0; rep < 5; rep++ {
-		for _, q := range queries {
-			out, _ := env.GreedyRollout(context.Background(), q, pol)
-			ratios = append(ratios, out.Cost/expert[q.Key()])
-		}
-	}
-	return GeoMean(ratios)
 }

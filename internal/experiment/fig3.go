@@ -88,10 +88,10 @@ func (l *Lab) Fig3a(cfg Fig3aConfig) (*Fig3aResult, error) {
 	}
 	logRatios := make([]float64, cfg.Episodes)
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		agent.Observe(rl.RunEpisode(env, agent.Sample, 4*space.MaxRels+8))
+		agent.Observe(env.Episode(agent.Sample))
 		logRatios[ep] = math.Log(env.Last.Cost / expert[env.Current().Key()] * 100)
 		if ep%step == 0 || ep == cfg.Episodes-1 {
-			g := l.greedyRatio(env, agent, queries, expert) * 100
+			g := env.CostRatio(queries, expert, agent.Greedy) * 100
 			out.Greedy.Add(float64(ep), g)
 			if out.FirstParity < 0 && g <= 120 {
 				out.FirstParity = ep
@@ -173,7 +173,7 @@ func (l *Lab) Fig3b(cfg Fig3bConfig) (*Fig3bResult, error) {
 		EntropyDecay: 0.995,
 	})
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		agent.Observe(rl.RunEpisode(env, agent.Sample, 4*space.MaxRels+8))
+		agent.Observe(env.Episode(agent.Sample))
 	}
 
 	res := &Fig3bResult{Table: &Table{

@@ -216,27 +216,14 @@ type EpisodeResult struct {
 // samples.
 func (a *Agent) FineTuneEpisode() EpisodeResult {
 	env := a.Cfg.Env
-	var steps []rl.Step
-	s := env.Reset()
+	traj := env.Episode(a.Q.Act)
 	q := env.Current()
-	for !s.Terminal {
-		act := a.Q.Act(s)
-		if act < 0 {
-			break
-		}
-		next, _, done := env.Step(act)
-		steps = append(steps, rl.Step{Features: s.Features, Mask: s.Mask, Action: act})
-		s = next
-		if done {
-			break
-		}
-	}
 	out := env.Last
 	lat := out.LatencyMs
 	if math.IsNaN(lat) {
 		lat, _ = env.Cfg.Latency.Execute(q, out.Plan, env.Cfg.LatencyBudgetMs)
 	}
-	for _, st := range steps {
+	for _, st := range traj.Steps {
 		a.ownBuf.Add(rl.Sample{Features: st.Features, Mask: st.Mask, Action: st.Action, Target: a.target(lat)})
 	}
 	a.Q.Train(a.ownBuf, 32)
@@ -274,21 +261,11 @@ func (a *Agent) FineTuneEpisode() EpisodeResult {
 // returns the executed latency of the resulting plan.
 func (a *Agent) GreedyLatency(q *query.Query) float64 {
 	env := a.Cfg.Env
-	s := env.ResetTo(q)
-	for !s.Terminal {
-		act := a.Q.Best(s)
-		if act < 0 {
-			break
-		}
-		next, _, done := env.Step(act)
-		s = next
-		if done {
-			break
-		}
-	}
-	lat := env.Last.LatencyMs
+	// A background context never cuts the rollout off: the error is nil.
+	out, _ := env.GreedyRollout(context.Background(), q, a.Q.Best)
+	lat := out.LatencyMs
 	if math.IsNaN(lat) {
-		lat, _ = env.Cfg.Latency.Execute(q, env.Last.Plan, env.Cfg.LatencyBudgetMs)
+		lat, _ = env.Cfg.Latency.Execute(q, out.Plan, env.Cfg.LatencyBudgetMs)
 	}
 	return lat
 }

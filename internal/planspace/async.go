@@ -45,12 +45,12 @@ type EpisodeRecord struct {
 // starts the next rollout; the learner waits for ticket i's execution only
 // when it reaches ticket i. The configured Reward is called there, on the
 // learner goroutine, once per episode and in ticket order, so it may be
-// stateful (the bootstrapping agent's phase-dependent reward is), and the
-// execution counters are folded into base at the same point. Every snapshot
-// publish advances the shared plan cache's policy epoch, the clock
-// policy-dependent cache entries are keyed by. No training or serving path
-// stores such entries any more — served rollouts are keyed by the snapshot's
-// parameter-server version instead — so the bumps only count publishes.
+// stateful without a lock, and the execution counters are folded into base
+// at the same point. Every snapshot publish advances the shared plan cache's
+// policy epoch, the clock policy-dependent cache entries are keyed by. No
+// training or serving path stores such entries any more — served rollouts
+// are keyed by the snapshot's parameter-server version instead — so the
+// bumps only count publishes.
 func TrainAsync(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig,
 	onEpisode func(i int, rec EpisodeRecord)) rl.AsyncStats {
 	return TrainAsyncCtx(context.Background(), base, agent, episodes, cfg, onEpisode)
@@ -69,7 +69,7 @@ func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes
 		cfg.Actors = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 4*base.Cfg.Space.MaxRels + 8
+		cfg.MaxSteps = base.maxSteps()
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = base.Cfg.Seed + 1

@@ -178,7 +178,7 @@ func (x *seamExec) Prepare(q *query.Query, n plan.Node, budgetMs float64) func()
 // which its own differential test ties to the sequential specification. It
 // is the reference the deferred pipeline must equal.
 func inlineTrain(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig) []EpisodeRecord {
-	cfg.MaxSteps = 4*base.Cfg.Space.MaxRels + 8
+	cfg.MaxSteps = base.maxSteps()
 	cfg.Seed = base.Cfg.Seed + 1
 	replicas := make([]*Env, cfg.Actors)
 	envs := make([]rl.Env, cfg.Actors)

@@ -19,8 +19,10 @@ type Outcome struct {
 	// Cost is the traditional optimizer's cost-model value (always computed:
 	// costing is free at planning time).
 	Cost float64
-	// LatencyMs is the simulated execution latency; NaN when the episode was
-	// not executed (no latency model attached or reward needed none).
+	// LatencyMs is the execution latency the configured Executor reported
+	// (simulated or observed, censored at the budget); NaN when the episode
+	// was not executed (no executor attached or the reward needed none) or
+	// the execution failed.
 	LatencyMs float64
 	// TimedOut reports that execution hit the latency budget (the paper's
 	// "could not be executed in any reasonable amount of time").
@@ -562,8 +564,7 @@ func (e *Env) GreedyRollout(ctx context.Context, q *query.Query, choose func(rl.
 		return Outcome{}, err
 	}
 	s := e.ResetTo(q)
-	maxSteps := 4*e.Cfg.Space.MaxRels + 8
-	for i := 0; i < maxSteps && !s.Terminal; i++ {
+	for i := 0; i < e.maxSteps() && !s.Terminal; i++ {
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
@@ -578,4 +579,31 @@ func (e *Env) GreedyRollout(ctx context.Context, q *query.Query, choose func(rl.
 		}
 	}
 	return e.Last, nil
+}
+
+// maxSteps caps an episode's length. A finished episode takes at most
+// 2·MaxRels steps (an access path per relation, the joins, an aggregation);
+// the cap only guards against a choose that never ends one.
+func (e *Env) maxSteps() int { return 4*e.Cfg.Space.MaxRels + 8 }
+
+// Episode runs one training episode on the next workload query, choosing
+// each action with choose, and returns its trajectory; e.Last holds the
+// outcome. Every sequential trainer rolls out through it.
+func (e *Env) Episode(choose func(rl.State) int) rl.Trajectory {
+	return rl.RunEpisode(e, choose, e.maxSteps())
+}
+
+// CostRatio rolls every query out with choose, in order, and returns the
+// geometric mean of the plan's cost over the expert plan's: expert maps a
+// query's Key to that cost. A stateful choose (a seeded random policy) sees
+// the queries in the order given, so a slice holding the workload k times
+// averages k passes.
+func (e *Env) CostRatio(queries []*query.Query, expert map[string]float64, choose func(rl.State) int) float64 {
+	var logSum float64
+	for _, q := range queries {
+		// A background context never cuts the rollout off: the error is nil.
+		out, _ := e.GreedyRollout(context.Background(), q, choose)
+		logSum += math.Log(out.Cost / expert[q.Key()])
+	}
+	return math.Exp(logSum / float64(len(queries)))
 }

@@ -117,7 +117,7 @@ func (f fx) stage1(hidden, batch int, seed int64) (*Env, *rl.Reinforce) {
 // trainEpisode runs one sampled episode on the next workload query and
 // feeds it to the learner.
 func trainEpisode(env *Env, agent *rl.Reinforce) rl.Trajectory {
-	traj := rl.RunEpisode(env, agent.Sample, 4*env.Cfg.Space.MaxRels+8)
+	traj := env.Episode(agent.Sample)
 	agent.Observe(traj)
 	return traj
 }

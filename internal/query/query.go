@@ -163,18 +163,6 @@ func (q *Query) JoinsBetween(left, right map[string]bool) []Join {
 	return out
 }
 
-// HasJoinBetween reports whether any join predicate connects an alias in
-// left with an alias in right — JoinsBetween's allocation-free form for
-// callers that only need connectivity (the featurization hot path).
-func (q *Query) HasJoinBetween(left, right map[string]bool) bool {
-	for _, j := range q.Joins {
-		if (left[j.LeftAlias] && right[j.RightAlias]) || (left[j.RightAlias] && right[j.LeftAlias]) {
-			return true
-		}
-	}
-	return false
-}
-
 // Adjacency returns, for each alias, the set of aliases it joins with.
 func (q *Query) Adjacency() map[string]map[string]bool {
 	adj := make(map[string]map[string]bool, len(q.Relations))

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"handsfree/internal/bootstrap"
 	"handsfree/internal/cost"
 	"handsfree/internal/engine"
 	"handsfree/internal/exechistory"
@@ -78,16 +77,6 @@ func WithSeed(seed int64) Option {
 // WithScale sets the database scale factor (default 1.0 ≈ 400k rows).
 func WithScale(scale float64) Option {
 	return func(o *serviceOptions) { o.cfg.Scale = scale }
-}
-
-// WithOracleSeed selects the systematic cardinality-error field (default 11).
-func WithOracleSeed(seed int64) Option {
-	return func(o *serviceOptions) { o.cfg.OracleSeed = seed }
-}
-
-// WithLatencySeed selects the execution-noise field (default 5).
-func WithLatencySeed(seed int64) Option {
-	return func(o *serviceOptions) { o.cfg.LatencySeed = seed }
 }
 
 // WithStats selects the statistics source the planning stack runs on:
@@ -526,8 +515,9 @@ const (
 	// actor-learner training against the cost model, exploration safe
 	// because bad plans are costed, never executed.
 	PhaseCostTraining
-	// PhaseLatencyTuning: the reward switches to simulated execution
-	// latency (§5.2 Phase 2) and training continues asynchronously.
+	// PhaseLatencyTuning: the reward switches to the latency the engine
+	// observes running each training plan (§5.2 Phase 2) and training
+	// continues asynchronously.
 	PhaseLatencyTuning
 	// PhaseDone: the lifecycle completed its budgets. With
 	// LifecycleConfig.DriftRetrain the lifecycle stays resident here,
@@ -605,7 +595,8 @@ type LifecycleConfig struct {
 	EvalEvery       int
 
 	// LatencyEpisodes budgets the LatencyTuning phase (default 96);
-	// LatencyBudgetMs censors simulated execution (0 = no budget).
+	// LatencyBudgetMs censors the training plans' engine runs (0 = the
+	// service's execution budget, none if that is 0 too).
 	LatencyEpisodes int
 	LatencyBudgetMs float64
 
@@ -921,10 +912,11 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 	}
 	s.setProgress(func(p *lifecycleProgress) { p.demos = len(demos) })
 
-	// Build the cost→latency learner (robust bootstrap agent: Adam,
-	// scale-free baseline; the §5.2 reward-range hazard does not apply).
-	// Training rewards come from the same observed executor serving does —
-	// true latency feedback, not the analytic simulator — but exploratory
+	// Build the cost→latency learner. REINFORCE's defaults (Adam, a
+	// batch-standardized baseline, clipping) are scale-free, so the reward
+	// switches from cost to latency with no rescaling and no learner
+	// surgery: §5.2's reward-range hazard does not apply. Latency rewards
+	// come from the same observed executor serving does, but exploratory
 	// rollouts are NOT recorded per fingerprint: only served decisions and
 	// expert baselines may move the guard and drift ratios.
 	trainEnv := planspace.NewEnv(planspace.Config{
@@ -933,19 +925,16 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 		Planner:         planner,
 		Latency:         s.observed,
 		Queries:         cfg.Queries,
+		Reward:          lifecycleCostReward,
 		LatencyBudgetMs: cfg.LatencyBudgetMs,
 		Cache:           s.sys.PlanCache,
 		Seed:            cfg.Seed + 1,
 	})
-	boot := bootstrap.New(bootstrap.Config{
-		Env:    trainEnv,
-		Robust: true,
-		Agent: rl.ReinforceConfig{
-			Hidden:    cfg.Hidden,
-			LR:        cfg.LR,
-			BatchSize: cfg.BatchSize,
-			Seed:      cfg.Seed,
-		},
+	learner := rl.NewReinforce(trainEnv.ObsDim(), trainEnv.ActionDim(), rl.ReinforceConfig{
+		Hidden:    cfg.Hidden,
+		LR:        cfg.LR,
+		BatchSize: cfg.BatchSize,
+		Seed:      cfg.Seed,
 	})
 	// Prime the learner on the demonstrated trajectories (their rewards are
 	// the same −log(cost) the cost phase trains on). It updates only on a
@@ -957,13 +946,13 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 			return s.stopped(err)
 		}
 		for _, traj := range demos {
-			boot.RL.Observe(traj)
+			learner.Observe(traj)
 		}
 	}
-	s.publish(boot.RL)
+	s.publish(learner)
 	s.transition(PhaseCostTraining, fmt.Sprintf(
 		"every workload query demonstrated (%d); policy v%d published after %d learner updates, %d expert trajectories pending",
-		len(demos), s.policies.Version(), boot.RL.Updates, boot.RL.Pending()))
+		len(demos), s.policies.Version(), learner.Updates, learner.Pending()))
 
 	// --- CostTraining (§5.2 Phase 1, async actor-learner) --------------
 	// Every update is served at once, as the same immutable network the
@@ -989,33 +978,33 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 			chunk := min(cfg.EvalEvery, remaining)
 			seed++
 			async.Seed = seed
-			st := planspace.TrainAsyncCtx(ctx, trainEnv, boot.RL, chunk, async, nil)
+			st := planspace.TrainAsyncCtx(ctx, trainEnv, learner, chunk, async, nil)
 			remaining -= chunk
 			s.setProgress(func(p *lifecycleProgress) { p.costEpisodes += st.Episodes })
 			if err := ctx.Err(); err != nil {
 				return "", err
 			}
-			ratio = greedyRatio(sp, boot.RL.Policy, cfg.Queries, expert)
+			ratio = greedyRatio(sp, learner.Policy, cfg.Queries, expert)
 			s.setProgress(func(p *lifecycleProgress) { p.costRatio = ratio })
 			if cfg.CostRatioTarget > 0 && ratio <= cfg.CostRatioTarget {
 				reason = fmt.Sprintf("greedy cost ratio %.3f ≤ target %.3f", ratio, cfg.CostRatioTarget)
 				break
 			}
 		}
-		s.publish(boot.RL)
+		s.publish(learner)
 		return reason, nil
 	}
 	// latencyPhase runs one LatencyTuning round and publishes the result.
 	latencyPhase := func(episodes int) error {
-		boot.SwitchToLatency()
+		trainEnv.Cfg.Reward, trainEnv.Cfg.RewardNeedsLatency = lifecycleLatencyReward, true
 		seed++
 		async.Seed = seed
-		st := planspace.TrainAsyncCtx(ctx, trainEnv, boot.RL, episodes, async, nil)
+		st := planspace.TrainAsyncCtx(ctx, trainEnv, learner, episodes, async, nil)
 		s.setProgress(func(p *lifecycleProgress) { p.latencyEpisodes += st.Episodes })
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.publish(boot.RL)
+		s.publish(learner)
 		return nil
 	}
 
@@ -1051,7 +1040,7 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 			s.transition(PhaseDriftRetraining, reason)
 			s.history.FlushLearned()
 			s.drift.Reset()
-			boot.SwitchToCost()
+			trainEnv.Cfg.Reward, trainEnv.Cfg.RewardNeedsLatency = lifecycleCostReward, false
 			s.transition(PhaseCostTraining, "drift re-training: reward back on the cost model")
 			costReason, err := costPhase(cfg.RetrainCostEpisodes)
 			if err != nil {
@@ -1071,6 +1060,25 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 			}
 		}
 	}
+}
+
+// lifecycleCostReward is the CostTraining reward: −log of the plan's
+// cost-model value, −1e6 when the plan has no finite positive cost.
+func lifecycleCostReward(o planspace.Outcome) float64 {
+	if math.IsInf(o.Cost, 1) || o.Cost <= 0 {
+		return -1e6
+	}
+	return -math.Log(o.Cost)
+}
+
+// lifecycleLatencyReward is the LatencyTuning reward: −log of the observed
+// latency (a censored run reports the budget), −1e6 when the run failed
+// (NaN) or reported no positive latency.
+func lifecycleLatencyReward(o planspace.Outcome) float64 {
+	if o.LatencyMs <= 0 || math.IsNaN(o.LatencyMs) {
+		return -1e6
+	}
+	return -math.Log(o.LatencyMs)
 }
 
 // greedyRatio is the CostTraining transition predicate's measurement: the

@@ -558,6 +558,34 @@ func TestLatencyPhaseFaultSeamOrder(t *testing.T) {
 	}
 }
 
+// TestLifecycleRewards pins the lifecycle's two rewards: −log of the cost,
+// then of the observed latency, each −1e6 when there is no positive value
+// to take the log of. Each reads only its own indicator, and a censored run
+// is rewarded at its budget.
+func TestLifecycleRewards(t *testing.T) {
+	const budgetMs = 50
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		reward planspace.RewardFunc
+		out    planspace.Outcome
+		want   float64
+	}{
+		{"cost/inf", lifecycleCostReward, planspace.Outcome{Cost: inf, LatencyMs: 3}, -1e6},
+		{"cost/zero", lifecycleCostReward, planspace.Outcome{Cost: 0, LatencyMs: 3}, -1e6},
+		{"cost/finite", lifecycleCostReward, planspace.Outcome{Cost: 2500, LatencyMs: nan}, -math.Log(2500)},
+		{"latency/nan", lifecycleLatencyReward, planspace.Outcome{Cost: 2500, LatencyMs: nan}, -1e6},
+		{"latency/zero", lifecycleLatencyReward, planspace.Outcome{Cost: 2500, LatencyMs: 0}, -1e6},
+		{"latency/negative", lifecycleLatencyReward, planspace.Outcome{Cost: 2500, LatencyMs: -3}, -1e6},
+		{"latency/finite", lifecycleLatencyReward, planspace.Outcome{Cost: inf, LatencyMs: 12.5}, -math.Log(12.5)},
+		{"latency/censored", lifecycleLatencyReward, planspace.Outcome{Cost: 2500, LatencyMs: budgetMs, TimedOut: true}, -math.Log(budgetMs)},
+	} {
+		if got := c.reward(c.out); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("%s: reward %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestServiceLifecycleCancellation(t *testing.T) {
 	svc := testService(t)
 	ctx, cancel := context.WithCancel(context.Background())
