@@ -328,6 +328,26 @@ func runService(quick bool, scale float64, seed int64, timeout time.Duration) {
 		es.ScanMemo.PlanHits, es.ScanMemo.PlanMisses, es.ScanMemo.ScanHits, es.ScanMemo.ScanMisses, es.ScanMemo.IndexBuilds, es.ScanMemo.IndexReuses, es.ScanMemo.Bytes>>10, es.ScanMemo.Evictions)
 }
 
+// A connection may take readHeaderTimeout to send a request's headers and
+// stay idleTimeout between requests; past either the listener closes it, so
+// a client that never finishes does not hold a goroutine and a connection
+// for good. Neither bounds a request's body or its planning, which the
+// per-request deadline does.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the listener runServe puts srv behind.
+func newHTTPServer(srv *server.Server) *http.Server {
+	return &http.Server{
+		Addr:              srv.Config().Addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe mounts N independent tenants — each its own handsfree.Service
 // with its own substrate, plan cache, and lifecycle — behind one HTTP
 // listener with admission control, then serves until SIGINT/SIGTERM, at
@@ -383,7 +403,7 @@ func runServe(cfg server.Config, tenantCount int, train, quick bool, scale float
 
 	srv := server.New(cfg, reg)
 	fmt.Fprint(os.Stderr, srv.Config().Describe(tenantCount))
-	httpSrv := &http.Server{Addr: srv.Config().Addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -11,6 +11,7 @@ import (
 
 	"handsfree/internal/plan"
 	"handsfree/internal/query"
+	"handsfree/internal/storage"
 )
 
 // outcome is everything one execution reports: the six counters (partial
@@ -113,6 +114,52 @@ func TestScanMemoWarmEqualsCold(t *testing.T) {
 		if st := eng.st; st.Evictions == 0 || st.ScanHits == 0 || st.PlanHits == 0 || st.IndexReuses == 0 || st.Bytes <= 0 || st.Bytes > eng.cap {
 			t.Errorf("%s engine should evict, still answer scans and joins, and stay under %d bytes: %+v", eng.name, eng.cap, st)
 		}
+	}
+}
+
+// TestScanMemoWarmEqualsColdPastCap: the default-cap memo overrun by
+// construction. Forty self-joins of a 100 000-row table on a key every value
+// of which two rows share differ only in a filter constant, so each is its
+// own entry of 2×(rows kept) pairs of ids — 0.9 to 1.6 MB — and together they
+// hold about twice memoCapBytes. Stored on their second run, they make the
+// memo evict; every run, before and after, agrees with a fresh engine's.
+func TestScanMemoWarmEqualsColdPastCap(t *testing.T) {
+	const rows, joins = 100_000, 40
+	db := storage.NewDB()
+	big := storage.NewTable("big", rows)
+	ids, keys := make([]int64, rows), make([]int64, rows)
+	for i := range ids {
+		ids[i], keys[i] = int64(i), int64(i%(rows/2))
+	}
+	_ = big.AddColumn("id", ids)
+	_ = big.AddColumn("k", keys)
+	db.Add(big)
+
+	type run struct {
+		q    *query.Query
+		root plan.Node
+		cold outcome
+	}
+	var runs []run
+	for j := 0; j < joins; j++ {
+		q := &query.Query{
+			Relations: []query.Relation{{Table: "big", Alias: "a"}, {Table: "big", Alias: "b"}},
+			Joins:     []query.Join{{LeftAlias: "a", LeftCol: "k", RightAlias: "b", RightCol: "k"}},
+			Filters:   []query.Filter{{Alias: "a", Column: "id", Op: query.Lt, Value: int64(rows - j*1000)}},
+		}
+		root := plan.JoinNodes(q, plan.HashJoin, plan.BuildScan(q, "b", plan.SeqScan, ""), plan.BuildScan(q, "a", plan.SeqScan, ""))
+		runs = append(runs, run{q: q, root: root, cold: executeOutcome(t, New(db), q, root, []string{"a.id", "b.id"}, 0)})
+	}
+	shared := New(db)
+	for pass := 0; pass < 3; pass++ {
+		for _, r := range runs {
+			if got := executeOutcome(t, shared, r.q, r.root, []string{"a.id", "b.id"}, 0); got != r.cold {
+				t.Errorf("pass %d, %v: shared engine %+v, cold %+v", pass, r.q.Filters[0], got, r.cold)
+			}
+		}
+	}
+	if st := shared.Stats(); st.Evictions == 0 || st.PlanHits == 0 || st.Bytes <= 0 || st.Bytes > memoCapBytes {
+		t.Errorf("the memo should overrun its %d bytes, evict, stay under the cap and still answer joins: %+v", memoCapBytes, st)
 	}
 }
 

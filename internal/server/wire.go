@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"handsfree/internal/query"
@@ -399,7 +401,8 @@ type ErrorResponse struct {
 type ErrorDetail struct {
 	// Code is one of: bad_request, unknown_tenant, plan_error,
 	// execute_error, deadline_exceeded, canceled, queue_full, slo_shed,
-	// draining, method_not_allowed, not_found.
+	// draining, method_not_allowed, not_found, encode_error (a 500: the
+	// response could not be written as JSON).
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
@@ -432,16 +435,19 @@ func decodePlanRequest(body io.Reader, wantSQL, allowExec bool) (*PlanRequest, *
 	if len(data) > maxBodyBytes {
 		return nil, badRequest("request body exceeds %d bytes", maxBodyBytes)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var req PlanRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("invalid JSON: %v", err)
+	req, ok := decodeFlat(data)
+	if !ok {
+		var apiErr *apiError
+		if req, apiErr = decodeStrict(data); apiErr != nil {
+			return nil, apiErr
+		}
 	}
-	// Reject trailing garbage after the JSON object.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, badRequest("trailing data after JSON body")
-	}
+	return validatePlanRequest(req, wantSQL, allowExec)
+}
+
+// validatePlanRequest checks a decoded request's fields against each other
+// and against the endpoint.
+func validatePlanRequest(req *PlanRequest, wantSQL, allowExec bool) (*PlanRequest, *apiError) {
 	if req.TimeoutMs < 0 {
 		return nil, badRequest("timeout_ms must be non-negative, got %d", req.TimeoutMs)
 	}
@@ -475,6 +481,23 @@ func decodePlanRequest(body io.Reader, wantSQL, allowExec bool) (*PlanRequest, *
 		if req.SQL != "" {
 			return nil, badRequest(`/plan takes "query", not "sql" (use /plansql)`)
 		}
+	}
+	return req, nil
+}
+
+// decodeStrict decodes a body with encoding/json, which defines what a
+// planning request may be: one object of PlanRequest's fields (keys matched
+// as encoding/json matches them), no unknown field, nothing after it.
+func decodeStrict(data []byte) (*PlanRequest, *apiError) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var req PlanRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, badRequest("invalid JSON: %v", err)
+	}
+	// Reject trailing garbage after the JSON object.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, badRequest("trailing data after JSON body")
 	}
 	return &req, nil
 }
@@ -560,13 +583,33 @@ func parseAgg(s string) (query.AggKind, error) {
 	}
 }
 
-// writeJSON writes a JSON response with the given status.
+// bodyPool holds response buffers. A body is encoded whole before its
+// headers go out, so Content-Length is known and the body is one Write.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers kept for reuse: one grown past it by a
+// rare large body (an EXPLAIN of a wide plan) is left to the collector.
+const maxPooledBody = 64 << 10
+
+// writeJSON writes v with the given status as one compact JSON value and a
+// newline, as json.Encoder.Encode writes it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		// Nothing has been written yet, so the failure can still be told.
+		buf.Reset()
+		_ = json.NewEncoder(buf).Encode(ErrorResponse{Error: ErrorDetail{Code: "encode_error", Message: err.Error()}})
+		status = http.StatusInternalServerError
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client may have gone away; nothing to do
+	_, _ = w.Write(buf.Bytes()) // the client may have gone away; nothing to do
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
 }
 
 // writeError writes the structured error envelope (and Retry-After on 429s).
