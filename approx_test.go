@@ -156,24 +156,3 @@ func TestServiceExecuteApproxFallsBackOnBudget(t *testing.T) {
 		t.Fatalf("fallback not counted: %+v", st)
 	}
 }
-
-// TestServiceApproxDefault: ExecutionConfig.Approx makes Execute route every
-// eligible query through the approximate path by default.
-func TestServiceApproxDefault(t *testing.T) {
-	svc := testService(t, WithExecution(ExecutionConfig{Approx: true, MaxRelError: 0.05}))
-	res, err := svc.Execute(context.Background(), approxQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Approx {
-		t.Fatalf("Approx-configured Execute served exactly: %+v", res)
-	}
-	// Ineligible queries still work — they just execute exactly.
-	res, err = svc.Execute(context.Background(), svc.Queries()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Approx || !res.ApproxFellBack {
-		t.Fatalf("join query under Approx default: %+v", res)
-	}
-}

@@ -37,7 +37,8 @@
 //	-request-timeout d  default per-request planning deadline (default 30s)
 //	-max-timeout d      cap on client-requested timeout_ms (default 2m)
 //	-drain d            graceful-drain budget on shutdown (default 30s)
-//	-train              start the learning lifecycle on every tenant
+//	-train              start the learning lifecycle on every tenant; it
+//	                    stays resident and re-trains on observed drift
 package main
 
 import (
@@ -70,7 +71,7 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 0, "serve mode: default per-request planning deadline (default 30s)")
 	maxTimeout := flag.Duration("max-timeout", 0, "serve mode: cap on client-requested timeout_ms (default 2m)")
 	drain := flag.Duration("drain", 0, "serve mode: graceful-drain budget on shutdown (default 30s)")
-	train := flag.Bool("train", false, "serve mode: start the learning lifecycle on every tenant")
+	train := flag.Bool("train", false, "serve mode: start the learning lifecycle on every tenant (resident, re-trains on drift)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -388,7 +389,9 @@ func runServe(cfg server.Config, tenantCount int, train, quick bool, scale float
 
 	if train {
 		for i, svc := range services {
-			lc := handsfree.LifecycleConfig{Seed: seed + int64(i)}
+			// A served tenant keeps learning: the lifecycle stays resident
+			// after done and re-trains on drift; Shutdown retires it.
+			lc := handsfree.LifecycleConfig{Seed: seed + int64(i), DriftRetrain: true}
 			if quick {
 				lc.CostEpisodes = 96
 				lc.EvalEvery = 48

@@ -104,14 +104,6 @@ type ExecutionConfig struct {
 	// by re-entering CostTraining.
 	DriftRatio   float64
 	DriftSustain int
-	// Approx routes Execute through the approximate path by default
-	// (sample-and-scale aggregates with bootstrap confidence intervals;
-	// exact fallback when MaxRelError cannot be met). ExecuteApprox is the
-	// per-call form; this is the service-wide default.
-	Approx bool
-	// MaxRelError is the default error budget for approximate execution
-	// (≤ 0 means DefaultMaxRelError).
-	MaxRelError float64
 }
 
 func (c *ExecutionConfig) fill() {
@@ -195,9 +187,6 @@ func (s *Service) execBudget() float64 {
 // Execute is safe for any number of concurrent callers, during training and
 // drift re-training included.
 func (s *Service) Execute(ctx context.Context, q *Query) (ExecResult, error) {
-	if s.execCfg.Approx {
-		return s.ExecuteApprox(ctx, q, s.execCfg.MaxRelError)
-	}
 	pr, err := s.Plan(ctx, q)
 	if err != nil {
 		return ExecResult{}, err

@@ -188,13 +188,10 @@ func TestServiceLatencyGuard(t *testing.T) {
 	}
 }
 
-// driftLifecycle is quickLifecycle with the resident drift watcher on and
-// small re-training budgets.
+// driftLifecycle is quickLifecycle with the resident drift watcher on.
 func driftLifecycle() LifecycleConfig {
 	cfg := quickLifecycle()
 	cfg.DriftRetrain = true
-	cfg.RetrainCostEpisodes = 24
-	cfg.RetrainLatencyEpisodes = 8
 	return cfg
 }
 
@@ -327,6 +324,7 @@ func TestServiceDriftRetrainsEndToEnd(t *testing.T) {
 	if !sawDrift || !sawRecost {
 		t.Fatalf("transitions missing drift re-entry: %+v", svc.LifecycleStats().Transitions)
 	}
+	checkTransitions(t, svc.LifecycleStats().Transitions)
 
 	// (5) Recovery: the flushed windows refill with healthy latencies, the
 	// ratio drops below the drift threshold, and learned serving resumes.
@@ -368,6 +366,83 @@ func TestServiceDriftRetrainsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServiceStaleDriftSignalDropped: a drift signal raised while no
+// lifecycle watches — against the policy of a lifecycle run without
+// DriftRetrain — waits in the channel; the next lifecycle's PhaseDone drops
+// it rather than re-training on it, so the resident watcher stays at
+// PhaseDone until it is stopped.
+func TestServiceStaleDriftSignalDropped(t *testing.T) {
+	svc, err := New(WithScale(0.05), WithWorkload(4, 4, 5, 3), WithFallbackRatio(0),
+		WithExecution(ExecutionConfig{
+			Window: 8, MinLearned: 2, MinExpert: 1, ProbeEvery: 3,
+			GuardRatio: 2.0, DriftRatio: 2.0, DriftSustain: 4,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := svc.StartTraining(ctx, quickLifecycle()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.WaitTraining(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		for _, q := range svc.Queries() {
+			if _, err := svc.Execute(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	targets := driftTargets(t, svc)
+	if len(targets) == 0 {
+		_, _ = learnedDivergent(t, svc)
+		targets = driftTargets(t, svc)
+	}
+	if len(targets) == 0 {
+		t.Fatal("no learned plan diverges from the expert; cannot inject differential drift")
+	}
+	deadline := time.Now().Add(90 * time.Second)
+	for svc.ExecStats().DriftEvents == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("drift never tripped; stats %+v", svc.ExecStats())
+		}
+		for _, q := range targets {
+			if _, err := svc.Execute(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	svc.Faults().Clear()
+
+	first := len(svc.LifecycleStats().Transitions)
+	if err := svc.StartTraining(ctx, driftLifecycle()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.WaitTraining(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(svc.driftCh); n != 0 {
+		t.Fatalf("%d drift signal(s) from the earlier lifecycle still pending at done", n)
+	}
+	if err := svc.StopTraining(ctx); err != nil {
+		t.Fatal(err)
+	}
+	trans := svc.LifecycleStats().Transitions
+	checkTransitions(t, trans)
+	for _, tr := range trans[first:] {
+		if tr.To == PhaseDriftRetraining {
+			t.Fatalf("the new lifecycle re-trained on a stale drift signal: %v→%v (%s)", tr.From, tr.To, tr.Reason)
+		}
+	}
+	if last := trans[len(trans)-1]; last.From != PhaseDone || last.To != PhaseStopped {
+		t.Fatalf("last transition %v→%v, want done→stopped", last.From, last.To)
+	}
+	if r := svc.ExecStats().Retrains; r != 0 {
+		t.Fatalf("%d re-training rounds, want none", r)
+	}
+}
+
 // TestServiceConcurrentExecuteDuringDriftRetraining hammers Execute from 8
 // goroutines while drift trips and the resident lifecycle re-trains live,
 // asserting every decision is complete and policy versions are monotone per
@@ -383,9 +458,7 @@ func TestServiceConcurrentExecuteDuringDriftRetraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cfg := driftLifecycle()
-	cfg.RetrainCostEpisodes = 16
-	if err := svc.StartTraining(ctx, cfg); err != nil {
+	if err := svc.StartTraining(ctx, driftLifecycle()); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.WaitTraining(ctx); err != nil {
@@ -474,4 +547,5 @@ func TestServiceConcurrentExecuteDuringDriftRetraining(t *testing.T) {
 	if got := svc.Phase(); got != PhaseStopped {
 		t.Fatalf("phase after StopTraining = %v, want stopped", got)
 	}
+	checkTransitions(t, svc.LifecycleStats().Transitions)
 }

@@ -609,13 +609,9 @@ type LifecycleConfig struct {
 	// the execution feedback loop: when the drift detector trips on a served
 	// fingerprint, the lifecycle transitions to PhaseDriftRetraining, flushes
 	// the stale learned latency history, and re-runs CostTraining +
-	// LatencyTuning before returning to PhaseDone (default off — without it
-	// the lifecycle goroutine exits at PhaseDone exactly as before).
+	// LatencyTuning on the same budgets before returning to PhaseDone
+	// (default off — without it the lifecycle goroutine exits at PhaseDone).
 	DriftRetrain bool
-	// RetrainCostEpisodes / RetrainLatencyEpisodes budget each drift
-	// re-training round (defaults: CostEpisodes and LatencyEpisodes).
-	RetrainCostEpisodes    int
-	RetrainLatencyEpisodes int
 }
 
 func (c *LifecycleConfig) fill(s *Service) {
@@ -646,12 +642,6 @@ func (c *LifecycleConfig) fill(s *Service) {
 	if c.LatencyBudgetMs == 0 && s.execCfg.BudgetMs > 0 {
 		// Training censors executions exactly like serving does.
 		c.LatencyBudgetMs = s.execCfg.BudgetMs
-	}
-	if c.RetrainCostEpisodes == 0 {
-		c.RetrainCostEpisodes = c.CostEpisodes
-	}
-	if c.RetrainLatencyEpisodes == 0 {
-		c.RetrainLatencyEpisodes = c.LatencyEpisodes
 	}
 }
 
@@ -873,56 +863,35 @@ func (s *Service) stopped(err error) error {
 	return err
 }
 
+// nextPhase is the learning state machine's one edge table: the phase that
+// follows each phase once its work ends, walked by the first round and by
+// every drift re-entry alike. A cancelled context sends any running phase to
+// PhaseStopped instead; StartTraining leaves PhaseIdle, PhaseDone or
+// PhaseStopped for PhaseDemonstration.
+var nextPhase = map[LifecyclePhase]LifecyclePhase{
+	PhaseIdle:            PhaseDemonstration,
+	PhaseDemonstration:   PhaseCostTraining,
+	PhaseCostTraining:    PhaseLatencyTuning,
+	PhaseLatencyTuning:   PhaseDone,
+	PhaseDone:            PhaseDriftRetraining,
+	PhaseDriftRetraining: PhaseCostTraining,
+}
+
 // runLifecycle is the learning state machine (one background goroutine) over
-// the serving layout sp. trained fires at the first transition to PhaseDone.
+// the serving layout sp: it walks nextPhase, running each phase's work, until
+// a phase fails or ends the lifecycle. trained fires at the first PhaseDone.
 func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *servePool, trained func()) error {
-	planner, space := s.sys.Planner, sp.space
-
-	// --- Demonstration (§5.1 steps 1–2) -------------------------------
-	// Each expert plan is replayed through the env, in query order since
-	// each execution consults the fault seam. The replay executes for real
-	// and is recorded as the expert baseline, so the execution feedback loop
-	// starts warm for every workload fingerprint. The plan's cost is the
-	// greedy ratio's baseline for the whole lifecycle: the expert plans from
-	// the query and the catalog statistics alone, which nothing changes.
-	s.transition(PhaseDemonstration, "lifecycle started: observe the expert")
-	demoEnv := planspace.NewEnv(planspace.Config{
-		Space:           space,
-		Stages:          cfg.Stages,
-		Planner:         planner,
-		Latency:         recordingExecutor{svc: s},
-		Queries:         cfg.Queries,
-		ExecuteAlways:   true,
-		LatencyBudgetMs: cfg.LatencyBudgetMs,
-		Cache:           s.sys.PlanCache,
-	})
-	demos := make([]rl.Trajectory, 0, len(cfg.Queries))
-	expert := make([]float64, 0, len(cfg.Queries))
-	for _, q := range cfg.Queries {
-		planned, err := demoEnv.Cfg.Planner.PlanCtx(ctx, q)
-		if err != nil {
-			return s.stopped(err)
-		}
-		traj, _, err := demoEnv.Replay(q, planned.Root)
-		if err != nil {
-			return s.stopped(err)
-		}
-		demos = append(demos, traj)
-		expert = append(expert, planned.Cost)
-	}
-	s.setProgress(func(p *lifecycleProgress) { p.demos = len(demos) })
-
-	// Build the cost→latency learner. REINFORCE's defaults (Adam, a
+	// The cost→latency learner. REINFORCE's defaults (Adam, a
 	// batch-standardized baseline, clipping) are scale-free, so the reward
-	// switches from cost to latency with no rescaling and no learner
+	// switches between cost and latency with no rescaling and no learner
 	// surgery: §5.2's reward-range hazard does not apply. Latency rewards
 	// come from the same observed executor serving does, but exploratory
 	// rollouts are NOT recorded per fingerprint: only served decisions and
 	// expert baselines may move the guard and drift ratios.
 	trainEnv := planspace.NewEnv(planspace.Config{
-		Space:           space,
+		Space:           sp.space,
 		Stages:          cfg.Stages,
-		Planner:         planner,
+		Planner:         s.sys.Planner,
 		Latency:         s.observed,
 		Queries:         cfg.Queries,
 		Reward:          lifecycleCostReward,
@@ -936,130 +905,158 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 		BatchSize: cfg.BatchSize,
 		Seed:      cfg.Seed,
 	})
-	// Prime the learner on the demonstrated trajectories (their rewards are
-	// the same −log(cost) the cost phase trains on). It updates only on a
-	// full batch: below BatchSize trajectories (2 × 6 < 16 for the
-	// benchmark's workload) v1 is the initial policy and the demonstrations
-	// enter the first cost-phase update.
-	for sweep := 0; sweep < cfg.DemoSweeps; sweep++ {
-		if err := ctx.Err(); err != nil {
-			return s.stopped(err)
-		}
-		for _, traj := range demos {
-			learner.Observe(traj)
-		}
-	}
-	s.publish(learner)
-	s.transition(PhaseCostTraining, fmt.Sprintf(
-		"every workload query demonstrated (%d); policy v%d published after %d learner updates, %d expert trajectories pending",
-		len(demos), s.policies.Version(), learner.Updates, learner.Pending()))
-
-	// --- CostTraining (§5.2 Phase 1, async actor-learner) --------------
 	// Every update is served at once, as the same immutable network the
 	// actors train against: one clone per update, and the one cache-epoch
 	// bump is planspace.TrainAsyncCtx's (trainEnv shares s.sys.PlanCache).
+	// Each training call runs on the next actor seed.
 	async := rl.AsyncConfig{
 		Actors:    cfg.Actors,
 		Staleness: cfg.Staleness,
+		Seed:      cfg.Seed + 100,
 		OnPublish: func(snap *paramserver.Snapshot) { s.policies.Publish(snap.Net, snap.Updates) },
 	}
-	seed := cfg.Seed + 100
+	train := func(episodes int) int {
+		async.Seed++
+		return planspace.TrainAsyncCtx(ctx, trainEnv, learner, episodes, async, nil).Episodes
+	}
+	var expert []float64 // each query's expert plan cost: greedyRatio's baseline
+	reentry := false     // the round in progress is a drift re-entry
 
-	// costPhase runs one CostTraining round (the initial one and every
-	// drift re-entry) and returns the transition reason for what ended it.
-	costPhase := func(episodes int) (string, error) {
-		remaining := episodes
-		ratio := math.Inf(1)
-		reason := fmt.Sprintf("cost budget exhausted (%d episodes)", episodes)
-		for remaining > 0 {
-			if err := ctx.Err(); err != nil {
-				return "", err
+	// Each running phase's work returns the reason the phase ends (the next
+	// transition's), or "" when the lifecycle ends there, or ctx's error.
+	work := map[LifecyclePhase]func() (string, error){
+		// Demonstration (§5.1 steps 1–2): each expert plan is replayed
+		// through the env, in query order since each execution consults the
+		// fault seam. The replay executes for real and is recorded as the
+		// expert baseline, so the execution feedback loop starts warm for
+		// every workload fingerprint. The plan's cost is the greedy ratio's
+		// baseline for the whole lifecycle: the expert plans from the query
+		// and the catalog statistics alone, which nothing changes.
+		PhaseDemonstration: func() (string, error) {
+			demoEnv := planspace.NewEnv(planspace.Config{
+				Space:           sp.space,
+				Stages:          cfg.Stages,
+				Planner:         s.sys.Planner,
+				Latency:         recordingExecutor{svc: s},
+				Queries:         cfg.Queries,
+				ExecuteAlways:   true,
+				LatencyBudgetMs: cfg.LatencyBudgetMs,
+				Cache:           s.sys.PlanCache,
+			})
+			demos := make([]rl.Trajectory, 0, len(cfg.Queries))
+			for _, q := range cfg.Queries {
+				planned, err := demoEnv.Cfg.Planner.PlanCtx(ctx, q)
+				if err != nil {
+					return "", err
+				}
+				traj, _, err := demoEnv.Replay(q, planned.Root)
+				if err != nil {
+					return "", err
+				}
+				demos = append(demos, traj)
+				expert = append(expert, planned.Cost)
 			}
-			chunk := min(cfg.EvalEvery, remaining)
-			seed++
-			async.Seed = seed
-			st := planspace.TrainAsyncCtx(ctx, trainEnv, learner, chunk, async, nil)
-			remaining -= chunk
-			s.setProgress(func(p *lifecycleProgress) { p.costEpisodes += st.Episodes })
-			if err := ctx.Err(); err != nil {
-				return "", err
+			s.setProgress(func(p *lifecycleProgress) { p.demos = len(demos) })
+			// Prime the learner on the demonstrated trajectories (their
+			// rewards are the same −log(cost) the cost phase trains on). It
+			// updates only on a full batch: below BatchSize trajectories
+			// (2 × 6 < 16 for the benchmark's workload) v1 is the initial
+			// policy and the demonstrations enter the first cost-phase update.
+			for sweep := 0; sweep < cfg.DemoSweeps; sweep++ {
+				if err := ctx.Err(); err != nil {
+					return "", err
+				}
+				for _, traj := range demos {
+					learner.Observe(traj)
+				}
 			}
-			ratio = greedyRatio(sp, learner.Policy, cfg.Queries, expert)
-			s.setProgress(func(p *lifecycleProgress) { p.costRatio = ratio })
-			if cfg.CostRatioTarget > 0 && ratio <= cfg.CostRatioTarget {
-				reason = fmt.Sprintf("greedy cost ratio %.3f ≤ target %.3f", ratio, cfg.CostRatioTarget)
-				break
-			}
-		}
-		s.publish(learner)
-		return reason, nil
-	}
-	// latencyPhase runs one LatencyTuning round and publishes the result.
-	latencyPhase := func(episodes int) error {
-		trainEnv.Cfg.Reward, trainEnv.Cfg.RewardNeedsLatency = lifecycleLatencyReward, true
-		seed++
-		async.Seed = seed
-		st := planspace.TrainAsyncCtx(ctx, trainEnv, learner, episodes, async, nil)
-		s.setProgress(func(p *lifecycleProgress) { p.latencyEpisodes += st.Episodes })
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.publish(learner)
-		return nil
-	}
-
-	costReason, err := costPhase(cfg.CostEpisodes)
-	if err != nil {
-		return s.stopped(err)
-	}
-	s.transition(PhaseLatencyTuning, costReason)
-
-	// --- LatencyTuning (§5.2 Phase 2, async actor-learner) -------------
-	if err := latencyPhase(cfg.LatencyEpisodes); err != nil {
-		return s.stopped(err)
-	}
-	s.transition(PhaseDone, fmt.Sprintf("latency budget exhausted (%d episodes)", cfg.LatencyEpisodes))
-	trained()
-	if !cfg.DriftRetrain {
-		return nil
-	}
-
-	// --- Resident drift watcher ---------------------------------------
-	// The lifecycle stays alive after Done, waiting on the execution
-	// feedback loop. A drift trip re-enters training: the stale learned
-	// latency history is flushed (expert baselines survive — the regressed
-	// policy's observations must not be held against its successor), the
-	// detector resets, the reward drops back to the cost model, and the
-	// CostTraining → LatencyTuning → Done path re-runs with the retrain
-	// budgets, hot-swapping policies the whole way.
-	for {
-		select {
-		case <-ctx.Done():
-			return s.stopped(ctx.Err())
-		case reason := <-s.driftCh:
-			s.transition(PhaseDriftRetraining, reason)
-			s.history.FlushLearned()
-			s.drift.Reset()
+			s.publish(learner)
+			return fmt.Sprintf(
+				"every workload query demonstrated (%d); policy v%d published after %d learner updates, %d expert trajectories pending",
+				len(demos), s.policies.Version(), learner.Updates, learner.Pending()), nil
+		},
+		// CostTraining (§5.2 Phase 1): train on the cost model until the
+		// budget is spent or the greedy cost ratio reaches the target.
+		PhaseCostTraining: func() (string, error) {
 			trainEnv.Cfg.Reward, trainEnv.Cfg.RewardNeedsLatency = lifecycleCostReward, false
-			s.transition(PhaseCostTraining, "drift re-training: reward back on the cost model")
-			costReason, err := costPhase(cfg.RetrainCostEpisodes)
-			if err != nil {
-				return s.stopped(err)
+			reason := fmt.Sprintf("cost budget exhausted (%d episodes)", cfg.CostEpisodes)
+			for remaining := cfg.CostEpisodes; remaining > 0; {
+				if err := ctx.Err(); err != nil {
+					return "", err
+				}
+				chunk := min(cfg.EvalEvery, remaining)
+				n := train(chunk)
+				remaining -= chunk
+				s.setProgress(func(p *lifecycleProgress) { p.costEpisodes += n })
+				if err := ctx.Err(); err != nil {
+					return "", err
+				}
+				ratio := greedyRatio(sp, learner.Policy, cfg.Queries, expert)
+				s.setProgress(func(p *lifecycleProgress) { p.costRatio = ratio })
+				if cfg.CostRatioTarget > 0 && ratio <= cfg.CostRatioTarget {
+					reason = fmt.Sprintf("greedy cost ratio %.3f ≤ target %.3f", ratio, cfg.CostRatioTarget)
+					break
+				}
 			}
-			s.transition(PhaseLatencyTuning, costReason)
-			if err := latencyPhase(cfg.RetrainLatencyEpisodes); err != nil {
-				return s.stopped(err)
+			s.publish(learner)
+			return reason, nil
+		},
+		// LatencyTuning (§5.2 Phase 2): train on the latency the engine
+		// observes running each training plan; a re-entry's ending counts
+		// one more completed re-training round.
+		PhaseLatencyTuning: func() (string, error) {
+			trainEnv.Cfg.Reward, trainEnv.Cfg.RewardNeedsLatency = lifecycleLatencyReward, true
+			n := train(cfg.LatencyEpisodes)
+			s.setProgress(func(p *lifecycleProgress) { p.latencyEpisodes += n })
+			if err := ctx.Err(); err != nil {
+				return "", err
 			}
-			s.retrains.Add(1)
-			s.transition(PhaseDone, fmt.Sprintf("drift re-training round %d complete", s.retrains.Load()))
-			// Drop any drift signal that queued up while re-training: it
-			// indicted the policy that was just replaced.
+			s.publish(learner)
+			if reentry {
+				return fmt.Sprintf("drift re-training round %d complete", s.retrains.Add(1)), nil
+			}
+			return fmt.Sprintf("latency budget exhausted (%d episodes)", cfg.LatencyEpisodes), nil
+		},
+		// Done: a drift signal still pending indicts a replaced policy (an
+		// earlier round's or an earlier lifecycle's) and is dropped, and
+		// WaitTraining is released. With DriftRetrain the lifecycle stays
+		// resident, waiting on the execution feedback loop.
+		PhaseDone: func() (string, error) {
 			select {
 			case <-s.driftCh:
 			default:
 			}
+			trained()
+			if !cfg.DriftRetrain {
+				return "", nil
+			}
+			select {
+			case <-ctx.Done():
+				return "", ctx.Err()
+			case reason := <-s.driftCh:
+				return reason, nil
+			}
+		},
+		// DriftRetraining: the stale learned latency history is flushed
+		// (expert baselines survive — the regressed policy's observations
+		// must not be held against its successor) and the detector resets;
+		// the round then re-runs on the same budgets, hot-swapping policies
+		// the whole way.
+		PhaseDriftRetraining: func() (string, error) {
+			s.history.FlushLearned()
+			s.drift.Reset()
+			reentry = true
+			return "drift re-training: reward back on the cost model", nil
+		},
+	}
+	for phase, reason := nextPhase[PhaseIdle], "lifecycle started: observe the expert"; reason != ""; phase = nextPhase[phase] {
+		s.transition(phase, reason)
+		var err error
+		if reason, err = work[phase](); err != nil {
+			return s.stopped(err)
 		}
 	}
+	return nil
 }
 
 // lifecycleCostReward is the CostTraining reward: −log of the plan's

@@ -214,6 +214,52 @@ func quickLifecycle() LifecycleConfig {
 	}
 }
 
+// checkTransitions fails t unless every recorded transition is an edge of
+// the learning state machine: a start (PhaseIdle, PhaseDone or PhaseStopped
+// → PhaseDemonstration, with StartTraining's reason), a nextPhase edge, or a
+// running phase stopping.
+func checkTransitions(t *testing.T, trans []PhaseChange) {
+	t.Helper()
+	for i, tr := range trans {
+		running := tr.From != PhaseIdle && tr.From != PhaseStopped
+		next, ok := nextPhase[tr.From]
+		switch {
+		case tr.To == PhaseDemonstration && (tr.From == PhaseIdle || tr.From == PhaseDone || tr.From == PhaseStopped):
+			if tr.Reason != "lifecycle started: observe the expert" {
+				t.Fatalf("transition %d: lifecycle start %v→%v with reason %q", i, tr.From, tr.To, tr.Reason)
+			}
+		case ok && next == tr.To, running && tr.To == PhaseStopped:
+		default:
+			t.Fatalf("transition %d: %v→%v (%q) is not an edge of the state machine", i, tr.From, tr.To, tr.Reason)
+		}
+	}
+}
+
+// TestLifecyclePhaseTable walks nextPhase: every phase but PhaseStopped has
+// exactly one successor, the first round reaches PhaseDone from PhaseIdle in
+// four steps, and a drift re-entry leaves PhaseDone for PhaseDriftRetraining
+// and rejoins the round at PhaseCostTraining.
+func TestLifecyclePhaseTable(t *testing.T) {
+	for p := PhaseIdle; p <= PhaseDriftRetraining; p++ {
+		if next, ok := nextPhase[p]; ok == (p == PhaseStopped) {
+			t.Fatalf("%v: successor %v (present %v)", p, next, ok)
+		}
+	}
+	if len(nextPhase) != int(PhaseDriftRetraining) {
+		t.Fatalf("nextPhase has %d rows, want one per phase but stopped", len(nextPhase))
+	}
+	p, steps := PhaseIdle, 0
+	for ; p != PhaseDone && steps <= len(nextPhase); steps++ {
+		p = nextPhase[p]
+	}
+	if p != PhaseDone || steps != 4 {
+		t.Fatalf("the walk from idle reached %v in %d steps, want done in 4", p, steps)
+	}
+	if a, b := nextPhase[PhaseDone], nextPhase[nextPhase[PhaseDone]]; a != PhaseDriftRetraining || b != PhaseCostTraining {
+		t.Fatalf("done → %v → %v, want drift-retraining → cost-training", a, b)
+	}
+}
+
 func TestServiceLifecyclePhasesInOrder(t *testing.T) {
 	svc := testService(t)
 	ctx := context.Background()
@@ -230,6 +276,7 @@ func TestServiceLifecyclePhasesInOrder(t *testing.T) {
 	if st.Phase != PhaseDone {
 		t.Fatalf("final phase %v, want done (%+v)", st.Phase, st)
 	}
+	checkTransitions(t, st.Transitions)
 	want := []struct{ from, to LifecyclePhase }{
 		{PhaseIdle, PhaseDemonstration},
 		{PhaseDemonstration, PhaseCostTraining},
@@ -610,6 +657,7 @@ func TestServiceLifecycleCancellation(t *testing.T) {
 	if err := svc.WaitTraining(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	checkTransitions(t, svc.LifecycleStats().Transitions)
 }
 
 // TestStartTrainingRejectsOversizedQuery: the training envs hold relation
