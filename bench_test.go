@@ -1,8 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus micro-benchmarks of the substrate. Each figure-level benchmark runs a
-// scaled-down version of the corresponding experiment in
-// internal/experiment and reports the figure's headline quantity as a
-// custom metric; full-scale runs use cmd/handsfree.
+// Micro-benchmarks of the substrate, the service and the kernels. The
+// paper's figures are regenerated by cmd/handsfree and asserted by the tests
+// in internal/experiment.
 package handsfree
 
 import (
@@ -15,7 +13,6 @@ import (
 	"time"
 
 	"handsfree/internal/engine"
-	"handsfree/internal/experiment"
 	"handsfree/internal/nn"
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plan"
@@ -25,160 +22,40 @@ import (
 )
 
 var (
-	benchLabOnce sync.Once
-	benchLab     *experiment.Lab
-	benchLabErr  error
+	benchSysOnce sync.Once
+	benchSys     *System
+	benchSysErr  error
 )
 
-func lab(b *testing.B) *experiment.Lab {
+// benchSystem is the substrate the micro-benchmarks share: the quick scale,
+// exact statistics.
+func benchSystem(b *testing.B) *System {
 	b.Helper()
-	benchLabOnce.Do(func() {
-		benchLab, benchLabErr = experiment.NewLab(experiment.QuickLabConfig())
+	benchSysOnce.Do(func() {
+		var svc *Service
+		svc, benchSysErr = New(WithScale(0.05), WithStats(StatsExact))
+		if benchSysErr == nil {
+			benchSys = svc.System()
+		}
 	})
-	if benchLabErr != nil {
-		b.Fatal(benchLabErr)
+	if benchSysErr != nil {
+		b.Fatal(benchSysErr)
 	}
-	return benchLab
-}
-
-// BenchmarkFig3aConvergence regenerates Figure 3a (ReJOIN convergence).
-// Metric: final plan cost relative to the traditional optimizer (percent).
-func BenchmarkFig3aConvergence(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.Fig3a(experiment.Fig3aConfig{
-			Episodes: 2000, QueryCount: 8, MinRel: 4, MaxRel: 6,
-			SamplePoints: 10, Window: 150, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Curve.Last(), "final-%-of-postgres")
-	}
-}
-
-// BenchmarkFig3bPlanCost regenerates Figure 3b (final cost per JOB query).
-// Metric: queries where ReJOIN matched or beat the baseline.
-func BenchmarkFig3bPlanCost(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.Fig3b(experiment.Fig3bConfig{Episodes: 2500, Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Wins), "wins-of-10")
-	}
-}
-
-// BenchmarkFig3cPlanningTime regenerates Figure 3c (planning time vs
-// relation count). Metric: traditional-vs-ReJOIN time ratio at 12 relations.
-func BenchmarkFig3cPlanningTime(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.Fig3c(experiment.Fig3cConfig{
-			RelationCounts: []int{4, 8, 12, 14}, Repeats: 2, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Postgres.Y[2]/res.ReJOIN.Y[2], "pg/rejoin-time-at-12rel")
-	}
-}
-
-// BenchmarkNaiveFullSpace regenerates the §4 negative result. Metric: how
-// many times worse the naive full-space agent is than the restricted one.
-func BenchmarkNaiveFullSpace(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.NaiveFullSpace(experiment.NaiveConfig{
-			Episodes: 2000, QueryCount: 8, MinRel: 4, MaxRel: 6, EvalEvery: 500, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.FinalAgent/res.FinalJoinOrder, "naive/restricted-ratio")
-	}
-}
-
-// BenchmarkLatencyRewardTimeouts regenerates §4 footnote 2. Metric: the
-// fraction of tabula-rasa episodes hitting the execution budget.
-func BenchmarkLatencyRewardTimeouts(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.LatencyFromScratch(experiment.ScratchLatencyConfig{
-			Episodes: 120, QueryCount: 8, MinRel: 5, MaxRel: 7, BudgetFactor: 25, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.TimeoutFraction, "timeout-fraction")
-	}
-}
-
-// BenchmarkLfD regenerates §5.1. Metric: latency ratio vs expert after
-// imitation alone (before any agent-driven execution).
-func BenchmarkLfD(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.LfDExperiment(experiment.LfDConfig{
-			QueryCount: 8, MinRel: 5, MaxRel: 7, PretrainBatches: 1200, FineTuneEpisodes: 200, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.RatioAfterPretrain, "imitation-ratio")
-		b.ReportMetric(float64(res.Catastrophic), "catastrophic-execs")
-	}
-}
-
-// BenchmarkBootstrapScaling regenerates §5.2. Metric: extra destabilization
-// of the unscaled reward switch versus the paper's linear rescaling.
-func BenchmarkBootstrapScaling(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.BootstrapExperiment(experiment.BootstrapConfig{
-			QueryCount: 8, MinRel: 4, MaxRel: 6, Phase1Episodes: 1200, Phase2Episodes: 600, EvalEvery: 150, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.DipUnscaled-res.DipScaled, "extra-dip-log10")
-	}
-}
-
-// BenchmarkCurricula regenerates §5.3. Metric: the flat baseline's final
-// ratio divided by the best curriculum's.
-func BenchmarkCurricula(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		res, err := l.CurriculumExperiment(experiment.CurriculumConfig{
-			QueryCount: 12, MinRel: 2, MaxRel: 5, EpisodesPerPhase: 250, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		best := res.FinalRatios["pipeline"]
-		for _, name := range []string{"relations", "hybrid"} {
-			if r := res.FinalRatios[name]; r < best {
-				best = r
-			}
-		}
-		b.ReportMetric(res.FinalRatios["flat (naive §4)"]/best, "flat/best-curriculum")
-	}
+	return benchSys
 }
 
 // --- substrate micro-benchmarks ---
 
 // BenchmarkPlannerDP measures exhaustive DP planning on an 8-relation query.
 func BenchmarkPlannerDP(b *testing.B) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(8, 3)
+	sys := benchSystem(b)
+	q, err := sys.Workload.ByRelations(8, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Planner.PlanWith(q, optimizer.DP); err != nil {
+		if _, err := sys.Planner.PlanWith(q, optimizer.DP); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,14 +63,14 @@ func BenchmarkPlannerDP(b *testing.B) {
 
 // BenchmarkPlannerGreedy measures greedy planning on an 8-relation query.
 func BenchmarkPlannerGreedy(b *testing.B) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(8, 3)
+	sys := benchSystem(b)
+	q, err := sys.Workload.ByRelations(8, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Planner.PlanWith(q, optimizer.Greedy); err != nil {
+		if _, err := sys.Planner.PlanWith(q, optimizer.Greedy); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,14 +78,14 @@ func BenchmarkPlannerGreedy(b *testing.B) {
 
 // BenchmarkPlannerGEQO measures randomized search on a 17-relation query.
 func BenchmarkPlannerGEQO(b *testing.B) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(17, 3)
+	sys := benchSystem(b)
+	q, err := sys.Workload.ByRelations(17, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Planner.PlanWith(q, optimizer.GEQO); err != nil {
+		if _, err := sys.Planner.PlanWith(q, optimizer.GEQO); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,35 +93,35 @@ func BenchmarkPlannerGEQO(b *testing.B) {
 
 // BenchmarkCostModel measures costing one physical plan.
 func BenchmarkCostModel(b *testing.B) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(8, 3)
+	sys := benchSystem(b)
+	q, err := sys.Workload.ByRelations(8, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	planned, err := l.Planner.Plan(q)
+	planned, err := sys.Planner.Plan(q)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Model.Cost(q, planned.Root)
+		sys.Cost.Cost(q, planned.Root)
 	}
 }
 
 // BenchmarkSimulatedLatency measures one latency-model evaluation.
 func BenchmarkSimulatedLatency(b *testing.B) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(8, 3)
+	sys := benchSystem(b)
+	q, err := sys.Workload.ByRelations(8, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	planned, err := l.Planner.Plan(q)
+	planned, err := sys.Planner.Plan(q)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Latency.Latency(q, planned.Root)
+		sys.Latency.Latency(q, planned.Root)
 	}
 }
 
@@ -437,8 +314,8 @@ func BenchmarkMatMulSerial(b *testing.B) {
 // path (first completion fills the reused map, later completions of the
 // same episode — e.g. the double CostFixed aggregation probe — hit it).
 func BenchmarkSkeletonHashing(b *testing.B) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(8, 3)
+	sys := benchSystem(b)
+	q, err := sys.Workload.ByRelations(8, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -474,13 +351,13 @@ func BenchmarkCompletePhysicalCold(b *testing.B) {
 }
 
 func benchCompletePhysical(b *testing.B, withCache bool) {
-	l := lab(b)
-	q, err := l.Workload.ByRelations(8, 3)
+	sys := benchSystem(b)
+	q, err := sys.Workload.ByRelations(8, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	skeleton := optimizer.RandomOrder(q, rand.New(rand.NewSource(7)))
-	planner := l.Planner
+	planner := sys.Planner
 	if withCache {
 		planner = planner.WithCache(plancache.New(plancache.Config{Capacity: 4096}))
 		planner.CompletePhysical(q, skeleton) // warm

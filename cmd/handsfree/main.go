@@ -1,5 +1,5 @@
-// Command handsfree regenerates the paper's figures and experiments, and
-// runs the optimizer-as-a-service lifecycle end to end.
+// Command handsfree regenerates the paper's figures and experiments, runs
+// the optimizer-as-a-service lifecycle end to end, and plans single queries.
 //
 //	handsfree fig3a        ReJOIN convergence (Figure 3a)
 //	handsfree fig3b        final plan cost per JOB query (Figure 3b)
@@ -14,6 +14,9 @@
 //	                       workload through the safeguarded Plan path
 //	handsfree serve        multi-tenant JSON-over-HTTP optimizer server
 //	                       with admission control and graceful drain
+//	handsfree plan         optimize one query (-sql or -named) with every
+//	                       planner, then serve it through the safeguarded
+//	                       decision path (-execute also runs it)
 //	handsfree env          print the resolved compute and serving
 //	                       configuration (engine, precision, tile sizes,
 //	                       workers, address, tenants, queue, SLO)
@@ -21,11 +24,22 @@
 //
 // Flags:
 //
-//	-quick        miniature substrate and budgets (minutes → seconds)
+//	-quick        miniature substrate (scale 0.05, not 0.25) and budgets
+//	              (minutes → seconds)
 //	-scale f      database scale factor override
 //	-seed n       experiment seed override
 //	-timeout d    service mode: overall lifecycle deadline, and per-query
-//	              planning deadline on the Plan(ctx) serving path
+//	              planning deadline on the Plan(ctx) serving path; plan
+//	              mode: deadline of each planning call
+//
+// Plan-mode flags:
+//
+//	-sql s        SQL text to optimize
+//	-named s      named workload query (e.g. 1a, 8c, 22c)
+//	-execute      also execute the served plan on the columnar engine
+//
+//	handsfree -named 8c -execute plan
+//	handsfree -quick -sql "SELECT COUNT(*) FROM title t, movie_companies mc WHERE mc.movie_id = t.id AND t.production_year > 80" plan
 //
 // Serve-mode flags (see `handsfree env` for the resolved values):
 //
@@ -59,10 +73,13 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "use miniature budgets")
+	quick := flag.Bool("quick", false, "use the miniature substrate and budgets")
 	scale := flag.Float64("scale", 0, "database scale factor override")
 	seed := flag.Int64("seed", 0, "experiment seed override")
-	timeout := flag.Duration("timeout", 0, "service mode: lifecycle deadline and per-query planning deadline (0 = none)")
+	timeout := flag.Duration("timeout", 0, "service and plan modes: per-query planning deadline, and the service lifecycle's (0 = none)")
+	sql := flag.String("sql", "", "plan mode: SQL text to optimize")
+	named := flag.String("named", "", "plan mode: named workload query (e.g. 1a, 8c, 22c)")
+	execute := flag.Bool("execute", false, "plan mode: also execute the served plan on the columnar engine")
 	addr := flag.String("addr", "", "serve mode: listen address (default :8080)")
 	tenants := flag.Int("tenants", 1, "serve mode: number of independent tenants to mount")
 	concurrency := flag.Int("concurrency", 0, "serve mode: concurrent planning slots (default GOMAXPROCS)")
@@ -95,25 +112,30 @@ func main() {
 		return
 	}
 
-	if cmd == "service" {
-		runService(*quick, *scale, *seed, *timeout)
+	// Every mode opens its substrate at one scale: -scale when given, else
+	// the quick or the recorded one.
+	dbScale := experiment.DefaultScale
+	switch {
+	case *scale > 0:
+		dbScale = *scale
+	case *quick:
+		dbScale = experiment.QuickScale
+	}
+
+	switch cmd {
+	case "service":
+		runService(*quick, dbScale, *seed, *timeout)
+		return
+	case "serve":
+		runServe(serveCfg, *tenants, *train, *quick, dbScale, *seed)
+		return
+	case "plan":
+		runPlan(*sql, *named, *execute, dbScale, *timeout)
 		return
 	}
 
-	if cmd == "serve" {
-		runServe(serveCfg, *tenants, *train, *quick, *scale, *seed)
-		return
-	}
-
-	labCfg := experiment.DefaultLabConfig()
-	if *quick {
-		labCfg = experiment.QuickLabConfig()
-	}
-	if *scale > 0 {
-		labCfg.Scale = *scale
-	}
-	fmt.Fprintf(os.Stderr, "building substrate (scale %.2f)…\n", labCfg.Scale)
-	lab, err := experiment.NewLab(labCfg)
+	fmt.Fprintf(os.Stderr, "building substrate (scale %.2f)…\n", dbScale)
+	lab, err := experiment.NewLab(dbScale)
 	if err != nil {
 		fatal(err)
 	}
@@ -233,12 +255,6 @@ func main() {
 // report the lifecycle transitions and serving counters. The -timeout flag
 // bounds the whole lifecycle via context and each Plan call individually.
 func runService(quick bool, scale float64, seed int64, timeout time.Duration) {
-	if scale == 0 {
-		scale = 0.25
-		if quick {
-			scale = 0.05
-		}
-	}
 	if seed == 0 {
 		seed = 3
 	}
@@ -358,12 +374,6 @@ func runServe(cfg server.Config, tenantCount int, train, quick bool, scale float
 	if tenantCount < 1 {
 		fatal(fmt.Errorf("-tenants must be at least 1, got %d", tenantCount))
 	}
-	if scale == 0 {
-		scale = 0.25
-		if quick {
-			scale = 0.05
-		}
-	}
 	if seed == 0 {
 		seed = 3
 	}
@@ -464,6 +474,7 @@ func fatal(err error) {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: handsfree [-quick] [-scale f] [-seed n] [-timeout d] <experiment>
+       handsfree [-quick] [-scale f] [-timeout d] (-sql s | -named s) [-execute] plan
 
 experiments:
   fig3a        ReJOIN convergence (Figure 3a)
@@ -485,6 +496,11 @@ experiments:
                admission control, load shedding, and graceful drain
                (-addr -tenants -concurrency -queue -slo -request-timeout
                -max-timeout -drain -train)
+  plan         optimize one query with every planner (dp, greedy, geqo),
+               then serve it through the safeguarded decision path
+               (-sql text or -named query; -execute also runs the served
+               plan and reports its observed latency; -timeout bounds each
+               planning call)
   env          print the resolved compute and serving configuration
                (engine, precision, tile sizes, kernel workers, plus the
                serve-mode address, tenants, queue depth, SLO, timeouts)

@@ -1,60 +1,49 @@
-// Command queryopt optimizes a single SQL query against the synthetic
-// database with every available planner and reports plans, costs, and the
-// cost model's latency predictions, then serves the query through the
-// handsfree.Service decision path (expert plan + safeguards). With -execute
-// the served plan actually runs on the columnar engine and the observed
-// latency — the signal the service's latency guard and drift detector feed
-// on — is reported next to the decision.
-//
-//	queryopt -sql "SELECT COUNT(*) FROM title t, movie_companies mc WHERE mc.movie_id = t.id AND t.production_year > 80"
-//	queryopt -named 8c
-//	queryopt -named 8c -execute
-//	queryopt -named 22c -timeout 50ms
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"handsfree"
 	"handsfree/internal/optimizer"
 )
 
-func main() {
-	sql := flag.String("sql", "", "SQL text to optimize")
-	named := flag.String("named", "", "named workload query (e.g. 1a, 8c, 22c)")
-	scale := flag.Float64("scale", 0.25, "database scale factor")
-	execute := flag.Bool("execute", false, "also execute the best plan on the columnar engine")
-	timeout := flag.Duration("timeout", 0, "planning deadline per query (0 = none); expired deadlines abort the search mid-flight")
-	flag.Parse()
-
-	if (*sql == "") == (*named == "") {
-		fmt.Fprintln(os.Stderr, "queryopt: provide exactly one of -sql or -named")
+// runPlan optimizes a single query — SQL text or a named workload query —
+// with every available planner and reports plans, costs, and the cost
+// model's latency predictions, then serves the query through the
+// handsfree.Service decision path (expert plan + safeguards). With execute
+// the served plan actually runs on the columnar engine and the observed
+// latency — the signal the service's latency guard and drift detector feed
+// on — is reported next to the decision. A timeout bounds each planning
+// call separately.
+func runPlan(sql, named string, execute bool, scale float64, timeout time.Duration) {
+	if (sql == "") == (named == "") {
+		fmt.Fprintln(os.Stderr, "handsfree plan: provide exactly one of -sql or -named")
 		os.Exit(2)
 	}
 
-	svc, err := handsfree.New(handsfree.WithScale(*scale))
+	svc, err := handsfree.New(handsfree.WithScale(scale))
 	if err != nil {
 		fatal(err)
 	}
 	sys := svc.System()
 
 	// planCtx returns a fresh request context per planning call, so each
-	// strategy gets the full -timeout budget.
+	// strategy gets the full timeout budget.
 	planCtx := func() (context.Context, context.CancelFunc) {
-		if *timeout > 0 {
-			return context.WithTimeout(context.Background(), *timeout)
+		if timeout > 0 {
+			return context.WithTimeout(context.Background(), timeout)
 		}
 		return context.Background(), func() {}
 	}
 
 	var q *handsfree.Query
-	if *sql != "" {
-		q, err = handsfree.ParseSQL(*sql)
+	if sql != "" {
+		q, err = handsfree.ParseSQL(sql)
 	} else {
-		q, err = sys.Workload.Named(*named)
+		q, err = sys.Workload.Named(named)
 	}
 	if err != nil {
 		fatal(err)
@@ -78,7 +67,7 @@ func main() {
 			strat, planned.Cost, planned.Rows, planned.Duration.Round(0), lat, handsfree.ExplainPlan(planned.Root))
 	}
 
-	if !*execute {
+	if !execute {
 		// The service decision: what a hands-free deployment would actually
 		// serve (expert until trained, learned within the safeguards after).
 		ctx, cancel := planCtx()
@@ -120,9 +109,4 @@ func guardNote(res handsfree.ExecResult) string {
 	default:
 		return ""
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "queryopt:", err)
-	os.Exit(1)
 }

@@ -109,15 +109,13 @@ func ExampleService_NewReJOINAgent() {
 	// positive cost: true
 }
 
-// ExampleConfig_cache enables the plan cache service: episode collection
+// ExampleWithCache enables the plan cache service: episode collection
 // memoizes optimizer completions, so every repetition of a workload query
 // after the first is served (fully or partially) from cache.
-func ExampleConfig_cache() {
+func ExampleWithCache() {
 	svc, err := handsfree.New(
-		handsfree.WithConfig(handsfree.Config{
-			Scale: 0.05,
-			Cache: handsfree.CacheConfig{Enabled: true, Capacity: 4096},
-		}),
+		handsfree.WithScale(0.05),
+		handsfree.WithCache(handsfree.CacheConfig{Capacity: 4096}),
 		handsfree.WithWorkload(4, 4, 5, 3),
 	)
 	if err != nil {

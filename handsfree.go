@@ -87,10 +87,10 @@ type (
 
 // StatsMode selects the statistics source the planning stack — cost model,
 // optimizer DP, and learned featurization — reads its cardinality estimates
-// from; see Config.Stats.
+// from; see WithStats.
 type StatsMode int
 
-// Statistics modes for Config.Stats.
+// Statistics modes for WithStats.
 const (
 	// StatsAuto resolves through the HANDSFREE_STATS environment variable
 	// ("exact" | "sketch") and defaults to StatsExact.
@@ -128,13 +128,11 @@ func (m StatsMode) String() string {
 	}
 }
 
-// CacheConfig controls the optional plan cache service.
+// CacheConfig sizes the optional plan cache service (WithCache), which
+// memoizes fingerprint → plan: the optimizer's full plans and the
+// per-episode skeleton completions are cached across episodes, so repeated
+// workload queries are cheap on every visit after the first.
 type CacheConfig struct {
-	// Enabled turns on fingerprint → plan memoization: the optimizer's
-	// full plans and the per-episode skeleton completions are cached
-	// across episodes, so repeated workload queries are cheap on every
-	// visit after the first.
-	Enabled bool
 	// Capacity bounds the cached entry count (default 4096; LRU eviction).
 	Capacity int
 	// Shards is the lock-sharding factor; training actors rarely contend
@@ -143,18 +141,22 @@ type CacheConfig struct {
 	Shards int
 }
 
-// Config seeds every substrate knob of New at once (WithConfig).
-type Config struct {
+// The truth oracle's systematic cardinality-error field and the latency
+// simulator's execution-noise field are fixed: every system draws the same
+// simulated world for a given database.
+const (
+	oracleSeed  = 11
+	latencySeed = 5
+)
+
+// config is the substrate state New's options assemble.
+type config struct {
 	// Seed drives data generation (default 1).
 	Seed int64
 	// Scale is the database scale factor (default 1.0 ≈ 400k rows).
 	Scale float64
-	// OracleSeed selects the systematic cardinality-error field (default 11).
-	OracleSeed int64
-	// LatencySeed selects the execution-noise field (default 5).
-	LatencySeed int64
-	// Cache configures the plan cache service (disabled by default).
-	Cache CacheConfig
+	// Cache sizes the plan cache service (nil: no plan cache).
+	Cache *CacheConfig
 	// Stats selects the statistics source planning runs on. The default,
 	// StatsAuto, resolves through the HANDSFREE_STATS environment variable
 	// and falls back to StatsExact. StatsSketch replaces the histogram
@@ -165,18 +167,12 @@ type Config struct {
 	Stats StatsMode
 }
 
-func (c *Config) fill() {
+func (c *config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Scale == 0 {
 		c.Scale = 1.0
-	}
-	if c.OracleSeed == 0 {
-		c.OracleSeed = 11
-	}
-	if c.LatencySeed == 0 {
-		c.LatencySeed = 5
 	}
 }
 
@@ -194,10 +190,10 @@ type System struct {
 	Engine   *engine.Engine
 	Workload *workload.Workload
 	// PlanCache is the plan cache service attached to Planner (nil unless
-	// Config.Cache.Enabled).
+	// New was given WithCache).
 	PlanCache *PlanCache
 	// StatsSource is the resolved statistics mode planning runs on
-	// (Config.Stats through HANDSFREE_STATS).
+	// (WithStats, StatsAuto through HANDSFREE_STATS).
 	StatsSource StatsMode
 
 	// sketchOnce guards the lazily built sketch store: exact-stats systems
@@ -250,7 +246,9 @@ func (s *System) cardEstimator() featurize.Estimator {
 
 // systemTag hashes the configuration fields that determine what plans and
 // costs the system computes (FNV-1a over seed, scale bits, oracle seed).
-func systemTag(cfg Config) uint64 {
+// The oracle seed is a constant, still mixed so that tags match the ones
+// plan-cache and execution-history dumps already carry.
+func systemTag(cfg config) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -261,7 +259,7 @@ func systemTag(cfg Config) uint64 {
 	}
 	mix(uint64(cfg.Seed))
 	mix(math.Float64bits(cfg.Scale))
-	mix(uint64(cfg.OracleSeed))
+	mix(oracleSeed)
 	// Sketch-driven planning produces different plans for the same query,
 	// so the mode is part of plan identity. Exact mode mixes nothing,
 	// keeping historical tags (and saved dumps) valid.
@@ -273,20 +271,20 @@ func systemTag(cfg Config) uint64 {
 
 // openSystem generates the synthetic database and assembles the substrate
 // bundle (the construction behind New).
-func openSystem(cfg Config) (*System, error) {
+func openSystem(cfg config) (*System, error) {
 	cfg.fill()
 	db, err := datagen.Generate(datagen.Config{Seed: cfg.Seed, Scale: cfg.Scale})
 	if err != nil {
 		return nil, err
 	}
 	est := stats.NewEstimator(db.Catalog, db.Stats)
-	oracle := stats.NewOracle(est, cfg.OracleSeed)
+	oracle := stats.NewOracle(est, oracleSeed)
 	sys := &System{
 		DB:          db,
 		Stats:       db.Stats,
 		Est:         est,
 		Oracle:      oracle,
-		Latency:     engine.NewLatencyModel(oracle, cfg.LatencySeed),
+		Latency:     engine.NewLatencyModel(oracle, latencySeed),
 		Engine:      engine.New(db.Store),
 		Workload:    workload.New(db),
 		StatsSource: cfg.Stats.Resolve(),
@@ -302,7 +300,7 @@ func openSystem(cfg Config) (*System, error) {
 	}
 	sys.Cost = cost.New(cost.DefaultParams(), cards)
 	sys.Planner = optimizer.New(db.Catalog, sys.Cost)
-	if cfg.Cache.Enabled {
+	if cfg.Cache != nil {
 		sys.PlanCache = plancache.New(plancache.Config{
 			Capacity: cfg.Cache.Capacity,
 			Shards:   cfg.Cache.Shards,
@@ -320,7 +318,7 @@ func openSystem(cfg Config) (*System, error) {
 // system. Errors if the cache is disabled.
 func (s *System) SavePlanCache(w io.Writer) error {
 	if s.PlanCache == nil {
-		return fmt.Errorf("handsfree: plan cache is disabled (Config.Cache.Enabled)")
+		return fmt.Errorf("handsfree: plan cache is disabled (WithCache)")
 	}
 	return s.PlanCache.Save(w, s.cacheTag)
 }
@@ -332,7 +330,7 @@ func (s *System) SavePlanCache(w io.Writer) error {
 // catalog must never serve another.
 func (s *System) LoadPlanCache(r io.Reader) (int, error) {
 	if s.PlanCache == nil {
-		return 0, fmt.Errorf("handsfree: plan cache is disabled (Config.Cache.Enabled)")
+		return 0, fmt.Errorf("handsfree: plan cache is disabled (WithCache)")
 	}
 	return s.PlanCache.Load(r, s.cacheTag)
 }

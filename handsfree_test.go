@@ -246,3 +246,23 @@ func TestLoadPlanCacheRejectsDifferentSystem(t *testing.T) {
 		t.Fatal("plan-cache dump from a different system configuration loaded without error")
 	}
 }
+
+// TestSystemTagStable pins the plan-identity tag of three configurations, so
+// plan-cache and execution-history dumps written by earlier builds keep
+// loading: the tag still mixes the oracle seed 11 it mixed when that seed
+// was a setting.
+func TestSystemTagStable(t *testing.T) {
+	for _, c := range []struct {
+		cfg  config
+		want uint64
+	}{
+		{config{Stats: StatsExact}, 0xffe56ab2d181c7b2},
+		{config{Stats: StatsSketch}, 0x6e31f134898dcf6b},
+		{config{Scale: 0.05, Stats: StatsExact}, 0x31625eac6de0c8e2},
+	} {
+		c.cfg.fill()
+		if got := systemTag(c.cfg); got != c.want {
+			t.Fatalf("systemTag(%+v) = %#x, want %#x", c.cfg, got, c.want)
+		}
+	}
+}

@@ -104,6 +104,13 @@ func (s *Store) Load(r io.Reader, tag uint64) (int, error) {
 	if dump.Tag != tag {
 		return 0, fmt.Errorf("exechistory: dump was produced by a different system configuration (tag %#x, want %#x)", dump.Tag, tag)
 	}
+	// Every window pairs each latency with its policy version; a dump that
+	// does not is corrupt, and is refused before anything loads.
+	for _, se := range dump.Entries {
+		if len(se.Learned.Vals) != len(se.Learned.Vers) || len(se.Expert.Vals) != len(se.Expert.Vers) {
+			return 0, fmt.Errorf("exechistory: corrupt history dump: fingerprint %016x has latencies without policy versions", se.Fingerprint)
+		}
+	}
 	restored := 0
 	for _, se := range dump.Entries {
 		for i, v := range se.Learned.Vals {

@@ -2,6 +2,7 @@ package exechistory
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -86,6 +87,31 @@ func TestLoadRejectsWrongTagAndVersion(t *testing.T) {
 	}
 	if _, err := dst.Load(strings.NewReader("not a gob dump"), 1); err == nil {
 		t.Fatal("garbage dump loaded")
+	}
+}
+
+// TestLoadRejectsCorruptWindows: a dump whose windows hold more latencies
+// than policy versions is refused with an error, and nothing of it loads —
+// not even the well-formed entries before the corrupt one.
+func TestLoadRejectsCorruptWindows(t *testing.T) {
+	good := savedEntry{Fingerprint: 1, Expert: savedRing{Vals: []float64{3, 4}, Vers: []uint64{0, 0}}}
+	for name, bad := range map[string]savedEntry{
+		"learned": {Fingerprint: 2, Learned: savedRing{Vals: []float64{5, 6}, Vers: []uint64{1}}},
+		"expert":  {Fingerprint: 2, Expert: savedRing{Vals: []float64{5, 6}, Vers: []uint64{0}}},
+	} {
+		var buf bytes.Buffer
+		dump := savedStore{Version: savedStoreVersion, Tag: 7, Entries: []savedEntry{good, bad}}
+		if err := gob.NewEncoder(&buf).Encode(dump); err != nil {
+			t.Fatal(err)
+		}
+		dst := New(Config{})
+		n, err := dst.Load(&buf, 7)
+		if err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("%s: corrupt dump loaded (%d records, err %v)", name, n, err)
+		}
+		if n != 0 || dst.Stats().Records != 0 || dst.Stats().Fingerprints != 0 {
+			t.Fatalf("%s: refused dump still restored %d records (%+v)", name, n, dst.Stats())
+		}
 	}
 }
 

@@ -54,13 +54,13 @@ func (l *Lab) AblationOracle(cfg AblationOracleConfig) (*AblationOracleResult, e
 		Headroom: map[float64]float64{},
 	}
 	for _, sigma := range cfg.Sigmas {
-		oracle := stats.NewOracle(l.Est, l.Cfg.OracleSeed)
+		oracle := stats.NewOracle(l.Est, l.Oracle.Seed)
 		oracle.JoinSigma = sigma
 		if sigma == 0 {
 			oracle.JoinBias = 0
 			oracle.FilterSigma = 0
 		}
-		latency := engine.NewLatencyModel(oracle, l.Cfg.LatencySeed)
+		latency := engine.NewLatencyModel(oracle, l.Latency.Seed)
 
 		// The informed planner optimizes the hardware-truth objective
 		// directly (the best a learned optimizer could hope to reach).
@@ -131,7 +131,7 @@ func (l *Lab) AblationEnumerator(cfg AblationEnumeratorConfig) (*AblationEnumera
 			Columns: []string{"#relations", "bushy DP", "left-deep DP", "greedy", "geqo"},
 		},
 	}
-	leftPlanner := optimizer.New(l.DB.Catalog, l.Model)
+	leftPlanner := optimizer.New(l.DB.Catalog, l.Cost)
 	leftPlanner.LeftDeepOnly = true
 
 	for _, n := range cfg.RelationCounts {

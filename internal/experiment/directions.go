@@ -515,7 +515,7 @@ func (l *Lab) CurriculumExperiment(cfg CurriculumConfig) (*CurriculumResult, err
 			Agent: rl.ReinforceConfig{
 				Hidden: []int{128, 64}, LR: 1.5e-3, BatchSize: 16, Seed: cfg.Seed,
 			},
-			Cache: l.Cache,
+			Cache: l.PlanCache,
 			Seed:  cfg.Seed,
 		})
 		if _, err := tr.Run(sc.s, nil); err != nil {

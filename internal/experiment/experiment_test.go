@@ -4,15 +4,27 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"handsfree"
 )
 
 func quickLab(t *testing.T) *Lab {
 	t.Helper()
-	lab, err := NewLab(QuickLabConfig())
+	lab, err := NewLab(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return lab
+}
+
+// TestLabPinsExactStats: the recorded figures run on exact statistics
+// whatever HANDSFREE_STATS says, as they did before the Lab opened its
+// substrate through handsfree.New.
+func TestLabPinsExactStats(t *testing.T) {
+	t.Setenv("HANDSFREE_STATS", "sketch")
+	if got := quickLab(t).StatsSource; got != handsfree.StatsExact {
+		t.Fatalf("lab statistics %s under HANDSFREE_STATS=sketch, want exact", got)
+	}
 }
 
 func TestTableRender(t *testing.T) {

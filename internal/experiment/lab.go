@@ -6,92 +6,36 @@
 //
 // Each experiment returns a typed result carrying the raw series/tables plus
 // a Render method producing the aligned-text form the CLI prints. The
-// associated benchmarks in the repository root drive the same entry points.
+// package's tests assert each figure's shape on the quick substrate.
 package experiment
 
 import (
-	"fmt"
-
-	"handsfree/internal/cost"
-	"handsfree/internal/datagen"
-	"handsfree/internal/engine"
+	"handsfree"
 	"handsfree/internal/featurize"
-	"handsfree/internal/optimizer"
-	"handsfree/internal/plancache"
-	"handsfree/internal/stats"
-	"handsfree/internal/workload"
 )
 
-// LabConfig seeds and scales the shared experimental substrate.
-type LabConfig struct {
-	// Seed drives data generation.
-	Seed int64
-	// Scale is the database scale factor (1.0 ≈ 400k rows).
-	Scale float64
-	// OracleSeed selects the systematic cardinality-error field.
-	OracleSeed int64
-	// LatencySeed selects the execution-noise field.
-	LatencySeed int64
-	// CacheCapacity, when > 0, attaches a plan cache of that many entries
-	// to the lab's planner, memoizing expert plans and episode completions
-	// across experiments. The recorded experiment configurations leave it
-	// 0 so planning-time measurements (Figure 3c) price every plan from
-	// scratch, exactly as the paper's baseline does.
-	CacheCapacity int
-}
+// Substrate scales: DefaultScale is the one the recorded experiments use,
+// QuickScale a miniature for tests and smoke runs.
+const (
+	DefaultScale = 0.25
+	QuickScale   = 0.05
+)
 
-// DefaultLabConfig is the configuration used by the recorded experiments.
-func DefaultLabConfig() LabConfig {
-	return LabConfig{Seed: 1, Scale: 0.25, OracleSeed: 11, LatencySeed: 5}
-}
-
-// QuickLabConfig is a miniature substrate for tests and smoke runs.
-func QuickLabConfig() LabConfig {
-	return LabConfig{Seed: 1, Scale: 0.05, OracleSeed: 11, LatencySeed: 5}
-}
-
-// Lab is the shared substrate: one synthetic database with its statistics,
-// cost model, traditional optimizer, truth oracle, and latency simulator.
+// Lab is the shared substrate — one synthetic database with its statistics,
+// cost model, traditional optimizer, truth oracle, and latency simulator —
+// exactly as handsfree.New opens it.
 type Lab struct {
-	Cfg      LabConfig
-	DB       *datagen.Database
-	Est      *stats.Estimator
-	Oracle   *stats.Oracle
-	Model    *cost.Model
-	Planner  *optimizer.Planner
-	Latency  *engine.LatencyModel
-	Workload *workload.Workload
-	// Cache is the plan cache attached to Planner (nil when
-	// LabConfig.CacheCapacity is 0).
-	Cache *plancache.Cache
+	*handsfree.System
 }
 
-// NewLab builds the substrate.
-func NewLab(cfg LabConfig) (*Lab, error) {
-	db, err := datagen.Generate(datagen.Config{Seed: cfg.Seed, Scale: cfg.Scale})
+// NewLab opens the substrate at the given database scale. Statistics are
+// pinned to exact: recorded figures never follow HANDSFREE_STATS.
+func NewLab(scale float64) (*Lab, error) {
+	svc, err := handsfree.New(handsfree.WithScale(scale), handsfree.WithStats(handsfree.StatsExact))
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
+		return nil, err
 	}
-	est := stats.NewEstimator(db.Catalog, db.Stats)
-	oracle := stats.NewOracle(est, cfg.OracleSeed)
-	model := cost.New(cost.DefaultParams(), est)
-	planner := optimizer.New(db.Catalog, model)
-	var cache *plancache.Cache
-	if cfg.CacheCapacity > 0 {
-		cache = plancache.New(plancache.Config{Capacity: cfg.CacheCapacity})
-		planner = planner.WithCache(cache)
-	}
-	return &Lab{
-		Cfg:      cfg,
-		DB:       db,
-		Est:      est,
-		Oracle:   oracle,
-		Model:    model,
-		Planner:  planner,
-		Latency:  engine.NewLatencyModel(oracle, cfg.LatencySeed),
-		Workload: workload.New(db),
-		Cache:    cache,
-	}, nil
+	return &Lab{System: svc.System()}, nil
 }
 
 // Space builds a featurization space sized for queries up to maxRels.

@@ -49,7 +49,7 @@ const DefaultFallbackRatio = 1.2
 
 // serviceOptions is the state assembled by functional options.
 type serviceOptions struct {
-	cfg           Config
+	cfg           config
 	fallbackRatio float64
 	workload      *workloadSpec
 	exec          ExecutionConfig
@@ -62,12 +62,6 @@ type workloadSpec struct {
 
 // Option configures New.
 type Option func(*serviceOptions)
-
-// WithConfig seeds every substrate knob at once from a legacy Config; later
-// options override individual fields.
-func WithConfig(cfg Config) Option {
-	return func(o *serviceOptions) { o.cfg = cfg }
-}
 
 // WithSeed sets the database-generation seed (default 1).
 func WithSeed(seed int64) Option {
@@ -89,10 +83,7 @@ func WithStats(m StatsMode) Option {
 
 // WithCache enables and sizes the plan cache service.
 func WithCache(cc CacheConfig) Option {
-	return func(o *serviceOptions) {
-		cc.Enabled = true
-		o.cfg.Cache = cc
-	}
+	return func(o *serviceOptions) { o.cfg.Cache = &cc }
 }
 
 // WithWorkload attaches a generated training workload: count queries of
@@ -421,8 +412,7 @@ func (s *Service) PlanSQL(ctx context.Context, sql string) (PlanResult, error) {
 }
 
 // ExpertPlan runs only the traditional optimizer under a request-scoped
-// context — no learned policy, no safeguard. It is the request-scoped
-// equivalent of the deprecated System.Plan.
+// context — no learned policy, no safeguard.
 func (s *Service) ExpertPlan(ctx context.Context, q *Query) (Planned, error) {
 	return s.sys.Planner.PlanCtx(ctx, q)
 }
