@@ -223,15 +223,11 @@ func BenchmarkBatchedTrain(b *testing.B) {
 
 // TestBatchedTrainZeroAlloc pins the hot training path's zero-steady-state
 // allocation property end to end — replay sampling, batch assembly, the
-// forward/backward kernels, and the Adam step. Serial kernels only: the
-// parallel dispatch path allocates its task closures by design.
+// forward/backward kernels, and the Adam step.
 func TestBatchedTrainZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless under -race")
 	}
-	prev := nn.Workers()
-	nn.SetWorkers(1)
-	defer nn.SetWorkers(prev)
 	agent, buf := benchQAgent(1)
 	train := func() { agent.Train(buf, 64) }
 	train() // size the layer and batch buffers
@@ -266,45 +262,6 @@ func BenchmarkPerSampleTrain(b *testing.B) {
 		}
 		agent.Net.DivideGrads(float64(len(batch)))
 		agent.Opt.StepNet(agent.Net)
-	}
-}
-
-// BenchmarkMatMulParallel measures the goroutine-parallel kernel on the
-// batched-training matmul shape (64×256 · 256×128).
-func BenchmarkMatMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := nn.NewMat(64, 256)
-	w := nn.NewMat(256, 128)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nn.MatMul(x, w)
-	}
-}
-
-// BenchmarkMatMulSerial measures the same multiply with the parallel path
-// disabled (SetWorkers(1)).
-func BenchmarkMatMulSerial(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := nn.NewMat(64, 256)
-	w := nn.NewMat(256, 128)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64()
-	}
-	prev := nn.Workers()
-	nn.SetWorkers(1)
-	defer nn.SetWorkers(prev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nn.MatMul(x, w)
 	}
 }
 

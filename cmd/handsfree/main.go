@@ -444,17 +444,16 @@ func runServe(cfg server.Config, tenantCount int, train, quick bool, scale float
 // printEnv reports the configuration a run with the same flags and
 // environment would resolve to, so perf numbers and deployments are
 // reproducible: the kernel each engine entry point runs on this host (with
-// the portable tile geometry), the tensor precision, the kernel worker-pool
-// width, and the serving layer's resolved admission/timeout settings.
+// the portable tile geometry), the tensor precision, and the serving layer's
+// resolved admission/timeout settings.
 func printEnv(serveCfg server.Config, tenants int) {
 	mr, nr, kc := nn.BlockedTileConfig()
 	d := nn.Dispatch()
-	fmt.Printf("engine:    gemm=%s gemv=%s softmax=%s adam=%s (portable tile %dx%d, k-block %d)\n",
-		d.Gemm, d.Gemv, d.Softmax, d.Adam, mr, nr, kc)
+	fmt.Printf("engine:    gemm=%s gemv=%s adam=%s (portable tile %dx%d, k-block %d)\n",
+		d.Gemm, d.Gemv, d.Adam, mr, nr, kc)
 	fmt.Printf("precision: %s\n", nn.DefaultPrecision())
 	cpu := nn.DetectCPU()
 	fmt.Printf("cpu features: avx2=%v fma=%v\n", cpu.AVX2, cpu.FMA)
-	fmt.Printf("kernel workers: %d\n", nn.Workers())
 	fmt.Print(serveCfg.Describe(tenants))
 }
 
@@ -502,8 +501,8 @@ experiments:
                plan and reports its observed latency; -timeout bounds each
                planning call)
   env          print the resolved compute and serving configuration
-               (engine, precision, tile sizes, kernel workers, plus the
-               serve-mode address, tenants, queue depth, SLO, timeouts)
+               (engine, precision, tile sizes, plus the serve-mode
+               address, tenants, queue depth, SLO, timeouts)
   all          run everything
 `)
 }

@@ -37,12 +37,11 @@ func abtOperand(r, c int, rng *rand.Rand) *MatOf[float32] {
 // TestMatMulABTVectorBitIdentical: a·bᵀ on the blocked engine — the no-FMA
 // gemv kernel over packed bᵀ where it applies, the Go tiles or the reference
 // rows elsewhere — equals matMulABTRows bit for bit, with the vector kernel
-// on and off and at one and two workers. The vector path is also driven
-// directly, below the engine's size threshold, so that every shape reaches
-// the kernel whose panels it fills.
+// on and off, from one caller and from two concurrent callers (wN) packing
+// bᵀ into the shared scratch pools. The vector path is also driven directly,
+// below the engine's size threshold, so that every shape reaches the kernel
+// whose panels it fills.
 func TestMatMulABTVectorBitIdentical(t *testing.T) {
-	oldWorkers := Workers()
-	defer SetWorkers(oldWorkers)
 	prev := setAsmGemv(true)
 	defer setAsmGemv(prev)
 	eng := NewEngineOf[float32]()
@@ -58,18 +57,22 @@ func TestMatMulABTVectorBitIdentical(t *testing.T) {
 	}
 	for _, asm := range []bool{true, false} {
 		setAsmGemv(asm)
-		for _, workers := range []int{1, 2} {
-			SetWorkers(workers)
+		for _, callers := range []int{1, 2} {
 			for _, m := range []int{1, 2, 3, 160} {
 				for _, k := range []int{1, 17, 64, 128} {
 					for _, n := range []int{16, 64, 128, 23} {
-						t.Run(fmt.Sprintf("asm=%v/w%d/%dx%dx%d", asm, workers, m, k, n), func(t *testing.T) {
+						t.Run(fmt.Sprintf("asm=%v/w%d/%dx%dx%d", asm, callers, m, k, n), func(t *testing.T) {
 							a, b := abtOperand(m, k, rng), abtOperand(n, k, rng)
 							want := NewMatOf[float32](m, n)
 							matMulABTRows(a, b, want, 0, m)
-							got := NewMatOf[float32](m, n)
-							eng.MatMulABT(a, b, got)
-							same(t, "MatMulABT", got, want)
+							got := make([]*MatOf[float32], callers)
+							concurrently(callers, func(c int) {
+								got[c] = NewMatOf[float32](m, n)
+								eng.MatMulABT(a, b, got[c])
+							})
+							for c := range got {
+								same(t, fmt.Sprintf("MatMulABT, caller %d", c), got[c], want)
+							}
 							direct := NewMatOf[float32](m, n)
 							ran := matMulABTAsm(a, b, direct)
 							if wantRan := asm && cpuAVX2FMA && n%asmNRF32 == 0; ran != wantRan {
@@ -88,11 +91,8 @@ func TestMatMulABTVectorBitIdentical(t *testing.T) {
 
 // BenchmarkMatMulABT measures the learner's dx = dout·Wᵀ on the training
 // lifecycle's two shapes — a ~60-row batch through the 128→64 and 64→36
-// layers — single-threaded, on the vector kernel and on the Go tiles.
+// layers — on the vector kernel and on the Go tiles.
 func BenchmarkMatMulABT(b *testing.B) {
-	old := Workers()
-	SetWorkers(1)
-	defer SetWorkers(old)
 	shapes := []struct{ m, k, n int }{{60, 64, 128}, {60, 36, 64}}
 	for _, sh := range shapes {
 		for _, asm := range []bool{true, false} {

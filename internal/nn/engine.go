@@ -37,10 +37,10 @@ func DefaultPrecision() Precision { return "f32" }
 // blocking the backend applies; LinearForward is the matmul followed by the
 // bias row-add; LinearBackward accumulates dW += xᵀ·dout and dB += Σrows
 // dout and overwrites dx = dout·wᵀ (when a dx is given), in that order.
-// SoftmaxXent and AdamStep round every element exactly as the composed
-// reference helpers do (see the method comments), so both are bitwise
-// identical across backends. The reference engine's float64 instantiation is
-// bitwise identical to the pre-seam layer code.
+// AdamStep rounds every element exactly as the scalar reference loop does
+// (see the method comment), so it is bitwise identical across backends. The
+// reference engine's float64 instantiation is bitwise identical to the
+// pre-seam layer code.
 type EngineOf[T Float] interface {
 	// MatMul computes out = a·b (out fully overwritten).
 	MatMul(a, b, out *MatOf[T])
@@ -55,14 +55,6 @@ type EngineOf[T Float] interface {
 	// skips the input gradient (a network's first layer under training:
 	// nothing reads it); dW and dB do not depend on it.
 	LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx *MatOf[T])
-	// SoftmaxXent computes, per batch row i, the masked softmax of the
-	// logits into probs and the REINFORCE policy gradient
-	// ∂(−advs[i]·log π(actions[i]) − entropyCoef·H(π))/∂logits into grad
-	// (both resized to logits' shape). Every element rounds exactly as
-	// MaskedSoftmaxRowsInto followed by per-row PolicyGradientInto does, so
-	// all backends agree bitwise at both precisions; backends only differ
-	// in how many passes they take over the row.
-	SoftmaxXent(logits *MatOf[T], masks [][]bool, actions []int, advs []float64, entropyCoef float64, probs, grad *MatOf[T])
 	// AdamStep applies one fused Adam update to a parameter slice: for each
 	// element, g = Scale·grad[i]; m[i] = B1·m[i] + NB1·g;
 	// v[i] = B2·v[i] + NB2·g·g; p[i] -= LR·(m[i]/C1)/(sqrt(v[i]/C2) + Eps),
@@ -112,17 +104,10 @@ func NewAdamArgs[T Float](t int, lr, beta1, beta2, eps, clipScale float64) AdamA
 // goroutines and allocates nothing.
 func NewEngineOf[T Float]() EngineOf[T] { return blockedEngineOf[T]{} }
 
-// refEngineOf is the reference backend: the package's generic i-k-j kernels
-// run through the row-parallel worker pool, exactly as the pre-seam layer
-// code called them. No production path constructs it; it is the oracle the
-// dispatcher is verified against.
+// refEngineOf is the reference backend: the package's generic i-k-j row
+// kernels, exactly as the pre-seam layer code called them. No production
+// path constructs it; it is the oracle the dispatcher is verified against.
 type refEngineOf[T Float] struct{}
-
-// matABArgs carries kernel operands through parallelRowsOf, so the serial
-// dispatch path builds no closure and allocates nothing.
-type matABArgs[T Float] struct {
-	a, b, out *MatOf[T]
-}
 
 func checkMatMulShape[T Float](a, b, out *MatOf[T]) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
@@ -149,12 +134,7 @@ func checkMatMulABTShape[T Float](a, b, out *MatOf[T]) {
 func (refEngineOf[T]) MatMul(a, b, out *MatOf[T]) {
 	checkMatMulShape(a, b, out)
 	out.Zero()
-	if serialKernel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRows(a, b, out, 0, a.Rows)
-		return
-	}
-	parallelRowsOf(a.Rows, a.Rows*a.Cols*b.Cols, matABArgs[T]{a, b, out},
-		func(g matABArgs[T], lo, hi int) { matMulRows(g.a, g.b, g.out, lo, hi) })
+	matMulRows(a, b, out)
 }
 
 // MatMulATB computes out (+)= aᵀ·b with the reference kernel.
@@ -163,23 +143,13 @@ func (refEngineOf[T]) MatMulATB(a, b, out *MatOf[T], accum bool) {
 	if !accum {
 		out.Zero()
 	}
-	if serialKernel(a.Cols, a.Rows*a.Cols*b.Cols) {
-		matMulATBRows(a, b, out, 0, a.Cols)
-		return
-	}
-	parallelRowsOf(a.Cols, a.Rows*a.Cols*b.Cols, matABArgs[T]{a, b, out},
-		func(g matABArgs[T], lo, hi int) { matMulATBRows(g.a, g.b, g.out, lo, hi) })
+	matMulATBRows(a, b, out)
 }
 
 // MatMulABT computes out = a·bᵀ with the reference kernel.
 func (refEngineOf[T]) MatMulABT(a, b, out *MatOf[T]) {
 	checkMatMulABTShape(a, b, out)
-	if serialKernel(a.Rows, a.Rows*a.Cols*b.Rows) {
-		matMulABTRows(a, b, out, 0, a.Rows)
-		return
-	}
-	parallelRowsOf(a.Rows, a.Rows*a.Cols*b.Rows, matABArgs[T]{a, b, out},
-		func(g matABArgs[T], lo, hi int) { matMulABTRows(g.a, g.b, g.out, lo, hi) })
+	matMulABTRows(a, b, out, 0, a.Rows)
 }
 
 // LinearForward computes out = x·w + bias — the matmul followed by the
@@ -212,30 +182,11 @@ func (e refEngineOf[T]) LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx *Mat
 	}
 }
 
-// SoftmaxXent runs the composed reference helpers: the masked row softmax
-// into probs, then the per-row policy gradient into grad — the exact
-// pre-seam sequence of the REINFORCE update, element for element.
-func (refEngineOf[T]) SoftmaxXent(logits *MatOf[T], masks [][]bool, actions []int, advs []float64, entropyCoef float64, probs, grad *MatOf[T]) {
-	checkSoftmaxXentShape(logits, masks, actions, advs)
-	MaskedSoftmaxRowsInto(probs, logits, masks)
-	grad.Resize(logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		PolicyGradientInto(grad.Row(i), probs.Row(i), masks[i], actions[i], advs[i], entropyCoef)
-	}
-}
-
 // AdamStep runs the scalar update loop — the reference rounding every other
 // backend must reproduce bitwise.
 func (refEngineOf[T]) AdamStep(p, grad, m, v []T, a AdamArgs[T]) {
 	checkAdamShape(p, grad, m, v)
 	adamStepRows(p, grad, m, v, a, 0, len(p))
-}
-
-func checkSoftmaxXentShape[T Float](logits *MatOf[T], masks [][]bool, actions []int, advs []float64) {
-	if len(masks) != logits.Rows || len(actions) != logits.Rows || len(advs) != logits.Rows {
-		panic(fmt.Sprintf("nn: engine SoftmaxXent batch mismatch: %d rows, %d masks, %d actions, %d advantages",
-			logits.Rows, len(masks), len(actions), len(advs)))
-	}
 }
 
 func checkAdamShape[T Float](p, grad, m, v []T) {

@@ -1,9 +1,7 @@
 package nn
 
-import "math"
-
-// The dispatcher: the one engine every layer, optimizer step and fused
-// kernel runs on, choosing a kernel per call from what it can observe.
+// The dispatcher: the one engine every layer and optimizer step runs on,
+// choosing a kernel per call from what it can observe.
 //
 // Dispatch rule, in order:
 //  1. Shape. A product under blockedMinFlops multiply-adds, or with fewer
@@ -20,8 +18,8 @@ import "math"
 //
 // Layout: the k dimension is cut into KC-deep blocks; for each block the
 // needed rows of B are packed into NR-wide column panels (panel-major, so
-// the microkernel streams B contiguously), then the output rows fan out over
-// the package worker pool in MR-row tiles. The 2×4 kernel keeps its 8 partial
+// the microkernel streams B contiguously), then the output rows run in
+// MR-row tiles. The 2×4 kernel keeps its 8 partial
 // sums in registers across the whole k block — 6 loads feed 16 flops per k
 // step, versus the reference kernel's two loads and a store per multiply-add
 // — and the packed panel plus MR rows of A fit L1. The tile is 2×4 rather
@@ -33,10 +31,9 @@ import "math"
 // element's summation (the oracle adds every product straight into memory in
 // k order) and the vector tiles fuse each multiply-add, so tiled a·b and aᵀ·b
 // results match the oracle by tolerance (f64 rel ≤1e-12, f32 rel ≤1e-4), not
-// bitwise; a·bᵀ, SoftmaxXent and AdamStep are bitwise identical to it on
-// every path. Determinism holds throughout: the blocking is a pure function
-// of the shapes, never of the worker count, so a product is identical across
-// SetWorkers settings and across runs.
+// bitwise; a·bᵀ and AdamStep are bitwise identical to it on every path.
+// Determinism holds throughout: the blocking is a pure function of the
+// shapes, so a product is identical across runs and concurrent callers.
 
 const (
 	// blockedKC is the k-block depth: one packed B panel is KC×NR elements
@@ -79,7 +76,7 @@ func (blockedEngineOf[T]) MatMulATB(a, b, out *MatOf[T], accum bool) {
 		if !accum {
 			out.Zero()
 		}
-		matMulATBRows(a, b, out, 0, a.Cols)
+		matMulATBRows(a, b, out)
 		return
 	}
 	at := getVec[T](a.Rows * a.Cols)
@@ -106,15 +103,9 @@ func (blockedEngineOf[T]) MatMulABT(a, b, out *MatOf[T]) {
 		matMulABTRows(a, b, out, 0, a.Rows)
 		return
 	}
-	if matMulABTAsm(a, b, out) {
-		return
+	if !matMulABTAsm(a, b, out) {
+		matMulABTBlockedRows(a, b, out)
 	}
-	if serialKernel(a.Rows, a.Rows*a.Cols*b.Rows) {
-		matMulABTBlockedRows(a, b, out, 0, a.Rows)
-		return
-	}
-	parallelRowsOf(a.Rows, a.Rows*a.Cols*b.Rows, matABArgs[T]{a, b, out},
-		func(g matABArgs[T], lo, hi int) { matMulABTBlockedRows(g.a, g.b, g.out, lo, hi) })
 }
 
 // LinearForward computes out = x·w + bias on the blocked kernel.
@@ -143,94 +134,6 @@ func (e blockedEngineOf[T]) LinearBackward(x, dout, w *MatOf[T], dW, dB []T, dx 
 	}
 }
 
-// SoftmaxXent is the fused form: where the reference path makes five passes
-// over each row (max, exp+sum, normalize, entropy, gradient), the fused
-// kernel folds the entropy accumulation into the normalize pass and the
-// entropy gradient into the gradient write, leaving three. Every element
-// still rounds in the reference order — pf is the same e/sum the normalize
-// pass stored, and grad[i] = T(g) − T(ent·dh) is exactly the reference's
-// store-then-subtract — so the result is bitwise identical to the reference
-// engine at both precisions.
-func (blockedEngineOf[T]) SoftmaxXent(logits *MatOf[T], masks [][]bool, actions []int, advs []float64, entropyCoef float64, probs, grad *MatOf[T]) {
-	checkSoftmaxXentShape(logits, masks, actions, advs)
-	probs.Resize(logits.Rows, logits.Cols)
-	grad.Resize(logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		softmaxXentRow(probs.Row(i), grad.Row(i), logits.Row(i), masks[i], actions[i], advs[i], entropyCoef)
-	}
-}
-
-// softmaxXentRow fuses one row's masked softmax, entropy, and policy
-// gradient. See the blockedEngineOf.SoftmaxXent comment for the bitwise
-// argument.
-func softmaxXentRow[T Float](probs, grad, logits []T, mask []bool, action int, advantage, entropyCoef float64) {
-	maxv := T(math.Inf(-1))
-	any := false
-	for i, v := range logits {
-		if mask[i] && v > maxv {
-			maxv = v
-			any = true
-		}
-	}
-	var h float64
-	if !any {
-		// No finite masked logit: all-zero probabilities, but the gradient
-		// loop below still runs — the reference path evaluates
-		// advantage·0 (±0, advantage's sign) and the action term against
-		// zero probabilities, and bitwise parity includes those signs.
-		for i := range probs {
-			probs[i] = 0
-		}
-	} else {
-		var sum T
-		for i, v := range logits {
-			if !mask[i] {
-				probs[i] = 0
-				continue
-			}
-			e := T(math.Exp(float64(v - maxv)))
-			probs[i] = e
-			sum += e
-		}
-		// Normalize and accumulate the entropy in one pass: pf is the final
-		// probability the reference entropy loop would read.
-		if entropyCoef != 0 {
-			for i, e := range probs {
-				if !mask[i] {
-					continue
-				}
-				p := e / sum
-				probs[i] = p
-				if p > 0 {
-					pf := float64(p)
-					h -= pf * math.Log(pf)
-				}
-			}
-		} else {
-			for i := range probs {
-				probs[i] /= sum
-			}
-		}
-	}
-	for i, p := range probs {
-		if !mask[i] {
-			grad[i] = 0
-			continue
-		}
-		g := advantage * float64(p)
-		if i == action {
-			g -= advantage
-		}
-		t := T(g)
-		if entropyCoef != 0 && p > 0 {
-			pf := float64(p)
-			dh := -pf * (math.Log(pf) + h)
-			t -= T(entropyCoef * dh)
-		}
-		grad[i] = t
-	}
-}
-
 // AdamStep routes through the vector kernels when the CPUID gate passed
 // (non-FMA multiply/add plus correctly rounded sqrt and divide, so the
 // vector lanes round exactly like the scalar loop), with the scalar loop
@@ -241,24 +144,16 @@ func (blockedEngineOf[T]) AdamStep(p, grad, m, v []T, a AdamArgs[T]) {
 	adamStepRows(p, grad, m, v, a, done, len(p))
 }
 
-// gemmArgs carries one k-block's operands through parallelRowsOf.
-type gemmArgs[T Float] struct {
-	a, b, out *MatOf[T]
-	bp        []T
-	kc0, kc1  int
-}
-
 // gemmBlocked computes out (+)= a·b with KC-blocking and packed panels.
 // Callers have checked shapes. When accum is false out is zeroed first; the
-// k blocks then accumulate into it in ascending order regardless of how the
-// rows are split across workers, so results are worker-count independent.
+// k blocks then accumulate into it in ascending order.
 func gemmBlocked[T Float](a, b, out *MatOf[T], accum bool) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if !accum {
 		out.Zero()
 	}
 	if m < blockedMR || m*k*n < blockedMinFlops {
-		matMulRows(a, b, out, 0, m)
+		matMulRows(a, b, out)
 		return
 	}
 	if gemmBlockedAsm(a, b, out) {
@@ -274,29 +169,19 @@ func gemmBlocked[T Float](a, b, out *MatOf[T], accum bool) {
 	for kc0 := 0; kc0 < k; kc0 += blockedKC {
 		kc1 := min(kc0+blockedKC, k)
 		if np > 0 {
-			packBPanels(b, kc0, kc1, np, bp)
+			packBPanelsN(b, kc0, kc1, np, blockedNR, bp)
 		}
-		if serialKernel(m, m*(kc1-kc0)*n) {
-			gemmBlockRows(a, b, bp, kc0, kc1, out, 0, m)
-			continue
-		}
-		parallelRowsOf(m, m*(kc1-kc0)*n,
-			gemmArgs[T]{a: a, b: b, out: out, bp: bp, kc0: kc0, kc1: kc1},
-			func(g gemmArgs[T], lo, hi int) {
-				gemmBlockRows(g.a, g.b, g.bp, g.kc0, g.kc1, g.out, lo, hi)
-			})
+		gemmBlockRows(a, b, bp, kc0, kc1, out)
 	}
 	if bpv != nil {
 		putVec(bpv)
 	}
 }
 
-// packBPanels copies B[kc0:kc1, 0:np] into NR-wide panels: panel jp/NR holds
-// rows kc0..kc1 of columns jp..jp+NR contiguously, so the microkernel reads
-// B with stride 1.
-// packBPanelsN is packBPanels for an arbitrary panel width: B[kc0:kc1, 0:np]
-// copied into nr-wide k-major panels. Shared by the vector GEMM paths and
-// the per-snapshot inference packer.
+// packBPanelsN copies B[kc0:kc1, 0:np] into nr-wide k-major panels: panel
+// jp/nr holds rows kc0..kc1 of columns jp..jp+nr contiguously, so the
+// microkernels read B with stride 1. Shared by the portable tiles, the vector
+// GEMM path and the per-snapshot inference packer.
 func packBPanelsN[T Float](b *MatOf[T], kc0, kc1, np, nr int, bp []T) {
 	idx := 0
 	for jp := 0; jp < np; jp += nr {
@@ -307,33 +192,19 @@ func packBPanelsN[T Float](b *MatOf[T], kc0, kc1, np, nr int, bp []T) {
 	}
 }
 
-func packBPanels[T Float](b *MatOf[T], kc0, kc1, np int, bp []T) {
-	idx := 0
-	for jp := 0; jp < np; jp += blockedNR {
-		for k := kc0; k < kc1; k++ {
-			row := b.Row(k)
-			bp[idx] = row[jp]
-			bp[idx+1] = row[jp+1]
-			bp[idx+2] = row[jp+2]
-			bp[idx+3] = row[jp+3]
-			idx += blockedNR
-		}
-	}
-}
-
-// gemmBlockRows accumulates out[lo:hi, :] += A[lo:hi, kc0:kc1]·B[kc0:kc1, :]
+// gemmBlockRows accumulates out += A[:, kc0:kc1]·B[kc0:kc1, :]
 // for one packed k block: 2×4 register tiles over the packed panels, a
 // scalar column edge for n%NR trailing columns, and 1×4 tiles for a trailing
 // odd row. Inner-loop indexing is shaped for bounds-check elimination: the A
 // rows are pre-sliced to exactly kc elements so the range index covers both,
 // and each panel step reads element 3 first so the remaining three loads are
 // provably in bounds.
-func gemmBlockRows[T Float](a, b *MatOf[T], bp []T, kc0, kc1 int, out *MatOf[T], lo, hi int) {
+func gemmBlockRows[T Float](a, b *MatOf[T], bp []T, kc0, kc1 int, out *MatOf[T]) {
 	kc := kc1 - kc0
-	n := out.Cols
+	m, n := out.Rows, out.Cols
 	np := n - n%blockedNR
-	i := lo
-	for ; i+blockedMR <= hi; i += blockedMR {
+	i := 0
+	for ; i+blockedMR <= m; i += blockedMR {
 		a0 := a.Row(i)[kc0:kc1]
 		a1 := a.Row(i + 1)[kc0:kc1]
 		o0 := out.Row(i)
@@ -379,7 +250,7 @@ func gemmBlockRows[T Float](a, b *MatOf[T], bp []T, kc0, kc1 int, out *MatOf[T],
 			o1[j] += s1
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < m; i++ {
 		arow := a.Row(i)[kc0:kc1]
 		orow := out.Row(i)
 		for jp := 0; jp < np; jp += blockedNR {
@@ -420,15 +291,15 @@ func transposeInto[T Float](dst []T, a *MatOf[T]) {
 	}
 }
 
-// matMulABTBlockedRows computes out rows [lo, hi) of a·bᵀ with 2×4 register
-// tiles. Each output element is one ascending-k dot product — the same
-// order the reference kernel uses, so the results are bitwise identical to
+// matMulABTBlockedRows computes out = a·bᵀ with 2×4 register tiles. Each
+// output element is one ascending-k dot product — the same order the
+// reference kernel uses, so the results are bitwise identical to
 // matMulABTRows.
-func matMulABTBlockedRows[T Float](a, b, out *MatOf[T], lo, hi int) {
+func matMulABTBlockedRows[T Float](a, b, out *MatOf[T]) {
 	nb := b.Rows
 	nbt := nb - nb%4
-	i := lo
-	for ; i+2 <= hi; i += 2 {
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
 		a0 := a.Row(i)
 		a1 := a.Row(i + 1)
 		o0 := out.Row(i)
@@ -476,7 +347,7 @@ func matMulABTBlockedRows[T Float](a, b, out *MatOf[T], lo, hi int) {
 			o1[j] = s1
 		}
 	}
-	if i < hi {
-		matMulABTRows(a, b, out, i, hi)
+	if i < a.Rows {
+		matMulABTRows(a, b, out, i, a.Rows)
 	}
 }

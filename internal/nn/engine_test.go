@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -105,11 +106,26 @@ func forEachBlockedKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
+// concurrently runs f(0) … f(n−1) on n goroutines at once and waits for
+// them all: the engine keeps no state but its scratch pools, which a training
+// lifecycle's actors and learner draw from together.
+func concurrently(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // TestEngineMatMulMatchesRef is the engine parity harness: every EngineOf
-// method, over the full shape sweep, at both precisions, under serial and
-// parallel dispatch and both microkernel implementations, comparing the
-// blocked backend against the reference backend within the tolerance-parity
-// bounds.
+// method, over the full shape sweep, at both precisions, from one caller and
+// from four concurrent callers (wN) and under both microkernel
+// implementations, comparing the blocked backend against the reference
+// backend within the tolerance-parity bounds.
 func TestEngineMatMulMatchesRef(t *testing.T) {
 	forEachBlockedKernel(t, func(t *testing.T) {
 		t.Run("f64", func(t *testing.T) { testEngineParity[float64](t) })
@@ -117,65 +133,86 @@ func TestEngineMatMulMatchesRef(t *testing.T) {
 	})
 }
 
+// parityResult is one named output of parityInputs.run.
+type parityResult[T Float] struct {
+	op   string
+	data []T
+}
+
+// parityInputs holds one shape's operands for every EngineOf method.
+type parityInputs[T Float] struct {
+	a, b, at, bt, seed, bT, dout *MatOf[T]
+	bias, dW0, dB0               []T
+}
+
+func newParityInputs[T Float](m, k, n int, rng *rand.Rand) parityInputs[T] {
+	in := parityInputs[T]{a: randMatOf[T](m, k, rng), b: randMatOf[T](k, n, rng)}
+	in.at, in.bt = randMatOf[T](k, m, rng), randMatOf[T](k, n, rng)
+	in.seed = randMatOf[T](m, n, rng)
+	in.bT = randMatOf[T](n, k, rng)
+	in.bias = make([]T, n)
+	fillUniform(in.bias, rng)
+	in.dout = randMatOf[T](m, n, rng)
+	in.dW0, in.dB0 = make([]T, k*n), make([]T, n)
+	fillUniform(in.dW0, rng)
+	fillUniform(in.dB0, rng)
+	return in
+}
+
+// run drives every EngineOf method of e over the inputs into fresh outputs,
+// starting accumulating methods from the same nonzero values.
+func (in parityInputs[T]) run(e EngineOf[T]) []parityResult[T] {
+	m, k, n := in.a.Rows, in.a.Cols, in.b.Cols
+	var res []parityResult[T]
+	add := func(op string, data []T) { res = append(res, parityResult[T]{op, data}) }
+
+	// MatMul: out = a·b.
+	out := NewMatOf[T](m, n)
+	e.MatMul(in.a, in.b, out)
+	add("MatMul", out.Data)
+
+	// MatMulATB: out (+)= aᵀ·b with a (k×m), b (k×n).
+	for _, accum := range []bool{false, true} {
+		out := in.seed.Clone()
+		e.MatMulATB(in.at, in.bt, out, accum)
+		add(fmt.Sprintf("MatMulATB(accum=%v)", accum), out.Data)
+	}
+
+	// MatMulABT: out = a·bᵀ with b (n×k).
+	out = NewMatOf[T](m, n)
+	e.MatMulABT(in.a, in.bT, out)
+	add("MatMulABT", out.Data)
+
+	// LinearForward: out = a·b + bias.
+	out = NewMatOf[T](m, n)
+	e.LinearForward(in.a, in.b, in.bias, out)
+	add("LinearForward", out.Data)
+
+	// LinearBackward: dW += xᵀ·dout, dB += Σrows dout, dx = dout·wᵀ.
+	dW, dB := append([]T(nil), in.dW0...), append([]T(nil), in.dB0...)
+	dx := NewMatOf[T](m, k)
+	e.LinearBackward(in.a, in.dout, in.b, dW, dB, dx)
+	add("LinearBackward dW", dW)
+	add("LinearBackward dB", dB)
+	add("LinearBackward dx", dx.Data)
+	return res
+}
+
 func testEngineParity[T Float](t *testing.T) {
-	old := Workers()
-	defer SetWorkers(old)
-	var ref EngineOf[T] = refEngineOf[T]{}
-	blk := NewEngineOf[T]()
 	tol := engineTol[T]()
-	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
+	for _, callers := range []int{1, 4} {
 		for si, sh := range engineShapes {
 			m, k, n := sh.m, sh.k, sh.n
-			t.Run(fmt.Sprintf("w%d/%dx%dx%d", workers, m, k, n), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(100*workers + si)))
-
-				// MatMul: out = a·b.
-				a, b := randMatOf[T](m, k, rng), randMatOf[T](k, n, rng)
-				want, got := NewMatOf[T](m, n), NewMatOf[T](m, n)
-				ref.MatMul(a, b, want)
-				blk.MatMul(a, b, got)
-				checkClose(t, "MatMul", got.Data, want.Data, tol)
-
-				// MatMulATB: out (+)= aᵀ·b with a (k×m), b (k×n).
-				at, bt := randMatOf[T](k, m, rng), randMatOf[T](k, n, rng)
-				seed := randMatOf[T](m, n, rng)
-				for _, accum := range []bool{false, true} {
-					copy(want.Data, seed.Data)
-					copy(got.Data, seed.Data)
-					ref.MatMulATB(at, bt, want, accum)
-					blk.MatMulATB(at, bt, got, accum)
-					checkClose(t, fmt.Sprintf("MatMulATB(accum=%v)", accum), got.Data, want.Data, tol)
+			t.Run(fmt.Sprintf("w%d/%dx%dx%d", callers, m, k, n), func(t *testing.T) {
+				in := newParityInputs[T](m, k, n, rand.New(rand.NewSource(int64(100*callers+si))))
+				want := in.run(refEngineOf[T]{})
+				got := make([][]parityResult[T], callers)
+				concurrently(callers, func(c int) { got[c] = in.run(NewEngineOf[T]()) })
+				for c := range got {
+					for i, r := range got[c] {
+						checkClose(t, fmt.Sprintf("caller %d: %s", c, r.op), r.data, want[i].data, tol)
+					}
 				}
-
-				// MatMulABT: out = a·bᵀ with b (n×k).
-				bT := randMatOf[T](n, k, rng)
-				ref.MatMulABT(a, bT, want)
-				blk.MatMulABT(a, bT, got)
-				checkClose(t, "MatMulABT", got.Data, want.Data, tol)
-
-				// LinearForward: out = a·b + bias.
-				bias := make([]T, n)
-				fillUniform(bias, rng)
-				ref.LinearForward(a, b, bias, want)
-				blk.LinearForward(a, b, bias, got)
-				checkClose(t, "LinearForward", got.Data, want.Data, tol)
-
-				// LinearBackward: dW += xᵀ·dout, dB += Σrows dout, dx = dout·wᵀ,
-				// starting both engines from the same nonzero accumulators.
-				dout := randMatOf[T](m, n, rng)
-				dW0 := make([]T, k*n)
-				dB0 := make([]T, n)
-				fillUniform(dW0, rng)
-				fillUniform(dB0, rng)
-				dWr, dWb := append([]T(nil), dW0...), append([]T(nil), dW0...)
-				dBr, dBb := append([]T(nil), dB0...), append([]T(nil), dB0...)
-				dxr, dxb := NewMatOf[T](m, k), NewMatOf[T](m, k)
-				ref.LinearBackward(a, dout, b, dWr, dBr, dxr)
-				blk.LinearBackward(a, dout, b, dWb, dBb, dxb)
-				checkClose(t, "LinearBackward dW", dWb, dWr, tol)
-				checkClose(t, "LinearBackward dB", dBb, dBr, tol)
-				checkClose(t, "LinearBackward dx", dxb.Data, dxr.Data, tol)
 			})
 		}
 	}
@@ -187,9 +224,6 @@ func TestEngineMatMul512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large shape")
 	}
-	old := Workers()
-	SetWorkers(1)
-	defer SetWorkers(old)
 	forEachBlockedKernel(t, func(t *testing.T) {
 		t.Run("f64", func(t *testing.T) { testEngine512[float64](t) })
 		t.Run("f32", func(t *testing.T) { testEngine512[float32](t) })
@@ -209,27 +243,28 @@ func testEngine512[T Float](t *testing.T) {
 }
 
 // TestBlockedDeterministicAcrossWorkers: the blocked kernels' k-blocking is a
-// pure function of the shapes, so results are bitwise identical no matter how
-// rows are split across workers.
+// pure function of the shapes and their scratch is private per call, so a
+// product is bitwise identical whether it runs alone or while three other
+// callers run the same kernels on the same pools.
 func TestBlockedDeterministicAcrossWorkers(t *testing.T) {
-	old := Workers()
-	defer SetWorkers(old)
 	forEachBlockedKernel(t, func(t *testing.T) {
 		eng := NewEngineOf[float64]()
 		rng := rand.New(rand.NewSource(21))
-		// 37×29 makes worker chunks misalign the 4-row vector tiles (rows
-		// covered by the 4-row kernel in one split run the 1-row kernel in
-		// another) and leaves a scalar column edge — both must round
-		// identically for the split to be invisible.
+		// 37×29 leaves row remainders for every tile height and a scalar
+		// column edge.
 		a, b := randMatOf[float64](37, 300, rng), randMatOf[float64](300, 29, rng)
-		serial, parallel := NewMatOf[float64](37, 29), NewMatOf[float64](37, 29)
-		SetWorkers(1)
-		eng.MatMul(a, b, serial)
-		SetWorkers(4)
-		eng.MatMul(a, b, parallel)
-		for i := range serial.Data {
-			if serial.Data[i] != parallel.Data[i] {
-				t.Fatalf("element %d: serial %v != parallel %v", i, serial.Data[i], parallel.Data[i])
+		alone := NewMatOf[float64](37, 29)
+		eng.MatMul(a, b, alone)
+		outs := make([]*MatOf[float64], 4)
+		concurrently(len(outs), func(c int) {
+			outs[c] = NewMatOf[float64](37, 29)
+			eng.MatMul(a, b, outs[c])
+		})
+		for c, out := range outs {
+			for i := range alone.Data {
+				if alone.Data[i] != out.Data[i] {
+					t.Fatalf("caller %d, element %d: alone %v != concurrent %v", c, i, alone.Data[i], out.Data[i])
+				}
 			}
 		}
 	})
@@ -269,10 +304,6 @@ func TestNetEngineParity(t *testing.T) {
 	want := net.Forward(x).Clone()
 	got := blkNet.Forward(x)
 	checkClose(t, "Forward", got.Data, want.Data, 1e-12)
-
-	out := &MatOf[float64]{}
-	blkNet.InferInto(x, out)
-	checkClose(t, "InferInto", out.Data, got.Data, 0)
 }
 
 // TestBackwardParamsBitwise: the training backward pass, which skips the
@@ -347,9 +378,6 @@ func TestEngineKernelsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless under -race")
 	}
-	old := Workers()
-	SetWorkers(1)
-	defer SetWorkers(old)
 	rng := rand.New(rand.NewSource(51))
 	a, b := randMatOf[float64](64, 80, rng), randMatOf[float64](80, 48, rng)
 	bT := randMatOf[float64](48, 80, rng)
@@ -390,9 +418,6 @@ func TestForwardBackwardZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless under -race")
 	}
-	old := Workers()
-	SetWorkers(1)
-	defer SetWorkers(old)
 	rng := rand.New(rand.NewSource(61))
 	for _, oracle := range []bool{true, false} {
 		net := NewMLPOf[float64](rng, 24, 64, 32, 8)
@@ -413,33 +438,8 @@ func TestForwardBackwardZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInferIntoZeroAlloc: the pooled inference path allocates nothing in
-// steady state.
-func TestInferIntoZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless under -race")
-	}
-	old := Workers()
-	SetWorkers(1)
-	defer SetWorkers(old)
-	rng := rand.New(rand.NewSource(71))
-	for _, oracle := range []bool{true, false} {
-		net := NewMLPOf[float64](rng, 24, 64, 8)
-		if oracle {
-			useOracle(net)
-		}
-		x := randMatOf[float64](1, 24, rng)
-		out := &MatOf[float64]{}
-		net.InferInto(x, out) // warm the infer scratch pool
-		if allocs := testing.AllocsPerRun(100, func() { net.InferInto(x, out) }); allocs != 0 {
-			t.Errorf("oracle=%v: InferInto %.1f allocs/op, want 0", oracle, allocs)
-		}
-	}
-}
-
 // BenchmarkEngineMatMul sweeps the oracle and the dispatcher over square
-// matmuls at both precisions, single-threaded (the metric is per-core kernel
-// throughput, not pool scaling), reporting GFLOP/s and allocs. On CPUs with
+// matmuls at both precisions, reporting per-core GFLOP/s and allocs. On CPUs with
 // the vector kernels, "blocked" is the AVX2+FMA path and an extra
 // "blocked-portable" variant pins the generic Go tiles' throughput.
 func BenchmarkEngineMatMul(b *testing.B) {
@@ -469,9 +469,6 @@ func BenchmarkEngineMatMul(b *testing.B) {
 }
 
 func benchEngineMatMul[T Float](b *testing.B, oracle, asm bool, d int) {
-	old := Workers()
-	SetWorkers(1)
-	defer SetWorkers(old)
 	prevAsm := setAsmGemm(asm)
 	defer setAsmGemm(prevAsm)
 	eng := NewEngineOf[T]()

@@ -24,18 +24,14 @@ func DetectCPU() CPUFeatures {
 // to on this host. Values are "avx2+fma", "avx2" (vector without FMA, for
 // the bitwise-constrained kernels), or "portable".
 type KernelDispatch struct {
-	Gemm    string // tiled GEMM microkernel (shapes above the small-shape threshold)
-	Gemv    string // shared-packing inference panels
-	Softmax string // fused softmax+cross-entropy
-	Adam    string // fused Adam step
+	Gemm string // tiled GEMM microkernel (shapes above the small-shape threshold)
+	Gemv string // shared-packing inference panels and the learner's a·bᵀ
+	Adam string // fused Adam step
 }
 
-// Dispatch reports the current kernel routing. Softmax is always
-// "portable": the fused kernel's win is pass fusion, not vectorization —
-// exp/log dominate and stay scalar so the result is bitwise identical to
-// the composed reference path.
+// Dispatch reports the current kernel routing.
 func Dispatch() KernelDispatch {
-	d := KernelDispatch{Gemm: "portable", Gemv: "portable", Softmax: "portable", Adam: "portable"}
+	d := KernelDispatch{Gemm: "portable", Gemv: "portable", Adam: "portable"}
 	if asmGemmEnabled {
 		d.Gemm = "avx2+fma"
 	}

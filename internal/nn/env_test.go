@@ -18,9 +18,6 @@ func TestDispatchTracksGates(t *testing.T) {
 	if d.Gemm != wantGemm {
 		t.Errorf("Dispatch().Gemm = %q, want %q", d.Gemm, wantGemm)
 	}
-	if d.Softmax != "portable" {
-		t.Errorf("Dispatch().Softmax = %q, want portable (fusion, not vectorization)", d.Softmax)
-	}
 
 	if !cpuAVX2FMA {
 		if d.Gemv != "portable" || d.Adam != "portable" {

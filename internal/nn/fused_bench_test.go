@@ -57,38 +57,10 @@ func benchAdamStep[T Float](b *testing.B) {
 	}
 }
 
-// BenchmarkSoftmaxXent compares the composed policy-loss sequence (masked
-// row softmax, then the per-row policy-gradient fill — the reference
-// engine's path) against the blocked engine's fused three-pass kernel on the
-// REINFORCE batch shape. Both are bitwise identical; the metric is rows/sec.
-func BenchmarkSoftmaxXent(b *testing.B) {
-	b.Run("f64", func(b *testing.B) { benchSoftmaxXent[float64](b) })
-	b.Run("f32", func(b *testing.B) { benchSoftmaxXent[float32](b) })
-}
-
-func benchSoftmaxXent[T Float](b *testing.B) {
-	const rows, cols = 256, 64
-	rng := rand.New(rand.NewSource(11))
-	logits, masks, actions, advs := softmaxXentCase[T](rows, cols, rng)
-	probs, grad := NewMatOf[T](rows, cols), NewMatOf[T](rows, cols)
-	for _, eng := range []engineCase[T]{{"composed-reference", refEngineOf[T]{}}, {"fused-blocked", NewEngineOf[T]()}} {
-		b.Run(eng.name, func(b *testing.B) {
-			e := eng.eng
-			e.SoftmaxXent(logits, masks, actions, advs, 0.01, probs, grad)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.SoftmaxXent(logits, masks, actions, advs, 0.01, probs, grad)
-			}
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
-		})
-	}
-}
-
 // BenchmarkPackedInfer measures the serving-shape inference path — one
-// feature vector through a policy-sized MLP — unpacked (per-call reference
-// kernels over the raw weight matrices) versus the shared pack (per-publish
-// panels, vector gemv). Bitwise-identical outputs; metrics: infers/sec and
+// feature vector through a policy-sized MLP — unpacked (Forward: per-call
+// reference kernels over the raw weight matrices) versus the shared pack
+// (per-publish panels, vector gemv). Bitwise-identical outputs; metrics: infers/sec and
 // GFLOP/s over the matmul work.
 func BenchmarkPackedInfer(b *testing.B) {
 	b.Run("f64", func(b *testing.B) { benchPackedInfer[float64](b) })
@@ -96,9 +68,6 @@ func BenchmarkPackedInfer(b *testing.B) {
 }
 
 func benchPackedInfer[T Float](b *testing.B) {
-	old := Workers()
-	SetWorkers(1)
-	defer SetWorkers(old)
 	sizes := []int{256, 128, 64}
 	rng := rand.New(rand.NewSource(21))
 	net := NewMLPOf[T](rng, sizes...)
@@ -110,11 +79,11 @@ func benchPackedInfer[T Float](b *testing.B) {
 	var out MatOf[T]
 
 	b.Run("unpacked", func(b *testing.B) {
-		net.InferInto(x, &out)
+		net.Forward(x)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			net.InferInto(x, &out)
+			net.Forward(x)
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "infers/sec")
 		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// The fused softmax/cross-entropy and Adam kernels promise more than the
-// GEMM tolerance contract: every backend — reference, blocked portable,
-// blocked vector — must agree BITWISE at both precisions (the fused forms
-// reorder passes, never roundings). These tests assert exact bit equality,
-// including the sign of zero.
+// The Adam kernel promises more than the GEMM tolerance contract: every
+// backend — reference, blocked portable, blocked vector — must agree BITWISE
+// at both precisions, and so must the batched policy loss and its per-row
+// helpers. These tests assert exact bit equality, including the sign of
+// zero.
 
 // bitsOf returns the raw bit pattern of v at its own precision.
 func bitsOf[T Float](v T) uint64 {
@@ -53,7 +53,7 @@ func forEachAdamKernel(t *testing.T, f func(t *testing.T)) {
 }
 
 // softmaxXentCase builds one batch of logits/masks/actions/advantages with
-// every edge the kernel dispatches on: ordinary rows, a fully masked-out
+// every edge the policy loss branches on: ordinary rows, a fully masked-out
 // row, a masked row whose logits are all -Inf (no finite masked logit), and
 // an out-of-range action.
 func softmaxXentCase[T Float](rows, cols int, rng *rand.Rand) (*MatOf[T], [][]bool, []int, []float64) {
@@ -100,10 +100,10 @@ func softmaxXentCase[T Float](rows, cols int, rng *rand.Rand) (*MatOf[T], [][]bo
 	return logits, masks, actions, advs
 }
 
-// TestSoftmaxXentBitwise verifies that the blocked engine's fused softmax +
-// policy-gradient kernel is bit-identical to the reference engine — which is
-// itself the composed MaskedSoftmaxRowsInto + PolicyGradientInto sequence —
-// at both precisions, across shapes and entropy settings.
+// TestSoftmaxXentBitwise verifies that the batched policy loss is
+// bit-identical to the per-row helpers — MaskedSoftmax, then
+// PolicyGradientInto — at both precisions, across shapes and entropy
+// settings.
 func TestSoftmaxXentBitwise(t *testing.T) {
 	t.Run("f64", func(t *testing.T) { testSoftmaxXentBitwise[float64](t) })
 	t.Run("f32", func(t *testing.T) { testSoftmaxXentBitwise[float32](t) })
@@ -111,29 +111,20 @@ func TestSoftmaxXentBitwise(t *testing.T) {
 
 func testSoftmaxXentBitwise[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ref := refEngineOf[T]{}
-	blk := NewEngineOf[T]()
 	shapes := []struct{ rows, cols int }{{1, 1}, {1, 9}, {5, 7}, {17, 3}, {33, 17}, {128, 24}}
 	for _, ent := range []float64{0, 0.01, 0.5} {
 		for _, sh := range shapes {
 			t.Run(fmt.Sprintf("ent=%v/%dx%d", ent, sh.rows, sh.cols), func(t *testing.T) {
 				logits, masks, actions, advs := softmaxXentCase[T](sh.rows, sh.cols, rng)
-
-				// The reference engine must reproduce the composed helpers.
-				wantP := MaskedSoftmaxRows(logits, masks)
-				wantG := NewMatOf[T](sh.rows, sh.cols)
-				for i := 0; i < sh.rows; i++ {
-					PolicyGradientInto(wantG.Row(i), wantP.Row(i), masks[i], actions[i], advs[i], ent)
-				}
 				var probs, grad MatOf[T]
-				ref.SoftmaxXent(logits, masks, actions, advs, ent, &probs, &grad)
-				checkBitwise(t, "reference probs", probs.Data, wantP.Data)
-				checkBitwise(t, "reference grad", grad.Data, wantG.Data)
-
-				var probsB, gradB MatOf[T]
-				blk.SoftmaxXent(logits, masks, actions, advs, ent, &probsB, &gradB)
-				checkBitwise(t, "blocked probs", probsB.Data, wantP.Data)
-				checkBitwise(t, "blocked grad", gradB.Data, wantG.Data)
+				SoftmaxXent(logits, masks, actions, advs, ent, &probs, &grad)
+				for i := 0; i < sh.rows; i++ {
+					wantP := MaskedSoftmax(logits.Row(i), masks[i])
+					wantG := make([]T, sh.cols)
+					PolicyGradientInto(wantG, wantP, masks[i], actions[i], advs[i], ent)
+					checkBitwise(t, fmt.Sprintf("row %d probs", i), probs.Row(i), wantP)
+					checkBitwise(t, fmt.Sprintf("row %d grad", i), grad.Row(i), wantG)
+				}
 			})
 		}
 	}
@@ -264,30 +255,28 @@ func adamStepT[T Float](m, v map[*ParamOf[T]][]T, params []*ParamOf[T], t int, l
 	}
 }
 
-// TestFusedKernelsZeroAlloc asserts the fused training kernels allocate
-// nothing in steady state on the dispatcher or the oracle.
+// TestFusedKernelsZeroAlloc asserts the training step's policy loss and the
+// fused Adam step, on the dispatcher and the oracle, allocate nothing in
+// steady state.
 func TestFusedKernelsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	old := Workers()
-	defer SetWorkers(old)
-	SetWorkers(1)
 	rng := rand.New(rand.NewSource(3))
 	logits, masks, actions, advs := softmaxXentCase[float64](33, 17, rng)
 	var probs, grad MatOf[float64]
+	SoftmaxXent(logits, masks, actions, advs, 0.01, &probs, &grad) // warm: size the buffers
+	if allocs := testing.AllocsPerRun(20, func() {
+		SoftmaxXent(logits, masks, actions, advs, 0.01, &probs, &grad)
+	}); allocs != 0 {
+		t.Errorf("SoftmaxXent: %v allocs/run, want 0", allocs)
+	}
 	n := 129
 	p, g, m, v := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	fillUniform(p, rng)
 	fillUniform(g, rng)
 	for _, c := range engineCases[float64]() {
 		e, eng := c.eng, c.name
-		e.SoftmaxXent(logits, masks, actions, advs, 0.01, &probs, &grad) // warm: size the buffers
-		if allocs := testing.AllocsPerRun(20, func() {
-			e.SoftmaxXent(logits, masks, actions, advs, 0.01, &probs, &grad)
-		}); allocs != 0 {
-			t.Errorf("engine %v SoftmaxXent: %v allocs/run, want 0", eng, allocs)
-		}
 		a := NewAdamArgs[float64](1, 1e-3, 0.9, 0.999, 1e-8, 1)
 		if allocs := testing.AllocsPerRun(20, func() {
 			e.AdamStep(p, g, m, v, a)

@@ -18,10 +18,8 @@ package nn
 // order, one fused multiply-add per step; fusion skips the intermediate
 // product rounding, so results match the reference kernels within the blocked
 // engine's tolerance contract, and every element's arithmetic is a pure
-// function of the shapes — the 1-row kernel and the 4-row kernel round
-// identically, so worker-count independence survives any row split. The
-// n%NR column edge always runs the same scalar Go loop for every row, keeping
-// that property there too.
+// function of the shapes. The n%NR column edge always runs the same scalar
+// Go loop for every row.
 
 const (
 	// asmMR is the microkernel row count; row remainders run the 1-row kernel.
@@ -103,9 +101,7 @@ func gemmBlockedAsm[T Float](a, b, out *MatOf[T]) bool {
 }
 
 // gemmColEdgeRow accumulates the n%NR trailing columns of one output row as
-// plain ascending-k dot products over unpacked B. Every row takes this path
-// for these columns regardless of which microkernel covered the panels, so
-// the arithmetic per element never depends on the row split.
+// plain ascending-k dot products over unpacked B.
 func gemmColEdgeRow[T Float](a, b *MatOf[T], kc0, kc1 int, out *MatOf[T], i, np int) {
 	arow := a.Row(i)[kc0:kc1]
 	orow := out.Row(i)
@@ -119,59 +115,46 @@ func gemmColEdgeRow[T Float](a, b *MatOf[T], kc0, kc1 int, out *MatOf[T], i, np 
 	}
 }
 
-// gemmAsmArgsF32 carries one k-block's operands through parallelRowsOf.
-type gemmAsmArgsF32 struct {
-	a, b, out *MatOf[float32]
-	bp        []float32
-	kc0, kc1  int
-}
-
 func gemmBlockedF32(a, b, out *MatOf[float32]) {
-	m, k, n := a.Rows, a.Cols, b.Cols
+	k, n := a.Cols, b.Cols
 	np := n - n%asmNRF32
 	bpv := getVec[float32](min(blockedKC, k) * np)
 	bp := *bpv
 	for kc0 := 0; kc0 < k; kc0 += blockedKC {
 		kc1 := min(kc0+blockedKC, k)
 		packBPanelsN(b, kc0, kc1, np, asmNRF32, bp)
-		g := gemmAsmArgsF32{a: a, b: b, out: out, bp: bp, kc0: kc0, kc1: kc1}
-		if serialKernel(m, m*(kc1-kc0)*n) {
-			gemmAsmRowsF32(g, 0, m)
-			continue
-		}
-		parallelRowsOf(m, m*(kc1-kc0)*n, g, gemmAsmRowsF32)
+		gemmAsmRowsF32(a, b, bp, kc0, kc1, out)
 	}
 	putVec(bpv)
 }
 
-// gemmAsmRowsF32 runs rows [lo, hi) of one packed k block: 4-row vector
-// tiles, the 1-row kernel for the row remainder, and the shared scalar column
-// edge.
-func gemmAsmRowsF32(g gemmAsmArgsF32, lo, hi int) {
-	kc := g.kc1 - g.kc0
-	np := g.out.Cols - g.out.Cols%asmNRF32
-	i := lo
-	for ; i+asmMR <= hi; i += asmMR {
-		a0 := g.a.Row(i)[g.kc0:g.kc1]
-		a1 := g.a.Row(i + 1)[g.kc0:g.kc1]
-		a2 := g.a.Row(i + 2)[g.kc0:g.kc1]
-		a3 := g.a.Row(i + 3)[g.kc0:g.kc1]
-		o0, o1 := g.out.Row(i), g.out.Row(i+1)
-		o2, o3 := g.out.Row(i+2), g.out.Row(i+3)
+// gemmAsmRowsF32 runs one packed k block over every row: 4-row vector tiles,
+// the 1-row kernel for the row remainder, and the shared scalar column edge.
+func gemmAsmRowsF32(a, b *MatOf[float32], bp []float32, kc0, kc1 int, out *MatOf[float32]) {
+	kc := kc1 - kc0
+	np := out.Cols - out.Cols%asmNRF32
+	i := 0
+	for ; i+asmMR <= out.Rows; i += asmMR {
+		a0 := a.Row(i)[kc0:kc1]
+		a1 := a.Row(i + 1)[kc0:kc1]
+		a2 := a.Row(i + 2)[kc0:kc1]
+		a3 := a.Row(i + 3)[kc0:kc1]
+		o0, o1 := out.Row(i), out.Row(i+1)
+		o2, o3 := out.Row(i+2), out.Row(i+3)
 		for jp := 0; jp < np; jp += asmNRF32 {
 			gemm4x16f32(kc, &a0[0], &a1[0], &a2[0], &a3[0],
-				&g.bp[(jp/asmNRF32)*kc*asmNRF32],
+				&bp[(jp/asmNRF32)*kc*asmNRF32],
 				&o0[jp], &o1[jp], &o2[jp], &o3[jp])
 		}
 	}
-	for ; i < hi; i++ {
-		arow := g.a.Row(i)[g.kc0:g.kc1]
-		orow := g.out.Row(i)
+	for ; i < out.Rows; i++ {
+		arow := a.Row(i)[kc0:kc1]
+		orow := out.Row(i)
 		for jp := 0; jp < np; jp += asmNRF32 {
-			gemm1x16f32(kc, &arow[0], &g.bp[(jp/asmNRF32)*kc*asmNRF32], &orow[jp])
+			gemm1x16f32(kc, &arow[0], &bp[(jp/asmNRF32)*kc*asmNRF32], &orow[jp])
 		}
 	}
-	for i = lo; i < hi; i++ {
-		gemmColEdgeRow(g.a, g.b, g.kc0, g.kc1, g.out, i, np)
+	for i = 0; i < out.Rows; i++ {
+		gemmColEdgeRow(a, b, kc0, kc1, out, i, np)
 	}
 }

@@ -60,19 +60,12 @@ func gemvAsm[T Float](x, panels, out []T, nr int) bool {
 	return true
 }
 
-// abtArgsF32 carries one a·bᵀ product's operands through parallelRowsOf.
-type abtArgsF32 struct {
-	a, out *MatOf[float32]
-	panels []float32 // bᵀ in asmNRF32-column panels, k-major
-}
-
 // matMulABTAsm computes out = a·bᵀ with the gemv kernels over bᵀ and
 // reports whether it did; false (nothing written) when the kernels are off,
 // the precision is not float32, or b's rows do not fill whole panels. bᵀ is
 // packed once per call into pooled panels — panel p holds b's rows
-// p·NR … p·NR+NR−1 as k-major NR-wide steps — and out's rows fan out over
-// the worker pool. Every element is computed the same way whichever kernel
-// and worker its row lands on.
+// p·NR … p·NR+NR−1 as k-major NR-wide steps. Every element is computed the
+// same way whichever kernel its row lands on.
 func matMulABTAsm[T Float](a, b, out *MatOf[T]) bool {
 	if !asmGemvEnabled || a.Cols == 0 || b.Rows%asmNRF32 != 0 {
 		return false
@@ -91,33 +84,29 @@ func matMulABTAsm[T Float](a, b, out *MatOf[T]) bool {
 			p[kk*asmNRF32] = v
 		}
 	}
-	g := abtArgsF32{a: am, out: any(out).(*MatOf[float32]), panels: panels}
-	if flops := a.Rows * k * b.Rows; serialKernel(a.Rows, flops) {
-		matMulABTRowsF32(g, 0, a.Rows)
-	} else {
-		parallelRowsOf(a.Rows, flops, g, matMulABTRowsF32)
-	}
+	matMulABTRowsF32(am, panels, any(out).(*MatOf[float32]))
 	putVec(pv)
 	return true
 }
 
-// matMulABTRowsF32 runs rows [lo, hi) of a packed a·bᵀ: four rows per
-// panel pass, the 1-row kernel for the remainder.
-func matMulABTRowsF32(g abtArgsF32, lo, hi int) {
-	k := g.a.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0, a1, a2, a3 := g.a.Row(i), g.a.Row(i+1), g.a.Row(i+2), g.a.Row(i+3)
-		o0, o1, o2, o3 := g.out.Row(i), g.out.Row(i+1), g.out.Row(i+2), g.out.Row(i+3)
+// matMulABTRowsF32 runs a packed a·bᵀ over every row of out: four rows per
+// panel pass, the 1-row kernel for the remainder. panels holds bᵀ in
+// asmNRF32-column panels, k-major.
+func matMulABTRowsF32(a *MatOf[float32], panels []float32, out *MatOf[float32]) {
+	k := a.Cols
+	i := 0
+	for ; i+4 <= a.Rows; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		o0, o1, o2, o3 := out.Row(i), out.Row(i+1), out.Row(i+2), out.Row(i+3)
 		for jp := 0; jp < len(o0); jp += asmNRF32 {
-			gemv4x16f32(k, &a0[0], &a1[0], &a2[0], &a3[0], &g.panels[jp*k],
+			gemv4x16f32(k, &a0[0], &a1[0], &a2[0], &a3[0], &panels[jp*k],
 				&o0[jp], &o1[jp], &o2[jp], &o3[jp])
 		}
 	}
-	for ; i < hi; i++ {
-		arow, orow := g.a.Row(i), g.out.Row(i)
+	for ; i < a.Rows; i++ {
+		arow, orow := a.Row(i), out.Row(i)
 		for jp := 0; jp < len(orow); jp += asmNRF32 {
-			gemv16f32(k, &arow[0], &g.panels[jp*k], &orow[jp])
+			gemv16f32(k, &arow[0], &panels[jp*k], &orow[jp])
 		}
 	}
 }

@@ -24,25 +24,18 @@ func (p *ParamOf[T]) ZeroGrad() {
 // Forward consumes a batch and must cache whatever it needs for the matching
 // Backward call; Backward consumes the gradient of the loss with respect to
 // its output and returns the gradient with respect to its input, accumulating
-// parameter gradients. Infer must compute exactly what Forward computes while
-// writing no layer state, so concurrent Infer calls on a shared layer are
-// safe as long as the parameters are not mutated.
+// parameter gradients.
 //
 // Buffer ownership: Forward and Backward return per-layer scratch matrices
 // that are overwritten by the layer's next Forward/Backward call — callers
-// that retain a result across calls must Clone it. Infer allocates a fresh
-// output every call (the concurrency contract above requires it).
+// that retain a result across calls must Clone it.
 //
-// The unexported method binds a layer to the pooled zero-allocation inference
-// path; layer implementations live in this package.
+// Layer implementations live in this package; the packed inference form
+// (packed.go) knows each of them.
 type LayerOf[T Float] interface {
 	Forward(x *MatOf[T]) *MatOf[T]
-	Infer(x *MatOf[T]) *MatOf[T]
 	Backward(dout *MatOf[T]) *MatOf[T]
 	Params() []*ParamOf[T]
-	// inferTo computes exactly what Infer computes into out (resized by the
-	// layer), writing no layer state. out must not alias x.
-	inferTo(x, out *MatOf[T])
 }
 
 // LinearOf is a fully connected layer: y = x·W + b.
@@ -60,8 +53,8 @@ type LinearOf[T Float] struct {
 	// wview is the cached matrix view over W.Value, bound once at
 	// construction (see bindViews). The optimizer mutates W.Value in place
 	// but never reassigns the slice, so the view stays valid for the layer's
-	// lifetime and Forward/Infer never build (and heap-allocate) one per
-	// call. Read-only after binding — concurrent Infer callers share it.
+	// lifetime and Forward never builds (and heap-allocates) one per call.
+	// Read-only after binding — packs built from the layer share it.
 	wview MatOf[T]
 
 	x   *MatOf[T] // cached input for backward
@@ -119,19 +112,6 @@ func (l *LinearOf[T]) Forward(x *MatOf[T]) *MatOf[T] {
 	return l.out
 }
 
-// Infer computes x·W + b into a fresh matrix without caching the input for
-// backward.
-func (l *LinearOf[T]) Infer(x *MatOf[T]) *MatOf[T] {
-	out := NewMatOf[T](x.Rows, l.Out)
-	l.engine().LinearForward(x, l.weight(), l.B.Value, out)
-	return out
-}
-
-func (l *LinearOf[T]) inferTo(x, out *MatOf[T]) {
-	out.Resize(x.Rows, l.Out)
-	l.engine().LinearForward(x, l.weight(), l.B.Value, out)
-}
-
 // Backward accumulates dW = xᵀ·dout and db = Σ dout, and returns dx = dout·Wᵀ
 // in the layer's reusable buffer (overwritten by the next Backward call).
 func (l *LinearOf[T]) Backward(dout *MatOf[T]) *MatOf[T] {
@@ -186,19 +166,8 @@ func (r *ReLUOf[T]) Forward(x *MatOf[T]) *MatOf[T] {
 	return r.out
 }
 
-// Infer zeroes everything not strictly positive — including NaN, exactly as
-// Forward does — without touching the backward mask.
-func (r *ReLUOf[T]) Infer(x *MatOf[T]) *MatOf[T] {
-	out := NewMatOf[T](x.Rows, x.Cols)
-	reluInto(out.Data, x.Data)
-	return out
-}
-
-func (r *ReLUOf[T]) inferTo(x, out *MatOf[T]) {
-	out.Resize(x.Rows, x.Cols)
-	reluInto(out.Data, x.Data)
-}
-
+// reluInto zeroes everything not strictly positive — including NaN, exactly
+// as Forward does — without touching a backward mask.
 func reluInto[T Float](dst, src []T) {
 	for i, v := range src {
 		if v > 0 {
@@ -242,18 +211,6 @@ func (t *TanhOf[T]) Forward(x *MatOf[T]) *MatOf[T] {
 	t.y.Resize(x.Rows, x.Cols)
 	tanhInto(t.y.Data, x.Data)
 	return t.y
-}
-
-// Infer applies tanh element-wise without caching the activation.
-func (t *TanhOf[T]) Infer(x *MatOf[T]) *MatOf[T] {
-	out := NewMatOf[T](x.Rows, x.Cols)
-	tanhInto(out.Data, x.Data)
-	return out
-}
-
-func (t *TanhOf[T]) inferTo(x, out *MatOf[T]) {
-	out.Resize(x.Rows, x.Cols)
-	tanhInto(out.Data, x.Data)
 }
 
 func tanhInto[T Float](dst, src []T) {

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // The losses and softmax helpers are generic over the tensor-core precision.
 // Element-wise transcendentals (exp, log, tanh) are evaluated through the
@@ -70,16 +73,6 @@ func MaskedSoftmaxInto[T Float](out, logits []T, mask []bool) {
 	}
 }
 
-// SoftmaxRows applies Softmax independently to every row of a batch of
-// logits, writing into a new matrix of the same shape.
-func SoftmaxRows[T Float](logits *MatOf[T]) *MatOf[T] {
-	out := NewMatOf[T](logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		copy(out.Row(i), Softmax(logits.Row(i)))
-	}
-	return out
-}
-
 // MaskedSoftmaxRows applies MaskedSoftmax to every row of a batch of logits
 // under the corresponding per-row mask. len(masks) must equal logits.Rows.
 func MaskedSoftmaxRows[T Float](logits *MatOf[T], masks [][]bool) *MatOf[T] {
@@ -99,51 +92,6 @@ func MaskedSoftmaxRowsInto[T Float](out, logits *MatOf[T], masks [][]bool) {
 	for i := 0; i < logits.Rows; i++ {
 		MaskedSoftmaxInto(out.Row(i), logits.Row(i), masks[i])
 	}
-}
-
-// MSEBatch returns the mean squared error over a whole k×d batch (each row
-// one sample) and the gradient matrix with respect to pred. Equivalent to
-// averaging per-row MSE over the batch.
-func MSEBatch[T Float](pred, target *MatOf[T]) (loss float64, grad *MatOf[T]) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("nn: MSEBatch shape mismatch")
-	}
-	grad = NewMatOf[T](pred.Rows, pred.Cols)
-	n := T(len(pred.Data))
-	var total T
-	for i, p := range pred.Data {
-		d := p - target.Data[i]
-		total += d * d
-		grad.Data[i] = 2 * d / n
-	}
-	return float64(total / n), grad
-}
-
-// HuberBatch returns the Huber loss (delta=1) over a whole k×d batch and the
-// gradient matrix with respect to pred — the batched form of HuberLoss.
-func HuberBatch[T Float](pred, target *MatOf[T]) (loss float64, grad *MatOf[T]) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("nn: HuberBatch shape mismatch")
-	}
-	const delta = 1.0
-	grad = NewMatOf[T](pred.Rows, pred.Cols)
-	n := T(len(pred.Data))
-	var total T
-	for i, p := range pred.Data {
-		d := p - target.Data[i]
-		if absT(d) <= delta {
-			total += 0.5 * d * d
-			grad.Data[i] = d / n
-		} else {
-			total += delta * (absT(d) - 0.5*delta)
-			if d > 0 {
-				grad.Data[i] = delta / n
-			} else {
-				grad.Data[i] = -delta / n
-			}
-		}
-	}
-	return float64(total / n), grad
 }
 
 // MSE returns the mean squared error and the gradient with respect to pred.
@@ -187,19 +135,11 @@ func HuberLoss[T Float](pred, target []T) (loss float64, grad []T) {
 // absT is math.Abs in the tensor precision (NaN and ±0 behave as math.Abs).
 func absT[T Float](x T) T { return T(math.Abs(float64(x))) }
 
-// PolicyGradient computes the REINFORCE gradient of
+// PolicyGradientInto writes the REINFORCE gradient of
 // −advantage·log π(action) − entropyCoef·H(π) with respect to the logits,
-// for a single decision with a masked action space. probs must be the
-// masked softmax of the logits. The returned slice is ∂loss/∂logits.
-func PolicyGradient[T Float](probs []T, mask []bool, action int, advantage, entropyCoef float64) []T {
-	grad := make([]T, len(probs))
-	PolicyGradientInto(grad, probs, mask, action, advantage, entropyCoef)
-	return grad
-}
-
-// PolicyGradientInto is PolicyGradient writing into caller-owned storage (the
-// allocation-free form used by the training hot path). grad must have the
-// same length as probs; it is fully overwritten, masked positions to 0.
+// for a single decision with a masked action space, into grad. probs must be
+// the masked softmax of the logits and grad must have its length; grad is
+// fully overwritten, masked positions to 0.
 func PolicyGradientInto[T Float](grad, probs []T, mask []bool, action int, advantage, entropyCoef float64) {
 	// d(−A·log p_a)/dlogit_i = A·(p_i − 1{i==a}) restricted to the mask.
 	for i, p := range probs {
@@ -230,6 +170,23 @@ func PolicyGradientInto[T Float](grad, probs []T, mask []bool, action int, advan
 			dh := -pf * (math.Log(pf) + h)
 			grad[i] -= T(entropyCoef * dh)
 		}
+	}
+}
+
+// SoftmaxXent is the REINFORCE update's policy loss over a batch: per row i,
+// the masked softmax of the logits into probs, then the policy gradient
+// ∂(−advs[i]·log π(actions[i]) − entropyCoef·H(π))/∂logits into grad (both
+// resized to logits' shape). It allocates nothing once probs and grad have
+// grown to the batch.
+func SoftmaxXent[T Float](logits *MatOf[T], masks [][]bool, actions []int, advs []float64, entropyCoef float64, probs, grad *MatOf[T]) {
+	if len(masks) != logits.Rows || len(actions) != logits.Rows || len(advs) != logits.Rows {
+		panic(fmt.Sprintf("nn: SoftmaxXent batch mismatch: %d rows, %d masks, %d actions, %d advantages",
+			logits.Rows, len(masks), len(actions), len(advs)))
+	}
+	MaskedSoftmaxRowsInto(probs, logits, masks)
+	grad.Resize(logits.Rows, logits.Cols)
+	for i := 0; i < logits.Rows; i++ {
+		PolicyGradientInto(grad.Row(i), probs.Row(i), masks[i], actions[i], advs[i], entropyCoef)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package nn implements small dense neural networks from scratch using only
 // the standard library: linear layers, pointwise activations, masked softmax
-// policy heads, standard losses, and SGD/Momentum/Adam optimizers. It backs
+// policy heads, standard losses, and SGD/Adam optimizers. It backs
 // every learned component of the paper (Marcus & Papaemmanouil, CIDR 2019):
 // ReJOIN's policy network (§3), the full plan-space agents (§4), and the
 // reward-prediction network of learning from demonstration (§5.1).
@@ -10,21 +10,14 @@
 // hands-free optimizer's agents need and nothing more — but it is exact:
 // gradients are verified against numerical differentiation in the tests.
 //
-// # Batching and parallelism
+// # Batching
 //
 // The package is batch-first: a batch of k states is a k×d Mat, and
 // Network.Forward/Backward process whole batches with per-layer cached
 // activations, batched bias addition, and batched gradient accumulation.
-// Row-wise helpers (SoftmaxRows, MaskedSoftmaxRows, MSEBatch, HuberBatch)
-// extend the single-vector losses to batches.
-//
-// The three matrix kernels (MatMul, MatMulATB, MatMulABT) transparently
-// split their independent output-row blocks across a shared goroutine worker
-// pool once the multiply-accumulate count crosses parallelThreshold and the
-// parallel dimension has at least minParallelRows rows. Because each output
-// row is accumulated in exactly the order the serial kernel uses, the
-// parallel kernels are bitwise identical to the serial ones — verified in
-// the tests. SetWorkers(1) disables the parallel path entirely.
+// Every kernel runs on its calling goroutine: concurrency comes from the
+// callers (a training lifecycle's actors and its learner), never from inside
+// a kernel.
 //
 // # Precision
 //
@@ -39,7 +32,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -82,16 +74,8 @@ func FromVec[T Float](v []T) *MatOf[T] {
 	return &MatOf[T]{Rows: 1, Cols: len(v), Data: v}
 }
 
-// ConvertMat copies m into a matrix of element type U, converting every
-// element. Converting f64→f32 rounds to nearest; f32→f64 is exact.
-func ConvertMat[U, T Float](m *MatOf[T]) *MatOf[U] {
-	out := NewMatOf[U](m.Rows, m.Cols)
-	convertMatInto(out, m)
-	return out
-}
-
-// convertMatInto converts src into dst, resizing dst (the allocation-free
-// form of ConvertMat used at the Network's float64 boundary).
+// convertMatInto converts src into dst, resizing dst: the Network's float64
+// boundary. Converting f64→f32 rounds to nearest; f32→f64 is exact.
 func convertMatInto[U, T Float](dst *MatOf[U], src *MatOf[T]) {
 	dst.Resize(src.Rows, src.Cols)
 	for i, v := range src.Data {
@@ -137,24 +121,9 @@ func (m *MatOf[T]) Zero() {
 	}
 }
 
-// MatMul returns a·b. Panics if the inner dimensions disagree; shape errors
-// here are always programmer errors, never data errors. Large products are
-// computed tile-parallel on the package worker pool with results bitwise
-// identical to the serial kernel.
-func MatMul[T Float](a, b *MatOf[T]) *MatOf[T] {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatOf[T](a.Rows, b.Cols)
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		matMulRows(a, b, out, lo, hi)
-	})
-	return out
-}
-
-// matMulRows computes output rows [lo, hi) of a·b.
-func matMulRows[T Float](a, b, out *MatOf[T], lo, hi int) {
-	for i := lo; i < hi; i++ {
+// matMulRows accumulates a·b into out, one output row at a time.
+func matMulRows[T Float](a, b, out *MatOf[T]) {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for k, av := range arow {
@@ -169,27 +138,13 @@ func matMulRows[T Float](a, b, out *MatOf[T], lo, hi int) {
 	}
 }
 
-// MatMulATB returns aᵀ·b without materializing the transpose.
-func MatMulATB[T Float](a, b *MatOf[T]) *MatOf[T] {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("nn: matmulATB shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatOf[T](a.Cols, b.Cols)
-	parallelRows(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		matMulATBRows(a, b, out, lo, hi)
-	})
-	return out
-}
-
-// matMulATBRows computes output rows [lo, hi) of aᵀ·b. The reduction over
-// a's rows stays outermost so each output element accumulates in the same
-// order as the serial kernel.
-func matMulATBRows[T Float](a, b, out *MatOf[T], lo, hi int) {
+// matMulATBRows accumulates aᵀ·b into out. The reduction over a's rows stays
+// outermost, so each output element folds its products in ascending k.
+func matMulATBRows[T Float](a, b, out *MatOf[T]) {
 	for r := 0; r < a.Rows; r++ {
 		arow := a.Row(r)
 		brow := b.Row(r)
-		for i := lo; i < hi; i++ {
-			av := arow[i]
+		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
@@ -199,18 +154,6 @@ func matMulATBRows[T Float](a, b, out *MatOf[T], lo, hi int) {
 			}
 		}
 	}
-}
-
-// MatMulABT returns a·bᵀ without materializing the transpose.
-func MatMulABT[T Float](a, b *MatOf[T]) *MatOf[T] {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: matmulABT shape mismatch %dx%d · %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatOf[T](a.Rows, b.Rows)
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		matMulABTRows(a, b, out, lo, hi)
-	})
-	return out
 }
 
 // matMulABTRows computes output rows [lo, hi) of a·bᵀ.

@@ -69,40 +69,6 @@ func (n *NetOf[T]) backwardParams(dout *MatOf[T]) {
 	}
 }
 
-// Infer runs the batch through the network without caching anything for a
-// backward pass; see Network.Infer for the concurrency contract.
-func (n *NetOf[T]) Infer(x *MatOf[T]) *MatOf[T] {
-	for _, l := range n.Layers {
-		x = l.Infer(x)
-	}
-	return x
-}
-
-// InferInto is Infer with caller-owned output and pooled intermediates: out
-// is resized to the result shape and overwritten, and the layer
-// intermediates ping-pong through per-call pooled scratch, so steady-state
-// inference allocates nothing. Like Infer it writes no layer state and is
-// safe for any number of concurrent callers on an immutable network. out
-// must not alias x.
-func (n *NetOf[T]) InferInto(x, out *MatOf[T]) {
-	if len(n.Layers) == 0 {
-		out.Resize(x.Rows, x.Cols)
-		copy(out.Data, x.Data)
-		return
-	}
-	sc := getInferScratch[T]()
-	cur := x
-	for i, l := range n.Layers {
-		dst := out
-		if i < len(n.Layers)-1 {
-			dst = sc.next()
-		}
-		l.inferTo(cur, dst)
-		cur = dst
-	}
-	putInferScratch(sc)
-}
-
 // Params returns every learnable parameter in the network. The slice is
 // cached (the optimizer walks it every training step); layer-replacing
 // surgery (ResizeOutput/ReinitOutput) invalidates the cache.
@@ -216,7 +182,7 @@ func (n *NetOf[T]) Clone() *NetOf[T] {
 }
 
 // CloneForInference deep-copies the parameter values but allocates no
-// gradient buffers: the copy supports Infer (and Forward) but not Backward.
+// gradient buffers: the copy supports Forward and Pack but not Backward.
 // An async learner republishes a snapshot after every policy update, so the
 // publish hot path skips half of Clone's allocation and memory traffic —
 // snapshots are read-only by contract and their gradients would be dead
@@ -261,8 +227,7 @@ type Network struct {
 	core *NetOf[float32]
 
 	// Reusable boundary-conversion buffers for the single-goroutine
-	// Forward/Backward paths (Infer allocates fresh conversions to keep its
-	// concurrency contract).
+	// Forward/Backward paths.
 	x32, d32 *Mat32
 	y64      *Mat
 }
@@ -307,38 +272,6 @@ func (n *Network) Backward(dout *Mat) {
 	}
 	convertMatInto(n.d32, dout)
 	n.core.backwardParams(n.d32)
-}
-
-// Infer runs the batch through the network without caching anything for a
-// backward pass. Forward stores per-layer state (the Linear input, the ReLU
-// mask) and therefore must not be called concurrently on a shared network;
-// Infer touches only the parameter values, so any number of goroutines may
-// call it on one network at once as long as none mutates the parameters.
-// That is exactly the contract of a published policy snapshot: the parameter
-// server hands one immutable network to every actor, and the actors' episode
-// hot path stays allocation-light and lock-free instead of cloning the
-// network per worker. Each Layer.Infer is required to compute exactly what
-// its Forward computes (asserted bitwise by the parity test). The boundary
-// conversions allocate fresh matrices per call, so they preserve the
-// concurrency contract.
-func (n *Network) Infer(x *Mat) *Mat {
-	return ConvertMat[float64](n.core.Infer(ConvertMat[float32](x)))
-}
-
-// InferInto is Infer with caller-owned output: out is resized and
-// overwritten with the logits, all intermediates and the boundary
-// conversions come from per-call pooled scratch, and no layer state is
-// written — so steady-state inference allocates nothing while keeping
-// Infer's any-number-of-goroutines concurrency contract. out must not alias
-// x.
-func (n *Network) InferInto(x, out *Mat) {
-	x32 := getMat[float32]()
-	y32 := getMat[float32]()
-	convertMatInto(x32, x)
-	n.core.InferInto(x32, y32)
-	convertMatInto(out, y32)
-	putMat(x32)
-	putMat(y32)
 }
 
 // ZeroGrad clears every parameter gradient.

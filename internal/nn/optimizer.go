@@ -32,38 +32,6 @@ func sgdStepT[T Float](params []*ParamOf[T], lr, clip float64) {
 	}
 }
 
-// Momentum is SGD with classical momentum.
-type Momentum struct {
-	LR, Mu float64
-	Clip   float64
-
-	vel map[*ParamOf[float32]][]float32
-}
-
-// StepNet applies one momentum update.
-func (o *Momentum) StepNet(net *Network) {
-	if o.vel == nil {
-		o.vel = make(map[*ParamOf[float32]][]float32)
-	}
-	momentumStepT(o.vel, net.core.Params(), o.LR, o.Mu, o.Clip)
-}
-
-func momentumStepT[T Float](vel map[*ParamOf[T]][]T, params []*ParamOf[T], lr, mu, clip float64) {
-	k := T(lr * clipScaleT(params, clip))
-	tmu := T(mu)
-	for _, p := range params {
-		v := vel[p]
-		if v == nil {
-			v = make([]T, len(p.Value))
-			vel[p] = v
-		}
-		for i := range p.Value {
-			v[i] = tmu*v[i] - k*p.Grad[i]
-			p.Value[i] += v[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba). The zero value is not
 // usable; construct with NewAdam.
 type Adam struct {

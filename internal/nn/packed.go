@@ -22,8 +22,8 @@ import "fmt"
 // reference i-k-j loop; the reference's av==0 skip is immaterial for finite
 // weights because a ±0 product can never flip a running IEEE sum (the
 // accumulator starts at +0 and +0 + ±0 = +0). So a single-row packed
-// inference result matches NetOf.InferInto bit for bit, and a served plan
-// never depends on the packing. Weights must be finite
+// inference result matches the network's own Forward bit for bit, and a
+// served plan never depends on the packing. Weights must be finite
 // (a non-finite weight times a zero feature would produce NaN where the
 // skipping loop produces none) — true of every trainable policy.
 type PackedNetOf[T Float] struct {
@@ -113,9 +113,9 @@ func (p *PackedNetOf[T]) OutDim() int { return p.out }
 // overwritten, intermediates ping-pong through pooled scratch, and no state
 // is written — any number of goroutines may call it on one pack at once.
 // Results are bitwise identical to the reference kernels (the oracle) for
-// any batch, and to NetOf.InferInto for single-row inputs (the engine routes
-// 1×d products to the reference row kernel, so the serving hot path sees one
-// answer packed or unpacked). out must not alias x.
+// any batch, and to NetOf.Forward for single-row inputs (the engine routes
+// 1×d products to the reference row kernel, so the actors' and servers'
+// packed answer is the learner's). out must not alias x.
 func (p *PackedNetOf[T]) InferInto(x, out *MatOf[T]) {
 	if len(p.layers) == 0 {
 		out.Resize(x.Rows, x.Cols)
@@ -133,13 +133,6 @@ func (p *PackedNetOf[T]) InferInto(x, out *MatOf[T]) {
 		cur = dst
 	}
 	putInferScratch(sc)
-}
-
-// InferVec is InferInto for the serving hot path's single feature vector: v
-// is viewed as a 1×len(v) matrix without copying or allocating.
-func (p *PackedNetOf[T]) InferVec(v []T, out *MatOf[T]) {
-	x := MatOf[T]{Rows: 1, Cols: len(v), Data: v}
-	p.InferInto(&x, out)
 }
 
 func (l *packedLayer[T]) inferTo(x, out *MatOf[T]) {
@@ -222,7 +215,7 @@ func (p *PackedNetwork) OutDim() int { return p.p.OutDim() }
 
 // InferVec runs one float64 feature vector through the pack into out
 // (resized and overwritten), with the same concurrency contract and bitwise
-// guarantee as PackedNetOf.InferInto: identical to Network.InferInto on a
+// guarantee as PackedNetOf.InferInto: identical to Network.Forward on a
 // 1×d input, allocating nothing in steady state.
 func (p *PackedNetwork) InferVec(v []float64, out *Mat) {
 	x32 := getMat[float32]()

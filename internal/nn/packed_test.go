@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -50,10 +51,10 @@ func packedTestNets[T Float]() map[string]*NetOf[T] {
 }
 
 // TestPackedInferBitwise pins the shared-packing numerics contract: a packed
-// inference matches the unpacked network bit for bit — on the reference
-// engine for any batch shape, and on the blocked engine for the single-row
-// serving shape (which blocked routes to the reference kernel) — under every
-// gemv kernel the host can run.
+// inference matches Forward on a clone of the network bit for bit — on the
+// reference engine for any batch shape, and on the blocked engine for the
+// single-row serving shape (which blocked routes to the reference kernel) —
+// under every gemv kernel the host can run.
 func TestPackedInferBitwise(t *testing.T) {
 	t.Run("f64", func(t *testing.T) { testPackedBitwise[float64](t) })
 	t.Run("f32", func(t *testing.T) { testPackedBitwise[float32](t) })
@@ -67,22 +68,20 @@ func testPackedBitwise[T Float](t *testing.T) {
 				t.Fatalf("%s: pack dims %dx%d, net dims %dx%d",
 					name, p.InDim(), p.OutDim(), net.InDim(), net.OutDim())
 			}
-			refNet := net.Clone()
+			refNet, blkNet := net.Clone(), net.Clone()
 			useOracle(refNet)
 			rng := rand.New(rand.NewSource(9))
 			for _, rows := range []int{1, 3, 17} {
 				x := randMatOf[T](rows, net.InDim(), rng)
-				var got, want MatOf[T]
+				var got MatOf[T]
 				p.InferInto(x, &got)
 
-				refNet.InferInto(x, &want)
 				checkBitwise(t, fmt.Sprintf("%s rows=%d vs reference", name, rows),
-					got.Data, want.Data)
+					got.Data, refNet.Forward(x).Data)
 
 				if rows == 1 {
-					net.InferInto(x, &want)
 					checkBitwise(t, fmt.Sprintf("%s rows=1 vs blocked", name),
-						got.Data, want.Data)
+						got.Data, blkNet.Forward(x).Data)
 				}
 			}
 		}
@@ -90,25 +89,25 @@ func testPackedBitwise[T Float](t *testing.T) {
 }
 
 // TestPackedNetworkInferVec checks InferVec on the Network's pack (float64
-// vector in, logits bitwise equal to Network.InferInto) and, as the oracle
-// instantiation, on a float64 core's pack.
+// vector in, logits bitwise equal to Forward on a clone) and, as the oracle
+// instantiation, a float64 core's pack on the same single-row input.
 func TestPackedNetworkInferVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	core := NewMLPOf[float64](rng, 13, 32, 7)
 	net := NewMLP(rng, 13, 32, 7)
 	x := randMatOf[float64](1, 13, rng)
+	corePack := core.Pack()
 	for name, c := range map[string]struct {
-		inferVec  func([]float64, *Mat)
-		inferInto func(x, out *Mat)
+		inferVec func([]float64, *Mat)
+		forward  func(x *Mat) *Mat
 	}{
-		"f64": {core.Pack().InferVec, core.InferInto},
-		"f32": {net.Pack().InferVec, net.InferInto},
+		"f64": {func(v []float64, out *Mat) { corePack.InferInto(FromVec(v), out) }, core.Clone().Forward},
+		"f32": {net.Pack().InferVec, net.Clone().Forward},
 	} {
 		t.Run(name, func(t *testing.T) {
-			var got, want Mat
+			var got Mat
 			c.inferVec(x.Data, &got)
-			c.inferInto(x, &want)
-			checkBitwise(t, "InferVec", got.Data, want.Data)
+			checkBitwise(t, "InferVec", got.Data, c.forward(x).Data)
 		})
 	}
 }
@@ -123,13 +122,12 @@ func TestPackedInferConcurrent(t *testing.T) {
 	p := net.Pack()
 
 	const callers = 8
-	inputs := make([][]float64, callers)
+	inputs := make([]*MatOf[float64], callers)
 	wants := make([][]float64, callers)
 	for i := range inputs {
-		x := randMatOf[float64](1, 13, rng)
-		inputs[i] = x.Data
+		inputs[i] = randMatOf[float64](1, 13, rng)
 		var w MatOf[float64]
-		p.InferVec(inputs[i], &w)
+		p.InferInto(inputs[i], &w)
 		wants[i] = append([]float64(nil), w.Data...)
 	}
 
@@ -141,7 +139,7 @@ func TestPackedInferConcurrent(t *testing.T) {
 			defer wg.Done()
 			var out MatOf[float64]
 			for iter := 0; iter < 200; iter++ {
-				p.InferVec(inputs[i], &out)
+				p.InferInto(inputs[i], &out)
 				for j, v := range out.Data {
 					if v != wants[i][j] {
 						errs <- fmt.Errorf("caller %d iter %d: out[%d]=%v want %v", i, iter, j, v, wants[i][j])
@@ -166,27 +164,84 @@ func TestPackedInferZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	old := Workers()
-	defer SetWorkers(old)
-	SetWorkers(1)
-
 	rng := rand.New(rand.NewSource(19))
-	x := make([]float64, 13)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	x := NewMat(1, 13)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
-	for name, inferVec := range map[string]func([]float64, *Mat){
-		"f64": NewMLPOf[float64](rng, 13, 64, 64, 7).Pack().InferVec,
-		"f32": NewMLP(rng, 13, 64, 64, 7).Pack().InferVec,
+	core, net := NewMLPOf[float64](rng, 13, 64, 64, 7).Pack(), NewMLP(rng, 13, 64, 64, 7).Pack()
+	for name, infer := range map[string]func(out *Mat){
+		"f64": func(out *Mat) { core.InferInto(x, out) },
+		"f32": func(out *Mat) { net.InferVec(x.Data, out) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out Mat
-			inferVec(x, &out) // warm pools and size the output
+			infer(&out) // warm pools and size the output
 			if n := testing.AllocsPerRun(200, func() {
-				inferVec(x, &out)
+				infer(&out)
 			}); n != 0 {
-				t.Fatalf("packed InferVec allocated %v per call, want 0", n)
+				t.Fatalf("packed inference allocated %v per call, want 0", n)
 			}
 		})
+	}
+}
+
+// TestInferMatchesForwardOnNaNActivations: a diverged policy (NaN weights)
+// must behave identically on the learner's Forward and on the pack the actors
+// and serving read — ReLU zeroes NaN pre-activations (v > 0 is false for
+// NaN) on both, or actors would see NaN logits where the learner sees finite
+// ones.
+func TestInferMatchesForwardOnNaNActivations(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	net := NewMLP(rng, 4, 8, 3)
+	// Poison the first input's weights so every hidden pre-activation is NaN.
+	lin := net.F32().Layers[0].(*LinearOf[float32])
+	for j := 0; j < lin.Out; j++ {
+		lin.W.Value[j] = float32(math.NaN())
+	}
+	// Uniform features carry no exact zero, so the NaN weights always reach
+	// the hidden sums on both paths.
+	x := randMatOf[float64](2, 4, rng)
+	p := net.Pack()
+	want := net.Forward(x)
+	for r := 0; r < x.Rows; r++ {
+		var got Mat
+		p.InferVec(x.Row(r), &got)
+		for j, g := range got.Data {
+			if w := want.At(r, j); w != g && !(math.IsNaN(w) && math.IsNaN(g)) {
+				t.Fatalf("row %d: NaN handling diverged at %d: packed %v, Forward %v", r, j, g, w)
+			}
+			if math.IsNaN(g) {
+				t.Fatalf("row %d: NaN leaked through the output layer: %v (ReLU must clamp it)", r, got.Data)
+			}
+		}
+	}
+}
+
+// TestCloneForInference: the gradient-free clone must produce identical
+// output, be independent of the original's weights, and carry no gradient
+// buffers.
+func TestCloneForInference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	net := NewMLP(rng, 6, 12, 3)
+	x := randMatOf[float64](4, 6, rng)
+	want := net.Forward(x).Clone()
+
+	snap := net.CloneForInference()
+	for _, p := range snap.F32().Params() {
+		if p.Grad != nil {
+			t.Fatalf("CloneForInference allocated a gradient buffer for %s", p.Name)
+		}
+	}
+	checkBitwise(t, "clone output", snap.Forward(x).Data, want.Data)
+	// Mutate the original: the snapshot must be unaffected.
+	for _, p := range net.F32().Params() {
+		for i := range p.Value {
+			p.Value[i] += 1
+		}
+	}
+	checkBitwise(t, "clone output after the original moved", snap.Forward(x).Data, want.Data)
+	if snap.InDim() != net.InDim() || snap.OutDim() != net.OutDim() {
+		t.Fatalf("clone dims %dx%d, want %dx%d", snap.InDim(), snap.OutDim(), net.InDim(), net.OutDim())
 	}
 }

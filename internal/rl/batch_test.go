@@ -279,7 +279,8 @@ func reinforceUpdateReference(a *Reinforce) {
 		for _, st := range t.Steps {
 			logits := a.Policy.Forward(nn.FromVec(st.Features))
 			probs := nn.MaskedSoftmax(logits.Data, st.Mask)
-			grad := nn.PolicyGradient(probs, st.Mask, st.Action, adv, a.entCoef)
+			grad := make([]float64, len(probs))
+			nn.PolicyGradientInto(grad, probs, st.Mask, st.Action, adv, a.entCoef)
 			a.Policy.Backward(&nn.Mat{Rows: 1, Cols: len(grad), Data: grad})
 		}
 	}

@@ -279,12 +279,8 @@ func (a *Reinforce) update() {
 	logits := a.Policy.Forward(x)
 	probs := &a.probbuf
 	grad := &a.gradbuf
-	// The fused softmax + cross-entropy engine kernel replaces the separate
-	// MaskedSoftmaxRowsInto + per-row PolicyGradientInto passes. The REINFORCE
-	// interchange math is float64 (logits arrive converted), so the kernel
-	// instantiates at f64; it is bitwise identical to the composed helpers.
-	nn.NewEngineOf[float64]().SoftmaxXent(
-		logits, masks, actions, advs, a.entCoef, probs, grad)
+	// The REINFORCE interchange math is float64 (logits arrive converted).
+	nn.SoftmaxXent(logits, masks, actions, advs, a.entCoef, probs, grad)
 	a.Policy.ZeroGrad()
 	a.Policy.Backward(grad)
 	// Scale by batch size so the step magnitude is independent of B.

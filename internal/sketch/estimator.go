@@ -131,11 +131,15 @@ func (e *Estimator) JoinSelectivity(q *query.Query, j query.Join) float64 {
 }
 
 // SubsetCard estimates the cardinality of joining the given set of
-// aliases, applying every join predicate fully contained in the set.
+// aliases, applying every join predicate fully contained in the set. The
+// factors multiply in q.Relations then q.Joins order, as in
+// stats.Estimator.SubsetCard.
 func (e *Estimator) SubsetCard(q *query.Query, aliases map[string]bool) float64 {
 	card := 1.0
-	for a := range aliases {
-		card *= e.BaseCard(q, a)
+	for _, r := range q.Relations {
+		if aliases[r.Alias] {
+			card *= e.BaseCard(q, r.Alias)
+		}
 	}
 	for _, j := range q.Joins {
 		if aliases[j.LeftAlias] && aliases[j.RightAlias] {

@@ -2,6 +2,7 @@ package sketch_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"handsfree/internal/datagen"
@@ -187,4 +188,42 @@ func qerr(a, b float64) float64 {
 		return a / b
 	}
 	return b / a
+}
+
+// TestSubsetCardIndependentOfMapOrder: a subset's cardinality is a product of
+// per-relation and per-join factors, and float64 multiplication does not
+// commute bit for bit, so the factors must multiply in one fixed order — not
+// in whatever order the alias set's map happens to yield. Every named query's
+// full alias set, rebuilt in shuffled insertion order and asked repeatedly,
+// must give one answer from the exact estimator, the sketch estimator and the
+// oracle.
+func TestSubsetCardIndependentOfMapOrder(t *testing.T) {
+	db := generated(t, 0.05)
+	exact := stats.NewEstimator(db.Catalog, db.Stats)
+	cards := map[string]func(*query.Query, map[string]bool) float64{
+		"exact":  exact.SubsetCard,
+		"sketch": sketch.NewEstimator(db.Catalog, sketch.NewAnalyzer(sketch.Config{Seed: 2}).Analyze(db.Store)).SubsetCard,
+		"oracle": stats.NewOracle(exact, 7).TrueSubsetCard,
+	}
+	w := workload.New(db)
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range workload.NamedNames() {
+		q := w.MustNamed(name)
+		for est, card := range cards {
+			var first uint64
+			for call := 0; call < 20; call++ {
+				set := map[string]bool{}
+				for _, i := range rng.Perm(len(q.Relations)) {
+					set[q.Relations[i].Alias] = true
+				}
+				bits := math.Float64bits(card(q, set))
+				if call == 0 {
+					first = bits
+				} else if bits != first {
+					t.Fatalf("%s: query %s: SubsetCard of all %d relations is %v on one call and %v on another",
+						est, name, len(q.Relations), math.Float64frombits(first), math.Float64frombits(bits))
+				}
+			}
+		}
+	}
 }

@@ -120,10 +120,15 @@ func (e *Estimator) JoinSelectivity(q *query.Query, j query.Join) float64 {
 // applying every join predicate fully contained in the set:
 //
 //	card = Π base(r) × Π sel(join edges within the set)
+//
+// The factors multiply in q.Relations then q.Joins order, so the float64
+// result is the same on every call, whatever order the set's map yields.
 func (e *Estimator) SubsetCard(q *query.Query, aliases map[string]bool) float64 {
 	card := 1.0
-	for a := range aliases {
-		card *= e.BaseCard(q, a)
+	for _, r := range q.Relations {
+		if aliases[r.Alias] {
+			card *= e.BaseCard(q, r.Alias)
+		}
 	}
 	for _, j := range q.Joins {
 		if aliases[j.LeftAlias] && aliases[j.RightAlias] {

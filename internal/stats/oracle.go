@@ -114,12 +114,14 @@ func (o *Oracle) TrueJoinSelectivity(q *query.Query, j query.Join) float64 {
 }
 
 // TrueSubsetCard returns the cardinality execution would observe for a join
-// over the given alias set (product form, like the estimator, but with true
-// selectivities).
+// over the given alias set (product form, like the estimator, in the same
+// factor order, but with true selectivities).
 func (o *Oracle) TrueSubsetCard(q *query.Query, aliases map[string]bool) float64 {
 	card := 1.0
-	for a := range aliases {
-		card *= o.TrueBaseCard(q, a)
+	for _, r := range q.Relations {
+		if aliases[r.Alias] {
+			card *= o.TrueBaseCard(q, r.Alias)
+		}
 	}
 	for _, j := range q.Joins {
 		if aliases[j.LeftAlias] && aliases[j.RightAlias] {

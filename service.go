@@ -426,8 +426,8 @@ func (s *Service) ExpertPlan(ctx context.Context, q *Query) (Planned, error) {
 // lifecycle's greedyRatio chooses with it too. The packed gemv
 // rounds exactly like the unpacked network's single-row kernels
 // (nn.TestPackedInferBitwise), so the logits are bitwise those of
-// snap.Net.Infer. One pooled logits buffer serves one Plan call's whole
-// rollout; concurrent Plan calls each hold their own.
+// snap.Net.Forward on a clone. One pooled logits buffer serves one Plan
+// call's whole rollout; concurrent Plan calls each hold their own.
 func greedyActionPacked(p *nn.PackedNetwork, st rl.State, logits *nn.Mat) int {
 	p.InferVec(st.Features, logits)
 	return argmaxMasked(logits.Data, st.Mask)

@@ -792,12 +792,13 @@ func planspaceFirstValid(st rl.State) int {
 
 // TestServiceSharedInferenceParity pins the shared-packing serving contract:
 // Plan decisions made on the snapshot's packed weights are bitwise identical
-// to a greedy rollout that evaluates the unpacked network per call, so the
-// per-publish pack changes only how fast the service serves, never what.
+// to a greedy rollout that runs the unpacked network's Forward per call, so
+// the per-publish pack changes only how fast the service serves, never what.
 func TestServiceSharedInferenceParity(t *testing.T) {
 	svc := testService(t, WithFallbackRatio(0))
 	publishRandomPolicy(t, svc, 71)
 	sp, snap := svc.serve.Load(), svc.policies.Latest()
+	unpacked := snap.Net.CloneForInference()
 
 	ctx := context.Background()
 	learned := 0
@@ -808,7 +809,7 @@ func TestServiceSharedInferenceParity(t *testing.T) {
 		}
 		env := sp.get()
 		want, err := env.GreedyRollout(ctx, q, func(st rl.State) int {
-			return argmaxMasked(snap.Net.Infer(nn.FromVec(st.Features)).Data, st.Mask)
+			return argmaxMasked(unpacked.Forward(nn.FromVec(st.Features)).Data, st.Mask)
 		})
 		sp.put(env)
 		if err != nil {
