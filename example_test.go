@@ -88,30 +88,9 @@ func ExampleNew() {
 	// positive cost: true
 }
 
-// ExampleService_NewReJOINAgent trains the paper's §3 join-order enumerator
-// for a few episodes and plans a workload query with the learned policy.
-func ExampleService_NewReJOINAgent() {
-	svc, err := handsfree.New(handsfree.WithScale(0.05), handsfree.WithWorkload(4, 4, 5, 3))
-	if err != nil {
-		panic(err)
-	}
-	queries := svc.Queries()
-	agent, err := svc.NewReJOINAgent(queries, handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
-	if err != nil {
-		panic(err)
-	}
-	agent.Train(32) // sequential; agent.TrainAsync(32, handsfree.AsyncConfig{Actors: n}) is as repeatable on n actors
-	root, cost := agent.Plan(queries[0])
-	fmt.Println("learned a plan:", root != nil)
-	fmt.Println("positive cost:", cost > 0)
-	// Output:
-	// learned a plan: true
-	// positive cost: true
-}
-
-// ExampleWithCache enables the plan cache service: episode collection
-// memoizes optimizer completions, so every repetition of a workload query
-// after the first is served (fully or partially) from cache.
+// ExampleWithCache enables the plan cache service: the optimizer memoizes
+// its plans and completions by query fingerprint, so every repetition of a
+// workload query after the first is served from cache.
 func ExampleWithCache() {
 	svc, err := handsfree.New(
 		handsfree.WithScale(0.05),
@@ -121,14 +100,16 @@ func ExampleWithCache() {
 	if err != nil {
 		panic(err)
 	}
-	agent, err := svc.NewReJOINAgent(svc.Queries(), handsfree.ReJOINConfig{Seed: 1, Hidden: []int{32}})
-	if err != nil {
-		panic(err)
+	// Two passes over the same 4-query workload: the second revisits
+	// fingerprints the first one cached.
+	ctx := context.Background()
+	for range 2 {
+		for _, q := range svc.Queries() {
+			if _, err := svc.Plan(ctx, q); err != nil {
+				panic(err)
+			}
+		}
 	}
-	// Two parallel training sweeps over the same 4-query workload: the
-	// second revisits fingerprints the first one cached.
-	agent.TrainAsync(16, handsfree.AsyncConfig{Actors: 2})
-	agent.TrainAsync(16, handsfree.AsyncConfig{Actors: 2})
 
 	st := svc.CacheStats()
 	fmt.Println("cache used:", st.Puts > 0)

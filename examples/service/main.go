@@ -33,11 +33,8 @@ func main() {
 
 	// Run the learning state machine in the background. The zero-value
 	// budgets are quick; production runs scale CostEpisodes/LatencyEpisodes
-	// up and set CostRatioTarget so the cost phase exits on convergence.
-	if err := svc.StartTraining(ctx, handsfree.LifecycleConfig{
-		Seed:            7,
-		CostRatioTarget: 1.1, // CostTraining → LatencyTuning predicate
-	}); err != nil {
+	// up.
+	if err := svc.StartTraining(ctx, handsfree.LifecycleConfig{Seed: 7}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -60,7 +60,8 @@ const (
 	// within this multiple of the expert's on the same query fingerprint.
 	DefaultLatencyGuardRatio = 1.5
 	// DefaultExecBudgetMs is the per-execution latency budget (censoring
-	// timeout) used by Execute and, by default, latency-phase training.
+	// timeout) of Execute and of latency-phase training: a timed-out run
+	// records the budget itself as its latency.
 	DefaultExecBudgetMs = 1000.0
 	// DefaultExpertProbeEvery is how many learned executions of a
 	// fingerprint elapse between expert shadow probes that keep the
@@ -70,14 +71,16 @@ const (
 
 // ExecutionConfig tunes the execution feedback loop. The zero value selects
 // the defaults; a Service always has the loop on (Execute works untrained —
-// it just observes expert plans).
+// it just observes expert plans). Every execution is censored at
+// DefaultExecBudgetMs, work units become milliseconds at
+// engine.DefaultMsPerWork, and the history tracks exechistory's default of
+// 4096 fingerprints.
 type ExecutionConfig struct {
-	// Window, MaxFingerprints, MinLearned, MinExpert bound the execution
-	// history store (see exechistory.Config; defaults 32, 4096, 4, 2).
-	Window          int
-	MaxFingerprints int
-	MinLearned      int
-	MinExpert       int
+	// Window, MinLearned, MinExpert bound the execution history store (see
+	// exechistory.Config; defaults 32, 4, 2).
+	Window     int
+	MinLearned int
+	MinExpert  int
 	// GuardRatio is the latency regression guard: when a fingerprint's
 	// rolling learned/expert observed-latency ratio exceeds it, Plan serves
 	// the expert plan (SourceFallback, LatencyGuarded) until the ratio
@@ -89,14 +92,6 @@ type ExecutionConfig struct {
 	// refresh the baseline the ratio compares against. Negative disables;
 	// default DefaultExpertProbeEvery.
 	ProbeEvery int
-	// BudgetMs censors every Execute at this observed latency (the recorded
-	// latency of a timed-out run is the budget itself). Negative disables;
-	// default DefaultExecBudgetMs. Zero-valued LifecycleConfig.LatencyBudgetMs
-	// inherits it, so training and serving censor alike.
-	BudgetMs float64
-	// MsPerWork calibrates work units → observed milliseconds (default
-	// engine.DefaultMsPerWork).
-	MsPerWork float64
 	// DriftRatio / DriftSustain tune the drift detector: DriftSustain
 	// consecutive post-execution ratios above DriftRatio on one fingerprint
 	// trip a drift event (defaults 2.0 and 6; negative DriftRatio disables).
@@ -113,16 +108,10 @@ func (c *ExecutionConfig) fill() {
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = DefaultExpertProbeEvery
 	}
-	if c.BudgetMs == 0 {
-		c.BudgetMs = DefaultExecBudgetMs
-	}
-	if c.MsPerWork <= 0 {
-		c.MsPerWork = engine.DefaultMsPerWork
-	}
 }
 
 // WithExecution tunes the execution feedback loop (history bounds, latency
-// guard, expert probing, execution budget, drift thresholds).
+// guard, expert probing, drift thresholds).
 func WithExecution(ec ExecutionConfig) Option {
 	return func(o *serviceOptions) { o.exec = ec }
 }
@@ -154,14 +143,6 @@ type ExecResult struct {
 	// the query was ineligible or the error budget unsatisfiable on the
 	// sample, so the result above is an exact execution.
 	ApproxFellBack bool
-}
-
-// execBudget resolves the per-execution censoring budget (0 = none).
-func (s *Service) execBudget() float64 {
-	if s.execCfg.BudgetMs > 0 {
-		return s.execCfg.BudgetMs
-	}
-	return 0
 }
 
 // Execute serves a plan for q (exactly Plan's safeguarded decision), runs it
@@ -205,8 +186,7 @@ func (s *Service) executePlanned(q *Query, pr PlanResult) (ExecResult, error) {
 	if pr.Source == SourceLearned {
 		kind = exechistory.Learned
 	}
-	budget := s.execBudget()
-	run, w, lat, timedOut, rerr := s.observed.Run(q, res.Plan, budget)
+	run, w, lat, timedOut, rerr := s.observed.Run(q, res.Plan, DefaultExecBudgetMs)
 	if rerr != nil {
 		s.execFailures.Add(1)
 		s.history.RecordFailure(pr.Fingerprint)
@@ -219,7 +199,7 @@ func (s *Service) executePlanned(q *Query, pr PlanResult) (ExecResult, error) {
 		res.Plan, res.Cost, res.Source = pr.expertPlan, pr.ExpertCost, SourceFallback
 		s.fallbacks.Add(1)
 		kind = exechistory.Expert
-		run, w, lat, timedOut, rerr = s.observed.Run(q, res.Plan, budget)
+		run, w, lat, timedOut, rerr = s.observed.Run(q, res.Plan, DefaultExecBudgetMs)
 		if rerr != nil {
 			s.execFailures.Add(1)
 			s.history.RecordFailure(pr.Fingerprint)
@@ -249,7 +229,7 @@ func (s *Service) executePlanned(q *Query, pr PlanResult) (ExecResult, error) {
 	})
 	if kind == exechistory.Learned && s.execCfg.ProbeEvery > 0 &&
 		s.history.NeedExpertProbe(pr.Fingerprint, s.execCfg.ProbeEvery) {
-		s.probeExpert(q, pr.Fingerprint, pr.expertPlan, budget)
+		s.probeExpert(q, pr.Fingerprint, pr.expertPlan)
 	}
 	ratio, _, _ := s.history.Ratio(pr.Fingerprint)
 	// Drift only means something once a trained policy is the steady state:
@@ -315,8 +295,7 @@ func (s *Service) ExecuteApprox(ctx context.Context, q *Query, maxRelError float
 		res.ApproxFellBack = true
 		return res, eerr
 	}
-	budget := s.execBudget()
-	ares, w, lat, timedOut, rerr := s.observed.RunApprox(q, pr.Plan, sample, opt, budget)
+	ares, w, lat, timedOut, rerr := s.observed.RunApprox(q, pr.Plan, sample, opt, DefaultExecBudgetMs)
 	if rerr != nil {
 		// Budget unsatisfiable on the sample (or an injected failure): fall
 		// back to the exact path, which carries its own safeguards.
@@ -437,11 +416,11 @@ func (s *Service) ApproxStats() ApproxStats {
 // probeExpert shadow-executes the expert plan to refresh a fingerprint's
 // expert latency baseline. Probe failures are counted, never surfaced: the
 // caller's own execution already succeeded.
-func (s *Service) probeExpert(q *Query, fp uint64, expert PlanNode, budget float64) {
+func (s *Service) probeExpert(q *Query, fp uint64, expert PlanNode) {
 	if expert == nil {
 		return
 	}
-	_, _, lat, timedOut, err := s.observed.Run(q, expert, budget)
+	_, _, lat, timedOut, err := s.observed.Run(q, expert, DefaultExecBudgetMs)
 	if err != nil {
 		s.execFailures.Add(1)
 		s.history.RecordFailure(fp)
@@ -501,7 +480,7 @@ func (s *Service) Faults() *Faults { return s.observed.Faults }
 func (s *Service) ExecutionConfig() ExecutionConfig {
 	ec := s.execCfg
 	hc := s.history.Config()
-	ec.Window, ec.MaxFingerprints = hc.Window, hc.MaxFingerprints
+	ec.Window = hc.Window
 	ec.MinLearned, ec.MinExpert = hc.MinLearned, hc.MinExpert
 	dc := s.drift.Config()
 	ec.DriftRatio, ec.DriftSustain = dc.Ratio, dc.Sustain

@@ -18,10 +18,7 @@
 //     background — observe the expert (§5.1), train on cost (§5.2 Phase 1),
 //     fine-tune on latency (§5.2 Phase 2) — hot-swapping policy snapshots
 //     while serving continues.
-//   - Service.NewReJOINAgent builds the paper's §3 join-order enumerator
-//     for direct control, on the join-order stage of the same plan-space MDP
-//     the lifecycle trains: Train runs episodes sequentially, TrainAsync on
-//     several actors. Service.System exposes the substrate underneath.
+//   - Service.System exposes the substrate underneath.
 //   - ParseSQL turns SQL text into the query IR.
 //   - The internal/experiment package (exposed through cmd/handsfree)
 //     regenerates every figure of the paper.
@@ -32,12 +29,10 @@
 package handsfree
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -48,9 +43,7 @@ import (
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
-	"handsfree/internal/planspace"
 	"handsfree/internal/query"
-	"handsfree/internal/rl"
 	"handsfree/internal/sketch"
 	"handsfree/internal/sqlparse"
 	"handsfree/internal/stats"
@@ -76,13 +69,6 @@ type (
 	// PlanCacheStats is a snapshot of the plan cache's hit/miss/eviction
 	// counters.
 	PlanCacheStats = plancache.Stats
-	// AsyncConfig controls asynchronous actor-learner training: actor
-	// count, the staleness bound K on parameter-server snapshots, the
-	// sampling seed and the publish hook.
-	AsyncConfig = rl.AsyncConfig
-	// AsyncStats summarizes an asynchronous training run (updates,
-	// publishes, max staleness acted on, refetches).
-	AsyncStats = rl.AsyncStats
 )
 
 // StatsMode selects the statistics source the planning stack — cost model,
@@ -131,14 +117,11 @@ func (m StatsMode) String() string {
 // CacheConfig sizes the optional plan cache service (WithCache), which
 // memoizes fingerprint → plan: the optimizer's full plans and the
 // per-episode skeleton completions are cached across episodes, so repeated
-// workload queries are cheap on every visit after the first.
+// workload queries are cheap on every visit after the first. The cache is
+// split into plancache's default 16 lock shards.
 type CacheConfig struct {
 	// Capacity bounds the cached entry count (default 4096; LRU eviction).
 	Capacity int
-	// Shards is the lock-sharding factor; training actors rarely contend
-	// when it exceeds the actor count (default 16,
-	// rounded up to a power of two).
-	Shards int
 }
 
 // The truth oracle's systematic cardinality-error field and the latency
@@ -301,10 +284,7 @@ func openSystem(cfg config) (*System, error) {
 	sys.Cost = cost.New(cost.DefaultParams(), cards)
 	sys.Planner = optimizer.New(db.Catalog, sys.Cost)
 	if cfg.Cache != nil {
-		sys.PlanCache = plancache.New(plancache.Config{
-			Capacity: cfg.Cache.Capacity,
-			Shards:   cfg.Cache.Shards,
-		})
+		sys.PlanCache = plancache.New(plancache.Config{Capacity: cfg.Cache.Capacity})
 		sys.Planner = sys.Planner.WithCache(sys.PlanCache)
 	}
 	return sys, nil
@@ -355,115 +335,4 @@ func (s *System) Execute(q *Query, root PlanNode) (*Result, *Work, error) {
 // ExplainPlan renders a plan tree in EXPLAIN style.
 func ExplainPlan(root PlanNode) string {
 	return plan.Format(root)
-}
-
-// ReJOINAgent is the §3 learned join-order enumerator: a REINFORCE policy
-// over the join-order stage of the plan-space MDP (planspace.StagePrefix(1)),
-// whose finished join orders the traditional optimizer completes and costs.
-type ReJOINAgent struct {
-	env *planspace.Env
-	rl  *rl.Reinforce
-	// seed is the sampling-seed counter TrainAsync advances, so successive
-	// calls never replay an earlier call's action-sampling streams.
-	seed int64
-}
-
-// ReJOINConfig sizes a ReJOIN agent.
-type ReJOINConfig struct {
-	// MaxRelations bounds the relation count of trainable queries.
-	MaxRelations int
-	// Hidden layer widths (default 128, 64).
-	Hidden []int
-	// LR is the learning rate (default 1.5e-3).
-	LR   float64
-	Seed int64
-}
-
-// NewReJOINAgent builds the paper's §3 join-order enumerator over a
-// training workload. Queries must not exceed cfg.MaxRelations relations.
-// The agent is independent of the service lifecycle: it trains its own
-// policy and is planned with directly (ReJOINAgent.Plan / PlanCtx).
-func (s *Service) NewReJOINAgent(queries []*Query, cfg ReJOINConfig) (*ReJOINAgent, error) {
-	if cfg.MaxRelations == 0 {
-		for _, q := range queries {
-			if len(q.Relations) > cfg.MaxRelations {
-				cfg.MaxRelations = len(q.Relations)
-			}
-		}
-	}
-	for _, q := range queries {
-		if len(q.Relations) > cfg.MaxRelations {
-			return nil, fmt.Errorf("handsfree: query %s has %d relations, above the agent's %d", q.Name, len(q.Relations), cfg.MaxRelations)
-		}
-	}
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = []int{128, 64}
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 1.5e-3
-	}
-	env := planspace.NewEnv(planspace.Config{
-		Space:   featurize.NewSpace(cfg.MaxRelations, s.sys.cardEstimator()),
-		Planner: s.sys.Planner,
-		Queries: queries,
-	})
-	return &ReJOINAgent{
-		env: env,
-		rl: rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{
-			Hidden: cfg.Hidden, LR: cfg.LR, BatchSize: 16, Seed: cfg.Seed,
-		}),
-		seed: cfg.Seed,
-	}, nil
-}
-
-// TrainEpisode runs one learning episode (one query) and returns the cost
-// of the plan the agent produced.
-func (a *ReJOINAgent) TrainEpisode() float64 {
-	a.rl.Observe(a.env.Episode(a.rl.Sample))
-	return a.env.Last.Cost
-}
-
-// Train runs n learning episodes sequentially.
-func (a *ReJOINAgent) Train(n int) {
-	for range n {
-		a.TrainEpisode()
-	}
-}
-
-// TrainAsync runs n learning episodes with the asynchronous actor-learner
-// split: cfg.Actors environment replicas collect against parameter-server
-// snapshots (staleness bounded by cfg.Staleness versions) while the learner
-// updates and republishes without a round barrier. Which snapshot an
-// episode sees is decided by its position in the episode sequence, not by
-// scheduling, so the trained weights are reproducible bit for bit for a
-// fixed seed and actor count; use runtime.NumCPU() actors to saturate the
-// machine.
-func (a *ReJOINAgent) TrainAsync(n int, cfg AsyncConfig) {
-	if cfg.Actors < 1 {
-		// The seed advances by the actor count, so fix it first.
-		cfg.Actors = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Seed == 0 {
-		a.seed += int64(cfg.Actors)
-		cfg.Seed = a.seed
-	}
-	planspace.TrainAsync(a.env, a.rl, n, cfg, nil)
-}
-
-// Plan produces the trained agent's (greedy) plan for a query along with
-// its optimizer cost.
-func (a *ReJOINAgent) Plan(q *Query) (PlanNode, float64) {
-	node, c, _ := a.PlanCtx(context.Background(), q)
-	return node, c
-}
-
-// PlanCtx is Plan under a request-scoped context: the greedy rollout checks
-// ctx before every policy decision, so a deadline or cancellation cuts the
-// search off mid-episode and returns ctx.Err().
-func (a *ReJOINAgent) PlanCtx(ctx context.Context, q *Query) (PlanNode, float64, error) {
-	out, err := a.env.GreedyRollout(ctx, q, a.rl.Greedy)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out.Plan, out.Cost, nil
 }

@@ -60,7 +60,7 @@ type Agent struct {
 	RL  *rl.Reinforce
 
 	// The reward closure's calibration state. Episodes run one at a time
-	// (TrainEpisode), and planspace.TrainAsync would call the closure on
+	// (TrainEpisode), and planspace.TrainAsyncCtx would call the closure on
 	// its learner goroutine only, so it needs no lock.
 	phase2      bool
 	costRange   rl.Range

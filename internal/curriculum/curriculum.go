@@ -7,7 +7,6 @@
 package curriculum
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -121,17 +120,8 @@ type Config struct {
 	// Queries is the full workload; phases filter it by relation count.
 	Queries []*query.Query
 	// Agent configures the policy learner (rebuilt per phase with weights
-	// transferred).
+	// transferred). Episodes run one after another on the one environment.
 	Agent rl.ReinforceConfig
-	// Actors > 1 trains each phase with planspace.TrainAsync and that many
-	// actors: they collect against parameter-server snapshots while the
-	// learner updates and republishes, and the run is repeatable bit for bit.
-	// Actors ≤ 1 trains strictly sequentially.
-	Actors int
-	// Staleness bounds how many snapshot versions an actor's policy may lag
-	// the learner (0 = the rl.AsyncConfig default of 4). Ignored unless
-	// Actors > 1.
-	Staleness int
 	// Cache, when non-nil, memoizes optimizer completions and expert plans
 	// across episodes and phases (the plan cache service). Completion
 	// entries are pure and survive phase transitions; policy-dependent
@@ -203,13 +193,6 @@ func (t *Trainer) envFor(p Phase, queries []*query.Query) *planspace.Env {
 // changes, and returns the phase report. onEpisode (optional) observes every
 // training episode with the cumulative episode index.
 func (t *Trainer) RunPhase(p Phase, episodeBase int, onEpisode func(ep int, out planspace.Outcome)) (PhaseResult, error) {
-	return t.RunPhaseCtx(context.Background(), p, episodeBase, onEpisode)
-}
-
-// RunPhaseCtx is RunPhase under a request-scoped context: cancellation stops
-// training between episodes (sequential) or through planspace.TrainAsyncCtx
-// (Actors > 1) and returns ctx.Err().
-func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onEpisode func(ep int, out planspace.Outcome)) (PhaseResult, error) {
 	queries := t.filterQueries(p)
 	if len(queries) == 0 {
 		return PhaseResult{}, fmt.Errorf("curriculum: phase %s has no queries (max relations %d)", p.Name, p.MaxRelations)
@@ -232,31 +215,11 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 	t.stages = p.Stages
 	t.env = env
 
-	if t.Cfg.Actors > 1 {
-		// Actor-learner split: the learner updates and republishes while
-		// actors keep collecting against bounded-staleness snapshots.
-		planspace.TrainAsyncCtx(ctx, env, t.agent, p.Episodes, rl.AsyncConfig{
-			Actors:    t.Cfg.Actors,
-			Staleness: t.Cfg.Staleness,
-			Seed:      t.Cfg.Seed,
-		}, func(i int, rec planspace.EpisodeRecord) {
-			if onEpisode != nil {
-				onEpisode(episodeBase+i, rec.Out)
-			}
-		})
-		if err := ctx.Err(); err != nil {
-			return PhaseResult{}, err
-		}
-	} else {
-		for ep := 0; ep < p.Episodes; ep++ {
-			if err := ctx.Err(); err != nil {
-				return PhaseResult{}, err
-			}
-			traj := env.Episode(t.agent.Sample)
-			t.agent.Observe(traj)
-			if onEpisode != nil {
-				onEpisode(episodeBase+ep, env.Last)
-			}
+	for ep := 0; ep < p.Episodes; ep++ {
+		traj := env.Episode(t.agent.Sample)
+		t.agent.Observe(traj)
+		if onEpisode != nil {
+			onEpisode(episodeBase+ep, env.Last)
 		}
 	}
 
@@ -267,19 +230,13 @@ func (t *Trainer) RunPhaseCtx(ctx context.Context, p Phase, episodeBase int, onE
 	return PhaseResult{Phase: p, QueryCount: len(queries), FinalRatio: ratio}, nil
 }
 
-// Run trains the whole schedule and returns per-phase reports.
+// Run trains the whole schedule and returns per-phase reports; on an error
+// it returns the phases completed so far with it.
 func (t *Trainer) Run(s Schedule, onEpisode func(ep int, out planspace.Outcome)) ([]PhaseResult, error) {
-	return t.RunCtx(context.Background(), s, onEpisode)
-}
-
-// RunCtx is Run under a request-scoped context: cancellation stops the
-// schedule mid-phase (see RunPhaseCtx) and returns the phases completed so
-// far together with ctx.Err().
-func (t *Trainer) RunCtx(ctx context.Context, s Schedule, onEpisode func(ep int, out planspace.Outcome)) ([]PhaseResult, error) {
 	var out []PhaseResult
 	base := 0
 	for _, p := range s {
-		res, err := t.RunPhaseCtx(ctx, p, base, onEpisode)
+		res, err := t.RunPhase(p, base, onEpisode)
 		if err != nil {
 			return out, err
 		}

@@ -182,49 +182,3 @@ func TestHybridRunsEndToEnd(t *testing.T) {
 		t.Fatalf("hybrid produced %d phases", len(results))
 	}
 }
-
-// TestTrainerActors runs a schedule with the actor-learner split and checks
-// episode accounting across phases, outcome validity, that the learner
-// updates, and that two identical runs agree bit for bit on every phase's
-// ratio — planspace.TrainAsync is its sequential specification's result on
-// every run.
-func TestTrainerActors(t *testing.T) {
-	run := func() []PhaseResult {
-		cfg := fixtureCfg(t, 6, 2, 5)
-		cfg.Actors = 3
-		cfg.Staleness = 2
-		tr := NewTrainer(cfg)
-		episodes := 0
-		results, err := tr.Run(PipelineSchedule(24), func(ep int, out planspace.Outcome) {
-			if ep != episodes {
-				t.Fatalf("episode index %d, want %d", ep, episodes)
-			}
-			episodes++
-			if out.Cost <= 0 {
-				t.Fatalf("episode %d outcome cost %v", ep, out.Cost)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if episodes != 96 {
-			t.Fatalf("ran %d episodes, want 96", episodes)
-		}
-		if len(results) != planspace.NumStages {
-			t.Fatalf("run produced %d phases, want %d", len(results), planspace.NumStages)
-		}
-		if tr.Agent().Updates == 0 {
-			t.Fatal("curriculum never updated the policy")
-		}
-		return results
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i].FinalRatio != b[i].FinalRatio {
-			t.Fatalf("phase %d: ratio %v vs %v across identical runs", i, a[i].FinalRatio, b[i].FinalRatio)
-		}
-		if a[i].FinalRatio <= 0 {
-			t.Fatalf("phase %s ratio %v", a[i].Phase.Name, a[i].FinalRatio)
-		}
-	}
-}

@@ -26,18 +26,15 @@ type Config struct {
 	// Env must be configured with ExecuteAlways (or a latency-reading
 	// reward) so episodes produce latencies.
 	Env *planspace.Env
-	// Hidden, LR, Epsilon configure the reward-prediction network.
-	Hidden  []int
-	LR      float64
-	Epsilon float64
+	// Hidden and LR configure the reward-prediction network, which explores
+	// at rl.QAgentConfig's default ε of 0.05.
+	Hidden []int
+	LR     float64
 	// SlipFactor triggers re-training when the agent's moving-average
 	// latency ratio versus the expert exceeds it (default 1.5).
 	SlipFactor float64
 	// SlipWindow is the moving-average window in episodes (default 25).
 	SlipWindow int
-	// RetrainBatches is how many expert minibatches a slip re-train runs
-	// (default 50).
-	RetrainBatches int
 	// CatastropheFactor defines a catastrophic execution: latency worse than
 	// this multiple of the expert's (default 50).
 	CatastropheFactor float64
@@ -51,17 +48,11 @@ func (c *Config) fill() {
 	if c.LR == 0 {
 		c.LR = 1e-3
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.05
-	}
 	if c.SlipFactor == 0 {
 		c.SlipFactor = 1.5
 	}
 	if c.SlipWindow == 0 {
 		c.SlipWindow = 25
-	}
-	if c.RetrainBatches == 0 {
-		c.RetrainBatches = 50
 	}
 	if c.CatastropheFactor == 0 {
 		c.CatastropheFactor = 50
@@ -103,10 +94,9 @@ func New(cfg Config) *Agent {
 	cfg.fill()
 	env := cfg.Env
 	q := rl.NewQAgent(env.ObsDim(), env.ActionDim(), rl.QAgentConfig{
-		Hidden:  cfg.Hidden,
-		LR:      cfg.LR,
-		Epsilon: cfg.Epsilon,
-		Seed:    cfg.Seed,
+		Hidden: cfg.Hidden,
+		LR:     cfg.LR,
+		Seed:   cfg.Seed,
 	})
 	return &Agent{
 		Cfg:       cfg,
@@ -135,17 +125,9 @@ func (a *Agent) target(latencyMs float64) float64 {
 // planned by the expert, its plan executed once, and the episode history
 // recorded with the observed latency.
 func (a *Agent) CollectDemonstrations() error {
-	return a.CollectDemonstrationsCtx(context.Background())
-}
-
-// CollectDemonstrationsCtx is CollectDemonstrations under a request-scoped
-// context: the context is threaded into each expert planning call and
-// checked between queries, so a cancelled lifecycle stops demonstrating
-// after at most one query's worth of work.
-func (a *Agent) CollectDemonstrationsCtx(ctx context.Context) error {
 	env := a.Cfg.Env
 	for _, q := range env.Cfg.Queries {
-		planned, err := env.Cfg.Planner.PlanCtx(ctx, q)
+		planned, err := env.Cfg.Planner.Plan(q)
 		if err != nil {
 			return err
 		}
@@ -194,6 +176,10 @@ const (
 	demoMargin       = 0.3
 	demoMarginWeight = 1.0
 )
+
+// retrainBatches is how many expert minibatches a slip re-train (step 5)
+// runs.
+const retrainBatches = 50
 
 // EpisodeResult reports one fine-tuning episode.
 type EpisodeResult struct {
@@ -247,7 +233,7 @@ func (a *Agent) FineTuneEpisode() EpisodeResult {
 		a.recent = a.recent[1:]
 	}
 	if len(a.recent) == a.Cfg.SlipWindow && mean(a.recent) > a.Cfg.SlipFactor {
-		for i := 0; i < a.Cfg.RetrainBatches; i++ {
+		for i := 0; i < retrainBatches; i++ {
 			a.Q.TrainMargin(a.expertBuf, 32, demoMargin, demoMarginWeight)
 		}
 		a.Retrains++

@@ -5,31 +5,10 @@ import (
 	"math"
 )
 
-// The losses and softmax helpers are generic over the tensor-core precision.
-// Element-wise transcendentals (exp, log, tanh) are evaluated through the
-// float64 math package and rounded to T, so the float64 instantiations are
-// bitwise identical to the pre-generic implementations.
-
-// Softmax writes the softmax of logits into a new slice, numerically stable.
-func Softmax[T Float](logits []T) []T {
-	out := make([]T, len(logits))
-	maxv := T(math.Inf(-1))
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum T
-	for i, v := range logits {
-		e := T(math.Exp(float64(v - maxv)))
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
+// The softmax and policy-gradient helpers are generic over the tensor-core
+// precision. Element-wise transcendentals (exp, log) are evaluated through
+// the float64 math package and rounded to T, so the float64 instantiations
+// are bitwise identical to the pre-generic implementations.
 
 // MaskedSoftmax computes a probability distribution over only the positions
 // where mask is true; masked-out positions get probability 0. If no position
@@ -94,47 +73,6 @@ func MaskedSoftmaxRowsInto[T Float](out, logits *MatOf[T], masks [][]bool) {
 	}
 }
 
-// MSE returns the mean squared error and the gradient with respect to pred.
-func MSE[T Float](pred, target []T) (loss float64, grad []T) {
-	grad = make([]T, len(pred))
-	n := T(len(pred))
-	var total T
-	for i := range pred {
-		d := pred[i] - target[i]
-		total += d * d
-		grad[i] = 2 * d / n
-	}
-	return float64(total / n), grad
-}
-
-// HuberLoss returns the Huber loss (delta=1) and gradient with respect to
-// pred. It is the regression loss used for reward-prediction training, where
-// catastrophic-plan latencies would otherwise dominate MSE gradients.
-func HuberLoss[T Float](pred, target []T) (loss float64, grad []T) {
-	const delta = 1.0
-	grad = make([]T, len(pred))
-	n := T(len(pred))
-	var total T
-	for i := range pred {
-		d := pred[i] - target[i]
-		if absT(d) <= delta {
-			total += 0.5 * d * d
-			grad[i] = d / n
-		} else {
-			total += delta * (absT(d) - 0.5*delta)
-			if d > 0 {
-				grad[i] = delta / n
-			} else {
-				grad[i] = -delta / n
-			}
-		}
-	}
-	return float64(total / n), grad
-}
-
-// absT is math.Abs in the tensor precision (NaN and ±0 behave as math.Abs).
-func absT[T Float](x T) T { return T(math.Abs(float64(x))) }
-
 // PolicyGradientInto writes the REINFORCE gradient of
 // −advantage·log π(action) − entropyCoef·H(π) with respect to the logits,
 // for a single decision with a masked action space, into grad. probs must be
@@ -188,16 +126,4 @@ func SoftmaxXent[T Float](logits *MatOf[T], masks [][]bool, actions []int, advs 
 	for i := 0; i < logits.Rows; i++ {
 		PolicyGradientInto(grad.Row(i), probs.Row(i), masks[i], actions[i], advs[i], entropyCoef)
 	}
-}
-
-// Entropy returns the Shannon entropy of a distribution (0·log0 taken as 0).
-func Entropy[T Float](probs []T) float64 {
-	var h float64
-	for _, p := range probs {
-		if p > 0 {
-			pf := float64(p)
-			h -= pf * math.Log(pf)
-		}
-	}
-	return h
 }

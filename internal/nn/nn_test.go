@@ -110,6 +110,57 @@ func TestMatMulPanicsOnShapeMismatch(t *testing.T) {
 	refEngineOf[float64]{}.MatMul(NewMat(2, 3), NewMat(4, 2), NewMat(2, 2))
 }
 
+// mse returns the mean squared error and its gradient with respect to pred:
+// the regression loss the gradient checks and training tests differentiate
+// through.
+func mse(pred, target []float64) (loss float64, grad []float64) {
+	grad = make([]float64, len(pred))
+	n := float64(len(pred))
+	var total float64
+	for i := range pred {
+		d := pred[i] - target[i]
+		total += d * d
+		grad[i] = 2 * d / n
+	}
+	return total / n, grad
+}
+
+// huberLoss returns the Huber loss (delta=1) and its gradient with respect
+// to pred.
+func huberLoss(pred, target []float64) (loss float64, grad []float64) {
+	const delta = 1.0
+	grad = make([]float64, len(pred))
+	n := float64(len(pred))
+	var total float64
+	for i := range pred {
+		d := pred[i] - target[i]
+		if math.Abs(d) <= delta {
+			total += 0.5 * d * d
+			grad[i] = d / n
+		} else {
+			total += delta * (math.Abs(d) - 0.5*delta)
+			if d > 0 {
+				grad[i] = delta / n
+			} else {
+				grad[i] = -delta / n
+			}
+		}
+	}
+	return total / n, grad
+}
+
+// entropy returns the Shannon entropy of a distribution (0·log0 taken as 0),
+// the bonus TestGradientCheckPolicy differentiates through.
+func entropy(probs []float64) float64 {
+	var h float64
+	for _, p := range probs {
+		if p > 0 {
+			h -= p * math.Log(p)
+		}
+	}
+	return h
+}
+
 // TestGradientCheckMSE verifies analytic backprop through an MLP against
 // numerical differentiation of the MSE loss. The gradient checks run the
 // generic core at float64: a central difference at eps=1e-5 needs more
@@ -125,14 +176,14 @@ func TestGradientCheckMSE(t *testing.T) {
 
 	lossAt := func() float64 {
 		out := net.Forward(x)
-		l, _ := MSE(out.Data, target)
+		l, _ := mse(out.Data, target)
 		return l
 	}
 
 	// Analytic gradients.
 	net.ZeroGrad()
 	out := net.Forward(x)
-	_, g := MSE(out.Data, target)
+	_, g := mse(out.Data, target)
 	net.Backward(&Mat{Rows: out.Rows, Cols: out.Cols, Data: g})
 
 	const eps = 1e-5
@@ -174,7 +225,7 @@ func TestGradientCheckPolicy(t *testing.T) {
 	lossAt := func() float64 {
 		logits := net.Forward(x).Data
 		probs := MaskedSoftmax(logits, mask)
-		return -adv*math.Log(probs[action]) - entCoef*Entropy(probs)
+		return -adv*math.Log(probs[action]) - entCoef*entropy(probs)
 	}
 
 	net.ZeroGrad()
@@ -212,12 +263,12 @@ func TestGradientCheckHuber(t *testing.T) {
 
 	lossAt := func() float64 {
 		out := net.Forward(x)
-		l, _ := HuberLoss(out.Data, target)
+		l, _ := huberLoss(out.Data, target)
 		return l
 	}
 	net.ZeroGrad()
 	out := net.Forward(x)
-	_, g := HuberLoss(out.Data, target)
+	_, g := huberLoss(out.Data, target)
 	net.Backward(&Mat{Rows: 1, Cols: len(g), Data: g})
 
 	const eps = 1e-6
@@ -237,7 +288,8 @@ func TestGradientCheckHuber(t *testing.T) {
 	}
 }
 
-// Property: softmax output is a probability distribution for any input.
+// Property: softmax output (every position unmasked) is a probability
+// distribution for any input.
 func TestSoftmaxIsDistribution(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
@@ -251,7 +303,11 @@ func TestSoftmaxIsDistribution(t *testing.T) {
 			}
 			logits[i] = math.Mod(v, 50)
 		}
-		p := Softmax(logits)
+		all := make([]bool, len(logits))
+		for i := range all {
+			all[i] = true
+		}
+		p := MaskedSoftmax(logits, all)
 		var sum float64
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -313,7 +369,7 @@ func TestAdamReducesLoss(t *testing.T) {
 	for epoch := 0; epoch < 300; epoch++ {
 		net.ZeroGrad()
 		out := net.Forward(xs)
-		loss, g := MSE(out.Data, ys)
+		loss, g := mse(out.Data, ys)
 		if epoch == 0 {
 			first = loss
 		}
@@ -347,7 +403,7 @@ func TestSGDAndMomentumReduceLoss(t *testing.T) {
 			for epoch := 0; epoch < 400; epoch++ {
 				net.ZeroGrad()
 				out := net.Forward(xs)
-				loss, g := MSE(out.Data, ys)
+				loss, g := mse(out.Data, ys)
 				if epoch == 0 {
 					first = loss
 				}
@@ -448,13 +504,13 @@ func TestEntropyBounds(t *testing.T) {
 	for i := range uni {
 		uni[i] = 1.0 / float64(n)
 	}
-	if h := Entropy(uni); !almostEqual(h, math.Log(float64(n)), 1e-9) {
+	if h := entropy(uni); !almostEqual(h, math.Log(float64(n)), 1e-9) {
 		t.Fatalf("uniform entropy %v, want %v", h, math.Log(float64(n)))
 	}
 	// Deterministic distribution has zero entropy.
 	det := make([]float64, n)
 	det[3] = 1
-	if h := Entropy(det); h != 0 {
+	if h := entropy(det); h != 0 {
 		t.Fatalf("deterministic entropy %v, want 0", h)
 	}
 }

@@ -100,7 +100,7 @@ func TestF32TrainingStepToleranceParity(t *testing.T) {
 	step64 := func(t int) float64 {
 		n64.ZeroGrad()
 		out := n64.Forward(xs)
-		loss, g := MSE(out.Data, ys.Data)
+		loss, g := mse(out.Data, ys.Data)
 		n64.Backward(&Mat{Rows: out.Rows, Cols: out.Cols, Data: g})
 		adamStepEngT(NewEngineOf[float64](), m64, v64, n64.Params(), t, opt.LR, opt.Beta1, opt.Beta2, opt.Eps, opt.Clip)
 		return loss
@@ -108,7 +108,7 @@ func TestF32TrainingStepToleranceParity(t *testing.T) {
 	step32 := func() float64 {
 		n32.ZeroGrad()
 		out := n32.Forward(xs)
-		loss, g := MSE(out.Data, ys.Data)
+		loss, g := mse(out.Data, ys.Data)
 		n32.Backward(&Mat{Rows: out.Rows, Cols: out.Cols, Data: g})
 		opt.StepNet(n32)
 		return loss

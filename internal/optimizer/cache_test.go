@@ -43,15 +43,15 @@ func TestCachedCompletionMatchesUncached(t *testing.T) {
 				return n, nc.Total
 			}},
 			{"CompleteOperators", func(pl *Planner) (plan.Node, float64) {
-				n, nc := pl.CompleteOperators(q, skeleton)
+				n, nc := pl.CompleteOperatorsMemo(q, skeleton, nil)
 				return n, nc.Total
 			}},
 			{"CompleteAccess", func(pl *Planner) (plan.Node, float64) {
-				n, nc := pl.CompleteAccess(q, skeleton)
+				n, nc := pl.CompleteAccessMemo(q, skeleton, nil)
 				return n, nc.Total
 			}},
 			{"CostFixed", func(pl *Planner) (plan.Node, float64) {
-				n, nc := pl.CostFixed(q, skeleton, plan.HashAgg)
+				n, nc := pl.CostFixedMemo(q, skeleton, plan.HashAgg, nil)
 				return n, nc.Total
 			}},
 		} {

@@ -55,19 +55,14 @@ func (p *Planner) cachedSubtree(fp, skeletonHash uint64, mode plancache.Mode, co
 	return e
 }
 
-// CompleteOperators keeps the skeleton's join order AND leaf access paths
-// but lets the optimizer choose every join algorithm (and the aggregation
-// algorithm). Used when a learned agent has decided order + access paths and
-// delegates operator selection (pipeline stage 2 of §5.3).
-func (p *Planner) CompleteOperators(q *query.Query, skeleton plan.Node) (plan.Node, cost.NodeCost) {
-	return p.CompleteOperatorsMemo(q, skeleton, nil)
-}
-
-// CompleteOperatorsMemo is CompleteOperators with a caller-maintained
-// skeleton-hash memo (see HashSubtreesMemo): an environment passing its
-// per-episode memo hashes each node once per episode across repeated
-// completion calls instead of once per call. A nil memo behaves exactly
-// like CompleteOperators.
+// CompleteOperatorsMemo keeps the skeleton's join order AND leaf access
+// paths but lets the optimizer choose every join algorithm (and the
+// aggregation algorithm). Used when a learned agent has decided order +
+// access paths and delegates operator selection (pipeline stage 2 of §5.3).
+// memo is a caller-maintained skeleton-hash memo (see HashSubtreesMemo): an
+// environment passing its per-episode memo hashes each node once per
+// episode across repeated completion calls instead of once per call. A nil
+// memo hashes the skeleton afresh.
 func (p *Planner) CompleteOperatorsMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
 	e := p.completeOps(q, p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
@@ -91,15 +86,10 @@ func (p *Planner) completeOps(q *query.Query, fp uint64, hs map[plan.Node]uint64
 	})
 }
 
-// CompleteAccess keeps the skeleton's join order AND join algorithms but
-// lets the optimizer choose every leaf's access path. Used when a learned
-// agent decides order + operators but delegates index selection.
-func (p *Planner) CompleteAccess(q *query.Query, skeleton plan.Node) (plan.Node, cost.NodeCost) {
-	return p.CompleteAccessMemo(q, skeleton, nil)
-}
-
-// CompleteAccessMemo is CompleteAccess with a caller-maintained per-episode
-// skeleton-hash memo; see CompleteOperatorsMemo.
+// CompleteAccessMemo keeps the skeleton's join order AND join algorithms
+// but lets the optimizer choose every leaf's access path. Used when a
+// learned agent decides order + operators but delegates index selection.
+// memo is as in CompleteOperatorsMemo.
 func (p *Planner) CompleteAccessMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
 	e := p.completeAccess(q, p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
@@ -124,17 +114,12 @@ func (p *Planner) completeAccess(q *query.Query, fp uint64, hs map[plan.Node]uin
 	})
 }
 
-// CostFixed prices a fully specified plan (all dimensions decided by the
+// CostFixedMemo prices a fully specified plan (all dimensions decided by the
 // caller), adding the query's aggregation with the given algorithm if the
-// plan lacks it.
-func (p *Planner) CostFixed(q *query.Query, root plan.Node, agg plan.AggAlgo) (plan.Node, cost.NodeCost) {
-	return p.CostFixedMemo(q, root, agg, nil)
-}
-
-// CostFixedMemo is CostFixed with a caller-maintained per-episode
-// skeleton-hash memo: costing the same skeleton under several aggregation
-// algorithms (the agent-delegated aggregation choice) hashes the tree once
-// instead of once per algorithm. A nil memo behaves exactly like CostFixed.
+// plan lacks it. memo is a caller-maintained per-episode skeleton-hash memo:
+// costing the same skeleton under several aggregation algorithms (the
+// agent-delegated aggregation choice) hashes the tree once instead of once
+// per algorithm. A nil memo hashes the plan afresh.
 func (p *Planner) CostFixedMemo(q *query.Query, root plan.Node, agg plan.AggAlgo, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
 	if p.Cache != nil {
 		k := plancache.Key{

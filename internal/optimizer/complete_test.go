@@ -131,8 +131,12 @@ func TestCompletionPredsEquivalence(t *testing.T) {
 		complete func(*Planner, *query.Query, plan.Node) (plan.Node, cost.NodeCost)
 	}{
 		{plancache.ModeCompletePhysical, (*Planner).CompletePhysical},
-		{plancache.ModeCompleteOperators, (*Planner).CompleteOperators},
-		{plancache.ModeCompleteAccess, (*Planner).CompleteAccess},
+		{plancache.ModeCompleteOperators, func(p *Planner, q *query.Query, n plan.Node) (plan.Node, cost.NodeCost) {
+			return p.CompleteOperatorsMemo(q, n, nil)
+		}},
+		{plancache.ModeCompleteAccess, func(p *Planner, q *query.Query, n plan.Node) (plan.Node, cost.NodeCost) {
+			return p.CompleteAccessMemo(q, n, nil)
+		}},
 	}
 	cached := p.WithCache(plancache.New(plancache.Config{}))
 	rng := rand.New(rand.NewSource(1))

@@ -232,7 +232,7 @@ func (p *Planner) planGEQO(ctx context.Context, q *query.Query) (plan.Node, cost
 // skeleton builder (planspace.Env, RandomOrder, the planners themselves)
 // produces. The completion costs its candidate joins with those
 // predicates instead of recomputing them from alias sets per candidate, as
-// CompleteOperators and CompleteAccess do too.
+// CompleteOperatorsMemo and CompleteAccessMemo do too.
 func (p *Planner) CompletePhysical(q *query.Query, skeleton plan.Node) (plan.Node, cost.NodeCost) {
 	return p.CompletePhysicalMemo(q, skeleton, nil)
 }

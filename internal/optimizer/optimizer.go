@@ -12,11 +12,11 @@
 //
 // Every planning entry point — full enumeration (PlanWith) and the skeleton
 // completions the learned agents call once per episode (CompletePhysical,
-// CompleteOperators, CompleteAccess, CostFixed) — optionally consults a
-// plancache.Cache before computing. Completion is memoized at subtree
-// granularity, so even when sampled join orders differ between episodes the
-// shared leaves and small join subtrees of a repeated workload query are
-// served from cache.
+// CompleteOperatorsMemo, CompleteAccessMemo, CostFixedMemo) — optionally
+// consults a plancache.Cache before computing. Completion is memoized at
+// subtree granularity, so even when sampled join orders differ between
+// episodes the shared leaves and small join subtrees of a repeated workload
+// query are served from cache.
 package optimizer
 
 import (

@@ -30,11 +30,11 @@ type EpisodeRecord struct {
 	Out   Outcome
 }
 
-// TrainAsync trains agent over the environment with the actor-learner split
-// (rl.TrainAsync): cfg.Actors replicas of base collect episodes against
-// policy snapshots while the learner consumes them in ticket order, applies
-// policy-batch updates, and republishes. onEpisode (optional) observes every
-// consumed episode, evaluated, in that order. The run is repeatable bit for
+// TrainAsyncCtx trains agent over the environment with the actor-learner
+// split (rl.TrainAsyncCtx): cfg.Actors replicas of base collect episodes
+// against policy snapshots while the learner consumes them in ticket order,
+// applies policy-batch updates, and republishes. onEpisode (optional)
+// observes every consumed episode, evaluated, in that order. The run is repeatable bit for
 // bit at any actor count: rl.TrainAsync's sequential specification decides
 // which snapshot each episode sees, and evaluation is ordered here.
 //
@@ -51,13 +51,8 @@ type EpisodeRecord struct {
 // training or serving path stores such entries any more — served rollouts
 // are keyed by the snapshot's parameter-server version instead — so the
 // bumps only count publishes.
-func TrainAsync(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig,
-	onEpisode func(i int, rec EpisodeRecord)) rl.AsyncStats {
-	return TrainAsyncCtx(context.Background(), base, agent, episodes, cfg, onEpisode)
-}
-
-// TrainAsyncCtx is TrainAsync under a request-scoped context: cancellation
-// stops the learner and the actors and returns early with
+//
+// Cancelling ctx stops the learner and the actors and returns early with
 // AsyncStats.Episodes < episodes (see rl.TrainAsyncCtx), once the executions
 // already started have finished. Executions the learner never reached are
 // not counted.

@@ -25,7 +25,7 @@ func TestTrainAsyncCollectsAndLearns(t *testing.T) {
 	env := f.env(StagePrefix(2), CostReward, false)
 	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 8, Seed: 5})
 	n := 0
-	stats := TrainAsync(env, agent, 32, rl.AsyncConfig{Actors: 3, Staleness: 2}, func(i int, rec EpisodeRecord) {
+	stats := TrainAsyncCtx(context.Background(), env, agent, 32, rl.AsyncConfig{Actors: 3, Staleness: 2}, func(i int, rec EpisodeRecord) {
 		if i != n {
 			t.Errorf("episode index %d, want %d", i, n)
 		}
@@ -54,7 +54,7 @@ func TestTrainAsyncFoldsExecutionCounters(t *testing.T) {
 	f := fixture(t, 3, 3, 3)
 	env := f.env(StagePrefix(1), LatencyReward, true)
 	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, Seed: 6})
-	TrainAsync(env, agent, 8, rl.AsyncConfig{Actors: 2, Staleness: 2}, nil)
+	TrainAsyncCtx(context.Background(), env, agent, 8, rl.AsyncConfig{Actors: 2, Staleness: 2}, nil)
 	if env.Executions != 8 {
 		t.Fatalf("base env folded %d executions, want 8", env.Executions)
 	}
@@ -95,7 +95,7 @@ func TestTrainAsyncCacheTransparent(t *testing.T) {
 		agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 8, Seed: 5})
 		var out []EpisodeRecord
 		for sweep := 0; sweep < 3; sweep++ {
-			TrainAsync(env, agent, 12, rl.AsyncConfig{Actors: 3}, func(_ int, rec EpisodeRecord) {
+			TrainAsyncCtx(context.Background(), env, agent, 12, rl.AsyncConfig{Actors: 3}, func(_ int, rec EpisodeRecord) {
 				out = append(out, rec)
 			})
 		}
@@ -219,7 +219,7 @@ func TestTrainAsyncMatchesSpecUnderSlowExecutions(t *testing.T) {
 				cfg := rl.AsyncConfig{Actors: actors, Staleness: 1}
 				var recs []EpisodeRecord
 				if deferred {
-					TrainAsync(env, agent, episodes, cfg, func(i int, rec EpisodeRecord) {
+					TrainAsyncCtx(context.Background(), env, agent, episodes, cfg, func(i int, rec EpisodeRecord) {
 						if i != len(recs) {
 							t.Errorf("episode index %d, want %d", i, len(recs))
 						}

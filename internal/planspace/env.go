@@ -107,7 +107,7 @@ type Config struct {
 	// predicate connects. When no entry pair is connected, every pair stays
 	// valid so episodes can always finish.
 	DisallowCross bool
-	// Seed derives TrainAsync's sampling seed when rl.AsyncConfig.Seed is 0.
+	// Seed derives TrainAsyncCtx's sampling seed when rl.AsyncConfig.Seed is 0.
 	Seed int64
 }
 

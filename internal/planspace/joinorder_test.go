@@ -344,7 +344,7 @@ func TestTrainAsyncConvergesLikeSync(t *testing.T) {
 	syncRatio := greedyRatio(t, f, syncEnv, syncAgent)
 
 	asyncEnv, asyncAgent := f.stage1(32, 8, 2)
-	TrainAsync(asyncEnv, asyncAgent, episodes, rl.AsyncConfig{Actors: 4, Staleness: 4}, nil)
+	TrainAsyncCtx(context.Background(), asyncEnv, asyncAgent, episodes, rl.AsyncConfig{Actors: 4, Staleness: 4}, nil)
 	asyncRatio := greedyRatio(t, f, asyncEnv, asyncAgent)
 
 	t.Logf("greedy cost ratio vs optimizer: sync %.3f, async %.3f", syncRatio, asyncRatio)
@@ -361,7 +361,7 @@ func TestTrainAsyncProducesCompleteEpisodes(t *testing.T) {
 	env, agent := f.stage1(32, 8, 2)
 	seen := map[*query.Query]int{}
 	n := 0
-	stats := TrainAsync(env, agent, 48, rl.AsyncConfig{Actors: 4, Staleness: 2}, func(i int, rec EpisodeRecord) {
+	stats := TrainAsyncCtx(context.Background(), env, agent, 48, rl.AsyncConfig{Actors: 4, Staleness: 2}, func(i int, rec EpisodeRecord) {
 		if rec.Out.Plan == nil || rec.Query == nil || rec.Out.Cost <= 0 {
 			t.Fatalf("episode %d incomplete: plan=%v cost=%v", i, rec.Out.Plan, rec.Out.Cost)
 		}
@@ -387,7 +387,7 @@ func TestParallelCollectionCoversWorkload(t *testing.T) {
 	f := fixture(t, 4, 4, 4)
 	env, agent := f.stage1(16, 8, 3)
 	seen := map[*query.Query]int{}
-	TrainAsync(env, agent, 16, rl.AsyncConfig{Actors: 4}, func(_ int, rec EpisodeRecord) {
+	TrainAsyncCtx(context.Background(), env, agent, 16, rl.AsyncConfig{Actors: 4}, func(_ int, rec EpisodeRecord) {
 		seen[rec.Query]++
 	})
 	for _, q := range f.queries {
@@ -402,7 +402,7 @@ func TestParallelCollectionCoversWorkload(t *testing.T) {
 func TestParallelCollectionTrainsPolicy(t *testing.T) {
 	f := fixture(t, 4, 4, 4)
 	env, agent := f.stage1(16, 8, 4)
-	TrainAsync(env, agent, 40, rl.AsyncConfig{Actors: 4}, nil)
+	TrainAsyncCtx(context.Background(), env, agent, 40, rl.AsyncConfig{Actors: 4}, nil)
 	if agent.Updates != 5 {
 		t.Fatalf("%d policy updates after 40 parallel episodes with batch size 8, want 5", agent.Updates)
 	}
@@ -416,7 +416,7 @@ func collectRun(t *testing.T, f fx, cache *plancache.Cache, episodes, actors int
 	env := NewEnv(Config{Space: f.space, Planner: f.planner, Queries: f.queries, Cache: cache, Seed: 3})
 	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 2})
 	var costs []float64
-	TrainAsync(env, agent, episodes, rl.AsyncConfig{Actors: actors}, func(i int, rec EpisodeRecord) {
+	TrainAsyncCtx(context.Background(), env, agent, episodes, rl.AsyncConfig{Actors: actors}, func(i int, rec EpisodeRecord) {
 		if rec.Out.Plan == nil || rec.Query == nil || rec.Out.Cost <= 0 {
 			t.Fatalf("episode %d incomplete: plan=%v cost=%v", i, rec.Out.Plan, rec.Out.Cost)
 		}
@@ -472,7 +472,7 @@ func TestTrainAsyncBumpsCacheEpochPerPublish(t *testing.T) {
 	env := NewEnv(Config{Space: f.space, Planner: f.planner, Queries: f.queries, Cache: cache})
 	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Seed: 3})
 	before := cache.Stats().EpochBumps
-	stats := TrainAsync(env, agent, 24, rl.AsyncConfig{Actors: 3, Staleness: 2}, nil)
+	stats := TrainAsyncCtx(context.Background(), env, agent, 24, rl.AsyncConfig{Actors: 3, Staleness: 2}, nil)
 	bumps := cache.Stats().EpochBumps - before
 	if stats.Publishes == 0 {
 		t.Fatal("learner never published")

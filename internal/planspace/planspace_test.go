@@ -86,8 +86,10 @@ func runRandomEpisode(t *testing.T, env *Env, seed int64) Outcome {
 }
 
 func TestStagePrefix(t *testing.T) {
+	// The service's lifecycle and serving envs leave Config.Stages at its
+	// zero value and rely on it being the join-order-only stage.
 	if StagePrefix(1) != (Stages{}) {
-		t.Fatal("stage 1 should control join order only")
+		t.Fatal("stage 1 should control join order only, and be the zero Stages value")
 	}
 	if StagePrefix(2) != (Stages{AccessPaths: true}) {
 		t.Fatal("stage 2 adds access paths")

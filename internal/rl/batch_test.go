@@ -265,7 +265,7 @@ func reinforceUpdateReference(a *Reinforce) {
 			a.emaOK = true
 		}
 		baseline = a.ema
-		a.ema += a.Cfg.EMAAlpha * (mean - a.ema)
+		a.ema += emaAlpha * (mean - a.ema)
 	}
 
 	a.Policy.ZeroGrad()

@@ -16,9 +16,9 @@
 // with a masked per-row gradient; Reinforce stacks every step of an update
 // batch the same way. Both are numerically identical to their per-sample
 // equivalents (asserted by the parity tests) while doing one network pass
-// per minibatch instead of one per sample, on top of nn's goroutine-parallel
-// matrix kernels. QAgent.PredictBatch and Reinforce.ProbsBatch expose
-// batched inference.
+// per minibatch instead of one per sample; nn runs each matrix kernel on
+// its caller's goroutine. QAgent.PredictBatch and Reinforce.ProbsBatch
+// expose batched inference.
 //
 // Episode collection parallelizes with TrainAsync, the actor-learner split:
 // actors collect against parameter-server snapshots

@@ -31,7 +31,6 @@ type ReinforceConfig struct {
 	BatchSize   int     // episodes per policy update (default 16)
 	Clip        float64 // gradient clip norm (default 5; negative disables)
 	Baseline    BaselineKind
-	EMAAlpha    float64 // EMA smoothing for BaselineRunningEMA (default 0.05)
 	// UseSGD selects plain stochastic gradient ascent instead of Adam.
 	// Vanilla REINFORCE (Williams '92, the method §2 of the paper describes)
 	// is plain gradient ascent and therefore sensitive to the reward scale —
@@ -39,13 +38,15 @@ type ReinforceConfig struct {
 	// per-weight normalization would silently mask reward-range jumps.
 	UseSGD bool
 	// EntropyDecay anneals the entropy bonus multiplicatively per policy
-	// update (1 = no annealing). Long training runs use ≈0.995 so late-stage
-	// exploration fades and sampled performance approaches greedy.
+	// update (1 = no annealing), down to a floor of EntropyCoef/50. Long
+	// training runs use ≈0.995 so late-stage exploration fades and sampled
+	// performance approaches greedy.
 	EntropyDecay float64
-	// EntropyMin floors the annealed entropy bonus (default EntropyCoef/50).
-	EntropyMin float64
-	Seed       int64
+	Seed         int64
 }
+
+// emaAlpha is BaselineRunningEMA's smoothing factor.
+const emaAlpha = 0.05
 
 func (c *ReinforceConfig) fill() {
 	if len(c.Hidden) == 0 {
@@ -63,14 +64,8 @@ func (c *ReinforceConfig) fill() {
 	if c.Clip == 0 {
 		c.Clip = 5
 	}
-	if c.EMAAlpha == 0 {
-		c.EMAAlpha = 0.05
-	}
 	if c.EntropyDecay == 0 {
 		c.EntropyDecay = 1
-	}
-	if c.EntropyMin == 0 {
-		c.EntropyMin = c.EntropyCoef / 50
 	}
 }
 
@@ -247,7 +242,7 @@ func (a *Reinforce) update() {
 			a.emaOK = true
 		}
 		baseline = a.ema
-		a.ema += a.Cfg.EMAAlpha * (mean - a.ema)
+		a.ema += emaAlpha * (mean - a.ema)
 	}
 
 	steps := 0
@@ -289,8 +284,8 @@ func (a *Reinforce) update() {
 	a.Updates++
 	if a.Cfg.EntropyDecay < 1 {
 		a.entCoef *= a.Cfg.EntropyDecay
-		if a.entCoef < a.Cfg.EntropyMin {
-			a.entCoef = a.Cfg.EntropyMin
+		if floor := a.Cfg.EntropyCoef / 50; a.entCoef < floor {
+			a.entCoef = floor
 		}
 	}
 }

@@ -249,9 +249,14 @@ func (s *Server) tenantFor(r *http.Request) (*Tenant, *apiError) {
 	return t, nil
 }
 
-// timeoutFor resolves the effective planning deadline for a request.
+// timeoutFor resolves the effective planning deadline for a request. A
+// requested timeout is compared with the cap in milliseconds before it is
+// converted: timeout_ms above about 9.2e12 overflows a time.Duration.
 func (s *Server) timeoutFor(req *PlanRequest) time.Duration {
 	d := s.cfg.DefaultTimeout
+	if req.TimeoutMs > int64(s.cfg.MaxTimeout/time.Millisecond) {
+		return s.cfg.MaxTimeout
+	}
 	if req.TimeoutMs > 0 {
 		d = time.Duration(req.TimeoutMs) * time.Millisecond
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -302,6 +303,32 @@ func TestMalformedRequestsAre400WithStructuredErrors(t *testing.T) {
 		}}, &er)
 	if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" {
 		t.Fatalf("unknown column: status %d body %+v", resp.StatusCode, er)
+	}
+}
+
+// TestHugeTimeoutClampedToMax: a timeout_ms too large to count in
+// nanoseconds is clamped to MaxTimeout like any other value above the cap,
+// instead of wrapping to a deadline already past and answering 504.
+func TestHugeTimeoutClampedToMax(t *testing.T) {
+	svc := newTestTenant(t, 3)
+	reg := NewRegistry()
+	if _, err := reg.Add("solo", svc); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{}, reg)
+	h := srv.Handler()
+	sql := oneJoinSQL(t, svc)
+	for _, ms := range []int64{10_000_000_000_000, 1 << 62, math.MaxInt64} {
+		if d := srv.timeoutFor(&PlanRequest{TimeoutMs: ms}); d != srv.cfg.MaxTimeout {
+			t.Errorf("timeout_ms %d resolves to %v, want the cap %v", ms, d, srv.cfg.MaxTimeout)
+		}
+		body, err := json.Marshal(PlanRequest{SQL: sql, TimeoutMs: ms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := serveOnce(h, "/plansql", body); rec.Code != http.StatusOK {
+			t.Errorf("timeout_ms %d: status %d, want 200: %s", ms, rec.Code, rec.Body)
+		}
 	}
 }
 

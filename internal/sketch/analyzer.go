@@ -10,12 +10,11 @@ import (
 )
 
 // Config sizes the sketches an Analyzer builds. The zero value resolves to
-// the package defaults.
+// the package defaults. Every HyperLogLog has DefaultHLLPrecision and every
+// Count-Min DefaultCMDepth rows.
 type Config struct {
-	// HLLPrecision is the HyperLogLog precision (registers = 2^p).
-	HLLPrecision int
-	// CMDepth × CMWidth size the Count-Min counter matrix.
-	CMDepth, CMWidth int
+	// CMWidth is the Count-Min row width.
+	CMWidth int
 	// ReservoirCap bounds the per-column value reservoir.
 	ReservoirCap int
 	// SampleCap bounds the per-table row sample used by approximate
@@ -26,12 +25,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.HLLPrecision <= 0 {
-		c.HLLPrecision = DefaultHLLPrecision
-	}
-	if c.CMDepth <= 0 {
-		c.CMDepth = DefaultCMDepth
-	}
 	if c.CMWidth <= 0 {
 		c.CMWidth = DefaultCMWidth
 	}
@@ -137,8 +130,8 @@ func (a *Analyzer) AnalyzeTable(t *storage.Table) *TableSketch {
 func (a *Analyzer) analyzeColumn(table, column string, values []int64) *ColumnSketch {
 	cs := &ColumnSketch{
 		Rows: int64(len(values)),
-		HLL:  NewHLL(a.cfg.HLLPrecision),
-		CM:   NewCountMin(a.cfg.CMDepth, a.cfg.CMWidth),
+		HLL:  NewHLL(DefaultHLLPrecision),
+		CM:   NewCountMin(DefaultCMDepth, a.cfg.CMWidth),
 		Values: NewValueReservoir(a.cfg.ReservoirCap,
 			a.cfg.Seed^hashName(table)^mix64(hashName(column))),
 	}

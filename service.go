@@ -36,12 +36,6 @@ import (
 //
 // See ARCHITECTURE.md, "Service lifecycle", for the state machine diagram.
 
-// Stages selects which pipeline steps a lifecycle's learned policy controls
-// (join ordering is always learned; the traditional optimizer completes the
-// rest). The zero value — join ordering only, as in the paper's §3 ReJOIN
-// case study — is the service default.
-type Stages = planspace.Stages
-
 // DefaultFallbackRatio is the regression-guard default: a learned plan is
 // served only while its cost-model estimate stays within this multiple of
 // the expert plan's.
@@ -182,10 +176,9 @@ func New(opts ...Option) (*Service, error) {
 		policies:      paramserver.New(nil),
 		execCfg:       o.exec,
 		history: exechistory.New(exechistory.Config{
-			Window:          o.exec.Window,
-			MaxFingerprints: o.exec.MaxFingerprints,
-			MinLearned:      o.exec.MinLearned,
-			MinExpert:       o.exec.MinExpert,
+			Window:     o.exec.Window,
+			MinLearned: o.exec.MinLearned,
+			MinExpert:  o.exec.MinExpert,
 		}),
 		drift: exechistory.NewDetector(exechistory.DriftConfig{
 			Ratio:   o.exec.DriftRatio,
@@ -194,7 +187,6 @@ func New(opts ...Option) (*Service, error) {
 		driftCh: make(chan string, 1),
 	}
 	svc.observed = engine.NewObserved(sys.Engine)
-	svc.observed.MsPerWork = o.exec.MsPerWork
 	if o.workload != nil {
 		qs, err := sys.Workload.Training(o.workload.count, o.workload.minRel, o.workload.maxRel, o.workload.seed)
 		if err != nil {
@@ -456,18 +448,16 @@ var logitsPool = sync.Pool{New: func() any { return &nn.Mat{} }}
 type servePool struct {
 	svc               *Service
 	space             *featurize.Space
-	stages            Stages
 	maxRels           int
 	obsDim, actionDim int
 	pool              sync.Pool
 }
 
-func newServePool(svc *Service, space *featurize.Space, stages Stages, maxRels int) *servePool {
-	layout := planspace.Layout{Space: space, Stages: stages}
+func newServePool(svc *Service, space *featurize.Space, maxRels int) *servePool {
+	layout := planspace.Layout{Space: space}
 	sp := &servePool{
 		svc:       svc,
 		space:     space,
-		stages:    stages,
 		maxRels:   maxRels,
 		obsDim:    layout.ObsDim(),
 		actionDim: layout.ActionDim(),
@@ -475,7 +465,6 @@ func newServePool(svc *Service, space *featurize.Space, stages Stages, maxRels i
 	sp.pool.New = func() any {
 		return planspace.NewEnv(planspace.Config{
 			Space:   sp.space,
-			Stages:  sp.stages,
 			Planner: sp.svc.sys.Planner,
 			Reward:  planspace.CostReward,
 			Cache:   sp.svc.sys.PlanCache,
@@ -556,44 +545,37 @@ type PhaseChange struct {
 // LifecycleConfig budgets the learning state machine. The zero value is
 // usable when the service has a workload (WithWorkload): every knob has a
 // default sized for a quick run; scale the budgets up for real training.
+//
+// The learned policy orders joins and the traditional optimizer completes
+// the rest (the paper's §3 setup, planspace.Stages{}). The learner is
+// rl.Reinforce at its defaults (learning rate 1e-3, 16 episodes per
+// update), actors lag the learner by at most rl.AsyncConfig's default of 4
+// versions, and training censors engine runs at DefaultExecBudgetMs, as
+// Execute does.
 type LifecycleConfig struct {
 	// Queries is the training workload (default: the service workload).
 	Queries []*Query
-	// Stages selects the pipeline prefix the learned policy controls
-	// (default: join ordering only, the §3 setup).
-	Stages Stages
-	// Hidden, LR, BatchSize, Seed configure the learners (defaults: 128/64,
-	// 1e-3, 16, 1).
-	Hidden    []int
-	LR        float64
-	BatchSize int
-	Seed      int64
+	// Hidden and Seed configure the learner (defaults: 128/64, 1).
+	Hidden []int
+	Seed   int64
 
 	// DemoSweeps is how many times the expert's demonstrated trajectories
-	// are handed to the policy learner, which updates per BatchSize of them
+	// are handed to the policy learner, which updates per 16 of them
 	// (default 2).
 	DemoSweeps int
 
-	// CostEpisodes budgets the CostTraining phase (default 192).
+	// CostEpisodes budgets the CostTraining phase (default 192); every
+	// EvalEvery episodes (default 64) the greedy policy's geometric-mean cost
+	// ratio versus the expert is evaluated into LifecycleStats.CostRatio.
 	CostEpisodes int
-	// CostRatioTarget ends CostTraining early once the greedy policy's
-	// geometric-mean cost ratio versus the expert reaches the target
-	// (0 = budget only). This is the CostTraining → LatencyTuning
-	// transition predicate; it is evaluated every EvalEvery episodes
-	// (default 64).
-	CostRatioTarget float64
-	EvalEvery       int
+	EvalEvery    int
 
-	// LatencyEpisodes budgets the LatencyTuning phase (default 96);
-	// LatencyBudgetMs censors the training plans' engine runs (0 = the
-	// service's execution budget, none if that is 0 too).
+	// LatencyEpisodes budgets the LatencyTuning phase (default 96).
 	LatencyEpisodes int
-	LatencyBudgetMs float64
 
-	// Actors and Staleness configure the asynchronous actor-learner split
-	// used by the training phases (defaults: GOMAXPROCS actors, bound 4).
-	Actors    int
-	Staleness int
+	// Actors is the actor count of the asynchronous actor-learner split
+	// used by the training phases (default GOMAXPROCS).
+	Actors int
 
 	// DriftRetrain keeps the lifecycle resident after PhaseDone, watching
 	// the execution feedback loop: when the drift detector trips on a served
@@ -611,9 +593,6 @@ func (c *LifecycleConfig) fill(s *Service) {
 	if len(c.Hidden) == 0 {
 		c.Hidden = []int{128, 64}
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -628,10 +607,6 @@ func (c *LifecycleConfig) fill(s *Service) {
 	}
 	if c.LatencyEpisodes == 0 {
 		c.LatencyEpisodes = 96
-	}
-	if c.LatencyBudgetMs == 0 && s.execCfg.BudgetMs > 0 {
-		// Training censors executions exactly like serving does.
-		c.LatencyBudgetMs = s.execCfg.BudgetMs
 	}
 }
 
@@ -699,7 +674,7 @@ func (s *Service) LifecycleStats() LifecycleStats {
 
 // StartTraining launches the learning state machine as a background
 // goroutine: Demonstration → CostTraining → LatencyTuning → Done, with the
-// transition predicates in LifecycleConfig and a policy snapshot published
+// budgets in LifecycleConfig and a policy snapshot published
 // (hot swap; plan-cache epoch bumped) on every learner update. Serving
 // continues throughout. Cancelling ctx stops the lifecycle at the next
 // episode boundary (phase becomes PhaseStopped and WaitTraining returns the
@@ -738,7 +713,7 @@ func (s *Service) StartTraining(ctx context.Context, cfg LifecycleConfig) error 
 			maxRels = len(q.Relations)
 		}
 	}
-	sp := newServePool(s, featurize.NewSpace(maxRels, s.sys.cardEstimator()), cfg.Stages, maxRels)
+	sp := newServePool(s, featurize.NewSpace(maxRels, s.sys.cardEstimator()), maxRels)
 	s.serve.Store(sp)
 
 	done, exited := s.done, s.exited
@@ -880,20 +855,17 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 	// expert baselines may move the guard and drift ratios.
 	trainEnv := planspace.NewEnv(planspace.Config{
 		Space:           sp.space,
-		Stages:          cfg.Stages,
 		Planner:         s.sys.Planner,
 		Latency:         s.observed,
 		Queries:         cfg.Queries,
 		Reward:          lifecycleCostReward,
-		LatencyBudgetMs: cfg.LatencyBudgetMs,
+		LatencyBudgetMs: DefaultExecBudgetMs,
 		Cache:           s.sys.PlanCache,
 		Seed:            cfg.Seed + 1,
 	})
 	learner := rl.NewReinforce(trainEnv.ObsDim(), trainEnv.ActionDim(), rl.ReinforceConfig{
-		Hidden:    cfg.Hidden,
-		LR:        cfg.LR,
-		BatchSize: cfg.BatchSize,
-		Seed:      cfg.Seed,
+		Hidden: cfg.Hidden,
+		Seed:   cfg.Seed,
 	})
 	// Every update is served at once, as the same immutable network the
 	// actors train against: one clone per update, and the one cache-epoch
@@ -901,7 +873,6 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 	// Each training call runs on the next actor seed.
 	async := rl.AsyncConfig{
 		Actors:    cfg.Actors,
-		Staleness: cfg.Staleness,
 		Seed:      cfg.Seed + 100,
 		OnPublish: func(snap *paramserver.Snapshot) { s.policies.Publish(snap.Net, snap.Updates) },
 	}
@@ -925,12 +896,11 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 		PhaseDemonstration: func() (string, error) {
 			demoEnv := planspace.NewEnv(planspace.Config{
 				Space:           sp.space,
-				Stages:          cfg.Stages,
 				Planner:         s.sys.Planner,
 				Latency:         recordingExecutor{svc: s},
 				Queries:         cfg.Queries,
 				ExecuteAlways:   true,
-				LatencyBudgetMs: cfg.LatencyBudgetMs,
+				LatencyBudgetMs: DefaultExecBudgetMs,
 				Cache:           s.sys.PlanCache,
 			})
 			demos := make([]rl.Trajectory, 0, len(cfg.Queries))
@@ -949,7 +919,7 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 			s.setProgress(func(p *lifecycleProgress) { p.demos = len(demos) })
 			// Prime the learner on the demonstrated trajectories (their
 			// rewards are the same −log(cost) the cost phase trains on). It
-			// updates only on a full batch: below BatchSize trajectories
+			// updates only on a full batch: below 16 trajectories
 			// (2 × 6 < 16 for the benchmark's workload) v1 is the initial
 			// policy and the demonstrations enter the first cost-phase update.
 			for sweep := 0; sweep < cfg.DemoSweeps; sweep++ {
@@ -966,10 +936,9 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 				len(demos), s.policies.Version(), learner.Updates, learner.Pending()), nil
 		},
 		// CostTraining (§5.2 Phase 1): train on the cost model until the
-		// budget is spent or the greedy cost ratio reaches the target.
+		// budget is spent, evaluating the greedy cost ratio every chunk.
 		PhaseCostTraining: func() (string, error) {
 			trainEnv.Cfg.Reward, trainEnv.Cfg.RewardNeedsLatency = lifecycleCostReward, false
-			reason := fmt.Sprintf("cost budget exhausted (%d episodes)", cfg.CostEpisodes)
 			for remaining := cfg.CostEpisodes; remaining > 0; {
 				if err := ctx.Err(); err != nil {
 					return "", err
@@ -983,13 +952,9 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 				}
 				ratio := greedyRatio(sp, learner.Policy, cfg.Queries, expert)
 				s.setProgress(func(p *lifecycleProgress) { p.costRatio = ratio })
-				if cfg.CostRatioTarget > 0 && ratio <= cfg.CostRatioTarget {
-					reason = fmt.Sprintf("greedy cost ratio %.3f ≤ target %.3f", ratio, cfg.CostRatioTarget)
-					break
-				}
 			}
 			s.publish(learner)
-			return reason, nil
+			return fmt.Sprintf("cost budget exhausted (%d episodes)", cfg.CostEpisodes), nil
 		},
 		// LatencyTuning (§5.2 Phase 2): train on the latency the engine
 		// observes running each training plan; a re-entry's ending counts
@@ -1068,10 +1033,10 @@ func lifecycleLatencyReward(o planspace.Outcome) float64 {
 	return -math.Log(o.LatencyMs)
 }
 
-// greedyRatio is the CostTraining transition predicate's measurement: the
-// geometric mean over queries of (greedy plan cost under policy) /
-// expert[i], skipping queries whose rollout ends without a plan (+Inf when
-// all do). The rollouts fan out over the cores, each worker on its own env
+// greedyRatio is CostTraining's progress measurement (LifecycleStats'
+// CostRatio): the geometric mean over queries of (greedy plan cost under
+// policy) / expert[i], skipping queries whose rollout ends without a plan
+// (+Inf when all do). The rollouts fan out over the cores, each worker on its own env
 // from sp, choosing as serving does — greedyActionPacked picks what
 // rl.Reinforce.Greedy picks — and the logs are summed in query order, so the
 // result is that of one sequential loop. policy must not change meanwhile:

@@ -125,7 +125,7 @@ func publishPolicySized(t testing.TB, svc *Service, seed int64, hidden []int) *r
 		}
 	}
 	space := featurize.NewSpace(maxRels, svc.sys.Est)
-	sp := newServePool(svc, space, Stages{}, maxRels)
+	sp := newServePool(svc, space, maxRels)
 	svc.serve.Store(sp)
 	learner := rl.NewReinforce(sp.obsDim, sp.actionDim, rl.ReinforceConfig{
 		Hidden: hidden, Seed: seed,
@@ -399,7 +399,6 @@ func TestGreedyRatioMatchesSequential(t *testing.T) {
 		sp := svc.serve.Load()
 		env := planspace.NewEnv(planspace.Config{
 			Space:   sp.space,
-			Stages:  sp.stages,
 			Planner: svc.sys.Planner,
 			Latency: svc.observed,
 			Queries: queries,
@@ -577,7 +576,7 @@ func TestLatencyPhaseFaultSeamOrder(t *testing.T) {
 	})
 	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{32}, Seed: 4})
 	var recs []planspace.EpisodeRecord
-	planspace.TrainAsync(env, agent, episodes, rl.AsyncConfig{Actors: 1}, func(_ int, rec planspace.EpisodeRecord) {
+	planspace.TrainAsyncCtx(context.Background(), env, agent, episodes, rl.AsyncConfig{Actors: 1}, func(_ int, rec planspace.EpisodeRecord) {
 		recs = append(recs, rec)
 	})
 	if st := svc.Faults().Stats(); st.Executions != episodes || st.Spikes != episodes/3 {
