@@ -6,9 +6,10 @@
 // Featurization runs once per step of every training episode, so it is a hot
 // path. Scratch keeps its steady-state allocation down to the feature vector
 // itself (which episode trajectories retain and therefore must be fresh): it
-// carries the per-query alias positions and the per-episode cardinality memo,
-// so a state is encoded by alias index where the naive encoding would rebuild
-// alias sets and weight maps at every state.
+// carries, per query, the alias positions, the constant blocks and a memo of
+// subtree cardinalities by relation set, so a state is encoded by alias index
+// and bitmask where the naive encoding would rebuild alias sets and weight
+// maps and re-run the estimator at every state.
 package featurize
 
 import (
@@ -95,74 +96,105 @@ func Spans(b [2]uint32, l, r uint32) bool {
 	return l&b[0] != 0 && r&b[1] != 0 || l&b[1] != 0 && r&b[0] != 0
 }
 
-// Scratch holds the reusable working state of featurization: the alias→index
-// map and cached base selectivities of the current query, and a memo of
-// subtree cardinalities keyed by plan node. Depth weights are written by
-// alias index, so encoding a state builds no alias set except the one a
-// cardinality-memo miss hands the estimator. One Scratch belongs to one
-// environment (it is not concurrency-safe); call Reset at each episode start
-// so the per-node memo does not retain the previous episode's plan nodes.
-// The zero value is ready to use.
+// Scratch holds the per-query part of the encoding, computed once per query
+// and kept across episodes: the alias index, the base selectivities, the
+// join-graph entries and a memo of subtree cardinalities keyed by relation
+// bitmask (bit i stands for the i-th alias of AliasIndex). Every entry is a
+// pure function of (query, estimator) — statistics are fixed once the system
+// is open and queries are immutable once planned — so an entry never goes
+// stale; a Scratch used with another Space forgets what it held. Entries are
+// keyed by query pointer and bounded at maxQueries, since a serving
+// environment sees an open-ended stream. Encoding a state therefore builds
+// nothing: depth weights and relation bits come from one walk of each
+// subtree, and only a relation set never seen before hands the estimator an
+// alias set. One Scratch belongs to one environment (it is not
+// concurrency-safe). The zero value is ready to use.
 type Scratch struct {
-	q     *query.Query
+	space   *Space
+	q       *query.Query
+	cur     *queryFeatures
+	queries map[*query.Query]*queryFeatures
+}
+
+// queryFeatures is one query's entry in a Scratch.
+type queryFeatures struct {
 	names []string
 	idx   map[string]int
 	sels  []float64
-	cards map[plan.Node]float64
+	edges [][2]int // join-graph entries: the alias indexes of each join
+	// cards memoizes SubsetCard by relation bitmask; nil when the query has
+	// more relations than a uint32 mask holds, and each subtree then pays
+	// the estimator walk.
+	cards map[uint32]float64
 }
 
-// Reset drops per-episode state (the subtree cardinality memo). The
-// per-query alias index and selectivity cache survive: they are keyed by
-// query pointer and revalidated on use.
-func (sc *Scratch) Reset() {
-	clear(sc.cards)
+// maxQueries bounds the queries a Scratch keeps; a training environment
+// cycles through far fewer.
+const maxQueries = 64
+
+// Reset marks an episode boundary. It drops nothing: every entry the scratch
+// holds is keyed by query and relation set and stays valid across episodes.
+func (sc *Scratch) Reset() {}
+
+// prepare returns q's entry, building it the first time q is encoded in s.
+func (sc *Scratch) prepare(s *Space, q *query.Query) *queryFeatures {
+	if sc.q == q && sc.space == s {
+		return sc.cur
+	}
+	if sc.space != s {
+		clear(sc.queries)
+		sc.space = s
+	}
+	qf, ok := sc.queries[q]
+	if !ok {
+		qf = newQueryFeatures(q, s.Est)
+		if sc.queries == nil {
+			sc.queries = make(map[*query.Query]*queryFeatures)
+		} else if len(sc.queries) >= maxQueries {
+			clear(sc.queries)
+		}
+		sc.queries[q] = qf
+	}
+	sc.q, sc.cur = q, qf
+	return qf
 }
 
-// prepare returns the alias→feature-index map for q, rebuilding it — and the
-// base-selectivity cache aligned with it — only when the query changes. The selectivity block of the encoding is constant per query, so
-// caching it here removes the per-state estimator walk (and its filter-slice
-// allocations) from the rollout hot path.
-func (sc *Scratch) prepare(q *query.Query, est Estimator) map[string]int {
-	if sc.q == q && sc.idx != nil {
-		return sc.idx
+func newQueryFeatures(q *query.Query, est Estimator) *queryFeatures {
+	names := AliasIndex(q)
+	qf := &queryFeatures{
+		names: names,
+		idx:   make(map[string]int, len(names)),
+		sels:  make([]float64, len(names)),
 	}
-	sc.names = sc.names[:0]
-	for _, r := range q.Relations {
-		sc.names = append(sc.names, r.Alias)
+	for i, a := range names {
+		qf.idx[a] = i
+		qf.sels[i] = est.BaseSelectivity(q, a)
 	}
-	sort.Strings(sc.names)
-	if sc.idx == nil {
-		sc.idx = make(map[string]int, len(sc.names))
-	} else {
-		clear(sc.idx)
+	for _, j := range q.Joins {
+		a, aok := qf.idx[j.LeftAlias]
+		b, bok := qf.idx[j.RightAlias]
+		if aok && bok {
+			qf.edges = append(qf.edges, [2]int{a, b})
+		}
 	}
-	for i, a := range sc.names {
-		sc.idx[a] = i
+	if len(names) <= 32 {
+		qf.cards = make(map[uint32]float64)
 	}
-	sc.sels = sc.sels[:0]
-	for _, a := range sc.names {
-		sc.sels = append(sc.sels, est.BaseSelectivity(q, a))
-	}
-	sc.q = q
-	return sc.idx
+	return qf
 }
 
-// cardOf returns the estimated cardinality of a subtree, memoized per node.
-// Nodes are immutable and the memo is cleared per episode, so within an
-// episode only newly joined subtrees pay the estimator walk — and the alias
-// set it takes — while re-encoding an unchanged forest (every state revisits
-// all current roots) is lookup-only.
-func (sc *Scratch) cardOf(q *query.Query, est Estimator, n plan.Node) float64 {
-	if c, ok := sc.cards[n]; ok {
+// cardOf returns the estimated cardinality of subtree n, whose relation bits
+// are rels: a memo hit unless the query meets the set for the first time.
+func (qf *queryFeatures) cardOf(q *query.Query, est Estimator, n plan.Node, rels uint32) float64 {
+	if c, ok := qf.cards[rels]; ok {
 		return c
 	}
-	aliases := make(map[string]bool, len(sc.names))
+	aliases := make(map[string]bool, len(qf.names))
 	addAliases(n, aliases)
 	c := est.SubsetCard(q, aliases)
-	if sc.cards == nil {
-		sc.cards = make(map[plan.Node]float64, 16)
+	if qf.cards != nil {
+		qf.cards[rels] = c
 	}
-	sc.cards[n] = c
 	return c
 }
 
@@ -175,56 +207,45 @@ func (s *Space) JoinState(q *query.Query, forest []plan.Node) []float64 {
 }
 
 // JoinStateInto is JoinState writing into caller-owned storage: dst must have
-// length ObsDim() and is fully overwritten. sc carries the reusable working
-// maps; nil falls back to throwaway ones. The returned slice is dst. dst must
-// still be freshly allocated per state when the result is retained (episode
-// trajectories keep feature vectors until the policy update); what the
-// scratch eliminates is every other allocation of the encoding.
+// length ObsDim() and is fully overwritten. sc carries the per-query entries
+// (see Scratch); nil falls back to a throwaway one. The returned slice is dst.
+// dst must still be freshly allocated per state when the result is retained
+// (episode trajectories keep feature vectors until the policy update); what
+// the scratch eliminates is every other allocation of the encoding.
 func (s *Space) JoinStateInto(dst []float64, q *query.Query, forest []plan.Node, sc *Scratch) []float64 {
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	n := s.MaxRels
 	features := dst[:s.ObsDim()]
-	for i := range features {
-		features[i] = 0
-	}
-	idx := sc.prepare(q, s.Est)
+	clear(features)
+	qf := sc.prepare(s, q)
 
-	// Subtree block.
+	// Subtree block, and the cardinality block: log-scaled estimated output
+	// size of each current subtree. Without it the policy cannot distinguish
+	// a tiny dimension subtree from a fact-table blowup when choosing what to
+	// join next.
+	cardOff := 2*n*n + n
 	for row, tree := range forest {
 		if row >= n {
 			break
 		}
-		depthWeights(features[row*n:(row+1)*n], idx, tree, 0)
+		rels := depthWeights(features[row*n:(row+1)*n], qf.idx, tree, 0)
+		card := qf.cardOf(q, s.Est, tree, rels)
+		features[cardOff+row] = math.Log10(card+1) / 10
 	}
 	// Join-graph block.
 	off := n * n
-	for _, j := range q.Joins {
-		a, aok := idx[j.LeftAlias]
-		b, bok := idx[j.RightAlias]
-		if aok && bok && a < n && b < n {
+	for _, e := range qf.edges {
+		if a, b := e[0], e[1]; a < n && b < n {
 			features[off+a*n+b] = 1
 			features[off+b*n+a] = 1
 		}
 	}
-	// Selectivity block (constant per query; served from the scratch cache).
+	// Selectivity block.
 	off = 2 * n * n
-	for i, sel := range sc.sels {
-		if i < n {
-			features[off+i] = sel
-		}
-	}
-	// Cardinality block: log-scaled estimated output size of each current
-	// subtree. Without it the policy cannot distinguish a tiny dimension
-	// subtree from a fact-table blowup when choosing what to join next.
-	off = 2*n*n + n
-	for row, tree := range forest {
-		if row >= n {
-			break
-		}
-		card := sc.cardOf(q, s.Est, tree)
-		features[off+row] = math.Log10(card+1) / 10
+	for i, sel := range qf.sels[:min(len(qf.sels), n)] {
+		features[off+i] = sel
 	}
 	return features
 }
@@ -253,17 +274,25 @@ func addAliases(n plan.Node, set map[string]bool) {
 }
 
 // depthWeights writes 1/2^depth of every relation in the subtree into its
-// feature row, at the relation's alias index.
-func depthWeights(row []float64, idx map[string]int, n plan.Node, depth int) {
+// feature row, at the relation's alias index, and returns the subtree's
+// relation bits (aliases past the 32nd position have none).
+func depthWeights(row []float64, idx map[string]int, n plan.Node, depth int) uint32 {
 	switch n := n.(type) {
 	case *plan.Scan:
-		if i, ok := idx[n.Alias]; ok && i < len(row) {
+		i, ok := idx[n.Alias]
+		if !ok {
+			return 0
+		}
+		if i < len(row) {
 			row[i] = 1 / float64(int64(1)<<uint(depth))
 		}
+		if i < 32 {
+			return 1 << i
+		}
 	case *plan.Join:
-		depthWeights(row, idx, n.Left, depth+1)
-		depthWeights(row, idx, n.Right, depth+1)
+		return depthWeights(row, idx, n.Left, depth+1) | depthWeights(row, idx, n.Right, depth+1)
 	case *plan.Agg:
-		depthWeights(row, idx, n.Child, depth+1)
+		return depthWeights(row, idx, n.Child, depth+1)
 	}
+	return 0
 }

@@ -177,3 +177,40 @@ func TestFeatureVectorFinite(t *testing.T) {
 		}
 	}
 }
+
+// scaledEst is an estimator whose every estimate is f times inner's.
+type scaledEst struct {
+	inner Estimator
+	f     float64
+}
+
+func (e scaledEst) BaseSelectivity(q *query.Query, alias string) float64 {
+	return e.f * e.inner.BaseSelectivity(q, alias)
+}
+
+func (e scaledEst) SubsetCard(q *query.Query, aliases map[string]bool) float64 {
+	return e.f * e.inner.SubsetCard(q, aliases)
+}
+
+// TestScratchReusedAcrossSpaces: a scratch's entries belong to the Space
+// that built them. Handed to a Space with another estimator or width, the
+// same scratch encodes exactly what a fresh one does, and back again.
+func TestScratchReusedAcrossSpaces(t *testing.T) {
+	s4, q := fixture(t)
+	spaces := []*Space{s4, NewSpace(4, scaledEst{s4.Est, 0.5}), NewSpace(3, s4.Est)}
+	f := initialForest(q)
+	joined := []plan.Node{f[2], plan.JoinNodes(q, plan.NestLoop, f[0], f[1])}
+	var sc Scratch
+	for _, i := range []int{0, 1, 0, 2, 1} {
+		s := spaces[i]
+		for _, forest := range [][]plan.Node{f, joined} {
+			got := s.JoinStateInto(make([]float64, s.ObsDim()), q, forest, &sc)
+			want := s.JoinStateInto(make([]float64, s.ObsDim()), q, forest, &Scratch{})
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("space %d: feature %d = %v, a fresh scratch encodes %v", i, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}

@@ -180,13 +180,15 @@ func gemmBlocked[T Float](a, b, out *MatOf[T], accum bool) {
 
 // packBPanelsN copies B[kc0:kc1, 0:np] into nr-wide k-major panels: panel
 // jp/nr holds rows kc0..kc1 of columns jp..jp+nr contiguously, so the
-// microkernels read B with stride 1. Shared by the portable tiles, the vector
-// GEMM path and the per-snapshot inference packer.
+// microkernels read B with stride 1. Columns from b.Cols up to np pad the
+// last panel with zeros. Shared by the portable tiles, the vector GEMM path
+// (whole panels only) and the per-snapshot inference packer.
 func packBPanelsN[T Float](b *MatOf[T], kc0, kc1, np, nr int, bp []T) {
 	idx := 0
 	for jp := 0; jp < np; jp += nr {
 		for k := kc0; k < kc1; k++ {
-			copy(bp[idx:idx+nr], b.Row(k)[jp:jp+nr])
+			n := copy(bp[idx:idx+nr], b.Row(k)[jp:min(jp+nr, b.Cols)])
+			clear(bp[idx+n : idx+nr])
 			idx += nr
 		}
 	}

@@ -32,6 +32,12 @@ func gemvAsm[T Float](x, panels, out []T, nr int) bool { return false }
 // matMulABTAsm reports that no vector a·bᵀ path exists (nothing written).
 func matMulABTAsm[T Float](a, b, out *MatOf[T]) bool { return false }
 
+// reluAsm reports that no vector ReLU kernel exists (nothing written).
+func reluAsm[T Float](dst, src []T) bool { return false }
+
+// reluGradAsm reports that no vector ReLU gradient kernel exists.
+func reluGradAsm[T Float](dx, dout, y []T) bool { return false }
+
 var asmAdamEnabled = false
 
 // setAsmAdam is the test hook for the Adam vector kernels; without them it

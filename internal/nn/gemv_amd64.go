@@ -7,15 +7,19 @@ package nn
 // separate multiply and add per step, starting from zero, which rounds
 // exactly like the reference scalar kernels. They have two callers, both
 // bitwise identical to the reference:
-//   - packed inference (packed.go) runs the 1-row kernel over panels packed
-//     once per snapshot, matching the unpacked 1×d path;
-//   - the blocked engine's MatMulABT — the learner's dx = dout·Wᵀ — runs
-//     both over Wᵀ, packed per call into pooled panels, matching
-//     matMulABTRows.
+//   - packed inference (packed.go) runs the one single-row kernel over
+//     panels packed once per snapshot, folding only the nonzero x[k] — the
+//     reference matMulRows skips av == 0 the same way — so it matches the
+//     unpacked 1×d path;
+//   - the blocked engine's MatMulABT — the learner's dx = dout·Wᵀ — runs the
+//     four-row kernel and, for the rows left over, the single-row kernel over
+//     every k (matMulABTRows skips nothing), both over Wᵀ packed per call
+//     into pooled panels.
 
-// asmGemvEnabled routes packed gemv and a·bᵀ through the vector kernels. It
-// shares the GEMM gate's detection (plain AVX ymm arithmetic, no FMA, but one
-// knob keeps the matrix small) and has its own test hook.
+// asmGemvEnabled routes packed gemv, a·bᵀ and the ReLUs through the vector
+// kernels. It shares the GEMM gate's detection (AVX2 permutes and plain ymm
+// arithmetic, no FMA, plus POPCNT, which every AVX2 CPU has; one knob keeps
+// the matrix small) and has its own test hook.
 var asmGemvEnabled = cpuAVX2FMA
 
 // setAsmGemv is a test hook mirroring setAsmGemm for the gemv kernels. It
@@ -27,45 +31,78 @@ func setAsmGemv(on bool) bool {
 	return prev
 }
 
-// Vector kernel (gemv_amd64.s): out[0:NR] = Σ_k x[k]·panel[k·NR : k·NR+NR]
-// over kc steps of one packed panel, ascending k, multiply-then-add per step.
+// gemvRow16f32 is the single-row vector kernel (gemv_amd64.s): out += x·P
+// over np k-major 16-column panels P of kc rows each, every output element
+// one fold of x[k]·P[k][j] in ascending k. With all = 0 the fold takes only
+// the nonzero x[k] (a NaN counts as nonzero) — the steps the reference
+// matMulRows takes — with all = 1 every k, as matMulABTRows does. For
+// finite panels both give the same bits, since a ±0 product never changes a
+// fold that starts at +0; they differ only where a skipped zero would meet
+// an infinite or NaN weight. Its adds take the product as first operand, as
+// matMulRows' compiled fold does, so where two NaNs meet the kernel keeps
+// the one the reference keeps; matMulABTRows folds in a register, the
+// accumulator first, so for the a·bᵀ remainder rows only NaN-ness is the
+// reference's in that case.
 //
 //go:noescape
-func gemv16f32(kc int, x, panel, out *float32)
+func gemvRow16f32(kc int, x *float32, panels *float32, np int, out *float32, all int)
 
-// gemv4x16f32 is gemv16f32 for four rows of x through one panel at once:
-// out_r[0:NR] = Σ_k x_r[k]·panel[k·NR : k·NR+NR], each element rounded
-// exactly as the 1-row kernel rounds it.
+// gemv4x16f32 is the dense fold for four rows of x through one panel at
+// once: out_r[0:NR] = Σ_k x_r[k]·panel[k·NR : k·NR+NR], each element rounded
+// exactly as the single-row kernel rounds it.
 //
 //go:noescape
 func gemv4x16f32(kc int, x0, x1, x2, x3, panel, o0, o1, o2, o3 *float32)
 
-// gemvAsm runs the vector kernel over every packed panel and reports
-// whether it did; false (nothing written) when the kernel is unavailable,
-// the pack is not float32, or its panel width does not match the asm layout.
+// gemvCompress is the single-row kernel's compaction table: row m lists, in
+// ascending order, the lanes whose bit is set in the eight-bit mask m, so a
+// permute by it moves the kept lanes of a group to the front.
+var gemvCompress = func() (t [256][8]int32) {
+	for m := range t {
+		n := 0
+		for lane := 0; lane < 8; lane++ {
+			if m&(1<<lane) != 0 {
+				t[m][n] = int32(lane)
+				n++
+			}
+		}
+	}
+	return t
+}()
+
+// gemvAsm runs the single-row vector kernel over every packed panel,
+// folding only the nonzero x[k], and reports whether it did; false (nothing
+// written) when the kernel is unavailable, the pack is not float32, or its
+// panel width does not match the asm layout.
 func gemvAsm[T Float](x, panels, out []T, nr int) bool {
-	if !asmGemvEnabled || len(x) == 0 || nr != asmNRF32 {
+	if !asmGemvEnabled || nr != asmNRF32 {
 		return false
 	}
 	xs, ok := any(x).([]float32)
 	if !ok {
 		return false
 	}
-	ps := any(panels).([]float32)
-	os := any(out).([]float32)
-	kc := len(xs)
-	for jp := 0; jp < len(os); jp += asmNRF32 {
-		gemv16f32(kc, &xs[0], &ps[jp*kc], &os[jp])
-	}
+	gemvRowF32(xs, any(panels).([]float32), any(out).([]float32), 0)
 	return true
+}
+
+// gemvRowF32 computes out = x·P with the single-row kernel (all as there);
+// len(out) is a multiple of 16.
+func gemvRowF32(x, panels, out []float32, all int) {
+	clear(out)
+	if len(x) == 0 || len(out) == 0 {
+		return
+	}
+	gemvRow16f32(len(x), &x[0], &panels[0], len(out)/asmNRF32, &out[0], all)
 }
 
 // matMulABTAsm computes out = a·bᵀ with the gemv kernels over bᵀ and
 // reports whether it did; false (nothing written) when the kernels are off,
 // the precision is not float32, or b's rows do not fill whole panels. bᵀ is
 // packed once per call into pooled panels — panel p holds b's rows
-// p·NR … p·NR+NR−1 as k-major NR-wide steps. Every element is computed the
-// same way whichever kernel its row lands on.
+// p·NR … p·NR+NR−1 as k-major NR-wide steps. Every element is the same
+// ascending-k fold whichever kernel its row lands on (which of two meeting
+// NaNs it keeps aside, see gemvRow16f32).
 func matMulABTAsm[T Float](a, b, out *MatOf[T]) bool {
 	if !asmGemvEnabled || a.Cols == 0 || b.Rows%asmNRF32 != 0 {
 		return false
@@ -90,7 +127,7 @@ func matMulABTAsm[T Float](a, b, out *MatOf[T]) bool {
 }
 
 // matMulABTRowsF32 runs a packed a·bᵀ over every row of out: four rows per
-// panel pass, the 1-row kernel for the remainder. panels holds bᵀ in
+// panel pass, the single-row kernel over every k for the remainder. panels holds bᵀ in
 // asmNRF32-column panels, k-major.
 func matMulABTRowsF32(a *MatOf[float32], panels []float32, out *MatOf[float32]) {
 	k := a.Cols
@@ -104,9 +141,6 @@ func matMulABTRowsF32(a *MatOf[float32], panels []float32, out *MatOf[float32]) 
 		}
 	}
 	for ; i < a.Rows; i++ {
-		arow, orow := a.Row(i), out.Row(i)
-		for jp := 0; jp < len(orow); jp += asmNRF32 {
-			gemv16f32(k, &arow[0], &panels[jp*k], &orow[jp])
-		}
+		gemvRowF32(a.Row(i), panels, out.Row(i), 1)
 	}
 }

@@ -139,36 +139,27 @@ func (l *LinearOf[T]) Params() []*ParamOf[T] {
 
 // ReLUOf is the rectified-linear activation, applied element-wise.
 type ReLUOf[T Float] struct {
-	mask []bool
-	out  *MatOf[T] // reusable Forward output
-	dx   *MatOf[T] // reusable Backward output
+	out *MatOf[T] // reusable Forward output, cached for Backward
+	dx  *MatOf[T] // reusable Backward output
 }
 
-// Forward zeroes negative inputs into the layer's reusable output.
+// Forward zeroes every input not strictly positive into the layer's reusable
+// output.
 func (r *ReLUOf[T]) Forward(x *MatOf[T]) *MatOf[T] {
 	if r.out == nil {
 		r.out = &MatOf[T]{}
 	}
 	r.out.Resize(x.Rows, x.Cols)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			r.out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			r.out.Data[i] = 0
-		}
-	}
+	reluInto(r.out.Data, x.Data)
 	return r.out
 }
 
-// reluInto zeroes everything not strictly positive — including NaN, exactly
-// as Forward does — without touching a backward mask.
+// reluInto writes v > 0 ? v : +0 for every v of src into dst — NaN and −0
+// give +0 — as a vector select where the kernel runs.
 func reluInto[T Float](dst, src []T) {
+	if reluAsm(dst, src) {
+		return
+	}
 	for i, v := range src {
 		if v > 0 {
 			dst[i] = v
@@ -178,14 +169,18 @@ func reluInto[T Float](dst, src []T) {
 	}
 }
 
-// Backward passes gradient only where the input was positive.
+// Backward passes gradient only where the input was positive, which is
+// where Forward's output is: out > 0 exactly when x > 0.
 func (r *ReLUOf[T]) Backward(dout *MatOf[T]) *MatOf[T] {
 	if r.dx == nil {
 		r.dx = &MatOf[T]{}
 	}
 	r.dx.Resize(dout.Rows, dout.Cols)
+	if reluGradAsm(r.dx.Data, dout.Data, r.out.Data) {
+		return r.dx
+	}
 	for i, v := range dout.Data {
-		if r.mask[i] {
+		if r.out.Data[i] > 0 {
 			r.dx.Data[i] = v
 		} else {
 			r.dx.Data[i] = 0

@@ -19,13 +19,14 @@ import "fmt"
 // Numerics: the gemv kernels are bitwise identical to the reference scalar
 // path. Each output element folds x[k]·w[k][j] in ascending k with a
 // separate multiply and add per step (no FMA), which rounds exactly like the
-// reference i-k-j loop; the reference's av==0 skip is immaterial for finite
-// weights because a ±0 product can never flip a running IEEE sum (the
+// reference i-k-j loop. The vector kernel skips the zero inputs as the
+// reference does; the portable loop folds them, which is immaterial for
+// finite weights because a ±0 product can never flip a running IEEE sum (the
 // accumulator starts at +0 and +0 + ±0 = +0). So a single-row packed
 // inference result matches the network's own Forward bit for bit, and a
-// served plan never depends on the packing. Weights must be finite
-// (a non-finite weight times a zero feature would produce NaN where the
-// skipping loop produces none) — true of every trainable policy.
+// served plan never depends on the packing. On the portable loop weights
+// must be finite (a non-finite weight times a zero feature would produce NaN
+// where the skipping loop produces none) — true of every trainable policy.
 type PackedNetOf[T Float] struct {
 	layers []packedLayer[T]
 	in     int
@@ -43,17 +44,17 @@ const (
 // packedLayer is one layer of the packed form. For packLinear, panels holds
 // np/nr column panels of the weight matrix, each in×nr and k-major (panel p
 // starts at p·in·nr and its k-th row is the nr weights w[k][p·nr : p·nr+nr]);
-// the out%nr trailing columns read the original weight view. nr is captured
-// at Pack time (see packedNR) and asm records which kernel the pack was laid
-// out for, so a pack outlives later toggles of the test hooks.
+// the last panel is padded with zero weights when nr does not divide out, so
+// every column runs on the panel kernel. nr is captured at Pack time (see
+// packedNR) and asm records which kernel the pack was laid out for, so a
+// pack outlives later toggles of the test hooks.
 type packedLayer[T Float] struct {
 	kind    packedKind
 	in, out int
 	nr      int
-	np      int // panel-covered columns: out − out%nr
+	np      int // panel columns: out rounded up to a multiple of nr
 	panels  []T
 	bias    []T
-	w       *MatOf[T]
 	asm     bool
 }
 
@@ -68,9 +69,9 @@ func packedNR[T Float]() (nr int, asm bool) {
 }
 
 // Pack builds the immutable inference-only form of the network. The receiver
-// must not be mutated afterwards (the pack aliases the weight and bias
-// slices for the column edges); this is exactly the published-snapshot
-// contract. Layers the packer does not recognize panic, mirroring clone.
+// must not be mutated afterwards (the pack aliases the bias slices); this is
+// exactly the published-snapshot contract. Layers the packer does not
+// recognize panic, mirroring clone.
 func (n *NetOf[T]) Pack() *PackedNetOf[T] {
 	p := &PackedNetOf[T]{in: n.InDim(), out: n.OutDim()}
 	nr, asm := packedNR[T]()
@@ -82,15 +83,12 @@ func (n *NetOf[T]) Pack() *PackedNetOf[T] {
 				in:   l.In,
 				out:  l.Out,
 				nr:   nr,
-				np:   l.Out - l.Out%nr,
+				np:   (l.Out + nr - 1) / nr * nr,
 				bias: l.B.Value,
-				w:    l.weight(),
 				asm:  asm,
 			}
-			if pl.np > 0 {
-				pl.panels = make([]T, l.In*pl.np)
-				packBPanelsN(pl.w, 0, l.In, pl.np, nr, pl.panels)
-			}
+			pl.panels = make([]T, l.In*pl.np)
+			packBPanelsN(l.weight(), 0, l.In, pl.np, nr, pl.panels)
 			p.layers = append(p.layers, pl)
 		case *ReLUOf[T]:
 			p.layers = append(p.layers, packedLayer[T]{kind: packReLU})
@@ -146,29 +144,26 @@ func (l *packedLayer[T]) inferTo(x, out *MatOf[T]) {
 		tanhInto(out.Data, x.Data)
 		return
 	}
+	// The kernels write whole panels: a row's padding columns run into the
+	// next row, which overwrites them, and the last row's into capacity past
+	// the output's length — a matrix's capacity is its own, as Resize has it.
+	n := x.Rows * l.out
+	if cap(out.Data) < n+l.np-l.out {
+		out.Data = make([]T, n, n+l.np-l.out)
+	}
 	out.Resize(x.Rows, l.out)
 	for r := 0; r < x.Rows; r++ {
-		l.gemvRow(x.Row(r), out.Row(r))
+		l.gemvRow(x.Row(r), out.Data[r*l.out:r*l.out+l.np])
 	}
 }
 
-// gemvRow computes orow = xrow·W + b for one input row: the vector kernel
-// (or the portable panel loop) over the packed panels, the scalar loop over
-// the out%nr column edge, then the bias add — the reference LinearForward's
+// gemvRow computes orow = xrow·W + b for one input row, orow np wide: the
+// vector kernel (or the portable panel loop) over the packed panels, then the
+// bias add over the out real columns — the reference LinearForward's
 // matmul-then-bias order, element for element.
 func (l *packedLayer[T]) gemvRow(xrow, orow []T) {
-	if l.np > 0 {
-		if !(l.asm && gemvAsm(xrow, l.panels, orow[:l.np], l.nr)) {
-			gemvPortable(xrow, l.panels, orow[:l.np], l.nr)
-		}
-	}
-	for j := l.np; j < l.out; j++ {
-		var s T
-		wcol := l.w.Data[j:]
-		for k, av := range xrow {
-			s += av * wcol[k*l.out]
-		}
-		orow[j] = s
+	if !(l.asm && gemvAsm(xrow, l.panels, orow, l.nr)) {
+		gemvPortable(xrow, l.panels, orow, l.nr)
 	}
 	for j, b := range l.bias {
 		orow[j] += b
@@ -177,6 +172,9 @@ func (l *packedLayer[T]) gemvRow(xrow, orow []T) {
 
 // gemvPortable runs the panel gemv in pure Go for an arbitrary panel width
 // (≤ the widest asm layout, so the accumulator tile stays on the stack).
+// The fold is written product-first because then the compiled add takes the
+// product as its first operand, as matMulRows' does: of two NaNs meeting in
+// an add the first operand's is kept, so the order decides a NaN's bits.
 func gemvPortable[T Float](x, panels, out []T, nr int) {
 	var accBuf [asmNRF32]T
 	acc := accBuf[:nr]
@@ -188,7 +186,7 @@ func gemvPortable[T Float](x, panels, out []T, nr int) {
 		idx := 0
 		for _, av := range x {
 			for j := range acc {
-				acc[j] += av * panel[idx+j]
+				acc[j] = av*panel[idx+j] + acc[j]
 			}
 			idx += nr
 		}

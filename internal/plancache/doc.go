@@ -44,7 +44,7 @@
 //
 // The cache is split into power-of-two shards selected by key hash; each
 // shard holds an independent mutex, hash map, and intrusive LRU list, so
-// parallel training actors (rl.TrainAsync) rarely contend on the
+// parallel training actors (rl.TrainAsyncCtx) rarely contend on the
 // same lock. Total capacity is bounded; inserting into a full shard evicts
 // that shard's least-recently-used entry. Hits, misses, puts, evictions,
 // and epoch bumps are counted with atomics and exposed via Stats.

@@ -16,10 +16,38 @@ import (
 // execution.
 func (e *Env) Replica(worker, workers int) *Env {
 	r := NewEnv(e.Cfg)
-	if workers > 0 {
-		r.curIdx = (worker*len(e.Cfg.Queries))/workers - 1
-	}
+	r.stagger(worker, workers)
 	return r
+}
+
+// stagger points the episode cursor at the worker's share of the workload.
+func (e *Env) stagger(worker, workers int) {
+	if workers > 0 {
+		e.curIdx = (worker*len(e.Cfg.Queries))/workers - 1
+	}
+}
+
+// actorReplicas returns n deferred-evaluation replicas of e for one
+// TrainAsyncCtx call. They are built on the first call and kept: what a
+// replica caches per query (access options, join bits, featurization
+// entries, subtree cardinalities) is a pure function of the query, so a
+// training lifecycle's chunks share it instead of rebuilding it per chunk.
+// Each call hands them e's current configuration (the lifecycle switches
+// rewards between phases) and the staggered cursors of fresh replicas, so a
+// kept replica collects exactly what a fresh one would.
+func (e *Env) actorReplicas(n int) []*Env {
+	if len(e.actors) != n {
+		e.actors = make([]*Env, n)
+		for w := range e.actors {
+			e.actors[w] = NewEnv(e.Cfg)
+			e.actors[w].deferEval = true
+		}
+	}
+	for w, r := range e.actors {
+		r.Cfg = e.Cfg
+		r.stagger(w, n)
+	}
+	return e.actors
 }
 
 // EpisodeRecord is one consumed training episode: the trajectory for the
@@ -35,7 +63,7 @@ type EpisodeRecord struct {
 // against policy snapshots while the learner consumes them in ticket order,
 // applies policy-batch updates, and republishes. onEpisode (optional)
 // observes every consumed episode, evaluated, in that order. The run is repeatable bit for
-// bit at any actor count: rl.TrainAsync's sequential specification decides
+// bit at any actor count: rl.TrainAsyncCtx's sequential specification decides
 // which snapshot each episode sees, and evaluation is ordered here.
 //
 // A replica only rolls an episode out. When the episode must be executed
@@ -52,6 +80,9 @@ type EpisodeRecord struct {
 // are keyed by the snapshot's parameter-server version instead — so the
 // bumps only count publishes.
 //
+// The replicas are kept on base for its next call (see actorReplicas), so a
+// base serves one call at a time, as its execution counters already require.
+//
 // Cancelling ctx stops the learner and the actors and returns early with
 // AsyncStats.Episodes < episodes (see rl.TrainAsyncCtx), once the executions
 // already started have finished. Executions the learner never reached are
@@ -59,7 +90,7 @@ type EpisodeRecord struct {
 func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig,
 	onEpisode func(i int, rec EpisodeRecord)) rl.AsyncStats {
 	if cfg.Actors < 1 {
-		// Same default rl.TrainAsync documents: the replica count must be
+		// Same default rl.AsyncConfig documents: the replica count must be
 		// fixed here, before the environments are built.
 		cfg.Actors = runtime.GOMAXPROCS(0)
 	}
@@ -69,12 +100,10 @@ func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes
 	if cfg.Seed == 0 {
 		cfg.Seed = base.Cfg.Seed + 1
 	}
-	replicas := make([]*Env, cfg.Actors)
+	replicas := base.actorReplicas(cfg.Actors)
 	envs := make([]rl.Env, cfg.Actors)
-	for w := 0; w < cfg.Actors; w++ {
-		replicas[w] = base.Replica(w, cfg.Actors)
-		replicas[w].deferEval = true
-		envs[w] = replicas[w]
+	for w, r := range replicas {
+		envs[w] = r
 	}
 	cache := base.Cfg.Planner.Cache
 	cache.BumpEpoch()

@@ -173,8 +173,8 @@ func (x *seamExec) Prepare(q *query.Query, n plan.Node, budgetMs float64) func()
 	}
 }
 
-// inlineTrain is TrainAsync without the deferral: plain replicas that
-// execute and reward every episode inside Step, driven by rl.TrainAsync —
+// inlineTrain is TrainAsyncCtx without the deferral: plain replicas that
+// execute and reward every episode inside Step, driven by rl.TrainAsyncCtx —
 // which its own differential test ties to the sequential specification. It
 // is the reference the deferred pipeline must equal.
 func inlineTrain(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfig) []EpisodeRecord {
@@ -187,7 +187,7 @@ func inlineTrain(base *Env, agent *rl.Reinforce, episodes int, cfg rl.AsyncConfi
 		envs[w] = replicas[w]
 	}
 	var recs []EpisodeRecord
-	rl.TrainAsync(agent, envs, episodes, cfg,
+	rl.TrainAsyncCtx(context.Background(), agent, envs, episodes, cfg,
 		func(w, _ int, traj rl.Trajectory) (any, *rl.Deferred) {
 			return EpisodeRecord{Query: replicas[w].Current(), Traj: traj, Out: replicas[w].Last}, nil
 		},

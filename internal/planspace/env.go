@@ -144,9 +144,14 @@ type Env struct {
 	// episode share it, so a skeleton costed under two aggregation
 	// algorithms is hashed once and no completion allocates a map.
 	memo map[plan.Node]uint64
-	// scratch carries the reusable featurization state (alias index,
-	// selectivities, subtree cardinalities); Reset per episode.
+	// scratch holds the featurization's per-query entries (alias index,
+	// constant blocks, subtree cardinalities by relation set). Like preps it
+	// outlives the episode: a replica keeps it across TrainAsyncCtx calls
+	// (see actorReplicas), so a lifecycle computes each entry once per actor.
 	scratch featurize.Scratch
+	// actors are the replicas TrainAsyncCtx collects on, built on its first
+	// call and reused by every later one.
+	actors []*Env
 	// featBuf/maskBuf are the reused state storage under
 	// Cfg.ReuseStateBuffers; nil otherwise.
 	featBuf []float64
@@ -220,13 +225,14 @@ func (e *Env) ResetTo(q *query.Query) rl.State {
 	e.Last = Outcome{}
 	e.run = nil
 	clear(e.memo)
-	e.scratch.Reset()
 	return e.state()
 }
 
 // prepared is what an episode needs of its query before the first step, a
 // pure function of (catalog, query): each relation's access options and each
-// join predicate's relation bits, both over the sorted alias index.
+// join predicate's relation bits, both over the sorted alias index. It is
+// cached per env in preps and reused by every later episode over the query,
+// as the featurization's per-query entries are in scratch.
 type prepared struct {
 	opts     []accessOptions
 	joinRels [][2]uint32 // see featurize.AppendJoinRels
@@ -330,8 +336,8 @@ func (e *Env) state() rl.State {
 	// One fresh vector per state (trajectories retain it) unless the caller
 	// opted into buffer reuse; the join-state prefix and the
 	// phase/cursor/access one-hot blocks are written directly at their
-	// offsets instead of composed from temporary slices, and the episode
-	// scratch carries the featurization working maps.
+	// offsets instead of composed from temporary slices, and the scratch
+	// serves everything per-query.
 	var features []float64
 	if e.Cfg.ReuseStateBuffers {
 		if cap(e.featBuf) < e.ObsDim() {

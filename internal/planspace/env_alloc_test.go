@@ -47,9 +47,9 @@ func TestReuseStateBuffersEquivalence(t *testing.T) {
 }
 
 // TestStateEncodingSteadyStateAllocs pins the featurization hot path: with
-// buffer reuse on and the per-episode scratch warm, re-encoding a state
-// allocates nothing — the feature vector, mask, alias/selectivity caches,
-// and subtree cardinality memo are all reused. This is what keeps concurrent
+// buffer reuse on and the scratch warm, re-encoding a state allocates
+// nothing — the feature vector, mask, per-query entry and subtree
+// cardinality memo are all reused. This is what keeps concurrent
 // serving from being dominated by featurization malloc churn.
 func TestStateEncodingSteadyStateAllocs(t *testing.T) {
 	f := fixture(t, 4, 4, 4)
@@ -91,8 +91,10 @@ func TestStateEncodingSteadyStateAllocs(t *testing.T) {
 // allocates its node and predicates; what the ceilings leave no room for is
 // per-step alias sets: skeleton joins find their predicates from relation
 // bitmasks, completion reuses them, and featurization reads subtrees as
-// bitmasks. With alias sets rebuilt per join step the lifecycle's mode
-// allocated 102 objects per episode here; it allocates 43.
+// bitmasks — a subtree's depth weights and relation bits come from one walk,
+// and its cardinality from the scratch's memo by relation set, which a warm
+// episode only reads. With alias sets rebuilt per join step the lifecycle's
+// mode allocated 102 objects per episode here; it allocates 19.
 func TestTrainingEpisodeAllocs(t *testing.T) {
 	f := fixture(t, 6, 4, 6)
 	for _, mode := range []struct {
@@ -100,10 +102,10 @@ func TestTrainingEpisodeAllocs(t *testing.T) {
 		st      Stages
 		ceiling float64
 	}{
-		{"CompletePhysical", Stages{}, 48},
-		{"CompleteOperators", Stages{AccessPaths: true}, 58},
-		{"CompleteAccess", Stages{JoinOps: true}, 48},
-		{"CostFixed", StagePrefix(4), 64},
+		{"CompletePhysical", Stages{}, 19},
+		{"CompleteOperators", Stages{AccessPaths: true}, 29},
+		{"CompleteAccess", Stages{JoinOps: true}, 19},
+		{"CostFixed", StagePrefix(4), 29},
 	} {
 		env := NewEnv(Config{Space: f.space, Stages: mode.st, Planner: f.planner, Queries: f.queries, Cache: plancache.New(plancache.Config{})})
 		episode := func() {

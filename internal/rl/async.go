@@ -35,11 +35,11 @@ import (
 // evaluated when its rollout ends (a plan executing on another core) travels
 // as a Deferred; the learner waits for it only when it reaches that ticket.
 
-// AsyncConfig configures TrainAsync.
+// AsyncConfig configures TrainAsyncCtx.
 type AsyncConfig struct {
 	// Actors is the number of concurrent actor goroutines (and environment
 	// replicas) the planspace driver builds; default
-	// runtime.GOMAXPROCS(0). TrainAsync itself runs one actor per
+	// runtime.GOMAXPROCS(0). TrainAsyncCtx itself runs one actor per
 	// environment it is handed.
 	Actors int
 	// Staleness is K, the maximum number of snapshot versions an actor's
@@ -103,7 +103,7 @@ type AsyncEpisode struct {
 	late *Deferred
 }
 
-// AsyncStats summarizes one TrainAsync run. For a run that completes, every
+// AsyncStats summarizes one TrainAsyncCtx run. For a run that completes, every
 // field is a pure function of the inputs.
 type AsyncStats struct {
 	// Episodes is the number of episodes consumed by the learner (== the
@@ -121,7 +121,7 @@ type AsyncStats struct {
 	Refetches uint64
 }
 
-// TrainAsync trains learner with the actor-learner split: one actor
+// TrainAsyncCtx trains learner with the actor-learner split: one actor
 // goroutine per environment in envs, actor w collecting episodes w, w+A, …
 // against the snapshot the staleness rule assigns each of them, with the
 // learner (on the calling goroutine) consuming the episodes in ticket order,
@@ -139,30 +139,22 @@ type AsyncStats struct {
 // reward (see Deferred). The optional onEpisode callback runs on the calling
 // goroutine for every consumed episode, in ticket order.
 //
-// TrainAsync returns once exactly `episodes` episodes have been collected
+// TrainAsyncCtx returns once exactly `episodes` episodes have been collected
 // and consumed. A trailing partial policy batch stays pending inside the
-// learner, exactly as in sequential training.
-func TrainAsync(learner *Reinforce, envs []Env, episodes int, cfg AsyncConfig,
-	after func(worker, seq int, traj Trajectory) (any, *Deferred),
-	onEpisode func(e AsyncEpisode)) AsyncStats {
-	return TrainAsyncCtx(context.Background(), learner, envs, episodes, cfg, after, onEpisode)
-}
-
-// TrainAsyncCtx is TrainAsync under a request-scoped context: when ctx is
-// cancelled (or its deadline passes) the learner stops consuming — also
-// while it waits for an actor or for a Deferred — the actors stop at their
-// next ticket, refetch wait or delivery, and the call returns once every
-// actor has exited, with AsyncStats.Episodes reporting how many episodes
-// were actually consumed (less than the budget on cancellation). The
-// learner's pending partial batch is preserved, exactly as on a normal
-// return.
+// learner, exactly as in sequential training. When ctx is cancelled (or its
+// deadline passes) the learner stops consuming — also while it waits for an
+// actor or for a Deferred — the actors stop at their next ticket, refetch
+// wait or delivery, and the call returns once every actor has exited, with
+// AsyncStats.Episodes reporting how many episodes were actually consumed
+// (less than the budget on cancellation). The learner's pending partial
+// batch is preserved, exactly as on a normal return.
 func TrainAsyncCtx(ctx context.Context, learner *Reinforce, envs []Env, episodes int, cfg AsyncConfig,
 	after func(worker, seq int, traj Trajectory) (any, *Deferred),
 	onEpisode func(e AsyncEpisode)) AsyncStats {
 	cfg.fill()
 	actors := len(envs)
 	if actors == 0 {
-		panic("rl: TrainAsync needs at least one environment")
+		panic("rl: TrainAsyncCtx needs at least one environment")
 	}
 	if episodes <= 0 {
 		return AsyncStats{}

@@ -12,7 +12,7 @@ import (
 	"handsfree/internal/nn"
 )
 
-// specTrainAsync is the specification TrainAsync must equal bit for bit: a
+// specTrainAsync is the specification TrainAsyncCtx must equal bit for bit: a
 // plain loop over tickets, no goroutines. Ticket i belongs to actor i mod A;
 // the actor keeps its cached snapshot while the learner — which here really
 // has consumed every earlier ticket — is at most K versions past it, and
@@ -155,7 +155,7 @@ func specRun(t *testing.T, train func(*Reinforce, []Env, int, AsyncConfig, func(
 // final policy, bit for bit.
 func TestTrainAsyncMatchesSpec(t *testing.T) {
 	pipeline := func(l *Reinforce, envs []Env, n int, cfg AsyncConfig, after func(int, int, Trajectory) (any, *Deferred), on func(AsyncEpisode)) AsyncStats {
-		return TrainAsync(l, envs, n, cfg, after, on)
+		return TrainAsyncCtx(context.Background(), l, envs, n, cfg, after, on)
 	}
 	for _, actors := range []int{1, 2, 3, 8} {
 		for _, k := range []int{0, 1, 4} {

@@ -58,7 +58,7 @@ func greedyAccuracy(agent *Reinforce, arms int, trials int) int {
 func TestTrainAsyncConvergesLikeSync(t *testing.T) {
 	const arms = 4
 	agent := NewReinforce(arms, arms, ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 1})
-	stats := TrainAsync(agent, banditEnvs(4, arms, 42), 2000, AsyncConfig{
+	stats := TrainAsyncCtx(context.Background(), agent, banditEnvs(4, arms, 42), 2000, AsyncConfig{
 		Actors: 4, Staleness: 4, Seed: 7,
 	}, nil, nil)
 	if stats.Episodes != 2000 {
@@ -88,7 +88,7 @@ func TestTrainAsyncStalenessBound(t *testing.T) {
 	}
 	traces := make(map[int]*actorTrace)
 	seen := 0
-	stats := TrainAsync(agent, pacedEnvs(8, arms, 11, 100*time.Microsecond), episodes, AsyncConfig{
+	stats := TrainAsyncCtx(context.Background(), agent, pacedEnvs(8, arms, 11, 100*time.Microsecond), episodes, AsyncConfig{
 		Actors: 8, Staleness: K, Seed: 13,
 	}, nil, func(e AsyncEpisode) {
 		seen++
@@ -157,7 +157,7 @@ func TestTrainAsyncSlowActorStallsOthersWithinRunAhead(t *testing.T) {
 	collected := make(chan struct{}, episodes)
 	done := make(chan AsyncStats, 1)
 	go func() {
-		done <- TrainAsync(agent, envs, episodes, AsyncConfig{Actors: actors, Staleness: K, Seed: 9},
+		done <- TrainAsyncCtx(context.Background(), agent, envs, episodes, AsyncConfig{Actors: actors, Staleness: K, Seed: 9},
 			func(w, _ int, _ Trajectory) (any, *Deferred) {
 				if w != 0 {
 					ahead.Add(1)
@@ -209,8 +209,8 @@ func TestTrainAsyncCtxCancellationDrainsActors(t *testing.T) {
 	}
 }
 
-// TestTrainAsyncCtxCompletesNormally: with a background context the ctx
-// variant must behave exactly like TrainAsync (full budget consumed).
+// TestTrainAsyncCtxCompletesNormally: with a background context
+// TrainAsyncCtx consumes the full budget.
 func TestTrainAsyncCtxCompletesNormally(t *testing.T) {
 	const arms = 3
 	agent := NewReinforce(arms, arms, ReinforceConfig{Hidden: []int{8}, BatchSize: 8, Seed: 6})

@@ -20,7 +20,7 @@
 // its caller's goroutine. QAgent.PredictBatch and Reinforce.ProbsBatch
 // expose batched inference.
 //
-// Episode collection parallelizes with TrainAsync, the actor-learner split:
+// Episode collection parallelizes with TrainAsyncCtx, the actor-learner split:
 // actors collect against parameter-server snapshots
 // (staleness bounded by K versions) while the learner updates and
 // republishes. Which snapshot an episode sees is decided by its ticket, not

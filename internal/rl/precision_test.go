@@ -2,6 +2,7 @@ package rl
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -183,7 +184,7 @@ func TestAsyncTrainF32(t *testing.T) {
 		envs[w] = &banditEnv{rng: rand.New(rand.NewSource(int64(40 + w))), arms: 3}
 	}
 	learner := NewReinforce(3, 3, ReinforceConfig{Hidden: []int{8}, BatchSize: 4, Seed: 41})
-	stats := TrainAsync(learner, envs, 64, AsyncConfig{Actors: actors, Staleness: 2, Seed: 42}, nil, nil)
+	stats := TrainAsyncCtx(context.Background(), learner, envs, 64, AsyncConfig{Actors: actors, Staleness: 2, Seed: 42}, nil, nil)
 	if stats.Episodes != 64 {
 		t.Fatalf("collected %d episodes, want 64", stats.Episodes)
 	}
