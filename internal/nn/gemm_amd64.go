@@ -100,18 +100,52 @@ func gemmBlockedAsm[T Float](a, b, out *MatOf[T]) bool {
 	return true
 }
 
-// gemmColEdgeRow accumulates the n%NR trailing columns of one output row as
-// plain ascending-k dot products over unpacked B.
-func gemmColEdgeRow[T Float](a, b *MatOf[T], kc0, kc1 int, out *MatOf[T], i, np int) {
-	arow := a.Row(i)[kc0:kc1]
-	orow := out.Row(i)
-	for j := np; j < out.Cols; j++ {
-		bcol := b.Data[kc0*b.Cols+j:]
-		var s T
-		for k, av := range arow {
-			s += av * bcol[k*b.Cols]
+// gemmColEdge accumulates the n%NR trailing columns of every output row as
+// plain ascending-k dot products over unpacked B: each element one chain of
+// separately rounded products from zero, added into the output. Four rows'
+// chains run side by side, so each value of B's column, a whole row of B
+// from the next, is read once for four rows instead of once per row; every
+// chain still folds exactly its own products in ascending k. The sums go
+// out through an array so that the final add, like the one-row loop's, has
+// the sum as its first operand, which decides the NaN kept where two meet
+// (TestGemmColEdgeBitwise holds the whole edge to the one-row loop, NaN
+// payloads included).
+func gemmColEdge[T Float](a, b *MatOf[T], kc0, kc1 int, out *MatOf[T], np int) {
+	i := 0
+	for ; i+4 <= out.Rows; i += 4 {
+		a0 := a.Row(i)[kc0:kc1]
+		a1 := a.Row(i + 1)[kc0:kc1]
+		a2 := a.Row(i + 2)[kc0:kc1]
+		a3 := a.Row(i + 3)[kc0:kc1]
+		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+		for j := np; j < out.Cols; j++ {
+			bcol := b.Data[kc0*b.Cols+j:]
+			var s0, s1, s2, s3 T
+			for k, av := range a0 {
+				bv := bcol[k*b.Cols]
+				s0 += av * bv
+				s1 += a1[k] * bv
+				s2 += a2[k] * bv
+				s3 += a3[k] * bv
+			}
+			sums := [4]T{s0, s1, s2, s3}
+			for r, s := range sums {
+				orow := out.Row(i + r)
+				orow[j] += s
+			}
 		}
-		orow[j] += s
+	}
+	for ; i < out.Rows; i++ {
+		arow := a.Row(i)[kc0:kc1]
+		orow := out.Row(i)
+		for j := np; j < out.Cols; j++ {
+			bcol := b.Data[kc0*b.Cols+j:]
+			var s T
+			for k, av := range arow {
+				s += av * bcol[k*b.Cols]
+			}
+			orow[j] += s
+		}
 	}
 }
 
@@ -129,7 +163,7 @@ func gemmBlockedF32(a, b, out *MatOf[float32]) {
 }
 
 // gemmAsmRowsF32 runs one packed k block over every row: 4-row vector tiles,
-// the 1-row kernel for the row remainder, and the shared scalar column edge.
+// the 1-row kernel for the row remainder, and the scalar column edge.
 func gemmAsmRowsF32(a, b *MatOf[float32], bp []float32, kc0, kc1 int, out *MatOf[float32]) {
 	kc := kc1 - kc0
 	np := out.Cols - out.Cols%asmNRF32
@@ -154,7 +188,5 @@ func gemmAsmRowsF32(a, b *MatOf[float32], bp []float32, kc0, kc1 int, out *MatOf
 			gemm1x16f32(kc, &arow[0], &bp[(jp/asmNRF32)*kc*asmNRF32], &orow[jp])
 		}
 	}
-	for i = 0; i < out.Rows; i++ {
-		gemmColEdgeRow(a, b, kc0, kc1, out, i, np)
-	}
+	gemmColEdge(a, b, kc0, kc1, out, np)
 }

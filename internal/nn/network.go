@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -90,13 +91,33 @@ func (n *NetOf[T]) ZeroGrad() {
 
 // DivideGrads divides every accumulated gradient by n, in the network's own
 // precision (the batch-size normalization of the minibatch training paths).
+// When the divisor is a power of two whose reciprocal T holds exactly, g/d
+// and g·(1/d) are the same real number, so they round to the same T for
+// every g — subnormals, ±Inf, ±0 and NaN payloads included — and the loop
+// multiplies; any other divisor divides.
 func (n *NetOf[T]) DivideGrads(by float64) {
 	d := T(by)
+	if r := 1 / d; exactReciprocal(d, r) {
+		for _, p := range n.Params() {
+			for i := range p.Grad {
+				p.Grad[i] *= r
+			}
+		}
+		return
+	}
 	for _, p := range n.Params() {
 		for i := range p.Grad {
 			p.Grad[i] /= d
 		}
 	}
+}
+
+// exactReciprocal reports whether r = 1/d is exact: d is a power of two (its
+// mantissa is ½ under Frexp) and r·d rounds back to 1, which fails where the
+// reciprocal overflowed or underflowed.
+func exactReciprocal[T Float](d, r T) bool {
+	frac, _ := math.Frexp(float64(d))
+	return (frac == 0.5 || frac == -0.5) && r*d == 1
 }
 
 // FlattenParams concatenates every parameter value into one float64 vector

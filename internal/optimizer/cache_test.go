@@ -47,7 +47,7 @@ func TestCachedCompletionMatchesUncached(t *testing.T) {
 				return n, nc.Total
 			}},
 			{"CompleteAccess", func(pl *Planner) (plan.Node, float64) {
-				n, nc := pl.CompleteAccessMemo(q, skeleton, nil)
+				n, nc := pl.CompleteAccessMemo(q, skeleton, nil, nil)
 				return n, nc.Total
 			}},
 			{"CostFixed", func(pl *Planner) (plan.Node, float64) {

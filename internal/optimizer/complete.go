@@ -77,7 +77,7 @@ func (p *Planner) completeOps(q *query.Query, fp uint64, hs map[plan.Node]uint64
 			left := p.completeOps(q, fp, hs, n.Left)
 			right := p.completeOps(q, fp, hs, n.Right)
 			// Choose only the algorithm; inputs are fixed.
-			return p.cheapestJoin(q, left, right, false, n.Rebuild)
+			return p.cheapestJoin(q, nil, left, right, false, n.Rebuild)
 		case *plan.Agg:
 			return p.completeOps(q, fp, hs, n.Child)
 		default:
@@ -89,25 +89,24 @@ func (p *Planner) completeOps(q *query.Query, fp uint64, hs map[plan.Node]uint64
 // CompleteAccessMemo keeps the skeleton's join order AND join algorithms
 // but lets the optimizer choose every leaf's access path. Used when a
 // learned agent decides order + operators but delegates index selection.
-// memo is as in CompleteOperatorsMemo.
-func (p *Planner) CompleteAccessMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
-	e := p.completeAccess(q, p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
+// memo and leaves are as in CompletePhysicalMemo.
+func (p *Planner) CompleteAccessMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64, leaves *Leaves) (plan.Node, cost.NodeCost) {
+	e := p.completeAccess(q, p.leavesFor(q, leaves), p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
 }
 
-func (p *Planner) completeAccess(q *query.Query, fp uint64, hs map[plan.Node]uint64, n plan.Node) entry {
+func (p *Planner) completeAccess(q *query.Query, leaves *Leaves, fp uint64, hs map[plan.Node]uint64, n plan.Node) entry {
 	return p.cachedSubtree(fp, hs[n], plancache.ModeCompleteAccess, func() entry {
 		switch n := n.(type) {
 		case *plan.Scan:
-			node, nc := p.BestScan(q, n.Alias)
-			return entry{node, nc}
+			return leaves.of(p, n.Alias).best()
 		case *plan.Join:
-			left := p.completeAccess(q, fp, hs, n.Left)
-			right := p.completeAccess(q, fp, hs, n.Right)
+			left := p.completeAccess(q, leaves, fp, hs, n.Left)
+			right := p.completeAccess(q, leaves, fp, hs, n.Right)
 			j := n.Rebuild(n.Algo, left.node, right.node)
 			return entry{j, p.Model.JoinCost(q, j, left.nc, right.nc)}
 		case *plan.Agg:
-			return p.completeAccess(q, fp, hs, n.Child)
+			return p.completeAccess(q, leaves, fp, hs, n.Child)
 		default:
 			panic("optimizer: unknown node")
 		}

@@ -1,10 +1,12 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"handsfree/internal/catalog"
 	"handsfree/internal/cost"
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
@@ -51,6 +53,69 @@ func completionQueries(qs []*query.Query) []*query.Query {
 	return qs
 }
 
+// refScanVariants is the reference for a relation's access paths: the
+// cheapest scan, then an index scan on each indexed join column, built and
+// priced afresh on every call.
+func refScanVariants(p *Planner, q *query.Query, alias string) []entry {
+	rel, _ := q.RelationByAlias(alias)
+	base, baseNC := p.BestScan(q, alias)
+	out := []entry{{base, baseNC}}
+	tbl, err := p.Cat.Table(rel.Table)
+	if err != nil {
+		return out
+	}
+	for _, ix := range tbl.Indexes {
+		joinsIt := false
+		for _, j := range q.Joins {
+			if (j.LeftAlias == alias && j.LeftCol == ix.Column) ||
+				(j.RightAlias == alias && j.RightCol == ix.Column) {
+				joinsIt = true
+				break
+			}
+		}
+		if !joinsIt {
+			continue
+		}
+		access := plan.IndexScan
+		if ix.Kind == catalog.Hash {
+			access = plan.HashIndexScan
+		}
+		cand := plan.BuildScan(q, alias, access, ix.Column)
+		out = append(out, entry{cand, p.Model.ScanCost(q, cand)})
+	}
+	return out
+}
+
+// refRightInputs is the Signature rule for a join's right inputs: right,
+// then every reference access path of a leaf right input whose Signature
+// differs from right's.
+func refRightInputs(p *Planner, q *query.Query, right entry) []entry {
+	rights := []entry{right}
+	if s, ok := right.node.(*plan.Scan); ok {
+		for _, v := range refScanVariants(p, q, s.Alias) {
+			if v.node.Signature() != right.node.Signature() {
+				rights = append(rights, v)
+			}
+		}
+	}
+	return rights
+}
+
+// refBestJoin is join operator selection over refRightInputs, every
+// candidate built with plan.JoinNodes.
+func refBestJoin(p *Planner, q *query.Query, left, right entry) entry {
+	best := entry{nc: cost.NodeCost{Total: math.Inf(1)}}
+	for _, r := range refRightInputs(p, q, right) {
+		for _, algo := range plan.JoinAlgos {
+			j := plan.JoinNodes(q, algo, left.node, r.node)
+			if nc := p.Model.JoinCost(q, j, left.nc, r.nc); nc.Total < best.nc.Total {
+				best = entry{j, nc}
+			}
+		}
+	}
+	return best
+}
+
 // randomSkeleton builds a skeleton of q the way an agent's episode does:
 // every leaf under a random access path, then random ordered pairs of the
 // forest joined under random algorithms by plan.JoinNodes.
@@ -58,7 +123,7 @@ func randomSkeleton(p *Planner, q *query.Query, rng *rand.Rand) plan.Node {
 	var forest []plan.Node
 	for _, r := range q.Relations {
 		leaves := []plan.Node{plan.BuildScan(q, r.Alias, plan.SeqScan, "")}
-		for _, v := range p.scanVariants(q, r.Alias) {
+		for _, v := range refScanVariants(p, q, r.Alias) {
 			leaves = append(leaves, v.node)
 		}
 		forest = append(forest, leaves[rng.Intn(len(leaves))])
@@ -83,7 +148,8 @@ func randomSkeleton(p *Planner, q *query.Query, rng *rand.Rand) plan.Node {
 
 // refComplete is skeleton completion in mode (CompletePhysical, Operators or
 // Access) with every candidate join built by plan.JoinNodes — predicates
-// recomputed from the inputs' alias sets — and no cache.
+// recomputed from the inputs' alias sets — every leaf's access paths built
+// afresh and told apart by Signature, and no cache.
 func refComplete(p *Planner, q *query.Query, mode plancache.Mode, n plan.Node) entry {
 	switch n := n.(type) {
 	case *plan.Scan:
@@ -96,7 +162,7 @@ func refComplete(p *Planner, q *query.Query, mode plancache.Mode, n plan.Node) e
 		left, right := refComplete(p, q, mode, n.Left), refComplete(p, q, mode, n.Right)
 		switch mode {
 		case plancache.ModeCompletePhysical:
-			return p.BestJoin(q, left, right)
+			return refBestJoin(p, q, left, right)
 		case plancache.ModeCompleteAccess:
 			j := plan.JoinNodes(q, n.Algo, left.node, right.node)
 			return entry{j, p.Model.JoinCost(q, j, left.nc, right.nc)}
@@ -135,7 +201,7 @@ func TestCompletionPredsEquivalence(t *testing.T) {
 			return p.CompleteOperatorsMemo(q, n, nil)
 		}},
 		{plancache.ModeCompleteAccess, func(p *Planner, q *query.Query, n plan.Node) (plan.Node, cost.NodeCost) {
-			return p.CompleteAccessMemo(q, n, nil)
+			return p.CompleteAccessMemo(q, n, nil, nil)
 		}},
 	}
 	cached := p.WithCache(plancache.New(plancache.Config{}))
@@ -158,4 +224,65 @@ func TestCompletionPredsEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLeafInputsMatchSignatureRule: the right inputs a join prices beside a
+// leaf — read from the query's leaf table — are the ones the Signature rule
+// (refRightInputs) lists, in the same order, with the same plans and cost
+// bits, for every right input a join can meet: the relation's cheapest scan
+// from the table, every scan a random skeleton holds, freshly built copies
+// of each access path, and the cheapest scan of another query with the same
+// fingerprint — which is what a plan cache returns. The cached planner's
+// completion of each skeleton joins in: its leaf inputs come out of the
+// cache filled by the clone's completions.
+func TestLeafInputsMatchSignatureRule(t *testing.T) {
+	p, w := fixture(t)
+	qs, err := w.Training(120, 4, 8, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := p.WithCache(plancache.New(plancache.Config{}))
+	rng := rand.New(rand.NewSource(4))
+	for i, q := range completionQueries(qs) {
+		clone := *q
+		clone.Relations = append([]query.Relation(nil), q.Relations...)
+		leaves, cloneLeaves := p.NewLeaves(q), p.NewLeaves(&clone)
+		var rights []entry
+		for _, r := range q.Relations {
+			rights = append(rights, leaves.of(p, r.Alias).best(), cloneLeaves.of(p, r.Alias).best())
+			rights = append(rights, refScanVariants(p, q, r.Alias)...)
+		}
+		for k := 0; k < 2; k++ {
+			skeleton := randomSkeleton(p, q, rng)
+			for _, s := range plan.Leaves(skeleton) {
+				rights = append(rights, entry{s, p.Model.ScanCost(q, s)})
+			}
+			cached.CompletePhysical(&clone, skeleton)
+			if got, want := mustComplete(cached, q, skeleton), mustComplete(p, q, skeleton); got != want {
+				t.Fatalf("query %d: cached completion %s, uncached %s", i, got, want)
+			}
+		}
+		for _, r := range rights {
+			got := p.rightInputs(leaves, []entry{r})
+			want := refRightInputs(p, q, r)
+			if len(got) != len(want) {
+				t.Fatalf("query %d, right %s: %d inputs, the Signature rule lists %d", i, r.node.Signature(), len(got), len(want))
+			}
+			for j := range want {
+				if got[j].node.Signature() != want[j].node.Signature() ||
+					math.Float64bits(got[j].nc.Total) != math.Float64bits(want[j].nc.Total) ||
+					math.Float64bits(got[j].nc.Rows) != math.Float64bits(want[j].nc.Rows) {
+					t.Fatalf("query %d, right %s, input %d: %s (%v), the Signature rule lists %s (%v)",
+						i, r.node.Signature(), j, got[j].node.Signature(), got[j].nc.Total, want[j].node.Signature(), want[j].nc.Total)
+				}
+			}
+		}
+	}
+}
+
+// mustComplete returns the signature and cost bits of p's CompletePhysical
+// of skeleton.
+func mustComplete(p *Planner, q *query.Query, skeleton plan.Node) string {
+	root, nc := p.CompletePhysical(q, skeleton)
+	return fmt.Sprintf("%s %x %x", root.Signature(), math.Float64bits(nc.Total), math.Float64bits(nc.Rows))
 }

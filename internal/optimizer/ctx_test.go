@@ -67,7 +67,7 @@ func TestCompleteMemoMatchesFresh(t *testing.T) {
 		skeleton := RandomOrder(q, rng)
 		m := make(map[plan.Node]uint64, 16)
 		freshRoot, freshNC := p.CompletePhysical(q, skeleton)
-		memoRoot, memoNC := cached.CompletePhysicalMemo(q, skeleton, m)
+		memoRoot, memoNC := cached.CompletePhysicalMemo(q, skeleton, m, nil)
 		if freshNC.Total != memoNC.Total {
 			t.Fatalf("iteration %d: memoized completion cost %v != fresh %v", i, memoNC.Total, freshNC.Total)
 		}
@@ -76,7 +76,7 @@ func TestCompleteMemoMatchesFresh(t *testing.T) {
 		}
 		// Reusing the same memo for a second completion of the same skeleton
 		// (the double-CostFixed pattern) must not change the result.
-		again, againNC := cached.CompletePhysicalMemo(q, skeleton, m)
+		again, againNC := cached.CompletePhysicalMemo(q, skeleton, m, nil)
 		if againNC.Total != memoNC.Total || plancache.HashPlan(again) != plancache.HashPlan(memoRoot) {
 			t.Fatalf("iteration %d: memo reuse changed the completion", i)
 		}

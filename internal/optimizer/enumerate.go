@@ -55,10 +55,10 @@ func (p *Planner) planDP(ctx context.Context, q *query.Query) (plan.Node, cost.N
 	}
 
 	allowCross := p.crossNeeded(q)
+	leaves := p.NewLeaves(q)
 	best := make(map[uint32]entry, 1<<n)
 	for i, a := range aliases {
-		node, nc := p.BestScan(q, a)
-		best[1<<i] = entry{node, nc}
+		best[1<<i] = leaves.of(p, a).best()
 	}
 
 	full := uint32(1<<n) - 1
@@ -89,7 +89,7 @@ func (p *Planner) planDP(ctx context.Context, q *query.Query) (plan.Node, cost.N
 			if connectedTo(sub)&other == 0 && !allowCross {
 				continue
 			}
-			cand := p.BestJoin(q, le, re)
+			cand := p.bestJoin(q, leaves, le, re)
 			if cand.nc.Total < bestCost {
 				bestE = cand
 				bestCost = cand.nc.Total
@@ -118,12 +118,12 @@ func (p *Planner) crossNeeded(q *query.Query) bool {
 // cost — the greedy O(n²)-per-step enumeration the paper attributes to
 // PostgreSQL's non-exhaustive mode. A non-nil rng adds GEQO-style noise by
 // choosing uniformly among the top-3 candidate pairs. The context is checked
-// once per merge step.
-func (p *Planner) planGreedy(ctx context.Context, q *query.Query, rng *rand.Rand) (plan.Node, cost.NodeCost, error) {
+// once per merge step. leaves is q's leaf table, which GEQO's restarts
+// share.
+func (p *Planner) planGreedy(ctx context.Context, q *query.Query, leaves *Leaves, rng *rand.Rand) (plan.Node, cost.NodeCost, error) {
 	items := make([]entry, 0, len(q.Relations))
 	for _, r := range q.Relations {
-		node, nc := p.BestScan(q, r.Alias)
-		items = append(items, entry{node, nc})
+		items = append(items, leaves.of(p, r.Alias).best())
 	}
 	for len(items) > 1 {
 		if err := ctx.Err(); err != nil {
@@ -144,7 +144,7 @@ func (p *Planner) planGreedy(ctx context.Context, q *query.Query, rng *rand.Rand
 				if len(preds) == 0 {
 					continue
 				}
-				cands = append(cands, cand{i, j, p.BestJoin(q, items[i], items[j])})
+				cands = append(cands, cand{i, j, p.bestJoin(q, leaves, items[i], items[j])})
 			}
 		}
 		if len(cands) == 0 {
@@ -154,7 +154,7 @@ func (p *Planner) planGreedy(ctx context.Context, q *query.Query, rng *rand.Rand
 			for i := 0; i < len(items); i++ {
 				for j := 0; j < len(items); j++ {
 					if i != j {
-						cands = append(cands, cand{i, j, p.BestJoin(q, items[i], items[j])})
+						cands = append(cands, cand{i, j, p.bestJoin(q, leaves, items[i], items[j])})
 					}
 				}
 			}
@@ -206,8 +206,9 @@ func (p *Planner) planGEQO(ctx context.Context, q *query.Query) (plan.Node, cost
 	if restarts < 1 {
 		restarts = 1
 	}
+	leaves := p.NewLeaves(q)
 	for r := 0; r < restarts; r++ {
-		node, nc, err := p.planGreedy(ctx, q, rng)
+		node, nc, err := p.planGreedy(ctx, q, leaves, rng)
 		if err != nil {
 			return nil, cost.NodeCost{}, err
 		}
@@ -234,31 +235,32 @@ func (p *Planner) planGEQO(ctx context.Context, q *query.Query) (plan.Node, cost
 // predicates instead of recomputing them from alias sets per candidate, as
 // CompleteOperatorsMemo and CompleteAccessMemo do too.
 func (p *Planner) CompletePhysical(q *query.Query, skeleton plan.Node) (plan.Node, cost.NodeCost) {
-	return p.CompletePhysicalMemo(q, skeleton, nil)
+	return p.CompletePhysicalMemo(q, skeleton, nil, nil)
 }
 
 // CompletePhysicalMemo is CompletePhysical with a caller-maintained
-// per-episode skeleton-hash memo; see CompleteOperatorsMemo. The training
-// environments pass their episode memo here so the terminal completion of
-// each episode reuses hashes (and the map allocation) instead of re-walking
-// the skeleton.
-func (p *Planner) CompletePhysicalMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64) (plan.Node, cost.NodeCost) {
-	e := p.completeEntry(q, p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
+// per-episode skeleton-hash memo (see CompleteOperatorsMemo) and q's leaf
+// table. The training environments pass their episode memo and the query's
+// table here, so the terminal completion of each episode reuses hashes (and
+// the map allocation) instead of re-walking the skeleton, and prices each
+// relation's access paths once per query instead of once per join. A nil
+// leaves, or one built for another query or cost model, prices them afresh.
+func (p *Planner) CompletePhysicalMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64, leaves *Leaves) (plan.Node, cost.NodeCost) {
+	e := p.completeEntry(q, p.leavesFor(q, leaves), p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
 }
 
-func (p *Planner) completeEntry(q *query.Query, fp uint64, hs map[plan.Node]uint64, n plan.Node) entry {
+func (p *Planner) completeEntry(q *query.Query, leaves *Leaves, fp uint64, hs map[plan.Node]uint64, n plan.Node) entry {
 	return p.cachedSubtree(fp, hs[n], plancache.ModeCompletePhysical, func() entry {
 		switch n := n.(type) {
 		case *plan.Scan:
-			node, nc := p.BestScan(q, n.Alias)
-			return entry{node, nc}
+			return leaves.of(p, n.Alias).best()
 		case *plan.Join:
-			left := p.completeEntry(q, fp, hs, n.Left)
-			right := p.completeEntry(q, fp, hs, n.Right)
-			return p.cheapestJoin(q, left, right, true, n.Rebuild)
+			left := p.completeEntry(q, leaves, fp, hs, n.Left)
+			right := p.completeEntry(q, leaves, fp, hs, n.Right)
+			return p.cheapestJoin(q, leaves, left, right, true, n.Rebuild)
 		case *plan.Agg:
-			return p.completeEntry(q, fp, hs, n.Child)
+			return p.completeEntry(q, leaves, fp, hs, n.Child)
 		default:
 			panic("optimizer: unknown node")
 		}

@@ -202,7 +202,7 @@ func (p *Planner) PlanWithCtx(ctx context.Context, q *query.Query, s Strategy) (
 	case DP:
 		root, nc, err = p.planDP(ctx, q)
 	case Greedy:
-		root, nc, err = p.planGreedy(ctx, q, nil)
+		root, nc, err = p.planGreedy(ctx, q, p.NewLeaves(q), nil)
 	case GEQO:
 		root, nc, err = p.planGEQO(ctx, q)
 	}
@@ -261,63 +261,121 @@ func (p *Planner) BestScan(q *query.Query, alias string) (plan.Node, cost.NodeCo
 	return best, bestNC
 }
 
-// scanVariants returns every access path the planner will consider for a
-// relation when it appears as the inner side of a nested loop: the best
-// filter-driven scan plus an index scan on each indexed join column.
-func (p *Planner) scanVariants(q *query.Query, alias string) []entry {
-	rel, _ := q.RelationByAlias(alias)
-	base, baseNC := p.BestScan(q, alias)
-	out := []entry{{base, baseNC}}
-	tbl, err := p.Cat.Table(rel.Table)
-	if err != nil {
-		return out
-	}
-	for _, ix := range tbl.Indexes {
-		joinsIt := false
-		for _, j := range q.Joins {
-			if (j.LeftAlias == alias && j.LeftCol == ix.Column) ||
-				(j.RightAlias == alias && j.RightCol == ix.Column) {
-				joinsIt = true
-				break
-			}
-		}
-		if !joinsIt {
-			continue
-		}
-		access := plan.IndexScan
-		if ix.Kind == catalog.Hash {
-			access = plan.HashIndexScan
-		}
-		cand := plan.BuildScan(q, alias, access, ix.Column)
-		out = append(out, entry{cand, p.Model.ScanCost(q, cand)})
-	}
-	return out
+// Leaves is one query's priced access paths: for each relation, its
+// cheapest scan (BestScan) and the scans a join tries as its inner input —
+// the cheapest one plus an index scan on each indexed join column. Both are
+// pure functions of (catalog, cost model, query, alias), so a relation's
+// paths are built and priced on its first use and then serve every join
+// over the query: planDP, planGreedy and planGEQO build one table per call,
+// and a training environment keeps one per query across its episodes. A
+// Leaves is not safe for concurrent use.
+type Leaves struct {
+	q     *query.Query
+	cat   *catalog.Catalog
+	model *cost.Model
+	rels  []leaf // by position in q.Relations
 }
 
-// BestJoin combines two subtrees with the cheapest (algorithm, inner access
+// leaf is one relation's access paths. variants is every path in pricing
+// order: the cheapest scan, then one index scan per indexed join column in
+// catalog order. inner is the right inputs a join prices when its right
+// input is the cheapest scan itself: variants minus those whose signature
+// equals the cheapest scan's (the cheapest scan first). Both are nil until
+// the relation's first use.
+type leaf struct {
+	variants, inner []entry
+}
+
+// NewLeaves returns q's leaf table under p's catalog and cost model, with
+// nothing priced yet.
+func (p *Planner) NewLeaves(q *query.Query) *Leaves {
+	return &Leaves{q: q, cat: p.Cat, model: p.Model, rels: make([]leaf, len(q.Relations))}
+}
+
+// leavesFor returns l when it is q's table under p's catalog and cost
+// model, and a fresh table otherwise (a nil l included).
+func (p *Planner) leavesFor(q *query.Query, l *Leaves) *Leaves {
+	if l != nil && l.q == q && l.cat == p.Cat && l.model == p.Model {
+		return l
+	}
+	return p.NewLeaves(q)
+}
+
+// of returns alias's access paths, pricing them on first use.
+func (l *Leaves) of(p *Planner, alias string) *leaf {
+	for i := range l.q.Relations {
+		if l.q.Relations[i].Alias != alias {
+			continue
+		}
+		lf := &l.rels[i]
+		if lf.variants == nil {
+			*lf = p.priceLeaf(l.q, alias)
+		}
+		return lf
+	}
+	lf := p.priceLeaf(l.q, alias) // not a relation of q: priced, not kept
+	return &lf
+}
+
+// best is the relation's cheapest scan.
+func (lf *leaf) best() entry { return lf.variants[0] }
+
+// priceLeaf builds and prices alias's access paths.
+func (p *Planner) priceLeaf(q *query.Query, alias string) leaf {
+	rel, _ := q.RelationByAlias(alias)
+	base, baseNC := p.BestScan(q, alias)
+	lf := leaf{variants: []entry{{base, baseNC}}}
+	if tbl, err := p.Cat.Table(rel.Table); err == nil {
+		for _, ix := range tbl.Indexes {
+			joinsIt := false
+			for _, j := range q.Joins {
+				if (j.LeftAlias == alias && j.LeftCol == ix.Column) ||
+					(j.RightAlias == alias && j.RightCol == ix.Column) {
+					joinsIt = true
+					break
+				}
+			}
+			if !joinsIt {
+				continue
+			}
+			access := plan.IndexScan
+			if ix.Kind == catalog.Hash {
+				access = plan.HashIndexScan
+			}
+			cand := plan.BuildScan(q, alias, access, ix.Column)
+			lf.variants = append(lf.variants, entry{cand, p.Model.ScanCost(q, cand)})
+		}
+	}
+	lf.inner = lf.variants[:1:1]
+	for _, v := range lf.variants[1:] {
+		if !v.node.(*plan.Scan).SameSignature(base.(*plan.Scan)) {
+			lf.inner = append(lf.inner, v)
+		}
+	}
+	return lf
+}
+
+// bestJoin combines two subtrees with the cheapest (algorithm, inner access
 // path) pair — the optimizer's join operator selection stage. The right
 // input may be replaced by an index-scan variant to enable index nested
 // loops when the right entry is a leaf.
-func (p *Planner) BestJoin(q *query.Query, left, right entry) entry {
-	return p.cheapestJoin(q, left, right, true, func(algo plan.JoinAlgo, l, r plan.Node) *plan.Join {
+func (p *Planner) bestJoin(q *query.Query, leaves *Leaves, left, right entry) entry {
+	return p.cheapestJoin(q, leaves, left, right, true, func(algo plan.JoinAlgo, l, r plan.Node) *plan.Join {
 		return plan.JoinNodes(q, algo, l, r)
 	})
 }
 
 // cheapestJoin is the one candidate loop of join operator selection: it
 // costs every join algorithm over right and, when variants is set and right
-// is a leaf, over each of its index-scan variants too, building each
-// candidate with build. Enumeration builds with plan.JoinNodes; skeleton
-// completion builds with the skeleton join's own predicates
-// (plan.Join.Rebuild), which are the same ones.
-func (p *Planner) cheapestJoin(q *query.Query, left, right entry, variants bool, build func(algo plan.JoinAlgo, left, right plan.Node) *plan.Join) entry {
-	rights := []entry{right}
-	if s, ok := right.node.(*plan.Scan); ok && variants {
-		for _, v := range p.scanVariants(q, s.Alias) {
-			if v.node.Signature() != right.node.Signature() {
-				rights = append(rights, v)
-			}
-		}
+// is a leaf, over each of its access paths in leaves whose signature
+// differs from right's too, building each candidate with build. Enumeration
+// builds with plan.JoinNodes; skeleton completion builds with the skeleton
+// join's own predicates (plan.Join.Rebuild), which are the same ones.
+func (p *Planner) cheapestJoin(q *query.Query, leaves *Leaves, left, right entry, variants bool, build func(algo plan.JoinAlgo, left, right plan.Node) *plan.Join) entry {
+	one := [1]entry{right}
+	rights := one[:]
+	if variants {
+		rights = p.rightInputs(leaves, rights)
 	}
 	var best entry
 	bestCost := math.Inf(1)
@@ -332,6 +390,29 @@ func (p *Planner) cheapestJoin(q *query.Query, left, right entry, variants bool,
 		}
 	}
 	return best
+}
+
+// rightInputs returns the right inputs a join prices beside rights[0]:
+// when it is a leaf, each access path of its relation whose signature
+// differs from its own, appended in pricing order. The relation's cheapest
+// scan takes the precomputed list; any other scan of it — a skeleton's, or
+// one the plan cache returned for another query of the same fingerprint —
+// is compared field by field (plan.Scan.SameSignature).
+func (p *Planner) rightInputs(leaves *Leaves, rights []entry) []entry {
+	s, ok := rights[0].node.(*plan.Scan)
+	if !ok {
+		return rights
+	}
+	lf := leaves.of(p, s.Alias)
+	if s == lf.best().node {
+		return lf.inner
+	}
+	for _, v := range lf.variants {
+		if !v.node.(*plan.Scan).SameSignature(s) {
+			rights = append(rights, v)
+		}
+	}
+	return rights
 }
 
 func (p *Planner) finishAgg(q *query.Query, root plan.Node, nc cost.NodeCost) (plan.Node, cost.NodeCost) {

@@ -12,7 +12,7 @@ import (
 	"handsfree/internal/workload"
 )
 
-func fixture(t *testing.T) (*Planner, *workload.Workload) {
+func fixture(t testing.TB) (*Planner, *workload.Workload) {
 	t.Helper()
 	db, err := datagen.Generate(datagen.Config{Seed: 1, Scale: 0.05})
 	if err != nil {

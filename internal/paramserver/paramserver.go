@@ -22,8 +22,8 @@
 //     every run.
 //
 // Snapshots hand out *nn.Network values that must be treated as immutable;
-// actors evaluate them with nn.Infer, which is safe for concurrent use on a
-// shared network.
+// actors evaluate them through Snapshot.Packed — the shared packed form,
+// whose InferVec is safe for concurrent use.
 package paramserver
 
 import (
@@ -36,9 +36,9 @@ import (
 )
 
 // Snapshot is one immutable published policy version. Net must never be
-// mutated or trained; evaluate it with nn.Infer (Forward caches layer state
-// and is not safe for concurrent use on a shared network) or through
-// Packed's shared-packing form.
+// mutated or trained; evaluate it through Packed's shared-packing form
+// (Packed().InferVec), never with Net.Forward, which caches layer state and
+// is not safe for concurrent use on a shared network.
 type Snapshot struct {
 	// Version counts publishes: the initial snapshot is version 0 and each
 	// Publish increments it by exactly one.

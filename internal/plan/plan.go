@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -145,6 +146,24 @@ func (s *Scan) Signature() string {
 		sort.Strings(parts)
 		return fmt.Sprintf("%s(%s/%s ix=%s [%s])", s.Access, s.Table, s.Alias, s.IndexColumn, strings.Join(parts, ","))
 	})
+}
+
+// SameSignature reports s.Signature() == o.Signature(), formatting neither
+// when the fields decide it. The access path's name ends before the
+// signature's first '(', so different names differ there; with table,
+// alias and filters (in order) equal, the two strings differ only in the
+// index column. Any other difference falls back to the strings themselves.
+func (s *Scan) SameSignature(o *Scan) bool {
+	switch {
+	case s == o:
+		return true
+	case s.Access.String() != o.Access.String():
+		return false
+	case s.Table != o.Table || s.Alias != o.Alias || !slices.Equal(s.Filters, o.Filters):
+		return s.Signature() == o.Signature()
+	default:
+		return s.IndexColumn == o.IndexColumn
+	}
 }
 
 // Join is an inner equality join of two subtrees.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -145,5 +146,63 @@ func TestWalkVisitsAll(t *testing.T) {
 	// Agg + 2 joins + 3 scans.
 	if count != 6 {
 		t.Fatalf("Walk visited %d nodes, want 6", count)
+	}
+}
+
+// TestScanSameSignature: SameSignature is Signature equality, over pairs of
+// scans drawn from a small pool of field values — among them identifiers
+// holding the signature's own separators, filters in either order or
+// repeated, and an access-path value outside the named ones (which prints as
+// a sequential scan) — so equal and unequal signatures both occur, by equal
+// fields and by colliding text.
+func TestScanSameSignature(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	words := []string{"t", "a", "t/a", "a ix=", "mc", "", "id", "x(y", "k [", "b"}
+	filters := []query.Filter{
+		{Alias: "a", Column: "id", Op: query.Eq, Value: 3},
+		{Alias: "a", Column: "id", Op: query.Lt, Value: 3},
+		{Alias: "t/a", Column: "k", Op: query.Ge, Value: -1},
+	}
+	accesses := []AccessPath{SeqScan, IndexScan, HashIndexScan, AccessPath(7)}
+	scan := func() *Scan {
+		s := &Scan{
+			Alias:       words[rng.Intn(3)],
+			Table:       words[rng.Intn(3)],
+			Access:      accesses[rng.Intn(len(accesses))],
+			IndexColumn: words[rng.Intn(len(words))],
+		}
+		for _, i := range rng.Perm(len(filters))[:rng.Intn(3)] {
+			s.Filters = append(s.Filters, filters[i])
+		}
+		if rng.Intn(8) == 0 && len(s.Filters) > 0 {
+			s.Filters = append(s.Filters, s.Filters[0])
+		}
+		return s
+	}
+	same, differ := 0, 0
+	for i := 0; i < 20000; i++ {
+		a, b := scan(), scan()
+		if i%5 == 0 {
+			b = &Scan{Alias: a.Alias, Table: a.Table, Access: a.Access, IndexColumn: a.IndexColumn,
+				Filters: append([]query.Filter(nil), a.Filters...)}
+			if len(b.Filters) > 1 {
+				b.Filters[0], b.Filters[1] = b.Filters[1], b.Filters[0]
+			}
+		}
+		want := a.Signature() == b.Signature()
+		if got := a.SameSignature(b); got != want {
+			t.Fatalf("SameSignature(%s, %s) = %v, Signature equality %v", a.Signature(), b.Signature(), got, want)
+		}
+		if a.SameSignature(a) != true {
+			t.Fatalf("SameSignature(%s) with itself is false", a.Signature())
+		}
+		if want {
+			same++
+		} else {
+			differ++
+		}
+	}
+	if same < 1000 || differ < 1000 {
+		t.Fatalf("pool too narrow: %d equal and %d unequal signatures", same, differ)
 	}
 }

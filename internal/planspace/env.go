@@ -232,10 +232,13 @@ func (e *Env) ResetTo(q *query.Query) rl.State {
 // pure function of (catalog, query): each relation's access options and each
 // join predicate's relation bits, both over the sorted alias index. It is
 // cached per env in preps and reused by every later episode over the query,
-// as the featurization's per-query entries are in scratch.
+// as the featurization's per-query entries are in scratch. leaves is the
+// query's optimizer leaf table, which the completions ending its episodes
+// price each relation's access paths into once.
 type prepared struct {
 	opts     []accessOptions
 	joinRels [][2]uint32 // see featurize.AppendJoinRels
+	leaves   *optimizer.Leaves
 }
 
 // MaxRelations is the largest query an Env plans: a forest entry's relation
@@ -259,6 +262,7 @@ func (e *Env) prepare(q *query.Query) *prepared {
 	p := &prepared{
 		opts:     make([]accessOptions, len(aliases)),
 		joinRels: featurize.AppendJoinRels(nil, q, aliases),
+		leaves:   e.Cfg.Planner.NewLeaves(q),
 	}
 	for i, a := range aliases {
 		p.opts[i] = accessOptionsFor(e.Cfg.Planner.Cat, q, a)
@@ -530,10 +534,10 @@ func (e *Env) finish(aggAlgo plan.AggAlgo, aggChosen bool) (rl.State, float64, b
 		root, nc := p.CompleteOperatorsMemo(q, skeleton, memo)
 		final, costTotal = root, nc.Total
 	case st.JoinOps:
-		root, nc := p.CompleteAccessMemo(q, skeleton, memo)
+		root, nc := p.CompleteAccessMemo(q, skeleton, memo, e.prep.leaves)
 		final, costTotal = root, nc.Total
 	default:
-		root, nc := p.CompletePhysicalMemo(q, skeleton, memo)
+		root, nc := p.CompletePhysicalMemo(q, skeleton, memo, e.prep.leaves)
 		final, costTotal = root, nc.Total
 	}
 
