@@ -282,10 +282,21 @@ func gemmBlockRows[T Float](a, b *MatOf[T], bp []T, kc0, kc1 int, out *MatOf[T])
 	}
 }
 
-// transposeInto writes aᵀ into dst (len a.Rows*a.Cols, column-major over a).
+// transposeInto writes aᵀ into dst (len a.Rows*a.Cols, column-major over a),
+// four rows of a at a time, so each store fills four adjacent elements of
+// dst instead of one element a whole row of aᵀ from the last.
 func transposeInto[T Float](dst []T, a *MatOf[T]) {
 	rows := a.Rows
-	for i := 0; i < rows; i++ {
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		r0 := a.Row(i)
+		r1, r2, r3 := a.Row(i + 1)[:len(r0)], a.Row(i + 2)[:len(r0)], a.Row(i + 3)[:len(r0)]
+		for j, v := range r0 {
+			d := dst[j*rows+i : j*rows+i+4]
+			d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < rows; i++ {
 		row := a.Row(i)
 		for j, v := range row {
 			dst[j*rows+i] = v

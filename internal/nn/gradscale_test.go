@@ -76,3 +76,75 @@ func TestDivideGradsReciprocalBitwise(t *testing.T) {
 		}
 	}
 }
+
+// refClipScale is the clip scale as one chain: the global squared norm
+// summed in parameter order.
+func refClipScale(params []*ParamOf[float32], clip float64) float64 {
+	var sq float64
+	for _, p := range params {
+		for _, g := range p.Grad {
+			gf := float64(g)
+			sq += gf * gf
+		}
+	}
+	norm := math.Sqrt(sq)
+	if norm <= clip || norm == 0 {
+		return 1
+	}
+	return clip / norm
+}
+
+// TestClipScaleBitwise holds clipScaleT to the one-chain reference, bit for
+// bit, on gradients scaled so their norm lands far below, just below (by one
+// part in 10¹², 10¹⁴ and 10¹⁶), at, just above and far above the clip, on
+// all-zero gradients, and on gradients holding ±Inf or NaN — so the
+// interleaved early exit is seen both taken and refused.
+func TestClipScaleBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const clip = 5.0
+	taken := 0
+	for trial := 0; trial < 400; trial++ {
+		net := NewMLPOf[float32](rng, 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(9))
+		params := net.Params()
+		for _, p := range params {
+			for i := range p.Grad {
+				p.Grad[i] = float32(rng.NormFloat64())
+			}
+		}
+		norm := math.Sqrt(refSquares(params))
+		target := []float64{0.1, 1 - 1e-12, 1 - 1e-14, 1 - 1e-16, 1, 1 + 1e-14, 3}[trial%7] * clip
+		for _, p := range params {
+			for i := range p.Grad {
+				p.Grad[i] = float32(float64(p.Grad[i]) * target / norm)
+			}
+		}
+		switch trial % 23 {
+		case 0:
+			net.ZeroGrad()
+		case 1:
+			params[0].Grad[0] = float32(math.Inf(1))
+		case 2:
+			params[len(params)-1].Grad[0] = float32(math.NaN())
+		}
+		got, want := clipScaleT(params, clip), refClipScale(params, clip)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (norm %v of clip %v): clip scale %v, one chain gives %v", trial, target, clip, got, want)
+		}
+		if withinClip(params, clip) {
+			taken++
+		}
+	}
+	if taken == 0 || taken == 400 {
+		t.Fatalf("early exit taken in %d of 400 trials; the sweep must see it both ways", taken)
+	}
+}
+
+func refSquares(params []*ParamOf[float32]) float64 {
+	var sq float64
+	for _, p := range params {
+		for _, g := range p.Grad {
+			sq += float64(g) * float64(g)
+		}
+	}
+	return sq
+}

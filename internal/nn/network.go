@@ -99,15 +99,17 @@ func (n *NetOf[T]) DivideGrads(by float64) {
 	d := T(by)
 	if r := 1 / d; exactReciprocal(d, r) {
 		for _, p := range n.Params() {
-			for i := range p.Grad {
-				p.Grad[i] *= r
+			g := p.Grad // a local slice: the stores cannot move its header
+			for i := range g {
+				g[i] *= r
 			}
 		}
 		return
 	}
 	for _, p := range n.Params() {
-		for i := range p.Grad {
-			p.Grad[i] /= d
+		g := p.Grad
+		for i := range g {
+			g[i] /= d
 		}
 	}
 }

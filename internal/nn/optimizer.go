@@ -90,7 +90,7 @@ func adamStepEngT[T Float](e EngineOf[T], m, v map[*ParamOf[T]][]T, params []*Pa
 // accumulated in float64 at every precision: it is a scalar reduction, so
 // the extra accuracy is free and keeps the clipping decision stable.
 func clipScaleT[T Float](params []*ParamOf[T], clip float64) float64 {
-	if clip <= 0 {
+	if clip <= 0 || withinClip(params, clip) {
 		return 1
 	}
 	var sq float64
@@ -105,4 +105,38 @@ func clipScaleT[T Float](params []*ParamOf[T], clip float64) float64 {
 		return 1
 	}
 	return clip / norm
+}
+
+// withinClip reports whether clipScaleT's norm is certain to be within
+// clip, from the same squared terms summed in four interleaved chains —
+// four times the throughput of the one chain whose rounding the clip scale
+// must reproduce when it is not 1. Any summation order of n nonnegative
+// terms lands within a relative (n−1)·2⁻⁵³/(1−(n−1)·2⁻⁵³) of their exact sum,
+// so the one-chain sum is at most the interleaved one times 1 + 4n·2⁻⁵³
+// (for n < 2⁴⁰), and square root is monotone. A non-finite gradient makes
+// the bound non-finite and the answer false.
+func withinClip[T Float](params []*ParamOf[T], clip float64) bool {
+	var s0, s1, s2, s3 float64
+	n := 0
+	for _, p := range params {
+		g := p.Grad
+		n += len(g)
+		i := 0
+		for ; i+4 <= len(g); i += 4 {
+			g0, g1, g2, g3 := float64(g[i]), float64(g[i+1]), float64(g[i+2]), float64(g[i+3])
+			s0 += g0 * g0
+			s1 += g1 * g1
+			s2 += g2 * g2
+			s3 += g3 * g3
+		}
+		for ; i < len(g); i++ {
+			gf := float64(g[i])
+			s0 += gf * gf
+		}
+	}
+	if n >= 1<<40 {
+		return false
+	}
+	bound := ((s0 + s1) + (s2 + s3)) * (1 + 4*float64(n)*0x1p-53)
+	return math.Sqrt(bound) <= clip
 }
