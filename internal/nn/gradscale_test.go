@@ -95,27 +95,19 @@ func refClipScale(params []*ParamOf[float32], clip float64) float64 {
 }
 
 // TestClipScaleBitwise holds clipScaleT to the one-chain reference, bit for
-// bit, on gradients scaled so their norm lands far below, just below (by one
-// part in 10¹², 10¹⁴ and 10¹⁶), at, just above and far above the clip, on
-// all-zero gradients, and on gradients holding ±Inf or NaN — so the
-// interleaved early exit is seen both taken and refused.
+// bit, with the clip set around each gradient's own one-chain norm — half,
+// the next float below, equal, the next float above, double — so the
+// interleaved bound is exercised right at the edge it must never cross, and
+// on all-zero gradients and gradients holding ±Inf or NaN.
 func TestClipScaleBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const clip = 5.0
-	taken := 0
-	for trial := 0; trial < 400; trial++ {
+	taken, trials := 0, 0
+	for trial := 0; trial < 200; trial++ {
 		net := NewMLPOf[float32](rng, 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(9))
 		params := net.Params()
 		for _, p := range params {
 			for i := range p.Grad {
-				p.Grad[i] = float32(rng.NormFloat64())
-			}
-		}
-		norm := math.Sqrt(refSquares(params))
-		target := []float64{0.1, 1 - 1e-12, 1 - 1e-14, 1 - 1e-16, 1, 1 + 1e-14, 3}[trial%7] * clip
-		for _, p := range params {
-			for i := range p.Grad {
-				p.Grad[i] = float32(float64(p.Grad[i]) * target / norm)
+				p.Grad[i] = float32(rng.NormFloat64() * math.Exp(rng.NormFloat64()*3))
 			}
 		}
 		switch trial % 23 {
@@ -126,16 +118,23 @@ func TestClipScaleBitwise(t *testing.T) {
 		case 2:
 			params[len(params)-1].Grad[0] = float32(math.NaN())
 		}
-		got, want := clipScaleT(params, clip), refClipScale(params, clip)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d (norm %v of clip %v): clip scale %v, one chain gives %v", trial, target, clip, got, want)
-		}
-		if withinClip(params, clip) {
-			taken++
+		norm := math.Sqrt(refSquares(params))
+		for _, clip := range []float64{norm / 2, math.Nextafter(norm, 0), norm, math.Nextafter(norm, math.Inf(1)), 2 * norm, 5} {
+			if !(clip > 0) {
+				continue
+			}
+			trials++
+			got, want := clipScaleT(params, clip), refClipScale(params, clip)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d (norm %v, clip %v): clip scale %v, one chain gives %v", trial, norm, clip, got, want)
+			}
+			if withinClip(params, clip) {
+				taken++
+			}
 		}
 	}
-	if taken == 0 || taken == 400 {
-		t.Fatalf("early exit taken in %d of 400 trials; the sweep must see it both ways", taken)
+	if taken == 0 || taken == trials {
+		t.Fatalf("early exit taken in %d of %d cases; the sweep must see it both ways", taken, trials)
 	}
 }
 

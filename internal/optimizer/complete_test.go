@@ -241,8 +241,16 @@ func TestLeafInputsMatchSignatureRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every other query also filters one joined column for equality, so
+	// that its cheapest scan can be the index scan a join variant repeats.
+	for i, q := range qs {
+		if j := q.Joins; i%2 == 0 && len(j) > 0 {
+			q.Filters = append(q.Filters, query.Filter{Alias: j[0].RightAlias, Column: j[0].RightCol, Op: query.Eq, Value: 7})
+		}
+	}
 	cached := p.WithCache(plancache.New(plancache.Config{}))
 	rng := rand.New(rand.NewSource(4))
+	dups := 0
 	for i, q := range completionQueries(qs) {
 		clone := *q
 		clone.Relations = append([]query.Relation(nil), q.Relations...)
@@ -265,6 +273,9 @@ func TestLeafInputsMatchSignatureRule(t *testing.T) {
 		for _, r := range rights {
 			got := p.rightInputs(leaves, []entry{r})
 			want := refRightInputs(p, q, r)
+			if s, ok := r.node.(*plan.Scan); ok && len(want) < len(refScanVariants(p, q, s.Alias)) {
+				dups++
+			}
 			if len(got) != len(want) {
 				t.Fatalf("query %d, right %s: %d inputs, the Signature rule lists %d", i, r.node.Signature(), len(got), len(want))
 			}
@@ -278,6 +289,9 @@ func TestLeafInputsMatchSignatureRule(t *testing.T) {
 			}
 		}
 	}
+	if dups == 0 {
+		t.Fatal("no right input had an access path with its own signature; the sweep must cover the duplicate rule")
+	}
 }
 
 // mustComplete returns the signature and cost bits of p's CompletePhysical
@@ -285,4 +299,30 @@ func TestLeafInputsMatchSignatureRule(t *testing.T) {
 func mustComplete(p *Planner, q *query.Query, skeleton plan.Node) string {
 	root, nc := p.CompletePhysical(q, skeleton)
 	return fmt.Sprintf("%s %x %x", root.Signature(), math.Float64bits(nc.Total), math.Float64bits(nc.Rows))
+}
+
+// TestLeavesOfAnotherModelRepriced: a leaf table handed to a planner over
+// another cost model (or for another query) is not read — the completion
+// prices afresh and returns what it returns without one.
+func TestLeavesOfAnotherModelRepriced(t *testing.T) {
+	planners, w := goldenPlanners(t)
+	exact, approx := planners["exact"], planners["sketch"]
+	qs, err := w.Training(20, 4, 6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i, q := range qs {
+		skeleton := randomSkeleton(exact, q, rng)
+		stale := exact.NewLeaves(q)
+		exact.CompletePhysicalMemo(q, skeleton, nil, stale) // prices every leaf under the exact model
+		for _, leaves := range []*Leaves{stale, exact.NewLeaves(qs[(i+1)%len(qs)])} {
+			got, gotNC := approx.CompletePhysicalMemo(q, skeleton, nil, leaves)
+			want, wantNC := approx.CompletePhysical(q, skeleton)
+			if got.Signature() != want.Signature() || math.Float64bits(gotNC.Total) != math.Float64bits(wantNC.Total) {
+				t.Fatalf("query %d: completion with a foreign leaf table %s (%v), without %s (%v)",
+					i, got.Signature(), gotNC.Total, want.Signature(), wantNC.Total)
+			}
+		}
+	}
 }
