@@ -487,7 +487,7 @@ func BenchmarkServicePlan(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		svc, qs := setup(b)
-		net := svc.policies.Latest().Net
+		net := svc.policies.Latest().Net.CloneForInference()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

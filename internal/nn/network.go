@@ -214,6 +214,43 @@ func (n *NetOf[T]) CloneForInference() *NetOf[T] {
 	return n.clone(false)
 }
 
+// CopyInto copies the parameter values into dst, a network of the same
+// layer structure (any clone of this one), and reports whether the
+// structures matched; on a mismatch dst is left untouched. It allocates
+// nothing: it is CloneForInference into a network that is kept.
+func (n *NetOf[T]) CopyInto(dst *NetOf[T]) bool {
+	if len(dst.Layers) != len(n.Layers) {
+		return false
+	}
+	for i, l := range n.Layers {
+		switch l := l.(type) {
+		case *LinearOf[T]:
+			d, ok := dst.Layers[i].(*LinearOf[T])
+			if !ok || d.In != l.In || d.Out != l.Out {
+				return false
+			}
+		case *ReLUOf[T]:
+			if _, ok := dst.Layers[i].(*ReLUOf[T]); !ok {
+				return false
+			}
+		case *TanhOf[T]:
+			if _, ok := dst.Layers[i].(*TanhOf[T]); !ok {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	for i, l := range n.Layers {
+		if l, ok := l.(*LinearOf[T]); ok {
+			d := dst.Layers[i].(*LinearOf[T])
+			copy(d.W.Value, l.W.Value)
+			copy(d.B.Value, l.B.Value)
+		}
+	}
+	return true
+}
+
 func (n *NetOf[T]) clone(grads bool) *NetOf[T] {
 	out := &NetOf[T]{Layers: make([]LayerOf[T], 0, len(n.Layers))}
 	for _, l := range n.Layers {
@@ -326,6 +363,10 @@ func (n *Network) Clone() *Network { return WrapNet32(n.core.Clone()) }
 // CloneForInference deep-copies the parameter values without allocating
 // gradient buffers (the snapshot-publish hot path).
 func (n *Network) CloneForInference() *Network { return WrapNet32(n.core.CloneForInference()) }
+
+// CopyInto copies the parameter values into dst, a network of the same layer
+// structure, and reports whether the structures matched (see NetOf.CopyInto).
+func (n *Network) CopyInto(dst *Network) bool { return n.core.CopyInto(dst.core) }
 
 // netState is the gob wire form of a network: enough to rebuild layer
 // structure plus the flat parameter values.

@@ -72,28 +72,47 @@ func packedNR[T Float]() (nr int, asm bool) {
 // must not be mutated afterwards (the pack aliases the bias slices); this is
 // exactly the published-snapshot contract. Layers the packer does not
 // recognize panic, mirroring clone.
-func (n *NetOf[T]) Pack() *PackedNetOf[T] {
-	p := &PackedNetOf[T]{in: n.InDim(), out: n.OutDim()}
+func (n *NetOf[T]) Pack() *PackedNetOf[T] { return n.PackInto(nil) }
+
+// PackInto is Pack into the storage of p, a pack of any earlier network (nil
+// allocates a fresh one), and returns it: the result is bit for bit what Pack
+// builds — the padding columns of every last panel are zeroed, and panels
+// laid out for another panel width or kernel are re-laid for the current
+// one. Storage that is large enough is reused, so repacking a network of the
+// same shape allocates nothing. p must have no readers while it is rewritten.
+func (n *NetOf[T]) PackInto(p *PackedNetOf[T]) *PackedNetOf[T] {
+	if p == nil {
+		p = &PackedNetOf[T]{}
+	}
+	p.in, p.out = n.InDim(), n.OutDim()
+	if len(p.layers) != len(n.Layers) {
+		p.layers = make([]packedLayer[T], len(n.Layers))
+	}
 	nr, asm := packedNR[T]()
-	for _, l := range n.Layers {
+	for i, l := range n.Layers {
+		pl := &p.layers[i]
 		switch l := l.(type) {
 		case *LinearOf[T]:
-			pl := packedLayer[T]{
-				kind: packLinear,
-				in:   l.In,
-				out:  l.Out,
-				nr:   nr,
-				np:   (l.Out + nr - 1) / nr * nr,
-				bias: l.B.Value,
-				asm:  asm,
+			np := (l.Out + nr - 1) / nr * nr
+			panels := pl.panels
+			if cap(panels) < l.In*np {
+				panels = make([]T, l.In*np)
 			}
-			pl.panels = make([]T, l.In*pl.np)
-			packBPanelsN(l.weight(), 0, l.In, pl.np, nr, pl.panels)
-			p.layers = append(p.layers, pl)
+			*pl = packedLayer[T]{
+				kind:   packLinear,
+				in:     l.In,
+				out:    l.Out,
+				nr:     nr,
+				np:     np,
+				panels: panels[:l.In*np],
+				bias:   l.B.Value,
+				asm:    asm,
+			}
+			packBPanelsN(l.weight(), 0, l.In, np, nr, pl.panels)
 		case *ReLUOf[T]:
-			p.layers = append(p.layers, packedLayer[T]{kind: packReLU})
+			*pl = packedLayer[T]{kind: packReLU}
 		case *TanhOf[T]:
-			p.layers = append(p.layers, packedLayer[T]{kind: packTanh})
+			*pl = packedLayer[T]{kind: packTanh}
 		default:
 			panic(fmt.Sprintf("nn: cannot pack layer %T", l))
 		}
@@ -203,7 +222,17 @@ type PackedNetwork struct {
 
 // Pack builds the immutable packed inference form of the network (see
 // PackedNetOf); the receiver must not be mutated afterwards.
-func (n *Network) Pack() *PackedNetwork { return &PackedNetwork{p: n.core.Pack()} }
+func (n *Network) Pack() *PackedNetwork { return n.PackInto(nil) }
+
+// PackInto is Pack into the storage of p (nil allocates a fresh pack); see
+// NetOf.PackInto.
+func (n *Network) PackInto(p *PackedNetwork) *PackedNetwork {
+	if p == nil {
+		p = &PackedNetwork{}
+	}
+	p.p = n.core.PackInto(p.p)
+	return p
+}
 
 // InDim reports the input dimension of the first Linear layer.
 func (p *PackedNetwork) InDim() int { return p.p.InDim() }

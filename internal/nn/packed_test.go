@@ -245,3 +245,105 @@ func TestCloneForInference(t *testing.T) {
 		t.Fatalf("clone dims %dx%d, want %dx%d", snap.InDim(), snap.OutDim(), net.InDim(), net.OutDim())
 	}
 }
+
+// samePack reports where got differs from want in any field or any bit of
+// any panel or bias — padding columns included, which no inference reads.
+func samePack[T Float](got, want *PackedNetOf[T]) error {
+	if got.in != want.in || got.out != want.out || len(got.layers) != len(want.layers) {
+		return fmt.Errorf("shape %d→%d in %d layers, want %d→%d in %d", got.in, got.out, len(got.layers), want.in, want.out, len(want.layers))
+	}
+	for i := range want.layers {
+		g, w := &got.layers[i], &want.layers[i]
+		if g.kind != w.kind || g.in != w.in || g.out != w.out || g.nr != w.nr || g.np != w.np || g.asm != w.asm ||
+			len(g.panels) != len(w.panels) || len(g.bias) != len(w.bias) {
+			return fmt.Errorf("layer %d layout %+v, want %+v", i, *g, *w)
+		}
+		for j := range w.panels {
+			if bitsOf(g.panels[j]) != bitsOf(w.panels[j]) {
+				return fmt.Errorf("layer %d panel element %d: %v, want %v", i, j, g.panels[j], w.panels[j])
+			}
+		}
+		for j := range w.bias {
+			if bitsOf(g.bias[j]) != bitsOf(w.bias[j]) {
+				return fmt.Errorf("layer %d bias %d: %v, want %v", i, j, g.bias[j], w.bias[j])
+			}
+		}
+	}
+	return nil
+}
+
+// dirtyPack is a pack whose every panel and bias element (padding included)
+// holds NaN, laid out for the other kernel than the one now selected: what a
+// recycled snapshot buffer looks like after a release.
+func dirtyPack[T Float](net *NetOf[T]) *PackedNetOf[T] {
+	prev := setAsmGemv(!asmGemvEnabled)
+	p := net.CloneForInference().Pack()
+	setAsmGemv(prev)
+	nan := T(math.NaN())
+	for i := range p.layers {
+		for j := range p.layers[i].panels {
+			p.layers[i].panels[j] = nan
+		}
+		for j := range p.layers[i].bias {
+			p.layers[i].bias[j] = nan
+		}
+	}
+	return p
+}
+
+// TestPackIntoMatchesPack: repacking into a recycled pack — dirty, laid out
+// for another kernel, or built for another network shape — gives exactly
+// the fresh Pack's layout and bits, zeroed padding included, and a repack of
+// the same shape reuses the storage without allocating (checked off -race).
+func TestPackIntoMatchesPack(t *testing.T) {
+	forEachGemvKernel(t, func(t *testing.T) {
+		nets := packedTestNets[float32]()
+		var other *PackedNetOf[float32] // the previous zoo net's pack: another shape
+		for name, net := range nets {
+			want := net.Pack()
+			if err := samePack(net.PackInto(dirtyPack(net)), want); err != nil {
+				t.Fatalf("%s: PackInto a dirty pack: %v", name, err)
+			}
+			if other != nil {
+				if err := samePack(net.PackInto(other), want); err != nil {
+					t.Fatalf("%s: PackInto another shape's pack: %v", name, err)
+				}
+			}
+			other = net.Pack()
+			if kept := net.Pack(); !raceEnabled {
+				if allocs := testing.AllocsPerRun(10, func() { net.PackInto(kept) }); allocs != 0 {
+					t.Fatalf("%s: repacking the same shape allocated %.0f times", name, allocs)
+				}
+			}
+		}
+	})
+}
+
+// TestCopyInto: copying into a clone reproduces the source's parameters bit
+// for bit without allocating (checked off -race), and a network of another structure is refused
+// untouched.
+func TestCopyInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src, dst := NewMLP(rng, 6, 12, 3), NewMLP(rng, 6, 12, 3)
+	if !src.CopyInto(dst) {
+		t.Fatal("CopyInto refused a network of the same structure")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { src.CopyInto(dst) }); allocs != 0 && !raceEnabled {
+		t.Fatalf("CopyInto allocated %.0f times", allocs)
+	}
+	sp, dp := src.F32().Params(), dst.F32().Params()
+	for i := range sp {
+		checkBitwise(t, "copied parameter", dp[i].Value, sp[i].Value)
+	}
+	for _, other := range []*Network{
+		NewMLP(rng, 6, 13, 3),
+		NewMLP(rng, 6, 12, 3, 3),
+		WrapNet32(&NetOf[float32]{Layers: []LayerOf[float32]{NewLinearOf[float32](6, 12, rng), &TanhOf[float32]{}, NewLinearOf[float32](12, 3, rng)}}),
+	} {
+		before := other.FlattenParams()
+		if src.CopyInto(other) {
+			t.Fatal("CopyInto accepted a network of another structure")
+		}
+		checkBitwise(t, "refused network", other.FlattenParams(), before)
+	}
+}

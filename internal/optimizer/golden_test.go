@@ -58,40 +58,11 @@ func goldenPlanners(t *testing.T) (map[string]*Planner, *workload.Workload) {
 	}
 	exact := cost.New(cost.DefaultParams(), stats.NewEstimator(db.Catalog, db.Stats))
 	store := sketch.NewAnalyzer(sketch.Config{Seed: 1}).Analyze(db.Store)
-	approx := cost.New(cost.DefaultParams(), &memoJoinSel{
-		Estimator: sketch.NewEstimator(db.Catalog, store),
-		sel:       map[memoJoinKey]float64{},
-	})
+	approx := cost.New(cost.DefaultParams(), sketch.NewEstimator(db.Catalog, store))
 	return map[string]*Planner{
 		"exact":  New(db.Catalog, exact),
 		"sketch": New(db.Catalog, approx),
 	}, workload.New(db)
-}
-
-// memoJoinSel is the sketch estimator with its join selectivities memoized
-// per (query, predicate). The sketch estimator recomputes a column's
-// HyperLogLog estimate on every call, which would make the sketch leg ten
-// times slower than the exact one; the selectivity is a pure function of
-// the key, so the memo changes no cost. One leg's planner uses it, on one
-// goroutine.
-type memoJoinSel struct {
-	*sketch.Estimator
-	sel map[memoJoinKey]float64
-}
-
-type memoJoinKey struct {
-	q *query.Query
-	j query.Join
-}
-
-func (m *memoJoinSel) JoinSelectivity(q *query.Query, j query.Join) float64 {
-	k := memoJoinKey{q, j}
-	s, ok := m.sel[k]
-	if !ok {
-		s = m.Estimator.JoinSelectivity(q, j)
-		m.sel[k] = s
-	}
-	return s
 }
 
 // goldenRecord appends one plan's line: its signature's FNV-64a, then the

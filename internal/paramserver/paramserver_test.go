@@ -3,8 +3,11 @@ package paramserver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"handsfree/internal/nn"
@@ -73,14 +76,20 @@ func TestOnPublishHookSeesEveryVersion(t *testing.T) {
 //  3. each reader's observed versions are monotonically non-decreasing —
 //     once version v is visible, no older snapshot can be fetched.
 //
-// Run under -race this also proves the data handoff (network contents
-// written before Publish, read after Latest) is properly synchronized.
+// Readers read a snapshot's tag under a reference (Acquire … Release), as
+// the recycling contract asks. Run under -race this also proves the data
+// handoff (network contents copied in by Publish, read after Acquire) is
+// properly synchronized.
 func TestPublishFetchLinearizable(t *testing.T) {
 	const publishers, readers, perPublisher = 4, 4, 60
 
+	type seen struct {
+		version uint64
+		tag     float64
+	}
 	srv := New(tagNet(0))
 	published := make([]map[uint64]float64, publishers) // version → tag
-	readerSeen := make([][]*Snapshot, readers)
+	readerSeen := make([][]seen, readers)
 
 	var start, wg sync.WaitGroup
 	start.Add(1)
@@ -103,8 +112,9 @@ func TestPublishFetchLinearizable(t *testing.T) {
 			defer wg.Done()
 			start.Wait()
 			for i := 0; i < 2000; i++ {
-				snap := srv.Latest()
-				readerSeen[r] = append(readerSeen[r], &Snapshot{Version: snap.Version, Net: snap.Net})
+				snap := srv.Acquire()
+				readerSeen[r] = append(readerSeen[r], seen{snap.Version, tagOf(snap.Net)})
+				snap.Release()
 			}
 		}(r)
 	}
@@ -136,17 +146,17 @@ func TestPublishFetchLinearizable(t *testing.T) {
 	// (2) observed snapshots match published pairs; (3) monotonic reads.
 	for r := range readerSeen {
 		last := uint64(0)
-		for i, snap := range readerSeen[r] {
-			if snap.Version < last {
-				t.Fatalf("reader %d: version went backwards at read %d (%d after %d)", r, i, snap.Version, last)
+		for i, got := range readerSeen[r] {
+			if got.version < last {
+				t.Fatalf("reader %d: version went backwards at read %d (%d after %d)", r, i, got.version, last)
 			}
-			last = snap.Version
-			want, ok := byVersion[snap.Version]
+			last = got.version
+			want, ok := byVersion[got.version]
 			if !ok {
-				t.Fatalf("reader %d observed unassigned version %d", r, snap.Version)
+				t.Fatalf("reader %d observed unassigned version %d", r, got.version)
 			}
-			if got := tagOf(snap.Net); got != want {
-				t.Fatalf("reader %d: version %d carried tag %v, want %v — torn snapshot", r, snap.Version, got, want)
+			if got.tag != want {
+				t.Fatalf("reader %d: version %d carried tag %v, want %v — torn snapshot", r, got.version, got.tag, want)
 			}
 		}
 	}
@@ -286,12 +296,14 @@ func TestSnapshotsPreservePrecision(t *testing.T) {
 }
 
 // TestSnapshotPacked pins the shared-pack lifetime contract: one pack per
-// snapshot (built lazily, stable across calls and callers), a fresh pack
-// after every Publish (hot-swap invalidation for free), and nil when the
-// snapshot carries no network.
+// snapshot (built lazily, stable across calls and callers), every Publish's
+// snapshot packs its own weights — a held snapshot's pack is never handed to
+// another (hot-swap invalidation for free) — and nil when the snapshot
+// carries no network.
 func TestSnapshotPacked(t *testing.T) {
 	srv := New(tagNet(1))
-	snap := srv.Latest()
+	snap := srv.Acquire()
+	defer snap.Release()
 
 	p := snap.Packed()
 	if p == nil {
@@ -302,9 +314,10 @@ func TestSnapshotPacked(t *testing.T) {
 	}
 
 	// Concurrent first-use racers on a fresh snapshot must all converge on
-	// one pack (the losing CAS racer discards its redundant pack).
+	// one pack.
 	srv.Publish(tagNet(2), 1)
-	snap2 := srv.Latest()
+	snap2 := srv.Acquire()
+	defer snap2.Release()
 	const racers = 8
 	packs := make([]*nn.PackedNetwork, racers)
 	var wg sync.WaitGroup
@@ -322,7 +335,7 @@ func TestSnapshotPacked(t *testing.T) {
 		}
 	}
 	if packs[0] == p {
-		t.Fatal("new snapshot reused the previous snapshot's pack")
+		t.Fatal("new snapshot reused the pack of a snapshot still held")
 	}
 
 	// The pack evaluates the snapshot's own weights: tag 2 through a 1×1
@@ -336,5 +349,247 @@ func TestSnapshotPacked(t *testing.T) {
 	nilSnap := &Snapshot{Version: 99}
 	if got := nilSnap.Packed(); got != nil {
 		t.Fatalf("Packed on a netless snapshot = %v, want nil", got)
+	}
+}
+
+// TestPublishCopiesIntoRecycledBuffers: Publish copies — the caller's network
+// is neither kept nor changed, and training it on afterwards changes no
+// snapshot — and once a snapshot is released its network and pack are what
+// the next Publish fills, so a steady publisher allocates only the Snapshot
+// struct per version — until Trim drops the free list.
+func TestPublishCopiesIntoRecycledBuffers(t *testing.T) {
+	learner := tagNet(1)
+	srv := New(nil)
+	srv.Publish(learner, 1)
+	v1 := srv.Acquire()
+	if v1.Net == learner {
+		t.Fatal("Publish kept the caller's network instead of copying it")
+	}
+	learner.F32().Layers[0].(*nn.LinearOf[float32]).W.Value[0] = 2
+	if tagOf(v1.Net) != 1 {
+		t.Fatalf("training the caller's network moved the published snapshot to tag %v", tagOf(v1.Net))
+	}
+	net1, pack1 := v1.Net, v1.Packed()
+	v1.Release()
+
+	srv.Publish(learner, 2) // v1 is still the server's: a fresh clone
+	srv.Publish(learner, 3) // v1 was released by the publish before: its buffers
+	v3 := srv.Acquire()
+	defer v3.Release()
+	if v3.Net != net1 || tagOf(v3.Net) != 2 {
+		t.Fatalf("v3 did not reuse v1's released network (same %v, tag %v)", v3.Net == net1, tagOf(v3.Net))
+	}
+	if v3.Packed() != pack1 {
+		t.Fatal("v3 did not pack into v1's released pack")
+	}
+	var out nn.Mat
+	v3.Packed().InferVec([]float64{3}, &out)
+	if out.Data[0] != 6 {
+		t.Fatalf("v3's recycled pack infers %v, want its own weights' 6", out.Data[0])
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(20, func() { srv.Publish(learner, 4) }); allocs != 1 {
+			t.Fatalf("a steady Publish allocated %.0f times, want only its Snapshot", allocs)
+		}
+	}
+
+	// Trim hands the free buffers to the garbage collector: the next
+	// Publish clones afresh.
+	srv.Publish(learner, 5)
+	srv.Publish(learner, 5) // releases the one before: a buffer is free
+	dropped := map[*nn.Network]bool{}
+	for _, b := range srv.free {
+		dropped[b.net] = true
+	}
+	srv.Trim()
+	srv.Publish(learner, 6)
+	v6 := srv.Acquire()
+	defer v6.Release()
+	if len(dropped) == 0 || dropped[v6.Net] {
+		t.Fatalf("a Publish after Trim reused a dropped buffer (%d were free)", len(dropped))
+	}
+}
+
+// TestClientHoldsItsSnapshot: a client's cached snapshot is not recycled
+// while the client acts on it, is released when the client refetches, and
+// Close releases the last one.
+func TestClientHoldsItsSnapshot(t *testing.T) {
+	srv := New(tagNet(0))
+	client := srv.NewClient(1)
+	v0, _, err := client.At(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Publish(tagNet(1), 1)
+	srv.Publish(tagNet(2), 2)
+	if got := v0.refs.Load(); got != 1 || tagOf(v0.Net) != 0 {
+		t.Fatalf("superseded cached snapshot holds %d references and tag %v, want the client's 1 and tag 0", got, tagOf(v0.Net))
+	}
+	v2, _, err := client.At(context.Background(), 2)
+	if err != nil || v2.Version != 2 {
+		t.Fatalf("refetch = version %d, %v", v2.Version, err)
+	}
+	if got := v0.refs.Load(); got != 0 {
+		t.Fatalf("the refetch left version 0 with %d references", got)
+	}
+	if got := v2.refs.Load(); got != 2 {
+		t.Fatalf("the current cached snapshot holds %d references, want the server's and the client's", got)
+	}
+	client.Close()
+	if got := v2.refs.Load(); got != 1 {
+		t.Fatalf("after Close the current snapshot holds %d references, want the server's", got)
+	}
+}
+
+// TestRecycleStress is the race harness for recycling: one learner publishes
+// while actors walk Client.At up the versions and servers Acquire and
+// Release the latest. As in training, the learner publishes version v only
+// once every actor's At(v−1) has returned. Every publish carries its version as the tag, so a
+// reader checks, all through its hold, that the buffer it holds still reads
+// its own version — a buffer recycled while held, or handed to two live
+// snapshots, would change under it. A shared table of the buffers readers
+// hold catches two held versions on one network directly. At the end every
+// network ever published is either the current snapshot's or on the free
+// list exactly once, and the current snapshot holds only the server's
+// reference: references are conserved and nothing leaks.
+func TestRecycleStress(t *testing.T) {
+	const versions, actors, servers = 400, 3, 3
+	srv := New(tagNet(0))
+	var (
+		mu   sync.Mutex
+		held = map[*nn.Network]struct{ version, holders uint64 }{}
+	)
+	hold := func(snap *Snapshot) error {
+		mu.Lock()
+		defer mu.Unlock()
+		h := held[snap.Net]
+		if h.holders > 0 && h.version != snap.Version {
+			return fmt.Errorf("one network held as versions %d and %d at once", h.version, snap.Version)
+		}
+		held[snap.Net] = struct{ version, holders uint64 }{snap.Version, h.holders + 1}
+		return nil
+	}
+	drop := func(snap *Snapshot) {
+		mu.Lock()
+		h := held[snap.Net]
+		h.holders--
+		held[snap.Net] = h
+		mu.Unlock()
+	}
+	read := func(snap *Snapshot) error {
+		var out nn.Mat
+		for i := 0; i < 3; i++ {
+			if got := tagOf(snap.Net); got != float64(snap.Version) {
+				return fmt.Errorf("held version %d reads tag %v", snap.Version, got)
+			}
+			snap.Packed().InferVec([]float64{1}, &out)
+			if out.Data[0] != float64(snap.Version) {
+				return fmt.Errorf("held version %d's pack infers %v", snap.Version, out.Data[0])
+			}
+		}
+		return nil
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, actors+servers)
+	var all sync.Map // every network ever published
+	all.Store(srv.Latest().Net, true)
+	var wg sync.WaitGroup
+	progress := make([]atomic.Int64, actors) // the last need each actor's At returned
+	for a := 0; a < actors; a++ {
+		progress[a].Store(-1)
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			client := srv.NewClient(a) // bounds 0, 1, 2
+			defer client.Close()
+			defer progress[a].Store(versions)
+			var last *Snapshot
+			for need := uint64(0); need <= versions; need++ {
+				if last != nil && need-last.Version > uint64(a) {
+					drop(last) // the refetch below releases it
+				}
+				snap, _, err := client.At(ctx, need)
+				if err != nil {
+					errs <- err
+					return
+				}
+				progress[a].Store(int64(need))
+				if snap != last {
+					if err := hold(snap); err != nil {
+						errs <- err
+						return
+					}
+					last = snap
+				}
+				if err := read(snap); err != nil {
+					errs <- err
+					return
+				}
+			}
+			if last != nil {
+				drop(last)
+			}
+		}(a)
+	}
+	for r := 0; r < servers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for srv.Version() < versions {
+				snap := srv.Acquire()
+				err := hold(snap)
+				if err == nil {
+					err = read(snap)
+				}
+				drop(snap)
+				snap.Release()
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	learner := tagNet(0)
+	w := &learner.F32().Layers[0].(*nn.LinearOf[float32]).W.Value[0]
+	for v := 1; v <= versions; v++ {
+		for a := range progress {
+			for progress[a].Load() < int64(v-1) {
+				runtime.Gosched()
+			}
+		}
+		*w = float32(v)
+		srv.Publish(learner, v)
+		all.Store(srv.cur.Load().Net, true)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	cur := srv.cur.Load()
+	if got := cur.refs.Load(); got != 1 {
+		t.Fatalf("the current snapshot holds %d references once every reader is done, want the server's 1", got)
+	}
+	owned := map[*nn.Network]int{cur.Net: 1}
+	for _, b := range srv.free {
+		owned[b.net]++
+	}
+	created := 0
+	all.Range(func(k, _ any) bool {
+		created++
+		if owned[k.(*nn.Network)] != 1 {
+			t.Errorf("a published network is owned %d times (current or free), want exactly once", owned[k.(*nn.Network)])
+		}
+		return true
+	})
+	if len(owned) != created {
+		t.Fatalf("%d networks current or free, %d ever published", len(owned), created)
+	}
+	if created > actors+servers+2 {
+		t.Fatalf("%d networks for %d concurrent readers: released buffers were not recycled", created, actors+servers)
 	}
 }

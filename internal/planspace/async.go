@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 
-	"handsfree/internal/paramserver"
 	"handsfree/internal/query"
 	"handsfree/internal/rl"
 )
@@ -75,7 +74,8 @@ type EpisodeRecord struct {
 // learner goroutine, once per episode and in ticket order, so it may be
 // stateful without a lock, and the execution counters are folded into base
 // at the same point. Every snapshot publish advances the shared plan cache's
-// policy epoch, the clock policy-dependent cache entries are keyed by. No
+// policy epoch, the clock policy-dependent cache entries are keyed by: that
+// is cfg.OnPublish here, whatever the caller set. No
 // training or serving path stores such entries any more — served rollouts
 // are keyed by the snapshot's parameter-server version instead — so the
 // bumps only count publishes.
@@ -107,13 +107,7 @@ func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes
 	}
 	cache := base.Cfg.Planner.Cache
 	cache.BumpEpoch()
-	prev := cfg.OnPublish
-	cfg.OnPublish = func(snap *paramserver.Snapshot) {
-		cache.BumpEpoch()
-		if prev != nil {
-			prev(snap)
-		}
-	}
+	cfg.OnPublish = func(uint64) { cache.BumpEpoch() }
 
 	// Execution slots: at most GOMAXPROCS engine runs in flight; an actor
 	// with a finished rollout waits for one before it starts the next.

@@ -2,6 +2,7 @@ package rl
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -53,11 +54,17 @@ type AsyncConfig struct {
 	MaxSteps int
 	// Seed derives the per-actor action-sampling RNG streams.
 	Seed int64
+	// Server, when non-nil, is the parameter server the run publishes to and
+	// its actors read from: a tenant's one server, which its serving path
+	// reads too, so each version is packed once for both. Its current
+	// snapshot must be the learner's policy as it stands — published after the
+	// learner's last update — and the run's versions continue from it. Nil
+	// gives the run a private server whose version 0 is a copy of the policy.
+	Server *paramserver.Server
 	// OnPublish, when non-nil, runs on the learner goroutine after every
-	// snapshot publish with the published (immutable) snapshot — the
-	// plan-cache epoch bump hook, and how a serving layer hot-swaps to the
-	// very network the actors train against.
-	OnPublish func(snap *paramserver.Snapshot)
+	// snapshot publish with the version published (the plan-cache epoch bump
+	// hook).
+	OnPublish func(version uint64)
 }
 
 func (c *AsyncConfig) fill() {
@@ -81,6 +88,27 @@ func (c *AsyncConfig) fill() {
 type Deferred struct {
 	Done   <-chan struct{}
 	Reward func() float64
+}
+
+// sampler is one actor's sampling step: packed inference into the actor's
+// logits buffer, the masked softmax into its probabilities buffer and a draw
+// from its RNG, so once the buffers have grown a step allocates nothing.
+type sampler struct {
+	packed *nn.PackedNetwork
+	rng    *rand.Rand
+	logits nn.Mat
+	probs  []float64
+}
+
+func (s *sampler) choose(st State) int {
+	s.packed.InferVec(st.Features, &s.logits)
+	n := len(s.logits.Data)
+	if cap(s.probs) < n {
+		s.probs = make([]float64, n)
+	}
+	s.probs = s.probs[:n]
+	nn.MaskedSoftmaxInto(s.probs, s.logits.Data, st.Mask)
+	return sampleFrom(s.probs, s.rng)
 }
 
 // AsyncEpisode is one episode delivered from an actor to the learner.
@@ -111,8 +139,8 @@ type AsyncStats struct {
 	Episodes int
 	// Updates is how many policy updates the learner applied.
 	Updates int
-	// Publishes is how many snapshots the learner published (excluding the
-	// initial version-0 snapshot).
+	// Publishes is how many snapshots this run published (excluding the
+	// snapshot it started from).
 	Publishes uint64
 	// MaxLag is the largest staleness any actor acted on (≤ K).
 	MaxLag uint64
@@ -125,8 +153,8 @@ type AsyncStats struct {
 // goroutine per environment in envs, actor w collecting episodes w, w+A, …
 // against the snapshot the staleness rule assigns each of them, with the
 // learner (on the calling goroutine) consuming the episodes in ticket order,
-// folding them into policy-batch updates via Observe, and republishing a
-// fresh snapshot after every update. The result — trajectories, updates,
+// folding them into policy-batch updates via Observe, and publishing a copy
+// of the policy after every update. The result — trajectories, updates,
 // final policy — is the sequential specification's, bit for bit, whatever
 // the scheduler does.
 //
@@ -160,18 +188,25 @@ func TrainAsyncCtx(ctx context.Context, learner *Reinforce, envs []Env, episodes
 		return AsyncStats{}
 	}
 
-	srv := paramserver.New(learner.Policy.CloneForInference())
-	srv.OnPublish = cfg.OnPublish
+	srv := cfg.Server
+	if srv == nil {
+		srv = paramserver.New(learner.Policy.CloneForInference())
+	} else if cur := srv.Latest(); cur.Net == nil || cur.Updates != learner.Updates {
+		panic(fmt.Sprintf("rl: the shared server's version %d holds %d updates, the learner has made %d",
+			cur.Version, cur.Updates, learner.Updates))
+	}
 
-	// published(i) is P(i): how many publishes tickets 0 … i−1 cause. The
+	// published(i) is P(i): the version the server holds once tickets
+	// 0 … i−1 are learned from — base plus the publishes they cause. The
 	// first comes when the pending partial batch fills, then one per batch.
+	base := srv.Version()
 	batch := max(learner.Cfg.BatchSize, 1)
 	first := max(batch-learner.Pending(), 1)
 	published := func(i int) uint64 {
 		if i < first {
-			return 0
+			return base
 		}
-		return uint64(1 + (i-first)/batch)
+		return base + uint64(1+(i-first)/batch)
 	}
 	// An actor is never more than (K+1)·batch tickets ahead of the learner
 	// (past that its next snapshot is unpublished), so FIFOs that together
@@ -191,22 +226,19 @@ func TrainAsyncCtx(ctx context.Context, learner *Reinforce, envs []Env, episodes
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + 1000*int64(w+1)))
-			// Per-actor logits buffer for packed inference: snapshots pack
-			// their weight panels once per publish (paramserver.Snapshot.Packed)
-			// and every actor episode reuses this one output buffer, so the
-			// sampling hot path allocates nothing in steady state.
-			var logits nn.Mat
+			defer clients[w].Close()
+			// Snapshots pack their weight panels once per version
+			// (paramserver.Snapshot.Packed) and the actor's sampler reuses
+			// its buffers, so the sampling hot path allocates nothing in
+			// steady state.
+			smp := &sampler{rng: rand.New(rand.NewSource(cfg.Seed + 1000*int64(w+1)))}
+			choose := smp.choose
 			for seq, i := 0, w; i < episodes; seq, i = seq+1, i+actors {
 				snap, lag, err := clients[w].At(actx, published(i))
 				if err != nil {
 					return
 				}
-				packed := snap.Packed()
-				choose := func(s State) int {
-					packed.InferVec(s.Features, &logits)
-					return sampleFrom(nn.MaskedSoftmax(logits.Data, s.Mask), rng)
-				}
+				smp.packed = snap.Packed()
 				traj := RunEpisode(envs[w], choose, cfg.MaxSteps)
 				e := AsyncEpisode{Traj: traj, Worker: w, Seq: seq, Version: snap.Version, Lag: lag}
 				if after != nil {
@@ -247,7 +279,11 @@ learn:
 		}
 		stats.Episodes++
 		if learner.Observe(e.Traj) {
-			srv.Publish(learner.Policy.CloneForInference(), learner.Updates)
+			v := srv.Publish(learner.Policy, learner.Updates)
+			stats.Publishes++
+			if cfg.OnPublish != nil {
+				cfg.OnPublish(v)
+			}
 		}
 		if onEpisode != nil {
 			onEpisode(e)
@@ -257,7 +293,6 @@ learn:
 	wg.Wait()
 
 	stats.Updates = learner.Updates - startUpdates
-	stats.Publishes = srv.Stats().Publishes
 	for _, c := range clients {
 		stats.MaxLag = max(stats.MaxLag, c.MaxLag())
 		stats.Refetches += c.Refetches()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"handsfree/internal/nn"
+	"handsfree/internal/paramserver"
 )
 
 // specTrainAsync is the specification TrainAsyncCtx must equal bit for bit: a
@@ -303,5 +304,120 @@ func TestTrainAsyncCtxCancelDuringDeferredReward(t *testing.T) {
 	}
 	if !settled(baseline) {
 		t.Fatalf("%d goroutines left, baseline %d", runtime.NumGoroutine(), baseline)
+	}
+}
+
+// TestTrainAsyncSharedServer: training in chunks on a shared server — a
+// tenant's one server, whose versions the serving path reads — is the
+// private-server run, ticket for ticket and bit for bit, with every snapshot
+// version offset by the version the chunk started from. At each chunk's end
+// the server's latest snapshot holds exactly the learner's policy (every
+// update published), which is what lets a caller evaluate that snapshot's
+// pack instead of packing the learner afresh; Publishes counts the chunk's
+// own publishes.
+func TestTrainAsyncSharedServer(t *testing.T) {
+	const arms = 4
+	chunks := []int{37, 64, 131}
+	for _, actors := range []int{1, 2} {
+		t.Run(fmt.Sprintf("A%d", actors), func(t *testing.T) {
+			run := func(shared *paramserver.Server) ([][]ticketTrace, []AsyncStats, *Reinforce) {
+				learner := NewReinforce(arms, arms, ReinforceConfig{Hidden: []int{8}, BatchSize: 16, Seed: 3})
+				prime := &banditEnv{rng: rand.New(rand.NewSource(17)), arms: arms}
+				for i := 0; i < 12; i++ {
+					learner.Observe(RunEpisode(prime, learner.Sample, 10))
+				}
+				if shared != nil {
+					shared.Publish(learner.Policy, learner.Updates)
+				}
+				envs := banditEnvs(actors, arms, 23)
+				var traces [][]ticketTrace
+				var stats []AsyncStats
+				for c, n := range chunks {
+					var trace []ticketTrace
+					base := uint64(0)
+					if shared != nil {
+						base = shared.Version()
+					}
+					st := TrainAsyncCtx(context.Background(), learner, envs, n,
+						AsyncConfig{Actors: actors, Seed: 29 + int64(c), Server: shared}, nil,
+						func(e AsyncEpisode) {
+							tr := ticketTrace{worker: e.Worker, seq: e.Seq, version: e.Version - base, lag: e.Lag, ret: e.Traj.Return}
+							for _, s := range e.Traj.Steps {
+								tr.actions = append(tr.actions, s.Action)
+							}
+							trace = append(trace, tr)
+						})
+					if shared != nil {
+						if got := shared.Version() - base; got != st.Publishes {
+							t.Fatalf("chunk %d: the server moved %d versions, the run reports %d publishes", c, got, st.Publishes)
+						}
+						snap := shared.Acquire()
+						got, err := snap.Net.MarshalBinary()
+						snap.Release()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want, err := learner.Policy.MarshalBinary(); err != nil || !bytes.Equal(got, want) {
+							t.Fatalf("chunk %d: the latest snapshot is not the learner's policy (err %v)", c, err)
+						}
+					}
+					traces = append(traces, trace)
+					stats = append(stats, st)
+				}
+				return traces, stats, learner
+			}
+			wantTraces, wantStats, want := run(nil)
+			gotTraces, gotStats, got := run(paramserver.New(nil))
+			for c := range chunks {
+				if gotStats[c] != wantStats[c] {
+					t.Fatalf("chunk %d: stats %+v, private server %+v", c, gotStats[c], wantStats[c])
+				}
+				if fmt.Sprint(gotTraces[c]) != fmt.Sprint(wantTraces[c]) {
+					t.Fatalf("chunk %d: the shared-server trace differs from the private server's", c)
+				}
+			}
+			gp, err1 := got.MarshalPolicy()
+			wp, err2 := want.MarshalPolicy()
+			if err1 != nil || err2 != nil || !bytes.Equal(gp, wp) {
+				t.Fatalf("final policies differ (errors %v, %v)", err1, err2)
+			}
+		})
+	}
+}
+
+// TestTrainAsyncSharedServerMustHoldThePolicy: a shared server whose latest
+// snapshot is not the learner's (another update count, or no network at all)
+// is refused before any actor starts, since versions would no longer match
+// the specification's.
+func TestTrainAsyncSharedServerMustHoldThePolicy(t *testing.T) {
+	const arms = 4
+	learner := NewReinforce(arms, arms, ReinforceConfig{Hidden: []int{8}, BatchSize: 4, Seed: 3})
+	stale := paramserver.New(nil)
+	stale.Publish(learner.Policy, learner.Updates+1)
+	for name, srv := range map[string]*paramserver.Server{"empty": paramserver.New(nil), "stale": stale} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("TrainAsyncCtx accepted a server that does not hold the learner's policy")
+				}
+			}()
+			TrainAsyncCtx(context.Background(), learner, banditEnvs(1, arms, 1), 8, AsyncConfig{Server: srv}, nil, nil)
+		})
+	}
+}
+
+// TestSamplerAllocatesNothing: once its buffers have grown, an actor's
+// sampling step — packed inference, masked softmax, draw — allocates
+// nothing.
+func TestSamplerAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	net := nn.NewMLP(rand.New(rand.NewSource(1)), 6, 16, 5)
+	smp := &sampler{packed: net.Pack(), rng: rand.New(rand.NewSource(2))}
+	st := State{Features: []float64{1, 0, 0.5, 0, 2, 0}, Mask: []bool{true, false, true, true, false}}
+	smp.choose(st)
+	if allocs := testing.AllocsPerRun(100, func() { smp.choose(st) }); allocs != 0 {
+		t.Fatalf("a sampling step allocated %.0f times", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // DefaultHLLPrecision gives 2^14 = 16384 registers (16 KiB per column),
@@ -20,6 +21,12 @@ type HLL struct {
 	// P is the precision; Registers has length 1<<P.
 	P         uint8
 	Registers []uint8
+
+	// distinct caches Distinct's count plus one; 0 means not yet counted.
+	// Planning asks for a column's distinct count on every join selectivity,
+	// and counting reads every register. Add and Merge reset it when they
+	// raise a register, and a gob decode leaves it unset.
+	distinct atomic.Int64
 }
 
 // NewHLL builds an empty sketch with 2^p registers. Precisions outside
@@ -44,6 +51,7 @@ func (h *HLL) Add(v int64) {
 	rank := uint8(bits.LeadingZeros64(rest)) + 1
 	if rank > h.Registers[idx] {
 		h.Registers[idx] = rank
+		h.distinct.Store(0)
 	}
 }
 
@@ -61,6 +69,7 @@ func (h *HLL) Merge(other *HLL) error {
 			h.Registers[i] = r
 		}
 	}
+	h.distinct.Store(0)
 	return nil
 }
 
@@ -85,13 +94,20 @@ func (h *HLL) Estimate() float64 {
 	return alphaInf * m * m / z
 }
 
-// Distinct returns the estimate rounded to a count, never below zero.
+// Distinct returns the estimate rounded to a count, never below zero. The
+// count is computed once per register state and then read back, so any
+// number of goroutines may ask at once while nothing adds or merges.
 func (h *HLL) Distinct() int64 {
-	e := h.Estimate()
-	if e < 0 {
-		return 0
+	if c := h.distinct.Load(); c > 0 {
+		return c - 1
 	}
-	return int64(e + 0.5)
+	e := h.Estimate()
+	c := int64(e + 0.5)
+	if e < 0 {
+		c = 0
+	}
+	h.distinct.Store(c + 1)
+	return c
 }
 
 // sigma computes x + Σ_k x^(2^k)·2^(k-1) (Ertl, Algorithm 5).

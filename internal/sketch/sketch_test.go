@@ -2,8 +2,10 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"handsfree/internal/query"
@@ -307,5 +309,71 @@ func TestColumnSelectivity(t *testing.T) {
 		if math.Abs(got-c.want) > 0.05 {
 			t.Errorf("sel(c %s %d) = %.3f, want ~%.3f", c.op, c.v, got, c.want)
 		}
+	}
+}
+
+// TestHLLDistinctCache: Distinct is counted once per register state — the
+// cached count is the fresh Estimate's, concurrent readers agree on it, an
+// Add that raises a register and a Merge each recount, and a gob-decoded
+// sketch counts its own registers.
+func TestHLLDistinctCache(t *testing.T) {
+	fresh := func(h *HLL) int64 {
+		e := h.Estimate()
+		if e < 0 {
+			return 0
+		}
+		return int64(e + 0.5)
+	}
+	h := NewHLL(10)
+	if got := h.Distinct(); got != 0 {
+		t.Fatalf("empty sketch counts %d", got)
+	}
+	for i := int64(0); i < 5000; i++ {
+		h.Add(i)
+	}
+	want := fresh(h)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := h.Distinct(); got != want {
+					t.Errorf("concurrent Distinct = %d, want %d", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i := int64(5000); i < 9000; i++ {
+		h.Add(i)
+	}
+	if got, want := h.Distinct(), fresh(h); got != want || got <= 5000 {
+		t.Fatalf("after more adds Distinct = %d, fresh count %d", got, want)
+	}
+	other := NewHLL(10)
+	for i := int64(20000); i < 40000; i++ {
+		other.Add(i)
+	}
+	if err := h.Merge(other); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.Distinct(), fresh(h); got != want || got <= 20000 {
+		t.Fatalf("after a merge Distinct = %d, fresh count %d", got, want)
+	}
+
+	other.Distinct() // cached on the sketch encoded, not on the one decoded
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(other); err != nil {
+		t.Fatal(err)
+	}
+	var decoded HLL
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := decoded.Distinct(), fresh(other); got != want {
+		t.Fatalf("decoded sketch counts %d, its registers %d", got, want)
 	}
 }

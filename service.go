@@ -320,19 +320,22 @@ func (s *Service) Plan(ctx context.Context, q *Query) (PlanResult, error) {
 		s.expertServed.Add(1)
 		return res, nil
 	}
-	snap := s.policies.Latest()
-	res.PolicyVersion = snap.Version
-	if snap.Version == 0 || snap.Net == nil ||
-		snap.Net.InDim() != sp.obsDim || snap.Net.OutDim() != sp.actionDim {
-		// No learned policy yet, or a stale snapshot from a lifecycle with a
-		// different layout (a fresh lifecycle has begun but not published).
-		s.plans.Add(1)
-		s.expertServed.Add(1)
-		return res, nil
-	}
-	out, rerr := s.rollout(ctx, q, fp, sp, snap)
-	if rerr != nil {
-		return PlanResult{}, rerr
+	var out planspace.Outcome
+	for decided := false; !decided; {
+		snap := s.policies.Latest()
+		res.PolicyVersion = snap.Version
+		if snap.Version == 0 || snap.Net == nil ||
+			snap.Net.InDim() != sp.obsDim || snap.Net.OutDim() != sp.actionDim {
+			// No learned policy yet, or a stale snapshot from a lifecycle with a
+			// different layout (a fresh lifecycle has begun but not published).
+			s.plans.Add(1)
+			s.expertServed.Add(1)
+			return res, nil
+		}
+		var rerr error
+		if out, decided, rerr = s.rollout(ctx, q, fp, sp, snap); rerr != nil {
+			return PlanResult{}, rerr
+		}
 	}
 	res.LearnedCost = out.Cost
 	// Count the decision only once it is complete, next to its source
@@ -369,29 +372,36 @@ func (s *Service) Plan(ctx context.Context, q *Query) (PlanResult, error) {
 // is memoised: the guards in Plan judge the remembered outcome against the
 // live expert cost and latency history each time. A publish moves every
 // lookup to a new version and the stale entries age out of the LRU; a
-// rollout cut short by ctx stores nothing.
-func (s *Service) rollout(ctx context.Context, q *Query, fp uint64, sp *servePool, snap *paramserver.Snapshot) (planspace.Outcome, error) {
+// rollout cut short by ctx stores nothing. Only a miss reads the weights,
+// under a reference held for the rollout; when snap has been superseded and
+// recycled since Plan read it, rollout reports decided false and Plan
+// decides under the newer snapshot.
+func (s *Service) rollout(ctx context.Context, q *Query, fp uint64, sp *servePool, snap *paramserver.Snapshot) (out planspace.Outcome, decided bool, err error) {
 	cache := s.sys.PlanCache
 	key := plancache.Key{Query: fp, Mode: plancache.ModeServedRollout, Epoch: snap.Version}
 	if e, ok := cache.Get(key); ok {
-		return planspace.Outcome{Plan: e.Plan, Cost: e.Cost.Total}, nil
+		return planspace.Outcome{Plan: e.Plan, Cost: e.Cost.Total}, true, nil
+	}
+	if !snap.Acquire() {
+		return planspace.Outcome{}, false, nil
 	}
 	s.rollouts.Add(1)
 	env := sp.get()
-	// Every rollout of this snapshot shares one packed form of its weights
-	// (packed lazily on first use, dropped with the snapshot on publish).
+	// Every rollout of this snapshot shares one packed form of its weights:
+	// the actors' when training published it, else packed on first use.
 	packed := snap.Packed()
 	logits := logitsPool.Get().(*nn.Mat)
-	out, err := env.GreedyRollout(ctx, q, func(st rl.State) int {
+	out, err = env.GreedyRollout(ctx, q, func(st rl.State) int {
 		return greedyActionPacked(packed, st, logits)
 	})
+	snap.Release()
 	logitsPool.Put(logits)
 	sp.put(env)
 	if err != nil {
-		return planspace.Outcome{}, err
+		return planspace.Outcome{}, true, err
 	}
 	cache.Put(key, plancache.Entry{Plan: out.Plan, Cost: cost.NodeCost{Total: out.Cost}})
-	return out, nil
+	return out, true, nil
 }
 
 // PlanSQL parses SQL text and serves a plan for it; see Plan.
@@ -812,13 +822,13 @@ func (s *Service) setProgress(f func(p *lifecycleProgress)) {
 	s.mu.Unlock()
 }
 
-// publish makes the learner's current policy the served snapshot (hot swap)
-// and bumps the plan cache's policy epoch so plans memoized under older
-// policies can never be served. It is for the points between training
-// calls; inside one, every update's snapshot reaches the server through
-// rl.AsyncConfig.OnPublish already cloned and with the epoch bumped.
+// publish makes a copy of the learner's current policy the served snapshot
+// (hot swap) and bumps the plan cache's policy epoch so plans memoized under
+// older policies can never be served. It is for the points between training
+// calls; inside one, every update publishes to the same server, with the
+// epoch bumped, through rl.TrainAsyncCtx.
 func (s *Service) publish(learner *rl.Reinforce) {
-	s.policies.Publish(learner.Policy.CloneForInference(), learner.Updates)
+	s.policies.Publish(learner.Policy, learner.Updates)
 	s.sys.PlanCache.BumpEpoch()
 }
 
@@ -867,14 +877,16 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 		Hidden: cfg.Hidden,
 		Seed:   cfg.Seed,
 	})
-	// Every update is served at once, as the same immutable network the
-	// actors train against: one clone per update, and the one cache-epoch
-	// bump is planspace.TrainAsyncCtx's (trainEnv shares s.sys.PlanCache).
-	// Each training call runs on the next actor seed.
+	// Every update is served at once: training publishes into the service's
+	// own parameter server, so serving reads the very snapshot — and the
+	// very pack — the actors train against. A publish copies the policy into
+	// recycled buffers, and the one cache-epoch bump per update is
+	// planspace.TrainAsyncCtx's (trainEnv shares s.sys.PlanCache). Each
+	// training call runs on the next actor seed.
 	async := rl.AsyncConfig{
-		Actors:    cfg.Actors,
-		Seed:      cfg.Seed + 100,
-		OnPublish: func(snap *paramserver.Snapshot) { s.policies.Publish(snap.Net, snap.Updates) },
+		Actors: cfg.Actors,
+		Seed:   cfg.Seed + 100,
+		Server: s.policies,
 	}
 	train := func(episodes int) int {
 		async.Seed++
@@ -950,7 +962,11 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 				if err := ctx.Err(); err != nil {
 					return "", err
 				}
-				ratio := greedyRatio(sp, learner.Policy, cfg.Queries, expert)
+				// Every update published, so the latest snapshot is the
+				// learner's policy; its pack is the one the actors built.
+				snap := s.policies.Acquire()
+				ratio := greedyRatio(sp, snap.Packed(), cfg.Queries, expert)
+				snap.Release()
 				s.setProgress(func(p *lifecycleProgress) { p.costRatio = ratio })
 			}
 			s.publish(learner)
@@ -973,14 +989,18 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 			return fmt.Sprintf("latency budget exhausted (%d episodes)", cfg.LatencyEpisodes), nil
 		},
 		// Done: a drift signal still pending indicts a replaced policy (an
-		// earlier round's or an earlier lifecycle's) and is dropped, and
-		// WaitTraining is released. With DriftRetrain the lifecycle stays
-		// resident, waiting on the execution feedback loop.
+		// earlier round's or an earlier lifecycle's) and is dropped, the
+		// parameter server's free list is trimmed, and WaitTraining is
+		// released. With DriftRetrain the lifecycle stays resident, waiting
+		// on the execution feedback loop.
 		PhaseDone: func() (string, error) {
 			select {
 			case <-s.driftCh:
 			default:
 			}
+			// Nothing publishes until a drift round or the next lifecycle:
+			// the recycled snapshot buffers go to the garbage collector.
+			s.policies.Trim()
 			trained()
 			if !cfg.DriftRetrain {
 				return "", nil
@@ -1034,15 +1054,14 @@ func lifecycleLatencyReward(o planspace.Outcome) float64 {
 }
 
 // greedyRatio is CostTraining's progress measurement (LifecycleStats'
-// CostRatio): the geometric mean over queries of (greedy plan cost under
-// policy) / expert[i], skipping queries whose rollout ends without a plan
-// (+Inf when all do). The rollouts fan out over the cores, each worker on its own env
-// from sp, choosing as serving does — greedyActionPacked picks what
-// rl.Reinforce.Greedy picks — and the logs are summed in query order, so the
-// result is that of one sequential loop. policy must not change meanwhile:
-// the lifecycle calls this between training chunks.
-func greedyRatio(sp *servePool, policy *nn.Network, queries []*Query, expert []float64) float64 {
-	packed := policy.Pack()
+// CostRatio): the geometric mean over queries of (greedy plan cost under the
+// packed policy) / expert[i], skipping queries whose rollout ends without a
+// plan (+Inf when all do). The rollouts fan out over the cores, each worker
+// on its own env from sp, choosing as serving does — greedyActionPacked picks
+// what rl.Reinforce.Greedy picks — and the logs are summed in query order, so
+// the result is that of one sequential loop. The lifecycle passes the latest
+// snapshot's pack, holding a reference for the call.
+func greedyRatio(sp *servePool, packed *nn.PackedNetwork, queries []*Query, expert []float64) float64 {
 	logs := make([]float64, len(queries))
 	planned := make([]bool, len(queries))
 	workers := min(runtime.GOMAXPROCS(0), len(queries))

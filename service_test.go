@@ -321,9 +321,11 @@ func TestServiceLifecyclePhasesInOrder(t *testing.T) {
 func TestDemonstrationPublishesInitialPolicy(t *testing.T) {
 	svc := testService(t)
 	cfg := quickLifecycle()
+	// The hook keeps v1 past its supersession, so it holds a reference:
+	// otherwise v1's buffers would be recycled for a later version.
 	var v1 *paramserver.Snapshot
 	svc.policies.OnPublish = func(snap *paramserver.Snapshot) {
-		if snap.Version == 1 {
+		if snap.Version == 1 && snap.Acquire() {
 			v1 = snap
 		}
 	}
@@ -348,6 +350,7 @@ func TestDemonstrationPublishesInitialPolicy(t *testing.T) {
 	if v1 == nil || v1.Updates != 0 {
 		t.Fatalf("v1 = %+v, want a snapshot of 0 updates", v1)
 	}
+	defer v1.Release()
 	initial := rl.NewReinforce(v1.Net.InDim(), v1.Net.OutDim(), rl.ReinforceConfig{Hidden: cfg.Hidden, Seed: cfg.Seed})
 	got, err := v1.Net.MarshalBinary()
 	if err != nil {
@@ -383,7 +386,9 @@ func greedyRatioSequential(t *testing.T, svc *Service, env *planspace.Env, learn
 
 // TestGreedyRatioMatchesSequential: the greedy ratio fanned out over the
 // cores equals the sequential loop bit for bit, at GOMAXPROCS 1 and 2, on
-// untrained policies and on the policy a short lifecycle ends with.
+// untrained policies and on the policy a short lifecycle ends with — packed
+// afresh, and as the lifecycle evaluates it: through the latest snapshot's
+// own pack, the one training built into recycled panels.
 func TestGreedyRatioMatchesSequential(t *testing.T) {
 	svc := testService(t)
 	queries := svc.Queries()
@@ -395,7 +400,7 @@ func TestGreedyRatioMatchesSequential(t *testing.T) {
 		}
 		expert[i] = planned.Cost
 	}
-	check := func(t *testing.T, learner *rl.Reinforce) {
+	check := func(t *testing.T, learner *rl.Reinforce, packed *nn.PackedNetwork) {
 		sp := svc.serve.Load()
 		env := planspace.NewEnv(planspace.Config{
 			Space:   sp.space,
@@ -410,7 +415,7 @@ func TestGreedyRatioMatchesSequential(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2} {
 			prev := runtime.GOMAXPROCS(procs)
-			got := greedyRatio(sp, learner.Policy, queries, expert)
+			got := greedyRatio(sp, packed, queries, expert)
 			runtime.GOMAXPROCS(prev)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("GOMAXPROCS %d: greedy ratio %v, sequential loop %v", procs, got, want)
@@ -419,7 +424,8 @@ func TestGreedyRatioMatchesSequential(t *testing.T) {
 	}
 	t.Run("untrained", func(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
-			check(t, publishRandomPolicy(t, svc, seed))
+			learner := publishRandomPolicy(t, svc, seed)
+			check(t, learner, learner.Policy.Pack())
 		}
 	})
 	t.Run("trained", func(t *testing.T) {
@@ -430,7 +436,11 @@ func TestGreedyRatioMatchesSequential(t *testing.T) {
 		if err := svc.WaitTraining(ctx); err != nil {
 			t.Fatal(err)
 		}
-		check(t, &rl.Reinforce{Policy: svc.policies.Latest().Net.Clone()})
+		snap := svc.policies.Acquire()
+		defer snap.Release()
+		learner := &rl.Reinforce{Policy: snap.Net.Clone()}
+		check(t, learner, learner.Policy.Pack())
+		check(t, learner, snap.Packed())
 	})
 }
 
