@@ -16,7 +16,6 @@ import (
 	"handsfree/internal/nn"
 	"handsfree/internal/optimizer"
 	"handsfree/internal/plan"
-	"handsfree/internal/plancache"
 	"handsfree/internal/rl"
 	"handsfree/internal/sketch"
 )
@@ -265,63 +264,18 @@ func BenchmarkPerSampleTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkSkeletonHashing isolates the per-completion hashing cost the
-// episode memo removes: "fresh" is the pre-memo behaviour (allocate a map,
-// walk the whole tree, every completion call), "memo" is the per-episode
-// path (first completion fills the reused map, later completions of the
-// same episode — e.g. the double CostFixed aggregation probe — hit it).
-func BenchmarkSkeletonHashing(b *testing.B) {
-	sys := benchSystem(b)
-	q, err := sys.Workload.ByRelations(8, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	skeleton := optimizer.RandomOrder(q, rand.New(rand.NewSource(7)))
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			hs := make(map[PlanNode]uint64, 16)
-			plancache.HashSubtrees(skeleton, hs)
-		}
-	})
-	b.Run("memo", func(b *testing.B) {
-		b.ReportAllocs()
-		memo := make(map[PlanNode]uint64, 16)
-		plancache.HashSubtreesMemo(skeleton, memo)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			plancache.HashSubtreesMemo(skeleton, memo)
-		}
-	})
-}
-
-// BenchmarkCompletePhysicalWarm measures a fully warm completion — the
-// per-episode cost of a repeated (query, join order) pair once cached.
-func BenchmarkCompletePhysicalWarm(b *testing.B) {
-	benchCompletePhysical(b, true)
-}
-
-// BenchmarkCompletePhysicalCold is the same completion recomputed from
-// scratch every time (the seed system's behaviour).
+// BenchmarkCompletePhysicalCold times one completion of an 8-relation
+// skeleton recomputed from scratch, the per-episode cost of the §3 loop.
 func BenchmarkCompletePhysicalCold(b *testing.B) {
-	benchCompletePhysical(b, false)
-}
-
-func benchCompletePhysical(b *testing.B, withCache bool) {
 	sys := benchSystem(b)
 	q, err := sys.Workload.ByRelations(8, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	skeleton := optimizer.RandomOrder(q, rand.New(rand.NewSource(7)))
-	planner := sys.Planner
-	if withCache {
-		planner = planner.WithCache(plancache.New(plancache.Config{Capacity: 4096}))
-		planner.CompletePhysical(q, skeleton) // warm
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if root, _ := planner.CompletePhysical(q, skeleton); root == nil {
+		if root, _ := sys.Planner.CompletePhysical(q, skeleton); root == nil {
 			b.Fatal("no plan")
 		}
 	}

@@ -64,7 +64,8 @@ type (
 	// Work is the executor's effort accounting.
 	Work = engine.Work
 	// PlanCache is the plan cache service: a sharded fingerprint → plan
-	// memoization layer shared by the optimizer and the learned agents.
+	// memoization layer holding the optimizer's plans and the served
+	// policy's rollouts.
 	PlanCache = plancache.Cache
 	// PlanCacheStats is a snapshot of the plan cache's hit/miss/eviction
 	// counters.
@@ -115,9 +116,10 @@ func (m StatsMode) String() string {
 }
 
 // CacheConfig sizes the optional plan cache service (WithCache), which
-// memoizes fingerprint → plan: the optimizer's full plans and the
-// per-episode skeleton completions are cached across episodes, so repeated
-// workload queries are cheap on every visit after the first. The cache is
+// memoizes fingerprint → whole decision: the optimizer's full plan for a
+// query, and the served policy snapshot's rollout of it until the next
+// publish, so a repeated query is cheap on every visit after the first.
+// The completions that end training episodes are not cached. The cache is
 // split into plancache's default 16 lock shards.
 type CacheConfig struct {
 	// Capacity bounds the cached entry count (default 4096; LRU eviction).
@@ -291,11 +293,11 @@ func openSystem(cfg config) (*System, error) {
 }
 
 // SavePlanCache serializes the plan cache's pure (policy-independent)
-// entries to w, so a restarted system can warm-start with LoadPlanCache and
-// skip the cold completion sweep on its repeated workload. The dump is
-// tagged with the system's plan-identity fingerprint (database seed, scale,
-// oracle seed), so it can only be loaded into an identically configured
-// system. Errors if the cache is disabled.
+// entries — the expert plans — to w, so a restarted system can warm-start
+// with LoadPlanCache and skip planning its repeated workload again. The
+// dump is tagged with the system's plan-identity fingerprint (database
+// seed, scale, oracle seed), so it can only be loaded into an identically
+// configured system. Errors if the cache is disabled.
 func (s *System) SavePlanCache(w io.Writer) error {
 	if s.PlanCache == nil {
 		return fmt.Errorf("handsfree: plan cache is disabled (WithCache)")

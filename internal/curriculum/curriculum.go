@@ -122,11 +122,9 @@ type Config struct {
 	// Agent configures the policy learner (rebuilt per phase with weights
 	// transferred). Episodes run one after another on the one environment.
 	Agent rl.ReinforceConfig
-	// Cache, when non-nil, memoizes optimizer completions and expert plans
-	// across episodes and phases (the plan cache service). Completion
-	// entries are pure and survive phase transitions; policy-dependent
-	// entries are invalidated whenever the policy is transferred to a new
-	// action space or a training snapshot is published.
+	// Cache, when non-nil, memoizes the expert plans across episodes and
+	// phases (the plan cache service). Its entries are pure, so they
+	// survive phase transitions and policy transfers.
 	Cache *plancache.Cache
 	Seed  int64
 }
@@ -208,9 +206,6 @@ func (t *Trainer) RunPhase(p Phase, episodeBase int, onEpisode func(ep int, out 
 		// recorded under the old action space must be dropped.
 		t.agent.ResetBatch()
 		t.agent.Policy = planspace.TransferPolicy(t.agent.Policy, t.Cfg.Space, t.stages, p.Stages, t.rng)
-		// The transferred policy is a new policy: invalidate any plans
-		// memoized under the old one.
-		t.Cfg.Cache.BumpEpoch()
 	}
 	t.stages = p.Stages
 	t.env = env

@@ -7,8 +7,8 @@ import (
 	"handsfree/internal/plan"
 )
 
-// BenchmarkCompleteCold times CompletePhysical without a plan cache — the
-// completion that ends a training episode on a cache miss — over random
+// BenchmarkCompleteCold times CompletePhysical — the completion that ends a
+// training episode — over random
 // skeletons of 4 to 6 relations, the benchmark lifecycle's queries. "fresh"
 // passes no leaf table, so every call prices each relation's access paths
 // anew; "leaves" keeps each query's table across calls, as a training
@@ -39,7 +39,7 @@ func BenchmarkCompleteCold(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				k := i % len(skeletons)
-				p.CompletePhysicalMemo(qs[k%len(qs)], skeletons[k], nil, leaves[k%len(qs)])
+				p.CompletePhysicalLeaves(qs[k%len(qs)], skeletons[k], leaves[k%len(qs)])
 			}
 		})
 	}

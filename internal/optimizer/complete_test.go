@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"handsfree/internal/catalog"
 	"handsfree/internal/cost"
 	"handsfree/internal/plan"
-	"handsfree/internal/plancache"
 	"handsfree/internal/query"
 )
 
@@ -146,14 +144,28 @@ func randomSkeleton(p *Planner, q *query.Query, rng *rand.Rand) plan.Node {
 	return forest[0]
 }
 
-// refComplete is skeleton completion in mode (CompletePhysical, Operators or
-// Access) with every candidate join built by plan.JoinNodes — predicates
-// recomputed from the inputs' alias sets — every leaf's access paths built
-// afresh and told apart by Signature, and no cache.
-func refComplete(p *Planner, q *query.Query, mode plancache.Mode, n plan.Node) entry {
+// completionMode names a skeleton completion: CompletePhysical,
+// CompleteOperators or CompleteAccess.
+type completionMode int
+
+const (
+	completePhysical completionMode = iota
+	completeOperators
+	completeAccess
+)
+
+func (m completionMode) String() string {
+	return [...]string{"CompletePhysical", "CompleteOperators", "CompleteAccess"}[m]
+}
+
+// refComplete is skeleton completion in mode with every candidate join
+// built by plan.JoinNodes — predicates recomputed from the inputs' alias
+// sets — and every leaf's access paths built afresh and told apart by
+// Signature.
+func refComplete(p *Planner, q *query.Query, mode completionMode, n plan.Node) entry {
 	switch n := n.(type) {
 	case *plan.Scan:
-		if mode == plancache.ModeCompleteOperators {
+		if mode == completeOperators {
 			return entry{n, p.Model.ScanCost(q, n)}
 		}
 		node, nc := p.BestScan(q, n.Alias)
@@ -161,9 +173,9 @@ func refComplete(p *Planner, q *query.Query, mode plancache.Mode, n plan.Node) e
 	case *plan.Join:
 		left, right := refComplete(p, q, mode, n.Left), refComplete(p, q, mode, n.Right)
 		switch mode {
-		case plancache.ModeCompletePhysical:
+		case completePhysical:
 			return refBestJoin(p, q, left, right)
-		case plancache.ModeCompleteAccess:
+		case completeAccess:
 			j := plan.JoinNodes(q, n.Algo, left.node, right.node)
 			return entry{j, p.Model.JoinCost(q, j, left.nc, right.nc)}
 		}
@@ -184,8 +196,7 @@ func refComplete(p *Planner, q *query.Query, mode plancache.Mode, n plan.Node) e
 // TestSkeletonPredsEquivalence is the other): over random skeletons of 210
 // generated queries of 4 to 8 relations (see completionQueries), each
 // completion mode returns the plan signature and cost bits of refComplete,
-// which rebuilds every candidate with plan.JoinNodes — without a cache, and
-// with one both cold and warm.
+// which rebuilds every candidate with plan.JoinNodes.
 func TestCompletionPredsEquivalence(t *testing.T) {
 	p, w := fixture(t)
 	qs, err := w.Training(210, 4, 8, 5)
@@ -193,18 +204,15 @@ func TestCompletionPredsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	modes := []struct {
-		mode     plancache.Mode
+		mode     completionMode
 		complete func(*Planner, *query.Query, plan.Node) (plan.Node, cost.NodeCost)
 	}{
-		{plancache.ModeCompletePhysical, (*Planner).CompletePhysical},
-		{plancache.ModeCompleteOperators, func(p *Planner, q *query.Query, n plan.Node) (plan.Node, cost.NodeCost) {
-			return p.CompleteOperatorsMemo(q, n, nil)
-		}},
-		{plancache.ModeCompleteAccess, func(p *Planner, q *query.Query, n plan.Node) (plan.Node, cost.NodeCost) {
-			return p.CompleteAccessMemo(q, n, nil, nil)
+		{completePhysical, (*Planner).CompletePhysical},
+		{completeOperators, (*Planner).CompleteOperators},
+		{completeAccess, func(p *Planner, q *query.Query, n plan.Node) (plan.Node, cost.NodeCost) {
+			return p.CompleteAccess(q, n, nil)
 		}},
 	}
-	cached := p.WithCache(plancache.New(plancache.Config{}))
 	rng := rand.New(rand.NewSource(1))
 	for i, q := range completionQueries(qs) {
 		for k := 0; k < 3; k++ {
@@ -212,14 +220,12 @@ func TestCompletionPredsEquivalence(t *testing.T) {
 			for _, m := range modes {
 				ref := refComplete(p, q, m.mode, skeleton)
 				want, wantNC := p.finishAgg(q, ref.node, ref.nc)
-				for pass, planner := range []*Planner{p, cached, cached} {
-					got, gotNC := m.complete(planner, q, skeleton)
-					if got.Signature() != want.Signature() ||
-						math.Float64bits(gotNC.Total) != math.Float64bits(wantNC.Total) ||
-						math.Float64bits(gotNC.Rows) != math.Float64bits(wantNC.Rows) {
-						t.Fatalf("query %d, skeleton %d, mode %v, pass %d:\n got %s (%v)\nwant %s (%v)",
-							i, k, m.mode, pass, got.Signature(), gotNC.Total, want.Signature(), wantNC.Total)
-					}
+				got, gotNC := m.complete(p, q, skeleton)
+				if got.Signature() != want.Signature() ||
+					math.Float64bits(gotNC.Total) != math.Float64bits(wantNC.Total) ||
+					math.Float64bits(gotNC.Rows) != math.Float64bits(wantNC.Rows) {
+					t.Fatalf("query %d, skeleton %d, mode %v:\n got %s (%v)\nwant %s (%v)",
+						i, k, m.mode, got.Signature(), gotNC.Total, want.Signature(), wantNC.Total)
 				}
 			}
 		}
@@ -232,9 +238,7 @@ func TestCompletionPredsEquivalence(t *testing.T) {
 // bits, for every right input a join can meet: the relation's cheapest scan
 // from the table, every scan a random skeleton holds, freshly built copies
 // of each access path, and the cheapest scan of another query with the same
-// fingerprint — which is what a plan cache returns. The cached planner's
-// completion of each skeleton joins in: its leaf inputs come out of the
-// cache filled by the clone's completions.
+// fingerprint.
 func TestLeafInputsMatchSignatureRule(t *testing.T) {
 	p, w := fixture(t)
 	qs, err := w.Training(120, 4, 8, 9)
@@ -248,7 +252,6 @@ func TestLeafInputsMatchSignatureRule(t *testing.T) {
 			q.Filters = append(q.Filters, query.Filter{Alias: j[0].RightAlias, Column: j[0].RightCol, Op: query.Eq, Value: 7})
 		}
 	}
-	cached := p.WithCache(plancache.New(plancache.Config{}))
 	rng := rand.New(rand.NewSource(4))
 	dups := 0
 	for i, q := range completionQueries(qs) {
@@ -264,10 +267,6 @@ func TestLeafInputsMatchSignatureRule(t *testing.T) {
 			skeleton := randomSkeleton(p, q, rng)
 			for _, s := range plan.Leaves(skeleton) {
 				rights = append(rights, entry{s, p.Model.ScanCost(q, s)})
-			}
-			cached.CompletePhysical(&clone, skeleton)
-			if got, want := mustComplete(cached, q, skeleton), mustComplete(p, q, skeleton); got != want {
-				t.Fatalf("query %d: cached completion %s, uncached %s", i, got, want)
 			}
 		}
 		for _, r := range rights {
@@ -294,13 +293,6 @@ func TestLeafInputsMatchSignatureRule(t *testing.T) {
 	}
 }
 
-// mustComplete returns the signature and cost bits of p's CompletePhysical
-// of skeleton.
-func mustComplete(p *Planner, q *query.Query, skeleton plan.Node) string {
-	root, nc := p.CompletePhysical(q, skeleton)
-	return fmt.Sprintf("%s %x %x", root.Signature(), math.Float64bits(nc.Total), math.Float64bits(nc.Rows))
-}
-
 // TestLeavesOfAnotherModelRepriced: a leaf table handed to a planner over
 // another cost model (or for another query) is not read — the completion
 // prices afresh and returns what it returns without one.
@@ -315,9 +307,9 @@ func TestLeavesOfAnotherModelRepriced(t *testing.T) {
 	for i, q := range qs {
 		skeleton := randomSkeleton(exact, q, rng)
 		stale := exact.NewLeaves(q)
-		exact.CompletePhysicalMemo(q, skeleton, nil, stale) // prices every leaf under the exact model
+		exact.CompletePhysicalLeaves(q, skeleton, stale) // prices every leaf under the exact model
 		for _, leaves := range []*Leaves{stale, exact.NewLeaves(qs[(i+1)%len(qs)])} {
-			got, gotNC := approx.CompletePhysicalMemo(q, skeleton, nil, leaves)
+			got, gotNC := approx.CompletePhysicalLeaves(q, skeleton, leaves)
 			want, wantNC := approx.CompletePhysical(q, skeleton)
 			if got.Signature() != want.Signature() || math.Float64bits(gotNC.Total) != math.Float64bits(wantNC.Total) {
 				t.Fatalf("query %d: completion with a foreign leaf table %s (%v), without %s (%v)",

@@ -8,7 +8,6 @@ import (
 
 	"handsfree/internal/cost"
 	"handsfree/internal/plan"
-	"handsfree/internal/plancache"
 	"handsfree/internal/query"
 )
 
@@ -224,47 +223,41 @@ func (p *Planner) planGEQO(ctx context.Context, q *query.Query) (plan.Node, cost
 // access paths, join algorithms, aggregation algorithm — while preserving
 // the skeleton's join order exactly. This implements the paper's §3 loop:
 // "the final join ordering is sent to the optimizer to perform operator
-// selection, index selection, etc." With a cache attached, the completion
-// is memoized per subtree, so the episode-collection hot path skips
-// recomputation for every part of the skeleton it has seen before.
+// selection, index selection, etc."
 //
 // Contract: every join of the skeleton carries the predicates of q that span
 // its two inputs — what plan.JoinNodes attaches, and what every in-tree
 // skeleton builder (planspace.Env, RandomOrder, the planners themselves)
 // produces. The completion costs its candidate joins with those
 // predicates instead of recomputing them from alias sets per candidate, as
-// CompleteOperatorsMemo and CompleteAccessMemo do too.
+// CompleteOperators and CompleteAccess do too.
 func (p *Planner) CompletePhysical(q *query.Query, skeleton plan.Node) (plan.Node, cost.NodeCost) {
-	return p.CompletePhysicalMemo(q, skeleton, nil, nil)
+	return p.CompletePhysicalLeaves(q, skeleton, nil)
 }
 
-// CompletePhysicalMemo is CompletePhysical with a caller-maintained
-// per-episode skeleton-hash memo (see CompleteOperatorsMemo) and q's leaf
-// table. The training environments pass their episode memo and the query's
-// table here, so the terminal completion of each episode reuses hashes (and
-// the map allocation) instead of re-walking the skeleton, and prices each
-// relation's access paths once per query instead of once per join. A nil
-// leaves, or one built for another query or cost model, prices them afresh.
-func (p *Planner) CompletePhysicalMemo(q *query.Query, skeleton plan.Node, memo map[plan.Node]uint64, leaves *Leaves) (plan.Node, cost.NodeCost) {
-	e := p.completeEntry(q, p.leavesFor(q, leaves), p.completionFP(q), p.skeletonHashes(skeleton, memo), skeleton)
+// CompletePhysicalLeaves is CompletePhysical with q's leaf table. The
+// training environments pass the query's table here, so the terminal
+// completion of each episode prices each relation's access paths once per
+// query instead of once per join. A nil leaves, or one built for another
+// query or cost model, prices them afresh.
+func (p *Planner) CompletePhysicalLeaves(q *query.Query, skeleton plan.Node, leaves *Leaves) (plan.Node, cost.NodeCost) {
+	e := p.completeEntry(q, p.leavesFor(q, leaves), skeleton)
 	return p.finishAgg(q, e.node, e.nc)
 }
 
-func (p *Planner) completeEntry(q *query.Query, leaves *Leaves, fp uint64, hs map[plan.Node]uint64, n plan.Node) entry {
-	return p.cachedSubtree(fp, hs[n], plancache.ModeCompletePhysical, func() entry {
-		switch n := n.(type) {
-		case *plan.Scan:
-			return leaves.of(p, n.Alias).best()
-		case *plan.Join:
-			left := p.completeEntry(q, leaves, fp, hs, n.Left)
-			right := p.completeEntry(q, leaves, fp, hs, n.Right)
-			return p.cheapestJoin(q, leaves, left, right, true, n.Rebuild)
-		case *plan.Agg:
-			return p.completeEntry(q, leaves, fp, hs, n.Child)
-		default:
-			panic("optimizer: unknown node")
-		}
-	})
+func (p *Planner) completeEntry(q *query.Query, leaves *Leaves, n plan.Node) entry {
+	switch n := n.(type) {
+	case *plan.Scan:
+		return leaves.of(p, n.Alias).best()
+	case *plan.Join:
+		left := p.completeEntry(q, leaves, n.Left)
+		right := p.completeEntry(q, leaves, n.Right)
+		return p.cheapestJoin(q, leaves, left, right, true, n.Rebuild)
+	case *plan.Agg:
+		return p.completeEntry(q, leaves, n.Child)
+	default:
+		panic("optimizer: unknown node")
+	}
 }
 
 // RandomOrder builds a uniformly random join-order skeleton (the paper's

@@ -75,12 +75,13 @@ func goldenRecord(buf *bytes.Buffer, label string, root plan.Node, total, rows f
 
 // TestPlanGolden holds every planning entry point the leaf access paths feed
 // — DP, greedy and GEQO enumeration and CompletePhysical of random
-// skeletons, each through an uncached planner — to the plans and cost bits
-// recorded in testdata/plan_golden.json, on exact and sketch statistics. A
-// cached planner shared by all of a leg's queries must complete every
-// skeleton to the same plan and bits, so leaves a cache returns for another
-// query of the same fingerprint are covered too. Under -race every eighth
-// query runs.
+// skeletons — to the plans and cost bits recorded in
+// testdata/plan_golden.json, on exact and sketch statistics. The golden file
+// was recorded through an uncached planner. Enumeration runs through a
+// cached planner shared by all of a leg's queries: its first plan of a
+// query (a miss) is recorded, so the golden file checks it against the
+// uncached bits, and its repeat must be a cache hit with the same plan and
+// bits. Under -race every eighth query runs.
 func TestPlanGolden(t *testing.T) {
 	planners, w := goldenPlanners(t)
 	var want planGolden
@@ -166,27 +167,34 @@ func goldenLeg(t *testing.T, p *Planner, w *workload.Workload, leg string, want 
 	return got
 }
 
-// goldenQuery appends q's records: DP, greedy and GEQO plans, then each
-// skeleton's completion, checking the cached planner's completion on the
-// way.
+// goldenQuery appends q's records: the cached planner's DP, greedy and GEQO
+// plans, each checked against its repeat from the cache, then each
+// skeleton's completion through the uncached planner.
 func goldenQuery(t *testing.T, buf *bytes.Buffer, p, cached *Planner, q *query.Query, skeletons []plan.Node) {
 	t.Helper()
 	for _, s := range []Strategy{DP, Greedy, GEQO} {
-		planned, err := p.PlanWith(q, s)
+		planned, err := cached.PlanWith(q, s)
 		if err != nil {
 			t.Fatalf("%s %v: %v", q.Name, s, err)
 		}
 		goldenRecord(buf, s.String(), planned.Root, planned.Cost, planned.Rows)
+		hits := cached.Cache.Stats().Hits
+		again, err := cached.PlanWith(q, s)
+		if err != nil {
+			t.Fatalf("%s %v, repeated: %v", q.Name, s, err)
+		}
+		if cached.Cache.Stats().Hits != hits+1 {
+			t.Fatalf("%s %v: the repeated plan was not a cache hit", q.Name, s)
+		}
+		if again.Root.Signature() != planned.Root.Signature() ||
+			math.Float64bits(again.Cost) != math.Float64bits(planned.Cost) ||
+			math.Float64bits(again.Rows) != math.Float64bits(planned.Rows) {
+			t.Fatalf("%s %v: cache hit %s (%v) differs from the plan stored %s (%v)",
+				q.Name, s, again.Root.Signature(), again.Cost, planned.Root.Signature(), planned.Cost)
+		}
 	}
 	for _, sk := range skeletons {
 		root, nc := p.CompletePhysical(q, sk)
 		goldenRecord(buf, "complete", root, nc.Total, nc.Rows)
-		croot, cnc := cached.CompletePhysical(q, sk)
-		if croot.Signature() != root.Signature() ||
-			math.Float64bits(cnc.Total) != math.Float64bits(nc.Total) ||
-			math.Float64bits(cnc.Rows) != math.Float64bits(nc.Rows) {
-			t.Fatalf("%s: cached completion %s (%v) differs from uncached %s (%v)",
-				q.Name, croot.Signature(), cnc.Total, root.Signature(), nc.Total)
-		}
 	}
 }

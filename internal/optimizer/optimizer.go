@@ -10,13 +10,12 @@
 //   - its plan choices are the expert demonstrations for §5.1;
 //   - its per-query planning time is the baseline of Figure 3c.
 //
-// Every planning entry point — full enumeration (PlanWith) and the skeleton
+// Full enumeration (PlanWith and the calls built on it) optionally consults
+// a plancache.Cache, so a repeated query is planned once. The skeleton
 // completions the learned agents call once per episode (CompletePhysical,
-// CompleteOperatorsMemo, CompleteAccessMemo, CostFixedMemo) — optionally
-// consults a plancache.Cache before computing. Completion is memoized at
-// subtree granularity, so even when sampled join orders differ between
-// episodes the shared leaves and small join subtrees of a repeated workload
-// query are served from cache.
+// CompleteOperators, CompleteAccess, CostFixed) are not cached: each is a
+// walk over one join order, and a caller that completes many orders of one
+// query passes that query's priced access paths (Leaves) instead.
 package optimizer
 
 import (
@@ -80,8 +79,8 @@ type Planner struct {
 	LeftDeepOnly bool
 	// Seed drives the randomized search.
 	Seed int64
-	// Cache, when non-nil, memoizes planning and skeleton completion across
-	// calls (the plan cache service). All planners sharing one cache must
+	// Cache, when non-nil, memoizes full planning across calls (the plan
+	// cache service). All planners sharing one cache must
 	// plan over the same catalog and cost model; the enumeration knobs that
 	// the ablations vary (LeftDeepOnly, AllowCross) are folded into the
 	// cache key, so WithCache copies with different settings stay distinct.
@@ -395,9 +394,8 @@ func (p *Planner) cheapestJoin(q *query.Query, leaves *Leaves, left, right entry
 // rightInputs returns the right inputs a join prices beside rights[0]:
 // when it is a leaf, each access path of its relation whose signature
 // differs from its own, appended in pricing order. The relation's cheapest
-// scan takes the precomputed list; any other scan of it — a skeleton's, or
-// one the plan cache returned for another query of the same fingerprint —
-// is compared field by field (plan.Scan.SameSignature).
+// scan takes the precomputed list; any other scan of it is compared field
+// by field (plan.Scan.SameSignature).
 func (p *Planner) rightInputs(leaves *Leaves, rights []entry) []entry {
 	s, ok := rights[0].node.(*plan.Scan)
 	if !ok {

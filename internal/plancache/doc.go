@@ -1,51 +1,40 @@
 // Package plancache is the plan cache service: a sharded, concurrency-safe
-// memoization layer mapping canonical query fingerprints (plus partial-plan
-// skeleton signatures) to completed physical plans and their costs.
+// memoization layer mapping canonical query fingerprints to whole planning
+// decisions — the traditional optimizer's plan for a query, and the served
+// policy's greedy rollout of it — and their costs.
 //
-// The paper's training loop (Marcus & Papaemmanouil, CIDR 2019, §3–§5)
-// serves every workload query once per episode sweep, and each episode ends
-// with the traditional optimizer completing the agent's partial plan —
-// access-path, operator, and aggregation selection over the learned join
-// order. That completion is a pure function of (query, skeleton), yet the
-// seed system recomputed it from scratch for every repetition of every
-// workload query; after the batched tensor path of PR 1 it was the dominant
-// per-episode cost during collection. Neo (Marcus et al., VLDB 2019)
-// likewise assumes repeated queries are cheap on the second visit. This
-// package makes them cheap.
+// The paper's system (Marcus & Papaemmanouil, CIDR 2019) answers the same
+// workload queries again and again, and Neo (Marcus et al., VLDB 2019)
+// likewise assumes a repeated query is cheap on its second visit. This
+// package makes it cheap: a repeated query skips enumeration (ModePlan) and,
+// while the served policy is unchanged, the rollout (ModeServedRollout).
+// The per-episode completion of a learned join order is not cached; the
+// training environments keep each query's priced access paths themselves
+// (optimizer.Leaves), which is where that completion spent its time.
 //
 // # Keys
 //
-// A cache Key has five parts:
+// A cache Key has three parts:
 //
 //   - Query: Fingerprint(q), a 64-bit hash over the query's canonicalized
 //     relations, join graph, and predicates. Permuting the relation list,
 //     the join list, the filter list, or the two sides of any equality join
 //     does not change the fingerprint; changing any logical content does
 //     (up to 64-bit collision chance).
-//   - Skeleton: HashPlan of the partial plan (an allocation-free
-//     structural tree hash); zero for whole-query entries (full optimizer
-//     plans, learned greedy plans).
-//   - Mode: which computation produced the entry (subtree completion,
-//     full-plan completion, fixed-plan costing, traditional planning, or a
-//     learned policy's greedy plan).
-//   - Aux: a mode-specific discriminator (aggregation algorithm,
-//     enumeration strategy).
-//   - Epoch: the policy epoch for policy-dependent entries. Optimizer
-//     completions are pure and use epoch 0; learned greedy plans are keyed
-//     by the epoch current when they were produced, so BumpEpoch —
-//     called whenever fresh policy snapshots are taken or the policy is
-//     transferred across curriculum phases — invalidates them in O(1)
-//     without touching pure entries. Stale entries simply never match
-//     again and age out through the LRU. Served rollouts
-//     (ModeServedRollout) use the published snapshot's version here
-//     instead, with the same effect on every publish.
+//   - Mode and Aux: which decision the entry holds (ModePlan or
+//     ModeServedRollout) and a mode-specific discriminator (a ModePlan
+//     entry's enumeration strategy and ablation bits).
+//   - Epoch: for ModeServedRollout, the parameter-server version of the
+//     snapshot that rolled the plan out; 0 for ModePlan. There is no
+//     cache-wide policy epoch: versions are monotone for the life of a
+//     service, so every publish leaves the older rollouts unmatchable in
+//     O(1), and they age out through the LRU.
 //
 // # Sharding and eviction
 //
 // The cache is split into power-of-two shards selected by key hash; each
 // shard holds an independent mutex, hash map, and intrusive LRU list, so
-// parallel training actors (rl.TrainAsyncCtx) rarely contend on the
-// same lock. Total capacity is bounded; inserting into a full shard evicts
-// that shard's least-recently-used entry. Hits, misses, puts, evictions,
-// and epoch bumps are counted with atomics and exposed via Stats.
+// concurrent requests rarely contend on the same lock. Total capacity is bounded; inserting into a full shard evicts
+// that shard's least-recently-used entry. Hits, misses, puts and evictions
+// are counted with atomics and exposed via Stats.
 package plancache

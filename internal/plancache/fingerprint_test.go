@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"handsfree/internal/plan"
 	"handsfree/internal/query"
 )
 
@@ -163,88 +162,6 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Fingerprint(q)
-	}
-}
-
-// TestHashSubtreesMatchesHashPlan: the single-walk per-subtree hashes must
-// equal hashing each subtree independently.
-func TestHashSubtreesMatchesHashPlan(t *testing.T) {
-	scanA := &plan.Scan{Alias: "a", Table: "t1", Filters: []query.Filter{{Alias: "a", Column: "c0", Op: query.Lt, Value: 9}}}
-	scanB := &plan.Scan{Alias: "b", Table: "t2", Access: plan.IndexScan, IndexColumn: "id"}
-	scanC := &plan.Scan{Alias: "c", Table: "t3"}
-	joinAB := &plan.Join{Algo: plan.HashJoin, Left: scanA, Right: scanB,
-		Preds: []query.Join{{LeftAlias: "a", LeftCol: "id", RightAlias: "b", RightCol: "id"}}}
-	root := plan.Node(&plan.Agg{Algo: plan.SortAgg, Child: &plan.Join{Algo: plan.NestLoop, Left: joinAB, Right: scanC}})
-
-	hs := map[plan.Node]uint64{}
-	if got, want := HashSubtrees(root, hs), HashPlan(root); got != want {
-		t.Fatalf("root hash %x != HashPlan %x", got, want)
-	}
-	plan.Walk(root, func(n plan.Node) {
-		if hs[n] != HashPlan(n) {
-			t.Fatalf("subtree hash mismatch at %s: %x != %x", n.Signature(), hs[n], HashPlan(n))
-		}
-	})
-	// Sibling subtrees must not collide.
-	if hs[scanA] == hs[scanB] || hs[joinAB] == hs[scanC] {
-		t.Fatal("distinct subtrees hash equal")
-	}
-
-	// Aggregation contents participate: same algo and child, different
-	// group-by column or aggregate kind must hash differently.
-	aggA := &plan.Agg{Algo: plan.HashAgg, Child: scanC, GroupBys: []query.GroupBy{{Alias: "c", Column: "x"}}}
-	aggB := &plan.Agg{Algo: plan.HashAgg, Child: scanC, GroupBys: []query.GroupBy{{Alias: "c", Column: "y"}}}
-	aggCnt := &plan.Agg{Algo: plan.HashAgg, Child: scanC, Aggregates: []query.Aggregate{{Kind: query.AggCount}}}
-	aggSum := &plan.Agg{Algo: plan.HashAgg, Child: scanC, Aggregates: []query.Aggregate{{Kind: query.AggSum, Alias: "c", Column: "x"}}}
-	if HashPlan(aggA) == HashPlan(aggB) {
-		t.Fatal("group-by column does not participate in the plan hash")
-	}
-	if HashPlan(aggCnt) == HashPlan(aggSum) {
-		t.Fatal("aggregate kind does not participate in the plan hash")
-	}
-}
-
-// TestHashSubtreesMemoReuses: the memoized walk returns the same hashes as
-// a fresh walk, short-circuits on already-hashed subtrees, and composes
-// incrementally — hashing a tree whose children were hashed earlier only
-// visits the new node.
-func TestHashSubtreesMemoReuses(t *testing.T) {
-	scanA := &plan.Scan{Alias: "a", Table: "t1", Filters: []query.Filter{{Alias: "a", Column: "c0", Op: query.Lt, Value: 9}}}
-	scanB := &plan.Scan{Alias: "b", Table: "t2", Access: plan.IndexScan, IndexColumn: "id"}
-	scanC := &plan.Scan{Alias: "c", Table: "t3"}
-	joinAB := &plan.Join{Algo: plan.HashJoin, Left: scanA, Right: scanB,
-		Preds: []query.Join{{LeftAlias: "a", LeftCol: "id", RightAlias: "b", RightCol: "id"}}}
-	root := plan.Node(&plan.Join{Algo: plan.NestLoop, Left: joinAB, Right: scanC})
-
-	// Nil memo degrades to the fresh walk.
-	if HashSubtreesMemo(root, nil) != HashPlan(root) {
-		t.Fatal("nil-memo hash differs from the fresh hash")
-	}
-
-	// Incremental composition: hash the children first, then the root; every
-	// hash must match the fresh walk.
-	memo := map[plan.Node]uint64{}
-	HashSubtreesMemo(joinAB, memo)
-	HashSubtreesMemo(scanC, memo)
-	if got, want := HashSubtreesMemo(root, memo), HashPlan(root); got != want {
-		t.Fatalf("memoized root hash %x != fresh %x", got, want)
-	}
-	plan.Walk(root, func(n plan.Node) {
-		if memo[n] != HashPlan(n) {
-			t.Fatalf("memo entry for %s is %x, fresh hash %x", n.Signature(), memo[n], HashPlan(n))
-		}
-	})
-
-	// Reuse: a poisoned entry proves the memo short-circuits instead of
-	// re-walking (the poisoned child hash propagates into the root).
-	poisoned := map[plan.Node]uint64{joinAB: 0xdeadbeef}
-	if HashSubtreesMemo(root, poisoned) == HashPlan(root) {
-		t.Fatal("memoized walk re-hashed a subtree it should have reused")
-	}
-	// A second walk over the same memo returns the cached root hash.
-	first := HashSubtreesMemo(root, memo)
-	if second := HashSubtreesMemo(root, memo); second != first {
-		t.Fatalf("repeat memoized hash %x != %x", second, first)
 	}
 }
 

@@ -12,19 +12,21 @@ import (
 // Warm-start persistence: Save serializes the cache's pure entries with gob
 // (the same encoding the policy checkpoints use) and Load replays them into
 // a cache in a fresh process, so a restarted system serves its repeated
-// workload from the first sweep instead of paying the cold completion cost
-// again.
+// workload from the first sweep instead of planning it again.
 //
-// Only pure entries travel: policy-dependent (ModeGreedyPolicy,
-// ModeServedRollout) entries are keyed by process-local agent identities,
-// policy epochs and snapshot versions, so they cannot be meaningful in
-// another process and are skipped by Save. Pure entries
-// (traditional plans and completion subtrees) are functions of (query
-// fingerprint, skeleton hash, mode) alone — the catalog and cost model are
-// part of the system configuration — and reload exactly.
+// Only pure entries travel: served rollouts (ModeServedRollout) are keyed
+// by process-local snapshot versions, so they cannot be meaningful in
+// another process and are skipped by Save. Pure entries (traditional
+// plans) are functions of (query fingerprint, mode, aux) alone — the
+// catalog and cost model are part of the system configuration — and reload
+// exactly.
 
 // savedCacheVersion is the wire-format version of the persisted cache.
-const savedCacheVersion = 1
+// Version 1 dumps numbered the modes differently and held per-subtree
+// completion entries; under version 2's numbering their Mode 0 reads as
+// ModePlan, so a version-1 subtree (a plan over some of the query's
+// relations) would be served as the whole query's plan. Load refuses them.
+const savedCacheVersion = 2
 
 // savedEntry is one persisted (key, entry) pair.
 type savedEntry struct {
@@ -38,7 +40,7 @@ type savedCache struct {
 	// Tag identifies the system configuration (catalog, statistics, cost
 	// model) the entries were computed under; Load refuses a dump whose tag
 	// differs from the loader's. Entry keys alone are pure fingerprints of
-	// (query, skeleton, mode) — the catalog is implicit — so without the
+	// (query, mode, aux) — the catalog is implicit — so without the
 	// tag a dump from a differently scaled or seeded database would
 	// silently serve plans and costs from the wrong system.
 	Tag uint64

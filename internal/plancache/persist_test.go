@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -25,17 +26,15 @@ func buildTree() plan.Node {
 
 // TestSaveLoadRoundTrip: pure entries must survive a gob round trip into a
 // fresh cache — same keys, same costs, structurally identical plans — while
-// policy-dependent entries stay behind.
+// served rollouts, which depend on the policy, stay behind.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := New(Config{Capacity: 64, Shards: 4})
-	pure1 := Key{Query: 11, Skeleton: 21, Mode: ModeCompletePhysical}
-	pure2 := Key{Query: 12, Skeleton: 0, Mode: ModePlan, Aux: 2}
-	policy := Key{Query: 13, Skeleton: 99, Mode: ModeGreedyPolicy, Epoch: 5}
+	pure1 := Key{Query: 11, Mode: ModePlan, Aux: 1}
+	pure2 := Key{Query: 12, Mode: ModePlan, Aux: 2}
 	tree := buildTree()
 	src.Put(pure1, Entry{Plan: tree, Cost: cost.NodeCost{Rows: 10, Total: 1234.5, Sorted: true}})
 	src.Put(pure2, Entry{Plan: tree, Cost: cost.NodeCost{Total: 42}})
-	src.Put(policy, entryFor(7))
-	// Served rollouts are policy-dependent too, and may hold no plan at all.
+	// A served rollout may hold no plan at all.
 	served := Key{Query: 14, Mode: ModeServedRollout, Epoch: 3}
 	servedNil := Key{Query: 15, Mode: ModeServedRollout, Epoch: 3}
 	src.Put(served, entryFor(8))
@@ -54,7 +53,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("restored %d entries, want the 2 pure ones", n)
 	}
-	for _, k := range []Key{policy, served, servedNil} {
+	for _, k := range []Key{served, servedNil} {
 		if _, ok := dst.Get(k); ok {
 			t.Fatalf("policy-dependent %+v entry crossed the process boundary", k)
 		}
@@ -109,5 +108,63 @@ func TestLoadRejectsForeignTag(t *testing.T) {
 	}
 	if _, ok := dst.Get(k); ok {
 		t.Fatal("foreign-tagged entry reached the cache")
+	}
+}
+
+// TestLoadRejectsVersion1: a version-1 dump numbered the modes differently
+// and held per-subtree completion entries. Its subtree completion was
+// Mode 0, which is ModePlan now, and gob drops the Skeleton field it keyed
+// on, so the entry would load as the whole query's plan: a plan over some
+// of its relations. Load must refuse the dump and store nothing.
+func TestLoadRejectsVersion1(t *testing.T) {
+	type v1Key struct {
+		Query, Skeleton uint64
+		Mode, Aux       uint8
+		Epoch           uint64
+	}
+	type v1Entry struct {
+		Key   v1Key
+		Entry Entry
+	}
+	type v1Cache struct {
+		Version int
+		Tag     uint64
+		Entries []v1Entry
+	}
+	registerPlanNodes()
+	subtree := &plan.Scan{Alias: "t", Table: "title"}
+	encode := func(version int) *bytes.Buffer {
+		var buf bytes.Buffer
+		dump := v1Cache{Version: version, Tag: 77, Entries: []v1Entry{{
+			Key:   v1Key{Query: 11, Skeleton: 21, Mode: 0},
+			Entry: Entry{Plan: subtree, Cost: cost.NodeCost{Total: 3}},
+		}}}
+		if err := gob.NewEncoder(&buf).Encode(dump); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	asPlan := Key{Query: 11, Mode: ModePlan}
+
+	// The hazard the version check stands in front of: the same bytes
+	// under the current version load as ModePlan.
+	c := New(Config{Capacity: 16, Shards: 2})
+	if n, err := c.Load(encode(savedCacheVersion), 77); err != nil || n != 1 {
+		t.Fatalf("current-version dump: loaded %d, err %v", n, err)
+	}
+	if _, ok := c.Get(asPlan); !ok {
+		t.Fatal("a Mode-0 subtree entry no longer reads as ModePlan; revisit this test")
+	}
+
+	dst := New(Config{Capacity: 16, Shards: 2})
+	n, err := dst.Load(encode(1), 77)
+	if err == nil {
+		t.Fatal("version-1 dump loaded without error")
+	}
+	if n != 0 || dst.Len() != 0 {
+		t.Fatalf("version-1 dump stored %d entries (Len %d)", n, dst.Len())
+	}
+	if _, ok := dst.Get(asPlan); ok {
+		t.Fatal("version-1 subtree entry served as a whole-query plan")
 	}
 }

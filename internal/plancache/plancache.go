@@ -10,41 +10,22 @@ import (
 	"handsfree/internal/query"
 )
 
-// Mode identifies which computation an entry memoizes. Entries produced by
-// the traditional optimizer are pure functions of (query, skeleton) and use
-// Epoch 0; ModeGreedyPolicy and ModeServedRollout entries depend on learned
-// policy weights and must carry the policy epoch they were produced under.
+// Mode identifies which computation an entry memoizes. Every entry is a
+// whole decision for one query: the traditional optimizer's plan, or a
+// served rollout of one published policy snapshot.
 type Mode uint8
 
 const (
-	// ModeCompletePhysical is a subtree or root of Planner.CompletePhysical:
-	// access paths, join algorithms, and aggregation re-chosen over a fixed
-	// join order (the paper's §3 completion loop).
-	ModeCompletePhysical Mode = iota
-	// ModeCompleteOperators is Planner.CompleteOperators: join/aggregation
-	// algorithm selection over fixed order and access paths (§5.3 stage 2).
-	ModeCompleteOperators
-	// ModeCompleteAccess is Planner.CompleteAccess: access-path selection
-	// over fixed order and operators.
-	ModeCompleteAccess
-	// ModeCostFixed is Planner.CostFixed: costing a fully specified plan
-	// (Aux carries the aggregation algorithm).
-	ModeCostFixed
 	// ModePlan is a full traditional-optimizer plan (Aux carries the
-	// effective enumeration strategy).
-	ModePlan
-	// ModeGreedyPolicy is a learned agent's greedy plan for a whole query.
-	// Entries are policy-dependent: they are keyed by Epoch and invalidated
-	// by BumpEpoch when the policy changes.
-	ModeGreedyPolicy
+	// effective enumeration strategy). Entries are pure functions of the
+	// query and the system configuration and use Epoch 0.
+	ModePlan Mode = iota
 	// ModeServedRollout is the serving front end's greedy rollout of one
 	// published policy snapshot over a whole query. Epoch is the snapshot's
-	// parameter-server version, not the cache epoch: versions are monotone
-	// for the life of a service, so a publish invalidates every older entry
-	// in O(1) exactly as BumpEpoch does for ModeGreedyPolicy, and a separate
-	// mode keeps the two epoch spaces from ever meeting. An entry may hold a
-	// nil plan (the rollout produced none); that outcome is as repeatable as
-	// any other.
+	// parameter-server version: versions are monotone for the life of a
+	// service, so a publish invalidates every older entry in O(1). An entry
+	// may hold a nil plan (the rollout produced none); that outcome is as
+	// repeatable as any other.
 	ModeServedRollout
 )
 
@@ -52,28 +33,25 @@ const (
 // learned policy weights, which live in one process only: such entries are
 // never persisted.
 func (m Mode) policyDependent() bool {
-	return m == ModeGreedyPolicy || m == ModeServedRollout
+	return m == ModeServedRollout
 }
 
 // Key identifies one cached computation.
 type Key struct {
 	// Query is the canonical query fingerprint.
 	Query uint64
-	// Skeleton hashes the partial plan's Signature (0 for whole-query
-	// entries).
-	Skeleton uint64
 	// Mode is the memoized computation.
 	Mode Mode
 	// Aux is a mode-specific discriminator.
 	Aux uint8
-	// Epoch is the policy epoch for policy-dependent modes (0 for pure).
+	// Epoch is the served snapshot's version for ModeServedRollout (0 for
+	// ModePlan).
 	Epoch uint64
 }
 
 // hash mixes the key into the shard-selection hash.
 func (k Key) hash() uint64 {
 	h := k.Query
-	h ^= bits.RotateLeft64(k.Skeleton, 23)
 	h ^= uint64(k.Mode)<<56 | uint64(k.Aux)<<48
 	h ^= bits.RotateLeft64(k.Epoch*0x9e3779b97f4a7c15, 41)
 	h *= 0xff51afd7ed558ccd
@@ -156,13 +134,11 @@ func (s *shard) pushFront(n *node) {
 type Cache struct {
 	shards []*shard
 	mask   uint64
-	epoch  atomic.Uint64
 
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	puts       atomic.Uint64
-	evictions  atomic.Uint64
-	epochBumps atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	puts      atomic.Uint64
+	evictions atomic.Uint64
 }
 
 // New builds a cache. A nil *Cache is a valid no-op receiver for Get/Put,
@@ -253,31 +229,15 @@ func (c *Cache) Len() int {
 	return total
 }
 
-// Epoch returns the current policy epoch. Policy-dependent entries must be
-// stored and looked up under the epoch current at production time.
-func (c *Cache) Epoch() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.epoch.Load()
-}
-
-// BumpEpoch advances the policy epoch, logically invalidating every
-// ModeGreedyPolicy entry in O(1): their keys can never match a future
-// lookup, and they age out of the LRU under new traffic.
-// Call it whenever fresh policy snapshots are taken for collection or the
-// policy is transferred/retrained, so plans from old policies cannot
-// poison training or evaluation.
-func (c *Cache) BumpEpoch() {
-	if c == nil {
-		return
-	}
-	c.epoch.Add(1)
-	c.epochBumps.Add(1)
-}
+// BumpEpoch does nothing: no cache entry is keyed by a cache-wide policy
+// epoch any more.
+//
+// Deprecated: served rollouts are keyed by their snapshot's version, which
+// every publish advances; there is nothing to invalidate.
+func (c *Cache) BumpEpoch() {}
 
 // Flush drops every entry (pure and policy-dependent alike), releasing every
-// plan the cache pinned. Statistics and the epoch counter are preserved.
+// plan the cache pinned. Statistics are preserved.
 func (c *Cache) Flush() {
 	if c == nil {
 		return
@@ -306,11 +266,9 @@ func (c *Cache) FingerprintOf(q *query.Query) uint64 {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits, Misses, Puts, Evictions, EpochBumps uint64
+	Hits, Misses, Puts, Evictions uint64
 	// Size is the entry count at snapshot time.
 	Size int
-	// Epoch is the policy epoch at snapshot time.
-	Epoch uint64
 	// Statements is the statement table's snapshot. Cache.Stats leaves it
 	// zero; the owner of both (handsfree.Service.CacheStats) fills it in.
 	Statements StatementStats
@@ -331,12 +289,10 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Puts:       c.puts.Load(),
-		Evictions:  c.evictions.Load(),
-		EpochBumps: c.epochBumps.Load(),
-		Size:       c.Len(),
-		Epoch:      c.epoch.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Puts:      c.puts.Load(),
+		Evictions: c.evictions.Load(),
+		Size:      c.Len(),
 	}
 }

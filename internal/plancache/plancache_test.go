@@ -19,7 +19,7 @@ func entryFor(i int) Entry {
 
 func TestCacheGetPut(t *testing.T) {
 	c := New(Config{Capacity: 64, Shards: 4})
-	k := Key{Query: 1, Skeleton: 2, Mode: ModeCompletePhysical}
+	k := Key{Query: 1, Mode: ModePlan, Aux: 2}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -38,18 +38,17 @@ func TestCacheGetPut(t *testing.T) {
 }
 
 // TestCacheKeyComponentsDistinguish: every key field participates in
-// identity, so the same query under a different mode, skeleton, aux, or
-// epoch is a distinct entry.
+// identity, so the same query under a different mode, aux, or epoch is a
+// distinct entry.
 func TestCacheKeyComponentsDistinguish(t *testing.T) {
 	c := New(Config{Capacity: 64, Shards: 4})
-	base := Key{Query: 9, Skeleton: 9, Mode: ModeCompletePhysical, Aux: 0, Epoch: 0}
+	base := Key{Query: 9, Mode: ModePlan, Aux: 0, Epoch: 0}
 	c.Put(base, entryFor(1))
 	for _, k := range []Key{
-		{Query: 10, Skeleton: 9, Mode: ModeCompletePhysical},
-		{Query: 9, Skeleton: 10, Mode: ModeCompletePhysical},
-		{Query: 9, Skeleton: 9, Mode: ModeCompleteOperators},
-		{Query: 9, Skeleton: 9, Mode: ModeCompletePhysical, Aux: 1},
-		{Query: 9, Skeleton: 9, Mode: ModeCompletePhysical, Epoch: 1},
+		{Query: 10, Mode: ModePlan},
+		{Query: 9, Mode: ModeServedRollout},
+		{Query: 9, Mode: ModePlan, Aux: 1},
+		{Query: 9, Mode: ModePlan, Epoch: 1},
 	} {
 		if _, ok := c.Get(k); ok {
 			t.Fatalf("key %+v unexpectedly matched %+v", k, base)
@@ -144,28 +143,6 @@ func TestCacheStartsEmpty(t *testing.T) {
 	}
 }
 
-// TestCacheEpochInvalidation: bumping the epoch makes policy-dependent
-// entries unreachable while pure entries survive.
-func TestCacheEpochInvalidation(t *testing.T) {
-	c := New(Config{Capacity: 64, Shards: 4})
-	pure := Key{Query: 1, Mode: ModeCompletePhysical}
-	policy := Key{Query: 1, Mode: ModeGreedyPolicy, Epoch: c.Epoch()}
-	c.Put(pure, entryFor(1))
-	c.Put(policy, entryFor(2))
-
-	c.BumpEpoch()
-
-	if _, ok := c.Get(Key{Query: 1, Mode: ModeGreedyPolicy, Epoch: c.Epoch()}); ok {
-		t.Fatal("stale policy entry visible under the new epoch")
-	}
-	if _, ok := c.Get(pure); !ok {
-		t.Fatal("pure entry lost across an epoch bump")
-	}
-	if st := c.Stats(); st.EpochBumps != 1 || st.Epoch != 1 {
-		t.Fatalf("stats = %+v, want epoch 1 after one bump", st)
-	}
-}
-
 func TestCacheFlush(t *testing.T) {
 	c := New(Config{Capacity: 64, Shards: 4})
 	for i := 0; i < 10; i++ {
@@ -188,9 +165,8 @@ func TestCacheNilReceiver(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(Key{Query: 1}, entryFor(1))
-	c.BumpEpoch()
 	c.Flush()
-	if c.Len() != 0 || c.Epoch() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("nil cache reported non-zero state")
 	}
 	if st := c.Stats(); st != (Stats{}) {
@@ -209,7 +185,7 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				k := Key{Query: uint64((w*31 + i) % 200), Mode: Mode(i % 3)}
+				k := Key{Query: uint64((w*31 + i) % 200), Mode: Mode(i % 2)}
 				if i%3 == 0 {
 					c.Put(k, entryFor(i))
 				} else {
@@ -229,7 +205,7 @@ func TestCacheConcurrent(t *testing.T) {
 
 func BenchmarkCacheHit(b *testing.B) {
 	c := New(Config{Capacity: 1024, Shards: 16})
-	k := Key{Query: 42, Skeleton: 7, Mode: ModeCompletePhysical}
+	k := Key{Query: 42, Mode: ModePlan}
 	c.Put(k, entryFor(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

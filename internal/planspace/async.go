@@ -73,12 +73,7 @@ type EpisodeRecord struct {
 // when it reaches ticket i. The configured Reward is called there, on the
 // learner goroutine, once per episode and in ticket order, so it may be
 // stateful without a lock, and the execution counters are folded into base
-// at the same point. Every snapshot publish advances the shared plan cache's
-// policy epoch, the clock policy-dependent cache entries are keyed by: that
-// is cfg.OnPublish here, whatever the caller set. No
-// training or serving path stores such entries any more — served rollouts
-// are keyed by the snapshot's parameter-server version instead — so the
-// bumps only count publishes.
+// at the same point.
 //
 // The replicas are kept on base for its next call (see actorReplicas), so a
 // base serves one call at a time, as its execution counters already require.
@@ -105,10 +100,6 @@ func TrainAsyncCtx(ctx context.Context, base *Env, agent *rl.Reinforce, episodes
 	for w, r := range replicas {
 		envs[w] = r
 	}
-	cache := base.Cfg.Planner.Cache
-	cache.BumpEpoch()
-	cfg.OnPublish = func(uint64) { cache.BumpEpoch() }
-
 	// Execution slots: at most GOMAXPROCS engine runs in flight; an actor
 	// with a finished rollout waits for one before it starts the next.
 	slots := make(chan struct{}, runtime.GOMAXPROCS(0))

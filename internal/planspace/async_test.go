@@ -76,9 +76,9 @@ func TestReplicaIndependentEpisodes(t *testing.T) {
 }
 
 // TestTrainAsyncCacheTransparent: async training over the full plan-space
-// MDP must consume identical episodes with and without the plan cache
-// (completion memoization is pure), repeated workload sweeps must be served
-// from cache, and the policy epoch must advance as snapshots are published.
+// MDP must consume identical episodes with and without the plan cache, and
+// the completions that end its episodes neither read nor fill the cache,
+// which holds whole planning decisions only.
 func TestTrainAsyncCacheTransparent(t *testing.T) {
 	f := fixture(t, 4, 3, 4)
 	run := func(cache *plancache.Cache) []EpisodeRecord {
@@ -116,12 +116,8 @@ func TestTrainAsyncCacheTransparent(t *testing.T) {
 			t.Fatalf("episode %d plan differs with cache enabled", i)
 		}
 	}
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("cache never hit across repeated workload sweeps: %+v", st)
-	}
-	if st.EpochBumps == 0 {
-		t.Fatal("training never advanced the policy epoch")
+	if st := cache.Stats(); st.Hits+st.Misses+st.Puts != 0 {
+		t.Fatalf("training completions touched the plan cache: %+v", st)
 	}
 }
 

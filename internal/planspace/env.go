@@ -91,10 +91,10 @@ type Config struct {
 	RewardNeedsLatency bool
 	// LatencyBudgetMs censors execution latency (0 = no budget).
 	LatencyBudgetMs float64
-	// Cache, when non-nil, memoizes the optimizer completions that end
-	// every episode (the plan cache service). NewEnv attaches it to the
-	// planner, and Replica copies inherit the attachment, so all parallel
-	// collection workers share one sharded cache.
+	// Cache, when non-nil, is attached to the planner by NewEnv (Replica
+	// copies inherit the attachment), so full plans the env's planner makes
+	// — a demonstration's expert plan — are planned once per query
+	// fingerprint. The completions that end every episode are not cached.
 	Cache *plancache.Cache
 	// ReuseStateBuffers makes the env reuse one features vector and one mask
 	// across states instead of allocating fresh slices per step. Safe only
@@ -139,11 +139,6 @@ type Env struct {
 	// preps caches prepared by query pointer (queries are immutable once
 	// planned); bounded, since a serving env sees an open-ended stream.
 	preps map[*query.Query]*prepared
-	// memo is the per-episode skeleton-hash memo (lazily allocated, only
-	// with a plan cache attached): the completion calls that end every
-	// episode share it, so a skeleton costed under two aggregation
-	// algorithms is hashed once and no completion allocates a map.
-	memo map[plan.Node]uint64
 	// scratch holds the featurization's per-query entries (alias index,
 	// constant blocks, subtree cardinalities by relation set). Like preps it
 	// outlives the episode: a replica keeps it across TrainAsyncCtx calls
@@ -224,7 +219,6 @@ func (e *Env) ResetTo(q *query.Query) rl.State {
 	}
 	e.Last = Outcome{}
 	e.run = nil
-	clear(e.memo)
 	return e.state()
 }
 
@@ -310,19 +304,6 @@ func (e *Env) anyConnected() bool {
 		}
 	}
 	return false
-}
-
-// hashMemo returns the env's per-episode skeleton-hash memo, allocating it
-// on first use; without an attached plan cache skeleton hashing is never
-// needed and the memo stays nil.
-func (e *Env) hashMemo() map[plan.Node]uint64 {
-	if e.Cfg.Planner.Cache == nil {
-		return nil
-	}
-	if e.memo == nil {
-		e.memo = make(map[plan.Node]uint64, 16)
-	}
-	return e.memo
 }
 
 // cursor returns the alias index whose access path is being decided.
@@ -511,19 +492,17 @@ func (e *Env) finish(aggAlgo plan.AggAlgo, aggChosen bool) (rl.State, float64, b
 	p := e.Cfg.Planner
 	q := e.cur
 	st := e.Cfg.Stages
-	memo := e.hashMemo()
 	switch {
 	case aggChosen || (st.AccessPaths && st.JoinOps):
 		// Fully specified up to aggregation.
 		if aggChosen {
-			root, nc := p.CostFixedMemo(q, skeleton, aggAlgo, memo)
+			root, nc := p.CostFixed(q, skeleton, aggAlgo)
 			final, costTotal = root, nc.Total
 		} else {
-			// The optimizer picks the cheaper aggregation; the shared episode
-			// memo means the skeleton is hashed once for both candidates.
-			bestRoot, bestNC := p.CostFixedMemo(q, skeleton, plan.HashAgg, memo)
+			// The optimizer picks the cheaper aggregation.
+			bestRoot, bestNC := p.CostFixed(q, skeleton, plan.HashAgg)
 			if len(q.Aggregates) > 0 || len(q.GroupBys) > 0 {
-				r2, nc2 := p.CostFixedMemo(q, skeleton, plan.SortAgg, memo)
+				r2, nc2 := p.CostFixed(q, skeleton, plan.SortAgg)
 				if nc2.Total < bestNC.Total {
 					bestRoot, bestNC = r2, nc2
 				}
@@ -531,13 +510,13 @@ func (e *Env) finish(aggAlgo plan.AggAlgo, aggChosen bool) (rl.State, float64, b
 			final, costTotal = bestRoot, bestNC.Total
 		}
 	case st.AccessPaths:
-		root, nc := p.CompleteOperatorsMemo(q, skeleton, memo)
+		root, nc := p.CompleteOperators(q, skeleton)
 		final, costTotal = root, nc.Total
 	case st.JoinOps:
-		root, nc := p.CompleteAccessMemo(q, skeleton, memo, e.prep.leaves)
+		root, nc := p.CompleteAccess(q, skeleton, e.prep.leaves)
 		final, costTotal = root, nc.Total
 	default:
-		root, nc := p.CompletePhysicalMemo(q, skeleton, memo, e.prep.leaves)
+		root, nc := p.CompletePhysicalLeaves(q, skeleton, e.prep.leaves)
 		final, costTotal = root, nc.Total
 	}
 

@@ -434,9 +434,8 @@ func collectRun(t *testing.T, f fx, cache *plancache.Cache, episodes, actors int
 
 // TestParallelCollectionCacheTransparent: parallel join-order training with
 // the plan cache enabled produces bitwise-identical episode costs and final
-// policy to training without it — completion memoization is pure — whether
-// the cache starts cold or pre-warmed by an earlier run, and the cache
-// serves hits.
+// policy to training without it, whether or not an earlier run shared the
+// cache, and the completions leave the cache untouched.
 func TestParallelCollectionCacheTransparent(t *testing.T) {
 	f := fixture(t, 4, 4, 5)
 	plain, plainPolicy := collectRun(t, f, nil, 32, 4)
@@ -454,30 +453,7 @@ func TestParallelCollectionCacheTransparent(t *testing.T) {
 	if !bytes.Equal(plainPolicy, coldPolicy) || !bytes.Equal(plainPolicy, warmPolicy) {
 		t.Fatal("final policy bytes differ with the cache enabled")
 	}
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("cache never hit during parallel collection: %+v", st)
-	}
-	if st.EpochBumps == 0 {
-		t.Fatal("policy epoch never advanced across snapshot publishes")
-	}
-}
-
-// TestTrainAsyncBumpsCacheEpochPerPublish: every snapshot publish advances
-// the shared plan cache's policy epoch, plus one bump when collection
-// starts.
-func TestTrainAsyncBumpsCacheEpochPerPublish(t *testing.T) {
-	f := fixture(t, 3, 4, 4)
-	cache := plancache.New(plancache.Config{Capacity: 1 << 12})
-	env := NewEnv(Config{Space: f.space, Planner: f.planner, Queries: f.queries, Cache: cache})
-	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, BatchSize: 4, Seed: 3})
-	before := cache.Stats().EpochBumps
-	stats := TrainAsyncCtx(context.Background(), env, agent, 24, rl.AsyncConfig{Actors: 3, Staleness: 2}, nil)
-	bumps := cache.Stats().EpochBumps - before
-	if stats.Publishes == 0 {
-		t.Fatal("learner never published")
-	}
-	if bumps != uint64(stats.Publishes)+1 {
-		t.Fatalf("cache epoch bumped %d times for %d publishes", bumps, stats.Publishes)
+	if st := cache.Stats(); st.Hits+st.Misses+st.Puts != 0 {
+		t.Fatalf("parallel collection touched the plan cache: %+v", st)
 	}
 }

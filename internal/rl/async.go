@@ -61,10 +61,6 @@ type AsyncConfig struct {
 	// learner's last update — and the run's versions continue from it. Nil
 	// gives the run a private server whose version 0 is a copy of the policy.
 	Server *paramserver.Server
-	// OnPublish, when non-nil, runs on the learner goroutine after every
-	// snapshot publish with the version published (the plan-cache epoch bump
-	// hook).
-	OnPublish func(version uint64)
 }
 
 func (c *AsyncConfig) fill() {
@@ -279,11 +275,8 @@ learn:
 		}
 		stats.Episodes++
 		if learner.Observe(e.Traj) {
-			v := srv.Publish(learner.Policy, learner.Updates)
+			srv.Publish(learner.Policy, learner.Updates)
 			stats.Publishes++
-			if cfg.OnPublish != nil {
-				cfg.OnPublish(v)
-			}
 		}
 		if onEpisode != nil {
 			onEpisode(e)

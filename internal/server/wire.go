@@ -377,9 +377,7 @@ type CacheResponse struct {
 	Misses          uint64  `json:"misses"`
 	Puts            uint64  `json:"puts"`
 	Evictions       uint64  `json:"evictions"`
-	EpochBumps      uint64  `json:"epoch_bumps"`
 	Size            int     `json:"size"`
-	Epoch           uint64  `json:"epoch"`
 	HitRate         float64 `json:"hit_rate"`
 	StatementHits   uint64  `json:"statement_hits"`
 	StatementMisses uint64  `json:"statement_misses"`

@@ -685,7 +685,7 @@ func (s *Service) LifecycleStats() LifecycleStats {
 // StartTraining launches the learning state machine as a background
 // goroutine: Demonstration → CostTraining → LatencyTuning → Done, with the
 // budgets in LifecycleConfig and a policy snapshot published
-// (hot swap; plan-cache epoch bumped) on every learner update. Serving
+// (hot swap) on every learner update. Serving
 // continues throughout. Cancelling ctx stops the lifecycle at the next
 // episode boundary (phase becomes PhaseStopped and WaitTraining returns the
 // context error). Errors if a lifecycle is already running, no workload is
@@ -823,13 +823,12 @@ func (s *Service) setProgress(f func(p *lifecycleProgress)) {
 }
 
 // publish makes a copy of the learner's current policy the served snapshot
-// (hot swap) and bumps the plan cache's policy epoch so plans memoized under
-// older policies can never be served. It is for the points between training
-// calls; inside one, every update publishes to the same server, with the
-// epoch bumped, through rl.TrainAsyncCtx.
+// (hot swap). Served rollouts are cached under their snapshot's version, so
+// the new version's decisions never meet an older one's. It is for the
+// points between training calls; inside one, every update publishes to the
+// same server through rl.TrainAsyncCtx.
 func (s *Service) publish(learner *rl.Reinforce) {
 	s.policies.Publish(learner.Policy, learner.Updates)
-	s.sys.PlanCache.BumpEpoch()
 }
 
 // stopped marks a context-cancelled lifecycle.
@@ -880,9 +879,7 @@ func (s *Service) runLifecycle(ctx context.Context, cfg LifecycleConfig, sp *ser
 	// Every update is served at once: training publishes into the service's
 	// own parameter server, so serving reads the very snapshot — and the
 	// very pack — the actors train against. A publish copies the policy into
-	// recycled buffers, and the one cache-epoch bump per update is
-	// planspace.TrainAsyncCtx's (trainEnv shares s.sys.PlanCache). Each
-	// training call runs on the next actor seed.
+	// recycled buffers. Each training call runs on the next actor seed.
 	async := rl.AsyncConfig{
 		Actors: cfg.Actors,
 		Seed:   cfg.Seed + 100,
