@@ -1,7 +1,6 @@
 package handsfree
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,8 +16,8 @@ import (
 // Plan rolls the published policy out once per (fingerprint, policy version)
 // and reads the outcome back from the plan cache afterwards (Service.rollout).
 // These tests pin what that may and may not change: a remembered decision is
-// the decision a fresh rollout would make, a publish forgets it, the guards
-// are still judged per request, and nothing policy-dependent is persisted.
+// the decision a fresh rollout would make, a publish forgets it, and the
+// guards are still judged per request.
 
 // decisionService is the benchmark tenant (bench/setup.go: scale 0.05, six
 // 4–6-relation workload queries, seed 3) with the plan cache on.
@@ -264,49 +263,6 @@ func TestPlanDecisionHonorsContext(t *testing.T) {
 		t.Fatal("cancelled Plan counted a decision")
 	}
 	conserved(t, svc)
-}
-
-// TestPlanDecisionNotPersisted: SavePlanCache/LoadPlanCache carry the expert
-// plans across processes and none of the remembered rollouts.
-func TestPlanDecisionNotPersisted(t *testing.T) {
-	svc := decisionService(t)
-	publishRandomPolicy(t, svc, 11)
-	ctx := context.Background()
-	for _, q := range svc.Queries() {
-		if _, err := svc.Plan(ctx, q); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := svc.sys.PlanCache.Get(rolloutKey(svc, q)); !ok {
-			t.Fatal("Plan remembered no decision to persist")
-		}
-	}
-	var buf bytes.Buffer
-	if err := svc.System().SavePlanCache(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh := decisionService(t)
-	n, err := fresh.System().LoadPlanCache(&buf)
-	if err != nil || n == 0 {
-		t.Fatalf("LoadPlanCache restored %d entries, err %v", n, err)
-	}
-	for version := uint64(0); version <= svc.PolicyVersion(); version++ {
-		for _, q := range svc.Queries() {
-			key := rolloutKey(svc, q)
-			key.Epoch = version
-			if _, ok := fresh.sys.PlanCache.Get(key); ok {
-				t.Fatalf("a remembered rollout (version %d) crossed the process boundary", version)
-			}
-		}
-	}
-	// The restored service decides for itself, from a warm expert cache.
-	publishRandomPolicy(t, fresh, 11)
-	before := fresh.rollouts.Load()
-	if _, err := fresh.Plan(ctx, fresh.Queries()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.rollouts.Load() != before+1 {
-		t.Fatal("the restored service did not roll its own policy out")
-	}
 }
 
 // TestPlanDecisionLatencyGuardLive: the observed-latency guard reads the

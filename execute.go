@@ -3,7 +3,6 @@ package handsfree
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"handsfree/internal/engine"
@@ -440,25 +439,6 @@ func (s *Service) signalDrift(reason string) {
 	case s.driftCh <- reason:
 	default:
 	}
-}
-
-// SaveExecHistory serializes the execution-history store — every tracked
-// fingerprint's learned and expert latency windows, probe clocks, and last
-// serving sources — so a restarted service can resume its latency guard and
-// drift detector from the baselines this process observed (the counterpart
-// of System.SavePlanCache for the feedback loop). The dump is tagged with
-// the system's configuration fingerprint; LoadExecHistory refuses a dump
-// from a differently configured system.
-func (s *Service) SaveExecHistory(w io.Writer) error {
-	return s.history.Save(w, s.sys.cacheTag)
-}
-
-// LoadExecHistory replays a dump written by SaveExecHistory into the
-// service's execution history, returning how many latency records it
-// restored. The receiving store's bounds apply, and loading into a
-// non-empty history merges.
-func (s *Service) LoadExecHistory(r io.Reader) (int, error) {
-	return s.history.Load(r, s.sys.cacheTag)
 }
 
 // ObservedRatio returns a query's current rolling learned/expert

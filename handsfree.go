@@ -29,9 +29,6 @@
 package handsfree
 
 import (
-	"fmt"
-	"io"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -163,7 +160,8 @@ func (c *config) fill() {
 
 // System bundles the full substrate: database, statistics, cost model,
 // traditional optimizer, truth oracle, latency simulator, executor, and
-// workload generators.
+// workload generators. All of it is built in memory by New, and nothing of
+// it is saved: a new process builds it again from the same configuration.
 type System struct {
 	DB       *datagen.Database
 	Stats    *stats.Stats
@@ -189,12 +187,6 @@ type System struct {
 	sketches   *sketch.Store
 	sketchEst  *sketch.Estimator
 	sketchSeed uint64
-
-	// cacheTag fingerprints the configuration that determines plan
-	// identity (database seed, scale, oracle seed, statistics mode);
-	// plan-cache dumps carry it so a dump can never warm a differently
-	// built system.
-	cacheTag uint64
 }
 
 // buildSketches analyzes the stored tables into the sketch store, once.
@@ -229,31 +221,6 @@ func (s *System) cardEstimator() featurize.Estimator {
 	return s.Est
 }
 
-// systemTag hashes the configuration fields that determine what plans and
-// costs the system computes (FNV-1a over seed, scale bits, oracle seed).
-// The oracle seed is a constant, still mixed so that tags match the ones
-// plan-cache and execution-history dumps already carry.
-func systemTag(cfg config) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(cfg.Seed))
-	mix(math.Float64bits(cfg.Scale))
-	mix(oracleSeed)
-	// Sketch-driven planning produces different plans for the same query,
-	// so the mode is part of plan identity. Exact mode mixes nothing,
-	// keeping historical tags (and saved dumps) valid.
-	if cfg.Stats.Resolve() == StatsSketch {
-		mix(0x5ce7c4)
-	}
-	return h
-}
-
 // openSystem generates the synthetic database and assembles the substrate
 // bundle (the construction behind New).
 func openSystem(cfg config) (*System, error) {
@@ -274,7 +241,6 @@ func openSystem(cfg config) (*System, error) {
 		Workload:    workload.New(db),
 		StatsSource: cfg.Stats.Resolve(),
 		sketchSeed:  uint64(cfg.Seed),
-		cacheTag:    systemTag(cfg),
 	}
 	// The cost model reads cardinalities from the mode's estimator; the
 	// oracle and latency model above stay exact-based — they are the
@@ -290,31 +256,6 @@ func openSystem(cfg config) (*System, error) {
 		sys.Planner = sys.Planner.WithCache(sys.PlanCache)
 	}
 	return sys, nil
-}
-
-// SavePlanCache serializes the plan cache's pure (policy-independent)
-// entries — the expert plans — to w, so a restarted system can warm-start
-// with LoadPlanCache and skip planning its repeated workload again. The
-// dump is tagged with the system's plan-identity fingerprint (database
-// seed, scale, oracle seed), so it can only be loaded into an identically
-// configured system. Errors if the cache is disabled.
-func (s *System) SavePlanCache(w io.Writer) error {
-	if s.PlanCache == nil {
-		return fmt.Errorf("handsfree: plan cache is disabled (WithCache)")
-	}
-	return s.PlanCache.Save(w, s.cacheTag)
-}
-
-// LoadPlanCache replays a dump written by SavePlanCache into the system's
-// plan cache, returning how many entries the cache stored. It errors if the
-// cache is disabled or if the dump was produced by a system with a
-// different database seed, scale, or oracle seed — entries keyed under one
-// catalog must never serve another.
-func (s *System) LoadPlanCache(r io.Reader) (int, error) {
-	if s.PlanCache == nil {
-		return 0, fmt.Errorf("handsfree: plan cache is disabled (WithCache)")
-	}
-	return s.PlanCache.Load(r, s.cacheTag)
 }
 
 // CacheStats snapshots the plan cache counters (zeros when the cache is

@@ -1,7 +1,6 @@
 package handsfree
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -73,94 +72,5 @@ func TestLatencyModelPositiveAndDeterministic(t *testing.T) {
 func TestParseSQLErrors(t *testing.T) {
 	if _, err := ParseSQL("DROP TABLE title"); err == nil {
 		t.Fatal("accepted non-SELECT statement")
-	}
-}
-
-func TestPlanCacheWarmStartAPI(t *testing.T) {
-	ctx := context.Background()
-	coldSvc := testService(t, WithCache(CacheConfig{}))
-	cold := coldSvc.System()
-	q, err := cold.Workload.ByRelations(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coldSvc.ExpertPlan(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cold.SavePlanCache(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	warmSvc := testService(t, WithCache(CacheConfig{}))
-	warm := warmSvc.System()
-	restored, err := warm.LoadPlanCache(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored == 0 {
-		t.Fatal("no entries restored from the dump")
-	}
-	q2, err := warm.Workload.ByRelations(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warmSvc.ExpertPlan(ctx, q2); err != nil {
-		t.Fatal(err)
-	}
-	st := warm.CacheStats()
-	if st.Hits == 0 {
-		t.Fatalf("warm-started system planned without cache hits: %+v", st)
-	}
-
-	// Cache disabled → explicit errors, not nil panics.
-	bare := testService(t).System()
-	if err := bare.SavePlanCache(&buf); err == nil {
-		t.Fatal("SavePlanCache succeeded without a cache")
-	}
-	if _, err := bare.LoadPlanCache(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("LoadPlanCache succeeded without a cache")
-	}
-}
-
-func TestLoadPlanCacheRejectsDifferentSystem(t *testing.T) {
-	srcSvc := testService(t, WithCache(CacheConfig{}))
-	src := srcSvc.System()
-	q, err := src.Workload.ByRelations(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srcSvc.ExpertPlan(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := src.SavePlanCache(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A differently scaled system computes different plans/costs for the
-	// same fingerprints: the dump must be refused, not silently served.
-	other := testService(t, WithScale(0.1), WithCache(CacheConfig{})).System()
-	if _, err := other.LoadPlanCache(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("plan-cache dump from a different system configuration loaded without error")
-	}
-}
-
-// TestSystemTagStable pins the plan-identity tag of three configurations, so
-// plan-cache and execution-history dumps written by earlier builds keep
-// loading: the tag still mixes the oracle seed 11 it mixed when that seed
-// was a setting.
-func TestSystemTagStable(t *testing.T) {
-	for _, c := range []struct {
-		cfg  config
-		want uint64
-	}{
-		{config{Stats: StatsExact}, 0xffe56ab2d181c7b2},
-		{config{Stats: StatsSketch}, 0x6e31f134898dcf6b},
-		{config{Scale: 0.05, Stats: StatsExact}, 0x31625eac6de0c8e2},
-	} {
-		c.cfg.fill()
-		if got := systemTag(c.cfg); got != c.want {
-			t.Fatalf("systemTag(%+v) = %#x, want %#x", c.cfg, got, c.want)
-		}
 	}
 }

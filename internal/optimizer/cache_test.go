@@ -1,13 +1,11 @@
 package optimizer
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"handsfree/internal/plan"
 	"handsfree/internal/plancache"
-	"handsfree/internal/query"
 	"handsfree/internal/workload"
 )
 
@@ -73,7 +71,8 @@ func TestCachedCompletionMatchesUncached(t *testing.T) {
 }
 
 // TestCachedPlanWithMatchesUncached: full enumeration results round-trip
-// through the cache unchanged, and the second call is served from cache.
+// through the cache unchanged, and the second call is served from cache
+// without recomputing the entry.
 func TestCachedPlanWithMatchesUncached(t *testing.T) {
 	p, cached, w := cacheFixture(t)
 	for _, s := range []Strategy{DP, Greedy, GEQO} {
@@ -87,6 +86,7 @@ func TestCachedPlanWithMatchesUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		puts := cached.Cache.Stats().Puts
 		second, err := cached.PlanWith(q, s)
 		if err != nil {
 			t.Fatal(err)
@@ -97,8 +97,8 @@ func TestCachedPlanWithMatchesUncached(t *testing.T) {
 		if second.Root.Signature() != want.Root.Signature() {
 			t.Fatalf("%s: cached plan differs from uncached", s)
 		}
-		if cached.Cache.Stats().Hits != before+1 {
-			t.Fatalf("%s: second PlanWith did not hit the cache", s)
+		if st := cached.Cache.Stats(); st.Hits != before+1 || st.Puts != puts {
+			t.Fatalf("%s: second PlanWith did not hit the cache (%+v)", s, st)
 		}
 	}
 }
@@ -141,71 +141,4 @@ func isBushy(n plan.Node) bool {
 		}
 	})
 	return bushy
-}
-
-// TestWarmStartSkipsColdSweep: a cache saved at shutdown and loaded into a
-// fresh planner in a "restarted" process must serve the whole repeated
-// workload sweep of full plans without a single recomputation: every lookup
-// hits, zero entry-producing misses.
-func TestWarmStartSkipsColdSweep(t *testing.T) {
-	p, _, w := cacheFixture(t)
-
-	// First process: plan the bench workload cold.
-	first := p.WithCache(plancache.New(plancache.Config{Capacity: 1 << 14, Shards: 8}))
-	var qs []*query.Query
-	var coldPlans []string
-	var coldCosts []float64
-	for _, name := range workload.Fig3bNames()[:4] {
-		q := w.MustNamed(name)
-		qs = append(qs, q)
-		planned, err := first.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldPlans = append(coldPlans, plan.Format(planned.Root))
-		coldCosts = append(coldCosts, planned.Cost)
-	}
-
-	var buf bytes.Buffer
-	if err := first.Cache.Save(&buf, 42); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restarted" process: fresh cache, warm-started from the dump.
-	warm := plancache.New(plancache.Config{Capacity: 1 << 14, Shards: 8})
-	restored, err := warm.Load(&buf, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored == 0 {
-		t.Fatal("dump restored no entries")
-	}
-	second := p.WithCache(warm)
-	before := warm.Stats()
-	var warmPlans []string
-	var warmCosts []float64
-	for _, q := range qs {
-		planned, err := second.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmPlans = append(warmPlans, plan.Format(planned.Root))
-		warmCosts = append(warmCosts, planned.Cost)
-	}
-	after := warm.Stats()
-
-	if after.Misses != before.Misses {
-		t.Fatalf("warm-started sweep missed %d times; the cold sweep was not skipped", after.Misses-before.Misses)
-	}
-	if after.Hits == before.Hits {
-		t.Fatal("warm-started sweep never hit the restored cache")
-	}
-	if after.Puts != before.Puts {
-		t.Fatalf("warm-started sweep recomputed %d entries", after.Puts-before.Puts)
-	}
-	for i := range coldPlans {
-		if coldPlans[i] != warmPlans[i] || coldCosts[i] != warmCosts[i] {
-			t.Fatalf("restored result %d differs from the cold sweep", i)
-		}
-	}
 }

@@ -17,10 +17,10 @@ import (
 // sigCache memoizes a node's Signature. Plan nodes are immutable once built
 // (the optimizer, the learned agents, and the cache all construct-then-share),
 // so the canonical string is computed at most once per node; the atomic
-// pointer makes the memo safe on plans shared across concurrent planners,
-// and gob persistence skips it (unexported). Signature is on every serving
-// hot path — fingerprint matching, fault matching, featurization — where the
-// repeated recursive fmt.Sprintf otherwise dominates allocation.
+// pointer makes the memo safe on plans shared across concurrent planners.
+// Signature is on every serving hot path — fingerprint matching, fault
+// matching, featurization — where the repeated recursive fmt.Sprintf
+// otherwise dominates allocation.
 type sigCache struct {
 	p atomic.Pointer[string]
 }

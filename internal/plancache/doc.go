@@ -10,7 +10,8 @@
 // while the served policy is unchanged, the rollout (ModeServedRollout).
 // The per-episode completion of a learned join order is not cached; the
 // training environments keep each query's priced access paths themselves
-// (optimizer.Leaves), which is where that completion spent its time.
+// (optimizer.Leaves), which is where that completion spent its time. The
+// cache lives in its process only: nothing writes it out or reads it back.
 //
 // # Keys
 //

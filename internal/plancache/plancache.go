@@ -29,13 +29,6 @@ const (
 	ModeServedRollout
 )
 
-// policyDependent reports whether entries of this mode are functions of
-// learned policy weights, which live in one process only: such entries are
-// never persisted.
-func (m Mode) policyDependent() bool {
-	return m == ModeServedRollout
-}
-
 // Key identifies one cached computation.
 type Key struct {
 	// Query is the canonical query fingerprint.

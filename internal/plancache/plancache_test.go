@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,6 +35,12 @@ func TestCacheGetPut(t *testing.T) {
 	}
 	if got := st.HitRate(); got != 0.5 {
 		t.Fatalf("hit rate %v, want 0.5", got)
+	}
+	// A served rollout may produce no plan; that outcome is remembered too.
+	none := Key{Query: 2, Mode: ModeServedRollout, Epoch: 3}
+	c.Put(none, Entry{Cost: cost.NodeCost{Total: math.Inf(1)}})
+	if e, ok := c.Get(none); !ok || e.Plan != nil || !math.IsInf(e.Cost.Total, 1) {
+		t.Fatalf("plan-less rollout: ok=%v entry=%+v", ok, e)
 	}
 }
 

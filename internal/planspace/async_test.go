@@ -1,12 +1,12 @@
 package planspace
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -207,7 +207,7 @@ func TestTrainAsyncMatchesSpecUnderSlowExecutions(t *testing.T) {
 			if actors == 1 {
 				every = 3
 			}
-			run := func(deferred bool) ([]EpisodeRecord, []byte, *Env) {
+			run := func(deferred bool) ([]EpisodeRecord, []uint64, *Env) {
 				env := f.env(StagePrefix(2), LatencyReward, true)
 				env.Cfg.Latency = &seamExec{inner: f.lat, every: every, slow: deferred,
 					rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
@@ -224,11 +224,7 @@ func TestTrainAsyncMatchesSpecUnderSlowExecutions(t *testing.T) {
 				} else {
 					recs = inlineTrain(env, agent, episodes, cfg)
 				}
-				policy, err := agent.MarshalPolicy()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return recs, policy, env
+				return recs, policyBits(agent), env
 			}
 			want, wantPolicy, _ := run(false)
 			got, gotPolicy, env := run(true)
@@ -248,8 +244,8 @@ func TestTrainAsyncMatchesSpecUnderSlowExecutions(t *testing.T) {
 						i, g.Query, g.Out.Cost, g.Out.LatencyMs, g.Traj.Return, w.Query, w.Out.Cost, w.Out.LatencyMs, w.Traj.Return)
 				}
 			}
-			if !bytes.Equal(gotPolicy, wantPolicy) {
-				t.Fatal("final policy bytes differ from the inline reference's")
+			if !slices.Equal(gotPolicy, wantPolicy) {
+				t.Fatal("final policy bits differ from the inline reference's")
 			}
 			if env.Executions != episodes {
 				t.Fatalf("base env folded %d executions, want %d", env.Executions, episodes)

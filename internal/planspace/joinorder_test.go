@@ -1,10 +1,10 @@
 package planspace
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"handsfree/internal/catalog"
@@ -219,71 +219,6 @@ func TestGreedyPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip: a policy restored into a fresh learner plans
-// every query exactly as the trained one does.
-func TestCheckpointRoundTrip(t *testing.T) {
-	f := fixture(t, 4, 4, 5)
-	env, agent := f.stage1(32, 16, 2)
-	for ep := 0; ep < 100; ep++ {
-		trainEpisode(env, agent)
-	}
-	data, err := agent.MarshalPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env2, restored := f.stage1(32, 16, 99)
-	if err := restored.UnmarshalPolicy(data); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range f.queries {
-		want, got := greedy(t, env, agent, q), greedy(t, env2, restored, q)
-		if got.Cost != want.Cost || got.Plan.Signature() != want.Plan.Signature() {
-			t.Fatalf("query %s: restored cost %v, want %v", q.Name, got.Cost, want.Cost)
-		}
-	}
-}
-
-// TestCheckpointRejectsWrongDims: a checkpoint from a space sized for other
-// queries is rejected.
-func TestCheckpointRejectsWrongDims(t *testing.T) {
-	f := fixture(t, 2, 4, 4)
-	_, agent := f.stage1(16, 16, 1)
-	data, err := agent.MarshalPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := NewEnv(Config{Space: featurize.NewSpace(6, f.est), Planner: f.planner, Queries: f.queries})
-	other := rl.NewReinforce(wide.ObsDim(), wide.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, Seed: 1})
-	if err := other.UnmarshalPolicy(data); err == nil {
-		t.Fatal("checkpoint with mismatched dimensions accepted")
-	}
-}
-
-// TestF32CheckpointRoundTripOnAgent: a briefly trained f32 policy saves and
-// restores into a learner with another seed and batch size, and both plan
-// every query at the same cost.
-func TestF32CheckpointRoundTripOnAgent(t *testing.T) {
-	f := fixture(t, 3, 4, 4)
-	env, agent := f.stage1(16, 4, 3)
-	for ep := 0; ep < 12; ep++ {
-		trainEpisode(env, agent)
-	}
-	data, err := agent.MarshalPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env2, restored := f.stage1(16, 4, 4)
-	if err := restored.UnmarshalPolicy(data); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range f.queries {
-		want, got := greedy(t, env, agent, q), greedy(t, env2, restored, q)
-		if got.Cost != want.Cost {
-			t.Fatalf("restored learner plans %s at cost %v, original %v", q.Name, got.Cost, want.Cost)
-		}
-	}
-}
-
 // TestConvergenceTowardExpert is the §3 reproduction at miniature scale:
 // after training, the greedy join orders are close to the traditional
 // optimizer's on the training workload, and better than the untrained
@@ -408,10 +343,20 @@ func TestParallelCollectionTrainsPolicy(t *testing.T) {
 	}
 }
 
+// policyBits is a learner's policy identity for bit-for-bit comparisons:
+// the network's input and output widths, then every parameter's bits.
+func policyBits(agent *rl.Reinforce) []uint64 {
+	bits := []uint64{uint64(agent.Policy.InDim()), uint64(agent.Policy.OutDim())}
+	for _, w := range agent.Policy.FlattenParams() {
+		bits = append(bits, math.Float64bits(w))
+	}
+	return bits
+}
+
 // collectRun trains a fresh join-order learner in parallel, optionally over
 // a shared plan cache, and returns the per-episode costs in ticket order
-// plus the final policy bytes.
-func collectRun(t *testing.T, f fx, cache *plancache.Cache, episodes, actors int) ([]float64, []byte) {
+// plus the final policy's bits.
+func collectRun(t *testing.T, f fx, cache *plancache.Cache, episodes, actors int) ([]float64, []uint64) {
 	t.Helper()
 	env := NewEnv(Config{Space: f.space, Planner: f.planner, Queries: f.queries, Cache: cache, Seed: 3})
 	agent := rl.NewReinforce(env.ObsDim(), env.ActionDim(), rl.ReinforceConfig{Hidden: []int{32}, BatchSize: 8, Seed: 2})
@@ -425,11 +370,7 @@ func collectRun(t *testing.T, f fx, cache *plancache.Cache, episodes, actors int
 	if len(costs) != episodes {
 		t.Fatalf("observed %d episodes, want %d", len(costs), episodes)
 	}
-	policy, err := agent.MarshalPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return costs, policy
+	return costs, policyBits(agent)
 }
 
 // TestParallelCollectionCacheTransparent: parallel join-order training with
@@ -450,8 +391,8 @@ func TestParallelCollectionCacheTransparent(t *testing.T) {
 			t.Fatalf("episode %d: cost %v uncached vs %v warm-cached", i, plain[i], warm[i])
 		}
 	}
-	if !bytes.Equal(plainPolicy, coldPolicy) || !bytes.Equal(plainPolicy, warmPolicy) {
-		t.Fatal("final policy bytes differ with the cache enabled")
+	if !slices.Equal(plainPolicy, coldPolicy) || !slices.Equal(plainPolicy, warmPolicy) {
+		t.Fatal("final policy bits differ with the cache enabled")
 	}
 	if st := cache.Stats(); st.Hits+st.Misses+st.Puts != 0 {
 		t.Fatalf("parallel collection touched the plan cache: %+v", st)

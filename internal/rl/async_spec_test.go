@@ -1,11 +1,12 @@
 package rl
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,14 +94,24 @@ type ticketTrace struct {
 	ret          float64
 }
 
+// policyBits is a network's identity for bit-for-bit comparisons: its input
+// and output widths, then every parameter's bits.
+func policyBits(net *nn.Network) []uint64 {
+	bits := []uint64{uint64(net.InDim()), uint64(net.OutDim())}
+	for _, w := range net.FlattenParams() {
+		bits = append(bits, math.Float64bits(w))
+	}
+	return bits
+}
+
 // specRun trains a fresh learner (primed with `pending` episodes toward its
 // first batch) with train and returns the per-ticket trace, the stats, the
-// final policy bytes and the trailing pending count. Every odd ticket's
+// final policy's bits and the trailing pending count. Every odd ticket's
 // reward is deferred and comes from a counter, so it is right only if Reward
 // is called once per episode in ticket order; with jitter the deferral also
 // completes late, from another goroutine.
 func specRun(t *testing.T, train func(*Reinforce, []Env, int, AsyncConfig, func(int, int, Trajectory) (any, *Deferred), func(AsyncEpisode)) AsyncStats,
-	actors, k, pending, episodes int, jitter bool) ([]ticketTrace, AsyncStats, []byte, int) {
+	actors, k, pending, episodes int, jitter bool) ([]ticketTrace, AsyncStats, []uint64, int) {
 	const arms = 4
 	learner := NewReinforce(arms, arms, ReinforceConfig{Hidden: []int{8}, BatchSize: 16, Seed: 3})
 	prime := &banditEnv{rng: rand.New(rand.NewSource(17)), arms: arms}
@@ -142,11 +153,7 @@ func specRun(t *testing.T, train func(*Reinforce, []Env, int, AsyncConfig, func(
 			}
 			trace = append(trace, tr)
 		})
-	policy, err := learner.MarshalPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return trace, stats, policy, learner.Pending()
+	return trace, stats, policyBits(learner.Policy), learner.Pending()
 }
 
 // TestTrainAsyncMatchesSpec is the differential test: over actor counts,
@@ -177,8 +184,8 @@ func TestTrainAsyncMatchesSpec(t *testing.T) {
 								t.Fatalf("ticket %d: %+v, specification %+v", i, gotTrace[i], wantTrace[i])
 							}
 						}
-						if !bytes.Equal(gotPolicy, wantPolicy) {
-							t.Fatal("final policy bytes differ from the specification's")
+						if !slices.Equal(gotPolicy, wantPolicy) {
+							t.Fatal("final policy bits differ from the specification's")
 						}
 						if gotPending != wantPending {
 							t.Fatalf("pending batch %d, specification %d", gotPending, wantPending)
@@ -352,13 +359,10 @@ func TestTrainAsyncSharedServer(t *testing.T) {
 							t.Fatalf("chunk %d: the server moved %d versions, the run reports %d publishes", c, got, st.Publishes)
 						}
 						snap := shared.Acquire()
-						got, err := snap.Net.MarshalBinary()
+						got := policyBits(snap.Net)
 						snap.Release()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want, err := learner.Policy.MarshalBinary(); err != nil || !bytes.Equal(got, want) {
-							t.Fatalf("chunk %d: the latest snapshot is not the learner's policy (err %v)", c, err)
+						if !slices.Equal(got, policyBits(learner.Policy)) {
+							t.Fatalf("chunk %d: the latest snapshot is not the learner's policy", c)
 						}
 					}
 					traces = append(traces, trace)
@@ -376,10 +380,8 @@ func TestTrainAsyncSharedServer(t *testing.T) {
 					t.Fatalf("chunk %d: the shared-server trace differs from the private server's", c)
 				}
 			}
-			gp, err1 := got.MarshalPolicy()
-			wp, err2 := want.MarshalPolicy()
-			if err1 != nil || err2 != nil || !bytes.Equal(gp, wp) {
-				t.Fatalf("final policies differ (errors %v, %v)", err1, err2)
+			if !slices.Equal(policyBits(got.Policy), policyBits(want.Policy)) {
+				t.Fatal("final policies differ")
 			}
 		})
 	}

@@ -1,9 +1,7 @@
 package sketch
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"handsfree/internal/storage"
@@ -177,26 +175,4 @@ func hashName(s string) uint64 {
 		h *= 1099511628211
 	}
 	return mix64(h)
-}
-
-// Save gob-encodes the store.
-func (s *Store) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// LoadStore gob-decodes a store written by Save and re-seals every value
-// reservoir (the sorted CDF cache is derived state and not serialized).
-func LoadStore(r io.Reader) (*Store, error) {
-	var s Store
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("sketch: decoding store: %w", err)
-	}
-	for _, ts := range s.Tables {
-		for _, cs := range ts.Columns {
-			if cs.Values != nil {
-				cs.Values.Seal()
-			}
-		}
-	}
-	return &s, nil
 }

@@ -25,7 +25,8 @@ type HLL struct {
 	// distinct caches Distinct's count plus one; 0 means not yet counted.
 	// Planning asks for a column's distinct count on every join selectivity,
 	// and counting reads every register. Add and Merge reset it when they
-	// raise a register, and a gob decode leaves it unset.
+	// raise a register, and a sketch built from its exported fields starts
+	// with it unset.
 	distinct atomic.Int64
 }
 

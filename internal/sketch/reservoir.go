@@ -14,9 +14,8 @@ const (
 // ValueReservoir is Vitter's algorithm-R reservoir over a column's values:
 // after the stream ends, Values is a uniform random sample of size
 // min(Cap, Seen). The estimator reads range selectivities off its
-// empirical CDF. All state is exported, so the sketch serializes whole —
-// including the PRNG word, which keeps post-restore additions on the same
-// deterministic stream.
+// empirical CDF. The PRNG state is one exported word, so every addition
+// stays on one deterministic stream.
 type ValueReservoir struct {
 	Cap    int
 	Seen   int64
@@ -89,7 +88,7 @@ func (r *ValueReservoir) Merge(other *ValueReservoir) {
 }
 
 // Seal sorts the sample for binary-search CDF queries. Call it once after
-// the build pass (and after Load/Merge); until then FracLE/FracLT fall
+// the build pass (and after Merge); until then FracLE/FracLT fall
 // back to a linear scan so they stay safe under concurrent readers.
 func (r *ValueReservoir) Seal() {
 	if len(r.Values) == 0 {

@@ -2,9 +2,9 @@
 // distinct counts, Count-Min for frequency estimation, and reservoir
 // sampling for value distributions and approximate execution — as the
 // scalable alternative to the exact per-column histograms in
-// internal/stats. Every sketch is built in one pass over column data, is
+// internal/stats. Every sketch is built in one pass over column data and is
 // mergeable (so per-shard sketches combine into a global one without
-// re-reading data), and is serializable (exported fields only, gob-ready).
+// re-reading data).
 //
 // The package feeds two consumers: sketch.Estimator mirrors the exact
 // System-R estimator's formulas over sketches alone, so the cost model,
@@ -26,9 +26,8 @@ func mix64(x uint64) uint64 {
 }
 
 // nextRand advances a splitmix64 PRNG whose whole state is one word, so
-// sketches that sample (reservoirs) keep their stream as an exported field
-// and stay reproducible across serialization round trips without dragging
-// math/rand state along.
+// sketches that sample (reservoirs) keep their stream in one exported word
+// and stay reproducible without dragging math/rand state along.
 func nextRand(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	return mix64(*state)

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"sync"
@@ -223,51 +222,6 @@ func TestRowSample(t *testing.T) {
 	}
 }
 
-// TestStoreGobRoundTrip checks sketches survive Save/LoadStore with
-// identical estimates (serialized state is complete).
-func TestStoreGobRoundTrip(t *testing.T) {
-	tab := &storage.Table{Name: "t", N: 20000, Cols: map[string][]int64{}}
-	vals := make([]int64, tab.N)
-	rng := rand.New(rand.NewSource(37))
-	for i := range vals {
-		vals[i] = rng.Int63n(3000)
-	}
-	tab.Cols["c"] = vals
-	st := &Store{Tables: map[string]*TableSketch{
-		"t": NewAnalyzer(Config{Seed: 5}).AnalyzeTable(tab),
-	}}
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, err := LoadStore(&buf)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	want, _ := st.Column("t", "c")
-	have, err := got.Column("t", "c")
-	if err != nil {
-		t.Fatalf("column after load: %v", err)
-	}
-	if have.HLL.Distinct() != want.HLL.Distinct() {
-		t.Errorf("HLL distinct changed across round trip: %d vs %d", have.HLL.Distinct(), want.HLL.Distinct())
-	}
-	if have.CM.Count(42) != want.CM.Count(42) {
-		t.Errorf("CM count changed across round trip")
-	}
-	for _, probe := range []int64{0, 500, 1500, 2999} {
-		if have.Values.FracLE(probe) != want.Values.FracLE(probe) {
-			t.Errorf("CDF at %d changed across round trip", probe)
-		}
-	}
-	if have.Min != want.Min || have.Max != want.Max || have.Rows != want.Rows {
-		t.Errorf("column metadata changed across round trip")
-	}
-	if got.Table("t").Sample.Len() != st.Table("t").Sample.Len() {
-		t.Errorf("row sample size changed across round trip")
-	}
-}
-
 // TestColumnSelectivity sanity-checks the operator semantics against an
 // exact count on a known column.
 func TestColumnSelectivity(t *testing.T) {
@@ -314,8 +268,8 @@ func TestColumnSelectivity(t *testing.T) {
 
 // TestHLLDistinctCache: Distinct is counted once per register state — the
 // cached count is the fresh Estimate's, concurrent readers agree on it, an
-// Add that raises a register and a Merge each recount, and a gob-decoded
-// sketch counts its own registers.
+// Add that raises a register and a Merge each recount, and a sketch built
+// from its exported fields counts its own registers.
 func TestHLLDistinctCache(t *testing.T) {
 	fresh := func(h *HLL) int64 {
 		e := h.Estimate()
@@ -364,16 +318,9 @@ func TestHLLDistinctCache(t *testing.T) {
 		t.Fatalf("after a merge Distinct = %d, fresh count %d", got, want)
 	}
 
-	other.Distinct() // cached on the sketch encoded, not on the one decoded
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(other); err != nil {
-		t.Fatal(err)
-	}
-	var decoded HLL
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := decoded.Distinct(), fresh(other); got != want {
-		t.Fatalf("decoded sketch counts %d, its registers %d", got, want)
+	other.Distinct() // cached on the sketch copied, not on the copy
+	built := HLL{P: other.P, Registers: append([]uint8(nil), other.Registers...)}
+	if got, want := built.Distinct(), fresh(other); got != want {
+		t.Fatalf("built sketch counts %d, its registers %d", got, want)
 	}
 }
