@@ -76,8 +76,8 @@ func NewLinearOf[T Float](in, out int, rng *rand.Rand) *LinearOf[T] {
 }
 
 // bindViews caches the weight view over W.Value and returns the layer.
-// Every construction path (NewLinearOf, clone) calls it exactly once,
-// before the layer is shared.
+// Every construction path (NewLinearOf, clone, gob load) calls it
+// exactly once, before the layer is shared.
 func (l *LinearOf[T]) bindViews() *LinearOf[T] {
 	l.wview = MatOf[T]{Rows: l.In, Cols: l.Out, Data: l.W.Value}
 	return l

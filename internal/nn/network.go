@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -195,8 +197,9 @@ func (n *NetOf[T]) ReinitOutput(rng *rand.Rand) {
 }
 
 // Clone returns a deep copy of the network (parameters copied, gradients
-// fresh). Policy snapshots are cloned once per parallel collection round,
-// so this is a warm path.
+// fresh). It copies structurally rather than through the gob round-trip:
+// policy snapshots are cloned once per parallel collection round, so this is
+// a warm path.
 func (n *NetOf[T]) Clone() *NetOf[T] {
 	return n.clone(true)
 }
@@ -364,3 +367,135 @@ func (n *Network) CloneForInference() *Network { return WrapNet32(n.core.CloneFo
 // CopyInto copies the parameter values into dst, a network of the same layer
 // structure, and reports whether the structures matched (see NetOf.CopyInto).
 func (n *Network) CopyInto(dst *Network) bool { return n.core.CopyInto(dst.core) }
+
+// netState is the gob wire form of a network: enough to rebuild layer
+// structure plus the flat parameter values.
+//
+// Version history:
+//   - Version 0 (implicit; fields Version and Precision absent from the
+//     stream): the original float64-only format. Kinds/Ins/Outs describe the
+//     layers, Vals carries the float64 parameters.
+//   - Version 1: adds Precision. "f32" streams — the only kind written —
+//     carry their parameters in Vals32; "f64" streams carry them in Vals.
+//
+// Load rule: a float64 payload (version 0, or version 1 "f64") is rounded to
+// float32 weight by weight, so every checkpoint ever written still loads.
+type netState struct {
+	Version   int
+	Precision string
+	Kinds     []string // "linear", "relu", "tanh"
+	Ins       []int
+	Outs      []int
+	Vals      [][]float64
+	Vals32    [][]float32
+}
+
+// MarshalBinary encodes the network structure and parameters with gob
+// (netState Version 1, "f32").
+func (n *Network) MarshalBinary() ([]byte, error) {
+	st := netState{Version: 1, Precision: "f32"}
+	for _, l := range n.core.Layers {
+		kind, in, out := "", 0, 0
+		switch l := l.(type) {
+		case *LinearOf[float32]:
+			kind, in, out = "linear", l.In, l.Out
+			st.Vals32 = append(st.Vals32, append([]float32(nil), l.W.Value...), append([]float32(nil), l.B.Value...))
+		case *ReLUOf[float32]:
+			kind = "relu"
+		case *TanhOf[float32]:
+			kind = "tanh"
+		default:
+			return nil, fmt.Errorf("nn: cannot serialize layer %T", l)
+		}
+		st.Kinds = append(st.Kinds, kind)
+		st.Ins = append(st.Ins, in)
+		st.Outs = append(st.Outs, out)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// UnmarshalBinary decodes a network previously encoded with MarshalBinary,
+// or by any earlier version of it (see netState for the load rule).
+func (n *Network) UnmarshalBinary(data []byte) error {
+	var st netState
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return err
+	}
+	prec := st.Precision
+	if st.Version == 0 {
+		prec = "f64"
+	}
+	var vals [][]float32
+	switch prec {
+	case "f32":
+		if len(st.Vals) != 0 {
+			return fmt.Errorf("nn: f32 checkpoint carries float64 payload")
+		}
+		vals = st.Vals32
+	case "f64":
+		if len(st.Vals32) != 0 {
+			return fmt.Errorf("nn: f64 checkpoint carries float32 payload")
+		}
+		// The one explicit precision conversion left: a float64 payload
+		// rounds to nearest, weight by weight.
+		vals = make([][]float32, len(st.Vals))
+		for i, v64 := range st.Vals {
+			vals[i] = make([]float32, len(v64))
+			for j, w := range v64 {
+				vals[i][j] = float32(w)
+			}
+		}
+	default:
+		return fmt.Errorf("nn: checkpoint version %d has unknown precision %q", st.Version, st.Precision)
+	}
+	core, err := coreFromState(st.Kinds, st.Ins, st.Outs, vals)
+	if err != nil {
+		return err
+	}
+	*n = Network{core: core}
+	return nil
+}
+
+// coreFromState rebuilds the float32 core from decoded checkpoint fields.
+func coreFromState(kinds []string, ins, outs []int, vals [][]float32) (*NetOf[float32], error) {
+	if len(ins) != len(kinds) || len(outs) != len(kinds) {
+		return nil, fmt.Errorf("nn: corrupt network encoding: %d kinds, %d ins, %d outs", len(kinds), len(ins), len(outs))
+	}
+	n := &NetOf[float32]{}
+	vi := 0
+	width := 0 // output width of the last Linear seen; 0 before the first
+	for i, kind := range kinds {
+		switch kind {
+		case "linear":
+			in, out := ins[i], outs[i]
+			// in is bounded by the payload before in*out is trusted, so a
+			// hostile header cannot overflow the product into a match.
+			if in <= 0 || out <= 0 || vi+1 >= len(vals) || in > len(vals[vi]) || len(vals[vi]) != in*out || len(vals[vi+1]) != out {
+				return nil, fmt.Errorf("nn: corrupt network encoding at layer %d", i)
+			}
+			if width != 0 && in != width {
+				return nil, fmt.Errorf("nn: corrupt network encoding: layer %d takes %d inputs, previous layer produces %d", i, in, width)
+			}
+			width = out
+			l := &LinearOf[float32]{
+				In:  in,
+				Out: out,
+				W:   &ParamOf[float32]{Name: "W", Value: vals[vi], Grad: make([]float32, in*out)},
+				B:   &ParamOf[float32]{Name: "b", Value: vals[vi+1], Grad: make([]float32, out)},
+			}
+			vi += 2
+			n.Layers = append(n.Layers, l.bindViews())
+		case "relu":
+			n.Layers = append(n.Layers, &ReLUOf[float32]{})
+		case "tanh":
+			n.Layers = append(n.Layers, &TanhOf[float32]{})
+		default:
+			return nil, fmt.Errorf("nn: unknown layer kind %q", kind)
+		}
+	}
+	return n, nil
+}

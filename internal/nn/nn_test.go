@@ -426,6 +426,31 @@ func TestGradientClipping(t *testing.T) {
 	}
 }
 
+func TestSerializationRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	net := NewMLP(rng, 6, 10, 4)
+	x := NewMat(1, 6)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	want := net.Forward(x).Clone()
+
+	data, err := net.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Network
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	got := back.Forward(x)
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("output %d differs after round trip: %v vs %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := NewMLP(rng, 3, 4, 2)

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,6 +128,208 @@ func TestF32TrainingStepToleranceParity(t *testing.T) {
 	}
 	if last32 > first32/5 {
 		t.Fatalf("f32 path failed to learn: first loss %v, last %v", first32, last32)
+	}
+}
+
+// TestF32CheckpointRoundTrip: a network must gob-round-trip with
+// bitwise-identical outputs (the wire format keeps the native precision).
+func TestF32CheckpointRoundTrip(t *testing.T) {
+	net := NewMLP(rand.New(rand.NewSource(21)), 6, 10, 4)
+	x := NewMat(3, 6)
+	rng := rand.New(rand.NewSource(22))
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	want := net.Forward(x.Clone())
+
+	data, err := net.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Network
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	got := back.Forward(x.Clone())
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("output %d differs after f32 round trip: %v vs %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// legacyNetState mirrors the pre-versioning (version-0) wire struct: no
+// Version, no Precision, float64 payload only.
+type legacyNetState struct {
+	Kinds []string
+	Ins   []int
+	Outs  []int
+	Vals  [][]float64
+}
+
+// legacyStateOf flattens a float64 core into the version-0 wire struct.
+func legacyStateOf(core *NetOf[float64]) legacyNetState {
+	st := legacyNetState{}
+	for _, l := range core.Layers {
+		switch l := l.(type) {
+		case *LinearOf[float64]:
+			st.Kinds = append(st.Kinds, "linear")
+			st.Ins = append(st.Ins, l.In)
+			st.Outs = append(st.Outs, l.Out)
+			st.Vals = append(st.Vals, append([]float64(nil), l.W.Value...), append([]float64(nil), l.B.Value...))
+		case *ReLUOf[float64]:
+			st.Kinds = append(st.Kinds, "relu")
+			st.Ins = append(st.Ins, 0)
+			st.Outs = append(st.Outs, 0)
+		}
+	}
+	return st
+}
+
+func gobBytes(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLegacyV0CheckpointLoads: a gob stream written by the original
+// float64-only format must still decode, and plan like the network built
+// from the same seed (whose weights are the same per-weight roundings).
+func TestLegacyV0CheckpointLoads(t *testing.T) {
+	data := gobBytes(t, legacyStateOf(NewMLPOf[float64](rand.New(rand.NewSource(33)), 4, 6, 2)))
+	var back Network
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatalf("legacy checkpoint failed to load: %v", err)
+	}
+	net := NewMLP(rand.New(rand.NewSource(33)), 4, 6, 2)
+	x := NewMat(1, 4)
+	x.Data[0] = 1
+	want, got := net.Forward(x.Clone()), back.Forward(x.Clone())
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("legacy round trip changed output %d: %v vs %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// checkpointStream is one encoded checkpoint and the flattened float32
+// weights it must load as — nil for a stream that must be rejected.
+type checkpointStream struct {
+	data []byte
+	want []float32
+}
+
+// checkpointStreams builds one stream of every kind UnmarshalBinary has to
+// tell apart, from one float64 core.
+func checkpointStreams(t testing.TB) map[string]checkpointStream {
+	legacy := legacyStateOf(NewMLPOf[float64](rand.New(rand.NewSource(33)), 4, 6, 2))
+	var rounded []float32
+	vals32 := make([][]float32, len(legacy.Vals))
+	for i, v64 := range legacy.Vals {
+		for _, w := range v64 {
+			vals32[i] = append(vals32[i], float32(w))
+		}
+		rounded = append(rounded, vals32[i]...)
+	}
+	v1 := func(prec string, vals [][]float64, vals32 [][]float32) []byte {
+		return gobBytes(t, netState{Version: 1, Precision: prec,
+			Kinds: legacy.Kinds, Ins: legacy.Ins, Outs: legacy.Outs, Vals: vals, Vals32: vals32})
+	}
+	return map[string]checkpointStream{
+		"v0":                {gobBytes(t, legacy), rounded},
+		"v1-f64":            {v1("f64", legacy.Vals, nil), rounded},
+		"v1-f32":            {v1("f32", nil, vals32), rounded},
+		"f32-both-payloads": {v1("f32", legacy.Vals, vals32), nil},
+		"f64-both-payloads": {v1("f64", legacy.Vals, vals32), nil},
+		"unknown-precision": {v1("f16", legacy.Vals, nil), nil},
+		"v1-no-precision":   {v1("", legacy.Vals, nil), nil},
+		// Headers that pass a naive size check: a second layer narrower than
+		// the first one's output, and an input width whose product with the
+		// output width overflows to the (empty) payload's length.
+		"layer-width-mismatch": {gobBytes(t, netState{Version: 1, Precision: "f32",
+			Kinds: []string{"linear", "linear"}, Ins: []int{2, 3}, Outs: []int{2, 1},
+			Vals32: [][]float32{make([]float32, 4), make([]float32, 2), make([]float32, 3), make([]float32, 1)}}), nil},
+		"overflowing-dims": {gobBytes(t, netState{Version: 1, Precision: "f32",
+			Kinds: []string{"linear"}, Ins: []int{1 << 62}, Outs: []int{4},
+			Vals32: [][]float32{{}, make([]float32, 4)}}), nil},
+	}
+}
+
+// TestCheckpointCompatibility is the load rule, stream kind by stream kind:
+// float64 payloads (v0, v1 "f64") load with each weight rounded to float32,
+// a v1 "f32" stream loads and re-encodes bit for bit, and a stream whose
+// precision is ambiguous, unknown or missing, or whose layer header does not
+// describe a runnable network, is rejected.
+func TestCheckpointCompatibility(t *testing.T) {
+	for name, c := range checkpointStreams(t) {
+		t.Run(name, func(t *testing.T) {
+			var net Network
+			err := net.UnmarshalBinary(c.data)
+			if c.want == nil {
+				if err == nil {
+					t.Fatal("stream loaded, want an error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []float32
+			for _, p := range net.F32().Params() {
+				got = append(got, p.Value...)
+			}
+			checkBitwise(t, "loaded weights", got, c.want)
+			if name == "v1-f32" {
+				again, err := net.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again, c.data) {
+					t.Fatal("f32 stream did not re-encode byte for byte")
+				}
+			}
+		})
+	}
+}
+
+// FuzzNetworkUnmarshalBinary: arbitrary bytes must give an error or a
+// network that can run — never a panic, in the decoder or in the first
+// Forward. Seeded with every stream kind truncated at every length.
+func FuzzNetworkUnmarshalBinary(f *testing.F) {
+	for _, c := range checkpointStreams(f) {
+		for n := 0; n <= len(c.data); n++ {
+			f.Add(c.data[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var net Network
+		if err := net.UnmarshalBinary(data); err != nil {
+			return
+		}
+		net.Forward(NewMat(1, net.InDim()))
+	})
+}
+
+// TestUnmarshalRejectsBadData: empty, truncated, and garbage checkpoint
+// bytes must error rather than panic or half-load.
+func TestUnmarshalRejectsBadData(t *testing.T) {
+	good, err := NewMLP(rand.New(rand.NewSource(1)), 3, 2).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"empty":     {},
+		"garbage":   []byte("not a gob stream at all"),
+		"truncated": good[:len(good)/2],
+	}
+	for name, data := range cases {
+		var back Network
+		if err := back.UnmarshalBinary(data); err == nil {
+			t.Fatalf("%s checkpoint decoded without error", name)
+		}
 	}
 }
 

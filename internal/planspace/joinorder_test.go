@@ -219,6 +219,71 @@ func TestGreedyPlanDeterministic(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTrip: a policy restored into a fresh learner plans
+// every query exactly as the trained one does.
+func TestCheckpointRoundTrip(t *testing.T) {
+	f := fixture(t, 4, 4, 5)
+	env, agent := f.stage1(32, 16, 2)
+	for ep := 0; ep < 100; ep++ {
+		trainEpisode(env, agent)
+	}
+	data, err := agent.MarshalPolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env2, restored := f.stage1(32, 16, 99)
+	if err := restored.UnmarshalPolicy(data); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range f.queries {
+		want, got := greedy(t, env, agent, q), greedy(t, env2, restored, q)
+		if got.Cost != want.Cost || got.Plan.Signature() != want.Plan.Signature() {
+			t.Fatalf("query %s: restored cost %v, want %v", q.Name, got.Cost, want.Cost)
+		}
+	}
+}
+
+// TestCheckpointRejectsWrongDims: a checkpoint from a space sized for other
+// queries is rejected.
+func TestCheckpointRejectsWrongDims(t *testing.T) {
+	f := fixture(t, 2, 4, 4)
+	_, agent := f.stage1(16, 16, 1)
+	data, err := agent.MarshalPolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := NewEnv(Config{Space: featurize.NewSpace(6, f.est), Planner: f.planner, Queries: f.queries})
+	other := rl.NewReinforce(wide.ObsDim(), wide.ActionDim(), rl.ReinforceConfig{Hidden: []int{16}, Seed: 1})
+	if err := other.UnmarshalPolicy(data); err == nil {
+		t.Fatal("checkpoint with mismatched dimensions accepted")
+	}
+}
+
+// TestF32CheckpointRoundTripOnAgent: a briefly trained f32 policy saves and
+// restores into a learner with another seed and batch size, and both plan
+// every query at the same cost.
+func TestF32CheckpointRoundTripOnAgent(t *testing.T) {
+	f := fixture(t, 3, 4, 4)
+	env, agent := f.stage1(16, 4, 3)
+	for ep := 0; ep < 12; ep++ {
+		trainEpisode(env, agent)
+	}
+	data, err := agent.MarshalPolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env2, restored := f.stage1(16, 4, 4)
+	if err := restored.UnmarshalPolicy(data); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range f.queries {
+		want, got := greedy(t, env, agent, q), greedy(t, env2, restored, q)
+		if got.Cost != want.Cost {
+			t.Fatalf("restored learner plans %s at cost %v, original %v", q.Name, got.Cost, want.Cost)
+		}
+	}
+}
+
 // TestConvergenceTowardExpert is the §3 reproduction at miniature scale:
 // after training, the greedy join orders are close to the traditional
 // optimizer's on the training workload, and better than the untrained

@@ -1,10 +1,14 @@
 package rl
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
+
+	"handsfree/internal/nn"
 )
 
 // relDiff is the symmetric relative difference the tolerance comparisons in
@@ -72,6 +76,102 @@ func TestReinforceF32ConvergesOnBandit(t *testing.T) {
 	if wins < 80 {
 		t.Fatalf("agent solved only %d/100 bandit contexts", wins)
 	}
+}
+
+// f64Checkpoint mirrors the fields of nn's version-1 wire struct that a
+// checkpoint written by a float64 network carries (gob matches fields by
+// name), so this package can hand UnmarshalPolicy an old file.
+type f64Checkpoint struct {
+	Version   int
+	Precision string
+	Kinds     []string
+	Ins, Outs []int
+	Vals      [][]float64
+}
+
+// TestMixedPrecisionCheckpointLoads covers what an agent can be handed: a
+// checkpoint written by a float64 network (weights rounded on load), one
+// written by this version (bit for bit), and bytes that are no checkpoint.
+func TestMixedPrecisionCheckpointLoads(t *testing.T) {
+	const obsDim, actions = 6, 3
+	mk := func(seed int64) *Reinforce {
+		return NewReinforce(obsDim, actions, ReinforceConfig{Hidden: []int{12}, Seed: seed})
+	}
+	state := State{Features: []float64{0.3, -1.2, 0.7, 0.05, -0.4, 1.9}, Mask: []bool{true, true, true}}
+
+	t.Run("f64-into-f32", func(t *testing.T) {
+		// Widen src's weights into the float64 format: every one is exactly
+		// representable, so the rounding on load must give them back.
+		src := mk(1)
+		ck := f64Checkpoint{Version: 1, Precision: "f64"}
+		for _, l := range src.Policy.F32().Layers {
+			kind, in, out := "relu", 0, 0
+			if lin, ok := l.(*nn.LinearOf[float32]); ok {
+				kind, in, out = "linear", lin.In, lin.Out
+				for _, p := range lin.Params() {
+					w := make([]float64, len(p.Value))
+					for i, v := range p.Value {
+						w[i] = float64(v)
+					}
+					ck.Vals = append(ck.Vals, w)
+				}
+			}
+			ck.Kinds, ck.Ins, ck.Outs = append(ck.Kinds, kind), append(ck.Ins, in), append(ck.Outs, out)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+			t.Fatal(err)
+		}
+		dst := mk(2)
+		if err := dst.UnmarshalPolicy(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		ps, pd := src.Probs(state), dst.Probs(state)
+		for i := range ps {
+			if ps[i] != pd[i] {
+				t.Fatalf("action %d: source prob %v vs loaded %v", i, ps[i], pd[i])
+			}
+		}
+	})
+
+	t.Run("same-precision-f32", func(t *testing.T) {
+		src := mk(5)
+		data, err := src.MarshalPolicy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := mk(6)
+		if err := dst.UnmarshalPolicy(data); err != nil {
+			t.Fatal(err)
+		}
+		ps, pd := src.Probs(state), dst.Probs(state)
+		for i := range ps {
+			if ps[i] != pd[i] {
+				t.Fatalf("f32 round trip changed action %d prob: %v vs %v", i, ps[i], pd[i])
+			}
+		}
+	})
+
+	t.Run("corrupted-and-empty", func(t *testing.T) {
+		good, err := mk(7).MarshalPolicy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{
+			"empty":     {},
+			"garbage":   []byte("......definitely not gob......"),
+			"truncated": good[:len(good)/3],
+		} {
+			dst := mk(8)
+			before := dst.Policy
+			if err := dst.UnmarshalPolicy(data); err == nil {
+				t.Fatalf("%s checkpoint loaded without error", name)
+			}
+			if dst.Policy != before {
+				t.Fatalf("%s checkpoint replaced the policy despite erroring", name)
+			}
+		}
+	})
 }
 
 // TestAsyncTrainF32: the asynchronous actor-learner split must run end to

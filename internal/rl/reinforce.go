@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -155,6 +156,31 @@ func (a *Reinforce) Greedy(s State) int {
 		}
 	}
 	return best
+}
+
+// MarshalPolicy serializes the policy network (weights and structure). The
+// optimizer state and pending batch are not saved: a restored agent resumes
+// with fresh optimizer statistics, which matches common checkpointing
+// practice for small policy networks.
+func (a *Reinforce) MarshalPolicy() ([]byte, error) {
+	return a.Policy.MarshalBinary()
+}
+
+// UnmarshalPolicy restores a policy saved with MarshalPolicy, by this or any
+// earlier version (old float64 gob files load with each weight rounded). The
+// network dimensions must match the agent's environment.
+func (a *Reinforce) UnmarshalPolicy(data []byte) error {
+	net := &nn.Network{}
+	if err := net.UnmarshalBinary(data); err != nil {
+		return err
+	}
+	if net.InDim() != a.Policy.InDim() || net.OutDim() != a.Policy.OutDim() {
+		return fmt.Errorf("rl: checkpoint dims %dx%d do not match agent %dx%d",
+			net.InDim(), net.OutDim(), a.Policy.InDim(), a.Policy.OutDim())
+	}
+	a.Policy = net
+	a.ResetBatch()
+	return nil
 }
 
 // ResetBatch discards any episodes accumulated toward the next update. Call
